@@ -196,7 +196,8 @@ let obs_term =
          & info [ "engine" ] ~docv:"ENGINE"
              ~doc:"Fault-simulation backend: auto (the default — compiled for \
                    combinational netlists, packed for sequential ones), \
-                   packed, event or compiled. Reported coverage is \
+                   packed, event or compiled (sequential netlists run \
+                   packed under compiled). Reported coverage is \
                    bit-identical across all of them.")
   in
   Term.(const (fun trace metrics profile report trace_out metrics_out deadline_ms

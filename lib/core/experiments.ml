@@ -404,8 +404,12 @@ let atpg_effort ?(config = Config.default) ?(generator = Topoff.Use_podem)
       ~length:(Array.length mutation_seed)
   in
   (* The three seeding disciplines are independent campaigns — one cell
-     each, merged in the fixed none/random/mutation order. *)
-  let scanned_h = lazy (Cache.netlist_hash scanned) in
+     each, merged in the fixed none/random/mutation order. The store key
+     hash is computed here, before the fan-out, and only when a store
+     is attached. *)
+  let scanned_h =
+    match Ctx.store ctx with Some _ -> Cache.netlist_hash scanned | None -> ""
+  in
   Ctx.map_cells ctx
     [ ("none", [||]); ("random", random_seed_patterns); ("mutation", mutation_seed) ]
     ~f:(fun (kind, seed_patterns) ->
@@ -421,7 +425,7 @@ let atpg_effort ?(config = Config.default) ?(generator = Topoff.Use_podem)
           Store.fetch_or_compute store ~ns:"atpg"
             ~parts:
               [
-                ("netlist", Lazy.force scanned_h);
+                ("netlist", scanned_h);
                 ("faults", Cache.faults_hash faults);
                 ("seed_patterns", Cache.sequence_hash seed_patterns);
                 ("seed", string_of_int seed);

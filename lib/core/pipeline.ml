@@ -40,7 +40,13 @@ type t = {
   hashes : Cache.hashes Lazy.t;
 }
 
-let hashes t = Lazy.force t.hashes
+(* Campaign cells force the hashes from worker domains, and a
+   concurrent [Lazy.force] raises [CamlinternalLazy.Undefined] in OCaml
+   5, so every force happens under a lock ([Lazy.is_val] is no guard: it
+   already reads true while another domain is still forcing). Storeless
+   runs never force them at all. *)
+let hashes_lock = Mutex.create ()
+let hashes t = Mutex.protect hashes_lock (fun () -> Lazy.force t.hashes)
 
 let prepare design =
   Trace.with_span "prepare" ~attrs:[ ("design", design.Ast.name) ] @@ fun () ->
@@ -219,7 +225,7 @@ let fault_simulate ?(ctx = Ctx.default) t sequence =
            state feedback makes per-cone payloads unsound to split.
            Degraded runs are returned but never cached — see
            {!Mutsamp_store.Store.fetch_or_compute}. *)
-        let h = Lazy.force t.hashes in
+        let h = hashes t in
         Mutsamp_store.Store.fetch_or_compute store ~ns:"fsim"
           ~parts:
             [
@@ -273,7 +279,7 @@ let rec classify_equivalents ?(screen = 512) ?(ctx = Ctx.default) ~seed t =
     Mutsamp_store.Store.fetch_or_compute store ~ns:"equiv"
       ~parts:
         [
-          ("design", (Lazy.force t.hashes).Cache.design_h);
+          ("design", (hashes t).Cache.design_h);
           ("seed", string_of_int seed);
           ("screen", string_of_int screen);
         ]

@@ -13,14 +13,15 @@ type t = {
   sequential : bool;
   hashes : Cache.hashes Lazy.t;
       (** content hashes keying the campaign store; forced only by
-          store-aware runs *)
+          store-aware runs, always through {!hashes} *)
 }
 
 val prepare : Mutsamp_hdl.Ast.design -> t
 (** Synthesise, collapse faults, enumerate mutants. *)
 
 val hashes : t -> Cache.hashes
-(** Force and return the content-hash bundle. *)
+(** Force and return the content-hash bundle. Domain-safe: campaign
+    cells on several worker domains may ask for it at once. *)
 
 val pattern_of_stimulus : t -> Mutsamp_hdl.Sim.stimulus -> Mutsamp_fault.Pattern.t
 (** Pattern over the netlist's bit-level inputs. *)

@@ -17,7 +17,8 @@ type sink =
     every stage that simulates faults honours the same knob.
 
     [Auto] resolves per netlist (compiled for combinational circuits,
-    packed parallel-fault for sequential ones). [Serial] is the
+    packed parallel-fault for sequential ones); [Compiled] has no
+    sequential variant and resolves the same way. [Serial] is the
     single-lane reference engine used by the differential test suites;
     it has no string spelling and is not reachable from the CLI. *)
 type engine = Auto | Packed | Event | Compiled | Serial

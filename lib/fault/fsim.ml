@@ -1,5 +1,6 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
+module Gate = Mutsamp_netlist.Gate
 module Levels = Mutsamp_netlist.Levels
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
@@ -180,7 +181,6 @@ let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
           let faulty =
             Bitsim.step_injected sim_faulty (K.replicate_pattern nl 1 sequence.(c)) ~inj ~stuck
           in
-          Metrics.incr K.c_serial_cycles;
           Metrics.incr K.c_machine_steps;
           if faulty <> good_outputs.(c) then
             detections.(fi) <- { fault = f; detected_at = Some c }
@@ -199,85 +199,198 @@ let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
     patterns_applied = Array.length sequence;
   }
 
-(* Packed sequential engine: lane 0 carries the good machine, every
-   other lane one fault, all advanced together by [Bitsim.step_multi]. *)
+(* Packed sequential engine after PROOFS (Niermann, Cheng & Patel, IEEE
+   TCAD 1992). The good machine runs once per cycle on a single lane. A
+   fault keeps its own flip-flop state only while that state differs
+   from the good one; otherwise it implicitly carries the good state.
+   Each cycle only the active faults — diverged, or excited because the
+   site's good value differs from the stuck value — are packed [lanes]
+   to a word and simulated by [Bitsim.step_multi]: an inactive fault
+   provably produces the good outputs and the good next state. Detected
+   faults drop out and the survivors regroup every cycle, so a fault's
+   [detected_at] never depends on which faults share its word. *)
 let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
     ~sequence =
+  let n_faults = Array.length faults in
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
   let sim = Bitsim.create ?lanes nl in
   let w = Bitsim.lanes sim in
   let nw = Bitsim.words_per_net sim in
+  let n_cycles = Array.length sequence in
+  (* Admission: one charge per group of [w] faults for the whole
+     sequence, up front and in fault order, so a budget cut admits a
+     prefix of whole groups whatever the activity turns out to be. *)
+  let admitted = ref 0 in
+  let cut = ref None in
+  while !stop = None && !cut = None && !admitted < n_faults do
+    let len = min w (n_faults - !admitted) in
+    match Budget.spend budget ~stage:Rerror.Fsim Budget.Fsim_pairs (len * n_cycles) with
+    | Ok () ->
+      Metrics.incr K.x_fault_groups;
+      admitted := !admitted + len
+    | Error e -> cut := Some e
+  done;
   let n_out = Array.length nl.Netlist.output_list in
-  let group_size = w - 1 in
-  if group_size < 1 then invalid_arg "Fsim.run: packed sequential needs at least 2 lanes";
-  let n_groups = (Array.length faults + group_size - 1) / group_size in
+  let n_dff = Array.length nl.Netlist.dff_nets in
+  (* The net whose good value decides excitation: the stem itself, or
+     the fanin feeding the faulted pin. *)
+  let inj = Array.map Fault.injection faults in
+  let site =
+    Array.map
+      (function
+        | Bitsim.Net s -> s
+        | Bitsim.Pin { gate; pin } -> nl.Netlist.gates.(gate).Gate.fanins.(pin))
+      inj
+  in
+  let stuck = Array.map Fault.stuck_word faults in
+  let lane_mask =
+    Array.init w (fun l ->
+        let m = Array.make nw 0 in
+        m.(l / Bitsim.word_bits) <- 1 lsl (l mod Bitsim.word_bits);
+        m)
+  in
+  (* Per-fault flip-flop state (one 0/1 int per flip-flop), held only
+     while it differs from the good state; [||] follows the good one. *)
+  let fstate = Array.make n_faults [||] in
+  let alive = Array.init !admitted Fun.id in
+  let n_alive = ref !admitted in
+  let active = Array.make !admitted 0 in
+  let good = Bitsim.create ~lanes:1 nl in
+  Bitsim.reset good;
+  let gstate = ref (Bitsim.dff_states good) in
+  let state = Array.make (n_dff * nw) 0 in
   let diff = Array.make nw 0 in
-  for g = 0 to n_groups - 1 do
-    if !stop = None then begin
-    Metrics.incr K.x_fault_groups;
-    let lo = g * group_size in
-    let len = min group_size (Array.length faults - lo) in
-    (match
-       Budget.spend budget ~stage:Rerror.Fsim Budget.Fsim_pairs
-         (len * Array.length sequence)
-     with
+  let diverged = Array.make nw 0 in
+  let logical_steps = ref 0 in
+  let ticked = ref 0 in
+  let cycle = ref 0 in
+  while !cycle < n_cycles && !n_alive > 0 && !stop = None do
+    (match Budget.check_deadline budget ~stage:Rerror.Fsim with
      | Ok () -> ()
      | Error e -> stop := Some e);
     if !stop = None then begin
-    let injections =
-      List.init len (fun j ->
-          let f = faults.(lo + j) in
-          let lane = j + 1 in
-          let mask = Array.make nw 0 in
-          mask.(lane / Bitsim.word_bits) <- 1 lsl (lane mod Bitsim.word_bits);
-          { Bitsim.inj = Fault.injection f; lanes = mask; stuck = Fault.stuck_word f })
-    in
-    Bitsim.reset sim;
-    let cycle = ref 0 in
-    let n_cycles = Array.length sequence in
-    while !cycle < n_cycles do
-      let outs =
-        Bitsim.step_multi sim (K.replicate_pattern nl nw sequence.(!cycle)) ~injections
-      in
-      Metrics.incr K.x_machine_steps;
-      Metrics.observe K.h_lanes_per_step (float_of_int (len + 1));
-      (* Lanes whose outputs differ from lane 0's value. *)
-      Array.fill diff 0 nw 0;
-      for o = 0 to n_out - 1 do
-        let good = -(outs.(o * nw) land 1) in
-        for j = 0 to nw - 1 do
-          diff.(j) <- diff.(j) lor (outs.((o * nw) + j) lxor good)
-        done
-      done;
-      for j = 0 to len - 1 do
-        let lane = j + 1 in
-        if (diff.(lane / Bitsim.word_bits) lsr (lane mod Bitsim.word_bits)) land 1 = 1
+      let c = !cycle in
+      let gout = Bitsim.step good (K.replicate_pattern nl 1 sequence.(c)) in
+      let gnext = Bitsim.dff_states good in
+      logical_steps := !logical_steps + !n_alive;
+      let n_active = ref 0 in
+      for k = 0 to !n_alive - 1 do
+        let fi = alive.(k) in
+        if
+          Array.length fstate.(fi) > 0
+          || (Bitsim.net_word good site.(fi) 0 lxor stuck.(fi)) land 1 <> 0
         then begin
-          let fi = lo + j in
-          match detections.(fi).detected_at with
-          | None -> detections.(fi) <- { detections.(fi) with detected_at = Some !cycle }
-          | Some _ -> ()
+          active.(!n_active) <- fi;
+          incr n_active
         end
       done;
+      let inputs =
+        if !n_active > 0 then K.replicate_pattern nl nw sequence.(c) else [||]
+      in
+      let n_detected = ref 0 in
+      let lo = ref 0 in
+      while !lo < !n_active do
+        let len = min w (!n_active - !lo) in
+        for k = 0 to n_dff - 1 do
+          Array.fill state (k * nw) nw (-(!gstate.(k) land 1))
+        done;
+        let injections = ref [] in
+        for l = len - 1 downto 0 do
+          let fi = active.(!lo + l) in
+          let fs = fstate.(fi) in
+          if Array.length fs > 0 then begin
+            let j = l / Bitsim.word_bits and bit = 1 lsl (l mod Bitsim.word_bits) in
+            for k = 0 to n_dff - 1 do
+              let x = (k * nw) + j in
+              state.(x) <-
+                (if fs.(k) = 1 then state.(x) lor bit else state.(x) land lnot bit)
+            done
+          end;
+          injections :=
+            { Bitsim.inj = inj.(fi); lanes = lane_mask.(l); stuck = stuck.(fi) }
+            :: !injections
+        done;
+        Bitsim.load_state sim state;
+        let outs = Bitsim.step_multi sim inputs ~injections:!injections in
+        let next = Bitsim.dff_states sim in
+        Metrics.incr K.x_machine_steps;
+        Metrics.observe K.h_lanes_per_step (float_of_int len);
+        (* Lanes whose outputs, or next state, left the good machine. *)
+        Array.fill diff 0 nw 0;
+        for o = 0 to n_out - 1 do
+          let g = -(gout.(o) land 1) in
+          for j = 0 to nw - 1 do
+            diff.(j) <- diff.(j) lor (outs.((o * nw) + j) lxor g)
+          done
+        done;
+        Array.fill diverged 0 nw 0;
+        for k = 0 to n_dff - 1 do
+          let g = -(gnext.(k) land 1) in
+          for j = 0 to nw - 1 do
+            diverged.(j) <- diverged.(j) lor (next.((k * nw) + j) lxor g)
+          done
+        done;
+        for l = 0 to len - 1 do
+          let fi = active.(!lo + l) in
+          let j = l / Bitsim.word_bits and b = l mod Bitsim.word_bits in
+          if (diff.(j) lsr b) land 1 = 1 then begin
+            detections.(fi) <- { detections.(fi) with detected_at = Some c };
+            fstate.(fi) <- [||];
+            incr n_detected
+          end
+          else if (diverged.(j) lsr b) land 1 = 1 then begin
+            let fs =
+              if Array.length fstate.(fi) > 0 then fstate.(fi)
+              else begin
+                let a = Array.make n_dff 0 in
+                fstate.(fi) <- a;
+                a
+              end
+            in
+            for k = 0 to n_dff - 1 do
+              fs.(k) <- (next.((k * nw) + j) lsr b) land 1
+            done
+          end
+          else fstate.(fi) <- [||]
+        done;
+        lo := !lo + len
+      done;
+      if !n_detected > 0 then begin
+        let kept = ref 0 in
+        for k = 0 to !n_alive - 1 do
+          let fi = alive.(k) in
+          if detections.(fi).detected_at = None then begin
+            alive.(!kept) <- fi;
+            incr kept
+          end
+        done;
+        n_alive := !kept;
+        ticked := !ticked + !n_detected;
+        tick !n_detected
+      end;
+      gstate := gnext;
       incr cycle
-    done;
-    tick len
-    end
     end
   done;
-  K.note_cut ~detail:K.parallel_cut_detail !stop;
+  (* Logical work as the serial reference counts it: every alive fault
+     through its detection cycle, or to the end of the sequence. *)
+  Metrics.add K.c_machine_steps !logical_steps;
+  Metrics.add K.x_good_steps !cycle;
+  if !ticked < n_faults then tick (n_faults - !ticked);
+  K.note_cut ~detail:K.parallel_cut_detail (if !stop = None then !cut else !stop);
   {
-    total = Array.length faults;
+    total = n_faults;
     detected = K.count_detected detections;
     detections;
-    patterns_applied = Array.length sequence;
+    patterns_applied = n_cycles;
   }
 
+(* Compiled has no sequential variant: packed wins there. *)
 let resolved_engine engine nl =
   match engine with
-  | Auto -> if Netlist.num_dffs nl = 0 then Compiled else Packed
-  | (Packed | Event | Compiled | Serial) as e -> e
+  | Auto | Compiled -> if Netlist.num_dffs nl = 0 then Compiled else Packed
+  | (Packed | Event | Serial) as e -> e
 
 let note_engine = function
   | Packed -> Metrics.incr K.c_engine_packed
@@ -346,18 +459,10 @@ let run ?lanes ?engine ?(ctx = Ctx.default) nl ~faults ~sequence =
           Fsim_compiled.combinational_shard entry progs ~budget
             ~faults:(Array.sub faults lo len)
             ~fault_lo:lo ~patterns:sequence)
-    | Compiled, false ->
-      let entry, sites =
-        Fsim_compiled.prepare_seq nl ~faults:(Array.to_list faults)
-      in
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          Fsim_compiled.sequential_shard entry sites ~budget ~tick
-            ~faults:(Array.sub faults lo len)
-            ~fault_lo:lo ~sequence)
     | Serial, (true | false) ->
       Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
           serial_shard ~budget ~tick nl ~faults:(Array.sub faults lo len) ~sequence)
-    | Auto, _ -> assert false
+    | Compiled, false | Auto, _ -> assert false
   in
   let report = merge_reports ~patterns_applied:(Array.length sequence) shards in
   Metrics.add K.c_patterns report.patterns_applied;
@@ -365,8 +470,3 @@ let run ?lanes ?engine ?(ctx = Ctx.default) nl ~faults ~sequence =
   report
 
 let input_pattern = Pattern.of_bits
-
-let pattern_of_code nl code =
-  Pattern.of_code ~inputs:(Array.length nl.Netlist.input_nets) code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes

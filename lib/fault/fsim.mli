@@ -11,8 +11,11 @@
     - {!Packed}: the parallel-pattern (PPSFP) reference for
       combinational circuits — [lanes] patterns per pass, good circuit
       simulated once per pass, full-circuit resimulation per fault —
-      and classical parallel-fault simulation for sequential ones
-      (lane 0 carries the good machine, each other lane one fault);
+      and PROOFS-style parallel-fault simulation for sequential ones:
+      the good machine runs once per cycle on its own lane, and each
+      cycle only the faults that are excited or whose flip-flop state
+      has diverged are packed [lanes] to a word; detected faults are
+      dropped and the rest regroup every cycle;
     - {!Event}: event-driven — the netlist is levelized
       ({!Mutsamp_netlist.Levels}), a full good baseline is kept per
       batch/cycle, and each fault pass re-evaluates only gates whose
@@ -22,13 +25,14 @@
       straight-line OCaml closures over dense word arrays — a
       whole-netlist good program plus a statically-routed fanout-cone
       program per fault site, cached per design hash for the process
-      lifetime (misses recorded in [exec.compile_ms]);
+      lifetime (misses recorded in [exec.compile_ms]). Combinational
+      only: on a sequential netlist it resolves to [Packed];
     - {!Serial}: the single-lane reference the differential property
       tests compare every other engine against. Internal: it has no
       CLI spelling.
 
-    {!Auto} resolves to [Compiled] for combinational netlists and
-    [Packed] for sequential ones.
+    {!Auto} (and {!Compiled}) resolve to [Compiled] for combinational
+    netlists and [Packed] for sequential ones.
 
     All backends record, per fault, the index of the first detecting
     pattern (combinational) or cycle (sequential), which is what the
@@ -85,9 +89,9 @@ val length_to_reach : report -> float -> int option
 (** Shortest prefix achieving at least the given coverage, if any. *)
 
 val resolved_engine : engine -> Mutsamp_netlist.Netlist.t -> engine
-(** The backend {!run} will actually use: [Auto] resolves per netlist
-    ([Compiled] without flip-flops, [Packed] with), every other engine
-    resolves to itself. *)
+(** The backend {!run} will actually use: [Auto] and [Compiled]
+    resolve per netlist ([Compiled] without flip-flops, [Packed] with),
+    every other engine resolves to itself. *)
 
 val run :
   ?lanes:int ->
@@ -104,29 +108,20 @@ val run :
 
     [engine] defaults to the context's engine field ([Auto] in
     {!Mutsamp_exec.Ctx.default}). [lanes] is the pattern-batch width
-    for the combinational backends and the lane count (good machine +
-    [lanes - 1] faults) for the packed sequential backend, rounded up
-    to whole words; the sequential event/compiled/serial backends are
-    single-lane and ignore it.
+    for the combinational backends and the number of faults per word
+    for the packed sequential backend, rounded up to whole words; the
+    sequential event and serial backends are single-lane and ignore
+    it.
 
     The context's progress callback is invoked (stage ["faultsim"]) by
-    the sequential backends after each fault's replay — or per fault
-    group for the packed one (long [b03]/[c499] runs are otherwise
-    silent for minutes); shards feed a shared done-counter, so the
-    count is monotone under parallelism.
+    the sequential backends after each fault's replay — or, for the
+    packed one, as faults are detected and once for the rest at the end
+    (long [b03] runs are otherwise silent for minutes); shards feed a
+    shared done-counter, so the count is monotone under parallelism.
 
     Raises [Invalid_argument] if a pattern's width does not match the
-    input count, or if [lanes < 1] ([< 2] for packed sequential). *)
+    input count, or if [lanes < 1]. *)
 
 val input_pattern : Mutsamp_netlist.Netlist.t -> (string * bool) list -> Pattern.t
 (** Build a pattern from named input bits (missing names default to
     0). *)
-
-val pattern_of_code : Mutsamp_netlist.Netlist.t -> int -> Pattern.t
-  [@@deprecated "build patterns with Pattern.of_code ~inputs directly"]
-
-val patterns_of_codes : Mutsamp_netlist.Netlist.t -> int array -> Pattern.t array
-  [@@deprecated "build patterns with Pattern.of_code ~inputs directly"]
-(** Integer-code conveniences from the pre-Packvec era; the netlist
-    argument only supplies the input count. Use
-    [Pattern.of_code ~inputs] instead. *)

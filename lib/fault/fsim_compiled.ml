@@ -6,9 +6,8 @@
    with boundary loads (cone-external fanins copied from the baseline
    into the overlay), after which every gate op reads and writes the
    overlay only — no forcing checks, no kind dispatch, no bounds
-   checks in the inner loop. Sequential circuits compile to a
-   whole-circuit program with fault sites patched via indexed op
-   replacement ("patch thunks").
+   checks in the inner loop. Combinational only: sequential netlists
+   resolve to the packed engine.
 
    Programs are cached per structural design hash in a process-global
    table; all compilation happens on the coordinating domain before
@@ -84,14 +83,6 @@ let compile_forced_gate ~nw ~i ~kind ~f0 ~f1 ~pin ~stuck : op =
       Array.unsafe_set v (base + j) (Gate.eval2 kind x y)
     done
 
-(* Same, reading operands from [v] — the sequential patched variant,
-   where the whole circuit evaluates in one array. *)
-let compile_forced_gate_inline ~i ~kind ~f0 ~f1 ~pin ~stuck : op =
-  fun _ v ->
-    let x = if pin = 0 then stuck else Array.unsafe_get v f0 in
-    let y = if pin = 1 then stuck else Array.unsafe_get v f1 in
-    Array.unsafe_set v i (Gate.eval2 kind x y)
-
 let copy_op ~nw net : op =
   if nw = 1 then fun g v -> Array.unsafe_set v net (Array.unsafe_get g net)
   else fun g v -> Array.blit g (net * nw) v (net * nw) nw
@@ -114,18 +105,6 @@ type cone_prog = {
   evals_quiescent : int;  (* gate evaluations when it is skipped *)
 }
 
-type seq_prog = {
-  base_ops : op array;  (* PI loads, constant stores, comb gates *)
-  op_index : int array;  (* per net: position in [base_ops], -1 if none *)
-}
-
-type seq_site = {
-  patched_ops : op array;
-  forced_dff_net : int;  (* DFF output stem: force after state load, -1 *)
-  dff_pin_net : int;  (* DFF net whose D pin latches [seq_stuck], -1 *)
-  seq_stuck : int;
-}
-
 type entry = {
   nl : Netlist.t;
   lv : Levels.t;
@@ -133,8 +112,6 @@ type entry = {
   good_ops : op array;
   const_fill : (int * int) array;  (* net, word: pre-set once per shard *)
   cones : (Fault.t, cone_prog) Hashtbl.t;
-  seq : seq_prog option;
-  seq_sites : (Fault.t, seq_site) Hashtbl.t;
 }
 
 let cache : (int, entry) Hashtbl.t = Hashtbl.create 16
@@ -281,69 +258,6 @@ let compile_cone (lv : Levels.t) nw (f : Fault.t) =
     evals_quiescent = seed_evals;
   }
 
-(* Whole-circuit sequential program: PI loads, constant stores and
-   combinational gates as indexable ops; flip-flop value loads and the
-   state advance read the state vector and live in the shard runner. *)
-let compile_seq (nl : Netlist.t) (lv : Levels.t) =
-  let n = Array.length nl.Netlist.gates in
-  let op_index = Array.make n (-1) in
-  let ops = ref [] in
-  let count = ref 0 in
-  let push net o =
-    op_index.(net) <- !count;
-    incr count;
-    ops := o :: !ops
-  in
-  Array.iteri (fun k net -> push net (pi_op ~nw:1 k net)) nl.Netlist.input_nets;
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.Gate.kind with
-      | Gate.Const c ->
-        let word = if c then Bitsim.all_ones else 0 in
-        push i (fun _ v -> Array.unsafe_set v i word)
-      | _ -> ())
-    nl.Netlist.gates;
-  Array.iter
-    (fun i ->
-      let g = nl.Netlist.gates.(i) in
-      let f0, f1 = fanins2 g in
-      push i (compile_gate1 ~i ~kind:g.Gate.kind ~f0 ~f1))
-    lv.Levels.order;
-  { base_ops = Array.of_list (List.rev !ops); op_index }
-
-let compile_seq_site (nl : Netlist.t) (seq : seq_prog) (f : Fault.t) =
-  let stuck = Fault.stuck_word f in
-  let patched = ref seq.base_ops in
-  let forced_dff_net = ref (-1) in
-  let dff_pin_net = ref (-1) in
-  let patch idx o =
-    if !patched == seq.base_ops then patched := Array.copy seq.base_ops;
-    !patched.(idx) <- o
-  in
-  (match Fault.injection f with
-   | Bitsim.Net s ->
-     if seq.op_index.(s) >= 0 then
-       patch seq.op_index.(s) (fun _ v -> Array.unsafe_set v s stuck)
-     else
-       (* Flip-flop output stem: the value load happens outside the op
-          array; the runner forces it between state load and the ops. *)
-       forced_dff_net := s
-   | Bitsim.Pin { gate; pin } ->
-     (match nl.Netlist.gates.(gate).Gate.kind with
-      | Gate.Dff _ -> dff_pin_net := gate
-      | _ ->
-        let g = nl.Netlist.gates.(gate) in
-        let f0, f1 = fanins2 g in
-        patch seq.op_index.(gate)
-          (compile_forced_gate_inline ~i:gate ~kind:g.Gate.kind ~f0 ~f1 ~pin
-             ~stuck)));
-  {
-    patched_ops = !patched;
-    forced_dff_net = !forced_dff_net;
-    dff_pin_net = !dff_pin_net;
-    seq_stuck = stuck;
-  }
-
 let find_or_compile nl nw =
   let h = design_hash nl nw in
   match Hashtbl.find_opt cache h with
@@ -361,20 +275,16 @@ let find_or_compile nl nw =
             good_ops = compile_good nl lv nw;
             const_fill = const_fill nl;
             cones = Hashtbl.create 64;
-            seq =
-              (if Netlist.num_dffs nl > 0 then Some (compile_seq nl lv)
-               else None);
-            seq_sites = Hashtbl.create 64;
           })
     in
     Metrics.add K.x_compile_ms (int_of_float (dt *. 1000.));
     Hashtbl.replace cache h e;
     e
 
-(* Both prepare functions run on the coordinating domain, under one
-   lock, and return plain arrays aligned with the fault list — worker
-   domains never touch the cache. Site programs accumulate in the
-   entry across runs, so a warm design costs lookups only. *)
+(* Runs on the coordinating domain, under one lock, and returns a plain
+   array aligned with the fault list — worker domains never touch the
+   cache. Cone programs accumulate in the entry across runs, so a warm
+   design costs lookups only. *)
 let prepare_comb nl ~nw ~faults =
   Mutex.protect cache_mutex (fun () ->
       let entry = find_or_compile nl nw in
@@ -396,29 +306,6 @@ let prepare_comb nl ~nw ~faults =
       let ms = int_of_float (dt *. 1000.) in
       if ms > 0 then Metrics.add K.x_compile_ms ms;
       (entry, progs))
-
-let prepare_seq nl ~faults =
-  Mutex.protect cache_mutex (fun () ->
-      let entry = find_or_compile nl 1 in
-      let seq = Option.get entry.seq in
-      let sites, dt =
-        Trace.with_span_timed "fsim_compile_sites"
-          ~attrs:[ ("design", nl.Netlist.name) ]
-          (fun () ->
-            Array.of_list
-              (List.map
-                 (fun f ->
-                   match Hashtbl.find_opt entry.seq_sites f with
-                   | Some s -> s
-                   | None ->
-                     let s = compile_seq_site nl seq f in
-                     Hashtbl.replace entry.seq_sites f s;
-                     s)
-                 faults))
-      in
-      let ms = int_of_float (dt *. 1000.) in
-      if ms > 0 then Metrics.add K.x_compile_ms ms;
-      (entry, sites))
 
 (* Combinational shard over precompiled cone programs; loop structure,
    budget charging and detection indexing mirror the packed engine. *)
@@ -509,97 +396,4 @@ let combinational_shard entry (progs : cone_prog array) ~budget
     detected = Array.length faults - !alive_count;
     detections;
     patterns_applied = n_pat;
-  }
-
-(* Sequential shard over the patched whole-circuit programs; mirrors
-   the serial reference's per-fault budget and early-stop behaviour. *)
-let sequential_shard entry (sites : seq_site array) ~budget ~tick
-    ~(faults : Fault.t array) ~fault_lo ~sequence =
-  let nl = entry.nl in
-  let n = Array.length nl.Netlist.gates in
-  let detections =
-    Array.map (fun f -> { K.fault = f; detected_at = None }) faults
-  in
-  let stop = ref (K.chaos_entry ()) in
-  let seq = Option.get entry.seq in
-  let n_cycles = Array.length sequence in
-  let inputs = Array.map (fun p -> K.replicate_pattern nl 1 p) sequence in
-  let dffs = nl.Netlist.dff_nets in
-  let n_dff = Array.length dffs in
-  let dff_d = Array.map (fun q -> nl.Netlist.gates.(q).Gate.fanins.(0)) dffs in
-  let dff_init =
-    Array.map
-      (fun q ->
-        match nl.Netlist.gates.(q).Gate.kind with
-        | Gate.Dff init -> if init then Bitsim.all_ones else 0
-        | _ -> assert false)
-      dffs
-  in
-  let v = Array.make n 0 in
-  let state = Array.make n_dff 0 in
-  let out_list = nl.Netlist.output_list in
-  let n_out = Array.length out_list in
-  let run_cycle ops ~forced_dff_net ~dff_pin_net ~stuck c =
-    for k = 0 to n_dff - 1 do
-      v.(dffs.(k)) <- state.(k)
-    done;
-    if forced_dff_net >= 0 then v.(forced_dff_net) <- stuck;
-    let w = inputs.(c) in
-    for o = 0 to Array.length ops - 1 do
-      (Array.unsafe_get ops o) w v
-    done;
-    for k = 0 to n_dff - 1 do
-      state.(k) <- (if dffs.(k) = dff_pin_net then stuck else v.(dff_d.(k)))
-    done
-  in
-  (* Good trajectory: per-cycle output words. *)
-  let good_out = Array.make_matrix n_cycles n_out 0 in
-  Array.blit dff_init 0 state 0 n_dff;
-  for c = 0 to n_cycles - 1 do
-    run_cycle seq.base_ops ~forced_dff_net:(-1) ~dff_pin_net:(-1) ~stuck:0 c;
-    for o = 0 to n_out - 1 do
-      good_out.(c).(o) <- v.(snd out_list.(o))
-    done
-  done;
-  (* Every shard re-simulates the good circuit, so this scales with the
-     shard count — execution bookkeeping, not logical workload. *)
-  Metrics.add K.x_good_steps n_cycles;
-  Array.iteri
-    (fun fi f ->
-      if !stop = None then begin
-        match
-          Budget.spend budget ~stage:Rerror.Fsim Budget.Fsim_pairs n_cycles
-        with
-        | Ok () -> ()
-        | Error e -> stop := Some e
-      end;
-      if !stop <> None then tick ()
-      else begin
-        let site = sites.(fault_lo + fi) in
-        Array.blit dff_init 0 state 0 n_dff;
-        let c = ref 0 in
-        let detected = ref false in
-        while (not !detected) && !c < n_cycles do
-          run_cycle site.patched_ops ~forced_dff_net:site.forced_dff_net
-            ~dff_pin_net:site.dff_pin_net ~stuck:site.seq_stuck !c;
-          Metrics.incr K.c_machine_steps;
-          let g = good_out.(!c) in
-          let rec differs o =
-            o < n_out && (v.(snd out_list.(o)) <> g.(o) || differs (o + 1))
-          in
-          if differs 0 then begin
-            detected := true;
-            detections.(fi) <- { fault = f; detected_at = Some !c }
-          end
-          else incr c
-        done;
-        tick ()
-      end)
-    faults;
-  K.note_cut ~detail:K.serial_cut_detail !stop;
-  {
-    K.total = Array.length faults;
-    detected = K.count_detected detections;
-    detections;
-    patterns_applied = n_cycles;
   }

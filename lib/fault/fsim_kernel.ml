@@ -25,7 +25,6 @@ let c_runs = Metrics.counter "fsim.runs"
 let c_patterns = Metrics.counter "fsim.patterns_simulated"
 let c_detected = Metrics.counter "fsim.faults_detected"
 let c_machine_steps = Metrics.counter "fsim.machine_steps"
-let c_serial_cycles = Metrics.counter "fsim.serial_cycles"
 let c_shards = Metrics.counter "exec.fsim_shards"
 let x_batches = Metrics.counter "exec.fsim_batches"
 let x_good_steps = Metrics.counter "exec.fsim_good_steps"

@@ -247,6 +247,7 @@ let step_multi t inputs ~injections =
   outputs t
 
 let net_values t = Array.copy t.values
+let net_word t net j = t.values.((net * t.nw) + j)
 
 let dff_states t =
   let nw = t.nw in
@@ -254,3 +255,10 @@ let dff_states t =
   let r = Array.make (Array.length dffs * nw) 0 in
   Array.iteri (fun k q -> Array.blit t.state (q * nw) r (k * nw) nw) dffs;
   r
+
+let load_state t words =
+  let nw = t.nw in
+  let dffs = t.nl.Netlist.dff_nets in
+  if Array.length words <> Array.length dffs * nw then
+    invalid_arg "Bitsim.load_state: state word count mismatch";
+  Array.iteri (fun k q -> Array.blit words (k * nw) t.state (q * nw) nw) dffs

@@ -73,15 +73,26 @@ type lane_injection = {
 
 val step_multi : t -> int array -> injections:lane_injection list -> int array
 (** One cycle with several faults, each confined to its own lanes —
-    the classical parallel-fault simulation step (lane 0 carries the
-    good machine, lanes 1.. one fault each). Flip-flop state diverges
-    per lane, so sequential circuits work naturally. *)
+    the classical parallel-fault simulation step (one fault per lane;
+    lanes without an injection run the good machine). Flip-flop state
+    diverges per lane, so sequential circuits work naturally. *)
 
 val net_values : t -> int array
 (** A copy of all net words after the last step, flat per net
     (diagnostic use). *)
 
+val net_word : t -> int -> int -> int
+(** [net_word t net j]: word [j] of [net]'s value after the last step,
+    without copying the whole net array. *)
+
 val dff_states : t -> int array
 (** Current flip-flop state words, [words_per_net] per flip-flop in
     [dff_nets] order — after a [step], the state the next cycle will
     start from. *)
+
+val load_state : t -> int array -> unit
+(** Overwrite every flip-flop's state with [words], in the {!dff_states}
+    layout, so that each lane starts the next step from its own state
+    (the parallel-fault simulator reloads diverged faulty states this
+    way when it regroups faults into words). Raises [Invalid_argument]
+    on a length mismatch. *)

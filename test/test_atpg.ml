@@ -10,6 +10,7 @@ module Gate = Mutsamp_netlist.Gate
 module B = Netlist.Builder
 module Fault = Mutsamp_fault.Fault
 module Fsim = Mutsamp_fault.Fsim
+module Pattern = Mutsamp_fault.Pattern
 module Inject = Mutsamp_fault.Inject
 module V = Mutsamp_atpg.Fivevalued
 module Podem = Mutsamp_atpg.Podem
@@ -20,15 +21,6 @@ module Topoff = Mutsamp_atpg.Topoff
 module Parser = Mutsamp_hdl.Parser
 module Check = Mutsamp_hdl.Check
 module Flow = Mutsamp_synth.Flow
-
-(* Local stand-ins for the deprecated Fsim int-code conveniences. *)
-let pattern_of_code nl code =
-  Mutsamp_fault.Pattern.of_code
-    ~inputs:(Array.length nl.Mutsamp_netlist.Netlist.input_nets)
-    code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes
-
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -537,7 +529,7 @@ let test_topoff_seed_reduces_work () =
   (* A full exhaustive seed leaves nothing for the other phases. *)
   let r =
     Topoff.run nl ~faults
-      ~seed_patterns:(patterns_of_codes nl (Array.init 8 (fun i -> i)))
+      ~seed_patterns:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)))
   in
   check_int "everything from seed" (List.length faults) r.Topoff.seed_detected;
   check_int "no atpg calls" 0 r.Topoff.atpg_calls;
@@ -553,7 +545,7 @@ let test_topoff_sat_engine () =
 let test_topoff_final_test_set_detects_everything () =
   let nl = full_adder () in
   let faults = Fault.full_list nl in
-  let r = Topoff.run nl ~faults ~seed_patterns:(patterns_of_codes nl [| 0b111 |]) in
+  let r = Topoff.run nl ~faults ~seed_patterns:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b111 |]) in
   let check_run = Fsim.run nl ~faults ~sequence:r.Topoff.test_set in
   check_int "replay detects all testable"
     (List.length faults - r.Topoff.untestable - r.Topoff.aborted)

@@ -12,6 +12,7 @@ module Operator = Mutsamp_mutation.Operator
 module Mutant = Mutsamp_mutation.Mutant
 module Kill = Mutsamp_mutation.Kill
 module Fsim = Mutsamp_fault.Fsim
+module Pattern = Mutsamp_fault.Pattern
 module Score = Mutsamp_validation.Score
 module Nlfce = Mutsamp_sampling.Nlfce
 module Topoff = Mutsamp_atpg.Topoff
@@ -19,15 +20,6 @@ module Config = Mutsamp_core.Config
 module Pipeline = Mutsamp_core.Pipeline
 module Experiments = Mutsamp_core.Experiments
 module Report = Mutsamp_core.Report
-
-(* Local stand-ins for the deprecated Fsim int-code conveniences. *)
-let pattern_of_code nl code =
-  Mutsamp_fault.Pattern.of_code
-    ~inputs:(Array.length nl.Mutsamp_netlist.Netlist.input_nets)
-    code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes
-
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -97,7 +89,7 @@ let test_fault_simulate_runs () =
   let p = Lazy.force c17_pipeline in
   let r =
     Pipeline.fault_simulate p
-      (patterns_of_codes p.Pipeline.netlist
+      (Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs p.Pipeline.netlist))
          (Array.init 32 (fun i -> i)))
   in
   (* Exhaustive patterns on c17 detect every collapsed fault. *)

@@ -20,7 +20,10 @@ module Pool = Mutsamp_exec.Pool
 module Store = Mutsamp_store.Store
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
+module Budget = Mutsamp_robust.Budget
+module Degrade = Mutsamp_robust.Degrade
 module Collapse = Mutsamp_fault.Collapse
+module Flow = Mutsamp_synth.Flow
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -153,6 +156,181 @@ let test_registry_all_engines_all_jobs () =
     Registry.all
 
 (* ------------------------------------------------------------------ *)
+(* Packed sequential engine: dropping, activity skipping, regrouping  *)
+(* ------------------------------------------------------------------ *)
+
+let sequential_circuits () =
+  List.filter_map
+    (fun (e : Registry.entry) ->
+      let nl = Flow.synthesize (e.Registry.design ()) in
+      if Netlist.num_dffs nl = 0 then None
+      else Some (e.Registry.name, nl, (Collapse.run nl).Collapse.representatives))
+    Registry.all
+
+let circuit name =
+  match List.find_opt (fun (n, _, _) -> n = name) (sequential_circuits ()) with
+  | Some (_, nl, faults) -> (nl, faults)
+  | None -> Alcotest.failf "%s is not a sequential registry circuit" name
+
+(* Q-stem and D-pin faults on every flip-flop, which the collapsed list
+   may fold into other classes. *)
+let dff_faults nl =
+  List.concat_map
+    (fun q ->
+      List.concat_map
+        (fun polarity ->
+          [
+            { Fault.site = Fault.Stem q; polarity };
+            { Fault.site = Fault.Branch { gate = q; pin = 0 }; polarity };
+          ])
+        [ Fault.Stuck_at_0; Fault.Stuck_at_1 ])
+    (Array.to_list nl.Netlist.dff_nets)
+
+let seq_sequence nl ~length seed =
+  Prpg.uniform_sequence (Prng.create seed)
+    ~bits:(Array.length nl.Netlist.input_nets)
+    ~length
+
+let with_jobs jobs f =
+  if jobs = 1 then f Ctx.default
+  else begin
+    let pool = Pool.create ~domains:jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Ctx.with_pool pool))
+  end
+
+(* Every sequential registry circuit over 512 cycles — long enough for
+   most faults to drop mid-sequence while the hard ones stay alive to
+   the end — at every shard fan-out, flip-flop faults included. *)
+let test_packed_sequential_registry_512 () =
+  List.iter
+    (fun (name, nl, collapsed) ->
+      let faults = collapsed @ dff_faults nl in
+      let sequence = seq_sequence nl ~length:512 5 in
+      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+      List.iter
+        (fun jobs ->
+          with_jobs jobs @@ fun ctx ->
+          let r = Fsim.run ~engine:Fsim.Packed ~ctx nl ~faults ~sequence in
+          check_bool
+            (Printf.sprintf "%s: packed at jobs %d differs from serial" name jobs)
+            true (same_report reference r))
+        [ 1; 2; 4 ])
+    (sequential_circuits ())
+
+(* A cut run keeps the reference report's shape — every fault, the
+   whole sequence — and [expected i] is fault [i]'s first detection. *)
+let check_detections ~(reference : Fsim.report) (r : Fsim.report) expected =
+  check_int "patterns applied" reference.Fsim.patterns_applied r.Fsim.patterns_applied;
+  check_int "total keeps every fault" reference.Fsim.total r.Fsim.total;
+  Array.iteri
+    (fun i (d : Fsim.detection) ->
+      check_bool (Printf.sprintf "fault %d detection" i) true
+        (d.Fsim.detected_at = expected i))
+    r.Fsim.detections
+
+(* The single fsim degradation a cut run records; returns its trigger. *)
+let single_cut () =
+  match
+    List.filter
+      (fun (ev : Degrade.event) -> ev.Degrade.stage = Rerror.Fsim)
+      (Degrade.events ())
+  with
+  | [ ev ] ->
+    Alcotest.(check string) "cut detail" Mutsamp_fault.Fsim_kernel.parallel_cut_detail
+      ev.Degrade.detail;
+    ev.Degrade.error
+  | evs -> Alcotest.failf "expected one fsim degradation, got %d" (List.length evs)
+
+(* An [Fsim_pairs] quota is charged per group of [lanes] faults, for the
+   whole sequence, up front and in fault order: a quota worth two and a
+   half groups admits exactly the first two groups, which report the
+   serial reference's detections, and leaves every later fault
+   undetected, with the cut on record. *)
+let test_packed_sequential_budget_cut () =
+  let nl, faults = circuit "b03" in
+  let length = 64 in
+  let sequence = seq_sequence nl ~length 13 in
+  let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+  let lanes = Mutsamp_netlist.Bitsim.word_bits in
+  check_bool "more than two groups of faults" true (List.length faults > 2 * lanes);
+  Degrade.reset ();
+  let budget = Budget.create ~fsim_pairs:((5 * lanes * length / 2) + 1) () in
+  let r =
+    Fsim.run ~engine:Fsim.Packed ~ctx:(Ctx.make ~budget ()) nl ~faults ~sequence
+  in
+  check_detections ~reference r (fun i ->
+      if i < 2 * lanes then reference.Fsim.detections.(i).Fsim.detected_at else None);
+  check_bool "quota exhaustion" true
+    (match single_cut () with Rerror.Budget_exhausted _ -> true | _ -> false);
+  Degrade.reset ()
+
+(* A deadline that expires mid-run (here: from the progress callback, at
+   the first cycle that detects anything) stops the engine at the next
+   cycle boundary. Faults detected up to then keep their cycle, every
+   other fault is reported undetected, and the cut is on record. *)
+let test_packed_sequential_expire () =
+  let nl, faults = circuit "b03" in
+  let sequence = seq_sequence nl ~length:256 17 in
+  let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+  let first =
+    Array.fold_left
+      (fun acc (d : Fsim.detection) ->
+        match d.Fsim.detected_at with Some c -> min acc c | None -> acc)
+      max_int reference.Fsim.detections
+  in
+  check_bool "serial detects after the first detection cycle too" true
+    (Array.exists
+       (fun (d : Fsim.detection) ->
+         match d.Fsim.detected_at with Some c -> c > first | None -> false)
+       reference.Fsim.detections);
+  Degrade.reset ();
+  let budget = Budget.create ~deadline_ms:600_000 () in
+  let ctx =
+    Ctx.make ~budget ~progress:(fun ~stage:_ ~done_:_ ~total:_ -> Budget.expire budget) ()
+  in
+  let r = Fsim.run ~engine:Fsim.Packed ~ctx nl ~faults ~sequence in
+  check_detections ~reference r (fun i ->
+      match reference.Fsim.detections.(i).Fsim.detected_at with
+      | Some c when c = first -> Some c
+      | Some _ | None -> None);
+  check_bool "timeout" true (single_cut () = Rerror.Timeout Rerror.Fsim);
+  Degrade.reset ()
+
+(* [fsim.*] counts the logical workload — machine steps are fault·cycles
+   through each fault's detection cycle — so it must read the same
+   whichever sequential engine ran; only [fsim.engine.*] names it. *)
+let test_fsim_counters_engine_invariant () =
+  List.iter
+    (fun name ->
+      let nl, faults = circuit name in
+      let sequence = seq_sequence nl ~length:256 23 in
+      let counters engine =
+        Metrics.set_enabled true;
+        Metrics.reset ();
+        ignore (Fsim.run ~engine nl ~faults ~sequence);
+        let snap = Metrics.snapshot () in
+        Metrics.reset ();
+        Metrics.set_enabled false;
+        List.filter
+          (fun (n, _) ->
+            String.starts_with ~prefix:"fsim." n
+            && not (String.starts_with ~prefix:"fsim.engine." n))
+          snap.Metrics.counters
+      in
+      let serial = counters Fsim.Serial in
+      check_bool (name ^ ": machine steps counted") true
+        (List.mem_assoc "fsim.machine_steps" serial);
+      List.iter
+        (fun engine ->
+          check_bool
+            (Printf.sprintf "%s: fsim.* under %s equals serial" name
+               (Ctx.engine_to_string engine))
+            true
+            (counters engine = serial))
+        [ Fsim.Packed; Fsim.Event ])
+    [ "b01"; "b03" ]
+
+(* ------------------------------------------------------------------ *)
 (* Store keys are engine-independent                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -242,6 +420,17 @@ let suite =
       [
         Alcotest.test_case "whole registry, all engines, jobs 1/2/4" `Slow
           test_registry_all_engines_all_jobs;
+      ] );
+    ( "engines.sequential",
+      [
+        Alcotest.test_case "sequential registry, 512 cycles, jobs 1/2/4" `Slow
+          test_packed_sequential_registry_512;
+        Alcotest.test_case "fsim_pairs cut admits whole groups" `Quick
+          test_packed_sequential_budget_cut;
+        Alcotest.test_case "deadline expired mid-run" `Quick
+          test_packed_sequential_expire;
+        Alcotest.test_case "fsim.* counters engine-invariant" `Quick
+          test_fsim_counters_engine_invariant;
       ] );
     ( "engines.store",
       [

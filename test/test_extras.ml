@@ -19,15 +19,6 @@ module Sim = Mutsamp_hdl.Sim
 module Flow = Mutsamp_synth.Flow
 module Prpg = Mutsamp_atpg.Prpg
 
-(* Local stand-ins for the deprecated Fsim int-code conveniences. *)
-let pattern_of_code nl code =
-  Mutsamp_fault.Pattern.of_code
-    ~inputs:(Array.length nl.Mutsamp_netlist.Netlist.input_nets)
-    code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes
-
-
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -274,7 +265,7 @@ let test_diagnose_recovers_injected_fault () =
     let injected = List.nth faults (Prng.int prng (List.length faults)) in
     let observations =
       List.init 8 (fun code ->
-          let p = pattern_of_code nl code in
+          let p = Pattern.of_code ~inputs:(Pattern.num_inputs nl) code in
           { Diagnose.pattern = p;
             response = Diagnose.simulate_response nl (Some injected) p })
     in
@@ -291,7 +282,7 @@ let test_diagnose_good_machine_rejects_all () =
      full adder has no untestable faults). *)
   let observations =
     List.init 8 (fun code ->
-        let p = pattern_of_code nl code in
+        let p = Pattern.of_code ~inputs:(Pattern.num_inputs nl) code in
         { Diagnose.pattern = p; response = Diagnose.simulate_response nl None p })
   in
   let suspects = Diagnose.perfect_matches nl ~candidates:faults ~observations in
@@ -303,7 +294,7 @@ let test_diagnose_ranking_sane () =
   let injected = List.hd faults in
   let observations =
     List.init 8 (fun code ->
-        let p = pattern_of_code nl code in
+        let p = Pattern.of_code ~inputs:(Pattern.num_inputs nl) code in
         { Diagnose.pattern = p;
           response = Diagnose.simulate_response nl (Some injected) p })
   in
@@ -332,7 +323,7 @@ let test_diagnose_rejects_sequential () =
        (Diagnose.rank nl
           ~candidates:(Fault.full_list nl)
           ~observations:
-            [ { Diagnose.pattern = pattern_of_code nl 0;
+            [ { Diagnose.pattern = Pattern.of_code ~inputs:(Pattern.num_inputs nl) 0;
                 response = Packvec.create 1 } ]);
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
@@ -423,7 +414,7 @@ let test_weighted_bias () =
 let test_dictionary_agrees_with_rank () =
   let nl = full_adder () in
   let candidates = Fault.full_list nl in
-  let patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   let dict = Diagnose.build nl ~candidates ~patterns:patterns in
   let prng = Prng.create 31 in
   for _ = 1 to 10 do
@@ -447,7 +438,7 @@ let test_dictionary_rejects_wrong_arity () =
   let nl = full_adder () in
   let dict =
     Diagnose.build nl ~candidates:(Fault.full_list nl)
-      ~patterns:(patterns_of_codes nl [| 0; 1 |])
+      ~patterns:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0; 1 |])
   in
   (try
      ignore (Diagnose.lookup dict ~responses:[| Packvec.create 2 |]);

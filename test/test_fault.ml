@@ -9,18 +9,10 @@ module B = Netlist.Builder
 module Fault = Mutsamp_fault.Fault
 module Collapse = Mutsamp_fault.Collapse
 module Fsim = Mutsamp_fault.Fsim
+module Pattern = Mutsamp_fault.Pattern
 module Parser = Mutsamp_hdl.Parser
 module Check = Mutsamp_hdl.Check
 module Flow = Mutsamp_synth.Flow
-
-(* Local stand-ins for the deprecated Fsim int-code conveniences. *)
-let pattern_of_code nl code =
-  Mutsamp_fault.Pattern.of_code
-    ~inputs:(Array.length nl.Mutsamp_netlist.Netlist.input_nets)
-    code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes
-
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -143,7 +135,7 @@ let test_collapse_sound_on_full_adder () =
   let nl = full_adder () in
   let c = Collapse.run nl in
   let all = Fault.full_list nl in
-  let patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   let detect_set f =
     let r = Fsim.run nl ~faults:[ f ] ~sequence:patterns in
     (* With a single fault and no dropping subtleties we need the set of
@@ -194,11 +186,11 @@ let test_dominance_sound () =
   let nl = full_adder () in
   let c = Collapse.run nl in
   let reduced = Collapse.dominance_reduced nl c in
-  let all_patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let all_patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   (* Build a minimal-ish test set covering the reduced list greedily. *)
   let detects f p =
     (Fsim.run nl ~faults:[ f ]
-       ~sequence:[| pattern_of_code nl p |]).Fsim.detected = 1
+       ~sequence:[| Pattern.of_code ~inputs:(Pattern.num_inputs nl) p |]).Fsim.detected = 1
   in
   let tests =
     List.sort_uniq Stdlib.compare
@@ -217,7 +209,7 @@ let test_dominance_sound () =
   in
   let r =
     Fsim.run nl ~faults:testable
-      ~sequence:(patterns_of_codes nl (Array.of_list tests))
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.of_list tests))
   in
   check_int "reduced-list tests detect all testable faults"
     (List.length testable) r.Fsim.detected
@@ -231,7 +223,7 @@ let test_fsim_and_gate_exhaustive_full_coverage () =
   let faults = Fault.full_list nl in
   let r =
     Fsim.run nl ~faults
-      ~sequence:(patterns_of_codes nl [| 0b00; 0b01; 0b10; 0b11 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b00; 0b01; 0b10; 0b11 |])
   in
   check_int "all detected" (List.length faults) r.Fsim.detected;
   Alcotest.(check (float 1e-6)) "coverage 100" 100. (Fsim.coverage_percent r)
@@ -241,14 +233,14 @@ let test_fsim_single_pattern_partial () =
   let faults = Fault.full_list nl in
   (* Pattern a=1,b=1 detects y SA0, a SA0, b SA0 only. *)
   let r =
-    Fsim.run nl ~faults ~sequence:(patterns_of_codes nl [| 0b11 |])
+    Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b11 |])
   in
   check_int "three detected" 3 r.Fsim.detected
 
 let test_fsim_detection_indices_monotone () =
   let nl = full_adder () in
   let faults = Fault.full_list nl in
-  let patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   let r = Fsim.run nl ~faults ~sequence:patterns in
   Array.iter
     (fun (d : Fsim.detection) ->
@@ -260,7 +252,7 @@ let test_fsim_detection_indices_monotone () =
 let test_fsim_coverage_curve_monotone () =
   let nl = full_adder () in
   let faults = Fault.full_list nl in
-  let patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   let r = Fsim.run nl ~faults ~sequence:patterns in
   let curve = Fsim.coverage_curve r in
   check_int "curve length" 9 (List.length curve);
@@ -280,7 +272,7 @@ let test_fsim_length_to_reach () =
   let faults = Fault.full_list nl in
   let r =
     Fsim.run nl ~faults
-      ~sequence:(patterns_of_codes nl [| 0b11; 0b01; 0b10; 0b00 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b11; 0b01; 0b10; 0b00 |])
   in
   (match Fsim.length_to_reach r 50.0 with
    | Some n -> check_bool "reasonable prefix" true (n >= 1 && n <= 4)
@@ -292,14 +284,14 @@ let test_fsim_sequential_counter () =
   let nl = counter_netlist () in
   let faults = Fault.full_list nl in
   (* Enable high for 16 cycles exercises the whole count range. *)
-  let seq = patterns_of_codes nl (Array.make 16 1) in
+  let seq = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.make 16 1) in
   let r = Fsim.run nl ~faults ~sequence:seq in
   check_bool "detects most faults" true
     (Fsim.coverage_percent r > 60.);
   (* A short sequence detects fewer faults. *)
   let r2 =
     Fsim.run nl ~faults
-      ~sequence:(patterns_of_codes nl (Array.make 2 1))
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.make 2 1))
   in
   check_bool "short sequence weaker" true (r2.Fsim.detected <= r.Fsim.detected)
 
@@ -313,7 +305,7 @@ let test_fsim_rejects_bad_lanes () =
         ignore
           (Fsim.run ~lanes:0 ~engine comb
              ~faults:(Fault.full_list comb)
-             ~sequence:(patterns_of_codes comb [| 3 |]));
+             ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs comb)) [| 3 |]));
         Alcotest.fail "should reject lanes = 0 (combinational)"
       with Invalid_argument _ -> ())
     [ Fsim.Packed; Fsim.Event; Fsim.Compiled ];
@@ -322,7 +314,7 @@ let test_fsim_rejects_bad_lanes () =
      ignore
        (Fsim.run ~lanes:0 ~engine:Fsim.Packed seq
           ~faults:(Fault.full_list seq)
-          ~sequence:(patterns_of_codes seq [| 1 |]));
+          ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs seq)) [| 1 |]));
      Alcotest.fail "should reject lanes = 0 (sequential)"
    with Invalid_argument _ -> ())
 
@@ -331,12 +323,12 @@ let test_fsim_auto_dispatch () =
   let seq = counter_netlist () in
   let r1 =
     Fsim.run comb ~faults:(Fault.full_list comb)
-      ~sequence:(patterns_of_codes comb [| 3 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs comb)) [| 3 |])
   in
   check_bool "comb ran" true (r1.Fsim.total > 0);
   let r2 =
     Fsim.run seq ~faults:(Fault.full_list seq)
-      ~sequence:(patterns_of_codes seq [| 1; 1 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs seq)) [| 1; 1 |])
   in
   check_bool "seq ran" true (r2.Fsim.total > 0)
 
@@ -356,7 +348,7 @@ let prop_serial_equals_parallel =
       let faults = Fault.full_list nl in
       let prng = Prng.create seed in
       let patterns =
-        patterns_of_codes nl (Array.init n_patterns (fun _ -> Prng.int prng 8))
+        Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init n_patterns (fun _ -> Prng.int prng 8))
       in
       let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns in
       let rs = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence:patterns in
@@ -376,7 +368,7 @@ let prop_parallel_fault_equals_serial =
       let faults = Fault.full_list nl in
       let prng = Prng.create seed in
       let sequence =
-        patterns_of_codes nl (Array.init len (fun _ -> Prng.int prng 2))
+        Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init len (fun _ -> Prng.int prng 2))
       in
       let rs = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
       let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence in
@@ -389,7 +381,7 @@ let prop_parallel_fault_equals_serial =
 let test_parallel_fault_combinational_too () =
   let nl = full_adder () in
   let faults = Fault.full_list nl in
-  let patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns in
   let rc = Fsim.run nl ~faults ~sequence:patterns in
   check_int "same detected" rc.Fsim.detected rp.Fsim.detected
@@ -399,7 +391,7 @@ let test_parallel_fault_many_groups () =
   let nl = counter_netlist () in
   let faults = Fault.full_list nl in
   check_bool "enough faults to need grouping" true (List.length faults > 62);
-  let sequence = patterns_of_codes nl (Array.make 16 1) in
+  let sequence = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.make 16 1) in
   let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence in
   let rs = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
   check_int "same detected" rs.Fsim.detected rp.Fsim.detected
@@ -413,7 +405,7 @@ let prop_coverage_monotone_in_patterns =
       let faults = Fault.full_list nl in
       let prng = Prng.create seed in
       let patterns =
-        patterns_of_codes nl (Array.init (2 * n) (fun _ -> Prng.int prng 8))
+        Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init (2 * n) (fun _ -> Prng.int prng 8))
       in
       let r1 = Fsim.run nl ~faults ~sequence:(Array.sub patterns 0 n) in
       let r2 = Fsim.run nl ~faults ~sequence:patterns in

@@ -10,15 +10,7 @@ module Traceout = Mutsamp_obs.Traceout
 module Benchdiff = Mutsamp_obs.Benchdiff
 module Registry = Mutsamp_circuits.Registry
 module Pipeline = Mutsamp_core.Pipeline
-
-(* Local stand-ins for the deprecated Fsim int-code conveniences. *)
-let pattern_of_code nl code =
-  Mutsamp_fault.Pattern.of_code
-    ~inputs:(Array.length nl.Mutsamp_netlist.Netlist.input_nets)
-    code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes
-
+module Pattern = Mutsamp_fault.Pattern
 
 (* Every test drives the same process-global collector; start clean and
    leave it disabled for the rest of the suite. *)
@@ -667,7 +659,7 @@ let test_pipeline_fsim_counters () =
   let p = Pipeline.prepare (e.Registry.design ()) in
   let r =
     Pipeline.fault_simulate p
-      (patterns_of_codes p.Pipeline.netlist
+      (Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs p.Pipeline.netlist))
          [| 0b01010; 0b11111; 0b00000; 0b10101 |])
   in
   let snap = Metrics.snapshot () in

@@ -8,19 +8,11 @@ module Strategy = Mutsamp_sampling.Strategy
 module Nlfce = Mutsamp_sampling.Nlfce
 module Fault = Mutsamp_fault.Fault
 module Fsim = Mutsamp_fault.Fsim
+module Pattern = Mutsamp_fault.Pattern
 module Parser = Mutsamp_hdl.Parser
 module Check = Mutsamp_hdl.Check
 module Netlist = Mutsamp_netlist.Netlist
 module B = Netlist.Builder
-
-(* Local stand-ins for the deprecated Fsim int-code conveniences. *)
-let pattern_of_code nl code =
-  Mutsamp_fault.Pattern.of_code
-    ~inputs:(Array.length nl.Mutsamp_netlist.Netlist.input_nets)
-    code
-
-let patterns_of_codes nl codes = Array.map (pattern_of_code nl) codes
-
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -177,12 +169,12 @@ let test_nlfce_formula () =
      coverage. *)
   let mutation =
     Fsim.run nl ~faults
-      ~sequence:(patterns_of_codes nl [| 0b011; 0b101; 0b110; 0b000 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b011; 0b101; 0b110; 0b000 |])
   in
   let random_patterns = Array.init 32 (fun i -> [| 0b000; 0b111; 0b001; 0b011; 0b101; 0b110; 0b010; 0b100 |].(i mod 8)) in
   let random =
     Fsim.run nl ~faults
-      ~sequence:(patterns_of_codes nl random_patterns)
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) random_patterns)
   in
   let m = Nlfce.of_reports ~min_compare_length:1 ~mutation ~random () in
   Alcotest.(check (float 1e-9)) "product" (m.Nlfce.delta_fc_percent *. m.Nlfce.delta_l_percent) m.Nlfce.nlfce;
@@ -195,9 +187,9 @@ let test_nlfce_lr_reaches_mfc () =
   let faults = Fault.full_list nl in
   let mutation =
     Fsim.run nl ~faults
-      ~sequence:(patterns_of_codes nl [| 0b011; 0b101; 0b110; 0b000 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b011; 0b101; 0b110; 0b000 |])
   in
-  let random = Fsim.run nl ~faults ~sequence:(patterns_of_codes nl (Array.init 32 (fun i -> i mod 8))) in
+  let random = Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 32 (fun i -> i mod 8))) in
   let m = Nlfce.of_reports ~min_compare_length:1 ~mutation ~random () in
   if not m.Nlfce.random_saturated then begin
     check_bool "L_r reaches MFC" true
@@ -210,7 +202,7 @@ let test_nlfce_lr_reaches_mfc () =
 let test_nlfce_identical_data_zero () =
   let nl = full_adder () in
   let faults = Fault.full_list nl in
-  let patterns = patterns_of_codes nl (Array.init 8 (fun i -> i)) in
+  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
   let r = Fsim.run nl ~faults ~sequence:patterns in
   let m = Nlfce.of_reports ~mutation:r ~random:r () in
   Alcotest.(check (float 1e-9)) "dFC 0" 0. m.Nlfce.delta_fc_percent;
@@ -221,8 +213,8 @@ let test_nlfce_double_loss_is_negative () =
   let faults = Fault.full_list nl in
   (* "Mutation" data: 8 weak repeated patterns. Random: strong coverage
      quickly — both gains negative, NLFCE must be negative. *)
-  let mutation = Fsim.run nl ~faults ~sequence:(patterns_of_codes nl (Array.make 8 0b000)) in
-  let random = Fsim.run nl ~faults ~sequence:(patterns_of_codes nl (Array.init 32 (fun i -> i mod 8))) in
+  let mutation = Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.make 8 0b000)) in
+  let random = Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 32 (fun i -> i mod 8))) in
   let m = Nlfce.of_reports ~min_compare_length:1 ~mutation ~random () in
   check_bool "dFC negative" true (m.Nlfce.delta_fc_percent < 0.);
   check_bool "nlfce not positive" true (m.Nlfce.nlfce <= 0.)
@@ -232,8 +224,8 @@ let test_nlfce_min_compare_length_guards () =
   let faults = Fault.full_list nl in
   (* One strong vector vs a random set: with the floor, the comparison
      uses 16 random vectors, not 1. *)
-  let mutation = Fsim.run nl ~faults ~sequence:(patterns_of_codes nl [| 0b011 |]) in
-  let random = Fsim.run nl ~faults ~sequence:(patterns_of_codes nl (Array.init 32 (fun i -> i mod 8))) in
+  let mutation = Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0b011 |]) in
+  let random = Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 32 (fun i -> i mod 8))) in
   let guarded = Nlfce.of_reports ~min_compare_length:16 ~mutation ~random () in
   let raw = Nlfce.of_reports ~min_compare_length:1 ~mutation ~random () in
   check_bool "guard lowers or keeps dFC" true
@@ -244,11 +236,11 @@ let test_nlfce_min_compare_length_guards () =
 let test_nlfce_rejects_different_fault_lists () =
   let nl = full_adder () in
   let faults = Fault.full_list nl in
-  let r1 = Fsim.run nl ~faults ~sequence:(patterns_of_codes nl [| 1 |]) in
+  let r1 = Fsim.run nl ~faults ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 1 |]) in
   let r2 =
     Fsim.run nl
       ~faults:(List.filteri (fun i _ -> i < 3) faults)
-      ~sequence:(patterns_of_codes nl [| 1 |])
+      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 1 |])
   in
   (try
      ignore (Nlfce.of_reports ~mutation:r1 ~random:r2 ());

@@ -395,6 +395,34 @@ let test_chaos_corrupt_warm_replay () =
   check_bool "healed replay hits" true (count "hits" >= 1);
   check_int "healed replay stores nothing" 0 (count "puts")
 
+(* Campaign cells ask for the pipeline's content hashes (store keys)
+   from worker domains, and a concurrent first [Lazy.force] raises
+   [CamlinternalLazy.Undefined] in OCaml 5. Every round starts from a
+   fresh pipeline whose hashes are unforced, with four domains racing to
+   key their Table-1 cells; the first round also fills the store, the
+   later ones replay from it, so many rounds stay cheap. *)
+let test_cold_store_cells_hash_race () =
+  let design =
+    match Registry.find "c17" with
+    | Some e -> e.Registry.design ()
+    | None -> Alcotest.fail "c17 missing"
+  in
+  let config = { tiny_config with Config.seed = 11 } in
+  let reference =
+    Experiments.operator_efficiency ~config (Pipeline.prepare design) ~name:"c17"
+  in
+  let pool = Pool.create ~domains:4 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool)
+  @@ fun () ->
+  with_store @@ fun s ->
+  let ctx = Ctx.make ~pool ~store:s () in
+  for round = 1 to 1000 do
+    let cold =
+      Experiments.operator_efficiency ~config ~ctx (Pipeline.prepare design) ~name:"c17"
+    in
+    check_bool (Printf.sprintf "round %d equals storeless" round) true (cold = reference)
+  done
+
 (* An exception-action chaos arming on the read path must also stay
    contained: the read degrades to a miss instead of crashing. *)
 let test_chaos_store_read_exception_contained () =
@@ -597,6 +625,8 @@ let suite =
           (clean test_concurrent_gc_invalidate);
         Alcotest.test_case "stats_to_json mirrors text view" `Quick
           (clean test_stats_to_json_fields);
+        Alcotest.test_case "cold 4-domain cells key the store" `Quick
+          (clean test_cold_store_cells_hash_race);
       ] );
     ( "store.cone",
       [

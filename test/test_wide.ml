@@ -100,9 +100,9 @@ let test_packvec_first_set () =
 (* Differential properties: wide engines vs serial reference          *)
 (* ------------------------------------------------------------------ *)
 
-(* Random small netlists, optionally sequential: a few inputs, a pile
-   of random gates, random outputs. *)
-let random_netlist ~dffs seed =
+(* Random small netlists, optionally sequential (1 to [max_dffs]
+   flip-flops): a few inputs, a pile of random gates, random outputs. *)
+let random_netlist ?(max_dffs = 2) ~dffs seed =
   let prng = Prng.create seed in
   let b = B.create (Printf.sprintf "rand%d" seed) in
   let n_inputs = 2 + Prng.int prng 3 in
@@ -113,7 +113,7 @@ let random_netlist ~dffs seed =
     if not dffs then []
     else
       List.init
-        (1 + Prng.int prng 2)
+        (1 + Prng.int prng max_dffs)
         (fun _ ->
           let q = B.dff b ~init:(Prng.bool prng) in
           pool := q :: !pool;
@@ -185,6 +185,44 @@ let prop_parallel_fault_matches_reference =
       let wider = Fsim.run ~engine:Fsim.Packed ~lanes:189 nl ~faults ~sequence in
       same_report reference wide && same_report reference wider)
 
+(* Stuck-at faults on every flip-flop's Q stem and D pin. The full
+   list leaves out a D pin whose driver has a single sink (the stem
+   fault stands for it), so the sequential properties add them
+   explicitly: a D-pin fault diverges the state without ever being
+   excited at an output, and a Q-stem fault corrupts the reset state. *)
+let dff_faults nl =
+  List.concat_map
+    (fun q ->
+      List.concat_map
+        (fun polarity ->
+          [
+            { Fault.site = Fault.Stem q; polarity };
+            { Fault.site = Fault.Branch { gate = q; pin = 0 }; polarity };
+          ])
+        [ Fault.Stuck_at_0; Fault.Stuck_at_1 ])
+    (Array.to_list nl.Netlist.dff_nets)
+
+(* The packed sequential engine drops detected faults, skips inactive
+   ones and regroups the rest every cycle; 64-400 cycles on machines
+   with up to four flip-flops give those paths room to act (faults
+   diverge, reconverge with the good state and drop at scattered
+   cycles). One lane per word, one word and three words must all
+   reproduce the serial reference, first-detection cycles included. *)
+let prop_packed_sequential_long_runs =
+  QCheck.Test.make ~name:"packed sequential = serial over 64-400 cycles"
+    ~count:40
+    (QCheck.make QCheck.Gen.(int_range 0 1000000))
+    (fun seed ->
+      let nl = random_netlist ~max_dffs:4 ~dffs:true seed in
+      let faults = Fault.full_list nl @ dff_faults nl in
+      let sequence = random_sequence nl ~length:(64 + (seed mod 337)) seed in
+      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+      List.for_all
+        (fun lanes ->
+          same_report reference
+            (Fsim.run ~engine:Fsim.Packed ~lanes nl ~faults ~sequence))
+        [ 1; 63; 189 ])
+
 (* ------------------------------------------------------------------ *)
 (* >62-input end-to-end regression                                    *)
 (* ------------------------------------------------------------------ *)
@@ -246,6 +284,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_combinational_matches_reference;
         QCheck_alcotest.to_alcotest prop_parallel_fault_matches_reference;
+        QCheck_alcotest.to_alcotest prop_packed_sequential_long_runs;
       ] );
     ( "wide.end_to_end",
       [
