@@ -273,62 +273,40 @@ let run_a1 () =
 
 let run_a2 () =
   section "A2 (ablation): serial vs word-parallel fault simulation";
-  (* Sequential circuits: serial vs parallel-fault (one fault per lane). *)
+  (* Fsim.run's backend for each regime — packed parallel-fault on the
+     sequential circuits, compiled parallel-pattern on the
+     combinational ones — against the serial reference. *)
   List.iter
     (fun name ->
       let p = pipeline name in
-      if p.Pipeline.sequential then begin
-        let nl = p.Pipeline.netlist in
-        let faults = p.Pipeline.faults in
-        let bits = Array.length nl.Netlist.input_nets in
-        let sequence =
-          Prpg.uniform_sequence (Prng.create 98) ~bits
-            ~length:(if quick then 248 else 992)
-        in
-        let time label f = Trace.with_span_timed label f in
-        let rs, ts =
-          time (name ^ " serial") (fun () ->
-              Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence)
-        in
-        let rp, tp =
-          time (name ^ " parallel-fault") (fun () ->
-              Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence)
-        in
-        Printf.printf
-          "%s (sequential): %d faults, %d cycles | parallel-fault %.3fs, serial %.3fs (speedup %.1fx), coverage equal: %b\n%!"
-          name (List.length faults) (Array.length sequence) tp ts
-          (ts /. Float.max tp 1e-9)
-          (Fsim.coverage_percent rp = Fsim.coverage_percent rs)
-      end)
-    [ "b01"; "b03" ];
-  (* Combinational circuits: serial vs parallel-pattern (PPSFP). *)
-  List.iter
-    (fun name ->
-      let p = pipeline name in
-      if not p.Pipeline.sequential then begin
-        let nl = p.Pipeline.netlist in
-        let faults = p.Pipeline.faults in
-        let bits = Array.length nl.Netlist.input_nets in
-        let patterns =
-          Prpg.uniform_sequence (Prng.create 99) ~bits
-            ~length:(if quick then 248 else 992)
-        in
-        let time label f = Trace.with_span_timed label f in
-        let rp, tp =
-          time (name ^ " parallel") (fun () ->
-              Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns)
-        in
-        let rs, ts =
-          time (name ^ " serial") (fun () ->
-              Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence:patterns)
-        in
-        Printf.printf
-          "%s: %d faults, %d patterns | parallel %.3fs, serial %.3fs (speedup %.1fx), coverage equal: %b\n%!"
-          name (List.length faults) (Array.length patterns) tp ts
-          (ts /. Float.max tp 1e-9)
-          (Fsim.coverage_percent rp = Fsim.coverage_percent rs)
-      end)
-    [ "c432"; "c499" ]
+      let seq = p.Pipeline.sequential in
+      let backend = if seq then "packed" else "compiled" in
+      let nl = p.Pipeline.netlist in
+      let faults = p.Pipeline.faults in
+      let bits = Array.length nl.Netlist.input_nets in
+      let sequence =
+        Prpg.uniform_sequence
+          (Prng.create (if seq then 98 else 99))
+          ~bits
+          ~length:(if quick then 248 else 992)
+      in
+      let time label f = Trace.with_span_timed label f in
+      let rs, ts =
+        time (name ^ " serial") (fun () -> Fsim.serial nl ~faults ~sequence)
+      in
+      let rp, tp =
+        time (name ^ " " ^ backend) (fun () -> Fsim.run nl ~faults ~sequence)
+      in
+      Printf.printf
+        "%s (%s): %d faults, %d %s | %s %.3fs, serial %.3fs (speedup %.1fx), coverage equal: %b\n%!"
+        name
+        (if seq then "sequential" else "combinational")
+        (List.length faults) (Array.length sequence)
+        (if seq then "cycles" else "patterns")
+        backend tp ts
+        (ts /. Float.max tp 1e-9)
+        (Fsim.coverage_percent rp = Fsim.coverage_percent rs))
+    [ "b01"; "b03"; "c432"; "c499" ]
 
 (* ------------------------------------------------------------------ *)
 (* A3: SCOAP guidance in PODEM                                        *)
@@ -364,25 +342,16 @@ let run_a3 () =
 (* Fault-simulation throughput                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Effective bandwidth of each combinational backend: pattern x fault
-   pairs processed per wall-clock second. Detected faults drop out of
-   later passes, so this is a lower bound on raw lane throughput.
-   Returned so the run report can embed the numbers.
-
-   Key scheme: every engine gets an explicit "name@engine[@jobsN]" row
-   (the per-engine trajectory benchdiff gates on); the bare
-   "name[@jobsN]" keys additionally alias the compiled rows — the
-   default engine for combinational netlists — so the pre-engine-API
-   history (whose bare keys were the packed kernel) reads the
-   packed->compiled speedup as an improvement, not a key loss. *)
-let throughput_engines =
-  [ ("packed", Fsim.Packed); ("event", Fsim.Event); ("compiled", Fsim.Compiled) ]
-
+(* Effective bandwidth of combinational fault simulation: pattern x
+   fault pairs processed per wall-clock second. Detected faults drop
+   out of later passes, so this is a lower bound on raw lane
+   throughput. Returned so the run report can embed the numbers, keyed
+   "name" at jobs 1 and "name@jobsN" otherwise. *)
 let run_throughput () =
   section "fault-simulation throughput (pattern x fault pairs / s)";
   (* Each jobs level gets its own pool so the jobs=1 rows stay the
      sequential kernels. *)
-  let measure ctx ~jobs:j (ename, engine) name =
+  let measure ctx ~jobs:j name =
     let p = pipeline name in
     let nl = p.Pipeline.netlist in
     let faults = p.Pipeline.faults in
@@ -391,7 +360,7 @@ let run_throughput () =
     let patterns = Prpg.uniform_sequence (Prng.create 123) ~bits ~length in
     (* Best of five: single quick-mode passes finish in milliseconds,
        where scheduler noise alone swings the rate by ±30% — far too
-       flaky for the benchdiff CI gate — and the compiled engine pays
+       flaky for the benchdiff CI gate — and the compiled backend pays
        its one-off specialisation on the first pass only (the program
        cache serves the rest). The minimum wall time is the standard
        noise-robust estimator (slowdowns are one-sided). *)
@@ -399,8 +368,8 @@ let run_throughput () =
     for _ = 1 to 5 do
       let r', dt =
         Trace.with_span_timed
-          (Printf.sprintf "%s throughput (%s, jobs %d)" name ename j)
-          (fun () -> Fsim.run ~engine ~ctx nl ~faults ~sequence:patterns)
+          (Printf.sprintf "%s throughput (jobs %d)" name j)
+          (fun () -> Fsim.run ~ctx nl ~faults ~sequence:patterns)
       in
       r := Some r';
       if dt < !best then best := dt
@@ -409,37 +378,18 @@ let run_throughput () =
     let pairs = float_of_int (List.length faults * length) in
     let rate = pairs /. Float.max dt 1e-9 in
     Printf.printf
-      "%s (%s, jobs %d): %d faults x %d patterns in %.3fs -> %.3g pattern-fault pairs/s (coverage %.2f%%)\n%!"
-      name ename j (List.length faults) length dt rate (Fsim.coverage_percent r);
-    ( (if j = 1 then Printf.sprintf "%s@%s" name ename
-       else Printf.sprintf "%s@%s@jobs%d" name ename j),
-      rate )
+      "%s (jobs %d): %d faults x %d patterns in %.3fs -> %.3g pattern-fault pairs/s (coverage %.2f%%)\n%!"
+      name j (List.length faults) length dt rate (Fsim.coverage_percent r);
+    ((if j = 1 then name else Printf.sprintf "%s@jobs%d" name j), rate)
   in
-  let rows =
-    List.concat_map
-      (fun j ->
-        let pool = if j = 1 then None else Some (Pool.create ~domains:j) in
-        let ctx = match pool with None -> Ctx.default | Some p -> Ctx.with_pool p in
-        let rows =
-          List.concat_map
-            (fun eng ->
-              List.map (measure ctx ~jobs:j eng) [ "c432"; "c499"; "wide128" ])
-            throughput_engines
-        in
-        (match pool with None -> () | Some p -> Pool.shutdown p);
-        rows)
-      [ 1; 2; 4 ]
-  in
-  let bare_aliases =
-    List.filter_map
-      (fun (key, rate) ->
-        match String.split_on_char '@' key with
-        | [ name; "compiled" ] -> Some (name, rate)
-        | [ name; "compiled"; jobs ] -> Some (name ^ "@" ^ jobs, rate)
-        | _ -> None)
-      rows
-  in
-  rows @ bare_aliases
+  List.concat_map
+    (fun j ->
+      let pool = if j = 1 then None else Some (Pool.create ~domains:j) in
+      let ctx = match pool with None -> Ctx.default | Some p -> Ctx.with_pool p in
+      let rows = List.map (measure ctx ~jobs:j) [ "c432"; "c499"; "wide128" ] in
+      (match pool with None -> () | Some p -> Pool.shutdown p);
+      rows)
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/experiment      *)
@@ -461,7 +411,7 @@ let run_micro () =
   let mutants = p432.Pipeline.mutants in
   let some_fault = List.nth faults (List.length faults / 2) in
   (* Table 1's inner loop: one fault-simulation pass of a single
-     63-lane word batch, on the default (compiled) engine. *)
+     63-lane word batch, on the compiled backend. *)
   let table1_kernel () = ignore (Fsim.run nl ~faults ~sequence:patterns) in
   (* Table 2's extra work over Table 1: drawing a weighted sample. *)
   let table2_kernel () =
@@ -473,19 +423,14 @@ let run_micro () =
   in
   (* E3's deterministic phase: one PODEM call. *)
   let e3_kernel () = ignore (Podem.find_test nl some_fault) in
-  let a2_serial () =
-    ignore (Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence:patterns)
-  in
-  let a2_parallel () =
-    ignore (Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns)
-  in
+  (* A2's reference leg; its word-parallel leg is table1's kernel. *)
+  let a2_serial () = ignore (Fsim.serial nl ~faults ~sequence:patterns) in
   let tests =
     [
       Test.make ~name:"table1.fault-sim-one-word" (Staged.stage table1_kernel);
       Test.make ~name:"table2.weighted-sampling" (Staged.stage table2_kernel);
       Test.make ~name:"e3.podem-one-fault" (Staged.stage e3_kernel);
       Test.make ~name:"a2.serial-fault-sim" (Staged.stage a2_serial);
-      Test.make ~name:"a2.parallel-fault-sim" (Staged.stage a2_parallel);
     ]
   in
   let benchmark test =

@@ -16,11 +16,11 @@ let () =
         Mutsamp_fault.Pattern.of_code ~inputs:n_in (Prng.int prng (1 lsl n_in)))
   in
   (* warmup *)
-  ignore (Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence);
+  ignore (Fsim.run nl ~faults ~sequence);
   let reps = 40 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
-    ignore (Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence)
+    ignore (Fsim.run nl ~faults ~sequence)
   done;
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf "b09 parallel-fault: %d faults, 64 cycles, %d reps: %.2f ms/run\n"

@@ -97,7 +97,6 @@ type obs_opts = {
   jobs : int;
   store : string option;
   no_dominance : bool;
-  engine : string;
 }
 
 let obs_term =
@@ -191,26 +190,17 @@ let obs_term =
                    exists to measure the saving and to bisect suspected \
                    collapsing bugs.")
   in
-  let engine =
-    Arg.(value & opt string "auto"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Fault-simulation backend: auto (the default — compiled for \
-                   combinational netlists, packed for sequential ones), \
-                   packed, event or compiled (sequential netlists run \
-                   packed under compiled). Reported coverage is \
-                   bit-identical across all of them.")
-  in
   Term.(const (fun trace metrics profile report trace_out metrics_out deadline_ms
                    sat_conflicts podem_backtracks fsim_pairs chaos chaos_seed jobs
-                   store no_dominance engine ->
+                   store no_dominance ->
             { trace; metrics; profile; report; trace_out; metrics_out;
               deadline_ms; sat_conflicts;
               podem_backtracks; fsim_pairs; chaos; chaos_seed; jobs; store;
-              no_dominance; engine })
+              no_dominance })
         $ trace $ metrics $ profile $ report $ trace_out $ metrics_out
         $ deadline_ms $ sat_conflicts
         $ podem_backtracks $ fsim_pairs $ chaos $ chaos_seed $ jobs $ store
-        $ no_dominance $ engine)
+        $ no_dominance)
 
 (* The "robust" report section: the degradation record plus the budget
    the run was given. *)
@@ -246,15 +236,6 @@ let with_obs obs ~command ?(circuits = []) ?config ?seed
       Budget.create ?deadline_ms ?sat_conflicts ?podem_backtracks ?fsim_pairs ()
   in
   Budget.set_ambient budget;
-  let engine =
-    match Ctx.engine_of_string obs.engine with
-    | Some e -> e
-    | None ->
-      Printf.eprintf
-        "mutsamp: unknown --engine %S (auto, packed, event or compiled)\n"
-        obs.engine;
-      exit 64
-  in
   Degrade.reset ();
   Chaos.init ~seed:obs.chaos_seed ();
   Chaos.disarm_all ();
@@ -280,9 +261,7 @@ let with_obs obs ~command ?(circuits = []) ?config ?seed
   in
   let pool = if obs.jobs = 1 then None else Some (Pool.create ~domains:obs.jobs) in
   let ctx = match pool with None -> Ctx.default | Some p -> Ctx.with_pool p in
-  let ctx =
-    { ctx with Ctx.store; Ctx.dominance = not obs.no_dominance; Ctx.engine }
-  in
+  let ctx = { ctx with Ctx.store; Ctx.dominance = not obs.no_dominance } in
   let result =
     try Ok (Trace.with_span command (fun () -> f ctx)) with
     | Rerror.E e -> Error e
@@ -314,53 +293,16 @@ let with_obs obs ~command ?(circuits = []) ?config ?seed
    | None -> ()
    | Some path ->
      let json =
-       let exec_json =
-         let snap = Metrics.snapshot () in
-         let exec_hists =
-           List.filter_map
-             (fun (name, stats) ->
-               if String.length name > 5 && String.sub name 0 5 = "exec." then
-                 Some (name, Metrics.stats_to_json stats)
-               else None)
-             snap.Metrics.histograms
-         in
-         Json.Obj
-           ([
-              ("jobs_requested", Json.Int obs.jobs);
-              ("jobs", Json.Int (match pool with None -> 1 | Some p -> Pool.size p));
-            ]
-           @ if exec_hists = [] then [] else [ ("histograms", Json.Obj exec_hists) ])
-       in
        let profile_section =
          if obs.profile then [ ("profile", Profile.to_json (Profile.current ())) ]
          else []
        in
-       (* Which backend the run asked for and which one(s) actually ran
-          (fault-sim dispatch bumps one fsim.engine.* counter per run;
-          Auto can resolve differently per netlist, hence a list). *)
-       let fsim_json =
-         let prefix = "fsim.engine." in
-         let plen = String.length prefix in
-         let resolved =
-           List.filter_map
-             (fun (name, v) ->
-               if
-                 v > 0
-                 && String.length name > plen
-                 && String.sub name 0 plen = prefix
-               then Some (Json.String (String.sub name plen (String.length name - plen)))
-               else None)
-             (Metrics.snapshot ()).Metrics.counters
-         in
-         Json.Obj
-           [
-             ("engine", Json.String (Ctx.engine_to_string engine));
-             ("resolved", Json.List resolved);
-           ]
-       in
        Runreport.make ~command ~circuits ?config ?seed
          ~extra:
-           (("exec", exec_json) :: ("fsim", fsim_json)
+           (( "exec",
+              Sjobs.exec_section ~jobs_requested:obs.jobs
+                ~jobs:(match pool with None -> 1 | Some p -> Pool.size p) )
+            :: ("fsim", Sjobs.fsim_section ())
             :: ("robust", robust_json budget)
             :: ("store", Store.report_section store)
             :: (profile_section @ sections ()))
@@ -572,9 +514,7 @@ let atpg_cmd =
   let generator =
     Arg.(value & opt (enum [ ("podem", "podem"); ("sat", "sat") ]) "podem"
          & info [ "generator" ] ~docv:"GEN"
-             ~doc:"Deterministic test generator: podem or sat. (Distinct from \
-                   the global --engine, which picks the fault-simulation \
-                   backend.)")
+             ~doc:"Deterministic test generator: podem or sat.")
   in
   let run obs (e : Registry.entry) generator seed =
     (* Shared with the daemon — see faultsim_cmd. *)

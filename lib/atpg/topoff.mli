@@ -7,9 +7,7 @@
     (experiment E3 in DESIGN.md). *)
 
 type generator = Use_podem | Use_sat
-(** Deterministic test generator for phase 3 (PODEM or SAT). Distinct
-    from the fault-simulation {!Mutsamp_exec.Ctx.engine} knob, which
-    rides in on [ctx]. *)
+(** Deterministic test generator for phase 3 (PODEM or SAT). *)
 
 type report = {
   total_faults : int;

@@ -38,8 +38,9 @@ val fault_simulate :
   t ->
   Mutsamp_fault.Pattern.t array ->
   Mutsamp_fault.Fsim.report
-(** Parallel-pattern engine for combinational circuits, serial engine
-    from reset for sequential ones, over the collapsed fault list.
+(** {!Mutsamp_fault.Fsim.run} over the collapsed fault list: the
+    compiled parallel-pattern backend for combinational circuits, the
+    packed parallel-fault backend from reset for sequential ones.
     [ctx] (default {!Mutsamp_exec.Ctx.default}, sequential) supplies the
     domain pool, budget and progress sink — see {!Mutsamp_exec.Ctx}.
 
@@ -68,10 +69,8 @@ val fault_simulate_patterns :
     the groups whose cones cover the edit recompute (in a single
     simulation run over their union); untouched groups replay from the
     store, so a warm run after a one-gate edit does strictly less
-    [fsim.*] work yet is bit-identical to a cold run. Cone keys are
-    engine-independent — the context's {!Mutsamp_exec.Ctx.engine}
-    choice changes how a miss is simulated, never what it is keyed by.
-    Without a store this is exactly {!Mutsamp_fault.Fsim.run}. *)
+    [fsim.*] work yet is bit-identical to a cold run. Without a store
+    this is exactly {!Mutsamp_fault.Fsim.run}. *)
 
 val scan_patterns_of_sequences :
   t -> Mutsamp_hdl.Sim.stimulus list list -> Mutsamp_fault.Pattern.t array

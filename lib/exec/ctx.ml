@@ -8,7 +8,6 @@ module Trace = Mutsamp_obs.Trace
 let h_shard_seconds = Metrics.histogram "exec.shard_seconds"
 
 type sink = Global | Silent
-type engine = Auto | Packed | Event | Compiled | Serial
 
 type t = {
   pool : Pool.t option;
@@ -18,7 +17,6 @@ type t = {
   static_filter : bool;
   dominance : bool;
   store : Mutsamp_store.Store.t option;
-  engine : engine;
 }
 
 let default =
@@ -30,34 +28,15 @@ let default =
     static_filter = true;
     dominance = true;
     store = None;
-    engine = Auto;
   }
 
 let sequential = default
 let with_pool pool = { default with pool = Some pool }
 let with_store store = { default with store = Some store }
 
-let make ?pool ?budget ?store ?progress ?(static_filter = true) ?(dominance = true)
-    ?(engine = Auto) () =
-  { pool; budget; sink = Global; progress; static_filter; dominance; store; engine }
+let make ?pool ?budget ?store ?progress ?(static_filter = true) ?(dominance = true) () =
+  { pool; budget; sink = Global; progress; static_filter; dominance; store }
 let store t = t.store
-
-let engine_to_string = function
-  | Auto -> "auto"
-  | Packed -> "packed"
-  | Event -> "event"
-  | Compiled -> "compiled"
-  | Serial -> "serial"
-
-(* [Serial] is deliberately not parseable: it is the single-lane
-   reference implementation the differential tests compare against, an
-   API-level knob rather than a user-facing engine. *)
-let engine_of_string = function
-  | "auto" -> Some Auto
-  | "packed" -> Some Packed
-  | "event" -> Some Event
-  | "compiled" -> Some Compiled
-  | _ -> None
 
 let jobs t =
   match t.pool with
@@ -75,7 +54,7 @@ let progress t ~stage ~done_ ~total =
 let with_sink t f =
   match t.sink with Global -> f () | Silent -> Metrics.with_suppressed f
 
-(* The one sharding shape every engine uses: balanced contiguous
+(* The one sharding shape every sharded stage uses: balanced contiguous
    chunks, per-shard budget split (refunded after the join), results
    merged in chunk order. With an effective job count of 1 — no pool,
    pool of size 1, or already inside a worker — the body runs once with

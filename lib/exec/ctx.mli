@@ -1,5 +1,5 @@
 (** The run context: one record carrying everything a sharded stage
-    needs — execution engine, budget, metrics sink, progress callback,
+    needs — domain pool, budget, metrics sink, progress callback,
     static-filter switch — threaded as a single [?ctx] argument instead
     of a scatter of per-call optionals.
 
@@ -12,16 +12,6 @@
 type sink =
   | Global  (** shard bodies record into the process-global registry *)
   | Silent  (** shard bodies run with metrics suppressed *)
-
-(** Fault-simulation backend selection, threaded through the context so
-    every stage that simulates faults honours the same knob.
-
-    [Auto] resolves per netlist (compiled for combinational circuits,
-    packed parallel-fault for sequential ones); [Compiled] has no
-    sequential variant and resolves the same way. [Serial] is the
-    single-lane reference engine used by the differential test suites;
-    it has no string spelling and is not reachable from the CLI. *)
-type engine = Auto | Packed | Event | Compiled | Serial
 
 type t = {
   pool : Pool.t option;  (** [None] = sequential execution *)
@@ -38,7 +28,6 @@ type t = {
   store : Mutsamp_store.Store.t option;
       (** campaign store for fetch-or-compute reuse ([None] = always
           compute) *)
-  engine : engine;  (** fault-simulation backend ([Auto] in {!default}) *)
 }
 
 val default : t
@@ -59,7 +48,6 @@ val make :
   ?progress:(stage:string -> done_:int -> total:int -> unit) ->
   ?static_filter:bool ->
   ?dominance:bool ->
-  ?engine:engine ->
   unit ->
   t
 (** Assemble a context field by field (omitted fields as in
@@ -68,12 +56,6 @@ val make :
     without relying on the process-ambient budget. *)
 
 val store : t -> Mutsamp_store.Store.t option
-
-val engine_to_string : engine -> string
-
-val engine_of_string : string -> engine option
-(** Parse a user-facing engine spelling ([auto]/[packed]/[event]/
-    [compiled]); [Serial] is internal-only and never parses. *)
 
 val jobs : t -> int
 (** Effective fan-out at this call site: 1 without a pool or when the
@@ -85,7 +67,7 @@ val budget : t -> Mutsamp_robust.Budget.t
 
 val progress : t -> stage:string -> done_:int -> total:int -> unit
 (** Invoke the progress callback if any (main-domain call sites only —
-    engines report shard progress from the coordinating domain). *)
+    sharded stages report progress from the coordinating domain). *)
 
 val with_sink : t -> (unit -> 'a) -> 'a
 (** Run a shard body under the context's metrics sink. *)

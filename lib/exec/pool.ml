@@ -193,7 +193,7 @@ let run t n ~f =
 
 (* Balanced contiguous [(lo, len)] chunks: at most [jobs] of them,
    never empty, sizes differing by at most one, lowest-index chunks
-   take the remainder — the canonical sharding used by every engine so
+   take the remainder — the canonical sharding used by every stage so
    merge order is a plain concatenation. *)
 let chunks ~jobs ~n =
   if n <= 0 then [||]

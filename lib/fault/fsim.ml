@@ -1,14 +1,11 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
 module Gate = Mutsamp_netlist.Gate
-module Levels = Mutsamp_netlist.Levels
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
 module Ctx = Mutsamp_exec.Ctx
 module K = Fsim_kernel
-
-type engine = Ctx.engine = Auto | Packed | Event | Compiled | Serial
 
 type detection = K.detection = { fault : Fault.t; detected_at : int option }
 
@@ -60,7 +57,7 @@ let length_to_reach r target =
 (* Per-fault first-detection indices are independent of which other
    faults share a run (dropping only skips that fault's own later
    passes; parallel-fault lanes carry independent state), so every
-   engine shards its fault array into contiguous chunks and the merge
+   backend shards its fault array into contiguous chunks and the merge
    is a plain concatenation in chunk order — bit-identical to the
    sequential report. One shard returns its report unchanged. *)
 let merge_reports ~patterns_applied shards =
@@ -76,78 +73,9 @@ let merge_reports ~patterns_applied shards =
     }
   end
 
-(* Packed (PPSFP) combinational shard: full-circuit wide resimulation
-   of every alive fault per pattern batch. *)
-let packed_combinational_shard ?lanes ~budget nl ~(faults : Fault.t array)
-    ~patterns =
-  let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
-  let alive = Array.init (Array.length faults) (fun i -> i) in
-  let alive_count = ref (Array.length faults) in
-  let sim = Bitsim.create ?lanes nl in
-  let w = Bitsim.lanes sim in
-  let nw = Bitsim.words_per_net sim in
-  let n_out = Array.length nl.Netlist.output_list in
-  let n_pat = Array.length patterns in
-  let batches = (n_pat + w - 1) / w in
-  let batch = ref 0 in
-  let diff = Array.make nw 0 in
-  let stop = ref (K.chaos_entry ()) in
-  while !batch < batches && !alive_count > 0 && !stop = None do
-    let lo = !batch * w in
-    let len = min w (n_pat - lo) in
-    (* One work unit per pattern·fault pair this batch will simulate. *)
-    (match Budget.spend budget ~stage:Rerror.Fsim Budget.Fsim_pairs (len * !alive_count) with
-     | Ok () -> ()
-     | Error e -> stop := Some e);
-    if !stop = None then begin
-    let words = K.pack_patterns nl nw patterns lo len in
-    let good = Bitsim.step sim words in
-    Metrics.incr K.x_batches;
-    Metrics.incr K.x_good_steps;
-    Metrics.observe K.h_lanes_per_step (float_of_int len);
-    let k = ref 0 in
-    while !k < !alive_count do
-      let fi = alive.(!k) in
-      let f = faults.(fi) in
-      let faulty =
-        Bitsim.step_injected sim words ~inj:(Fault.injection f) ~stuck:(Fault.stuck_word f)
-      in
-      Metrics.incr K.c_machine_steps;
-      Array.fill diff 0 nw 0;
-      for o = 0 to n_out - 1 do
-        for j = 0 to nw - 1 do
-          diff.(j) <- diff.(j) lor (faulty.((o * nw) + j) lxor good.((o * nw) + j))
-        done
-      done;
-      let first = ref (-1) in
-      for j = 0 to nw - 1 do
-        if !first < 0 then begin
-          let d = diff.(j) land K.word_lane_mask len j in
-          if d <> 0 then first := (j * Bitsim.word_bits) + K.lowest_bit d
-        end
-      done;
-      if !first >= 0 then begin
-        detections.(fi) <- { detections.(fi) with detected_at = Some (lo + !first) };
-        (* Drop: swap with the last alive fault. *)
-        alive_count := !alive_count - 1;
-        alive.(!k) <- alive.(!alive_count);
-        alive.(!alive_count) <- fi
-      end
-      else incr k
-    done
-    end;
-    incr batch
-  done;
-  K.note_cut ~detail:K.batch_cut_detail !stop;
-  {
-    total = Array.length faults;
-    detected = Array.length faults - !alive_count;
-    detections;
-    patterns_applied = n_pat;
-  }
-
 (* Serial single-lane engine, kept as the reference implementation the
-   differential property tests compare the wide engines against. *)
+   differential property tests compare the word-parallel backends
+   against. *)
 let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
@@ -386,87 +314,57 @@ let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
     patterns_applied = n_cycles;
   }
 
-(* Compiled has no sequential variant: packed wins there. *)
-let resolved_engine engine nl =
-  match engine with
-  | Auto | Compiled -> if Netlist.num_dffs nl = 0 then Compiled else Packed
-  | (Packed | Event | Serial) as e -> e
-
-let note_engine = function
-  | Packed -> Metrics.incr K.c_engine_packed
-  | Event -> Metrics.incr K.c_engine_event
-  | Compiled -> Metrics.incr K.c_engine_compiled
-  | Serial -> Metrics.incr K.c_engine_serial
-  | Auto -> assert false
-
-(* The one entry point. [sequence] is a pattern sequence for sequential
-   circuits and an (order-preserved) set of independent patterns for
-   combinational ones; [detected_at] indexes into it either way. *)
-let run ?lanes ?engine ?(ctx = Ctx.default) nl ~faults ~sequence =
-  let engine = match engine with Some e -> e | None -> ctx.Ctx.engine in
-  let engine = resolved_engine engine nl in
-  let comb = Netlist.num_dffs nl = 0 in
+(* Shared by [run] and [serial]: the run and backend counters, one
+   progress done-count fed by every shard (so the callback sees a
+   monotone count whatever the interleaving), and the shard merge. *)
+let simulate ~ctx ~backend ~faults ~sequence shard =
   let faults = Array.of_list faults in
   let total = Array.length faults in
   Metrics.incr K.c_runs;
-  note_engine engine;
-  (* Sequential engines report per-fault progress through one shared
-     counter, so the callback sees a monotone done-count whatever the
-     shard interleaving; the combinational batch engines are too
-     fine-grained for that to be worth the traffic. *)
+  Metrics.incr backend;
   let done_count = Atomic.make 0 in
-  let tick_n n =
+  let tick n =
     let d = n + Atomic.fetch_and_add done_count n in
     Ctx.progress ctx ~stage:"faultsim" ~done_:d ~total
   in
-  let tick () = tick_n 1 in
   let shards =
-    match (engine, comb) with
-    | Packed, true ->
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          packed_combinational_shard ?lanes ~budget nl
-            ~faults:(Array.sub faults lo len)
-            ~patterns:sequence)
-    | Packed, false ->
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          parallel_fault_shard ?lanes ~budget ~tick:tick_n nl
-            ~faults:(Array.sub faults lo len)
-            ~sequence)
-    | Event, true ->
-      let lv = Levels.compute nl in
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          Fsim_event.combinational_shard lv ?lanes ~budget
-            ~faults:(Array.sub faults lo len)
-            ~patterns:sequence ())
-    | Event, false ->
-      let lv = Levels.compute nl in
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          Fsim_event.sequential_shard lv ~budget ~tick
-            ~faults:(Array.sub faults lo len)
-            ~sequence)
-    | Compiled, true ->
-      let nw =
-        match lanes with
-        | None -> 1
-        | Some l ->
-          if l < 1 then invalid_arg "Fsim.run: lanes < 1"
-          else (l + Bitsim.word_bits - 1) / Bitsim.word_bits
-      in
-      let entry, progs =
-        Fsim_compiled.prepare_comb nl ~nw ~faults:(Array.to_list faults)
-      in
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          Fsim_compiled.combinational_shard entry progs ~budget
-            ~faults:(Array.sub faults lo len)
-            ~fault_lo:lo ~patterns:sequence)
-    | Serial, (true | false) ->
-      Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
-          serial_shard ~budget ~tick nl ~faults:(Array.sub faults lo len) ~sequence)
-    | Compiled, false | Auto, _ -> assert false
+    Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
+        shard ~budget ~tick ~lo ~faults:(Array.sub faults lo len))
   in
   let report = merge_reports ~patterns_applied:(Array.length sequence) shards in
   Metrics.add K.c_patterns report.patterns_applied;
   Metrics.add K.c_detected report.detected;
   report
+
+(* The one entry point. [sequence] is a pattern sequence for sequential
+   circuits and an (order-preserved) set of independent patterns for
+   combinational ones; [detected_at] indexes into it either way. Each
+   regime has one backend: compiled without flip-flops, packed with.
+   Compilation happens here, on the coordinating domain, before any
+   shard runs. *)
+let run ?lanes ?(ctx = Ctx.default) nl ~faults ~sequence =
+  if Netlist.num_dffs nl = 0 then begin
+    let nw =
+      match lanes with
+      | None -> 1
+      | Some l ->
+        if l < 1 then invalid_arg "Fsim.run: lanes < 1"
+        else (l + Bitsim.word_bits - 1) / Bitsim.word_bits
+    in
+    let entry, progs = Fsim_compiled.prepare_comb nl ~nw ~faults in
+    simulate ~ctx ~backend:K.c_engine_compiled ~faults ~sequence
+      (fun ~budget ~tick:_ ~lo ~faults ->
+        Fsim_compiled.combinational_shard entry progs ~budget ~faults ~fault_lo:lo
+          ~patterns:sequence)
+  end
+  else
+    simulate ~ctx ~backend:K.c_engine_packed ~faults ~sequence
+      (fun ~budget ~tick ~lo:_ ~faults ->
+        parallel_fault_shard ?lanes ~budget ~tick nl ~faults ~sequence)
+
+let serial ?(ctx = Ctx.default) nl ~faults ~sequence =
+  simulate ~ctx ~backend:K.c_engine_serial ~faults ~sequence
+    (fun ~budget ~tick ~lo:_ ~faults ->
+      serial_shard ~budget ~tick:(fun () -> tick 1) nl ~faults ~sequence)
 
 let input_pattern = Pattern.of_bits

@@ -1,5 +1,5 @@
-(** Stuck-at fault simulation with fault dropping, behind one
-    engine-selectable entry point.
+(** Stuck-at fault simulation with fault dropping: one backend per
+    circuit regime behind one entry point, plus a serial reference.
 
     Patterns are {!Pattern.t} values over the netlist's primary inputs
     in [input_nets] order (bit [k] of the pattern feeds input [k]) —
@@ -7,41 +7,34 @@
     {!Mutsamp_synth.Mapping} layer produces them from word-level
     stimuli via netlist input names.
 
-    Four backends, all bit-identical in their reports:
-    - {!Packed}: the parallel-pattern (PPSFP) reference for
-      combinational circuits — [lanes] patterns per pass, good circuit
-      simulated once per pass, full-circuit resimulation per fault —
-      and PROOFS-style parallel-fault simulation for sequential ones:
-      the good machine runs once per cycle on its own lane, and each
-      cycle only the faults that are excited or whose flip-flop state
-      has diverged are packed [lanes] to a word; detected faults are
-      dropped and the rest regroup every cycle;
-    - {!Event}: event-driven — the netlist is levelized
-      ({!Mutsamp_netlist.Levels}), a full good baseline is kept per
-      batch/cycle, and each fault pass re-evaluates only gates whose
-      fanin words changed, so quiescent cones are skipped wholesale
-      (elisions recorded in [exec.events_skipped]);
-    - {!Compiled}: each design is specialised at load time into
-      straight-line OCaml closures over dense word arrays — a
-      whole-netlist good program plus a statically-routed fanout-cone
-      program per fault site, cached per design hash for the process
-      lifetime (misses recorded in [exec.compile_ms]). Combinational
-      only: on a sequential netlist it resolves to [Packed];
-    - {!Serial}: the single-lane reference the differential property
-      tests compare every other engine against. Internal: it has no
-      CLI spelling.
+    {!run} picks the backend from the netlist, bit-identical in its
+    reports to {!serial}:
+    - combinational netlists run {e compiled}: the design is
+      specialised at load time into straight-line OCaml closures over
+      dense word arrays — a whole-netlist good program plus a
+      statically-routed fanout-cone program per fault site, cached per
+      design hash for the process lifetime (misses recorded in
+      [exec.compile_ms]). A fault whose site is not excited in a batch
+      skips its cone (elided gate evaluations recorded in
+      [exec.events_skipped]);
+    - sequential netlists run {e packed}, PROOFS-style parallel-fault
+      simulation: the good machine runs once per cycle on its own lane,
+      and each cycle only the faults that are excited or whose
+      flip-flop state has diverged are packed [lanes] to a word;
+      detected faults are dropped and the rest regroup every cycle.
 
-    {!Auto} (and {!Compiled}) resolve to [Compiled] for combinational
-    netlists and [Packed] for sequential ones.
+    The backend that ran is recorded by bumping one of the
+    [fsim.engine.compiled] / [fsim.engine.packed] /
+    [fsim.engine.serial] counters per call.
 
     All backends record, per fault, the index of the first detecting
     pattern (combinational) or cycle (sequential), which is what the
     coverage curves of the NLFCE metric need; the index is independent
     of the lane count and of the backend.
 
-    Execution: {!run} takes [?ctx] (default
-    {!Mutsamp_exec.Ctx.default}: sequential, ambient budget, [Auto]
-    engine). With a pool in the context the fault list is sharded into
+    Execution: {!run} and {!serial} take [?ctx] (default
+    {!Mutsamp_exec.Ctx.default}: sequential, ambient budget). With a
+    pool in the context the fault list is sharded into
     contiguous chunks — one per effective job — simulated on worker
     domains and merged back in fault-list order; per-fault
     first-detection indices do not depend on which other faults share a
@@ -55,13 +48,6 @@
     at [Fsim_run] is consulted by every shard, inside the worker, and
     behaves like immediate exhaustion ([Timeout]) or raises
     {!Mutsamp_robust.Chaos.Injected} ([Exception]). *)
-
-type engine = Mutsamp_exec.Ctx.engine =
-  | Auto
-  | Packed
-  | Event
-  | Compiled
-  | Serial
 
 type detection = Fsim_kernel.detection = {
   fault : Fault.t;
@@ -88,39 +74,44 @@ val coverage_curve : report -> (int * float) list
 val length_to_reach : report -> float -> int option
 (** Shortest prefix achieving at least the given coverage, if any. *)
 
-val resolved_engine : engine -> Mutsamp_netlist.Netlist.t -> engine
-(** The backend {!run} will actually use: [Auto] and [Compiled]
-    resolve per netlist ([Compiled] without flip-flops, [Packed] with),
-    every other engine resolves to itself. *)
-
 val run :
   ?lanes:int ->
-  ?engine:engine ->
   ?ctx:Mutsamp_exec.Ctx.t ->
   Mutsamp_netlist.Netlist.t ->
   faults:Fault.t list ->
   sequence:Pattern.t array ->
   report
-(** Simulate the fault list against the pattern sequence. For
+(** Simulate the fault list against the pattern sequence: compiled on a
+    netlist without flip-flops, packed on one with them. For
     combinational netlists [sequence] is a set of independent patterns
     (order preserved in [detected_at] indexing); for sequential ones it
     is applied cycle by cycle from the reset state.
 
-    [engine] defaults to the context's engine field ([Auto] in
-    {!Mutsamp_exec.Ctx.default}). [lanes] is the pattern-batch width
-    for the combinational backends and the number of faults per word
-    for the packed sequential backend, rounded up to whole words; the
-    sequential event and serial backends are single-lane and ignore
-    it.
+    [lanes] is the pattern-batch width of the compiled backend and the
+    number of faults per word of the packed one, rounded up to whole
+    words.
 
-    The context's progress callback is invoked (stage ["faultsim"]) by
-    the sequential backends after each fault's replay — or, for the
-    packed one, as faults are detected and once for the rest at the end
-    (long [b03] runs are otherwise silent for minutes); shards feed a
-    shared done-counter, so the count is monotone under parallelism.
+    On sequential netlists the context's progress callback is invoked
+    (stage ["faultsim"]) as faults are detected and once for the rest
+    at the end (long [b03] runs are otherwise silent for minutes);
+    shards feed a shared done-counter, so the count is monotone under
+    parallelism.
 
     Raises [Invalid_argument] if a pattern's width does not match the
     input count, or if [lanes < 1]. *)
+
+val serial :
+  ?ctx:Mutsamp_exec.Ctx.t ->
+  Mutsamp_netlist.Netlist.t ->
+  faults:Fault.t list ->
+  sequence:Pattern.t array ->
+  report
+(** The single-lane reference: every fault replayed on its own from the
+    start of [sequence], on either regime. Slow; it exists as the
+    anchor the differential tests hold {!run} to, detection flags and
+    first-detection indices alike. Same sharding, budget and chaos
+    behaviour as {!run}; the progress callback fires after each fault's
+    replay. *)
 
 val input_pattern : Mutsamp_netlist.Netlist.t -> (string * bool) list -> Pattern.t
 (** Build a pattern from named input bits (missing names default to

@@ -7,7 +7,7 @@
    into the overlay), after which every gate op reads and writes the
    overlay only — no forcing checks, no kind dispatch, no bounds
    checks in the inner loop. Combinational only: sequential netlists
-   resolve to the packed engine.
+   run the packed backend.
 
    Programs are cached per structural design hash in a process-global
    table; all compilation happens on the coordinating domain before
@@ -307,8 +307,10 @@ let prepare_comb nl ~nw ~faults =
       if ms > 0 then Metrics.add K.x_compile_ms ms;
       (entry, progs))
 
-(* Combinational shard over precompiled cone programs; loop structure,
-   budget charging and detection indexing mirror the packed engine. *)
+(* Combinational shard over precompiled cone programs: one good-machine
+   pass per batch of [nw * 63] patterns, then each alive fault's cone.
+   Budget is charged per pattern·fault pair offered, and detected
+   faults drop out of later batches. *)
 let combinational_shard entry (progs : cone_prog array) ~budget
     ~(faults : Fault.t array) ~fault_lo ~patterns =
   let nl = entry.nl in

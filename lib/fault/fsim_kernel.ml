@@ -1,8 +1,8 @@
 (* Shared spine of the fault-simulation backends: report types, metric
    series, pattern packing and the chaos/degrade conventions. Every
-   engine (packed, event-driven, compiled, serial reference) builds on
-   these so their observable behaviour — budget charging, degrade
-   notes, detection indexing — stays aligned by construction. *)
+   backend (compiled, packed, serial reference) builds on these so
+   their observable behaviour — budget charging, degrade notes,
+   detection indexing — stays aligned by construction. *)
 
 module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
@@ -37,7 +37,6 @@ let h_lanes_per_step = Metrics.histogram "exec.fsim_lanes_per_step"
 (* Resolved-engine observability: one counter per backend name, bumped
    once per run (the registry holds no string gauges). *)
 let c_engine_packed = Metrics.counter "fsim.engine.packed"
-let c_engine_event = Metrics.counter "fsim.engine.event"
 let c_engine_compiled = Metrics.counter "fsim.engine.compiled"
 let c_engine_serial = Metrics.counter "fsim.engine.serial"
 
@@ -94,7 +93,7 @@ let lowest_bit w =
   let rec go k = if (w lsr k) land 1 = 1 then k else go (k + 1) in
   go 0
 
-(* Entry-point chaos consultation shared by the engines; consulted by
+(* Entry-point chaos consultation shared by the backends; consulted by
    every shard, so injections fire inside workers too. [Timeout]
    behaves like an exhausted budget (the run degrades to a partial
    report); [Exception] raises to prove caller containment; [Truncate]

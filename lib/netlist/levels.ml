@@ -1,105 +1,43 @@
-(* Levelized view of a netlist for the event-driven and compiled fault
-   simulators: combinational gates bucketed by logic depth, dense
-   int-array fanouts, and per-net reachable-output bitsets. Everything
-   here is immutable after [compute], so one value can be shared across
-   simulation domains. *)
+(* Levelized view of a netlist for the compiled fault simulator:
+   combinational gates in level order and dense int-array fanouts.
+   Everything here is immutable after [compute], so one value can be
+   shared across simulation domains. *)
 
 type t = {
   nl : Netlist.t;
-  level : int array;  (* per net; sources are level 0 *)
-  max_level : int;
   order : int array;  (* combinational gates, level-ascending *)
-  level_off : int array;
-      (* length max_level + 2: gates of level l occupy
-         order.[level_off.(l) .. level_off.(l+1) - 1] *)
-  pos : int array;  (* per net: index into [order], -1 for sources *)
   fanout_comb : int array array;  (* per net: combinational consumers *)
-  fanout_dff : int array array;  (* per net: DFFs reading it as D *)
-  reach_words : int;
-  reach : int array;
-      (* net n combinationally reaches PO o iff bit [o mod 63] of
-         reach.((n * reach_words) + o / 63) is set *)
 }
-
-let word_bits = 63
 
 let compute (nl : Netlist.t) =
   let topo = Topo.compute nl in
-  let n = Array.length nl.Netlist.gates in
   let level = topo.Topo.level in
   let max_level = topo.Topo.max_level in
   (* Stable level sort: counting sort over the topo order keeps same-level
      gates in topological (hence deterministic) relative order. *)
-  let counts = Array.make (max_level + 2) 0 in
+  let fill = Array.make (max_level + 2) 0 in
   Array.iter
-    (fun i -> counts.(level.(i) + 1) <- counts.(level.(i) + 1) + 1)
+    (fun i -> fill.(level.(i) + 1) <- fill.(level.(i) + 1) + 1)
     topo.Topo.order;
   for l = 1 to max_level + 1 do
-    counts.(l) <- counts.(l) + counts.(l - 1)
+    fill.(l) <- fill.(l) + fill.(l - 1)
   done;
-  let level_off = Array.copy counts in
   let order = Array.make (Array.length topo.Topo.order) 0 in
-  let fill = Array.copy counts in
   Array.iter
     (fun i ->
       order.(fill.(level.(i))) <- i;
       fill.(level.(i)) <- fill.(level.(i)) + 1)
     topo.Topo.order;
-  let pos = Array.make n (-1) in
-  Array.iteri (fun k i -> pos.(i) <- k) order;
-  let comb = Array.make n [] and dff = Array.make n [] in
+  let comb = Array.make (Array.length nl.Netlist.gates) [] in
   Array.iteri
     (fun i (g : Gate.t) ->
       match g.Gate.kind with
-      | Gate.Pi _ | Gate.Const _ -> ()
-      | Gate.Dff _ ->
-        let d = g.Gate.fanins.(0) in
-        dff.(d) <- i :: dff.(d)
+      | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> ()
       | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
       | Gate.Xor | Gate.Xnor ->
         Array.iter (fun f -> comb.(f) <- i :: comb.(f)) g.Gate.fanins)
     nl.Netlist.gates;
-  let fanout_comb = Array.map (fun l -> Array.of_list (List.rev l)) comb in
-  let fanout_dff = Array.map (fun l -> Array.of_list (List.rev l)) dff in
-  let npo = Array.length nl.Netlist.output_list in
-  let reach_words = (npo + word_bits - 1) / word_bits in
-  let reach = Array.make (n * reach_words) 0 in
-  Array.iteri
-    (fun o (_, net) ->
-      let w = (net * reach_words) + (o / word_bits) in
-      reach.(w) <- reach.(w) lor (1 lsl (o mod word_bits)))
-    nl.Netlist.output_list;
-  (* Reverse-topological propagation: a gate's reach flows onto its
-     fanins. Stops at DFF boundaries — this is combinational reach. *)
-  for k = Array.length order - 1 downto 0 do
-    let i = order.(k) in
-    let g = nl.Netlist.gates.(i) in
-    Array.iter
-      (fun f ->
-        for j = 0 to reach_words - 1 do
-          reach.((f * reach_words) + j) <-
-            reach.((f * reach_words) + j) lor reach.((i * reach_words) + j)
-        done)
-      g.Gate.fanins
-  done;
-  {
-    nl;
-    level;
-    max_level;
-    order;
-    level_off;
-    pos;
-    fanout_comb;
-    fanout_dff;
-    reach_words;
-    reach;
-  }
+  { nl; order; fanout_comb = Array.map (fun l -> Array.of_list (List.rev l)) comb }
 
 let netlist t = t.nl
-
-let reaches_output t net =
-  let base = net * t.reach_words in
-  let rec go j = j < t.reach_words && (t.reach.(base + j) <> 0 || go (j + 1)) in
-  go 0
-
 let num_comb_gates t = Array.length t.order

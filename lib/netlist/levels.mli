@@ -1,32 +1,17 @@
-(** Levelized netlist view for the event-driven and compiled fault-sim
-    backends: combinational gates bucketed by logic depth, dense
-    int-array fanouts, and per-net combinational output-reachability
-    bitsets. Immutable after {!compute}, so one value is safely shared
-    across simulation domains. *)
+(** Levelized netlist view for the compiled fault-sim backend:
+    combinational gates in level order and dense int-array fanouts.
+    Immutable after {!compute}, so one value is safely shared across
+    simulation domains. *)
 
 type t = private {
   nl : Netlist.t;
-  level : int array;  (** per net; sources (PI/Const/DFF) are level 0 *)
-  max_level : int;
-  order : int array;  (** combinational gates only, level-ascending *)
-  level_off : int array;
-      (** length [max_level + 2]: gates of level [l] occupy
-          [order.[level_off.(l) .. level_off.(l+1) - 1]] *)
-  pos : int array;  (** per net: index into [order], [-1] for sources *)
+  order : int array;
+      (** combinational gates only, level-ascending; same-level gates
+          keep their topological order *)
   fanout_comb : int array array;
       (** per net: combinational gates reading it, ascending ids *)
-  fanout_dff : int array array;
-      (** per net: flip-flop nets reading it as their D pin *)
-  reach_words : int;
-  reach : int array;
-      (** net [n] combinationally reaches PO [o] iff bit [o mod 63] of
-          [reach.((n * reach_words) + o / 63)] is set *)
 }
 
 val compute : Netlist.t -> t
 val netlist : t -> Netlist.t
-
-val reaches_output : t -> int -> bool
-(** Whether the net combinationally reaches any primary output. *)
-
 val num_comb_gates : t -> int

@@ -229,8 +229,9 @@ let validate_profile json =
      | _ -> Error "profile.rows must be a list")
   | _ -> Error "field \"profile\" must be an object"
 
-(* The optional "exec" section: jobs actually used plus per-run
-   execution-engine histograms (shard imbalance, pool queue-wait). *)
+(* The optional "exec" section: jobs requested and used, the host's
+   core count and OCaml version, plus per-run execution histograms
+   (shard imbalance, pool queue-wait). *)
 let validate_exec json =
   match json with
   | Json.Obj _ ->
@@ -242,7 +243,12 @@ let validate_exec json =
           | Some (Json.Int _) | None -> Ok ()
           | Some _ -> Error (Printf.sprintf "exec.%s must be an integer" name))
         (Ok ())
-        [ "jobs"; "jobs_requested" ]
+        [ "jobs"; "jobs_requested"; "cores" ]
+    in
+    let* () =
+      match Json.member "ocaml" json with
+      | Some (Json.String _) | None -> Ok ()
+      | Some _ -> Error "exec.ocaml must be a string"
     in
     (match Json.member "histograms" json with
      | None -> Ok ()

@@ -26,8 +26,8 @@
     Spans carry an optional ["track"] (worker domain index; absent
     means the main domain). Additive optional sections validated when
     present: ["analysis"] (lint findings), ["profile"] (flat self-time
-    rows from [--profile]), ["exec"] (jobs used plus execution-engine
-    histograms), ["store"] (campaign-store attachment and reuse
+    rows from [--profile]), ["exec"] (jobs used, host core count and
+    OCaml version, plus execution histograms), ["store"] (campaign-store attachment and reuse
     counters from [--store]) and ["serve"] (per-request service-daemon
     context in daemon replies). *)
 
@@ -55,7 +55,8 @@ val validate : Json.t -> (unit, string) result
     are validated when present and reports without them remain valid:
     ["analysis"] (per-rule counts and diagnostics from [mutsamp lint]),
     ["profile"] (wall time plus self-time rows from [--profile]),
-    ["exec"] (integer job counts plus numeric histograms), ["store"]
+    ["exec"] (integer job and core counts, string [ocaml], numeric
+    histograms), ["store"]
     (boolean [enabled], optional [dir], integer counters) and ["serve"]
     (scalar request-context fields). Used by the [bench-smoke] alias
     and the report tests, so a report-format regression fails

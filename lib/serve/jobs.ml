@@ -213,3 +213,38 @@ let lint ~ctx ~circuits ~strict =
   ( Buffer.contents buf,
     Analysis.Engine.report_section diags,
     Analysis.Engine.error_count ~strict diags )
+
+(* --- report sections shared with the CLI ------------------------------- *)
+
+let exec_section ~jobs_requested ~jobs =
+  let hists =
+    List.filter_map
+      (fun (name, stats) ->
+        if String.starts_with ~prefix:"exec." name then
+          Some (name, Metrics.stats_to_json stats)
+        else None)
+      (Metrics.snapshot ()).Metrics.histograms
+  in
+  Json.Obj
+    ([
+       ("jobs_requested", Json.Int jobs_requested);
+       ("jobs", Json.Int jobs);
+       ("cores", Json.Int (Domain.recommended_domain_count ()));
+       ("ocaml", Json.String Sys.ocaml_version);
+     ]
+    @ if hists = [] then [] else [ ("histograms", Json.Obj hists) ])
+
+(* Fault-sim dispatch bumps one fsim.engine.<backend> counter per run;
+   a campaign can mix regimes, hence a list. *)
+let fsim_section () =
+  let prefix = "fsim.engine." in
+  let plen = String.length prefix in
+  let resolved =
+    List.filter_map
+      (fun (name, v) ->
+        if v > 0 && String.starts_with ~prefix name then
+          Some (Json.String (String.sub name plen (String.length name - plen)))
+        else None)
+      (Metrics.snapshot ()).Metrics.counters
+  in
+  Json.Obj [ ("resolved", Json.List resolved) ]

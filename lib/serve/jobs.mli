@@ -4,7 +4,7 @@
     subcommand prints to stdout; the CLI prints the returned string
     and the daemon ships it as the reply's ["output"], so the two are
     bit-identical {e by construction}, never by convention. Typed
-    failures (unknown circuit, bad engine, budget cuts escaping a
+    failures (unknown circuit, unknown generator, budget cuts escaping a
     stage) raise {!Mutsamp_robust.Error.E} for the caller to contain.
 
     Prepared pipelines are cached per circuit in a process-global
@@ -48,3 +48,15 @@ val lint :
   ctx:Ctx.t -> circuits:string list -> strict:bool -> string * Json.t * int
 (** [(text output, "analysis" report section, error count under
     [strict])]. Empty [circuits] lints the whole registry. *)
+
+val exec_section : jobs_requested:int -> jobs:int -> Json.t
+(** The run report's ["exec"] section: jobs asked for and used, the
+    host's [cores] ([Domain.recommended_domain_count]) and [ocaml]
+    version — the context that makes a jobs-N timing readable — and
+    the [exec.*] histograms of the current metrics snapshot, if any. *)
+
+val fsim_section : unit -> Json.t
+(** The run report's ["fsim"] section, [{"resolved": [...]}]: the
+    fault-sim backends ([compiled], [packed], [serial]) that ran under
+    the current metrics snapshot, read off the [fsim.engine.*]
+    counters. Empty when nothing was simulated (a warm store replay). *)

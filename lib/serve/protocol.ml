@@ -16,7 +16,6 @@ type request = {
   op : op;
   deadline_ms : int option;
   chaos : string list;
-  engine : Mutsamp_exec.Ctx.engine;
 }
 
 let op_name = function
@@ -126,15 +125,8 @@ let parse_request line =
         ~conv:(fun v -> Option.map Option.some (int_conv v))
     in
     let* chaos = opt_field doc "chaos" ~default:[] ~conv:string_list_conv in
-    let* engine_s = opt_field doc "engine" ~default:"auto" ~conv:string_conv in
-    let* engine =
-      match Mutsamp_exec.Ctx.engine_of_string engine_s with
-      | Some e -> Ok e
-      | None ->
-        proto "unknown engine %S (auto, packed, event or compiled)" engine_s
-    in
     let* op = parse_op doc in
-    Ok { id; op; deadline_ms; chaos; engine }
+    Ok { id; op; deadline_ms; chaos }
   | Ok _ -> proto "request must be a JSON object"
 
 (* --- replies ----------------------------------------------------------- *)

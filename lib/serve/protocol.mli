@@ -2,13 +2,11 @@
 
     Newline-delimited JSON, one object per line in each direction (see
     docs/SERVICE.md for the grammar). A request names an [op] plus
-    op-specific fields and four optional envelope fields: [id]
+    op-specific fields and three optional envelope fields: [id]
     (echoed verbatim in the reply), [deadline_ms] (per-request budget
-    cap), [chaos] (injection specs armed for this request only —
-    the fault-isolation test hook) and [engine] (fault-simulation
-    backend for the request: ["auto"], ["packed"], ["event"] or
-    ["compiled"]; default ["auto"]). Replies are either
-    [{"status":"ok", ..., "output", "report"?}] — [output] is the
+    cap) and [chaos] (injection specs armed for this request only —
+    the fault-isolation test hook). Unknown fields are ignored. Replies
+    are either [{"status":"ok", ..., "output", "report"?}] — [output] is the
     byte-identical stdout text of the equivalent batch CLI command,
     [report] a schema-1 run report — or [{"status":"error", "class",
     "message", "exit_code"}] mapping {!Mutsamp_robust.Error.t} onto
@@ -25,8 +23,7 @@ type op =
           makes overload and drain tests deterministic *)
   | Faultsim of { circuit : string; vectors : int; lfsr : bool; seed : int }
   | Atpg of { circuit : string; generator : string; seed : int }
-      (** [generator] is the test-generation algorithm ([podem]/[sat]),
-          distinct from the envelope's fault-simulation [engine] *)
+      (** [generator] is the test-generation algorithm ([podem]/[sat]) *)
   | Table1 of { circuits : string list; quick : bool; seed : int }
   | Table2 of { circuits : string list; quick : bool; seed : int; repetitions : int }
   | Lint of { circuits : string list; strict : bool }
@@ -36,8 +33,6 @@ type request = {
   op : op;
   deadline_ms : int option;
   chaos : string list;  (** {!Mutsamp_robust.Chaos.parse_spec} specs *)
-  engine : Mutsamp_exec.Ctx.engine;
-      (** fault-simulation backend installed in the request's context *)
 }
 
 val op_name : op -> string

@@ -220,7 +220,7 @@ let execute t (job : job) =
   Budget.set_ambient budget;
   Atomic.set t.inflight (Some budget);
   let ctx =
-    Ctx.make ?pool:t.pool ~budget ?store:t.cfg.store ~engine:req.engine ()
+    Ctx.make ?pool:t.pool ~budget ?store:t.cfg.store ()
   in
   let result =
     match !arm_failure with
@@ -276,14 +276,9 @@ let execute t (job : job) =
         ~extra:
           ([
              ( "exec",
-               Json.Obj
-                 [
-                   ("jobs_requested", Json.Int t.cfg.jobs);
-                   ( "jobs",
-                     Json.Int
-                       (match t.pool with None -> 1 | Some p -> Pool.size p) );
-                   ("engine", Json.String (Ctx.engine_to_string req.engine));
-                 ] );
+               Jobs.exec_section ~jobs_requested:t.cfg.jobs
+                 ~jobs:(match t.pool with None -> 1 | Some p -> Pool.size p) );
+             ("fsim", Jobs.fsim_section ());
              ("robust", robust_json budget);
              ("store", Store.report_section t.cfg.store);
              ("serve", serve_section);

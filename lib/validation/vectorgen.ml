@@ -150,7 +150,7 @@ let generate ?(config = default_config) ?budget design mutants =
   let equivalent = ref [] in
   let unknown = ref [] in
   if config.directed then begin
-    Trace.with_span "equiv" @@ fun () ->
+    Trace.with_span "vectorgen.directed" @@ fun () ->
     let mutant_arr = Array.of_list mutants in
     let combinational_pair (m : Mutant.t) =
       Check.is_combinational design && Check.is_combinational m.Mutant.design

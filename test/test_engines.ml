@@ -1,10 +1,8 @@
-(* Cross-engine differential suite for the unified Fsim.run API: the
-   event-driven and compiled backends must reproduce the packed and
-   serial reference engines bit-for-bit — same detection flags AND the
-   same first-detection indices — over random netlists, over the whole
-   circuit registry, and at every shard fan-out. A final test pins the
-   store contract: the engine choice never perturbs "fsimcone" keys,
-   so a campaign cached under one backend replays warm under another. *)
+(* Differential suite for the fault-sim backends: [Fsim.run] — compiled
+   on combinational netlists, packed on sequential ones — must
+   reproduce the [Fsim.serial] reference bit-for-bit — same detection
+   flags AND the same first-detection indices — over random netlists,
+   over the whole circuit registry, and at every shard fan-out. *)
 
 module Prng = Mutsamp_util.Prng
 module Packvec = Mutsamp_util.Packvec
@@ -17,7 +15,6 @@ module Pipeline = Mutsamp_core.Pipeline
 module Prpg = Mutsamp_atpg.Prpg
 module Ctx = Mutsamp_exec.Ctx
 module Pool = Mutsamp_exec.Pool
-module Store = Mutsamp_store.Store
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
@@ -83,13 +80,11 @@ let same_report (a : Fsim.report) (b : Fsim.report) =
          && da.Fsim.detected_at = db.Fsim.detected_at)
        a.Fsim.detections b.Fsim.detections
 
-let engines = [ Fsim.Packed; Fsim.Event; Fsim.Compiled ]
-
 (* ------------------------------------------------------------------ *)
 (* Random-netlist differential properties                             *)
 (* ------------------------------------------------------------------ *)
 
-let prop_engines_agree ~dffs ~name =
+let prop_run_matches_serial ~dffs ~name =
   QCheck.Test.make ~name ~count:80
     (QCheck.make QCheck.Gen.(int_range 0 1000000))
     (fun seed ->
@@ -97,29 +92,30 @@ let prop_engines_agree ~dffs ~name =
       let faults = Fault.full_list nl in
       let len = if dffs then 6 + (seed mod 12) else 20 + (seed mod 60) in
       let sequence = random_sequence nl ~length:len seed in
-      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
-      List.for_all
-        (fun engine ->
-          same_report reference (Fsim.run ~engine nl ~faults ~sequence))
-        engines)
+      same_report (Fsim.serial nl ~faults ~sequence) (Fsim.run nl ~faults ~sequence))
 
-let prop_comb_engines_agree =
-  prop_engines_agree ~dffs:false
-    ~name:"packed = event = compiled = serial (combinational)"
+let prop_comb_run_matches_serial =
+  prop_run_matches_serial ~dffs:false ~name:"compiled = serial (comb)"
 
-let prop_seq_engines_agree =
-  prop_engines_agree ~dffs:true
-    ~name:"packed = event = compiled = serial (sequential)"
+let prop_seq_run_matches_serial =
+  prop_run_matches_serial ~dffs:true ~name:"packed = serial (seq)"
 
 (* ------------------------------------------------------------------ *)
 (* Registry circuits at every shard fan-out                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Detection reports must not depend on the engine OR on how the fault
+(* Detection reports must not depend on the backend OR on how the fault
    list is sharded across domains — the merge of contiguous shards is
    bit-identical because per-fault first detection is independent of
-   grouping. Runs the whole registry: comb ISCAS nets, seq ITC bench
-   machines, and the >62-input wide128 regression. *)
+   grouping. Runs the whole registry: comb ISCAS nets (compiled), seq
+   ITC bench machines (packed), and the >62-input wide128 regression. *)
+let with_jobs jobs f =
+  if jobs = 1 then f Ctx.default
+  else begin
+    let pool = Pool.create ~domains:jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Ctx.with_pool pool))
+  end
+
 let test_registry_all_engines_all_jobs () =
   List.iter
     (fun (e : Registry.entry) ->
@@ -129,29 +125,14 @@ let test_registry_all_engines_all_jobs () =
       let bits = Array.length nl.Netlist.input_nets in
       let length = if Netlist.num_dffs nl = 0 then 24 else 12 in
       let sequence = Prpg.uniform_sequence (Prng.create 7) ~bits ~length in
-      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+      let reference = Fsim.serial nl ~faults ~sequence in
       List.iter
         (fun jobs ->
-          let with_ctx f =
-            if jobs = 1 then f Ctx.default
-            else begin
-              let pool = Pool.create ~domains:jobs in
-              Fun.protect
-                ~finally:(fun () -> Pool.shutdown pool)
-                (fun () -> f (Ctx.with_pool pool))
-            end
-          in
-          with_ctx @@ fun ctx ->
-          List.iter
-            (fun engine ->
-              let r = Fsim.run ~engine ~ctx nl ~faults ~sequence in
-              check_bool
-                (Printf.sprintf "%s: %s at jobs %d differs from serial"
-                   e.Registry.name
-                   (Ctx.engine_to_string engine)
-                   jobs)
-                true (same_report reference r))
-            engines)
+          with_jobs jobs @@ fun ctx ->
+          check_bool
+            (Printf.sprintf "%s: run at jobs %d differs from serial" e.Registry.name jobs)
+            true
+            (same_report reference (Fsim.run ~ctx nl ~faults ~sequence)))
         [ 1; 2; 4 ])
     Registry.all
 
@@ -191,13 +172,6 @@ let seq_sequence nl ~length seed =
     ~bits:(Array.length nl.Netlist.input_nets)
     ~length
 
-let with_jobs jobs f =
-  if jobs = 1 then f Ctx.default
-  else begin
-    let pool = Pool.create ~domains:jobs in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Ctx.with_pool pool))
-  end
-
 (* Every sequential registry circuit over 512 cycles — long enough for
    most faults to drop mid-sequence while the hard ones stay alive to
    the end — at every shard fan-out, flip-flop faults included. *)
@@ -206,11 +180,11 @@ let test_packed_sequential_registry_512 () =
     (fun (name, nl, collapsed) ->
       let faults = collapsed @ dff_faults nl in
       let sequence = seq_sequence nl ~length:512 5 in
-      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+      let reference = Fsim.serial nl ~faults ~sequence in
       List.iter
         (fun jobs ->
           with_jobs jobs @@ fun ctx ->
-          let r = Fsim.run ~engine:Fsim.Packed ~ctx nl ~faults ~sequence in
+          let r = Fsim.run ~ctx nl ~faults ~sequence in
           check_bool
             (Printf.sprintf "%s: packed at jobs %d differs from serial" name jobs)
             true (same_report reference r))
@@ -250,13 +224,13 @@ let test_packed_sequential_budget_cut () =
   let nl, faults = circuit "b03" in
   let length = 64 in
   let sequence = seq_sequence nl ~length 13 in
-  let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+  let reference = Fsim.serial nl ~faults ~sequence in
   let lanes = Mutsamp_netlist.Bitsim.word_bits in
   check_bool "more than two groups of faults" true (List.length faults > 2 * lanes);
   Degrade.reset ();
   let budget = Budget.create ~fsim_pairs:((5 * lanes * length / 2) + 1) () in
   let r =
-    Fsim.run ~engine:Fsim.Packed ~ctx:(Ctx.make ~budget ()) nl ~faults ~sequence
+    Fsim.run ~ctx:(Ctx.make ~budget ()) nl ~faults ~sequence
   in
   check_detections ~reference r (fun i ->
       if i < 2 * lanes then reference.Fsim.detections.(i).Fsim.detected_at else None);
@@ -271,7 +245,7 @@ let test_packed_sequential_budget_cut () =
 let test_packed_sequential_expire () =
   let nl, faults = circuit "b03" in
   let sequence = seq_sequence nl ~length:256 17 in
-  let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+  let reference = Fsim.serial nl ~faults ~sequence in
   let first =
     Array.fold_left
       (fun acc (d : Fsim.detection) ->
@@ -288,7 +262,7 @@ let test_packed_sequential_expire () =
   let ctx =
     Ctx.make ~budget ~progress:(fun ~stage:_ ~done_:_ ~total:_ -> Budget.expire budget) ()
   in
-  let r = Fsim.run ~engine:Fsim.Packed ~ctx nl ~faults ~sequence in
+  let r = Fsim.run ~ctx nl ~faults ~sequence in
   check_detections ~reference r (fun i ->
       match reference.Fsim.detections.(i).Fsim.detected_at with
       | Some c when c = first -> Some c
@@ -297,17 +271,18 @@ let test_packed_sequential_expire () =
   Degrade.reset ()
 
 (* [fsim.*] counts the logical workload — machine steps are fault·cycles
-   through each fault's detection cycle — so it must read the same
-   whichever sequential engine ran; only [fsim.engine.*] names it. *)
+   through each fault's detection cycle — so the packed backend must
+   read the same as the serial reference; only [fsim.engine.*] names
+   the backend. *)
 let test_fsim_counters_engine_invariant () =
   List.iter
     (fun name ->
       let nl, faults = circuit name in
       let sequence = seq_sequence nl ~length:256 23 in
-      let counters engine =
+      let counters simulate =
         Metrics.set_enabled true;
         Metrics.reset ();
-        ignore (Fsim.run ~engine nl ~faults ~sequence);
+        ignore (simulate nl ~faults ~sequence);
         let snap = Metrics.snapshot () in
         Metrics.reset ();
         Metrics.set_enabled false;
@@ -317,104 +292,21 @@ let test_fsim_counters_engine_invariant () =
             && not (String.starts_with ~prefix:"fsim.engine." n))
           snap.Metrics.counters
       in
-      let serial = counters Fsim.Serial in
+      let serial = counters (fun nl -> Fsim.serial nl) in
       check_bool (name ^ ": machine steps counted") true
         (List.mem_assoc "fsim.machine_steps" serial);
-      List.iter
-        (fun engine ->
-          check_bool
-            (Printf.sprintf "%s: fsim.* under %s equals serial" name
-               (Ctx.engine_to_string engine))
-            true
-            (counters engine = serial))
-        [ Fsim.Packed; Fsim.Event ])
-    [ "b01"; "b03" ]
-
-(* ------------------------------------------------------------------ *)
-(* Store keys are engine-independent                                  *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let with_store f =
-  let dir = Filename.temp_file "mutsamp_engines" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir)
-  @@ fun () ->
-  match Store.open_dir dir with
-  | Ok s -> f s
-  | Error e -> Alcotest.failf "open_dir failed: %s" (Rerror.to_string e)
-
-let store_count name =
-  match List.assoc_opt name (Store.counters ()) with
-  | Some n -> n
-  | None -> 0
-
-(* A campaign cached under one engine must replay warm under another:
-   "fsimcone" keys hash cones, fault sites and the sequence — never the
-   backend — and the cached payloads are bit-identical by the
-   differential properties above. Cold-run with packed, warm-run with
-   event and compiled: every group hits, nothing simulates, nothing is
-   re-stored. *)
-let test_warm_replay_across_engines () =
-  with_store @@ fun s ->
-  let p =
-    match Registry.find "c432" with
-    | Some e -> Pipeline.prepare (e.Registry.design ())
-    | None -> Alcotest.fail "c432 missing"
-  in
-  let nl = p.Pipeline.netlist in
-  let faults = (Collapse.run nl).Collapse.representatives in
-  let bits = Array.length nl.Netlist.input_nets in
-  let patterns = Prpg.uniform_sequence (Prng.create 19) ~bits ~length:16 in
-  Store.reset_counters ();
-  let ctx_of engine = Ctx.make ~store:s ~engine () in
-  let cold =
-    Pipeline.fault_simulate_patterns ~ctx:(ctx_of Ctx.Packed) nl ~faults
-      ~patterns
-  in
-  check_bool "cold run fills the store" true (store_count "puts" >= 1);
-  List.iter
-    (fun engine ->
-      Store.reset_counters ();
-      Metrics.set_enabled true;
-      Metrics.reset ();
-      let warm =
-        Pipeline.fault_simulate_patterns ~ctx:(ctx_of engine) nl ~faults
-          ~patterns
-      in
-      let snap = Metrics.snapshot () in
-      Metrics.reset ();
-      Metrics.set_enabled false;
       check_bool
-        (Printf.sprintf "warm %s replay bit-identical"
-           (Ctx.engine_to_string engine))
-        true (warm = cold);
-      check_bool "warm run hits the store" true (store_count "hits" >= 1);
-      check_int "warm run stores nothing" 0 (store_count "puts");
-      (* No fsim.* counter moves at all: the engine never ran. *)
-      List.iter
-        (fun (name, v) ->
-          check_bool
-            (Printf.sprintf "unexpected %s=%d on warm %s run" name v
-               (Ctx.engine_to_string engine))
-            false
-            (String.length name >= 5 && String.sub name 0 5 = "fsim."))
-        snap.Metrics.counters)
-    [ Ctx.Event; Ctx.Compiled; Ctx.Auto ]
+        (name ^ ": fsim.* under packed equals serial")
+        true
+        (counters (fun nl -> Fsim.run nl) = serial))
+    [ "b01"; "b03" ]
 
 let suite =
   [
     ( "engines.differential",
       [
-        QCheck_alcotest.to_alcotest prop_comb_engines_agree;
-        QCheck_alcotest.to_alcotest prop_seq_engines_agree;
+        QCheck_alcotest.to_alcotest prop_comb_run_matches_serial;
+        QCheck_alcotest.to_alcotest prop_seq_run_matches_serial;
       ] );
     ( "engines.registry",
       [
@@ -431,10 +323,5 @@ let suite =
           test_packed_sequential_expire;
         Alcotest.test_case "fsim.* counters engine-invariant" `Quick
           test_fsim_counters_engine_invariant;
-      ] );
-    ( "engines.store",
-      [
-        Alcotest.test_case "warm replay across engines" `Quick
-          test_warm_replay_across_engines;
       ] );
   ]

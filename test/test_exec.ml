@@ -447,23 +447,23 @@ let test_metrics_identical_across_jobs () =
     [ 2; 4 ]
 
 (* Queue-wait and shard-timing histograms only exist on the pool
-   path, under the exec.* namespace. Pinned to the packed engine: the
-   compiled one finishes c432 so fast that the coordinator (which also
-   drains the queue) can complete every shard before a worker wakes,
-   and then no queue wait is ever measured. *)
+   path, under the exec.* namespace. Run on b03 over 512 cycles: each
+   packed shard lasts long enough for a worker to wake and pick up a
+   queued task, so a queue wait is always measured. (Compiled finishes
+   c432 so fast that the coordinator, which also drains the queue, can
+   complete every shard before a worker wakes.) *)
 let test_exec_histograms_recorded () =
   Metrics.set_enabled true;
   Metrics.reset ();
-  let p = pipeline "c432" in
+  let p = pipeline "b03" in
   ignore
     (with_jobs 4 (fun ctx ->
-         let ctx = { ctx with Ctx.engine = Ctx.Packed } in
          let nl = p.Pipeline.netlist in
          let bits = Array.length nl.Mutsamp_netlist.Netlist.input_nets in
-         let patterns =
-           Prpg.uniform_sequence (Prng.create 11) ~bits ~length:128
+         let sequence =
+           Prpg.uniform_sequence (Prng.create 11) ~bits ~length:512
          in
-         Pipeline.fault_simulate ~ctx p patterns));
+         Fsim.run ~ctx nl ~faults:p.Pipeline.faults ~sequence));
   let snap = Metrics.snapshot () in
   check_bool "exec.shard_seconds observed" true
     (List.mem_assoc "exec.shard_seconds" snap.Metrics.histograms);

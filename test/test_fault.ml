@@ -296,23 +296,20 @@ let test_fsim_sequential_counter () =
   check_bool "short sequence weaker" true (r2.Fsim.detected <= r.Fsim.detected)
 
 let test_fsim_rejects_bad_lanes () =
-  (* Every word-parallel engine validates the lane count; lane requests
-     are otherwise rounded up to whole 63-bit words. *)
+  (* Both backends validate the lane count; lane requests are otherwise
+     rounded up to whole 63-bit words. *)
   let comb = and_netlist () in
-  List.iter
-    (fun engine ->
-      try
-        ignore
-          (Fsim.run ~lanes:0 ~engine comb
-             ~faults:(Fault.full_list comb)
-             ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs comb)) [| 3 |]));
-        Alcotest.fail "should reject lanes = 0 (combinational)"
-      with Invalid_argument _ -> ())
-    [ Fsim.Packed; Fsim.Event; Fsim.Compiled ];
+  (try
+     ignore
+       (Fsim.run ~lanes:0 comb
+          ~faults:(Fault.full_list comb)
+          ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs comb)) [| 3 |]));
+     Alcotest.fail "should reject lanes = 0 (combinational)"
+   with Invalid_argument _ -> ());
   let seq = counter_netlist () in
   (try
      ignore
-       (Fsim.run ~lanes:0 ~engine:Fsim.Packed seq
+       (Fsim.run ~lanes:0 seq
           ~faults:(Fault.full_list seq)
           ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs seq)) [| 1 |]));
      Alcotest.fail "should reject lanes = 0 (sequential)"
@@ -338,8 +335,9 @@ let test_input_code () =
   (* a is input 0, b input 1, cin input 2. *)
   check_int "code" 0b101 (Mutsamp_fault.Pattern.to_code p)
 
-(* Property: serial and parallel engines agree on combinational
-   circuits (same detected set and same first-detection indices). *)
+(* Property: the serial reference and the parallel-pattern (compiled)
+   backend agree on combinational circuits (same detected set and same
+   first-detection indices). *)
 let prop_serial_equals_parallel =
   let gen = QCheck.Gen.(pair (int_range 0 10000) (int_range 1 40)) in
   QCheck.Test.make ~name:"serial = parallel fault sim" ~count:60 (QCheck.make gen)
@@ -350,15 +348,15 @@ let prop_serial_equals_parallel =
       let patterns =
         Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init n_patterns (fun _ -> Prng.int prng 8))
       in
-      let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns in
-      let rs = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence:patterns in
+      let rp = Fsim.run nl ~faults ~sequence:patterns in
+      let rs = Fsim.serial nl ~faults ~sequence:patterns in
       rp.Fsim.detected = rs.Fsim.detected
       && Array.for_all2
            (fun (a : Fsim.detection) (b : Fsim.detection) ->
              a.Fsim.detected_at = b.Fsim.detected_at)
            rp.Fsim.detections rs.Fsim.detections)
 
-(* Property: the parallel-fault engine matches the serial one exactly —
+(* Property: the parallel-fault backend matches the serial one exactly —
    detected sets AND first-detection cycles — on a sequential circuit. *)
 let prop_parallel_fault_equals_serial =
   let gen = QCheck.Gen.(pair (int_range 0 100000) (int_range 1 24)) in
@@ -370,21 +368,13 @@ let prop_parallel_fault_equals_serial =
       let sequence =
         Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init len (fun _ -> Prng.int prng 2))
       in
-      let rs = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
-      let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence in
+      let rs = Fsim.serial nl ~faults ~sequence in
+      let rp = Fsim.run nl ~faults ~sequence in
       rs.Fsim.detected = rp.Fsim.detected
       && Array.for_all2
            (fun (a : Fsim.detection) (b : Fsim.detection) ->
              a.Fsim.detected_at = b.Fsim.detected_at)
            rs.Fsim.detections rp.Fsim.detections)
-
-let test_parallel_fault_combinational_too () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
-  let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns in
-  let rc = Fsim.run nl ~faults ~sequence:patterns in
-  check_int "same detected" rc.Fsim.detected rp.Fsim.detected
 
 let test_parallel_fault_many_groups () =
   (* More faults than lanes forces several passes. *)
@@ -392,8 +382,8 @@ let test_parallel_fault_many_groups () =
   let faults = Fault.full_list nl in
   check_bool "enough faults to need grouping" true (List.length faults > 62);
   let sequence = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.make 16 1) in
-  let rp = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence in
-  let rs = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+  let rp = Fsim.run nl ~faults ~sequence in
+  let rs = Fsim.serial nl ~faults ~sequence in
   check_int "same detected" rs.Fsim.detected rp.Fsim.detected
 
 (* Property: coverage never decreases when patterns are appended. *)
@@ -441,7 +431,6 @@ let suite =
         Alcotest.test_case "rejects bad lane counts" `Quick test_fsim_rejects_bad_lanes;
         Alcotest.test_case "auto dispatch" `Quick test_fsim_auto_dispatch;
         Alcotest.test_case "input code" `Quick test_input_code;
-        Alcotest.test_case "parallel-fault comb" `Quick test_parallel_fault_combinational_too;
         Alcotest.test_case "parallel-fault groups" `Quick test_parallel_fault_many_groups;
         q prop_serial_equals_parallel;
         q prop_parallel_fault_equals_serial;

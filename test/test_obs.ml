@@ -562,12 +562,28 @@ let test_report_accepts_profile_and_exec () =
    | Ok () -> ()
    | Error e -> Alcotest.failf "profile+exec report should validate: %s" e);
   (* And survives a print/parse round trip. *)
-  match Json.parse (Json.to_string report) with
-  | Error e -> Alcotest.failf "unparsable: %s" e
-  | Ok v ->
-    (match Runreport.validate v with
-     | Ok () -> ()
-     | Error e -> Alcotest.failf "round-tripped report invalid: %s" e)
+  (match Json.parse (Json.to_string report) with
+   | Error e -> Alcotest.failf "unparsable: %s" e
+   | Ok v ->
+     (match Runreport.validate v with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "round-tripped report invalid: %s" e));
+  (* The section the CLI and the daemon actually emit carries the host
+     context a jobs-N number is read against. *)
+  let live = Mutsamp_serve.Jobs.exec_section ~jobs_requested:2 ~jobs:2 in
+  (match Json.member "cores" live with
+   | Some (Json.Int n) -> Alcotest.(check bool) "cores >= 1" true (n >= 1)
+   | _ -> Alcotest.fail "exec.cores missing");
+  (match Json.member "ocaml" live with
+   | Some (Json.String v) -> Alcotest.(check string) "ocaml" Sys.ocaml_version v
+   | _ -> Alcotest.fail "exec.ocaml missing");
+  match
+    Runreport.validate
+      (Runreport.make ~command:"test" ~extra:[ ("exec", live) ] ~spans:[]
+         ~metrics:(Metrics.snapshot ()) ())
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "live exec section invalid: %s" e
 
 let test_report_rejects_malformed_profile_row () =
   let bad_profile =
@@ -599,9 +615,19 @@ let test_report_rejects_malformed_exec () =
     Runreport.make ~command:"test" ~extra:[ ("exec", bad_exec) ] ~spans:[]
       ~metrics:(Metrics.snapshot ()) ()
   in
-  match Runreport.validate report with
-  | Ok () -> Alcotest.fail "non-integer exec.jobs accepted"
-  | Error _ -> ()
+  (match Runreport.validate report with
+   | Ok () -> Alcotest.fail "non-integer exec.jobs accepted"
+   | Error _ -> ());
+  List.iter
+    (fun (name, v) ->
+      match
+        Runreport.validate
+          (Runreport.make ~command:"test" ~extra:[ ("exec", Json.Obj [ (name, v) ]) ]
+             ~spans:[] ~metrics:(Metrics.snapshot ()) ())
+      with
+      | Ok () -> Alcotest.failf "malformed exec.%s accepted" name
+      | Error _ -> ())
+    [ ("cores", Json.String "2"); ("ocaml", Json.Int 5) ]
 
 let test_report_span_track_field () =
   (* Spans may carry an integer track; anything else is rejected. *)

@@ -87,7 +87,6 @@ let test_protocol_parse_ok () =
          op = Protocol.Faultsim { circuit; vectors; lfsr; seed };
          deadline_ms;
          chaos;
-         engine;
        } ->
      check_string "id" "r1" id;
      check_string "circuit" "c17" circuit;
@@ -95,15 +94,8 @@ let test_protocol_parse_ok () =
      check_bool "lfsr default" false lfsr;
      check_int "seed default" 2005 seed;
      check_int "deadline" 500 (Option.get deadline_ms);
-     Alcotest.(check (list string)) "chaos" [ "fsim:exn" ] chaos;
-     check_bool "engine defaults to auto" true (engine = Mutsamp_exec.Ctx.Auto)
+     Alcotest.(check (list string)) "chaos" [ "fsim:exn" ] chaos
    | Ok _ -> Alcotest.fail "wrong op"
-   | Error e -> Alcotest.failf "parse failed: %s" (Rerror.to_string e));
-  (match
-     Protocol.parse_request {|{"op":"faultsim","circuit":"c17","engine":"compiled"}|}
-   with
-   | Ok { engine = Mutsamp_exec.Ctx.Compiled; _ } -> ()
-   | Ok _ -> Alcotest.fail "engine not parsed"
    | Error e -> Alcotest.failf "parse failed: %s" (Rerror.to_string e));
   match Protocol.parse_request {|{"op":"health"}|} with
   | Ok { op = Protocol.Health; id = ""; _ } -> ()
@@ -123,8 +115,6 @@ let test_protocol_parse_errors () =
   is_protocol {|{"op":"faultsim","circuit":7}|};
   is_protocol {|{"op":"faultsim","circuit":"c17","vectors":0}|};
   is_protocol {|{"op":"atpg","circuit":"c17","generator":"quantum"}|};
-  is_protocol {|{"op":"faultsim","circuit":"c17","engine":"quantum"}|};
-  is_protocol {|{"op":"faultsim","circuit":"c17","engine":"serial"}|};
   is_protocol {|{"op":"table2","repetitions":0}|};
   is_protocol {|{"op":"sleep","ms":-1}|}
 
@@ -246,6 +236,41 @@ let test_serve_fault_isolation () =
          (List.mem_assoc "requests" fields)
      | _ -> Alcotest.fail "no serve section in reply report")
   | _ -> Alcotest.fail "expected a healthy ok reply"
+
+(* The report sections a served request shares with the CLI: "fsim"
+   names the backend that ran (compiled without flip-flops, packed
+   with), and "exec" carries the host context. *)
+let test_serve_report_sections () =
+  with_socket_dir @@ fun dir ->
+  with_server dir @@ fun (_t, listen) ->
+  let conn = connect listen in
+  Fun.protect ~finally:(fun () -> Client.close conn)
+  @@ fun () ->
+  List.iter
+    (fun (circuit, backend) ->
+      match
+        roundtrip conn
+          (req ("faultsim", [ ("circuit", Json.String circuit); ("vectors", Json.Int 32) ]))
+      with
+      | Protocol.Ok_reply { report = Some report; _ } ->
+        (match Json.member "fsim" report with
+         | Some fsim ->
+           check_bool
+             (Printf.sprintf "%s: fsim.resolved = [%s]" circuit backend)
+             true
+             (Json.member "resolved" fsim = Some (Json.List [ Json.String backend ]))
+         | None -> Alcotest.failf "%s: no fsim section" circuit);
+        (match Json.member "exec" report with
+         | Some exec ->
+           check_bool "exec.cores" true (Json.member "cores" exec <> None);
+           check_bool "exec.ocaml" true
+             (Json.member "ocaml" exec = Some (Json.String Sys.ocaml_version))
+         | None -> Alcotest.failf "%s: no exec section" circuit);
+        (match Runreport.validate report with
+         | Ok () -> ()
+         | Error msg -> Alcotest.failf "%s: reply report invalid: %s" circuit msg)
+      | _ -> Alcotest.failf "%s: expected an ok reply with a report" circuit)
+    [ ("c17", "compiled"); ("b01", "packed") ]
 
 let test_serve_overload_and_health () =
   with_socket_dir @@ fun dir ->
@@ -446,5 +471,7 @@ let suite =
           (clean test_serve_drain_cancels_inflight);
         Alcotest.test_case "warm store replay" `Quick
           (clean test_serve_warm_store_replay);
+        Alcotest.test_case "report fsim and exec sections" `Quick
+          (clean test_serve_report_sections);
       ] );
   ]

@@ -9,6 +9,8 @@ module Mutant = Mutsamp_mutation.Mutant
 module Kill = Mutsamp_mutation.Kill
 module Vectorgen = Mutsamp_validation.Vectorgen
 module Score = Mutsamp_validation.Score
+module Registry = Mutsamp_circuits.Registry
+module Trace = Mutsamp_obs.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -174,6 +176,31 @@ let test_score_of_test_set_matches_outcome () =
     s.Score.equivalent;
   Alcotest.(check (float 1e-9)) "MS is 100 on this design" 100. s.Score.score_percent
 
+(* The directed phase has its own span name: "equiv" belongs to
+   Pipeline.classify_equivalents, and a shared name would merge the two
+   layers in --profile. *)
+let test_vectorgen_directed_span_name () =
+  let design =
+    match Registry.find "c17" with
+    | Some e -> e.Registry.design ()
+    | None -> Alcotest.fail "c17 not registered"
+  in
+  Trace.set_enabled true;
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.reset ();
+      Trace.set_enabled false)
+  @@ fun () ->
+  ignore
+    (Vectorgen.generate
+       ~config:{ Vectorgen.default_config with Vectorgen.directed = true }
+       design (Generate.all design));
+  let rec names (s : Trace.span) = s.Trace.name :: List.concat_map names s.Trace.children in
+  let all = List.concat_map names (Trace.roots ()) in
+  check_bool "vectorgen.directed span" true (List.mem "vectorgen.directed" all);
+  check_bool "no equiv span" false (List.mem "equiv" all)
+
 let suite =
   [
     ( "validation.vectorgen",
@@ -188,6 +215,8 @@ let suite =
         Alcotest.test_case "minimize shrinks" `Quick test_vectorgen_minimize_shrinks_or_equal;
         Alcotest.test_case "minimized still kills" `Quick test_vectorgen_minimized_set_still_kills;
         Alcotest.test_case "max vectors cap" `Quick test_vectorgen_max_vectors_cap;
+        Alcotest.test_case "directed phase span name" `Quick
+          test_vectorgen_directed_span_name;
       ] );
     ( "validation.score",
       [

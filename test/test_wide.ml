@@ -1,5 +1,5 @@
 (* Wide-pattern kernel tests: Packvec unit coverage, differential
-   properties of the word-parallel fault-simulation engines against the
+   properties of the word-parallel fault-simulation backends against the
    serial single-lane reference, and the >62-input end-to-end
    regression on the registered wide128 circuit. *)
 
@@ -97,7 +97,7 @@ let test_packvec_first_set () =
     (Packvec.first_set (Packvec.init 200 (fun i -> i >= 150)))
 
 (* ------------------------------------------------------------------ *)
-(* Differential properties: wide engines vs serial reference          *)
+(* Differential properties: wide backends vs serial reference         *)
 (* ------------------------------------------------------------------ *)
 
 (* Random small netlists, optionally sequential (1 to [max_dffs]
@@ -156,7 +156,7 @@ let same_report (a : Fsim.report) (b : Fsim.report) =
          && da.Fsim.detected_at = db.Fsim.detected_at)
        a.Fsim.detections b.Fsim.detections
 
-(* Wide combinational engine (multi-word lane batches) must reproduce
+(* The compiled backend with multi-word lane batches must reproduce
    the serial reference exactly, including first-detection indices. *)
 let prop_combinational_matches_reference =
   QCheck.Test.make ~name:"wide combinational = serial reference" ~count:60
@@ -165,14 +165,13 @@ let prop_combinational_matches_reference =
       let nl = random_netlist ~dffs:false seed in
       let faults = Fault.full_list nl in
       let patterns = random_sequence nl ~length:(40 + (seed mod 100)) seed in
-      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence:patterns in
-      let wide = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence:patterns in
-      let wider =
-        Fsim.run ~engine:Fsim.Packed ~lanes:126 nl ~faults ~sequence:patterns
-      in
+      let reference = Fsim.serial nl ~faults ~sequence:patterns in
+      let wide = Fsim.run nl ~faults ~sequence:patterns in
+      let wider = Fsim.run ~lanes:126 nl ~faults ~sequence:patterns in
       same_report reference wide && same_report reference wider)
 
-(* Parallel-fault engine with multi-word lanes on sequential machines. *)
+(* Packed parallel-fault backend with multi-word lanes on sequential
+   machines. *)
 let prop_parallel_fault_matches_reference =
   QCheck.Test.make ~name:"wide parallel-fault = serial reference" ~count:40
     (QCheck.make QCheck.Gen.(int_range 0 1000000))
@@ -180,9 +179,9 @@ let prop_parallel_fault_matches_reference =
       let nl = random_netlist ~dffs:true seed in
       let faults = Fault.full_list nl in
       let sequence = random_sequence nl ~length:(8 + (seed mod 16)) seed in
-      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
-      let wide = Fsim.run ~engine:Fsim.Packed nl ~faults ~sequence in
-      let wider = Fsim.run ~engine:Fsim.Packed ~lanes:189 nl ~faults ~sequence in
+      let reference = Fsim.serial nl ~faults ~sequence in
+      let wide = Fsim.run nl ~faults ~sequence in
+      let wider = Fsim.run ~lanes:189 nl ~faults ~sequence in
       same_report reference wide && same_report reference wider)
 
 (* Stuck-at faults on every flip-flop's Q stem and D pin. The full
@@ -202,7 +201,7 @@ let dff_faults nl =
         [ Fault.Stuck_at_0; Fault.Stuck_at_1 ])
     (Array.to_list nl.Netlist.dff_nets)
 
-(* The packed sequential engine drops detected faults, skips inactive
+(* The packed sequential backend drops detected faults, skips inactive
    ones and regroups the rest every cycle; 64-400 cycles on machines
    with up to four flip-flops give those paths room to act (faults
    diverge, reconverge with the good state and drop at scattered
@@ -216,11 +215,9 @@ let prop_packed_sequential_long_runs =
       let nl = random_netlist ~max_dffs:4 ~dffs:true seed in
       let faults = Fault.full_list nl @ dff_faults nl in
       let sequence = random_sequence nl ~length:(64 + (seed mod 337)) seed in
-      let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence in
+      let reference = Fsim.serial nl ~faults ~sequence in
       List.for_all
-        (fun lanes ->
-          same_report reference
-            (Fsim.run ~engine:Fsim.Packed ~lanes nl ~faults ~sequence))
+        (fun lanes -> same_report reference (Fsim.run ~lanes nl ~faults ~sequence))
         [ 1; 63; 189 ])
 
 (* ------------------------------------------------------------------ *)
@@ -264,7 +261,7 @@ let test_wide128_differential_sample () =
     List.filteri (fun i _ -> i mod 23 = 0) (Fault.full_list nl)
   in
   let patterns = Prpg.uniform_sequence (Prng.create 3) ~bits:128 ~length:16 in
-  let reference = Fsim.run ~engine:Fsim.Serial nl ~faults ~sequence:patterns in
+  let reference = Fsim.serial nl ~faults ~sequence:patterns in
   let wide = Fsim.run nl ~faults ~sequence:patterns in
   check_bool "sampled faults agree" true (same_report reference wide)
 
