@@ -202,13 +202,6 @@ let obs_term =
         $ podem_backtracks $ fsim_pairs $ chaos $ chaos_seed $ jobs $ store
         $ no_dominance)
 
-(* The "robust" report section: the degradation record plus the budget
-   the run was given. *)
-let robust_json budget =
-  match Degrade.to_json () with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("budget", Budget.to_json budget) ])
-  | other -> other
-
 (* Run a subcommand body under a root span with the ambient budget and
    chaos armings installed; afterwards render whatever the flags asked
    for. Typed errors escaping the body (and injected chaos exceptions)
@@ -303,7 +296,7 @@ let with_obs obs ~command ?(circuits = []) ?config ?seed
               Sjobs.exec_section ~jobs_requested:obs.jobs
                 ~jobs:(match pool with None -> 1 | Some p -> Pool.size p) )
             :: ("fsim", Sjobs.fsim_section ())
-            :: ("robust", robust_json budget)
+            :: ("robust", Sjobs.robust_section budget)
             :: ("store", Store.report_section store)
             :: (profile_section @ sections ()))
          ~spans:(Trace.roots ()) ~metrics:(Metrics.snapshot ()) ()

@@ -1,5 +1,6 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
+module Regions = Mutsamp_netlist.Regions
 
 let net_loc i = Printf.sprintf "net%d" i
 

@@ -17,7 +17,7 @@ module Generate = Mutsamp_mutation.Generate
 module Kill = Mutsamp_mutation.Kill
 module Equivalence = Mutsamp_mutation.Equivalence
 module Equiv = Mutsamp_sat.Equiv
-module Regions = Mutsamp_analysis.Regions
+module Regions = Mutsamp_netlist.Regions
 module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
@@ -130,37 +130,37 @@ let fault_simulate_patterns ?(ctx = Ctx.default) nl ~faults ~patterns =
   | None -> Fsim.run ~ctx nl ~faults ~sequence:patterns
   | Some store ->
     let regions = Regions.compute nl in
-    let groups = Regions.cone_groups nl regions faults in
+    let groups = Cache.cone_groups nl regions faults in
     let seq_h = Cache.sequence_hash patterns in
     let fault_arr = Array.of_list faults in
     let results = Array.make (Array.length fault_arr) None in
-    let key_of (g : Regions.cone_group) =
+    let key_of (g : Cache.cone_group) =
       Mutsamp_store.Store.key ~ns:"fsimcone"
         [
-          ("cone", g.Regions.ghash);
+          ("cone", g.Cache.ghash);
           ( "faults",
-            Cache.site_hashes_digest (List.map (fun (_, _, sh) -> sh) g.Regions.faults) );
+            Cache.site_hashes_digest (List.map (fun (_, _, sh) -> sh) g.Cache.faults) );
           ("sequence", seq_h);
         ]
     in
     let missing =
       List.filter
-        (fun (g : Regions.cone_group) ->
+        (fun (g : Cache.cone_group) ->
           let hit =
-            g.Regions.cacheable
+            g.Cache.cacheable
             && (match Mutsamp_store.Store.find store (key_of g) with
                 | None -> false
                 | Some payload -> (
                   match
                     Cache.cone_payload_of_json
-                      ~count:(List.length g.Regions.faults)
+                      ~count:(List.length g.Cache.faults)
                       payload
                   with
                   | None -> false
                   | Some ats ->
                     List.iter2
                       (fun (i, _, _) at -> results.(i) <- at)
-                      g.Regions.faults ats;
+                      g.Cache.faults ats;
                     true))
           in
           not hit)
@@ -170,8 +170,8 @@ let fault_simulate_patterns ?(ctx = Ctx.default) nl ~faults ~patterns =
       let idxs =
         List.sort compare
           (List.concat_map
-             (fun (g : Regions.cone_group) ->
-               List.map (fun (i, _, _) -> i) g.Regions.faults)
+             (fun (g : Cache.cone_group) ->
+               List.map (fun (i, _, _) -> i) g.Cache.faults)
              missing)
       in
       let sub = List.map (fun i -> fault_arr.(i)) idxs in
@@ -182,13 +182,13 @@ let fault_simulate_patterns ?(ctx = Ctx.default) nl ~faults ~patterns =
         idxs;
       if List.length (Degrade.events ()) = degradations_before then
         List.iter
-          (fun (g : Regions.cone_group) ->
-            if g.Regions.cacheable then
+          (fun (g : Cache.cone_group) ->
+            if g.Cache.cacheable then
               Mutsamp_store.Store.put store (key_of g)
                 (Cache.cone_payload_to_json
-                   ~nets:(Regions.net_tokens nl g.Regions.nets)
+                   ~nets:(Regions.net_tokens nl g.Cache.nets)
                    ~detected_at:
-                     (List.map (fun (i, _, _) -> results.(i)) g.Regions.faults)))
+                     (List.map (fun (i, _, _) -> results.(i)) g.Cache.faults)))
           missing
     end;
     let detections =

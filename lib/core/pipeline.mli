@@ -42,7 +42,7 @@ val fault_simulate :
     compiled parallel-pattern backend for combinational circuits, the
     packed parallel-fault backend from reset for sequential ones.
     [ctx] (default {!Mutsamp_exec.Ctx.default}, sequential) supplies the
-    domain pool, budget and progress sink — see {!Mutsamp_exec.Ctx}.
+    domain pool, budget and progress callback — see {!Mutsamp_exec.Ctx}.
 
     With a store in the context, a warm run replays the recorded
     detection indices bit-identically without evaluating a single
@@ -62,7 +62,7 @@ val fault_simulate_patterns :
 (** Combinational fault simulation with cone-keyed store reuse. With a
     store in the context, the fault list is partitioned into influence
     groups (faults reaching the same primary outputs — see
-    {!Mutsamp_analysis.Regions.cone_groups}) with one ["fsimcone"]
+    {!Cache.cone_groups}) with one ["fsimcone"]
     entry per group, keyed by the Merkle cone hashes of the reachable
     outputs plus the faults' site hashes and the pattern sequence —
     never the whole-netlist hash. After a localised design edit only

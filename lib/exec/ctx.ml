@@ -7,12 +7,9 @@ module Trace = Mutsamp_obs.Trace
    the mean means one chunk dominated the join. *)
 let h_shard_seconds = Metrics.histogram "exec.shard_seconds"
 
-type sink = Global | Silent
-
 type t = {
   pool : Pool.t option;
   budget : Budget.t option;
-  sink : sink;
   progress : (stage:string -> done_:int -> total:int -> unit) option;
   static_filter : bool;
   dominance : bool;
@@ -23,7 +20,6 @@ let default =
   {
     pool = None;
     budget = None;
-    sink = Global;
     progress = None;
     static_filter = true;
     dominance = true;
@@ -35,7 +31,7 @@ let with_pool pool = { default with pool = Some pool }
 let with_store store = { default with store = Some store }
 
 let make ?pool ?budget ?store ?progress ?(static_filter = true) ?(dominance = true) () =
-  { pool; budget; sink = Global; progress; static_filter; dominance; store }
+  { pool; budget; progress; static_filter; dominance; store }
 let store t = t.store
 
 let jobs t =
@@ -50,9 +46,6 @@ let progress t ~stage ~done_ ~total =
   match t.progress with
   | None -> ()
   | Some f -> f ~stage ~done_ ~total
-
-let with_sink t f =
-  match t.sink with Global -> f () | Silent -> Metrics.with_suppressed f
 
 (* The one sharding shape every sharded stage uses: balanced contiguous
    chunks, per-shard budget split (refunded after the join), results
@@ -72,7 +65,7 @@ let map_cells t xs ~f =
       (Pool.run pool (Array.length arr) ~f:(fun i ->
            Trace.with_span "cell"
              ~attrs:[ ("index", string_of_int i) ]
-             (fun () -> with_sink t (fun () -> f arr.(i)))))
+             (fun () -> f arr.(i))))
   | _ -> List.map f xs
 
 let map_shards t ~n ~f =
@@ -99,7 +92,7 @@ let map_shards t ~n ~f =
                       ("lo", string_of_int lo);
                       ("len", string_of_int len);
                     ]
-                  (fun () -> with_sink t (fun () -> f ~budget:budgets.(i) ~lo ~len))
+                  (fun () -> f ~budget:budgets.(i) ~lo ~len)
               in
               Metrics.observe h_shard_seconds dt;
               v))

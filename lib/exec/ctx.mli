@@ -1,23 +1,18 @@
 (** The run context: one record carrying everything a sharded stage
-    needs — domain pool, budget, metrics sink, progress callback,
-    static-filter switch — threaded as a single [?ctx] argument instead
-    of a scatter of per-call optionals.
+    needs — domain pool, budget, progress callback, ATPG switches,
+    campaign store — threaded as a single [?ctx] argument instead of a
+    scatter of per-call optionals.
 
-    [default] (no pool, ambient budget, global metrics, no progress,
-    static filter on) reproduces every pre-context default, so
+    [default] (no pool, ambient budget, no progress, static filter
+    and dominance on, no store) reproduces every pre-context default, so
     [?ctx:(Ctx.t = Ctx.default)] entry points are drop-in compatible
     with their former [?budget]/[?on_progress]/[?static_filter]
     signatures. *)
-
-type sink =
-  | Global  (** shard bodies record into the process-global registry *)
-  | Silent  (** shard bodies run with metrics suppressed *)
 
 type t = {
   pool : Pool.t option;  (** [None] = sequential execution *)
   budget : Mutsamp_robust.Budget.t option;
       (** [None] = the CLI-installed ambient budget at point of use *)
-  sink : sink;
   progress : (stage:string -> done_:int -> total:int -> unit) option;
   static_filter : bool;
       (** consult the static untestability prefilter (ATPG stages) *)
@@ -68,9 +63,6 @@ val budget : t -> Mutsamp_robust.Budget.t
 val progress : t -> stage:string -> done_:int -> total:int -> unit
 (** Invoke the progress callback if any (main-domain call sites only —
     sharded stages report progress from the coordinating domain). *)
-
-val with_sink : t -> (unit -> 'a) -> 'a
-(** Run a shard body under the context's metrics sink. *)
 
 val map_cells : t -> 'a list -> f:('a -> 'b) -> 'b list
 (** Campaign-cell parallelism: [f] runs once per list element, one pool

@@ -81,8 +81,6 @@ let build nl ~candidates ~patterns =
   in
   { dict_patterns = Array.map Pattern.copy patterns; entries }
 
-let dictionary_patterns d = Array.map Pattern.copy d.dict_patterns
-
 let lookup d ~responses =
   if Array.length responses <> Array.length d.dict_patterns then
     invalid_arg "Diagnose.lookup: response count does not match dictionary";

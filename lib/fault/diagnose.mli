@@ -56,8 +56,6 @@ val build :
   patterns:Pattern.t array ->
   dictionary
 
-val dictionary_patterns : dictionary -> Pattern.t array
-
 val lookup : dictionary -> responses:Mutsamp_util.Packvec.t array -> Fault.t list
 (** Candidates whose stored responses equal [responses] (one observed
     response per dictionary pattern, same order). Raises

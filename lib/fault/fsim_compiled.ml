@@ -18,7 +18,7 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
 module Bitsim = Mutsamp_netlist.Bitsim
-module Levels = Mutsamp_netlist.Levels
+module Topo = Mutsamp_netlist.Topo
 module Metrics = Mutsamp_obs.Metrics
 module Trace = Mutsamp_obs.Trace
 module Rerror = Mutsamp_robust.Error
@@ -99,7 +99,7 @@ type cone_prog = {
   excite : int array -> int array -> bool;
       (* [excite good fv] seeds the overlay; false = fault provably
          quiescent for this batch, so the cone is skipped wholesale *)
-  ops : op array;  (* boundary loads then cone gates, level-ascending *)
+  ops : op array;  (* boundary loads then cone gates, topological *)
   out_nets : int array;  (* distinct PO-driving nets inside the cone *)
   evals_excited : int;  (* gate evaluations when the cone runs *)
   evals_quiescent : int;  (* gate evaluations when it is skipped *)
@@ -107,7 +107,8 @@ type cone_prog = {
 
 type entry = {
   nl : Netlist.t;
-  lv : Levels.t;
+  order : int array;  (* combinational gates, topological *)
+  fanouts : int array array;  (* per net: consuming gates, ascending *)
   nw : int;
   good_ops : op array;
   const_fill : (int * int) array;  (* net, word: pre-set once per shard *)
@@ -135,7 +136,7 @@ let design_hash (nl : Netlist.t) nw =
     nl.Netlist.output_list;
   !h
 
-let compile_good (nl : Netlist.t) (lv : Levels.t) nw =
+let compile_good (nl : Netlist.t) order nw =
   let pis =
     Array.to_list (Array.mapi (fun k net -> pi_op ~nw k net) nl.Netlist.input_nets)
   in
@@ -146,7 +147,7 @@ let compile_good (nl : Netlist.t) (lv : Levels.t) nw =
            let g = nl.Netlist.gates.(i) in
            let f0, f1 = fanins2 g in
            compile_gate ~nw ~i ~kind:g.Gate.kind ~f0 ~f1)
-         lv.Levels.order)
+         order)
   in
   Array.of_list (pis @ gates)
 
@@ -160,10 +161,10 @@ let const_fill (nl : Netlist.t) =
     nl.Netlist.gates;
   Array.of_list (List.rev !acc)
 
-(* Forward cone of a fault site over combinational fanouts: membership
-   mask plus member gates in level order. *)
-let cone_of (lv : Levels.t) seed =
-  let n = Array.length (Levels.netlist lv).Netlist.gates in
+(* Forward cone of a fault site: membership mask plus member gates in
+   topological order. *)
+let cone_of entry seed =
+  let n = Array.length entry.nl.Netlist.gates in
   let in_cone = Array.make n false in
   let rec visit net =
     Array.iter
@@ -172,24 +173,24 @@ let cone_of (lv : Levels.t) seed =
           in_cone.(g) <- true;
           visit g
         end)
-      lv.Levels.fanout_comb.(net)
+      entry.fanouts.(net)
   in
   in_cone.(seed) <- true;
   visit seed;
   let members = ref [] in
-  for k = Array.length lv.Levels.order - 1 downto 0 do
-    let i = lv.Levels.order.(k) in
+  for k = Array.length entry.order - 1 downto 0 do
+    let i = entry.order.(k) in
     if in_cone.(i) then members := i :: !members
   done;
   (in_cone, !members)
 
-let compile_cone (lv : Levels.t) nw (f : Fault.t) =
-  let nl = Levels.netlist lv in
+let compile_cone entry (f : Fault.t) =
+  let nl = entry.nl and nw = entry.nw in
   let stuck = Fault.stuck_word f in
   let in_cone, members, excite, seed_net, seed_evals =
     match Fault.injection f with
     | Bitsim.Net s ->
-      let in_cone, members = cone_of lv s in
+      let in_cone, members = cone_of entry s in
       let base = s * nw in
       let excite good fv =
         Array.fill fv base nw stuck;
@@ -200,7 +201,7 @@ let compile_cone (lv : Levels.t) nw (f : Fault.t) =
       in
       (in_cone, members, excite, s, 0)
     | Bitsim.Pin { gate; pin } ->
-      let in_cone, members = cone_of lv gate in
+      let in_cone, members = cone_of entry gate in
       let g = nl.Netlist.gates.(gate) in
       let f0, f1 = fanins2 g in
       let forced =
@@ -267,12 +268,13 @@ let find_or_compile nl nw =
       Trace.with_span_timed "fsim_compile"
         ~attrs:[ ("design", nl.Netlist.name) ]
         (fun () ->
-          let lv = Levels.compute nl in
+          let order = (Topo.compute nl).Topo.order in
           {
             nl;
-            lv;
+            order;
+            fanouts = Array.map Array.of_list (Netlist.fanouts nl);
             nw;
-            good_ops = compile_good nl lv nw;
+            good_ops = compile_good nl order nw;
             const_fill = const_fill nl;
             cones = Hashtbl.create 64;
           })
@@ -298,7 +300,7 @@ let prepare_comb nl ~nw ~faults =
                    match Hashtbl.find_opt entry.cones f with
                    | Some p -> p
                    | None ->
-                     let p = compile_cone entry.lv nw f in
+                     let p = compile_cone entry f in
                      Hashtbl.replace entry.cones f p;
                      p)
                  faults))
@@ -332,7 +334,7 @@ let combinational_shard entry (progs : cone_prog array) ~budget
   let batch = ref 0 in
   let diff = Array.make nw 0 in
   let stop = ref (K.chaos_entry ()) in
-  let total_comb = Levels.num_comb_gates entry.lv in
+  let total_comb = Array.length entry.order in
   while !batch < batches && !alive_count > 0 && !stop = None do
     let lo = !batch * w in
     let len = min w (n_pat - lo) in

@@ -59,21 +59,14 @@ let binop_name = function
   | Nand -> "nand" | Nor -> "nor" | Xnor -> "xnor"
   | Eq -> "=" | Neq -> "/=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 
-let unop_name = function Not -> "not"
-
-let find_decl d name = List.find_opt (fun (dc : decl) -> dc.name = name) d.decls
-
 let filter_kind pred d = List.filter (fun dc -> pred dc.kind) d.decls
 
 let inputs d = filter_kind (function Input -> true | Output | Reg _ | Var | Const_decl _ -> false) d
 let outputs d = filter_kind (function Output -> true | Input | Reg _ | Var | Const_decl _ -> false) d
 let regs d = filter_kind (function Reg _ -> true | Input | Output | Var | Const_decl _ -> false) d
 let vars d = filter_kind (function Var -> true | Input | Output | Reg _ | Const_decl _ -> false) d
-let const_decls d =
-  filter_kind (function Const_decl _ -> true | Input | Output | Reg _ | Var -> false) d
 
 let equal_expr (a : expr) (b : expr) = a = b
-let equal_stmt (a : stmt) (b : stmt) = a = b
 let equal_design (a : design) (b : design) = a = b
 
 let rec stmt_count = function
@@ -87,21 +80,3 @@ let rec stmt_count = function
 and stmts_count ss = List.fold_left (fun acc s -> acc + stmt_count s) 0 ss
 
 let count_statements d = stmts_count d.body
-
-let rec expr_nodes = function
-  | Const _ | Ref _ -> 1
-  | Unop (_, e) | Bit (e, _) | Slice (e, _, _) | Resize (e, _) -> 1 + expr_nodes e
-  | Binop (_, a, b) | Concat (a, b) -> 1 + expr_nodes a + expr_nodes b
-
-let rec stmt_expr_nodes = function
-  | Assign (_, e) -> expr_nodes e
-  | Null -> 0
-  | If (c, t, e) -> expr_nodes c + stmts_expr_nodes t + stmts_expr_nodes e
-  | Case (scrut, arms, others) ->
-    let arms_n = List.fold_left (fun acc (_, ss) -> acc + stmts_expr_nodes ss) 0 arms in
-    let others_n = match others with None -> 0 | Some ss -> stmts_expr_nodes ss in
-    expr_nodes scrut + arms_n + others_n
-
-and stmts_expr_nodes ss = List.fold_left (fun acc s -> acc + stmt_expr_nodes s) 0 ss
-
-let count_expr_nodes d = stmts_expr_nodes d.body

@@ -67,21 +67,14 @@ val is_relational : binop -> bool
 (** [Eq .. Ge]. *)
 
 val binop_name : binop -> string
-val unop_name : unop -> string
 
-val find_decl : design -> string -> decl option
 val inputs : design -> decl list
 val outputs : design -> decl list
 val regs : design -> decl list
 val vars : design -> decl list
-val const_decls : design -> decl list
 
 val equal_expr : expr -> expr -> bool
-val equal_stmt : stmt -> stmt -> bool
 val equal_design : design -> design -> bool
 
 val count_statements : design -> int
 (** Number of statement nodes, [Null] included (size metric for reports). *)
-
-val count_expr_nodes : design -> int
-(** Number of expression nodes in the whole design. *)

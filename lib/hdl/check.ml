@@ -245,9 +245,3 @@ let is_elaborated (d : design) =
   && List.for_all stmt_sized d.body
 
 let is_combinational (d : design) = regs d = []
-
-let expr_width (d : design) e =
-  let env = build_env d in
-  match width_of env e with
-  | Some w -> w
-  | None -> fail "%s: expression width not inferable" d.name

@@ -23,7 +23,3 @@ val is_elaborated : Ast.design -> bool
 
 val is_combinational : Ast.design -> bool
 (** True when the design declares no registers. *)
-
-val expr_width : Ast.design -> Ast.expr -> int
-(** Width of an elaborated expression in the context of [design].
-    Raises {!Check_error} on unsized literals or unknown names. *)

@@ -87,5 +87,3 @@ let design (d : design) =
   Buffer.add_string buf (stmts ~indent:2 d.body);
   Buffer.add_string buf "end design;\n";
   Buffer.contents buf
-
-let pp_design fmt d = Format.pp_print_string fmt (design d)

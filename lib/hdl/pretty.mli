@@ -8,5 +8,3 @@ val literal : Ast.literal -> string
 val expr : Ast.expr -> string
 val stmt : ?indent:int -> Ast.stmt -> string
 val design : Ast.design -> string
-
-val pp_design : Format.formatter -> Ast.design -> unit

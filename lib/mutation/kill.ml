@@ -39,25 +39,6 @@ let reference_outputs t seq =
   Sim.reset t.original_sim;
   List.map (Sim.step t.original_sim) seq
 
-(* Compare a mutant against precomputed reference outputs, stopping at
-   the first difference. *)
-let killed_against t reference i seq =
-  let sim = t.mutant_sims.(i) in
-  Sim.reset sim;
-  let rec loop seq reference =
-    match seq, reference with
-    | [], [] -> false
-    | stim :: seq', ref_obs :: reference' ->
-      let obs = Sim.step sim stim in
-      if Sim.outputs_equal obs ref_obs then loop seq' reference' else true
-    | _, _ -> invalid_arg "Kill: reference length mismatch"
-  in
-  loop seq reference
-
-let killed_by t i seq =
-  let reference = reference_outputs t seq in
-  killed_against t reference i seq
-
 (* First cycle where the mutant's outputs diverge from the reference,
    or None. *)
 let detection_cycle t reference i seq =
@@ -132,99 +113,37 @@ let kills_at t ?alive ?(ctx = Ctx.default) seq =
   in
   List.concat (Array.to_list (Ctx.map_shards ctx ~n:(Array.length cand) ~f:shard))
 
-let kills t ?alive ?(ctx = Ctx.default) seq =
-  let reference = reference_outputs t seq in
-  let cand = candidate_array t alive in
-  Metrics.incr c_sequences;
-  let seq_len = List.length seq in
-  let shard ~budget ~lo ~len =
-    let stop = ref (chaos_entry ()) in
-    let out =
-      List.filter
-        (fun i ->
-          if !stop <> None then false
-          else begin
-            (match Budget.spend budget ~stage:Rerror.Kill Budget.Fsim_pairs seq_len with
-             | Ok () -> ()
-             | Error e -> stop := Some e);
-            if !stop <> None then false
-            else begin
-              let hit = killed_against t reference i seq in
-              if hit then record_kill t.mutants i;
-              hit
-            end
-          end)
-        (Array.to_list (Array.sub cand lo len))
-    in
-    note_degraded !stop;
-    out
-  in
-  List.concat (Array.to_list (Ctx.map_shards ctx ~n:(Array.length cand) ~f:shard))
-
 let killed_set t ?(ctx = Ctx.default) sequences =
-  let n = Array.length t.mutants in
-  if Ctx.jobs ctx <= 1 then begin
-    (* Sequential path, byte-for-byte the historical behaviour:
-       references are replayed lazily, only for sequences the budget
-       actually reaches. *)
-    let budget = Ctx.budget ctx in
-    let killed = Array.make n false in
+  (* Mutant-sharded: every shard walks the whole test set over its own
+     slice of the population, dropping killed mutants inside the slice.
+     At an effective job count of 1 the single shard is the whole
+     population with the undivided budget. *)
+  let refs =
+    List.map (fun seq -> (seq, List.length seq, reference_outputs t seq)) sequences
+  in
+  List.iter (fun _ -> Metrics.incr c_sequences) sequences;
+  let shard ~budget ~lo ~len =
+    let killed = Array.make len false in
     let stop = ref (chaos_entry ()) in
     List.iter
-      (fun seq ->
+      (fun (seq, seq_len, reference) ->
         if !stop = None then begin
-          Metrics.incr c_sequences;
-          let reference = reference_outputs t seq in
-          let seq_len = List.length seq in
           let i = ref 0 in
-          while !stop = None && !i < n do
+          while !stop = None && !i < len do
             if not killed.(!i) then begin
               match Budget.spend budget ~stage:Rerror.Kill Budget.Fsim_pairs seq_len with
               | Error e -> stop := Some e
               | Ok () ->
-                if killed_against t reference !i seq then begin
+                if detection_cycle t reference (lo + !i) seq <> None then begin
                   killed.(!i) <- true;
-                  record_kill t.mutants !i
+                  record_kill t.mutants (lo + !i)
                 end
             end;
             incr i
           done
         end)
-      sequences;
+      refs;
     note_degraded !stop;
     killed
-  end
-  else begin
-    (* Mutant-sharded: every shard walks the whole test set over its own
-       slice of the population, with dropping inside the slice — the
-       same per-mutant work order as the sequential path. *)
-    let refs =
-      List.map (fun seq -> (seq, List.length seq, reference_outputs t seq)) sequences
-    in
-    List.iter (fun _ -> Metrics.incr c_sequences) sequences;
-    let shard ~budget ~lo ~len =
-      let killed = Array.make len false in
-      let stop = ref (chaos_entry ()) in
-      List.iter
-        (fun (seq, seq_len, reference) ->
-          if !stop = None then begin
-            let i = ref 0 in
-            while !stop = None && !i < len do
-              if not killed.(!i) then begin
-                match Budget.spend budget ~stage:Rerror.Kill Budget.Fsim_pairs seq_len with
-                | Error e -> stop := Some e
-                | Ok () ->
-                  if killed_against t reference (lo + !i) seq then begin
-                    killed.(!i) <- true;
-                    record_kill t.mutants (lo + !i)
-                  end
-              end;
-              incr i
-            done
-          end)
-        refs;
-      note_degraded !stop;
-      killed
-    in
-    Array.concat (Array.to_list (Ctx.map_shards ctx ~n ~f:shard))
-  end
+  in
+  Array.concat (Array.to_list (Ctx.map_shards ctx ~n:(Array.length t.mutants) ~f:shard))

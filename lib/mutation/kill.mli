@@ -15,32 +15,17 @@ val original : t -> Mutsamp_hdl.Ast.design
 val mutants : t -> Mutant.t list
 val size : t -> int
 
-val reference_outputs :
-  t -> Mutsamp_hdl.Sim.stimulus list -> Mutsamp_hdl.Sim.observation list
-(** Outputs of the original design on a sequence, from reset. *)
-
-val killed_by : t -> int -> Mutsamp_hdl.Sim.stimulus list -> bool
-(** [killed_by t i seq]: does [seq] kill mutant index [i]? Simulation
-    stops at the first differing cycle. *)
-
-val kills :
-  t ->
-  ?alive:int list ->
-  ?ctx:Mutsamp_exec.Ctx.t ->
-  Mutsamp_hdl.Sim.stimulus list ->
-  int list
-(** Indices of mutants killed by the sequence, restricted to [alive]
-    (default: the whole population). *)
-
 val kills_at :
   t ->
   ?alive:int list ->
   ?ctx:Mutsamp_exec.Ctx.t ->
   Mutsamp_hdl.Sim.stimulus list ->
   (int * int) list
-(** Like {!kills} but with the 0-based cycle of the first differing
-    output per killed mutant, so callers can truncate the sequence after
-    its last useful cycle. *)
+(** The mutants killed by the sequence, restricted to [alive] (default:
+    the whole population), in candidate order, each with the 0-based
+    cycle of its first differing output — so callers can truncate the
+    sequence after its last useful cycle. Simulation of a mutant stops
+    at that cycle. [List.map fst] gives the killed indices. *)
 
 val killed_set :
   t ->
@@ -48,14 +33,16 @@ val killed_set :
   Mutsamp_hdl.Sim.stimulus list list ->
   bool array
 (** For a whole test set (list of sequences), the per-mutant killed
-    flags, with fault dropping across sequences. *)
+    flags, with fault dropping across sequences. The reference outputs
+    of every sequence are replayed up front, so [kill.sequences] counts
+    the whole set even when a budget cut stops execution early. *)
 
 (** Execution: with a pool in [?ctx] (default {!Mutsamp_exec.Ctx.default},
     sequential) the mutant population is sharded into contiguous chunks
     evaluated on worker domains — reference outputs are replayed once on
     the coordinator, each mutant's compiled simulator belongs to exactly
-    one shard, and results merge in population order, bit-identical to
-    the sequential path.
+    one shard, and results merge in population order. Without a pool
+    one shard covers the whole population with the undivided budget.
 
     Budgets: each mutant·sequence check spends the sequence length in
     [Fsim_pairs] work units against the context budget (default:

@@ -1,8 +1,3 @@
-module Netlist = Mutsamp_netlist.Netlist
-module Gate = Mutsamp_netlist.Gate
-module Topo = Mutsamp_netlist.Topo
-module Fault = Mutsamp_fault.Fault
-
 type t = {
   head : int array;
   region_count : int;
@@ -127,109 +122,6 @@ let compute (nl : Netlist.t) =
     reconvergence_count = !reconvergence_count;
     cone_hash;
   }
-
-(* --- influence groups -------------------------------------------------- *)
-
-type cone_group = {
-  ghash : string;
-  nets : int list;
-  faults : (int * Fault.t * string) list;
-  cacheable : bool;
-}
-
-let fault_net (f : Fault.t) =
-  match f.Fault.site with Fault.Stem n -> n | Fault.Branch { gate; _ } -> gate
-
-let site_hash t (f : Fault.t) =
-  let pol = match f.Fault.polarity with Fault.Stuck_at_0 -> "sa0" | Fault.Stuck_at_1 -> "sa1" in
-  match f.Fault.site with
-  | Fault.Stem n -> digest (Printf.sprintf "stem:%s:%s" t.cone_hash.(n) pol)
-  | Fault.Branch { gate; pin } ->
-    digest (Printf.sprintf "branch:%s:%d:%s" t.cone_hash.(gate) pin pol)
-
-let cone_groups (nl : Netlist.t) t faults =
-  let n = Array.length nl.Netlist.gates in
-  let npo = Array.length nl.Netlist.output_list in
-  let words = (npo + 62) / 63 in
-  let words = max words 1 in
-  (* Per-net reachable-output bitsets, propagated against the topo
-     order: every consumer of a net appears later in the order, so
-     walking gates in reverse pushes each gate's finished mask into
-     its fanins exactly once. *)
-  let masks = Array.init n (fun _ -> Array.make words 0) in
-  Array.iteri
-    (fun po (_, net) -> masks.(net).(po / 63) <- masks.(net).(po / 63) lor (1 lsl (po mod 63)))
-    nl.Netlist.output_list;
-  let topo = Topo.compute nl in
-  for k = Array.length topo.Topo.order - 1 downto 0 do
-    let v = topo.Topo.order.(k) in
-    let g = nl.Netlist.gates.(v) in
-    Array.iter
-      (fun f ->
-        for w = 0 to words - 1 do
-          masks.(f).(w) <- masks.(f).(w) lor masks.(v).(w)
-        done)
-      g.Gate.fanins
-  done;
-  let mask_key m = String.concat "," (Array.to_list (Array.map string_of_int m)) in
-  (* One group per distinct mask; hash and member cone memoized. *)
-  let group_info = Hashtbl.create 16 in
-  let info_of mask =
-    let key = mask_key mask in
-    match Hashtbl.find_opt group_info key with
-    | Some i -> i
-    | None ->
-      let pos = ref [] in
-      for po = npo - 1 downto 0 do
-        if mask.(po / 63) land (1 lsl (po mod 63)) <> 0 then pos := po :: !pos
-      done;
-      let drivers = List.map (fun po -> snd nl.Netlist.output_list.(po)) !pos in
-      let ghash = digest (String.concat "" (List.map (fun d -> t.cone_hash.(d)) drivers)) in
-      let seen = Array.make n false in
-      let rec cone v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Array.iter cone nl.Netlist.gates.(v).Gate.fanins
-        end
-      in
-      List.iter cone drivers;
-      let nets = ref [] in
-      for v = n - 1 downto 0 do
-        if seen.(v) then nets := v :: !nets
-      done;
-      let info = (ghash, !nets) in
-      Hashtbl.replace group_info key info;
-      info
-  in
-  let groups = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iteri
-    (fun i f ->
-      let mask = masks.(fault_net f) in
-      let ghash, nets = info_of mask in
-      match Hashtbl.find_opt groups ghash with
-      | Some members -> members := (i, f, site_hash t f) :: !members
-      | None ->
-        let members = ref [ (i, f, site_hash t f) ] in
-        Hashtbl.replace groups ghash members;
-        order := (ghash, nets, members) :: !order)
-    faults;
-  List.rev_map
-    (fun (ghash, nets, members) ->
-      let faults = List.rev !members in
-      let sites = Hashtbl.create 16 in
-      let cacheable =
-        List.for_all
-          (fun (_, _, sh) ->
-            if Hashtbl.mem sites sh then false
-            else begin
-              Hashtbl.replace sites sh ();
-              true
-            end)
-          faults
-      in
-      { ghash; nets; faults; cacheable })
-    !order
 
 let net_tokens (nl : Netlist.t) nets =
   let po_names = Hashtbl.create 16 in

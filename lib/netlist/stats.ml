@@ -12,74 +12,6 @@ type t = {
   reconvergences : int;
 }
 
-(* Fanout-free regions and reconvergent stems, mirroring the semantics
-   of [Mutsamp_analysis.Regions.compute] (cross-checked in the test
-   suite); duplicated compactly here because the analysis library sits
-   above this one in the dependency order. *)
-let structure (nl : Netlist.t) fanouts =
-  let n = Array.length nl.Netlist.gates in
-  let is_logic (g : Gate.t) =
-    match g.Gate.kind with
-    | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> false
-    | _ -> true
-  in
-  let drives_po = Array.make n false in
-  Array.iter (fun (_, net) -> drives_po.(net) <- true) nl.Netlist.output_list;
-  let head = Array.make n (-1) in
-  let rec head_of v =
-    if head.(v) >= 0 then head.(v)
-    else begin
-      let h =
-        match fanouts.(v) with
-        | [ g ] when (not drives_po.(v)) && is_logic nl.Netlist.gates.(g) ->
-          head_of g
-        | _ -> v
-      in
-      head.(v) <- h;
-      h
-    end
-  in
-  let region_size = Hashtbl.create 64 in
-  for v = 0 to n - 1 do
-    let h = head_of v in
-    let logic = if is_logic nl.Netlist.gates.(v) then 1 else 0 in
-    Hashtbl.replace region_size h
-      (logic + try Hashtbl.find region_size h with Not_found -> 0)
-  done;
-  let regions = Hashtbl.length region_size in
-  let max_region = Hashtbl.fold (fun _ s acc -> max s acc) region_size 0 in
-  let stamp = Array.make n (-1) in
-  let owner = Array.make n (-1) in
-  let version = ref 0 in
-  let reconvergences = ref 0 in
-  for s = 0 to n - 1 do
-    match fanouts.(s) with
-    | [] | [ _ ] -> ()
-    | branches ->
-      incr version;
-      let meet = ref false in
-      List.iteri
-        (fun b g ->
-          let todo = ref [ g ] in
-          while !todo <> [] do
-            match !todo with
-            | [] -> ()
-            | v :: rest ->
-              todo := rest;
-              if stamp.(v) = !version then begin
-                if owner.(v) <> b then meet := true
-              end
-              else begin
-                stamp.(v) <- !version;
-                owner.(v) <- b;
-                todo := List.rev_append fanouts.(v) !todo
-              end
-          done)
-        branches;
-      if !meet then incr reconvergences
-  done;
-  (regions, max_region, !reconvergences)
-
 let compute (nl : Netlist.t) =
   let histogram = Hashtbl.create 16 in
   Array.iter
@@ -96,7 +28,7 @@ let compute (nl : Netlist.t) =
   let max_fanout =
     Array.fold_left (fun acc fo -> max acc (List.length fo)) 0 fanouts
   in
-  let regions, max_region, reconvergences = structure nl fanouts in
+  let r = Regions.compute nl in
   {
     nets = Netlist.num_gates nl;
     primary_inputs = Array.length nl.input_nets;
@@ -106,9 +38,9 @@ let compute (nl : Netlist.t) =
     gate_histogram;
     levels = topo.Topo.max_level;
     max_fanout;
-    regions;
-    max_region;
-    reconvergences;
+    regions = r.Regions.region_count;
+    max_region = r.Regions.max_region_size;
+    reconvergences = r.Regions.reconvergence_count;
   }
 
 let to_string s =

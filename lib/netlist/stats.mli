@@ -1,4 +1,5 @@
-(** Netlist size and structure metrics for reports. *)
+(** Netlist size and structure metrics for reports. The region and
+    reconvergence counts come from {!Regions.compute}. *)
 
 type t = {
   nets : int;

@@ -104,9 +104,6 @@ let step t inputs =
 
 let step_known t words = step t (Array.map known words)
 
-let dff_values t =
-  Array.map (fun q -> (t.state_zeros.(q), t.state_ones.(q))) t.nl.Netlist.dff_nets
-
 let unknown_dff_lanes t =
   Array.fold_left
     (fun acc q ->

@@ -33,9 +33,6 @@ val step : t -> value array -> value array
 val step_known : t -> int array -> value array
 (** Convenience: fully-known input words (as for {!Bitsim.step}). *)
 
-val dff_values : t -> value array
-(** Current flip-flop state in [dff_nets] order. *)
-
 val unknown_dff_lanes : t -> int
 (** Number of (flip-flop, lane) pairs still X. *)
 

@@ -13,7 +13,6 @@ let num_vars t = t.vars
 let num_clauses t = t.count
 
 let neg l = -l
-let var_of l = abs l
 
 let add_clause t lits =
   if lits = [] then invalid_arg "Cnf.add_clause: empty clause";

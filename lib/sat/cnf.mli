@@ -25,5 +25,3 @@ val clauses : t -> clause array
 (** Snapshot of all clauses. *)
 
 val neg : lit -> lit
-val var_of : lit -> int
-(** Variable index of a literal. *)

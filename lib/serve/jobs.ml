@@ -18,6 +18,7 @@ module Metrics = Mutsamp_obs.Metrics
 module Json = Mutsamp_obs.Json
 module Error = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
+module Degrade = Mutsamp_robust.Degrade
 module Ctx = Mutsamp_exec.Ctx
 
 (* --- front-end cache --------------------------------------------------- *)
@@ -68,11 +69,6 @@ let prepare name =
         let p = Pipeline.prepare d in
         Hashtbl.replace cache name p;
         p)
-
-let reset_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
 
 (* --- job bodies -------------------------------------------------------- *)
 
@@ -248,3 +244,8 @@ let fsim_section () =
       (Metrics.snapshot ()).Metrics.counters
   in
   Json.Obj [ ("resolved", Json.List resolved) ]
+
+let robust_section budget =
+  match Degrade.to_json () with
+  | Json.Obj fields -> Json.Obj (fields @ [ ("budget", Budget.to_json budget) ])
+  | other -> other

@@ -21,7 +21,6 @@ val prepare : string -> Pipeline.t
 (** Cached {!Mutsamp_core.Pipeline.prepare} keyed by registry circuit
     name. Raises [Error.E (Protocol _)] for an unknown circuit. *)
 
-val reset_cache : unit -> unit
 val frontend_hits : unit -> int
 val frontend_misses : unit -> int
 
@@ -60,3 +59,8 @@ val fsim_section : unit -> Json.t
     fault-sim backends ([compiled], [packed], [serial]) that ran under
     the current metrics snapshot, read off the [fsim.engine.*]
     counters. Empty when nothing was simulated (a warm store replay). *)
+
+val robust_section : Mutsamp_robust.Budget.t -> Json.t
+(** The run report's ["robust"] section: the degradation record
+    ({!Mutsamp_robust.Degrade.to_json}) plus the [budget] the run was
+    given. *)

@@ -144,11 +144,6 @@ let create cfg =
 
 (* --- worker ------------------------------------------------------------ *)
 
-let robust_json budget =
-  match Degrade.to_json () with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("budget", Budget.to_json budget) ])
-  | other -> other
-
 (* Test-only op: occupy the worker for [ms] while polling the request
    budget, so overload-burst and drain tests are deterministic without
    heavy compute. Cancellation (deadline, drain-grace expiry) lands as
@@ -279,7 +274,7 @@ let execute t (job : job) =
                Jobs.exec_section ~jobs_requested:t.cfg.jobs
                  ~jobs:(match t.pool with None -> 1 | Some p -> Pool.size p) );
              ("fsim", Jobs.fsim_section ());
-             ("robust", robust_json budget);
+             ("robust", Jobs.robust_section budget);
              ("store", Store.report_section t.cfg.store);
              ("serve", serve_section);
            ]

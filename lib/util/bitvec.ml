@@ -140,6 +140,3 @@ let to_string t =
   Buffer.contents buf
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let of_packvec (p : Packvec.t) = { w = p.Packvec.width; words = Array.copy p.Packvec.words }
-let to_packvec t = { Packvec.width = t.w; words = Array.copy t.words }

@@ -69,7 +69,3 @@ val to_string : t -> string
 (** Binary literal, MSB first, e.g. ["5'b01101"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val of_packvec : Packvec.t -> t
-val to_packvec : t -> Packvec.t
-(** Conversions to the mutable packed-lane representation (copying). *)

@@ -34,11 +34,6 @@ let set t i b =
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-let set_all t =
-  Array.fill t.words 0 (Array.length t.words) (-1);
-  let n = Array.length t.words in
-  t.words.(n - 1) <- t.words.(n - 1) land last_mask t.width
-
 let init width f =
   let t = create width in
   for i = 0 to width - 1 do

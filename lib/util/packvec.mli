@@ -41,7 +41,6 @@ val set : t -> int -> bool -> unit
 (** Bit access; raise [Invalid_argument] out of range. [set] mutates. *)
 
 val clear : t -> unit
-val set_all : t -> unit
 
 val is_zero : t -> bool
 val equal : t -> t -> bool

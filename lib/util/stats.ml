@@ -25,8 +25,6 @@ let percent ~num ~den =
 
 let round2 x = Float.round (x *. 100.) /. 100.
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
 let largest_remainder ~total weights =
   let n = Array.length weights in
   if n = 0 then [||]

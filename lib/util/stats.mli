@@ -17,8 +17,6 @@ val percent : num:int -> den:int -> float
 val round2 : float -> float
 (** Round to two decimal places (used when printing paper-style tables). *)
 
-val clamp : lo:float -> hi:float -> float -> float
-
 val largest_remainder : total:int -> float array -> int array
 (** [largest_remainder ~total weights] apportions [total] integer units
     proportionally to the non-negative [weights] using the

@@ -208,7 +208,9 @@ let generate ?(config = default_config) ?budget design mutants =
               total_vectors := !total_vectors + List.length seq;
               (* The distinguishing sequence kills [i] by construction
                  and may kill other survivors too. *)
-              let victims = Kill.kills runner ~alive:(i :: rest) ~ctx:kill_ctx seq in
+              let victims =
+                List.map fst (Kill.kills_at runner ~alive:(i :: rest) ~ctx:kill_ctx seq)
+              in
               killed := victims @ !killed;
               attack (List.filter (fun j -> not (List.mem j victims)) rest)
             end
@@ -234,9 +236,10 @@ let generate ?(config = default_config) ?budget design mutants =
          so an exhausted quota cannot corrupt the set cover. *)
       Array.map
         (fun seq ->
-          Kill.kills runner ~alive:killed_list
-            ~ctx:{ Ctx.default with budget = Some Budget.unlimited }
-            seq)
+          List.map fst
+            (Kill.kills_at runner ~alive:killed_list
+               ~ctx:{ Ctx.default with budget = Some Budget.unlimited }
+               seq))
         sequences
     in
     let uncovered = Hashtbl.create 64 in

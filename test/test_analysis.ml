@@ -36,7 +36,8 @@ module Triage = Mutsamp_analysis.Triage
 module Engine = Mutsamp_analysis.Engine
 module Nl_lint = Mutsamp_analysis.Nl_lint
 module Domtree = Mutsamp_analysis.Domtree
-module Regions = Mutsamp_analysis.Regions
+module Regions = Mutsamp_netlist.Regions
+module Cache = Mutsamp_core.Cache
 module Stats = Mutsamp_netlist.Stats
 module Collapse = Mutsamp_fault.Collapse
 module Scan = Mutsamp_atpg.Scan
@@ -591,8 +592,7 @@ let test_postdom_netlist () =
 (* A six-gate AND chain re-using one side input: the whole chain (and
    the single-fanout PI feeding it) collapses into the PO driver's
    region, while y is a reconvergent stem whose own region holds no
-   logic. Hand-derived numbers, checked against both the engine and
-   the [Netlist.Stats] mirror. *)
+   logic. Hand-derived numbers. *)
 let chain_fixture () =
   let b = B.create "chain" in
   let x = B.input b "x" in
@@ -607,7 +607,6 @@ let chain_fixture () =
 let test_regions_chain_fixture () =
   let nl, last = chain_fixture () in
   let r = Regions.compute nl in
-  let s = Stats.compute nl in
   Alcotest.(check int) "two regions" 2 r.Regions.region_count;
   Alcotest.(check int) "chain collapses into the PO driver" 6
     r.Regions.max_region_size;
@@ -615,28 +614,34 @@ let test_regions_chain_fixture () =
   Alcotest.(check int) "x chases to the chain head" last
     r.Regions.head.(nl.Netlist.input_nets.(0));
   Alcotest.(check int) "y is its own head" nl.Netlist.input_nets.(1)
-    r.Regions.head.(nl.Netlist.input_nets.(1));
-  Alcotest.(check int) "stats regions" r.Regions.region_count s.Stats.regions;
-  Alcotest.(check int) "stats max region" r.Regions.max_region_size
-    s.Stats.max_region;
-  Alcotest.(check int) "stats reconvergences" r.Regions.reconvergence_count
-    s.Stats.reconvergences
+    r.Regions.head.(nl.Netlist.input_nets.(1))
 
 let test_regions_stats_registry () =
-  (* Stats duplicates the region semantics compactly (the analysis
-     library sits above lib/netlist); the two must agree everywhere. *)
+  (* The per-net region heads add up to the Stats aggregates: every
+     logic gate sits in exactly one region. *)
   List.iter
     (fun (e : Registry.entry) ->
       let nl = Flow.synthesize (e.Registry.design ()) in
       let r = Regions.compute nl and s = Stats.compute nl in
       let name = e.Registry.name in
-      Alcotest.(check int) (name ^ ": regions") r.Regions.region_count
+      let size = Hashtbl.create 64 in
+      Array.iteri
+        (fun v (g : Gate.t) ->
+          let logic =
+            match g.Gate.kind with
+            | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> 0
+            | _ -> 1
+          in
+          let h = r.Regions.head.(v) in
+          Hashtbl.replace size h
+            (logic + Option.value ~default:0 (Hashtbl.find_opt size h)))
+        nl.Netlist.gates;
+      Alcotest.(check int) (name ^ ": regions") (Hashtbl.length size)
         s.Stats.regions;
-      Alcotest.(check int) (name ^ ": max region") r.Regions.max_region_size
-        s.Stats.max_region;
-      Alcotest.(check int)
-        (name ^ ": reconvergences")
-        r.Regions.reconvergence_count s.Stats.reconvergences;
+      Alcotest.(check int) (name ^ ": logic gates") s.Stats.logic_gates
+        (Hashtbl.fold (fun _ k acc -> k + acc) size 0);
+      Alcotest.(check int) (name ^ ": max region") s.Stats.max_region
+        (Hashtbl.fold (fun _ k acc -> max k acc) size 0);
       Alcotest.(check bool) (name ^ ": nonempty") true
         (s.Stats.regions > 0 && s.Stats.max_region > 0))
     Registry.all
@@ -678,34 +683,34 @@ let test_cone_groups_partition_c432 () =
   let nl = Flow.synthesize (design "c432") in
   let r = Regions.compute nl in
   let faults = (Collapse.run nl).Collapse.representatives in
-  let groups = Regions.cone_groups nl r faults in
+  let groups = Cache.cone_groups nl r faults in
   Alcotest.(check bool) "several groups" true (List.length groups > 1);
   let idx =
     List.concat_map
-      (fun g -> List.map (fun (i, _, _) -> i) g.Regions.faults)
+      (fun g -> List.map (fun (i, _, _) -> i) g.Cache.faults)
       groups
   in
   Alcotest.(check int) "every fault grouped" (List.length faults)
     (List.length idx);
   Alcotest.(check int) "each exactly once" (List.length idx)
     (List.length (List.sort_uniq compare idx));
-  let groups' = Regions.cone_groups nl r faults in
+  let groups' = Cache.cone_groups nl r faults in
   Alcotest.(check (list string)) "deterministic"
-    (List.map (fun g -> g.Regions.ghash) groups)
-    (List.map (fun g -> g.Regions.ghash) groups');
+    (List.map (fun g -> g.Cache.ghash) groups)
+    (List.map (fun g -> g.Cache.ghash) groups');
   List.iter
     (fun g ->
       Alcotest.(check bool) "collapsed representatives are cacheable" true
-        g.Regions.cacheable;
+        g.Cache.cacheable;
       List.iter
         (fun (_, f, _) ->
           Alcotest.(check bool) "member's net inside the group cone" true
-            (List.mem (fault_net f) g.Regions.nets))
-        g.Regions.faults)
+            (List.mem (fault_net f) g.Cache.nets))
+        g.Cache.faults)
     groups;
   (* The human-facing tokens of any group resolve PI and PO names. *)
   let g0 = List.hd groups in
-  let tokens = Regions.net_tokens nl g0.Regions.nets in
+  let tokens = Regions.net_tokens nl g0.Cache.nets in
   Alcotest.(check bool) "tokens nonempty" true (tokens <> []);
   Alcotest.(check bool) "tokens sorted and deduplicated" true
     (List.sort_uniq compare tokens = tokens)

@@ -174,14 +174,12 @@ let test_kill_differential () =
   in
   let seq = List.hd sequences in
   let base_killed = Kill.killed_set runner sequences in
-  let base_kills = Kill.kills runner seq in
   let base_kills_at = Kill.kills_at runner seq in
   List.iter
     (fun jobs ->
       with_jobs jobs (fun ctx ->
           check_bool "killed_set identical" true
             (Kill.killed_set runner ~ctx sequences = base_killed);
-          check_bool "kills identical" true (Kill.kills runner ~ctx seq = base_kills);
           check_bool "kills_at identical" true
             (Kill.kills_at runner ~ctx seq = base_kills_at)))
     [ 2; 4; 7 ]
@@ -280,6 +278,39 @@ let test_budget_exhaustion_deterministic () =
   let first = cut 4 in
   check_bool "partial under budget" true (first.Fsim.detected < full.Fsim.detected);
   check_bool "same run twice" true (cut 4 = first)
+
+(* A Kill budget cut leaves mutants alive, never kills extra ones: at
+   about half the unbudgeted spend the flags are a subset of the full
+   run's, the cut is on record, and nothing escapes as an exception. *)
+let test_kill_budget_cut () =
+  let p = pipeline "c17" in
+  let runner = Kill.make p.Pipeline.design p.Pipeline.mutants in
+  let prng = Prng.create 29 in
+  let sequences =
+    List.init 8 (fun _ -> Stimuli.random_sequence prng p.Pipeline.design 4)
+  in
+  let quota = 1_000_000 in
+  let probe = Budget.create ~fsim_pairs:quota () in
+  let full = Kill.killed_set runner ~ctx:(Ctx.make ~budget:probe ()) sequences in
+  check_bool "unbudgeted run not degraded" false (Degrade.any ());
+  let spent = quota - Budget.remaining probe Budget.Fsim_pairs in
+  check_bool "the full run spends" true (spent > 1);
+  List.iter
+    (fun jobs ->
+      Degrade.reset ();
+      let budget = Budget.create ~fsim_pairs:(spent / 2) () in
+      let cut =
+        if jobs = 1 then Kill.killed_set runner ~ctx:(Ctx.make ~budget ()) sequences
+        else
+          with_jobs jobs (fun ctx ->
+              Kill.killed_set runner ~ctx:{ ctx with Ctx.budget = Some budget } sequences)
+      in
+      check_int "one flag per mutant" (Array.length full) (Array.length cut);
+      Array.iteri
+        (fun i k -> if k then check_bool "cut kills only what the full run kills" true full.(i))
+        cut;
+      check_bool "cut is on record" true (List.mem "kill" (Degrade.degraded_stages ())))
+    [ 1; 2 ]
 
 let test_chaos_in_worker_deterministic () =
   let p = pipeline "c432" in
@@ -499,6 +530,7 @@ let suite =
           (clean test_budget_exhaustion_deterministic);
         Alcotest.test_case "chaos in workers deterministic" `Quick
           (clean test_chaos_in_worker_deterministic);
+        Alcotest.test_case "kill budget cut" `Quick (clean test_kill_budget_cut);
       ] );
     ( "exec.cliargs",
       [

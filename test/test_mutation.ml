@@ -187,13 +187,15 @@ let test_generate_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let stim2 a b = [ ("a", bv 1 a); ("b", bv 1 b) ]
+let victims runner ?alive seq = List.map fst (Kill.kills_at runner ?alive seq)
+let kills_mutant runner i seq = Kill.kills_at runner ~alive:[ i ] seq <> []
 
 let test_kill_and_gate_lor () =
   let d = parse and_gate_src in
   let ms = Generate.for_operator d Operator.LOR in
   let runner = Kill.make d ms in
   (* 0,1 distinguishes AND from OR, XOR, NOR, ... for most mutants. *)
-  let killed = Kill.kills runner [ stim2 0 1 ] in
+  let killed = victims runner [ stim2 0 1 ] in
   check_bool "some killed" true (List.length killed > 0);
   (* Applying all four input vectors kills every non-equivalent LOR
      mutant of a 2-input AND (all five alternatives differ). *)
@@ -206,21 +208,22 @@ let test_kill_stops_early_is_consistent () =
   let ms = Generate.all d in
   let runner = Kill.make d ms in
   let seq = [ stim2 1 1; stim2 0 1 ] in
+  let killed = victims runner seq in
   List.iter
     (fun i ->
-      check_bool "killed_by agrees with kills" true
-        (List.mem i (Kill.kills runner seq) = Kill.killed_by runner i seq))
+      check_bool "single-mutant run agrees with the population run" true
+        (List.mem i killed = kills_mutant runner i seq))
     (List.init (Kill.size runner) (fun i -> i))
 
 let test_kill_alive_restriction () =
   let d = parse and_gate_src in
   let runner = Kill.make d (Generate.all d) in
   let seq = [ stim2 0 1 ] in
-  let all_killed = Kill.kills runner seq in
+  let all_killed = victims runner seq in
   match all_killed with
   | [] -> Alcotest.fail "expected kills"
   | first :: _ ->
-    let restricted = Kill.kills runner ~alive:[ first ] seq in
+    let restricted = victims runner ~alive:[ first ] seq in
     check_bool "restricted" true (restricted = [ first ])
 
 let test_kill_sequential_mutant () =
@@ -229,7 +232,7 @@ let test_kill_sequential_mutant () =
   let runner = Kill.make d ms in
   (* A long enable burst distinguishes counting faults. *)
   let seq = List.init 8 (fun _ -> [ ("en", bv 1 1) ]) in
-  let killed = Kill.kills runner seq in
+  let killed = victims runner seq in
   check_bool "many killed" true (List.length killed > Kill.size runner / 2)
 
 let test_kills_at_cycles () =
@@ -243,11 +246,11 @@ let test_kills_at_cycles () =
       check_bool "cycle in range" true (c >= 0 && c < 6);
       (* The truncated prefix up to the detection cycle also kills. *)
       let prefix = List.filteri (fun k _ -> k <= c) seq in
-      check_bool "prefix kills" true (Kill.killed_by runner i prefix);
+      check_bool "prefix kills" true (kills_mutant runner i prefix);
       (* One cycle less does not (first detection is minimal). *)
       if c > 0 then begin
         let shorter = List.filteri (fun k _ -> k < c) seq in
-        check_bool "shorter misses" false (Kill.killed_by runner i shorter)
+        check_bool "shorter misses" false (kills_mutant runner i shorter)
       end)
     detections
 
@@ -255,15 +258,16 @@ let test_kills_at_agrees_with_kills () =
   let d = parse and_gate_src in
   let runner = Kill.make d (Generate.all d) in
   let seq = [ stim2 1 0; stim2 1 1 ] in
+  let flags = Kill.killed_set runner [ seq ] in
   Alcotest.(check (list int))
     "same victims"
-    (Kill.kills runner seq)
-    (List.map fst (Kill.kills_at runner seq))
+    (List.filter (fun i -> flags.(i)) (List.init (Kill.size runner) Fun.id))
+    (victims runner seq)
 
 let test_kill_empty_sequence_kills_nothing_extra () =
   let d = parse and_gate_src in
   let runner = Kill.make d (Generate.all d) in
-  check_int "no kills" 0 (List.length (Kill.kills runner []))
+  check_int "no kills" 0 (List.length (Kill.kills_at runner []))
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence                                                        *)
@@ -445,7 +449,7 @@ let suite =
     ( "mutation.kill",
       [
         Alcotest.test_case "and gate LOR kills" `Quick test_kill_and_gate_lor;
-        Alcotest.test_case "killed_by consistent" `Quick test_kill_stops_early_is_consistent;
+        Alcotest.test_case "single-mutant run consistent" `Quick test_kill_stops_early_is_consistent;
         Alcotest.test_case "alive restriction" `Quick test_kill_alive_restriction;
         Alcotest.test_case "sequential mutants" `Quick test_kill_sequential_mutant;
         Alcotest.test_case "kills_at cycles" `Quick test_kills_at_cycles;
