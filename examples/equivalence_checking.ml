@@ -60,10 +60,11 @@ let () =
     | [] -> print_endline "\n(no non-equivalent survivors to attack)"
     | i :: _ ->
       let m = mutants.(i) in
-      (match Equivalence.check pipeline.Pipeline.design m.Mutant.design with
-       | Equivalence.Distinguished seq ->
+      let oracle = Equivalence.make pipeline.Pipeline.design in
+      (match Equivalence.decide oracle m.Mutant.design with
+       | Ok (Equivalence.Distinguished seq) ->
          Printf.printf
            "\nshortest distinguishing sequence for %s: %d cycles\n"
            (Mutant.to_string m) (List.length seq)
-       | Equivalence.Equivalent | Equivalence.Unknown -> ())
+       | Ok (Equivalence.Equivalent | Equivalence.Unknown) | Error _ -> ())
   end

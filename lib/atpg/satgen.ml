@@ -1,7 +1,6 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Fault = Mutsamp_fault.Fault
 module Inject = Mutsamp_fault.Inject
-module Fsim = Mutsamp_fault.Fsim
 module Equiv = Mutsamp_sat.Equiv
 
 type result = Test of Mutsamp_fault.Pattern.t | Untestable
@@ -13,5 +12,5 @@ let generate ?budget nl fault =
   match Equiv.check ?budget nl faulty with
   | Error e -> Error e
   | Ok Equiv.Equivalent -> Ok Untestable
-  | Ok (Equiv.Counterexample assignment) -> Ok (Test (Fsim.input_pattern nl assignment))
+  | Ok (Equiv.Counterexample assignment) -> Ok (Test (Mutsamp_fault.Pattern.of_bits nl assignment))
 

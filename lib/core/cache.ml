@@ -55,8 +55,8 @@ let config_hash cfg = Store.digest (Json.to_string (Config.to_json cfg))
 
 let vector_config_hash (vc : Vectorgen.config) =
   Store.digest
-    (Printf.sprintf "%d/%d/%d/%d/%b/%b/%b" vc.Vectorgen.seed vc.max_stall
-       vc.sequence_length vc.max_vectors vc.directed vc.sat_attack vc.minimize)
+    (Printf.sprintf "%d/%d/%d/%d/%b/%b" vc.Vectorgen.seed vc.max_stall
+       vc.sequence_length vc.max_vectors vc.directed vc.minimize)
 
 let int_list_hash xs = Store.digest (String.concat "," (List.map string_of_int xs))
 

@@ -48,7 +48,6 @@ let to_json t =
             ("sequence_length", J.Int v.sequence_length);
             ("max_vectors", J.Int v.max_vectors);
             ("directed", J.Bool v.directed);
-            ("sat_attack", J.Bool v.sat_attack);
             ("minimize", J.Bool v.minimize);
           ] );
       ("equivalence_screen", J.Int t.equivalence_screen);

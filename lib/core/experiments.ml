@@ -92,39 +92,31 @@ let derived_seed base label =
    — the config carries the derived seed — so it stores under exactly
    those hashes. Degraded generations are returned but never stored. *)
 let generate_vectors ~ctx ~vector_config pipeline mutant_subset =
-  match Ctx.store ctx with
-  | None -> Vectorgen.generate ~config:vector_config pipeline.Pipeline.design mutant_subset
-  | Some _ as store ->
-    Store.fetch_or_compute store ~ns:"vectors"
-      ~parts:
-        [
-          ("design", (Pipeline.hashes pipeline).Cache.design_h);
-          ("mutants", Cache.mutants_hash mutant_subset);
-          ("config", Cache.vector_config_hash vector_config);
-        ]
-      ~encode:Cache.outcome_to_json ~decode:Cache.outcome_of_json
-      (fun () ->
-        Vectorgen.generate ~config:vector_config pipeline.Pipeline.design mutant_subset)
+  Store.fetch_or_compute (Ctx.store ctx) ~ns:"vectors"
+    ~parts:(fun () ->
+      [
+        ("design", (Pipeline.hashes pipeline).Cache.design_h);
+        ("mutants", Cache.mutants_hash mutant_subset);
+        ("config", Cache.vector_config_hash vector_config);
+      ])
+    ~encode:Cache.outcome_to_json ~decode:Cache.outcome_of_json
+    (fun () ->
+      Vectorgen.generate ~config:vector_config pipeline.Pipeline.design mutant_subset)
 
 (* Scoring replays the test set over the whole mutant population —
    pure in (design, equivalents, test set). *)
 let score_test_set ~ctx pipeline ~equivalents test_set =
-  match Ctx.store ctx with
-  | None ->
-    Score.of_test_set pipeline.Pipeline.design pipeline.Pipeline.mutants
-      ~equivalent:equivalents test_set
-  | Some _ as store ->
-    Store.fetch_or_compute store ~ns:"score"
-      ~parts:
-        [
-          ("design", (Pipeline.hashes pipeline).Cache.design_h);
-          ("equivalent", Cache.int_list_hash equivalents);
-          ("test_set", Cache.test_set_hash test_set);
-        ]
-      ~encode:Cache.score_to_json ~decode:Cache.score_of_json
-      (fun () ->
-        Score.of_test_set pipeline.Pipeline.design pipeline.Pipeline.mutants
-          ~equivalent:equivalents test_set)
+  Store.fetch_or_compute (Ctx.store ctx) ~ns:"score"
+    ~parts:(fun () ->
+      [
+        ("design", (Pipeline.hashes pipeline).Cache.design_h);
+        ("equivalent", Cache.int_list_hash equivalents);
+        ("test_set", Cache.test_set_hash test_set);
+      ])
+    ~encode:Cache.score_to_json ~decode:Cache.score_of_json
+    (fun () ->
+      Score.of_test_set pipeline.Pipeline.design pipeline.Pipeline.mutants
+        ~equivalent:equivalents test_set)
 
 (* Generate validation data for a mutant subset and fault-simulate both
    it and a pseudo-random baseline of proportional length. *)
@@ -174,21 +166,18 @@ let operator_efficiency ?(config = Config.default) ?(operators = paper_operators
             let _, metric = measure_against_random ~ctx config pipeline ~label subset in
             { op; mutant_count = List.length subset; metric }
           in
-          match Ctx.store ctx with
-          | None -> Some (compute ())
-          | Some _ as store ->
-            Some
-              (Store.fetch_or_compute store ~ns:"t1row"
-                 ~parts:
-                   [
-                     ("design", (Pipeline.hashes pipeline).Cache.design_h);
-                     ("circuit", name);
-                     ("op", Operator.name op);
-                     ("seed", string_of_int config.Config.seed);
-                     ("config", Cache.config_hash config);
-                   ]
-                 ~encode:json_of_operator_row
-                 ~decode:(operator_row_of_json ~op) compute))
+          Some
+            (Store.fetch_or_compute (Ctx.store ctx) ~ns:"t1row"
+               ~parts:(fun () ->
+                 [
+                   ("design", (Pipeline.hashes pipeline).Cache.design_h);
+                   ("circuit", name);
+                   ("op", Operator.name op);
+                   ("seed", string_of_int config.Config.seed);
+                   ("config", Cache.config_hash config);
+                 ])
+               ~encode:json_of_operator_row
+               ~decode:(operator_row_of_json ~op) compute))
   in
   { circuit = name; per_operator = List.filter_map Fun.id rows }
 
@@ -404,37 +393,31 @@ let atpg_effort ?(config = Config.default) ?(generator = Topoff.Use_podem)
       ~length:(Array.length mutation_seed)
   in
   (* The three seeding disciplines are independent campaigns — one cell
-     each, merged in the fixed none/random/mutation order. The store key
-     hash is computed here, before the fan-out, and only when a store
-     is attached. *)
-  let scanned_h =
-    match Ctx.store ctx with Some _ -> Cache.netlist_hash scanned | None -> ""
-  in
+     each, merged in the fixed none/random/mutation order. Each cell
+     hashes the scanned netlist itself, and only when a store is
+     attached, so no lazily-computed key is shared across domains. *)
   Ctx.map_cells ctx
     [ ("none", [||]); ("random", random_seed_patterns); ("mutation", mutation_seed) ]
     ~f:(fun (kind, seed_patterns) ->
       let seed = derived_seed config.Config.seed (name ^ "/e3/" ^ kind) in
-      let compute () = Topoff.run ~generator ~ctx ~seed scanned ~faults ~seed_patterns in
       let report =
-        match Ctx.store ctx with
-        | None -> compute ()
-        | Some _ as store ->
-          (* [atpg_calls] depends on the static prefilter, so the flag
-             is part of the key — a filtered and an unfiltered run must
-             not share a row even though their classifications agree. *)
-          Store.fetch_or_compute store ~ns:"atpg"
-            ~parts:
-              [
-                ("netlist", scanned_h);
-                ("faults", Cache.faults_hash faults);
-                ("seed_patterns", Cache.sequence_hash seed_patterns);
-                ("seed", string_of_int seed);
-                ("generator", Cache.generator_name generator);
-                ("filter", string_of_bool ctx.Ctx.static_filter);
-                ("dominance", string_of_bool ctx.Ctx.dominance);
-              ]
-            ~encode:Cache.topoff_report_to_json
-            ~decode:Cache.topoff_report_of_json compute
+        (* [atpg_calls] depends on the static prefilter, so the flag is
+           part of the key — a filtered and an unfiltered run must not
+           share a row even though their classifications agree. *)
+        Store.fetch_or_compute (Ctx.store ctx) ~ns:"atpg"
+          ~parts:(fun () ->
+            [
+              ("netlist", Cache.netlist_hash scanned);
+              ("faults", Cache.faults_hash faults);
+              ("seed_patterns", Cache.sequence_hash seed_patterns);
+              ("seed", string_of_int seed);
+              ("generator", Cache.generator_name generator);
+              ("filter", string_of_bool ctx.Ctx.static_filter);
+              ("dominance", string_of_bool ctx.Ctx.dominance);
+            ])
+          ~encode:Cache.topoff_report_to_json
+          ~decode:Cache.topoff_report_of_json
+          (fun () -> Topoff.run ~generator ~ctx ~seed scanned ~faults ~seed_patterns)
       in
       { seed_kind = kind; report })
 

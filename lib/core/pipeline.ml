@@ -16,7 +16,6 @@ module Mutant = Mutsamp_mutation.Mutant
 module Generate = Mutsamp_mutation.Generate
 module Kill = Mutsamp_mutation.Kill
 module Equivalence = Mutsamp_mutation.Equivalence
-module Equiv = Mutsamp_sat.Equiv
 module Regions = Mutsamp_netlist.Regions
 module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
@@ -108,7 +107,7 @@ let pattern_of_stimulus t stimulus =
               (Lower.bit_name dc.name dc.width i, Bitvec.bit bv i)))
       (Ast.inputs t.design)
   in
-  Fsim.input_pattern t.netlist bits
+  Mutsamp_fault.Pattern.of_bits t.netlist bits
 
 let patterns_of_sequences t sequences =
   Array.of_list (List.map (pattern_of_stimulus t) (List.concat sequences))
@@ -216,27 +215,22 @@ let fault_simulate ?(ctx = Ctx.default) t sequence =
       (* Combinational designs take the cone-keyed incremental path
          (a plain run when no store is attached). *)
       fault_simulate_patterns ~ctx t.netlist ~faults:t.faults ~patterns:sequence
-    else begin
-      let compute () = Fsim.run ~ctx t.netlist ~faults:t.faults ~sequence in
-      match Ctx.store ctx with
-      | None -> compute ()
-      | Some _ as store ->
-        (* Sequential designs keep whole-design keying: cross-cycle
-           state feedback makes per-cone payloads unsound to split.
-           Degraded runs are returned but never cached — see
-           {!Mutsamp_store.Store.fetch_or_compute}. *)
-        let h = hashes t in
-        Mutsamp_store.Store.fetch_or_compute store ~ns:"fsim"
-          ~parts:
-            [
-              ("netlist", h.Cache.netlist_h);
-              ("faults", h.Cache.faults_h);
-              ("sequence", Cache.sequence_hash sequence);
-            ]
-          ~encode:Cache.fsim_report_to_json
-          ~decode:(Cache.fsim_report_of_json ~faults:t.faults)
-          compute
-    end
+    else
+      (* Sequential designs keep whole-design keying: cross-cycle state
+         feedback makes per-cone payloads unsound to split. Degraded
+         runs are returned but never cached — see
+         {!Mutsamp_store.Store.fetch_or_compute}. *)
+      Mutsamp_store.Store.fetch_or_compute (Ctx.store ctx) ~ns:"fsim"
+        ~parts:(fun () ->
+          let h = hashes t in
+          [
+            ("netlist", h.Cache.netlist_h);
+            ("faults", h.Cache.faults_h);
+            ("sequence", Cache.sequence_hash sequence);
+          ])
+        ~encode:Cache.fsim_report_to_json
+        ~decode:(Cache.fsim_report_of_json ~faults:t.faults)
+        (fun () -> Fsim.run ~ctx t.netlist ~faults:t.faults ~sequence)
   in
   Trace.add_attr "patterns" (string_of_int r.Fsim.patterns_applied);
   Trace.add_attr "detected"
@@ -270,20 +264,17 @@ let scan_patterns_of_sequences t sequences =
 
 let rec classify_equivalents ?(screen = 512) ?(ctx = Ctx.default) ~seed t =
   Trace.with_span "equiv" @@ fun () ->
-  let compute () = classify_equivalents_compute ~screen ~ctx ~seed t in
-  match Ctx.store ctx with
-  | None -> compute ()
-  | Some _ as store ->
-    (* The design hash pins the mutant population (mutants are
-       enumerated from the source), so the index list stays valid. *)
-    Mutsamp_store.Store.fetch_or_compute store ~ns:"equiv"
-      ~parts:
-        [
-          ("design", (hashes t).Cache.design_h);
-          ("seed", string_of_int seed);
-          ("screen", string_of_int screen);
-        ]
-      ~encode:Cache.int_list_to_json ~decode:Cache.int_list_of_json compute
+  (* The design hash pins the mutant population (mutants are enumerated
+     from the source), so the index list stays valid. *)
+  Mutsamp_store.Store.fetch_or_compute (Ctx.store ctx) ~ns:"equiv"
+    ~parts:(fun () ->
+      [
+        ("design", (hashes t).Cache.design_h);
+        ("seed", string_of_int seed);
+        ("screen", string_of_int screen);
+      ])
+    ~encode:Cache.int_list_to_json ~decode:Cache.int_list_of_json
+    (fun () -> classify_equivalents_compute ~screen ~ctx ~seed t)
 
 and classify_equivalents_compute ~screen ~ctx ~seed t =
   let mutants = Array.of_list t.mutants in
@@ -308,6 +299,7 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
      — a conservative answer that deflates MS rather than inflating it —
      and the cut is recorded once. *)
   let survivor_arr = Array.of_list survivors in
+  let oracle = Equivalence.make ~netlist:t.netlist t.design in
   let total = Array.length survivor_arr in
   let done_count = Atomic.make 0 in
   let tick () =
@@ -330,20 +322,10 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
     in
     let exact i =
       Metrics.incr c_equiv_exact;
-      let m = mutants.(i) in
-      if t.sequential then
-        match Equivalence.check t.design m.Mutant.design with
-        | Equivalence.Equivalent -> true
-        | Equivalence.Distinguished _ | Equivalence.Unknown -> false
-      else begin
-        (* SAT miter over the synthesised netlists. *)
-        let mutant_nl = Flow.synthesize m.Mutant.design in
-        match Equiv.check ~budget t.netlist mutant_nl with
-        | Ok Equiv.Equivalent -> true
-        | Ok (Equiv.Counterexample _) -> false
-        | Error e -> stop e; false
-        | exception Equiv.Equiv_error _ -> false
-      end
+      match Equivalence.decide ~budget oracle mutants.(i).Mutant.design with
+      | Ok Equivalence.Equivalent -> true
+      | Ok (Equivalence.Distinguished _ | Equivalence.Unknown) -> false
+      | Error e -> stop e; false
     in
     let out = Array.make len false in
     for k = 0 to len - 1 do

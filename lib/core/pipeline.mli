@@ -89,13 +89,15 @@ val classify_equivalents :
 (** Indices (into [mutants]) of the mutants that are provably
     equivalent to the design. A random screen of [screen] vectors
     (default 512) removes obviously killable mutants; survivors are
-    settled exactly — SAT miter over the synthesised netlists for
-    combinational designs, product-machine BFS for sequential ones.
-    Mutants whose exact check blows its budget are treated as
+    settled exactly by one {!Mutsamp_mutation.Equivalence} oracle built
+    on [netlist] (product-machine BFS for sequential designs, exhaustive
+    sweep up to 16 input bits, SAT miter beyond). Mutants whose exact
+    check is [Unknown] or blows its budget are treated as
     non-equivalent (conservative; they deflate MS rather than inflate
     it). The context progress callback fires after each exact check
-    under stage ["equiv"] ([total] is the survivor count) — the checks
-    dominate the runtime on larger designs.
+    under stage ["equiv"] ([total] is the survivor count), from the
+    worker domain that ran it — the checks dominate the runtime on
+    larger designs.
 
     [ctx] (default {!Mutsamp_exec.Ctx.default}, sequential) carries the
     domain pool and budget. With a pool, both the screen and the exact

@@ -26,7 +26,6 @@ let default =
     store = None;
   }
 
-let sequential = default
 let with_pool pool = { default with pool = Some pool }
 let with_store store = { default with store = Some store }
 

@@ -27,9 +27,6 @@ type t = {
 
 val default : t
 
-val sequential : t
-(** Alias of {!default}, for call sites that want to say why. *)
-
 val with_pool : Pool.t -> t
 (** {!default} with the given pool installed. *)
 
@@ -61,8 +58,13 @@ val budget : t -> Mutsamp_robust.Budget.t
 (** The context's budget, defaulting to [Budget.ambient ()]. *)
 
 val progress : t -> stage:string -> done_:int -> total:int -> unit
-(** Invoke the progress callback if any (main-domain call sites only —
-    sharded stages report progress from the coordinating domain). *)
+(** Invoke the progress callback if any. Sharded stages
+    ([Fsim.run], [Pipeline.classify_equivalents]) call it from whichever
+    domain ran the item, worker domains included, so calls may overlap
+    and arrive out of order: every [done_] from 1 to [total] is reported
+    exactly once, but 17 can come before 16. A callback must therefore
+    be safe to call from any domain and must not assume monotone
+    [done_]. *)
 
 val map_cells : t -> 'a list -> f:('a -> 'b) -> 'b list
 (** Campaign-cell parallelism: [f] runs once per list element, one pool

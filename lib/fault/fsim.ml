@@ -366,5 +366,3 @@ let serial ?(ctx = Ctx.default) nl ~faults ~sequence =
   simulate ~ctx ~backend:K.c_engine_serial ~faults ~sequence
     (fun ~budget ~tick ~lo:_ ~faults ->
       serial_shard ~budget ~tick:(fun () -> tick 1) nl ~faults ~sequence)
-
-let input_pattern = Pattern.of_bits

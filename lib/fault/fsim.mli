@@ -112,7 +112,3 @@ val serial :
     first-detection indices alike. Same sharding, budget and chaos
     behaviour as {!run}; the progress callback fires after each fault's
     replay. *)
-
-val input_pattern : Mutsamp_netlist.Netlist.t -> (string * bool) list -> Pattern.t
-(** Build a pattern from named input bits (missing names default to
-    0). *)

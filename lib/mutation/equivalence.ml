@@ -3,6 +3,13 @@ module Sim = Mutsamp_hdl.Sim
 module Stimuli = Mutsamp_hdl.Stimuli
 module Check = Mutsamp_hdl.Check
 module Bitvec = Mutsamp_util.Bitvec
+module Netlist = Mutsamp_netlist.Netlist
+module Flow = Mutsamp_synth.Flow
+module Lower = Mutsamp_synth.Lower
+module Equiv = Mutsamp_sat.Equiv
+module Metrics = Mutsamp_obs.Metrics
+
+let c_unknown = Metrics.counter "equiv.unknown"
 
 type verdict =
   | Equivalent
@@ -104,7 +111,70 @@ let product_bfs ?(max_pairs = 65536) ?(max_bits = 12) a b =
     | Budget -> Unknown
   end
 
-let check ?max_pairs ?max_bits a b =
-  if Check.is_combinational a && Check.is_combinational b then
-    exhaustive_combinational ?max_bits a b
-  else product_bfs ?max_pairs ?max_bits a b
+(* --- the oracle ---------------------------------------------------------- *)
+
+type regime = Exhaustive | Product | Miter
+
+type t = {
+  design : Ast.design;
+  regime : regime;
+  (* Reference netlist for the miter: given by the caller, or
+     synthesized on first use. A plain atomic, not a [Lazy]: domains
+     sharing an oracle may each synthesize it once, but none can
+     observe a half-forced value. *)
+  reference : Netlist.t option Atomic.t;
+}
+
+(* Mutation rewrites statements, never declarations, so every mutant
+   has its design's registers and inputs: the design alone fixes the
+   regime. *)
+let make ?netlist design =
+  let regime =
+    if not (Check.is_combinational design) then Product
+    else if Stimuli.input_bits design <= 16 then Exhaustive
+    else Miter
+  in
+  { design; regime; reference = Atomic.make netlist }
+
+let regime t = t.regime
+
+let reference t =
+  match Atomic.get t.reference with
+  | Some nl -> nl
+  | None ->
+    let nl = Flow.synthesize t.design in
+    Atomic.set t.reference (Some nl);
+    nl
+
+(* Map a bit-level SAT counterexample back to one word-level stimulus
+   cycle: bit [i] of input [name] is the miter PI [Lower.bit_name]. *)
+let stimulus_of_assignment design bits =
+  List.map
+    (fun (d : Ast.decl) ->
+      let v = ref (Bitvec.make ~width:d.width 0) in
+      for i = 0 to d.width - 1 do
+        match List.assoc_opt (Lower.bit_name d.name d.width i) bits with
+        | Some true -> v := Bitvec.set_bit !v i true
+        | Some false | None -> ()
+      done;
+      (d.name, !v))
+    (Ast.inputs design)
+
+let miter ?budget t mutant =
+  match Equiv.check ?budget (reference t) (Flow.synthesize mutant) with
+  | Ok Equiv.Equivalent -> Ok Equivalent
+  | Ok (Equiv.Counterexample bits) ->
+    Ok (Distinguished [ stimulus_of_assignment t.design bits ])
+  | Error e -> Error e
+  | exception (Equiv.Equiv_error _ | Lower.Synth_error _) -> Ok Unknown
+
+let decide ?budget t mutant =
+  require_same_interface t.design mutant "decide";
+  let r =
+    match t.regime with
+    | Exhaustive -> Ok (exhaustive_combinational t.design mutant)
+    | Product -> Ok (product_bfs t.design mutant)
+    | Miter -> miter ?budget t mutant
+  in
+  (match r with Ok Unknown | Error _ -> Metrics.incr c_unknown | Ok _ -> ());
+  r

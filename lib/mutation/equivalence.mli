@@ -1,6 +1,29 @@
-(** Simulation-based equivalence checking between a design and a mutant.
+(** Equivalence checking between a design and a mutant: the one place
+    that decides how a mutant's equivalence is settled.
 
-    Two complete procedures are provided for small designs:
+    The oracle ({!make}, {!decide}) is prepared once per design, and
+    the design picks one of three exact regimes:
+
+    - sequential designs: {!product_bfs} with its default limits (12
+      input bits per cycle, 65536 joint states);
+    - combinational designs with at most 16 input bits:
+      {!exhaustive_combinational};
+    - wider combinational designs: the SAT miter
+      ({!Mutsamp_sat.Equiv.check}) between the reference netlist and
+      the synthesized mutant; a model maps back to one word-level
+      stimulus.
+
+    Vectorgen's directed phase and [Pipeline.classify_equivalents] both
+    ask it. Compared with the separate checks they replaced: a
+    combinational design of at most 16 input bits (c17 in the
+    registry) is classified by the exhaustive sweep rather than SAT —
+    same verdicts, fewer [sat.solves], no [Sat_conflicts] spent — and a
+    mutant that fails to synthesize is [Unknown] rather than an
+    exception. Vectorgen's config lost its SAT on/off switch with them,
+    so the [vectors] and [t1row] store keys changed: existing stores
+    recompute those entries once.
+
+    The two simulation engines stay exported for direct use:
 
     - {!exhaustive_combinational}: truth-table comparison, exact for
       register-free designs whose input space fits the bit budget;
@@ -9,11 +32,7 @@
       reachable product state space and per-cycle input space fit the
       budgets. The counterexample it returns is a shortest
       distinguishing sequence, which doubles as a directed
-      mutant-killing test.
-
-    Combinational designs with wide inputs need the SAT-based miter
-    check (see the [sat] library); {!check} returns {!Unknown} for
-    those. *)
+      mutant-killing test. *)
 
 type verdict =
   | Equivalent
@@ -40,14 +59,35 @@ val product_bfs :
     visited joint-state count, [max_bits] (default 12) the per-cycle
     input space. Raises [Invalid_argument] if the interfaces differ. *)
 
-val check :
-  ?max_pairs:int ->
-  ?max_bits:int ->
+type t
+(** A prepared oracle for one reference design. Safe to share across
+    domains. *)
+
+val make : ?netlist:Mutsamp_netlist.Netlist.t -> Mutsamp_hdl.Ast.design -> t
+(** [netlist] is the design's synthesized netlist, used as the miter's
+    reference; without it the oracle synthesizes the design once, on
+    the first mutant that needs the miter. *)
+
+type regime =
+  | Exhaustive  (** {!exhaustive_combinational} *)
+  | Product  (** {!product_bfs} *)
+  | Miter  (** SAT miter over the synthesized pair *)
+
+val regime : t -> regime
+(** The regime {!decide} uses. A mutant keeps its design's
+    declarations, so it is the design's. *)
+
+val decide :
+  ?budget:Mutsamp_robust.Budget.t ->
+  t ->
   Mutsamp_hdl.Ast.design ->
-  Mutsamp_hdl.Ast.design ->
-  verdict
-(** Dispatch: {!exhaustive_combinational} for register-free designs,
-    {!product_bfs} otherwise. *)
+  (verdict, Mutsamp_robust.Error.t) result
+(** Settle the mutant against the reference design. Limits exceeded, a
+    mutant or reference that fails to synthesize, or a miter the SAT
+    layer rejects give [Ok Unknown]. A miter solve cut by [budget]
+    (default: ambient; [Sat_conflicts] and the deadline) gives
+    [Error]. Each [Unknown] or cut is counted under [equiv.unknown].
+    Raises [Invalid_argument] if the interfaces differ. *)
 
 val same_interface : Mutsamp_hdl.Ast.design -> Mutsamp_hdl.Ast.design -> bool
 (** Same input and output names and widths, in order. *)

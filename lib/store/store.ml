@@ -229,7 +229,7 @@ let fetch_or_compute store ~ns ~parts ~encode ~decode f =
   match store with
   | None -> f ()
   | Some t -> (
-    let k = key ~ns parts in
+    let k = key ~ns (parts ()) in
     match Option.bind (find t k) decode with
     | Some v -> v
     | None ->

@@ -85,12 +85,14 @@ val put : t -> key -> Json.t -> unit
 val fetch_or_compute :
   t option ->
   ns:string ->
-  parts:(string * string) list ->
+  parts:(unit -> (string * string) list) ->
   encode:('a -> Json.t) ->
   decode:(Json.t -> 'a option) ->
   (unit -> 'a) -> 'a
 (** The store-aware memoisation shape every campaign stage uses.
-    [None] (no store) runs the computation directly. With a store, a
+    [None] (no store) runs the computation directly, without calling
+    [parts] — so key hashing costs nothing on storeless runs. With a
+    store, a
     decodable entry is returned without running the computation; on a
     miss the computation runs and its result is stored — {e unless} a
     graceful degradation ({!Mutsamp_robust.Degrade}) was recorded

@@ -6,10 +6,6 @@ module Prng = Mutsamp_util.Prng
 module Mutant = Mutsamp_mutation.Mutant
 module Kill = Mutsamp_mutation.Kill
 module Equivalence = Mutsamp_mutation.Equivalence
-module Flow = Mutsamp_synth.Flow
-module Lower = Mutsamp_synth.Lower
-module Equiv = Mutsamp_sat.Equiv
-module Bitvec = Mutsamp_util.Bitvec
 module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
@@ -32,7 +28,6 @@ type config = {
   sequence_length : int;
   max_vectors : int;
   directed : bool;
-  sat_attack : bool;
   minimize : bool;
 }
 
@@ -43,7 +38,6 @@ let default_config =
     sequence_length = 8;
     max_vectors = 4096;
     directed = true;
-    sat_attack = true;
     minimize = true;
   }
 
@@ -56,41 +50,6 @@ type outcome = {
   total_vectors : int;
   degraded : string list;
 }
-
-(* Map a bit-level SAT counterexample back to one word-level stimulus
-   cycle: bit [i] of input [name] is the miter PI [Lower.bit_name]. *)
-let stimulus_of_assignment design bits =
-  List.map
-    (fun (d : Ast.decl) ->
-      let v = ref (Bitvec.make ~width:d.width 0) in
-      for i = 0 to d.width - 1 do
-        match List.assoc_opt (Lower.bit_name d.name d.width i) bits with
-        | Some true -> v := Bitvec.set_bit !v i true
-        | Some false | None -> ()
-      done;
-      (d.name, !v))
-    (Ast.inputs design)
-
-(* SAT-miter attack on a survivor the behavioural checker could not
-   decide — wide combinational designs exceed its exhaustive budget,
-   but the miter handles them. The second component reports a budget
-   cut, which the caller records as a degradation (the verdict is then
-   a conservative [Unknown], not a proof). *)
-let sat_check ~budget design mutant_design =
-  Metrics.incr c_sat_calls;
-  match
-    (try
-       `R (Equiv.check ~budget (Flow.synthesize design) (Flow.synthesize mutant_design))
-     with Equiv.Equiv_error _ | Lower.Synth_error _ -> `Undecidable)
-  with
-  | `Undecidable -> (Equivalence.Unknown, None)
-  | `R (Ok Equiv.Equivalent) ->
-    Metrics.incr c_sat_equivalent;
-    (Equivalence.Equivalent, None)
-  | `R (Ok (Equiv.Counterexample bits)) ->
-    Metrics.incr c_sat_distinguished;
-    (Equivalence.Distinguished [ stimulus_of_assignment design bits ], None)
-  | `R (Error e) -> (Equivalence.Unknown, Some e)
 
 let generate ?(config = default_config) ?budget design mutants =
   Trace.with_span "vectorgen" @@ fun () ->
@@ -152,9 +111,8 @@ let generate ?(config = default_config) ?budget design mutants =
   if config.directed then begin
     Trace.with_span "vectorgen.directed" @@ fun () ->
     let mutant_arr = Array.of_list mutants in
-    let combinational_pair (m : Mutant.t) =
-      Check.is_combinational design && Check.is_combinational m.Mutant.design
-    in
+    let oracle = Equivalence.make design in
+    let sat = Equivalence.regime oracle = Equivalence.Miter in
     let rec attack = function
       | [] -> ()
       | i :: rest ->
@@ -182,16 +140,18 @@ let generate ?(config = default_config) ?budget design mutants =
             unknown := i :: !unknown;
             attack rest
           | Ok () ->
-          let m = mutant_arr.(i) in
+          if sat then Metrics.incr c_sat_calls;
           let verdict =
-            match Equivalence.check design m.Mutant.design with
-            | Equivalence.Unknown when config.sat_attack && combinational_pair m ->
-              let v, cut = sat_check ~budget design m.Mutant.design in
-              (match cut with
-               | Some e -> note_deg "sat attack cut short; mutant left unknown" e
-               | None -> ());
+            match Equivalence.decide ~budget oracle mutant_arr.(i).Mutant.design with
+            | Ok v ->
+              (match v with
+               | Equivalence.Equivalent when sat -> Metrics.incr c_sat_equivalent
+               | Equivalence.Distinguished _ when sat -> Metrics.incr c_sat_distinguished
+               | _ -> ());
               v
-            | v -> v
+            | Error e ->
+              note_deg "sat attack cut short; mutant left unknown" e;
+              Equivalence.Unknown
           in
           match verdict with
           | Equivalence.Equivalent ->

@@ -8,11 +8,14 @@
     - {e random phase}: candidate sequences are drawn uniformly
       (length 1 for combinational designs) until [max_stall]
       consecutive candidates kill nothing;
-    - {e directed phase} (optional): each surviving mutant is attacked
-      with the exact equivalence checker
-      ({!Mutsamp_mutation.Equivalence.check}); a distinguishing
-      sequence is added to the test set, a proof of equivalence marks
-      the mutant equivalent, and a budget blow-up leaves it unknown.
+    - {e directed phase} (optional): each surviving mutant is settled
+      by one equivalence oracle built for the call
+      ({!Mutsamp_mutation.Equivalence.decide}: product-machine BFS for
+      sequential designs, an exhaustive sweep up to 16 input bits, the
+      SAT miter beyond, the design synthesized at most once); a
+      distinguishing sequence is added to the test set, a proof of
+      equivalence marks the mutant equivalent, and an undecided or
+      budget-cut check leaves it unknown.
 
     Everything is deterministic from [seed]. *)
 
@@ -22,12 +25,6 @@ type config = {
   sequence_length : int;  (** cycles per candidate (sequential designs) *)
   max_vectors : int;  (** cap on the total test-set length in cycles *)
   directed : bool;  (** run the directed phase *)
-  sat_attack : bool;
-      (** directed phase only: when the behavioural checker answers
-          Unknown on a combinational pair (too many input bits for the
-          exhaustive sweep), synthesize both designs and run the
-          SAT-based miter ({!Mutsamp_sat.Equiv.check}); a model becomes
-          a one-cycle distinguishing stimulus *)
   minimize : bool;
       (** post-pass: kept sequences are truncated after their last
           useful cycle during generation, and a greedy set cover then
@@ -38,7 +35,7 @@ type config = {
 
 val default_config : config
 (** seed 1, stall 200, sequences of 8 cycles, 4096-cycle cap, directed
-    phase, SAT attack and minimisation on. *)
+    phase and minimisation on. *)
 
 type outcome = {
   test_set : Mutsamp_hdl.Sim.stimulus list list;  (** kept sequences, in order *)

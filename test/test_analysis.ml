@@ -277,14 +277,15 @@ let test_triage_sound_sequential () =
         Alcotest.(check bool)
           (Printf.sprintf "stillborn %d equivalent" m.Mutant.id)
           true
-          (Equivalence.check d m.Mutant.design = Equivalence.Equivalent)
+          (Equivalence.decide (Equivalence.make d) m.Mutant.design
+           = Ok Equivalence.Equivalent)
       | Triage.Duplicate rep ->
         let r = Hashtbl.find by_id rep in
         Alcotest.(check bool)
           (Printf.sprintf "duplicate %d = rep %d" m.Mutant.id rep)
           true
-          (Equivalence.check r.Mutant.design m.Mutant.design
-           = Equivalence.Equivalent))
+          (Equivalence.decide (Equivalence.make r.Mutant.design) m.Mutant.design
+           = Ok Equivalence.Equivalent))
     t.Triage.verdicts
 
 (* Same property on a combinational design, by brute-force simulation
@@ -325,8 +326,9 @@ let test_triage_extrapolate_bit_identical () =
   let seqs =
     List.init 24 (fun i -> Stimuli.random_sequence (Prng.create (1000 + i)) d 12)
   in
+  let oracle = Equivalence.make d in
   let equivalent_survivor (m : Mutant.t) =
-    Equivalence.check d m.Mutant.design = Equivalence.Equivalent
+    Equivalence.decide oracle m.Mutant.design = Ok Equivalence.Equivalent
   in
   (* Untriaged reference campaign over the full population. *)
   let flags = Kill.killed_set (Kill.make d mutants) seqs in

@@ -148,6 +148,20 @@ let test_operator_efficiency_skips_absent () =
   in
   check_int "no AOR row" 0 (List.length row.Experiments.per_operator)
 
+(* Without a store no stage computes a key, so the pipeline's content
+   hashes are never forced. *)
+let test_storeless_run_leaves_hashes_unforced () =
+  let p =
+    match Registry.find "c17" with
+    | Some e -> Pipeline.prepare (e.Registry.design ())
+    | None -> Alcotest.fail "c17 missing"
+  in
+  ignore
+    (Experiments.operator_efficiency ~config:tiny_config ~operators:Operator.all p
+       ~name:"c17");
+  ignore (Pipeline.classify_equivalents ~screen:64 ~seed:3 p);
+  check_bool "hashes unforced" false (Lazy.is_val p.Pipeline.hashes)
+
 let test_weights_positive_and_bounded () =
   let p = Lazy.force c17_pipeline in
   let row =
@@ -384,6 +398,8 @@ let suite =
       [
         Alcotest.test_case "operator efficiency" `Quick test_operator_efficiency_rows;
         Alcotest.test_case "absent operator skipped" `Quick test_operator_efficiency_skips_absent;
+        Alcotest.test_case "storeless run leaves hashes unforced" `Quick
+          test_storeless_run_leaves_hashes_unforced;
         Alcotest.test_case "weights bounded" `Quick test_weights_positive_and_bounded;
         Alcotest.test_case "average table1" `Quick test_average_table1;
         Alcotest.test_case "sampling comparison" `Quick test_sampling_comparison_structure;

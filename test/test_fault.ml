@@ -331,7 +331,7 @@ let test_fsim_auto_dispatch () =
 
 let test_input_code () =
   let nl = full_adder () in
-  let p = Fsim.input_pattern nl [ ("a", true); ("cin", true) ] in
+  let p = Pattern.of_bits nl [ ("a", true); ("cin", true) ] in
   (* a is input 0, b input 1, cin input 2. *)
   check_int "code" 0b101 (Mutsamp_fault.Pattern.to_code p)
 

@@ -310,9 +310,10 @@ let test_equiv_detects_equivalent_mutant () =
     parse
       {|design t is input a : bit; output y : bit; begin y := a or a; end design;|}
   in
-  (match Equivalence.check d1 d2 with
-   | Equivalence.Equivalent -> ()
-   | v -> Alcotest.fail ("expected equivalent: " ^ Equivalence.verdict_name v))
+  (match Equivalence.decide (Equivalence.make d1) d2 with
+   | Ok Equivalence.Equivalent -> ()
+   | Ok v -> Alcotest.fail ("expected equivalent: " ^ Equivalence.verdict_name v)
+   | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))
 
 let test_equiv_budget_unknown () =
   let wide =
@@ -397,7 +398,7 @@ end design;|}
 let test_equiv_interface_mismatch () =
   let a = parse and_gate_src and b = parse counter_src in
   (try
-     ignore (Equivalence.check a b);
+     ignore (Equivalence.decide (Equivalence.make a) b);
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
 
@@ -406,6 +407,7 @@ let test_equiv_interface_mismatch () =
 let prop_equivalence_matches_bruteforce =
   let d = parse alu_src in
   let ms = Array.of_list (Generate.all d) in
+  let oracle = Equivalence.make d in
   let arb = QCheck.make ~print:(fun i -> Mutant.to_string ms.(i))
       QCheck.Gen.(int_range 0 (Array.length ms - 1)) in
   QCheck.Test.make ~name:"equivalence check agrees with brute force" ~count:60 arb
@@ -417,10 +419,65 @@ let prop_equivalence_matches_bruteforce =
           (fun stim -> Sim.outputs_equal (Sim.step sims stim) (Sim.step simm stim))
           (Stimuli.enumerate d)
       in
-      match Equivalence.check d m.Mutant.design with
-      | Equivalence.Equivalent -> brute
-      | Equivalence.Distinguished _ -> not brute
-      | Equivalence.Unknown -> false)
+      match Equivalence.decide oracle m.Mutant.design with
+      | Ok Equivalence.Equivalent -> brute
+      | Ok (Equivalence.Distinguished _) -> not brute
+      | Ok Equivalence.Unknown | Error _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* The equivalence oracle on registry circuits                        *)
+(* ------------------------------------------------------------------ *)
+
+let registry_design name =
+  match Mutsamp_circuits.Registry.find name with
+  | Some e -> e.Mutsamp_circuits.Registry.design ()
+  | None -> Alcotest.failf "circuit %s not in registry" name
+
+(* c17 (5 input bits) takes the exhaustive sweep; its verdicts must
+   match the SAT miter on the synthesized pair, mutant by mutant. *)
+let test_oracle_c17_agrees_with_sat () =
+  let module Flow = Mutsamp_synth.Flow in
+  let module Equiv = Mutsamp_sat.Equiv in
+  let d = registry_design "c17" in
+  let oracle = Equivalence.make d in
+  check_bool "exhaustive regime" true (Equivalence.regime oracle = Equivalence.Exhaustive);
+  let reference = Flow.synthesize d in
+  List.iter
+    (fun (m : Mutant.t) ->
+      let agree =
+        match
+          ( Equivalence.decide oracle m.Mutant.design,
+            Equiv.check reference (Flow.synthesize m.Mutant.design) )
+        with
+        | Ok Equivalence.Equivalent, Ok Equiv.Equivalent
+        | Ok (Equivalence.Distinguished _), Ok (Equiv.Counterexample _) ->
+          true
+        | _ -> false
+      in
+      check_bool (Mutant.to_string m) true agree)
+    (Generate.all d)
+
+(* c432 (36 input bits) takes the miter: every counterexample, mapped
+   back to one word-level stimulus, must kill its mutant on replay. *)
+let test_oracle_c432_counterexamples_kill () =
+  let d = registry_design "c432" in
+  let mutants = Generate.all d in
+  let runner = Kill.make d mutants in
+  let oracle = Equivalence.make d in
+  check_bool "miter regime" true (Equivalence.regime oracle = Equivalence.Miter);
+  let distinguished = ref 0 in
+  List.iteri
+    (fun i (m : Mutant.t) ->
+      match Equivalence.decide oracle m.Mutant.design with
+      | Ok (Equivalence.Distinguished [ stim ]) ->
+        incr distinguished;
+        check_bool (Mutant.to_string m) true
+          (List.mem_assoc i (Kill.kills_at runner ~alive:[ i ] [ stim ]))
+      | Ok (Equivalence.Distinguished _) -> Alcotest.fail "miter gives one cycle"
+      | Ok (Equivalence.Equivalent | Equivalence.Unknown) -> ()
+      | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))
+    mutants;
+  check_bool "some distinguished" true (!distinguished > 0)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -466,5 +523,9 @@ let suite =
         Alcotest.test_case "bfs shortest" `Quick test_equiv_bfs_finds_shortest;
         Alcotest.test_case "interface mismatch" `Quick test_equiv_interface_mismatch;
         q prop_equivalence_matches_bruteforce;
+        Alcotest.test_case "oracle c17 agrees with sat" `Quick
+          test_oracle_c17_agrees_with_sat;
+        Alcotest.test_case "oracle c432 counterexamples kill" `Quick
+          test_oracle_c432_counterexamples_kill;
       ] );
   ]

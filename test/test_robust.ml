@@ -206,6 +206,75 @@ let test_fsim_budget_degrades () =
   check_bool "degradation recorded" true
     (List.mem "fsim" (Degrade.degraded_stages ()))
 
+(* A conflict quota at half the unbudgeted spend cuts some exact
+   equivalence checks, in Vectorgen's directed phase and in
+   [classify_equivalents] alike. A cut check is counted under
+   [equiv.unknown], leaves its mutant unknown (never equivalent) and is
+   on record; the equivalents found are a subset of the exact ones. *)
+let test_equivalence_budget_cut () =
+  let module Vectorgen = Mutsamp_validation.Vectorgen in
+  let module Pipeline = Mutsamp_core.Pipeline in
+  let module Mutant = Mutsamp_mutation.Mutant in
+  let module Ctx = Mutsamp_exec.Ctx in
+  let p =
+    match Registry.find "c432" with
+    | Some e -> Pipeline.prepare (e.Registry.design ())
+    | None -> Alcotest.fail "c432 missing"
+  in
+  let subset =
+    List.filter
+      (fun (m : Mutant.t) -> Mutsamp_mutation.Operator.(equal m.Mutant.op VR))
+      p.Pipeline.mutants
+  in
+  let with_spend run =
+    let quota = 1_000_000 in
+    let probe = Budget.create ~sat_conflicts:quota () in
+    let r = run probe in
+    (r, quota - Budget.remaining probe Budget.Sat_conflicts)
+  in
+  let unknowns () =
+    Option.value ~default:0
+      (List.assoc_opt "equiv.unknown" (Metrics.snapshot ()).Metrics.counters)
+  in
+  let subset_of small big = List.for_all (fun i -> List.mem i big) small in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  let generate budget = Vectorgen.generate ~budget p.Pipeline.design subset in
+  let full, spent = with_spend generate in
+  check_bool "exact run not degraded" false (Degrade.any ());
+  check_bool "exact run decides every survivor" true (full.Vectorgen.unknown = []);
+  check_int "exact run counts no unknown" 0 (unknowns ());
+  check_bool "directed phase spends conflicts" true (spent > 1);
+  let cut = generate (Budget.create ~sat_conflicts:(spent / 2) ()) in
+  check_bool "some checks cut" true (cut.Vectorgen.unknown <> []);
+  check_int "every cut counted" (List.length cut.Vectorgen.unknown) (unknowns ());
+  check_bool "cut equivalents left unknown" true
+    (List.for_all
+       (fun i -> List.mem i cut.Vectorgen.equivalent || List.mem i cut.Vectorgen.unknown)
+       full.Vectorgen.equivalent);
+  check_bool "equivalents subset" true
+    (subset_of cut.Vectorgen.equivalent full.Vectorgen.equivalent);
+  check_bool "cut listed" true
+    (List.mem "sat attack cut short; mutant left unknown" cut.Vectorgen.degraded);
+  Degrade.reset ();
+  Metrics.reset ();
+  let classify budget =
+    Pipeline.classify_equivalents ~ctx:(Ctx.make ~budget ()) ~seed:3 p
+  in
+  let full_eq, spent = with_spend classify in
+  check_bool "exact classification not degraded" false (Degrade.any ());
+  check_bool "classification finds equivalents" true (full_eq <> []);
+  let cut_eq = classify (Budget.create ~sat_conflicts:(spent / 2) ()) in
+  check_bool "classification equivalents subset" true (subset_of cut_eq full_eq);
+  check_bool "fewer equivalents" true (List.length cut_eq < List.length full_eq);
+  check_bool "classification cut counted" true (unknowns () >= 1);
+  check_bool "equivalence degradation recorded" true
+    (List.mem "equivalence" (Degrade.degraded_stages ()))
+
 (* ------------------------------------------------------------------ *)
 (* Chaos: injection and containment                                   *)
 (* ------------------------------------------------------------------ *)
@@ -682,6 +751,8 @@ let suite =
         Alcotest.test_case "podem backtrack budget" `Quick (clean test_podem_budget);
         Alcotest.test_case "fsim pair budget degrades" `Quick
           (clean test_fsim_budget_degrades);
+        Alcotest.test_case "equivalence conflict budget" `Quick
+          (clean test_equivalence_budget_cut);
       ] );
     ( "robust.chaos",
       [

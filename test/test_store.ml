@@ -157,7 +157,7 @@ let test_fetch_or_compute () =
   let calls = ref 0 in
   let compute () = incr calls; 42 in
   let fetch store =
-    Store.fetch_or_compute store ~ns:"x" ~parts:[ ("k", "v") ]
+    Store.fetch_or_compute store ~ns:"x" ~parts:(fun () -> [ ("k", "v") ])
       ~encode:encode_int ~decode:decode_int compute
   in
   (* No store: straight through, every time. *)
@@ -179,7 +179,7 @@ let test_fetch_decode_mismatch () =
   Store.put s k (Json.String "stale codec");
   let calls = ref 0 in
   let v =
-    Store.fetch_or_compute (Some s) ~ns:"x" ~parts:[ ("k", "v") ]
+    Store.fetch_or_compute (Some s) ~ns:"x" ~parts:(fun () -> [ ("k", "v") ])
       ~encode:encode_int ~decode:decode_int
       (fun () -> incr calls; 7)
   in
@@ -196,7 +196,7 @@ let test_degrade_guard () =
     13
   in
   let fetch f =
-    Store.fetch_or_compute (Some s) ~ns:"x" ~parts:[ ("k", "v") ]
+    Store.fetch_or_compute (Some s) ~ns:"x" ~parts:(fun () -> [ ("k", "v") ])
       ~encode:encode_int ~decode:decode_int f
   in
   (* A budget-cut / chaos-hit computation returns its partial result
