@@ -96,7 +96,6 @@ type obs_opts = {
   chaos_seed : int;
   jobs : int;
   store : string option;
-  no_dominance : bool;
 }
 
 let obs_term =
@@ -181,26 +180,15 @@ let obs_term =
                    unchanged re-run replays them bit-identically instead of \
                    recomputing. See docs/STORE.md.")
   in
-  let no_dominance =
-    Arg.(value & flag
-         & info [ "no-dominance" ]
-             ~doc:"Disable dominator-based fault-dominance collapsing in the \
-                   search stages (redundancy removal, top-off ATPG ordering). \
-                   Reported coverage is bit-identical either way; this flag \
-                   exists to measure the saving and to bisect suspected \
-                   collapsing bugs.")
-  in
   Term.(const (fun trace metrics profile report trace_out metrics_out deadline_ms
                    sat_conflicts podem_backtracks fsim_pairs chaos chaos_seed jobs
-                   store no_dominance ->
+                   store ->
             { trace; metrics; profile; report; trace_out; metrics_out;
               deadline_ms; sat_conflicts;
-              podem_backtracks; fsim_pairs; chaos; chaos_seed; jobs; store;
-              no_dominance })
+              podem_backtracks; fsim_pairs; chaos; chaos_seed; jobs; store })
         $ trace $ metrics $ profile $ report $ trace_out $ metrics_out
         $ deadline_ms $ sat_conflicts
-        $ podem_backtracks $ fsim_pairs $ chaos $ chaos_seed $ jobs $ store
-        $ no_dominance)
+        $ podem_backtracks $ fsim_pairs $ chaos $ chaos_seed $ jobs $ store)
 
 (* Run a subcommand body under a root span with the ambient budget and
    chaos armings installed; afterwards render whatever the flags asked
@@ -254,7 +242,7 @@ let with_obs obs ~command ?(circuits = []) ?config ?seed
   in
   let pool = if obs.jobs = 1 then None else Some (Pool.create ~domains:obs.jobs) in
   let ctx = match pool with None -> Ctx.default | Some p -> Ctx.with_pool p in
-  let ctx = { ctx with Ctx.store; Ctx.dominance = not obs.no_dominance } in
+  let ctx = { ctx with Ctx.store } in
   let result =
     try Ok (Trace.with_span command (fun () -> f ctx)) with
     | Rerror.E e -> Error e

@@ -8,8 +8,7 @@
     Beyond plain constant folding (seeded by [Const] gates) the
     evaluator recognises same-net and complementary-pair operands:
     [And(x, Not x)] is [Zero] even though the two fanins are distinct
-    nets — the structural-hashing builder never folds that shape, and
-    [Redundancy.tie_net] creates it when tying nets mid-round.
+    nets — the structural-hashing builder never folds that shape.
 
     Flip-flops start [Unknown] unless their D input is proved constant
     and equal to their reset value, in which case the register can

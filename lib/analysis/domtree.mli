@@ -5,8 +5,8 @@
     points: net [d] post-dominates net [s] when every path from [s] to
     any primary output (or flip-flop D pin) passes through [d] — so a
     fault effect originating at [s] can only be observed if it
-    propagates through every post-dominator of [s]. The ATPG prefilter
-    and the NL007+ lint rules consume exactly this fact. *)
+    propagates through every post-dominator of [s]. The NL008 lint
+    rule consumes exactly this fact. *)
 
 type t = {
   n : int;  (** real node count; the virtual root is node [n] *)

@@ -41,11 +41,11 @@ let mut_duplicate = mk "MUT002" Info "duplicate mutant"
 let retired =
   [
     ( "ATP001",
-      "never emitted as a diagnostic; static unexcitability proofs are \
-       counted under analysis.static_untestable instead" );
+      "never emitted as a diagnostic; constant nets, whose stuck-at \
+       faults are unexcitable, are reported by NL001" );
     ( "ATP002",
-      "never emitted as a diagnostic; static unobservability proofs are \
-       counted under analysis.static_untestable instead" );
+      "never emitted as a diagnostic; blocked nets, whose stuck-at \
+       faults are unobservable, are reported by NL004 and NL008" );
   ]
 
 let all =

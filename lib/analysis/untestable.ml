@@ -1,51 +1,41 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
-module Fault = Mutsamp_fault.Fault
-
-type verdict = Testable_maybe | Unexcitable | Unobservable
 
 type t = {
   nl : Netlist.t;
   cp : Constprop.t;
-  md : bool array;  (* may-differ scratch, reused across proofs *)
+  md : bool array;  (* may-differ scratch, reused across calls *)
 }
 
 let analyze nl = { nl; cp = Constprop.compute nl; md = Array.make (Array.length nl.Netlist.gates) false }
 
-let constants t = t.cp
-
-(* Forward may-differ pass. [seed] is a net forced to "differs"; for a
-   branch fault [pin_of] identifies the one (gate, pin) whose input is
-   considered differing even though its driver net is not. Values from
-   constant propagation describe the fault-free circuit, so a side
-   input blocks only when it is both proved constant and proved
+(* Forward may-differ pass from [seed], a net forced to "differs".
+   Values from constant propagation describe the fault-free circuit, so
+   a side input blocks only when it is both proved constant and proved
    unaffected ([not md]): in that case the faulty circuit holds the
    same constant there. *)
-let run_pass t ~seed ~pin =
+let run_pass t seed =
   let nl = t.nl in
   let gates = nl.Netlist.gates in
   let n = Array.length gates in
   let md = t.md in
   Array.fill md 0 n false;
-  (match seed with Some s -> md.(s) <- true | None -> ());
-  let in_differs g p f =
-    md.(f) || (match pin with Some (pg, pp) -> pg = g && pp = p | None -> false)
-  in
+  md.(seed) <- true;
   let zero f = Constprop.value t.cp f = Constprop.Zero in
   let one f = Constprop.value t.cp f = Constprop.One in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = 0 to n - 1 do
-      if not md.(i) || seed = Some i then begin
+      if not md.(i) then begin
         let g = gates.(i) in
         let out =
           match g.Gate.kind with
           | Gate.Pi _ | Gate.Const _ -> false
-          | Gate.Buf | Gate.Not | Gate.Dff _ -> in_differs i 0 g.Gate.fanins.(0)
+          | Gate.Buf | Gate.Not | Gate.Dff _ -> md.(g.Gate.fanins.(0))
           | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
             let f0 = g.Gate.fanins.(0) and f1 = g.Gate.fanins.(1) in
-            let d0 = in_differs i 0 f0 and d1 = in_differs i 1 f1 in
+            let d0 = md.(f0) and d1 = md.(f1) in
             let blocks f d =
               match g.Gate.kind with
               | Gate.And | Gate.Nand -> zero f && not d
@@ -54,7 +44,7 @@ let run_pass t ~seed ~pin =
             in
             (d0 && not (blocks f1 d1)) || (d1 && not (blocks f0 d0))
         in
-        if out && not md.(i) then begin
+        if out then begin
           md.(i) <- true;
           changed := true
         end
@@ -62,36 +52,6 @@ let run_pass t ~seed ~pin =
     done
   done
 
-let reaches_output t =
-  Array.exists (fun (_, net) -> t.md.(net)) t.nl.Netlist.output_list
-
 let stem_observable t net =
-  run_pass t ~seed:(Some net) ~pin:None;
-  reaches_output t
-
-let prove t (f : Fault.t) =
-  let stuck_one = match f.Fault.polarity with Fault.Stuck_at_0 -> false | Fault.Stuck_at_1 -> true in
-  let driver =
-    match f.Fault.site with
-    | Fault.Stem net -> net
-    | Fault.Branch { gate; pin } -> t.nl.Netlist.gates.(gate).Gate.fanins.(pin)
-  in
-  let good = Constprop.value t.cp driver in
-  let fault_matches_constant =
-    match good, stuck_one with
-    | Constprop.Zero, false | Constprop.One, true -> true
-    | _ -> false
-  in
-  if fault_matches_constant then Unexcitable
-  else begin
-    (match f.Fault.site with
-     | Fault.Stem net -> run_pass t ~seed:(Some net) ~pin:None
-     | Fault.Branch { gate; pin } -> run_pass t ~seed:None ~pin:(Some (gate, pin)));
-    if reaches_output t then Testable_maybe else Unobservable
-  end
-
-let is_untestable t f =
-  match prove t f with Testable_maybe -> false | Unexcitable | Unobservable -> true
-
-let count_untestable t faults =
-  List.fold_left (fun acc f -> if is_untestable t f then acc + 1 else acc) 0 faults
+  run_pass t net;
+  Array.exists (fun (_, o) -> t.md.(o)) t.nl.Netlist.output_list

@@ -1,37 +1,22 @@
-(** Static untestability proofs for stuck-at faults.
+(** Static blocked-net proofs, no SAT solving.
 
-    Two sound rules, no SAT solving:
+    A forward "may-differ" pass from a net. A difference propagates
+    through And/Nand only when the side input is not a constant 0
+    (dually 1 for Or/Nor); Xor/Xnor/Buf/Not never block; Dff carries a
+    difference across cycles, so the pass iterates to a fixpoint on
+    sequential circuits. If no primary output may ever differ, every
+    stuck-at fault on the net is untestable. Lint rule NL004 reports
+    such nets.
 
-    - {b Excitation}: if constant propagation proves a net holds [v] in
-      the fault-free circuit, then stuck-at-[v] on that net (or on a
-      branch fed by it) leaves the circuit unchanged — untestable.
-    - {b Observability}: a forward "may-differ" pass from the fault
-      site. A difference propagates through And/Nand only when the side
-      input is not a constant 0 (dually 1 for Or/Nor); Xor/Xnor/Buf/Not
-      never block; Dff carries a difference across cycles, so the pass
-      iterates to a fixpoint on sequential circuits. If no primary
-      output may ever differ, the fault is untestable.
-
-    Both rules are conservative: [prove] returning [false] says
-    nothing; [true] is a proof. *)
-
-type verdict = Testable_maybe | Unexcitable | Unobservable
+    The pass is conservative: [stem_observable] returning [true] says
+    nothing; [false] is a proof. *)
 
 type t
 
 val analyze : Mutsamp_netlist.Netlist.t -> t
-(** One constant-propagation pass, shared by every [prove] call. *)
-
-val constants : t -> Constprop.t
+(** One constant-propagation pass, shared by every [stem_observable]
+    call. *)
 
 val stem_observable : t -> int -> bool
 (** Could a value change seeded at this net ever reach a primary
     output? [false] is a proof that it cannot (the net is blocked). *)
-
-val prove : t -> Mutsamp_fault.Fault.t -> verdict
-(** [Unexcitable]/[Unobservable] are proofs of untestability;
-    [Testable_maybe] means "not statically decided". *)
-
-val is_untestable : t -> Mutsamp_fault.Fault.t -> bool
-
-val count_untestable : t -> Mutsamp_fault.Fault.t list -> int

@@ -2,7 +2,6 @@ module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
 module Fault = Mutsamp_fault.Fault
 module Fsim = Mutsamp_fault.Fsim
-module Collapse = Mutsamp_fault.Collapse
 module Prng = Mutsamp_util.Prng
 module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
@@ -58,7 +57,6 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(random_stall = 4) ?(s
   if Netlist.num_dffs nl > 0 then
     invalid_arg "Topoff.run: sequential netlist (apply Scan.full_scan first)";
   let budget = Ctx.budget ctx in
-  let static_filter = ctx.Ctx.static_filter in
   let expired () =
     match Budget.check_deadline budget ~stage:Rerror.Topoff with
     | Ok () -> false
@@ -102,10 +100,6 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(random_stall = 4) ?(s
   let aborted = ref 0 in
   let atpg_detected = ref 0 in
   let degrade_error = ref None in
-  (* Static pre-filter: faults with a standing untestability proof
-     never reach the deterministic engine. The netlist is fixed for
-     the whole run, so one analysis pass serves every fault. *)
-  let filter = if static_filter then Some (Prefilter.make nl) else None in
   let rec phase3 pending =
     match pending with
     | [] -> []
@@ -115,14 +109,6 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(random_stall = 4) ?(s
         degrade_error := Some e;
         pending
       | Ok () ->
-        if (match filter with
-            | Some pf -> Prefilter.is_untestable pf target
-            | None -> false)
-        then begin
-          incr untestable;
-          phase3 rest
-        end
-        else begin
         incr atpg_calls;
         let outcome =
           match generator with
@@ -158,34 +144,9 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(random_stall = 4) ?(s
            (* Budget/timeout/injection: the whole deterministic phase is
               cut short and the caller-visible degradation path runs. *)
            degrade_error := Some e;
-           pending)
-        end)
+           pending))
   in
-  (* Dominance ordering: target the dominating classes first and defer
-     the dominated ones to the tail of the same pass. Any test set
-     detecting a dominating input fault also detects its dominated
-     output fault, so by the time the tail is reached the deferred
-     faults have almost always been cross-dropped — fewer dedicated
-     SAT/PODEM calls for the same targeted-or-dropped guarantee. Every
-     fault of [remaining] is still in the list (reorder, not filter),
-     so coverage accounting keeps its denominator. *)
-  let ordered =
-    if not ctx.Ctx.dominance then !remaining
-    else begin
-      let coll = Collapse.run nl in
-      let dom = Collapse.dominance nl coll in
-      let deferred = Hashtbl.create 64 in
-      List.iter (fun f -> Hashtbl.replace deferred f ()) dom.Collapse.deferred;
-      let is_deferred f =
-        match coll.Collapse.class_of f with
-        | rep -> Hashtbl.mem deferred rep
-        | exception Invalid_argument _ -> false
-      in
-      let first, last = List.partition (fun f -> not (is_deferred f)) !remaining in
-      first @ last
-    end
-  in
-  let leftover = ref (phase3 ordered) in
+  let leftover = ref (phase3 !remaining) in
   (* Graceful degradation: when deterministic ATPG was cut short, fall
      back to bounded random top-off rounds with exponential
      vector-count backoff (64, 128, 256, … patterns per retry), driven

@@ -57,15 +57,14 @@ val run :
     budgets are reported as [aborted]. XOR-dominated circuits are
     PODEM's worst case — prefer [Use_sat] there.
 
+    Phase 3 targets the remaining faults in their given order, one
+    deterministic call per fault not already dropped; [untestable]
+    counts the faults the generator proves redundant.
+
     [ctx] (default {!Mutsamp_exec.Ctx.default}) carries the execution
-    pool, budget and static-filter switch. [ctx.static_filter] (default
-    [true]) consults {!Prefilter} before each deterministic call: a
-    statically-proved-untestable fault is counted as [untestable]
-    without running the engine. The proofs are sound, so coverage and
-    classifications are unchanged — only [atpg_calls] shrinks. With a
-    pool, the fault-simulation passes shard across worker domains; the
-    flow itself is sequential, so reports stay bit-identical to the
-    sequential path.
+    pool and budget. With a pool, the fault-simulation passes shard
+    across worker domains; the flow itself is sequential, so reports
+    stay bit-identical to the sequential path.
 
     Degradation: when the context budget (default: ambient) is
     exhausted — SAT

@@ -401,9 +401,6 @@ let atpg_effort ?(config = Config.default) ?(generator = Topoff.Use_podem)
     ~f:(fun (kind, seed_patterns) ->
       let seed = derived_seed config.Config.seed (name ^ "/e3/" ^ kind) in
       let report =
-        (* [atpg_calls] depends on the static prefilter, so the flag is
-           part of the key — a filtered and an unfiltered run must not
-           share a row even though their classifications agree. *)
         Store.fetch_or_compute (Ctx.store ctx) ~ns:"atpg"
           ~parts:(fun () ->
             [
@@ -412,8 +409,6 @@ let atpg_effort ?(config = Config.default) ?(generator = Topoff.Use_podem)
               ("seed_patterns", Cache.sequence_hash seed_patterns);
               ("seed", string_of_int seed);
               ("generator", Cache.generator_name generator);
-              ("filter", string_of_bool ctx.Ctx.static_filter);
-              ("dominance", string_of_bool ctx.Ctx.dominance);
             ])
           ~encode:Cache.topoff_report_to_json
           ~decode:Cache.topoff_report_of_json

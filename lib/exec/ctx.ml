@@ -11,8 +11,6 @@ type t = {
   pool : Pool.t option;
   budget : Budget.t option;
   progress : (stage:string -> done_:int -> total:int -> unit) option;
-  static_filter : bool;
-  dominance : bool;
   store : Mutsamp_store.Store.t option;
 }
 
@@ -21,16 +19,13 @@ let default =
     pool = None;
     budget = None;
     progress = None;
-    static_filter = true;
-    dominance = true;
     store = None;
   }
 
 let with_pool pool = { default with pool = Some pool }
 let with_store store = { default with store = Some store }
 
-let make ?pool ?budget ?store ?progress ?(static_filter = true) ?(dominance = true) () =
-  { pool; budget; progress; static_filter; dominance; store }
+let make ?pool ?budget ?store ?progress () = { pool; budget; progress; store }
 let store t = t.store
 
 let jobs t =

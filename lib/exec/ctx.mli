@@ -1,25 +1,18 @@
 (** The run context: one record carrying everything a sharded stage
-    needs — domain pool, budget, progress callback, ATPG switches,
-    campaign store — threaded as a single [?ctx] argument instead of a
-    scatter of per-call optionals.
+    needs — domain pool, budget, progress callback, campaign store —
+    threaded as a single [?ctx] argument instead of a scatter of
+    per-call optionals.
 
-    [default] (no pool, ambient budget, no progress, static filter
-    and dominance on, no store) reproduces every pre-context default, so
+    [default] (no pool, ambient budget, no progress, no store)
+    reproduces every pre-context default, so
     [?ctx:(Ctx.t = Ctx.default)] entry points are drop-in compatible
-    with their former [?budget]/[?on_progress]/[?static_filter]
-    signatures. *)
+    with their former [?budget]/[?on_progress] signatures. *)
 
 type t = {
   pool : Pool.t option;  (** [None] = sequential execution *)
   budget : Mutsamp_robust.Budget.t option;
       (** [None] = the CLI-installed ambient budget at point of use *)
   progress : (stage:string -> done_:int -> total:int -> unit) option;
-  static_filter : bool;
-      (** consult the static untestability prefilter (ATPG stages) *)
-  dominance : bool;
-      (** order ATPG test search by fault dominance — dominated
-          classes are targeted last so they cross-drop for free; the
-          reporting denominator is unaffected (ATPG stages) *)
   store : Mutsamp_store.Store.t option;
       (** campaign store for fetch-or-compute reuse ([None] = always
           compute) *)
@@ -38,8 +31,6 @@ val make :
   ?budget:Mutsamp_robust.Budget.t ->
   ?store:Mutsamp_store.Store.t ->
   ?progress:(stage:string -> done_:int -> total:int -> unit) ->
-  ?static_filter:bool ->
-  ?dominance:bool ->
   unit ->
   t
 (** Assemble a context field by field (omitted fields as in

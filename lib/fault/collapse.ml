@@ -1,8 +1,5 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
-module Metrics = Mutsamp_obs.Metrics
-
-let c_dominance = Metrics.counter "analysis.dominance_collapsed"
 
 type t = {
   representatives : Fault.t list;
@@ -94,56 +91,3 @@ let run (nl : Netlist.t) =
   }
 
 let ratio t = float_of_int t.collapsed_size /. float_of_int t.full_size
-
-(* Gate-local dominance: the output fault whose effect coincides with an
-   input fault's is dominated by it. For AND, a test for input stuck-at-1
-   (input at 0, other input at 1, output observed) sees exactly the
-   output-stuck-at-1 effect, so output/1 needs no dedicated test; dually
-   for OR (output/0), NAND (output/0) and NOR (output/1). Dominance is
-   transitive and the netlist acyclic, so dropping every dominated class
-   is sound. *)
-let dominated_reps (nl : Netlist.t) t =
-  let dominated = Hashtbl.create 64 in
-  Array.iteri
-    (fun g (gate : Gate.t) ->
-      (* Equivalent faults share their test sets, so when one member of
-         a class is dominated the whole class is; mark its
-         representative. The dominating input fault must itself be in
-         the universe: a constant fanin carries no fault, so an output
-         fault whose only would-be dominators sit on tie-offs keeps its
-         own test target. *)
-      let has_input_fault () =
-        Array.exists
-          (fun f ->
-            match nl.gates.(f).Gate.kind with Gate.Const _ -> false | _ -> true)
-          gate.fanins
-      in
-      let drop polarity =
-        if has_input_fault () then
-          match t.class_of { Fault.site = Fault.Stem g; polarity } with
-          | rep -> Hashtbl.replace dominated rep ()
-          | exception Invalid_argument _ -> ()
-      in
-      match gate.kind with
-      | Gate.And -> drop Fault.Stuck_at_1
-      | Gate.Or -> drop Fault.Stuck_at_0
-      | Gate.Nand -> drop Fault.Stuck_at_0
-      | Gate.Nor -> drop Fault.Stuck_at_1
-      | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor | Gate.Pi _ | Gate.Const _
-      | Gate.Dff _ -> ())
-    nl.gates;
-  dominated
-
-let dominance_reduced (nl : Netlist.t) t =
-  let dominated = dominated_reps nl t in
-  List.filter (fun f -> not (Hashtbl.mem dominated f)) t.representatives
-
-type dominance = { search : Fault.t list; deferred : Fault.t list }
-
-let dominance (nl : Netlist.t) t =
-  let dominated = dominated_reps nl t in
-  let search, deferred =
-    List.partition (fun f -> not (Hashtbl.mem dominated f)) t.representatives
-  in
-  Metrics.add c_dominance (List.length deferred);
-  { search; deferred }

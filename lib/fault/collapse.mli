@@ -26,28 +26,3 @@ val run : Mutsamp_netlist.Netlist.t -> t
 
 val ratio : t -> float
 (** [collapsed_size / full_size]. *)
-
-val dominance_reduced : Mutsamp_netlist.Netlist.t -> t -> Fault.t list
-(** Further reduce the equivalence representatives by gate-local fault
-    dominance: any test for an AND input stuck-at-1 also detects the
-    output stuck-at-1 (dually OR/NAND/NOR), so the dominated output
-    fault needs no dedicated test. Detecting every fault of the
-    returned list therefore detects every testable fault of the full
-    universe — the list is meant for ATPG targeting, not for coverage
-    *reporting* (dropping dominated faults changes the denominator). *)
-
-type dominance = {
-  search : Fault.t list;  (** primary targets, in representative order *)
-  deferred : Fault.t list;
-      (** dominated classes: every test set covering [search] covers
-          these too, so target them only after the primaries (they are
-          then almost always cross-dropped for free) *)
-}
-
-val dominance : Mutsamp_netlist.Netlist.t -> t -> dominance
-(** Partition the representatives by gate-local dominance. The split is
-    what ATPG search uses with dominance enabled: the concatenation
-    [search @ deferred] is a permutation of [representatives], so the
-    reporting denominator is untouched — only the targeting order (and
-    the number of faults needing a dedicated SAT/PODEM call) changes.
-    Bumps [analysis.dominance_collapsed] by the deferred count. *)

@@ -19,5 +19,4 @@ val to_nand_only : Mutsamp_netlist.Netlist.t -> Mutsamp_netlist.Netlist.t
 (** Technology mapping to a NAND2+NOT library: every AND/OR/NOR/XOR/
     XNOR/BUF is rewritten into NAND gates and inverters (the builder's
     hash-consing shares the common subterms). Function-preserving —
-    the test suite checks the miter. SAT-based redundancy removal
-    lives in {!Mutsamp_atpg.Redundancy} (it needs the ATPG engines). *)
+    the test suite checks the miter. *)

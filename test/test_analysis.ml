@@ -1,6 +1,6 @@
 (* Static analysis: rule registry, constant propagation, HDL and
-   netlist lint, mutant triage, untestability proofs and their ATPG
-   prefilter, waivers and the run-report section. *)
+   netlist lint, mutant triage, untestability proofs checked against
+   exact SAT, waivers and the run-report section. *)
 
 module Ast = Mutsamp_hdl.Ast
 module Parser = Mutsamp_hdl.Parser
@@ -20,8 +20,6 @@ module B = Netlist.Builder
 module Flow = Mutsamp_synth.Flow
 module Fault = Mutsamp_fault.Fault
 module Satgen = Mutsamp_atpg.Satgen
-module Prefilter = Mutsamp_atpg.Prefilter
-module Redundancy = Mutsamp_atpg.Redundancy
 module Topoff = Mutsamp_atpg.Topoff
 module Registry = Mutsamp_circuits.Registry
 module Strategy = Mutsamp_sampling.Strategy
@@ -41,7 +39,6 @@ module Cache = Mutsamp_core.Cache
 module Stats = Mutsamp_netlist.Stats
 module Collapse = Mutsamp_fault.Collapse
 module Scan = Mutsamp_atpg.Scan
-module Ctx = Mutsamp_exec.Ctx
 
 let parse src =
   Check.elaborate (Mutsamp_robust.Error.ok_exn (Parser.design_result src))
@@ -363,7 +360,10 @@ let test_triage_extrapolate_bit_identical () =
 (* Copy a combinational netlist through the builder and graft a
    statically-provable redundant cone onto the first output:
    blocked = and(x, not x) is a complementary pair the builder never
-   folds, so constprop proves it 0 and SA0 on the cone is untestable. *)
+   folds, so constprop proves it 0 and SA0 on the cone is untestable
+   (NL001); masked = xnor(x, y) reaches the output only through an AND
+   with [blocked], so both its stuck-at faults are unobservable
+   (NL004). *)
 let augment (nl : Netlist.t) =
   let b = B.create (nl.Netlist.name ^ "_red") in
   let n = Array.length nl.Netlist.gates in
@@ -396,7 +396,8 @@ let augment (nl : Netlist.t) =
   let x = copy.(nl.Netlist.input_nets.(0)) in
   let y = copy.(nl.Netlist.input_nets.(1)) in
   let blocked = B.and_ b x (B.not_ b x) in
-  let extra = B.and_ b blocked y in
+  let masked = B.xnor_ b x y in
+  let extra = B.and_ b blocked (B.or_ b y masked) in
   Array.iteri
     (fun k (name, net) ->
       if k = 0 then B.output b name (B.or_ b copy.(net) extra)
@@ -406,82 +407,79 @@ let augment (nl : Netlist.t) =
 
 let augmented name = augment (Flow.synthesize (design name))
 
-(* Every statically-proved fault must be confirmed untestable by the
-   exact SAT engine — the prefilter is sound, never just heuristic. *)
+let sat_untestable nl f =
+  Mutsamp_robust.Error.ok_exn (Satgen.generate nl f) = Satgen.Untestable
+
+let stem net polarity = { Fault.site = Fault.Stem net; Fault.polarity = polarity }
+
+(* The stem faults the netlist lint rules prove untestable, each with
+   the id of the rule that proves it: both polarities on a net NL004 or
+   NL008 reports as blocked, and the constant-matching polarity on a
+   net NL001 reports as constant. *)
+let lint_proved_faults ~circuit nl =
+  let cp = Constprop.compute nl in
+  List.concat_map
+    (fun dg ->
+      let id = dg.Diag.rule.Rule.id in
+      let net = Scanf.sscanf dg.Diag.loc "net%d" Fun.id in
+      let polarities =
+        match id, Constprop.value cp net with
+        | ("NL004" | "NL008"), _ -> [ Fault.Stuck_at_0; Fault.Stuck_at_1 ]
+        | "NL001", Constprop.Zero -> [ Fault.Stuck_at_0 ]
+        | "NL001", Constprop.One -> [ Fault.Stuck_at_1 ]
+        | _ -> []
+      in
+      List.map (fun p -> (id, stem net p)) polarities)
+    (Nl_lint.run ~circuit nl)
+
+(* Every fault a lint rule proves untestable must be confirmed by the
+   exact SAT engine — the static proofs are sound, never just
+   heuristic. *)
 let untestable_proofs_confirmed name =
   let nl = augmented name in
-  let pf = Prefilter.make nl in
-  let faults = Fault.full_list nl in
-  let proved = List.filter (Prefilter.is_untestable pf) faults in
-  Alcotest.(check bool) (name ^ ": proves some faults") true (proved <> []);
+  let proved = lint_proved_faults ~circuit:name nl in
   List.iter
-    (fun f ->
+    (fun id ->
+      Alcotest.(check bool) (name ^ ": " ^ id ^ " proves some faults") true
+        (List.mem_assoc id proved))
+    [ "NL001"; "NL004" ];
+  List.iter
+    (fun (_, f) ->
       Alcotest.(check bool)
         (name ^ ": SAT confirms " ^ Fault.to_string f)
-        true
-        (Mutsamp_robust.Error.ok_exn (Satgen.generate nl f) = Satgen.Untestable))
+        true (sat_untestable nl f))
     proved
 
 let test_untestable_sound_c17 () = untestable_proofs_confirmed "c17"
 let test_untestable_sound_c432 () = untestable_proofs_confirmed "c432"
 
-let test_untestable_none_on_clean_c17 () =
-  let nl = Flow.synthesize (design "c17") in
-  let ut = Untestable.analyze nl in
-  Alcotest.(check int) "pristine c17 has no static redundancy" 0
-    (Untestable.count_untestable ut (Fault.full_list nl))
-
-(* Redundancy removal with and without the static prefilter: identical
-   final netlist and tie count, strictly fewer SAT solves, and the
-   analysis.static_untestable counter records the saved solves. *)
-let redundancy_differential name =
-  let nl = augmented name in
-  let run static_filter =
-    Metrics.set_enabled true;
-    Metrics.reset ();
-    let cleaned, tied =
-      Redundancy.remove ~ctx:{ Mutsamp_exec.Ctx.default with static_filter } nl
-    in
-    let snap = Metrics.snapshot () in
-    Metrics.set_enabled false;
-    ( cleaned,
-      tied,
-      counter_value snap "sat.solves",
-      counter_value snap "analysis.static_untestable" )
-  in
-  let c1, t1, s1, u1 = run true in
-  let c2, t2, s2, u2 = run false in
-  Alcotest.(check bool) (name ^ ": identical netlist") true (c1 = c2);
-  Alcotest.(check int) (name ^ ": identical tie count") t2 t1;
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: fewer SAT solves (%d < %d)" name s1 s2)
-    true (s1 < s2);
-  Alcotest.(check bool) (name ^ ": static proofs counted") true (u1 > 0);
-  Alcotest.(check int) (name ^ ": no static counts without filter") 0 u2
-
-let test_redundancy_differential_c17 () = redundancy_differential "c17"
-let test_redundancy_differential_c432 () = redundancy_differential "c432"
-
-(* Topoff with and without the prefilter: same fault classification
-   and coverage, strictly fewer deterministic ATPG calls. *)
-let test_topoff_differential_c17 () =
-  let nl = augmented "c17" in
-  let faults = Fault.full_list nl in
-  let run static_filter =
-    Topoff.run ~generator:Topoff.Use_sat ~seed:1
-      ~ctx:{ Mutsamp_exec.Ctx.default with static_filter } nl ~faults
+(* SAT top-off with no random phase is an exact classifier: nothing is
+   aborted, [untestable] is the number of collapsed representatives SAT
+   proves redundant on its own, and the final test set detects every
+   other representative under the serial reference simulator. *)
+let topoff_exact name nl =
+  let faults = (Collapse.run nl).Collapse.representatives in
+  let r =
+    Topoff.run ~generator:Topoff.Use_sat ~random_budget:0 ~seed:7 nl ~faults
       ~seed_patterns:[||]
   in
-  let r1 = run true and r2 = run false in
-  Alcotest.(check int) "same untestable" r2.Topoff.untestable r1.Topoff.untestable;
-  Alcotest.(check int) "same aborted" r2.Topoff.aborted r1.Topoff.aborted;
-  Alcotest.(check (float 1e-9)) "same coverage" r2.Topoff.final_coverage_percent
-    r1.Topoff.final_coverage_percent;
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer atpg calls (%d < %d)" r1.Topoff.atpg_calls
-       r2.Topoff.atpg_calls)
-    true
-    (r1.Topoff.atpg_calls < r2.Topoff.atpg_calls)
+  let redundant = List.length (List.filter (sat_untestable nl) faults) in
+  Alcotest.(check int) (name ^ ": nothing aborted") 0 r.Topoff.aborted;
+  Alcotest.(check int) (name ^ ": untestable = SAT-redundant") redundant
+    r.Topoff.untestable;
+  let detected =
+    (Mutsamp_fault.Fsim.serial nl ~faults ~sequence:r.Topoff.test_set)
+      .Mutsamp_fault.Fsim.detected
+  in
+  Alcotest.(check int) (name ^ ": test set detects every testable fault")
+    (r.Topoff.total_faults - r.Topoff.untestable)
+    detected
+
+let test_topoff_exact_c17 () = topoff_exact "c17" (augmented "c17")
+let test_topoff_exact_c432 () = topoff_exact "c432" (augmented "c432")
+
+let test_topoff_exact_b03 () =
+  topoff_exact "b03" (Scan.full_scan (Flow.synthesize (design "b03")))
 
 (* ------------------------------------------------------------------ *)
 (* Structural dataflow engine: dominator trees                        *)
@@ -718,127 +716,7 @@ let test_cone_groups_partition_c432 () =
     (List.sort_uniq compare tokens = tokens)
 
 (* ------------------------------------------------------------------ *)
-(* Fault-dominance collapsing                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_dominance_split_permutation () =
-  let nl = Flow.synthesize (design "c432") in
-  let coll = Collapse.run nl in
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  let dom = Collapse.dominance nl coll in
-  let snap = Metrics.snapshot () in
-  Metrics.set_enabled false;
-  let sort = List.sort Fault.compare in
-  Alcotest.(check bool) "search @ deferred permutes the representatives" true
-    (sort (dom.Collapse.search @ dom.Collapse.deferred)
-    = sort coll.Collapse.representatives);
-  Alcotest.(check bool) "some classes deferred" true
-    (dom.Collapse.deferred <> []);
-  Alcotest.(check int) "deferrals counted"
-    (List.length dom.Collapse.deferred)
-    (counter_value snap "analysis.dominance_collapsed")
-
-(* Redundancy removal with and without dominance collapsing: identical
-   cleaned netlist and tie count, no more (and on these fixtures,
-   strictly fewer) SAT solves. *)
-let redundancy_dominance_differential name =
-  let nl = augmented name in
-  let run dominance =
-    Metrics.set_enabled true;
-    Metrics.reset ();
-    let cleaned, tied =
-      Redundancy.remove ~ctx:{ Ctx.default with Ctx.dominance } nl
-    in
-    let snap = Metrics.snapshot () in
-    Metrics.set_enabled false;
-    (cleaned, tied, counter_value snap "sat.solves")
-  in
-  let c1, t1, s1 = run true in
-  let c2, t2, s2 = run false in
-  Alcotest.(check bool) (name ^ ": identical netlist") true (c1 = c2);
-  Alcotest.(check int) (name ^ ": identical tie count") t2 t1;
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: fewer SAT solves (%d < %d)" name s1 s2)
-    true (s1 < s2)
-
-let test_redundancy_dominance_c17 () = redundancy_dominance_differential "c17"
-let test_redundancy_dominance_c432 () = redundancy_dominance_differential "c432"
-
-(* Topoff with and without dominance collapsing: bit-identical fault
-   classification and coverage, never more deterministic calls, and the
-   deferral counter records the reordered classes. [random_budget:0]
-   forces every fault into the deterministic phase so the dominance
-   path is exercised even on circuits random patterns would finish. *)
-let topoff_dominance_differential ?random_budget ?(expect_deferrals = false)
-    name =
-  let nl0 = Flow.synthesize (design name) in
-  let nl = if Netlist.num_dffs nl0 > 0 then Scan.full_scan nl0 else nl0 in
-  let faults = Fault.full_list nl in
-  let run dominance =
-    Metrics.set_enabled true;
-    Metrics.reset ();
-    let r =
-      Topoff.run ~generator:Topoff.Use_sat ?random_budget ~seed:7
-        ~ctx:{ Ctx.default with Ctx.dominance } nl ~faults ~seed_patterns:[||]
-    in
-    let snap = Metrics.snapshot () in
-    Metrics.set_enabled false;
-    (r, counter_value snap "analysis.dominance_collapsed")
-  in
-  let r1, d1 = run true in
-  let r2, d2 = run false in
-  Alcotest.(check int) (name ^ ": same total") r2.Topoff.total_faults
-    r1.Topoff.total_faults;
-  Alcotest.(check int) (name ^ ": same untestable") r2.Topoff.untestable
-    r1.Topoff.untestable;
-  Alcotest.(check int) (name ^ ": same aborted") r2.Topoff.aborted
-    r1.Topoff.aborted;
-  Alcotest.(check (float 1e-9))
-    (name ^ ": same coverage")
-    r2.Topoff.final_coverage_percent r1.Topoff.final_coverage_percent;
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: no extra atpg calls (%d <= %d)" name
-       r1.Topoff.atpg_calls r2.Topoff.atpg_calls)
-    true
-    (r1.Topoff.atpg_calls <= r2.Topoff.atpg_calls);
-  Alcotest.(check int) (name ^ ": nothing counted when disabled") 0 d2;
-  if expect_deferrals then
-    Alcotest.(check bool) (name ^ ": deferrals counted") true (d1 > 0)
-
-let test_topoff_dominance_c17 () =
-  topoff_dominance_differential ~random_budget:0 ~expect_deferrals:true "c17"
-
-let test_topoff_dominance_c432 () =
-  topoff_dominance_differential ~random_budget:0 ~expect_deferrals:true "c432"
-
-let test_topoff_dominance_rest () =
-  List.iter
-    (fun name -> topoff_dominance_differential name)
-    [ "c499"; "wide128"; "b01"; "b03" ]
-
-let prop_topoff_dominance_seeds =
-  let nl = augmented "c17" in
-  let faults = Fault.full_list nl in
-  QCheck.Test.make
-    ~name:"dominance-collapsed search bit-identical over random seeds"
-    ~count:15
-    QCheck.(make ~print:string_of_int Gen.(int_bound 9999))
-    (fun seed ->
-      let run dominance =
-        Topoff.run ~generator:Topoff.Use_sat ~seed
-          ~ctx:{ Ctx.default with Ctx.dominance } nl ~faults
-          ~seed_patterns:[||]
-      in
-      let r1 = run true and r2 = run false in
-      r1.Topoff.total_faults = r2.Topoff.total_faults
-      && r1.Topoff.untestable = r2.Topoff.untestable
-      && r1.Topoff.aborted = r2.Topoff.aborted
-      && r1.Topoff.final_coverage_percent = r2.Topoff.final_coverage_percent
-      && r1.Topoff.atpg_calls <= r2.Topoff.atpg_calls)
-
-(* ------------------------------------------------------------------ *)
-(* Post-dominator untestability rule (prefilter + NL008)              *)
+(* Post-dominator untestability rule (NL008)                         *)
 (* ------------------------------------------------------------------ *)
 
 (* z = nor(and(s, x), x) is just ¬x: propagating s through the AND
@@ -855,30 +733,27 @@ let conflict_fixture () =
   B.output b "z" z;
   (B.finalize b, s)
 
-let test_prefilter_dominator_rule () =
+let test_nl008_proofs_sat_confirmed () =
   let nl, s = conflict_fixture () in
   let ut = Untestable.analyze nl in
   Alcotest.(check bool) "may-differ pass alone is blind here" true
     (Untestable.stem_observable ut s);
   Metrics.set_enabled true;
   Metrics.reset ();
-  let pf = Prefilter.make nl in
-  List.iter
-    (fun polarity ->
-      let f = { Fault.site = Fault.Stem s; Fault.polarity = polarity } in
-      Alcotest.(check bool)
-        (Fault.to_string f ^ " proved")
-        true
-        (Prefilter.is_untestable pf f);
-      Alcotest.(check bool)
-        (Fault.to_string f ^ " SAT-confirmed")
-        true
-        (Mutsamp_robust.Error.ok_exn (Satgen.generate nl f) = Satgen.Untestable))
-    [ Fault.Stuck_at_0; Fault.Stuck_at_1 ];
+  let proved = lint_proved_faults ~circuit:"conflict" nl in
   let snap = Metrics.snapshot () in
   Metrics.set_enabled false;
-  Alcotest.(check bool) "dominator proofs counted" true
-    (counter_value snap "analysis.domtree.pruned" > 0);
+  List.iter
+    (fun polarity ->
+      let f = stem s polarity in
+      Alcotest.(check bool) (Fault.to_string f ^ " proved by NL008") true
+        (List.mem ("NL008", f) proved))
+    [ Fault.Stuck_at_0; Fault.Stuck_at_1 ];
+  List.iter
+    (fun (_, f) ->
+      Alcotest.(check bool) (Fault.to_string f ^ " SAT-confirmed") true
+        (sat_untestable nl f))
+    proved;
   Alcotest.(check bool) "domtree build counted" true
     (counter_value snap "analysis.domtree.builds" >= 1)
 
@@ -1103,22 +978,6 @@ let suite =
         Alcotest.test_case "cone groups partition (c432)" `Quick
           test_cone_groups_partition_c432;
       ] );
-    ( "analysis.dominance",
-      [
-        Alcotest.test_case "split is a permutation (c432)" `Quick
-          test_dominance_split_permutation;
-        Alcotest.test_case "redundancy differential (c17)" `Quick
-          test_redundancy_dominance_c17;
-        Alcotest.test_case "redundancy differential (c432)" `Slow
-          test_redundancy_dominance_c432;
-        Alcotest.test_case "topoff differential (c17)" `Quick
-          test_topoff_dominance_c17;
-        Alcotest.test_case "topoff differential (c432)" `Slow
-          test_topoff_dominance_c432;
-        Alcotest.test_case "topoff differential (c499/wide128/b01/b03)" `Slow
-          test_topoff_dominance_rest;
-        q prop_topoff_dominance_seeds;
-      ] );
     ( "analysis.triage",
       [
         Alcotest.test_case "b01 counts" `Quick test_triage_counts_b01;
@@ -1136,16 +995,11 @@ let suite =
           test_untestable_sound_c17;
         Alcotest.test_case "proofs SAT-confirmed (c432)" `Slow
           test_untestable_sound_c432;
-        Alcotest.test_case "pristine c17 clean" `Quick
-          test_untestable_none_on_clean_c17;
-        Alcotest.test_case "post-dominator rule (prefilter)" `Quick
-          test_prefilter_dominator_rule;
-        Alcotest.test_case "redundancy differential (c17)" `Quick
-          test_redundancy_differential_c17;
-        Alcotest.test_case "redundancy differential (c432)" `Slow
-          test_redundancy_differential_c432;
-        Alcotest.test_case "topoff differential (c17)" `Quick
-          test_topoff_differential_c17;
+        Alcotest.test_case "post-dominator rule (NL008)" `Quick
+          test_nl008_proofs_sat_confirmed;
+        Alcotest.test_case "topoff exact (c17)" `Quick test_topoff_exact_c17;
+        Alcotest.test_case "topoff exact (c432)" `Slow test_topoff_exact_c432;
+        Alcotest.test_case "topoff exact (b03)" `Slow test_topoff_exact_b03;
       ] );
     ( "analysis.engine",
       [

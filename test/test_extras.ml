@@ -1,5 +1,5 @@
-(* Tests for the extension modules: .bench format I/O, test-set
-   compaction, fault diagnosis, and the b04 benchmark. *)
+(* Tests for the extension modules: .bench format I/O, fault
+   diagnosis, NAND mapping, and the b04 benchmark. *)
 
 module Bitvec = Mutsamp_util.Bitvec
 module Prng = Mutsamp_util.Prng
@@ -9,7 +9,6 @@ module Benchfmt = Mutsamp_netlist.Benchfmt
 module B = Netlist.Builder
 module Fault = Mutsamp_fault.Fault
 module Fsim = Mutsamp_fault.Fsim
-module Compact = Mutsamp_fault.Compact
 module Diagnose = Mutsamp_fault.Diagnose
 module Pattern = Mutsamp_fault.Pattern
 module Packvec = Mutsamp_util.Packvec
@@ -212,47 +211,6 @@ let prop_nand_mapping_random =
       same_behaviour (seed + 2) nl (Mutsamp_synth.Optimize.to_nand_only nl))
 
 (* ------------------------------------------------------------------ *)
-(* Compact                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let coverage nl faults patterns =
-  Fsim.coverage_percent (Fsim.run nl ~faults ~sequence:patterns)
-
-let test_compact_preserves_coverage () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let prng = Prng.create 3 in
-  let patterns = Prpg.uniform_sequence prng ~bits:3 ~length:64 in
-  let reference = coverage nl faults patterns in
-  let rev = Compact.reverse_order nl ~faults ~patterns:patterns in
-  let greedy = Compact.greedy_cover nl ~faults ~patterns:patterns in
-  Alcotest.(check (float 1e-9)) "reverse coverage" reference (coverage nl faults rev);
-  Alcotest.(check (float 1e-9)) "greedy coverage" reference (coverage nl faults greedy);
-  check_bool "reverse smaller" true (Array.length rev <= Array.length patterns);
-  check_bool "greedy smaller or equal reverse+slack" true
-    (Array.length greedy <= Array.length rev)
-
-let test_compact_idempotent_on_minimal () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let patterns = Prpg.uniform_sequence (Prng.create 4) ~bits:3 ~length:64 in
-  let greedy = Compact.greedy_cover nl ~faults ~patterns:patterns in
-  let again = Compact.greedy_cover nl ~faults ~patterns:greedy in
-  check_int "stable size" (Array.length greedy) (Array.length again)
-
-let prop_compact_preserves_coverage =
-  let gen = QCheck.Gen.(pair (int_range 0 100000) (int_range 4 40)) in
-  QCheck.Test.make ~name:"compaction preserves coverage" ~count:40
-    (QCheck.make gen) (fun (seed, n) ->
-      let nl = full_adder () in
-      let faults = Fault.full_list nl in
-      let patterns = Prpg.uniform_sequence (Prng.create seed) ~bits:3 ~length:n in
-      let reference = coverage nl faults patterns in
-      let rev = Compact.reverse_order nl ~faults ~patterns:patterns in
-      let greedy = Compact.greedy_cover nl ~faults ~patterns:patterns in
-      coverage nl faults rev = reference && coverage nl faults greedy = reference)
-
-(* ------------------------------------------------------------------ *)
 (* Diagnose                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -327,62 +285,6 @@ let test_diagnose_rejects_sequential () =
                 response = Packvec.create 1 } ]);
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Testpoints                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Testpoints = Mutsamp_atpg.Testpoints
-module Collapse = Mutsamp_fault.Collapse
-
-let c432_netlist =
-  lazy
-    (match Registry.find "c432" with
-     | Some e -> Flow.synthesize (e.Registry.design ())
-     | None -> Alcotest.fail "c432 missing")
-
-let test_testpoints_selection_valid () =
-  let nl = Lazy.force c432_netlist in
-  let nets = Testpoints.worst_observability nl ~n:8 in
-  check_int "eight nets" 8 (List.length nets);
-  let outputs = Array.to_list (Array.map snd nl.Netlist.output_list) in
-  List.iter
-    (fun net ->
-      check_bool "not already observed" false (List.mem net outputs);
-      check_bool "combinational gate" true
-        (match nl.Netlist.gates.(net).Mutsamp_netlist.Gate.kind with
-         | Mutsamp_netlist.Gate.Pi _ | Mutsamp_netlist.Gate.Const _
-         | Mutsamp_netlist.Gate.Dff _ -> false
-         | _ -> true))
-    nets
-
-let test_testpoints_insertion_coverage () =
-  let nl = Lazy.force c432_netlist in
-  let faults = (Collapse.run nl).Collapse.representatives in
-  let patterns = Prpg.uniform_sequence (Prng.create 50) ~bits:36 ~length:124 in
-  let base = Fsim.run nl ~faults ~sequence:patterns in
-  let with_tp = Testpoints.auto_insert nl ~n:16 in
-  (* The fault list refers to the SAME nets (insertion only appends
-     outputs), so the comparison is apples to apples. *)
-  let improved = Fsim.run with_tp ~faults ~sequence:patterns in
-  check_bool "coverage never drops" true
-    (Fsim.coverage_percent improved >= Fsim.coverage_percent base -. 1e-9);
-  check_bool "observation points help c432" true
-    (improved.Fsim.detected > base.Fsim.detected)
-
-let test_testpoints_preserve_function () =
-  let nl = Lazy.force c432_netlist in
-  let with_tp = Testpoints.auto_insert nl ~n:4 in
-  (* Original outputs unchanged, in place, same order. *)
-  let n_orig = Array.length nl.Netlist.output_list in
-  Array.iteri
-    (fun i (name, net) ->
-      if i < n_orig then begin
-        let name', net' = with_tp.Netlist.output_list.(i) in
-        check_bool "same name" true (name = name');
-        check_int "same net" net net'
-      end)
-    with_tp.Netlist.output_list
 
 (* ------------------------------------------------------------------ *)
 (* Weighted patterns                                                  *)
@@ -492,11 +394,10 @@ let test_vcd_change_compression () =
   check_int "one change" 1 changes
 
 (* ------------------------------------------------------------------ *)
-(* NAND mapping / redundancy removal                                  *)
+(* NAND mapping                                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Optimize = Mutsamp_synth.Optimize
-module Redundancy = Mutsamp_atpg.Redundancy
 module Equiv = Mutsamp_sat.Equiv
 
 let equiv a b = Mutsamp_robust.Error.ok_exn (Equiv.check a b)
@@ -537,39 +438,6 @@ let test_nand_mapping_sequential_trace () =
     let w = [| (if Prng.bool prng then Bitsim.all_ones else 0) |] in
     check_bool "trace equal" true (Bitsim.step s1 w = Bitsim.step s2 w)
   done
-
-(* A netlist with known redundancy: y = a or (a and b). *)
-let redundant_netlist () =
-  let b = B.create "red" in
-  let a = B.input b "a" and bb = B.input b "bb" in
-  let band = B.and_ b a bb in
-  let y = B.or_ b a band in
-  B.output b "y" y;
-  B.finalize b
-
-let test_redundancy_removal_ties_and_shrinks () =
-  let nl = redundant_netlist () in
-  let cleaned, tied = Redundancy.remove nl in
-  check_bool "tied something" true (tied >= 1);
-  check_bool "fewer gates" true
-    (Netlist.num_logic_gates cleaned < Netlist.num_logic_gates nl);
-  (match equiv nl cleaned with
-   | Equiv.Equivalent -> ()
-   | Equiv.Counterexample _ -> Alcotest.fail "function changed")
-
-let test_redundancy_removal_idempotent_on_clean () =
-  let nl = full_adder () in
-  let cleaned, tied = Redundancy.remove nl in
-  check_int "nothing to tie" 0 tied;
-  check_int "same size" (Netlist.num_logic_gates nl) (Netlist.num_logic_gates cleaned)
-
-let test_redundancy_removal_c432 () =
-  let nl = Lazy.force c432_netlist in
-  let cleaned, tied = Redundancy.remove nl in
-  check_bool "c432 had redundancy" true (tied > 0);
-  (match equiv nl cleaned with
-   | Equiv.Equivalent -> ()
-   | Equiv.Counterexample _ -> Alcotest.fail "function changed")
 
 (* ------------------------------------------------------------------ *)
 (* b04                                                                *)
@@ -614,24 +482,12 @@ let suite =
         Alcotest.test_case "export/import all" `Quick test_bench_export_all_circuits_reimport;
         q prop_bench_roundtrip_random;
       ] );
-    ( "extras.compact",
-      [
-        Alcotest.test_case "preserves coverage" `Quick test_compact_preserves_coverage;
-        Alcotest.test_case "idempotent" `Quick test_compact_idempotent_on_minimal;
-        q prop_compact_preserves_coverage;
-      ] );
     ( "extras.diagnose",
       [
         Alcotest.test_case "recovers injected" `Quick test_diagnose_recovers_injected_fault;
         Alcotest.test_case "good machine" `Quick test_diagnose_good_machine_rejects_all;
         Alcotest.test_case "ranking sane" `Quick test_diagnose_ranking_sane;
         Alcotest.test_case "rejects sequential" `Quick test_diagnose_rejects_sequential;
-      ] );
-    ( "extras.testpoints",
-      [
-        Alcotest.test_case "selection valid" `Quick test_testpoints_selection_valid;
-        Alcotest.test_case "coverage improves" `Quick test_testpoints_insertion_coverage;
-        Alcotest.test_case "function preserved" `Quick test_testpoints_preserve_function;
       ] );
     ( "extras.weighted",
       [
@@ -654,12 +510,6 @@ let suite =
         Alcotest.test_case "equivalent" `Quick test_nand_mapping_equivalent;
         Alcotest.test_case "sequential trace" `Quick test_nand_mapping_sequential_trace;
         q prop_nand_mapping_random;
-      ] );
-    ( "extras.redundancy",
-      [
-        Alcotest.test_case "ties and shrinks" `Quick test_redundancy_removal_ties_and_shrinks;
-        Alcotest.test_case "idempotent on clean" `Quick test_redundancy_removal_idempotent_on_clean;
-        Alcotest.test_case "c432" `Quick test_redundancy_removal_c432;
       ] );
     ( "extras.b04",
       [

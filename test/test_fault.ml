@@ -171,49 +171,6 @@ let test_collapse_sound_on_full_adder () =
           rest)
     groups
 
-let test_dominance_reduces_further () =
-  let nl = full_adder () in
-  let c = Collapse.run nl in
-  let reduced = Collapse.dominance_reduced nl c in
-  check_bool "smaller than equivalence-collapsed" true
-    (List.length reduced < c.Collapse.collapsed_size);
-  check_bool "nonempty" true (reduced <> [])
-
-(* Soundness of dominance: a test set detecting every reduced fault
-   detects every testable fault of the full universe. Checked
-   exhaustively on the full adder. *)
-let test_dominance_sound () =
-  let nl = full_adder () in
-  let c = Collapse.run nl in
-  let reduced = Collapse.dominance_reduced nl c in
-  let all_patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
-  (* Build a minimal-ish test set covering the reduced list greedily. *)
-  let detects f p =
-    (Fsim.run nl ~faults:[ f ]
-       ~sequence:[| Pattern.of_code ~inputs:(Pattern.num_inputs nl) p |]).Fsim.detected = 1
-  in
-  let tests =
-    List.sort_uniq Stdlib.compare
-      (List.filter_map
-         (fun f ->
-           let rec first p = if p > 7 then None else if detects f p then Some p else first (p + 1) in
-           first 0)
-         reduced)
-  in
-  let full = Fault.full_list nl in
-  let testable =
-    List.filter
-      (fun f ->
-        (Fsim.run nl ~faults:[ f ] ~sequence:all_patterns).Fsim.detected = 1)
-      full
-  in
-  let r =
-    Fsim.run nl ~faults:testable
-      ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.of_list tests))
-  in
-  check_int "reduced-list tests detect all testable faults"
-    (List.length testable) r.Fsim.detected
-
 (* ------------------------------------------------------------------ *)
 (* Fsim                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -417,8 +374,6 @@ let suite =
         Alcotest.test_case "classes consistent" `Quick test_collapse_classes_consistent;
         Alcotest.test_case "and rule" `Quick test_collapse_and_rule;
         Alcotest.test_case "sound on full adder" `Quick test_collapse_sound_on_full_adder;
-        Alcotest.test_case "dominance reduces" `Quick test_dominance_reduces_further;
-        Alcotest.test_case "dominance sound" `Quick test_dominance_sound;
       ] );
     ( "fault.fsim",
       [
