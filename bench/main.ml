@@ -1,6 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation plus the repository's extension experiments, then runs
-   bechamel micro-benchmarks of the kernels behind each table.
+   evaluation plus the repository's extension experiments.
 
    Sections:
      Table 1 — operator fault-coverage efficiency (paper Table 1)
@@ -9,18 +8,16 @@
                introduction's claim; the paper shows no table, we do)
      A1      — ablation: MS vs sample rate
      A2      — ablation: serial vs parallel fault simulation
-     throughput — fault-sim pattern x fault pairs per second
-     bechamel — one Test.make per table/experiment kernel
+     A3      — ablation: SCOAP-guided vs unguided PODEM
 
    `dune exec bench/main.exe` runs the full configuration (a few
    minutes); `dune exec bench/main.exe -- --quick` uses reduced budgets
-   (tens of seconds). `--skip-micro` drops the bechamel section.
-   `--report FILE` writes the whole run — per-section spans, pipeline
-   counters, micro estimates — as a mutsamp run report (same JSON
-   schema as the CLI's --report); `--metrics` dumps the counter
-   snapshot to stderr. `--history DIR` appends the same report to the
-   bench trajectory store as DIR/BENCH_<timestamp>.json, the files
-   `mutsamp benchdiff` compares across commits. *)
+   (tens of seconds). `--report FILE` writes the whole run — per-section
+   spans and pipeline counters — as a mutsamp run report (same JSON
+   schema as the CLI's --report); `--metrics` dumps the counter snapshot
+   to stderr. Any other argument is rejected with exit code 2.
+
+   Campaign performance is measured by campaign_bench, not here. *)
 
 module Registry = Mutsamp_circuits.Registry
 module Operator = Mutsamp_mutation.Operator
@@ -47,16 +44,34 @@ module Ctx = Mutsamp_exec.Ctx
 module Cliargs = Mutsamp_exec.Cliargs
 module Profile = Mutsamp_obs.Profile
 
+(* Cliargs skips what it does not look for, so a stale or misspelt
+   flag would otherwise run the whole bench under defaults. *)
+let () =
+  let joined a =
+    String.starts_with ~prefix:"--report=" a
+    || String.starts_with ~prefix:"--jobs=" a
+    || (String.starts_with ~prefix:"-j" a && String.length a > 2)
+  in
+  let rec check = function
+    | [] -> ()
+    | ("--quick" | "--metrics") :: rest -> check rest
+    | ("--report" | "--jobs" | "-j") :: _ :: rest -> check rest
+    | a :: rest when joined a -> check rest
+    | a :: _ ->
+      Printf.eprintf
+        "bench: unknown argument %s (accepted: --quick, --metrics, --report FILE, --jobs N)\n"
+        a;
+      exit 2
+  in
+  check (List.tl (Array.to_list Sys.argv))
+
 let quick = Cliargs.flag [ "--quick" ] Sys.argv
-let skip_micro = Cliargs.flag [ "--skip-micro" ] Sys.argv
 let print_metrics = Cliargs.flag [ "--metrics" ] Sys.argv
 let report_path = Cliargs.value_opt ~long:"--report" Sys.argv
-let history_dir = Cliargs.value_opt ~long:"--history" Sys.argv
 
 (* --jobs N (also -j N, --jobs=N, -jN): worker domains for the sharded
    stages (1 = sequential, 0 = one per core). Results are bit-identical
-   at any setting; the throughput section additionally measures
-   jobs 1/2/4 regardless. *)
+   at any setting. *)
 let jobs = Cliargs.jobs ~default:1 Sys.argv
 
 let bench_pool = if jobs = 1 then None else Some (Pool.create ~domains:jobs)
@@ -75,22 +90,14 @@ let timed label f =
   Printf.printf "[%s: %.1fs]\n%!" label dt;
   r
 
-(* Prepared pipelines, shared across sections. The throughput section
-   additionally stresses wide128 (128-bit inputs), which is not a paper
-   benchmark and so stays out of the table sections. *)
-let prepare_entry (e : Registry.entry) =
-  (e.Registry.name, lazy (Pipeline.prepare (e.Registry.design ())))
+(* Prepared pipelines, shared across sections. *)
+let paper_pipelines =
+  List.map
+    (fun (e : Registry.entry) ->
+      (e.Registry.name, lazy (Pipeline.prepare (e.Registry.design ()))))
+    Registry.paper_benchmarks
 
-let paper_pipelines = List.map prepare_entry Registry.paper_benchmarks
-
-let pipelines =
-  paper_pipelines
-  @ List.filter_map
-      (fun (e : Registry.entry) ->
-        if e.Registry.name = "wide128" then Some (prepare_entry e) else None)
-      Registry.all
-
-let pipeline name = Lazy.force (List.assoc name pipelines)
+let pipeline name = Lazy.force (List.assoc name paper_pipelines)
 
 (* Full-operator efficiency rows, reused for Table 1 display and the
    Table 2 weights. *)
@@ -338,126 +345,6 @@ let run_a3 () =
       end)
     [ "c432" ]
 
-(* ------------------------------------------------------------------ *)
-(* Fault-simulation throughput                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Effective bandwidth of combinational fault simulation: pattern x
-   fault pairs processed per wall-clock second. Detected faults drop
-   out of later passes, so this is a lower bound on raw lane
-   throughput. Returned so the run report can embed the numbers, keyed
-   "name" at jobs 1 and "name@jobsN" otherwise. *)
-let run_throughput () =
-  section "fault-simulation throughput (pattern x fault pairs / s)";
-  (* Each jobs level gets its own pool so the jobs=1 rows stay the
-     sequential kernels. *)
-  let measure ctx ~jobs:j name =
-    let p = pipeline name in
-    let nl = p.Pipeline.netlist in
-    let faults = p.Pipeline.faults in
-    let bits = Array.length nl.Netlist.input_nets in
-    let length = if quick then 496 else 1984 in
-    let patterns = Prpg.uniform_sequence (Prng.create 123) ~bits ~length in
-    (* Best of five: single quick-mode passes finish in milliseconds,
-       where scheduler noise alone swings the rate by ±30% — far too
-       flaky for the benchdiff CI gate — and the compiled backend pays
-       its one-off specialisation on the first pass only (the program
-       cache serves the rest). The minimum wall time is the standard
-       noise-robust estimator (slowdowns are one-sided). *)
-    let r = ref None and best = ref infinity in
-    for _ = 1 to 5 do
-      let r', dt =
-        Trace.with_span_timed
-          (Printf.sprintf "%s throughput (jobs %d)" name j)
-          (fun () -> Fsim.run ~ctx nl ~faults ~sequence:patterns)
-      in
-      r := Some r';
-      if dt < !best then best := dt
-    done;
-    let r = Option.get !r and dt = !best in
-    let pairs = float_of_int (List.length faults * length) in
-    let rate = pairs /. Float.max dt 1e-9 in
-    Printf.printf
-      "%s (jobs %d): %d faults x %d patterns in %.3fs -> %.3g pattern-fault pairs/s (coverage %.2f%%)\n%!"
-      name j (List.length faults) length dt rate (Fsim.coverage_percent r);
-    ((if j = 1 then name else Printf.sprintf "%s@jobs%d" name j), rate)
-  in
-  List.concat_map
-    (fun j ->
-      let pool = if j = 1 then None else Some (Pool.create ~domains:j) in
-      let ctx = match pool with None -> Ctx.default | Some p -> Ctx.with_pool p in
-      let rows = List.map (measure ctx ~jobs:j) [ "c432"; "c499"; "wide128" ] in
-      (match pool with None -> () | Some p -> Pool.shutdown p);
-      rows)
-    [ 1; 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/experiment      *)
-(* ------------------------------------------------------------------ *)
-
-(* Returns the ns/run estimates so the run report can embed them.
-   Metrics stay off during measurement: the instrumented kernels are
-   exactly what the <2% disabled-overhead budget is about, and enabled
-   counters would distort the comparison across runs. *)
-let run_micro () =
-  section "bechamel micro-benchmarks (kernels behind each table)";
-  let metrics_were_on = Metrics.enabled () in
-  Metrics.set_enabled false;
-  let open Bechamel in
-  let p432 = pipeline "c432" in
-  let nl = p432.Pipeline.netlist in
-  let faults = p432.Pipeline.faults in
-  let patterns = Prpg.uniform_sequence (Prng.create 4) ~bits:36 ~length:63 in
-  let mutants = p432.Pipeline.mutants in
-  let some_fault = List.nth faults (List.length faults / 2) in
-  (* Table 1's inner loop: one fault-simulation pass of a single
-     63-lane word batch, on the compiled backend. *)
-  let table1_kernel () = ignore (Fsim.run nl ~faults ~sequence:patterns) in
-  (* Table 2's extra work over Table 1: drawing a weighted sample. *)
-  let table2_kernel () =
-    let prng = Prng.create 5 in
-    ignore
-      (Strategy.sample prng
-         (Strategy.Operator_weighted [ (Operator.CR, 4.); (Operator.VR, 2.) ])
-         mutants ~rate:0.1)
-  in
-  (* E3's deterministic phase: one PODEM call. *)
-  let e3_kernel () = ignore (Podem.find_test nl some_fault) in
-  (* A2's reference leg; its word-parallel leg is table1's kernel. *)
-  let a2_serial () = ignore (Fsim.serial nl ~faults ~sequence:patterns) in
-  let tests =
-    [
-      Test.make ~name:"table1.fault-sim-one-word" (Staged.stage table1_kernel);
-      Test.make ~name:"table2.weighted-sampling" (Staged.stage table2_kernel);
-      Test.make ~name:"e3.podem-one-fault" (Staged.stage e3_kernel);
-      Test.make ~name:"a2.serial-fault-sim" (Staged.stage a2_serial);
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "%-34s %14.1f ns/run\n%!" name est;
-            estimates := (name, est) :: !estimates
-          | Some _ | None -> Printf.printf "%-34s (no estimate)\n%!" name)
-        results)
-    tests;
-  Metrics.set_enabled metrics_were_on;
-  List.rev !estimates
-
 let () =
   Printf.printf "mutsamp bench harness (%s config, seed %d)\n"
     (if quick then "quick" else "default")
@@ -466,73 +353,43 @@ let () =
      only when someone will read them. *)
   Trace.set_enabled true;
   Trace.reset ();
-  if print_metrics || report_path <> None || history_dir <> None then
-    Metrics.set_enabled true;
-  let throughput, micro =
-    Trace.with_span "bench" @@ fun () ->
-    run_table1 ();
-    run_table2 ();
-    run_table2_published_weights ();
-    run_e3 ();
-    run_a1 ();
-    run_a2 ();
-    run_a3 ();
-    let throughput = run_throughput () in
-    (throughput, if not skip_micro then run_micro () else [])
-  in
+  if print_metrics || report_path <> None then Metrics.set_enabled true;
+  Trace.with_span "bench" (fun () ->
+      run_table1 ();
+      run_table2 ();
+      run_table2_published_weights ();
+      run_e3 ();
+      run_a1 ();
+      run_a2 ();
+      run_a3 ());
   if print_metrics then Format.eprintf "%a@?" Metrics.pp (Metrics.snapshot ());
-  (if report_path <> None || history_dir <> None then begin
-     let extra =
-       ( "fsim_throughput_pairs_per_sec",
-         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) throughput) )
-       (* The robust section plus the robust.* counters in the metrics
-          snapshot record whether any stage degraded mid-bench — a
-          trajectory with a degraded run is not comparable to an exact
-          one. *)
-       :: ( "robust",
+  Option.iter
+    (fun path ->
+      let extra =
+        [
+          (* The robust section plus the robust.* counters in the
+             metrics snapshot record whether any stage degraded
+             mid-bench — a degraded run is not comparable to an exact
+             one. *)
+          ( "robust",
             match Degrade.to_json () with
             | Json.Obj fields ->
               Json.Obj (fields @ [ ("budget", Budget.to_json (Budget.ambient ())) ])
-            | other -> other )
-       :: ("profile", Profile.to_json (Profile.current ()))
-       ::
-       (if micro = [] then []
-        else
-          [
-            ( "micro_ns_per_run",
-              Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) micro) );
-          ])
-     in
-     let report =
-       Runreport.make ~command:"bench" ~circuits:circuit_names
-         ~config:(Config.to_json config) ~seed:config.Config.seed ~extra
-         ~spans:(Trace.roots ()) ~metrics:(Metrics.snapshot ()) ()
-     in
-     let write path =
-       try
-         Runreport.write_file path report;
-         Printf.printf "run report written to %s\n" path
-       with Sys_error msg ->
-         Printf.eprintf "bench: cannot write report: %s\n" msg;
-         exit 1
-     in
-     Option.iter write report_path;
-     match history_dir with
-     | None -> ()
-     | Some dir ->
-       (* One timestamped row per run: the trajectory store benchdiff
-          gates against. UTC so rows sort the same on every machine. *)
-       (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-        with Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "bench: cannot create %s: %s\n" dir (Unix.error_message e);
-          exit 1);
-       let tm = Unix.gmtime (Unix.gettimeofday ()) in
-       let stamp =
-         Printf.sprintf "%04d%02d%02d-%02d%02d%02d" (tm.Unix.tm_year + 1900)
-           (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-           tm.Unix.tm_sec
-       in
-       write (Filename.concat dir (Printf.sprintf "BENCH_%s.json" stamp))
-   end);
+            | other -> other );
+          ("profile", Profile.to_json (Profile.current ()));
+        ]
+      in
+      let report =
+        Runreport.make ~command:"bench" ~circuits:circuit_names
+          ~config:(Config.to_json config) ~seed:config.Config.seed ~extra
+          ~spans:(Trace.roots ()) ~metrics:(Metrics.snapshot ()) ()
+      in
+      try
+        Runreport.write_file path report;
+        Printf.printf "run report written to %s\n" path
+      with Sys_error msg ->
+        Printf.eprintf "bench: cannot write report: %s\n" msg;
+        exit 1)
+    report_path;
   (match bench_pool with None -> () | Some p -> Pool.shutdown p);
   print_endline "\nbench: done"

@@ -35,7 +35,6 @@ module Runreport = Mutsamp_obs.Runreport
 module Json = Mutsamp_obs.Json
 module Profile = Mutsamp_obs.Profile
 module Traceout = Mutsamp_obs.Traceout
-module Benchdiff = Mutsamp_obs.Benchdiff
 module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
 module Chaos = Mutsamp_robust.Chaos
@@ -1015,111 +1014,6 @@ let report_validate_cmd =
     Term.(const run $ file)
 
 (* ------------------------------------------------------------------ *)
-(* benchdiff                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let benchdiff_cmd =
-  (* Plain string positionals, not [Arg.file]: a missing report must
-     surface as the typed I/O error (exit code 74), not a cmdliner
-     usage error. *)
-  let old_file =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD")
-  in
-  let new_file =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW")
-  in
-  let threshold =
-    Arg.(value & opt float 20.0
-         & info [ "threshold" ] ~docv:"PCT"
-             ~doc:"Regression threshold in percent; a key regresses when it \
-                   moves past it in the bad direction.")
-  in
-  let groups =
-    let all = String.concat ", " Benchdiff.default_groups in
-    Arg.(value & opt (list string) Benchdiff.default_groups
-         & info [ "groups" ] ~docv:"G,..."
-             ~doc:(Printf.sprintf
-                     "Comparison groups to run (default: %s). \"throughput\" \
-                      reads fsim_throughput_pairs_per_sec (higher is better), \
-                      \"micro\" reads micro_ns_per_run (lower is better), \
-                      \"wall\" compares summed root-span durations."
-                     all))
-  in
-  let strict =
-    Arg.(value & flag
-         & info [ "strict" ]
-             ~doc:"Also fail (exit 1) when a requested group has no keys in \
-                   either report, or when keys are present in only one — \
-                   without it a report pair that silently lost its bench \
-                   section reads as \"no regressions\".")
-  in
-  let run old_path new_path threshold groups strict =
-    let load path =
-      (* Read the file ourselves: [Json.parse_file] folds I/O failures
-         into parse errors, and a missing or unreadable report is an
-         I/O error (exit 74), not a malformed one (exit 65). *)
-      let contents =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error msg ->
-          let e = Rerror.Io_error msg in
-          Printf.eprintf "mutsamp: %s\n" (Rerror.to_string e);
-          exit (Rerror.exit_code e)
-      in
-      match Json.parse contents with
-      | Error msg ->
-        Printf.eprintf "mutsamp: %s: %s\n" path msg;
-        exit 65
-      | Ok json ->
-        (match Runreport.validate json with
-         | Ok () -> json
-         | Error msg ->
-           Printf.eprintf "mutsamp: %s: invalid run report: %s\n" path msg;
-           exit 65)
-    in
-    let old_ = load old_path and new_ = load new_path in
-    let result =
-      Benchdiff.compare_reports ~threshold_pct:threshold ~groups ~old_ ~new_ ()
-    in
-    Benchdiff.print stdout result;
-    let regressions = Benchdiff.regressions result in
-    (match result.Benchdiff.empty_groups with
-     | [] -> ()
-     | gs ->
-       Printf.printf "%d group(s) with no keys in either report: %s\n"
-         (List.length gs) (String.concat ", " gs));
-    (match result.Benchdiff.missing with
-     | [] -> ()
-     | ms ->
-       Printf.printf "%d key(s) present in only one report: %s\n"
-         (List.length ms)
-         (String.concat ", "
-            (List.map (fun (g, k) -> Printf.sprintf "%s/%s" g k) ms)));
-    if regressions <> [] then begin
-      Printf.printf "%d regression(s) beyond %.1f%%\n" (List.length regressions)
-        threshold;
-      exit 1
-    end
-    else if
-      strict
-      && (result.Benchdiff.missing <> [] || result.Benchdiff.empty_groups <> [])
-    then begin
-      Printf.printf "incomplete comparison under --strict\n";
-      exit 1
-    end
-    else Printf.printf "no regressions beyond %.1f%%\n" threshold
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:"Compare two run reports for performance regressions: exits \
-             nonzero when NEW regresses past the threshold relative to OLD \
-             (or, under --strict, when the comparison is incomplete).")
-    Term.(const run $ old_file $ new_file $ threshold $ groups $ strict)
-
-(* ------------------------------------------------------------------ *)
 (* store                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1476,5 +1370,5 @@ let () =
             atpg_cmd; dot_cmd; export_cmd; import_cmd; diagnose_cmd;
             seqatpg_cmd; bist_cmd; sync_cmd; wave_cmd;
             lint_cmd; table1_cmd; table2_cmd; e3_cmd; report_validate_cmd;
-            benchdiff_cmd; store_cmd; serve_cmd; client_cmd;
+            store_cmd; serve_cmd; client_cmd;
           ]))

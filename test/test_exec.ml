@@ -350,7 +350,7 @@ let test_cliargs_jobs_spellings () =
   check_int "malformed -> default" 1 (Cliargs.jobs (argv [ "--jobs"; "many" ]));
   check_int "last occurrence wins" 5 (Cliargs.jobs (argv [ "--jobs"; "2"; "-j5" ]));
   check_int "other flags interleaved" 7
-    (Cliargs.jobs (argv [ "--quick"; "-j"; "7"; "--skip-micro" ]))
+    (Cliargs.jobs (argv [ "--quick"; "-j"; "7"; "--metrics" ]))
 
 let test_cliargs_value_and_flag () =
   let argv l = Array.of_list ("bench" :: l) in

@@ -7,7 +7,6 @@ module Json = Mutsamp_obs.Json
 module Runreport = Mutsamp_obs.Runreport
 module Profile = Mutsamp_obs.Profile
 module Traceout = Mutsamp_obs.Traceout
-module Benchdiff = Mutsamp_obs.Benchdiff
 module Registry = Mutsamp_circuits.Registry
 module Pipeline = Mutsamp_core.Pipeline
 module Pattern = Mutsamp_fault.Pattern
@@ -426,101 +425,6 @@ let test_prometheus_exposition () =
   contains "mutsamp_test_obs_prom_hist_max 4\n"
 
 (* ------------------------------------------------------------------ *)
-(* Benchdiff                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_report ?(throughput = []) ?(micro = []) ?(wall = 1.0) () =
-  let obj kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) kvs) in
-  let extra =
-    (if throughput = [] then []
-     else [ ("fsim_throughput_pairs_per_sec", obj throughput) ])
-    @ if micro = [] then [] else [ ("micro_ns_per_run", obj micro) ]
-  in
-  Json.Obj
-    ([
-       ("schema", Json.Int Runreport.schema_version);
-       ("tool", Json.String "mutsamp");
-       ("command", Json.String "bench");
-       ( "spans",
-         Json.List
-           [
-             Json.Obj
-               [
-                 ("name", Json.String "bench");
-                 ("start_s", Json.Float 0.0);
-                 ("duration_s", Json.Float wall);
-                 ("alloc_words", Json.Float 0.0);
-               ];
-           ] );
-       ("metrics", Json.Obj [ ("counters", Json.Obj []); ("histograms", Json.Obj []) ]);
-     ]
-    @ extra)
-
-let test_benchdiff_identical () =
-  let r = bench_report ~throughput:[ ("c432", 1e6) ] ~micro:[ ("k", 100.0) ] () in
-  let result = Benchdiff.compare_reports ~old_:r ~new_:r () in
-  Alcotest.(check int) "no regressions" 0
-    (List.length (Benchdiff.regressions result));
-  Alcotest.(check int) "no missing keys" 0 (List.length result.Benchdiff.missing);
-  Alcotest.(check int) "three deltas" 3 (List.length result.Benchdiff.deltas)
-
-let test_benchdiff_throughput_regression () =
-  (* Throughput is higher-better: a 30% drop past the 20% threshold
-     regresses; a 30% gain does not. *)
-  let old_ = bench_report ~throughput:[ ("c432", 1000.0) ] () in
-  let slow = bench_report ~throughput:[ ("c432", 700.0) ] () in
-  let fast = bench_report ~throughput:[ ("c432", 1300.0) ] () in
-  let r1 = Benchdiff.compare_reports ~groups:[ "throughput" ] ~old_ ~new_:slow () in
-  Alcotest.(check int) "drop regresses" 1 (List.length (Benchdiff.regressions r1));
-  let r2 = Benchdiff.compare_reports ~groups:[ "throughput" ] ~old_ ~new_:fast () in
-  Alcotest.(check int) "gain passes" 0 (List.length (Benchdiff.regressions r2))
-
-let test_benchdiff_micro_direction () =
-  (* Micro ns/run is lower-better: slower (bigger) regresses. *)
-  let old_ = bench_report ~micro:[ ("kernel", 100.0) ] () in
-  let slow = bench_report ~micro:[ ("kernel", 130.0) ] () in
-  let fast = bench_report ~micro:[ ("kernel", 70.0) ] () in
-  let r1 = Benchdiff.compare_reports ~groups:[ "micro" ] ~old_ ~new_:slow () in
-  Alcotest.(check int) "slower regresses" 1 (List.length (Benchdiff.regressions r1));
-  let r2 = Benchdiff.compare_reports ~groups:[ "micro" ] ~old_ ~new_:fast () in
-  Alcotest.(check int) "faster passes" 0 (List.length (Benchdiff.regressions r2))
-
-let test_benchdiff_threshold () =
-  let old_ = bench_report ~throughput:[ ("c432", 1000.0) ] () in
-  let new_ = bench_report ~throughput:[ ("c432", 850.0) ] () in
-  (* A 15% drop passes at the default 20% but fails at 10%. *)
-  let lax = Benchdiff.compare_reports ~groups:[ "throughput" ] ~old_ ~new_ () in
-  Alcotest.(check int) "within default threshold" 0
-    (List.length (Benchdiff.regressions lax));
-  let strict =
-    Benchdiff.compare_reports ~threshold_pct:10.0 ~groups:[ "throughput" ] ~old_
-      ~new_ ()
-  in
-  Alcotest.(check int) "beyond strict threshold" 1
-    (List.length (Benchdiff.regressions strict))
-
-let test_benchdiff_wall_group () =
-  (* Plain pipeline reports carry no bench sections; the wall group
-     still gates on summed root-span duration. *)
-  let old_ = bench_report ~wall:1.0 () in
-  let slow = bench_report ~wall:2.0 () in
-  let r = Benchdiff.compare_reports ~old_ ~new_:slow () in
-  let regs = Benchdiff.regressions r in
-  Alcotest.(check int) "wall regression flagged" 1 (List.length regs);
-  Alcotest.(check string) "in the wall group" "wall"
-    (List.hd regs).Benchdiff.group
-
-let test_benchdiff_missing_keys () =
-  (* A key present in only one report is reported missing, never as a
-     regression. *)
-  let old_ = bench_report ~throughput:[ ("c432", 1000.0); ("c499", 500.0) ] () in
-  let new_ = bench_report ~throughput:[ ("c432", 1000.0) ] () in
-  let r = Benchdiff.compare_reports ~groups:[ "throughput" ] ~old_ ~new_ () in
-  Alcotest.(check int) "no regressions" 0 (List.length (Benchdiff.regressions r));
-  Alcotest.(check (list (pair string string)))
-    "missing listed" [ ("throughput", "c499") ] r.Benchdiff.missing
-
-(* ------------------------------------------------------------------ *)
 (* Profile / exec report sections                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -728,15 +632,6 @@ let suite =
         Alcotest.test_case "traceout structure" `Quick test_traceout_structure;
         Alcotest.test_case "prometheus exposition" `Quick
           (with_clean_obs test_prometheus_exposition);
-        Alcotest.test_case "benchdiff identical" `Quick test_benchdiff_identical;
-        Alcotest.test_case "benchdiff throughput regression" `Quick
-          test_benchdiff_throughput_regression;
-        Alcotest.test_case "benchdiff micro direction" `Quick
-          test_benchdiff_micro_direction;
-        Alcotest.test_case "benchdiff threshold" `Quick test_benchdiff_threshold;
-        Alcotest.test_case "benchdiff wall group" `Quick test_benchdiff_wall_group;
-        Alcotest.test_case "benchdiff missing keys" `Quick
-          test_benchdiff_missing_keys;
         Alcotest.test_case "report accepts profile and exec" `Quick
           (with_clean_obs test_report_accepts_profile_and_exec);
         Alcotest.test_case "report rejects malformed profile row" `Quick
