@@ -6,6 +6,9 @@ type t = {
   site : int;  (** pre-order node index of the mutated AST node *)
   info : string;  (** human-readable description of the change *)
   design : Mutsamp_hdl.Ast.design;  (** the mutated design, still elaborated *)
+  program : Program.t option Atomic.t;
+      (** the design's compiled program, written once by the first
+          {!Kill.make} that needs it and shared by every later one *)
 }
 
 val pp : Format.formatter -> t -> unit

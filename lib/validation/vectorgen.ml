@@ -77,16 +77,29 @@ let generate ?(config = default_config) ?budget design mutants =
   let total_vectors = ref 0 in
   let candidates = ref 0 in
   let stall = ref 0 in
-  (* Random phase. *)
+  (* Random phase. Candidates are drawn [Kill.lanes] at a time, in the
+     PRNG's order, and each block runs over the mutants alive when it is
+     drawn; the loop then takes them one at a time, so it accepts, stalls
+     and stops exactly as a one-candidate-at-a-time loop would. The
+     undrawn tail of the last block is dropped: the PRNG serves this
+     phase only. *)
+  let block = ref [||] and block_run = ref None and next = ref 0 in
   while
     (not (expired ()))
     && !alive <> [] && !stall < config.max_stall
     && !total_vectors + seq_len <= config.max_vectors
   do
-    let candidate = Stimuli.random_sequence prng design seq_len in
+    if !next = Array.length !block then begin
+      block := Array.init Kill.lanes (fun _ -> Stimuli.random_sequence prng design seq_len);
+      block_run := Some (Kill.run runner ~alive:!alive ~ctx:kill_ctx !block);
+      next := 0
+    end;
+    let k = !next in
+    incr next;
+    let candidate = !block.(k) in
     incr candidates;
     Metrics.incr c_candidates;
-    match Kill.kills_at runner ~alive:!alive ~ctx:kill_ctx candidate with
+    match Kill.kills_in runner (Option.get !block_run) ~alive:!alive ~ctx:kill_ctx k with
     | [] -> incr stall
     | detections ->
       stall := 0;
@@ -194,13 +207,20 @@ let generate ?(config = default_config) ?budget design mutants =
     let kill_sets =
       (* Re-simulation of sequences already paid for — run it unbudgeted
          so an exhausted quota cannot corrupt the set cover. *)
-      Array.map
-        (fun seq ->
-          List.map fst
-            (Kill.kills_at runner ~alive:killed_list
-               ~ctx:{ Ctx.default with budget = Some Budget.unlimited }
-               seq))
-        sequences
+      let ctx = { Ctx.default with budget = Some Budget.unlimited } in
+      let sets = Array.make (Array.length sequences) [] in
+      let lo = ref 0 in
+      while !lo < Array.length sequences do
+        let len = min Kill.lanes (Array.length sequences - !lo) in
+        let b =
+          Kill.run runner ~alive:killed_list ~ctx (Array.sub sequences !lo len)
+        in
+        for k = 0 to len - 1 do
+          sets.(!lo + k) <- List.map fst (Kill.kills_in runner b ~alive:killed_list ~ctx k)
+        done;
+        lo := !lo + len
+      done;
+      sets
     in
     let uncovered = Hashtbl.create 64 in
     List.iter (fun i -> Hashtbl.replace uncovered i ()) killed_list;

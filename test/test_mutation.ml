@@ -270,6 +270,162 @@ let test_kill_empty_sequence_kills_nothing_extra () =
   check_int "no kills" 0 (List.length (Kill.kills_at runner []))
 
 (* ------------------------------------------------------------------ *)
+(* Kill against the behavioural simulator                             *)
+(* ------------------------------------------------------------------ *)
+
+module Prng = Mutsamp_util.Prng
+module Registry = Mutsamp_circuits.Registry
+
+(* Reference: the first cycle where [Sim] sees the mutant's outputs
+   differ from the original's [reference] observations. *)
+let sim_first_diff sim reference seq =
+  Sim.reset sim;
+  let rec go c seq reference =
+    match seq, reference with
+    | stim :: seq', obs :: reference' ->
+      if Sim.outputs_equal (Sim.step sim stim) obs then go (c + 1) seq' reference'
+      else Some c
+    | _ -> None
+  in
+  go 0 seq reference
+
+(* 127 random sequences — one block of 63 and one of 64 — with mixed
+   lengths inside every block, an empty one included. *)
+let diff_sequences d =
+  let prng = Prng.create 11 in
+  let max_len = if Check.is_combinational d then 3 else 10 in
+  Array.init 127 (fun k ->
+      let len = if k = 5 then 0 else if k mod 3 = 0 then 1 else 1 + Prng.int prng max_len in
+      Stimuli.random_sequence prng d len)
+
+(* wide128 has about 260,000 mutants, too many to hold at once, so its
+   sample is built from the source: every 16th statement gets its
+   operator swapped, and every 16th (offset by 8) reads [i0] in place of
+   its last operand. *)
+let wide128_sample () =
+  let src = Mutsamp_circuits.Wide.source 128 in
+  let lines = Array.of_list (String.split_on_char '\n' src) in
+  let body = ref false in
+  let mutants = ref [] in
+  Array.iteri
+    (fun k line ->
+      if String.equal line "begin" then body := true
+      else if !body && String.ends_with ~suffix:";" line && k mod 8 = 0 then begin
+        let edited =
+          match String.split_on_char ' ' line with
+          | words when k mod 16 = 0 ->
+            String.concat " "
+              (List.map (function "xor" -> "or" | "or" -> "xnor" | w -> w) words)
+          | words ->
+            String.concat " "
+              (List.mapi (fun j w -> if j = List.length words - 1 then "i0;" else w) words)
+        in
+        let src' =
+          String.concat "\n" (Array.to_list (Array.mapi (fun j l -> if j = k then edited else l) lines))
+        in
+        mutants :=
+          {
+            Mutant.id = List.length !mutants;
+            op = (if k mod 16 = 0 then Operator.LOR else Operator.VR);
+            site = k;
+            info = edited;
+            design = parse src';
+            program = Atomic.make None;
+          }
+          :: !mutants
+      end)
+    lines;
+  List.rev !mutants
+
+let test_kill_matches_sim (entry : Registry.entry) () =
+  let d = entry.Registry.design () in
+  let ms = if entry.Registry.name = "wide128" then wide128_sample () else Generate.all d in
+  let runner = Kill.make d ms in
+  let n = Kill.size runner in
+  let seqs = diff_sequences d in
+  let references = Array.map (Sim.run d) seqs in
+  let expected =
+    Array.of_list
+      (List.map
+         (fun (m : Mutant.t) ->
+           let sim = Sim.create m.Mutant.design in
+           Array.mapi (fun s seq -> sim_first_diff sim references.(s) seq) seqs)
+         ms)
+  in
+  let detections = Array.concat (Array.to_list expected) in
+  check_bool "some kill" true (Array.exists Option.is_some detections);
+  if not (Check.is_combinational d) then
+    check_bool "some kill after cycle 0" true
+      (Array.exists (function Some c -> c > 0 | None -> false) detections);
+  let kills ?(alive = List.init n Fun.id) s =
+    List.filter_map (fun i -> Option.map (fun c -> (i, c)) expected.(i).(s)) alive
+  in
+  let check_kills what want got =
+    Alcotest.(check (list (pair int int))) (entry.Registry.name ^ " " ^ what) want got
+  in
+  (* One-lane blocks. *)
+  for s = 0 to 63 do
+    check_kills "kills_at" (kills s) (Kill.kills_at runner seqs.(s))
+  done;
+  (* A full 63-lane block, over every mutant and over an alive subset. *)
+  let block = Array.sub seqs 64 63 in
+  let b = Kill.run runner block in
+  Array.iteri (fun k _ -> check_kills "kills_in" (kills (64 + k)) (Kill.kills_in runner b k)) block;
+  let alive = List.filter (fun i -> i mod 3 <> 1) (List.init n Fun.id) in
+  let b = Kill.run runner ~alive block in
+  Array.iteri
+    (fun k _ ->
+      check_kills "kills_in alive" (kills ~alive (64 + k)) (Kill.kills_in runner b ~alive k))
+    block;
+  (* Whole test sets of 1, 62, 63, 64 and 127 sequences. *)
+  List.iter
+    (fun count ->
+      let flags = Kill.killed_set runner (Array.to_list (Array.sub seqs 0 count)) in
+      check_int "one flag per mutant" n (Array.length flags);
+      Array.iteri
+        (fun i flag ->
+          let want = List.exists (fun s -> expected.(i).(s) <> None) (List.init count Fun.id) in
+          check_bool
+            (Printf.sprintf "%s killed_set of %d, mutant %d" entry.Registry.name count i)
+            want flag)
+        flags)
+    [ 1; 62; 63; 64; 127 ];
+  (* A budget cut halfway through the 127 sequences leaves the flags of a
+     sequence-major, one-at-a-time pass with the same quota. *)
+  let cut_flags quota =
+    let budget = Mutsamp_robust.Budget.create ~fsim_pairs:quota () in
+    let killed = Array.make n false and stopped = ref false and spent = ref 0 in
+    Array.iteri
+      (fun s seq ->
+        for i = 0 to n - 1 do
+          if (not !stopped) && not killed.(i) then
+            match
+              Mutsamp_robust.Budget.spend budget ~stage:Mutsamp_robust.Error.Kill
+                Mutsamp_robust.Budget.Fsim_pairs (List.length seq)
+            with
+            | Error _ -> stopped := true
+            | Ok () ->
+              spent := !spent + List.length seq;
+              if expected.(i).(s) <> None then killed.(i) <- true
+        done)
+      seqs;
+    (killed, !spent)
+  in
+  let _, full = cut_flags max_int in
+  let quota = full / 2 in
+  let want, _ = cut_flags quota in
+  let got =
+    Kill.killed_set runner
+      ~ctx:(Mutsamp_exec.Ctx.make ~budget:(Mutsamp_robust.Budget.create ~fsim_pairs:quota ()) ())
+      (Array.to_list seqs)
+  in
+  Mutsamp_robust.Degrade.reset ();
+  Array.iteri
+    (fun i flag ->
+      check_bool (Printf.sprintf "%s budget-cut flag, mutant %d" entry.Registry.name i) want.(i) flag)
+    got
+
+(* ------------------------------------------------------------------ *)
 (* Equivalence                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,6 +669,11 @@ let suite =
         Alcotest.test_case "kills_at agrees" `Quick test_kills_at_agrees_with_kills;
         Alcotest.test_case "empty sequence" `Quick test_kill_empty_sequence_kills_nothing_extra;
       ] );
+    ( "kill.lanes",
+      List.map
+        (fun (e : Registry.entry) ->
+          Alcotest.test_case (e.Registry.name ^ " matches Sim") `Quick (test_kill_matches_sim e))
+        Registry.all );
     ( "mutation.equivalence",
       [
         Alcotest.test_case "self equivalent" `Quick test_equiv_self;

@@ -201,6 +201,220 @@ let test_vectorgen_directed_span_name () =
   check_bool "vectorgen.directed span" true (List.mem "vectorgen.directed" all);
   check_bool "no equiv span" false (List.mem "equiv" all)
 
+(* ------------------------------------------------------------------ *)
+(* Block replay against a one-candidate-at-a-time reference           *)
+(* ------------------------------------------------------------------ *)
+
+module Sim = Mutsamp_hdl.Sim
+module Stimuli = Mutsamp_hdl.Stimuli
+module Prng = Mutsamp_util.Prng
+module Budget = Mutsamp_robust.Budget
+module Rerror = Mutsamp_robust.Error
+module Degrade = Mutsamp_robust.Degrade
+
+type reference = {
+  outcome : Vectorgen.outcome;
+  accepted : (int * int) list;
+      (* per kept candidate: its 1-based number and the test-set length
+         in cycles after keeping it *)
+  spent : int array;  (* Fsim_pairs spent once candidate [k] is checked *)
+  cut_at : int option;  (* first candidate whose check ran out of budget *)
+}
+
+let first_diff sim reference seq =
+  Sim.reset sim;
+  let rec go c seq reference =
+    match seq, reference with
+    | stim :: seq', obs :: reference' ->
+      if Sim.outputs_equal (Sim.step sim stim) obs then go (c + 1) seq' reference'
+      else Some c
+    | _ -> None
+  in
+  go 0 seq reference
+
+(* The random phase and set-cover minimisation of [Vectorgen.generate]
+   (directed phase off), one candidate at a time over [Sim]. *)
+let reference_generate ?(budget = Budget.unlimited) (config : Vectorgen.config) design
+    mutants =
+  let sims = Array.of_list (List.map (fun (m : Mutant.t) -> Sim.create m.Mutant.design) mutants) in
+  let n = Array.length sims in
+  let cut_at = ref None and spent = ref [ 0 ] in
+  let kills_at ~budget ~candidate alive seq =
+    let reference = Sim.run design seq in
+    let stopped = ref false in
+    List.filter_map
+      (fun i ->
+        if !stopped then None
+        else
+          match Budget.spend budget ~stage:Rerror.Kill Budget.Fsim_pairs (List.length seq) with
+          | Error _ ->
+            stopped := true;
+            if !cut_at = None then cut_at := Some candidate;
+            None
+          | Ok () ->
+            spent := (List.hd !spent + List.length seq) :: List.tl !spent;
+            Option.map (fun c -> (i, c)) (first_diff sims.(i) reference seq))
+      alive
+  in
+  let prng = Prng.create config.Vectorgen.seed in
+  let seq_len = if Check.is_combinational design then 1 else config.Vectorgen.sequence_length in
+  let alive = ref (List.init n Fun.id) and test_set = ref [] and killed = ref [] in
+  let total = ref 0 and candidates = ref 0 and stall = ref 0 and accepted = ref [] in
+  while
+    !alive <> [] && !stall < config.Vectorgen.max_stall
+    && !total + seq_len <= config.Vectorgen.max_vectors
+  do
+    let candidate = Stimuli.random_sequence prng design seq_len in
+    incr candidates;
+    spent := List.hd !spent :: !spent;
+    match kills_at ~budget ~candidate:!candidates !alive candidate with
+    | [] -> incr stall
+    | detections ->
+      stall := 0;
+      let last = List.fold_left (fun acc (_, c) -> max acc c) 0 detections in
+      let kept = List.filteri (fun i _ -> i <= last) candidate in
+      test_set := kept :: !test_set;
+      total := !total + List.length kept;
+      accepted := (!candidates, !total) :: !accepted;
+      let victims = List.map fst detections in
+      killed := victims @ !killed;
+      alive := List.filter (fun i -> not (List.mem i victims)) !alive
+  done;
+  let spent = Array.of_list (List.rev !spent) in
+  let killed = List.sort_uniq compare !killed in
+  let sequences = Array.of_list (List.rev !test_set) in
+  let final =
+    if (not config.Vectorgen.minimize) || sequences = [||] then Array.to_list sequences
+    else begin
+      let kill_sets =
+        Array.map
+          (fun seq -> List.map fst (kills_at ~budget:Budget.unlimited ~candidate:0 killed seq))
+          sequences
+      in
+      let uncovered = Hashtbl.create 64 in
+      List.iter (fun i -> Hashtbl.replace uncovered i ()) killed;
+      let chosen = ref [] in
+      while Hashtbl.length uncovered > 0 do
+        let score k =
+          ( List.length (List.filter (Hashtbl.mem uncovered) kill_sets.(k)),
+            -List.length sequences.(k) )
+        in
+        let best = ref 0 in
+        for k = 1 to Array.length sequences - 1 do
+          if score k > score !best then best := k
+        done;
+        if fst (score !best) = 0 then Hashtbl.reset uncovered
+        else begin
+          chosen := !best :: !chosen;
+          List.iter (Hashtbl.remove uncovered) kill_sets.(!best)
+        end
+      done;
+      List.map (fun k -> sequences.(k)) (List.sort compare !chosen)
+    end
+  in
+  {
+    outcome =
+      {
+        Vectorgen.test_set = final;
+        killed;
+        equivalent = [];
+        unknown = List.filter (fun i -> not (List.mem i killed)) (List.init n Fun.id);
+        candidates_tried = !candidates;
+        total_vectors = List.fold_left (fun acc s -> acc + List.length s) 0 final;
+        degraded = [];
+      };
+    accepted = List.rev !accepted;
+    spent;
+    cut_at = !cut_at;
+  }
+
+let check_same what (want : Vectorgen.outcome) (got : Vectorgen.outcome) =
+  check_bool (what ^ ": test_set") true (want.Vectorgen.test_set = got.Vectorgen.test_set);
+  Alcotest.(check (list int)) (what ^ ": killed") want.Vectorgen.killed got.Vectorgen.killed;
+  check_int (what ^ ": candidates_tried") want.Vectorgen.candidates_tried
+    got.Vectorgen.candidates_tried;
+  check_int (what ^ ": total_vectors") want.Vectorgen.total_vectors got.Vectorgen.total_vectors;
+  Alcotest.(check (list string)) (what ^ ": degraded") want.Vectorgen.degraded
+    got.Vectorgen.degraded
+
+let replay_config =
+  { Vectorgen.default_config with Vectorgen.seed = 7; max_stall = 60; directed = false }
+
+(* Runs ending at a block edge and inside a block — by [max_stall], by
+   [max_vectors] and by a budget cut — all match the reference. The
+   cut-off points are read off a long reference run. *)
+let test_replay_matches_reference name () =
+  let design =
+    match Registry.find name with
+    | Some e -> e.Registry.design ()
+    | None -> Alcotest.fail (name ^ " not registered")
+  in
+  let mutants = Generate.all design in
+  let lanes = Kill.lanes in
+  let compare_run ?budget what config =
+    let want =
+      reference_generate ?budget:(Option.map (fun q -> Budget.create ~fsim_pairs:q ()) budget)
+        config design mutants
+    in
+    let got =
+      Vectorgen.generate ~config
+        ?budget:(Option.map (fun q -> Budget.create ~fsim_pairs:q ()) budget)
+        design mutants
+    in
+    check_same (name ^ " " ^ what) want.outcome got;
+    want
+  in
+  ignore (compare_run "base" replay_config);
+  (* [max_stall]: past the longest gap between kills, a run keeps every
+     kill and stops [max_stall] candidates after the last one. *)
+  let long = compare_run "long" { replay_config with Vectorgen.max_stall = 1000 } in
+  let survivors = long.outcome.Vectorgen.unknown <> [] in
+  if survivors && long.accepted <> [] then begin
+    let last, _ = List.nth long.accepted (List.length long.accepted - 1) in
+    let gap =
+      fst
+        (List.fold_left
+           (fun (g, prev) (c, _) -> (max g (c - prev), c))
+           (0, 0) long.accepted)
+    in
+    let edge = ref (max 1 gap) in
+    while (last + !edge) mod lanes <> 0 do incr edge done;
+    List.iter
+      (fun (what, stall, at_edge) ->
+        let r = compare_run what { replay_config with Vectorgen.max_stall = stall } in
+        check_bool (name ^ " " ^ what ^ " ends where planned") at_edge
+          (r.outcome.Vectorgen.candidates_tried mod lanes = 0))
+      [ ("stall at block edge", !edge, true); ("stall inside block", !edge + 20, false) ]
+  end;
+  (* [max_vectors]: a cap one cycle short of room for another candidate
+     after the [j]-th kill stops the run right there. *)
+  let seq_len = if Check.is_combinational design then 1 else replay_config.Vectorgen.sequence_length in
+  let cap_after (c, total) =
+    let r =
+      compare_run
+        (Printf.sprintf "max_vectors after candidate %d" c)
+        { replay_config with Vectorgen.max_stall = 1000; max_vectors = total + seq_len - 1 }
+    in
+    check_int (name ^ " cap stops at the kill") c r.outcome.Vectorgen.candidates_tried
+  in
+  (match List.find_opt (fun (c, _) -> c mod lanes <> 0) (List.rev long.accepted) with
+   | Some a -> cap_after a
+   | None -> ());
+  (match List.find_opt (fun (c, _) -> c mod lanes = 0) long.accepted with
+   | Some a -> cap_after a
+   | None -> ());
+  (* Budget: a quota that runs out halfway through the checks of a
+     candidate inside the second block, or the middle one if the run is
+     shorter. *)
+  let base = compare_run "unbudgeted" replay_config in
+  let tried = base.outcome.Vectorgen.candidates_tried in
+  let target = if tried > lanes + 18 then lanes + 18 else max 1 ((tried + 1) / 2) in
+  let quota = (base.spent.(target - 1) + base.spent.(target)) / 2 in
+  Degrade.reset ();
+  let cut = compare_run ~budget:quota "budget cut" replay_config in
+  Degrade.reset ();
+  Alcotest.(check (option int)) (name ^ " cut where planned") (Some target) cut.cut_at
+
 let suite =
   [
     ( "validation.vectorgen",
@@ -218,6 +432,12 @@ let suite =
         Alcotest.test_case "directed phase span name" `Quick
           test_vectorgen_directed_span_name;
       ] );
+    ( "validation.replay",
+      List.map
+        (fun name ->
+          Alcotest.test_case (name ^ " matches one-at-a-time") `Quick
+            (test_replay_matches_reference name))
+        [ "c17"; "b01"; "b03"; "c432" ] );
     ( "validation.score",
       [
         Alcotest.test_case "formula" `Quick test_score_formula;
