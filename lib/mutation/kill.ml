@@ -31,20 +31,25 @@ type t = {
   ports : (string * int * int) array;  (* input name, width, first bit *)
 }
 
-(* The mutant's program from its write-once slot. Two domains racing on
-   a fresh mutant both compile it; the first write wins and only the
-   winner is counted, so [kill.compiled] is the number of programs
-   kept. *)
+(* The mutant's program from its write-once slot, and whether this call
+   compiled it. Compilation is serialized, so each mutant is synthesized
+   exactly once per process however many domains ask: the counters it
+   feeds ([kill.compiled], [analysis.sweep.removed_gates]) then do not
+   depend on [--jobs]. Reads of a filled slot take no lock. *)
+let compile_lock = Mutex.create ()
+
 let program (m : Mutant.t) =
   match Atomic.get m.Mutant.program with
   | Some p -> (p, false)
   | None ->
-    let p = Program.compile m.Mutant.design in
-    if Atomic.compare_and_set m.Mutant.program None (Some p) then begin
-      Metrics.incr c_compiled;
-      (p, true)
-    end
-    else (Option.get (Atomic.get m.Mutant.program), false)
+    Mutex.protect compile_lock (fun () ->
+        match Atomic.get m.Mutant.program with
+        | Some p -> (p, false)
+        | None ->
+          let p = Program.compile m.Mutant.design in
+          Atomic.set m.Mutant.program (Some p);
+          Metrics.incr c_compiled;
+          (p, true))
 
 let make original ms =
   let mutants = Array.of_list ms in

@@ -7,7 +7,10 @@
 
     - {e random phase}: candidate sequences are drawn uniformly
       (length 1 for combinational designs) until [max_stall]
-      consecutive candidates kill nothing;
+      consecutive candidates kill nothing. {!Mutsamp_mutation.Kill}
+      executes them in blocks of 63, but they are accepted one at a
+      time in draw order, so the outcome is that of a
+      one-candidate-at-a-time loop;
     - {e directed phase} (optional): each surviving mutant is settled
       by one equivalence oracle built for the call
       ({!Mutsamp_mutation.Equivalence.decide}: product-machine BFS for
