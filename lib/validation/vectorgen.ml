@@ -208,19 +208,16 @@ let generate ?(config = default_config) ?budget design mutants =
       (* Re-simulation of sequences already paid for — run it unbudgeted
          so an exhausted quota cannot corrupt the set cover. *)
       let ctx = { Ctx.default with budget = Some Budget.unlimited } in
-      let sets = Array.make (Array.length sequences) [] in
-      let lo = ref 0 in
-      while !lo < Array.length sequences do
-        let len = min Kill.lanes (Array.length sequences - !lo) in
-        let b =
-          Kill.run runner ~alive:killed_list ~ctx (Array.sub sequences !lo len)
-        in
-        for k = 0 to len - 1 do
-          sets.(!lo + k) <- List.map fst (Kill.kills_in runner b ~alive:killed_list ~ctx k)
-        done;
-        lo := !lo + len
-      done;
-      sets
+      let n = Array.length sequences and lanes = Kill.lanes in
+      let blocks =
+        Array.init ((n + lanes - 1) / lanes) (fun b ->
+            let lo = b * lanes in
+            Kill.run runner ~alive:killed_list ~ctx
+              (Array.sub sequences lo (min lanes (n - lo))))
+      in
+      Array.init n (fun j ->
+          List.map fst
+            (Kill.kills_in runner blocks.(j / lanes) ~alive:killed_list ~ctx (j mod lanes)))
     in
     let uncovered = Hashtbl.create 64 in
     List.iter (fun i -> Hashtbl.replace uncovered i ()) killed_list;
