@@ -221,17 +221,6 @@ type reference = {
   cut_at : int option;  (* first candidate whose check ran out of budget *)
 }
 
-let first_diff sim reference seq =
-  Sim.reset sim;
-  let rec go c seq reference =
-    match seq, reference with
-    | stim :: seq', obs :: reference' ->
-      if Sim.outputs_equal (Sim.step sim stim) obs then go (c + 1) seq' reference'
-      else Some c
-    | _ -> None
-  in
-  go 0 seq reference
-
 (* The random phase and set-cover minimisation of [Vectorgen.generate]
    (directed phase off), one candidate at a time over [Sim]. *)
 let reference_generate ?(budget = Budget.unlimited) (config : Vectorgen.config) design
@@ -253,7 +242,7 @@ let reference_generate ?(budget = Budget.unlimited) (config : Vectorgen.config) 
             None
           | Ok () ->
             spent := (List.hd !spent + List.length seq) :: List.tl !spent;
-            Option.map (fun c -> (i, c)) (first_diff sims.(i) reference seq))
+            Option.map (fun c -> (i, c)) (Test_mutation.sim_first_diff sims.(i) reference seq))
       alive
   in
   let prng = Prng.create config.Vectorgen.seed in
