@@ -1,6 +1,7 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
 module Fault = Mutsamp_fault.Fault
+module Fsim_kernel = Mutsamp_fault.Fsim_kernel
 module Packvec = Mutsamp_util.Packvec
 
 type signature = int
@@ -45,10 +46,8 @@ let run ?(misr_width = 16) nl ~faults ~seed ~length =
     else Prpg.uniform_sequence (Mutsamp_util.Prng.create seed) ~bits ~length
   in
   let taps = Prpg.lfsr_taps misr_width in
-  let sim = Bitsim.create ~lanes:1 nl in
-  let words_of p =
-    Array.init bits (fun k -> if Packvec.get p k then Bitsim.all_ones else 0)
-  in
+  let sim = Bitsim.create nl in
+  let words_of p = Fsim_kernel.replicate_pattern nl p in
   let response outs = Packvec.init n_out (fun k -> outs.(k) land 1 = 1) in
   let good_responses =
     Array.to_list (Array.map (fun p -> response (Bitsim.step sim (words_of p))) patterns)

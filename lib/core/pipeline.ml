@@ -240,7 +240,7 @@ let fault_simulate ?(ctx = Ctx.default) t sequence =
 let scan_patterns_of_sequences t sequences =
   if not t.sequential then patterns_of_sequences t sequences
   else begin
-    let sim = Bitsim.create ~lanes:1 t.netlist in
+    let sim = Bitsim.create t.netlist in
     Bitsim.reset sim;
     let n_in = Array.length t.netlist.Netlist.input_nets in
     let n_dffs = Array.length t.netlist.Netlist.dff_nets in

@@ -6,18 +6,13 @@ type observation = { pattern : Pattern.t; response : Packvec.t }
 
 type verdict = { fault : Fault.t; matches : int; explains : bool }
 
-(* Single-lane simulation: one word per net, the pattern replicated. *)
-let words_of_pattern nl p =
-  Array.init (Array.length nl.Netlist.input_nets) (fun k ->
-      if Packvec.get p k then Bitsim.all_ones else 0)
-
 (* Lane 0 of every output word, packed output-index-first. *)
 let response_of_outputs outs =
   Packvec.init (Array.length outs) (fun k -> outs.(k) land 1 = 1)
 
 let simulate_response nl fault p =
-  let sim = Bitsim.create ~lanes:1 nl in
-  let words = words_of_pattern nl p in
+  let sim = Bitsim.create nl in
+  let words = Fsim_kernel.replicate_pattern nl p in
   let outs =
     match fault with
     | None -> Bitsim.step sim words
@@ -29,7 +24,7 @@ let simulate_response nl fault p =
 let rank nl ~candidates ~observations =
   if observations = [] then invalid_arg "Diagnose.rank: no observations";
   if Netlist.num_dffs nl > 0 then invalid_arg "Diagnose.rank: sequential netlist";
-  let sim = Bitsim.create ~lanes:1 nl in
+  let sim = Bitsim.create nl in
   let n_obs = List.length observations in
   let verdicts =
     List.map
@@ -38,7 +33,7 @@ let rank nl ~candidates ~observations =
           List.fold_left
             (fun acc { pattern; response } ->
               let outs =
-                Bitsim.step_injected sim (words_of_pattern nl pattern)
+                Bitsim.step_injected sim (Fsim_kernel.replicate_pattern nl pattern)
                   ~inj:(Fault.injection f) ~stuck:(Fault.stuck_word f)
               in
               if Packvec.equal (response_of_outputs outs) response then acc + 1 else acc)
@@ -61,7 +56,7 @@ type dictionary = {
 
 let build nl ~candidates ~patterns =
   if Netlist.num_dffs nl > 0 then invalid_arg "Diagnose.build: sequential netlist";
-  let sim = Bitsim.create ~lanes:1 nl in
+  let sim = Bitsim.create nl in
   let entries =
     Array.of_list
       (List.map
@@ -70,7 +65,7 @@ let build nl ~candidates ~patterns =
              Array.map
                (fun p ->
                  let outs =
-                   Bitsim.step_injected sim (words_of_pattern nl p)
+                   Bitsim.step_injected sim (Fsim_kernel.replicate_pattern nl p)
                      ~inj:(Fault.injection f) ~stuck:(Fault.stuck_word f)
                  in
                  response_of_outputs outs)

@@ -79,15 +79,15 @@ let merge_reports ~patterns_applied shards =
 let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
-  let sim_good = Bitsim.create ~lanes:1 nl in
+  let sim_good = Bitsim.create nl in
   Bitsim.reset sim_good;
   let good_outputs =
-    Array.map (fun p -> Bitsim.step sim_good (K.replicate_pattern nl 1 p)) sequence
+    Array.map (fun p -> Bitsim.step sim_good (K.replicate_pattern nl p)) sequence
   in
   (* Every shard re-simulates the good circuit, so this scales with the
      shard count — execution bookkeeping, not logical workload. *)
   Metrics.add K.x_good_steps (Array.length sequence);
-  let sim_faulty = Bitsim.create ~lanes:1 nl in
+  let sim_faulty = Bitsim.create nl in
   Array.iteri
     (fun fi f ->
       if !stop = None then begin
@@ -107,7 +107,7 @@ let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
       let rec cycle c =
         if c < Array.length sequence then begin
           let faulty =
-            Bitsim.step_injected sim_faulty (K.replicate_pattern nl 1 sequence.(c)) ~inj ~stuck
+            Bitsim.step_injected sim_faulty (K.replicate_pattern nl sequence.(c)) ~inj ~stuck
           in
           Metrics.incr K.c_machine_steps;
           if faulty <> good_outputs.(c) then
@@ -132,19 +132,17 @@ let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
    fault keeps its own flip-flop state only while that state differs
    from the good one; otherwise it implicitly carries the good state.
    Each cycle only the active faults — diverged, or excited because the
-   site's good value differs from the stuck value — are packed [lanes]
-   to a word and simulated by [Bitsim.step_multi]: an inactive fault
+   site's good value differs from the stuck value — are packed 63 to a
+   word and simulated by [Bitsim.step_multi]: an inactive fault
    provably produces the good outputs and the good next state. Detected
    faults drop out and the survivors regroup every cycle, so a fault's
    [detected_at] never depends on which faults share its word. *)
-let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
-    ~sequence =
+let parallel_fault_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
   let n_faults = Array.length faults in
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
-  let sim = Bitsim.create ?lanes nl in
-  let w = Bitsim.lanes sim in
-  let nw = Bitsim.words_per_net sim in
+  let sim = Bitsim.create nl in
+  let w = Bitsim.word_bits in
   let n_cycles = Array.length sequence in
   (* Admission: one charge per group of [w] faults for the whole
      sequence, up front and in fault order, so a budget cut admits a
@@ -172,24 +170,16 @@ let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
       inj
   in
   let stuck = Array.map Fault.stuck_word faults in
-  let lane_mask =
-    Array.init w (fun l ->
-        let m = Array.make nw 0 in
-        m.(l / Bitsim.word_bits) <- 1 lsl (l mod Bitsim.word_bits);
-        m)
-  in
   (* Per-fault flip-flop state (one 0/1 int per flip-flop), held only
      while it differs from the good state; [||] follows the good one. *)
   let fstate = Array.make n_faults [||] in
   let alive = Array.init !admitted Fun.id in
   let n_alive = ref !admitted in
   let active = Array.make !admitted 0 in
-  let good = Bitsim.create ~lanes:1 nl in
+  let good = Bitsim.create nl in
   Bitsim.reset good;
   let gstate = ref (Bitsim.dff_states good) in
-  let state = Array.make (n_dff * nw) 0 in
-  let diff = Array.make nw 0 in
-  let diverged = Array.make nw 0 in
+  let state = Array.make n_dff 0 in
   let logical_steps = ref 0 in
   let ticked = ref 0 in
   let cycle = ref 0 in
@@ -199,7 +189,8 @@ let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
      | Error e -> stop := Some e);
     if !stop = None then begin
       let c = !cycle in
-      let gout = Bitsim.step good (K.replicate_pattern nl 1 sequence.(c)) in
+      let inputs = K.replicate_pattern nl sequence.(c) in
+      let gout = Bitsim.step good inputs in
       let gnext = Bitsim.dff_states good in
       logical_steps := !logical_steps + !n_alive;
       let n_active = ref 0 in
@@ -207,37 +198,31 @@ let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
         let fi = alive.(k) in
         if
           Array.length fstate.(fi) > 0
-          || (Bitsim.net_word good site.(fi) 0 lxor stuck.(fi)) land 1 <> 0
+          || (Bitsim.net_word good site.(fi) lxor stuck.(fi)) land 1 <> 0
         then begin
           active.(!n_active) <- fi;
           incr n_active
         end
       done;
-      let inputs =
-        if !n_active > 0 then K.replicate_pattern nl nw sequence.(c) else [||]
-      in
       let n_detected = ref 0 in
       let lo = ref 0 in
       while !lo < !n_active do
         let len = min w (!n_active - !lo) in
         for k = 0 to n_dff - 1 do
-          Array.fill state (k * nw) nw (-(!gstate.(k) land 1))
+          state.(k) <- -(!gstate.(k) land 1)
         done;
         let injections = ref [] in
         for l = len - 1 downto 0 do
           let fi = active.(!lo + l) in
           let fs = fstate.(fi) in
-          if Array.length fs > 0 then begin
-            let j = l / Bitsim.word_bits and bit = 1 lsl (l mod Bitsim.word_bits) in
+          let bit = 1 lsl l in
+          if Array.length fs > 0 then
             for k = 0 to n_dff - 1 do
-              let x = (k * nw) + j in
-              state.(x) <-
-                (if fs.(k) = 1 then state.(x) lor bit else state.(x) land lnot bit)
-            done
-          end;
+              state.(k) <-
+                (if fs.(k) = 1 then state.(k) lor bit else state.(k) land lnot bit)
+            done;
           injections :=
-            { Bitsim.inj = inj.(fi); lanes = lane_mask.(l); stuck = stuck.(fi) }
-            :: !injections
+            { Bitsim.inj = inj.(fi); lanes = bit; stuck = stuck.(fi) } :: !injections
         done;
         Bitsim.load_state sim state;
         let outs = Bitsim.step_multi sim inputs ~injections:!injections in
@@ -245,29 +230,22 @@ let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
         Metrics.incr K.x_machine_steps;
         Metrics.observe K.h_lanes_per_step (float_of_int len);
         (* Lanes whose outputs, or next state, left the good machine. *)
-        Array.fill diff 0 nw 0;
+        let diff = ref 0 in
         for o = 0 to n_out - 1 do
-          let g = -(gout.(o) land 1) in
-          for j = 0 to nw - 1 do
-            diff.(j) <- diff.(j) lor (outs.((o * nw) + j) lxor g)
-          done
+          diff := !diff lor (outs.(o) lxor -(gout.(o) land 1))
         done;
-        Array.fill diverged 0 nw 0;
+        let diverged = ref 0 in
         for k = 0 to n_dff - 1 do
-          let g = -(gnext.(k) land 1) in
-          for j = 0 to nw - 1 do
-            diverged.(j) <- diverged.(j) lor (next.((k * nw) + j) lxor g)
-          done
+          diverged := !diverged lor (next.(k) lxor -(gnext.(k) land 1))
         done;
         for l = 0 to len - 1 do
           let fi = active.(!lo + l) in
-          let j = l / Bitsim.word_bits and b = l mod Bitsim.word_bits in
-          if (diff.(j) lsr b) land 1 = 1 then begin
+          if (!diff lsr l) land 1 = 1 then begin
             detections.(fi) <- { detections.(fi) with detected_at = Some c };
             fstate.(fi) <- [||];
             incr n_detected
           end
-          else if (diverged.(j) lsr b) land 1 = 1 then begin
+          else if (!diverged lsr l) land 1 = 1 then begin
             let fs =
               if Array.length fstate.(fi) > 0 then fstate.(fi)
               else begin
@@ -277,7 +255,7 @@ let parallel_fault_shard ?lanes ~budget ~tick nl ~(faults : Fault.t array)
               end
             in
             for k = 0 to n_dff - 1 do
-              fs.(k) <- (next.((k * nw) + j) lsr b) land 1
+              fs.(k) <- (next.(k) lsr l) land 1
             done
           end
           else fstate.(fi) <- [||]
@@ -342,16 +320,9 @@ let simulate ~ctx ~backend ~faults ~sequence shard =
    regime has one backend: compiled without flip-flops, packed with.
    Compilation happens here, on the coordinating domain, before any
    shard runs. *)
-let run ?lanes ?(ctx = Ctx.default) nl ~faults ~sequence =
+let run ?(ctx = Ctx.default) nl ~faults ~sequence =
   if Netlist.num_dffs nl = 0 then begin
-    let nw =
-      match lanes with
-      | None -> 1
-      | Some l ->
-        if l < 1 then invalid_arg "Fsim.run: lanes < 1"
-        else (l + Bitsim.word_bits - 1) / Bitsim.word_bits
-    in
-    let entry, progs = Fsim_compiled.prepare_comb nl ~nw ~faults in
+    let entry, progs = Fsim_compiled.prepare_comb nl ~faults in
     simulate ~ctx ~backend:K.c_engine_compiled ~faults ~sequence
       (fun ~budget ~tick:_ ~lo ~faults ->
         Fsim_compiled.combinational_shard entry progs ~budget ~faults ~fault_lo:lo
@@ -360,7 +331,7 @@ let run ?lanes ?(ctx = Ctx.default) nl ~faults ~sequence =
   else
     simulate ~ctx ~backend:K.c_engine_packed ~faults ~sequence
       (fun ~budget ~tick ~lo:_ ~faults ->
-        parallel_fault_shard ?lanes ~budget ~tick nl ~faults ~sequence)
+        parallel_fault_shard ~budget ~tick nl ~faults ~sequence)
 
 let serial ?(ctx = Ctx.default) nl ~faults ~sequence =
   simulate ~ctx ~backend:K.c_engine_serial ~faults ~sequence

@@ -20,7 +20,7 @@
     - sequential netlists run {e packed}, PROOFS-style parallel-fault
       simulation: the good machine runs once per cycle on its own lane,
       and each cycle only the faults that are excited or whose
-      flip-flop state has diverged are packed [lanes] to a word;
+      flip-flop state has diverged are packed 63 to a word;
       detected faults are dropped and the rest regroup every cycle.
 
     The backend that ran is recorded by bumping one of the
@@ -30,7 +30,7 @@
     All backends record, per fault, the index of the first detecting
     pattern (combinational) or cycle (sequential), which is what the
     coverage curves of the NLFCE metric need; the index is independent
-    of the lane count and of the backend.
+    of the backend and of which faults share a word.
 
     Execution: {!run} and {!serial} take [?ctx] (default
     {!Mutsamp_exec.Ctx.default}: sequential, ambient budget). With a
@@ -75,7 +75,6 @@ val length_to_reach : report -> float -> int option
 (** Shortest prefix achieving at least the given coverage, if any. *)
 
 val run :
-  ?lanes:int ->
   ?ctx:Mutsamp_exec.Ctx.t ->
   Mutsamp_netlist.Netlist.t ->
   faults:Fault.t list ->
@@ -85,11 +84,9 @@ val run :
     netlist without flip-flops, packed on one with them. For
     combinational netlists [sequence] is a set of independent patterns
     (order preserved in [detected_at] indexing); for sequential ones it
-    is applied cycle by cycle from the reset state.
-
-    [lanes] is the pattern-batch width of the compiled backend and the
-    number of faults per word of the packed one, rounded up to whole
-    words.
+    is applied cycle by cycle from the reset state. The compiled
+    backend simulates the patterns 63 to a batch; the packed one packs
+    63 faults to a word.
 
     On sequential netlists the context's progress callback is invoked
     (stage ["faultsim"]) as faults are detected and once for the rest
@@ -98,7 +95,7 @@ val run :
     parallelism.
 
     Raises [Invalid_argument] if a pattern's width does not match the
-    input count, or if [lanes < 1]. *)
+    input count. *)
 
 val serial :
   ?ctx:Mutsamp_exec.Ctx.t ->

@@ -25,14 +25,14 @@ module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
 module K = Fsim_kernel
 
-(* Every op takes (aux, v) and writes one net's words into [v]. Gate
+(* Every op takes (aux, v) and writes one net's word into [v]. Gate
    ops read [v] only; source ops read [aux] — the packed input words
    for the good/sequential programs, the good baseline for a cone
    program's boundary loads. Indices are validated at compile time, so
    bodies use unsafe accesses. *)
 type op = int array -> int array -> unit
 
-let compile_gate1 ~i ~kind ~f0 ~f1 : op =
+let compile_gate ~i ~kind ~f0 ~f1 : op =
   let open Gate in
   match kind with
   | Buf -> fun _ v -> Array.unsafe_set v i (Array.unsafe_get v f0)
@@ -58,38 +58,10 @@ let compile_gate1 ~i ~kind ~f0 ~f1 : op =
     fun _ v ->
       Array.unsafe_set v i
         (lnot (Array.unsafe_get v f0 lxor Array.unsafe_get v f1))
-  | Pi _ | Const _ | Dff _ -> invalid_arg "Fsim_compiled.compile_gate1"
+  | Pi _ | Const _ | Dff _ -> invalid_arg "Fsim_compiled.compile_gate"
 
-let compile_gate ~nw ~i ~kind ~f0 ~f1 : op =
-  if nw = 1 then compile_gate1 ~i ~kind ~f0 ~f1
-  else
-    let base = i * nw and b0 = f0 * nw and b1 = f1 * nw in
-    fun _ v ->
-      for j = 0 to nw - 1 do
-        Array.unsafe_set v (base + j)
-          (Gate.eval2 kind (Array.unsafe_get v (b0 + j))
-             (Array.unsafe_get v (b1 + j)))
-      done
-
-(* The faulted gate of a branch cone: one pin reads the stuck word, the
-   other reads the baseline directly (a seed gate's fanins are upstream
-   of its own fanout cone, hence always cone-external). *)
-let compile_forced_gate ~nw ~i ~kind ~f0 ~f1 ~pin ~stuck : op =
-  let base = i * nw and b0 = f0 * nw and b1 = f1 * nw in
-  fun g v ->
-    for j = 0 to nw - 1 do
-      let x = if pin = 0 then stuck else Array.unsafe_get g (b0 + j) in
-      let y = if pin = 1 then stuck else Array.unsafe_get g (b1 + j) in
-      Array.unsafe_set v (base + j) (Gate.eval2 kind x y)
-    done
-
-let copy_op ~nw net : op =
-  if nw = 1 then fun g v -> Array.unsafe_set v net (Array.unsafe_get g net)
-  else fun g v -> Array.blit g (net * nw) v (net * nw) nw
-
-let pi_op ~nw k net : op =
-  if nw = 1 then fun w v -> Array.unsafe_set v net (Array.unsafe_get w k)
-  else fun w v -> Array.blit w (k * nw) v (net * nw) nw
+let copy_op net : op = fun g v -> Array.unsafe_set v net (Array.unsafe_get g net)
+let pi_op k net : op = fun w v -> Array.unsafe_set v net (Array.unsafe_get w k)
 
 let fanins2 (g : Gate.t) =
   let f0 = g.Gate.fanins.(0) in
@@ -109,7 +81,6 @@ type entry = {
   nl : Netlist.t;
   order : int array;  (* combinational gates, topological *)
   fanouts : int array array;  (* per net: consuming gates, ascending *)
-  nw : int;
   good_ops : op array;
   const_fill : (int * int) array;  (* net, word: pre-set once per shard *)
   cones : (Fault.t, cone_prog) Hashtbl.t;
@@ -120,8 +91,8 @@ let cache_mutex = Mutex.create ()
 
 (* Cheap structural hash; a hit is verified against the stored netlist
    before reuse, so collisions cost a recompile, never a wrong result. *)
-let design_hash (nl : Netlist.t) nw =
-  let h = ref (Hashtbl.hash (Array.length nl.Netlist.gates, nw)) in
+let design_hash (nl : Netlist.t) =
+  let h = ref (Hashtbl.hash (Array.length nl.Netlist.gates)) in
   let mix v = h := (!h * 31) lxor Hashtbl.hash v in
   Array.iter
     (fun (g : Gate.t) ->
@@ -136,9 +107,9 @@ let design_hash (nl : Netlist.t) nw =
     nl.Netlist.output_list;
   !h
 
-let compile_good (nl : Netlist.t) order nw =
+let compile_good (nl : Netlist.t) order =
   let pis =
-    Array.to_list (Array.mapi (fun k net -> pi_op ~nw k net) nl.Netlist.input_nets)
+    Array.to_list (Array.mapi pi_op nl.Netlist.input_nets)
   in
   let gates =
     Array.to_list
@@ -146,7 +117,7 @@ let compile_good (nl : Netlist.t) order nw =
          (fun i ->
            let g = nl.Netlist.gates.(i) in
            let f0, f1 = fanins2 g in
-           compile_gate ~nw ~i ~kind:g.Gate.kind ~f0 ~f1)
+           compile_gate ~i ~kind:g.Gate.kind ~f0 ~f1)
          order)
   in
   Array.of_list (pis @ gates)
@@ -185,37 +156,30 @@ let cone_of entry seed =
   (in_cone, !members)
 
 let compile_cone entry (f : Fault.t) =
-  let nl = entry.nl and nw = entry.nw in
+  let nl = entry.nl in
   let stuck = Fault.stuck_word f in
   let in_cone, members, excite, seed_net, seed_evals =
     match Fault.injection f with
     | Bitsim.Net s ->
       let in_cone, members = cone_of entry s in
-      let base = s * nw in
       let excite good fv =
-        Array.fill fv base nw stuck;
-        let rec differs j =
-          j < nw && (Array.unsafe_get good (base + j) <> stuck || differs (j + 1))
-        in
-        differs 0
+        Array.unsafe_set fv s stuck;
+        Array.unsafe_get good s <> stuck
       in
       (in_cone, members, excite, s, 0)
     | Bitsim.Pin { gate; pin } ->
       let in_cone, members = cone_of entry gate in
       let g = nl.Netlist.gates.(gate) in
-      let f0, f1 = fanins2 g in
-      let forced =
-        compile_forced_gate ~nw ~i:gate ~kind:g.Gate.kind ~f0 ~f1 ~pin ~stuck
-      in
-      let base = gate * nw in
+      let kind = g.Gate.kind and f0, f1 = fanins2 g in
+      (* The faulted gate: one pin reads the stuck word, the other the
+         baseline directly (a seed gate's fanins are upstream of its own
+         fanout cone, hence always cone-external). *)
       let excite good fv =
-        forced good fv;
-        let rec differs j =
-          j < nw
-          && (Array.unsafe_get good (base + j) <> Array.unsafe_get fv (base + j)
-             || differs (j + 1))
-        in
-        differs 0
+        let x = if pin = 0 then stuck else Array.unsafe_get good f0 in
+        let y = if pin = 1 then stuck else Array.unsafe_get good f1 in
+        let w = Gate.eval2 kind x y in
+        Array.unsafe_set fv gate w;
+        Array.unsafe_get good gate <> w
       in
       (in_cone, members, excite, gate, 1)
   in
@@ -231,12 +195,12 @@ let compile_cone entry (f : Fault.t) =
           let f0, f1 = fanins2 g in
           if not in_cone.(f0) then Hashtbl.replace boundary f0 ();
           if not in_cone.(f1) then Hashtbl.replace boundary f1 ();
-          Some (compile_gate ~nw ~i ~kind:g.Gate.kind ~f0 ~f1)
+          Some (compile_gate ~i ~kind:g.Gate.kind ~f0 ~f1)
         end)
       members
   in
   let loads =
-    Hashtbl.fold (fun net () acc -> copy_op ~nw net :: acc) boundary []
+    Hashtbl.fold (fun net () acc -> copy_op net :: acc) boundary []
   in
   let seen = Hashtbl.create 8 in
   let out_nets =
@@ -259,8 +223,8 @@ let compile_cone entry (f : Fault.t) =
     evals_quiescent = seed_evals;
   }
 
-let find_or_compile nl nw =
-  let h = design_hash nl nw in
+let find_or_compile nl =
+  let h = design_hash nl in
   match Hashtbl.find_opt cache h with
   | Some e when e.nl == nl || e.nl = nl -> e
   | Some _ | None ->
@@ -273,8 +237,7 @@ let find_or_compile nl nw =
             nl;
             order;
             fanouts = Array.map Array.of_list (Netlist.fanouts nl);
-            nw;
-            good_ops = compile_good nl order nw;
+            good_ops = compile_good nl order;
             const_fill = const_fill nl;
             cones = Hashtbl.create 64;
           })
@@ -287,9 +250,9 @@ let find_or_compile nl nw =
    array aligned with the fault list — worker domains never touch the
    cache. Cone programs accumulate in the entry across runs, so a warm
    design costs lookups only. *)
-let prepare_comb nl ~nw ~faults =
+let prepare_comb nl ~faults =
   Mutex.protect cache_mutex (fun () ->
-      let entry = find_or_compile nl nw in
+      let entry = find_or_compile nl in
       let progs, dt =
         Trace.with_span_timed "fsim_compile_sites"
           ~attrs:[ ("design", nl.Netlist.name) ]
@@ -310,29 +273,25 @@ let prepare_comb nl ~nw ~faults =
       (entry, progs))
 
 (* Combinational shard over precompiled cone programs: one good-machine
-   pass per batch of [nw * 63] patterns, then each alive fault's cone.
-   Budget is charged per pattern·fault pair offered, and detected
-   faults drop out of later batches. *)
+   pass per batch of 63 patterns, then each alive fault's cone. Budget
+   is charged per pattern·fault pair offered, and detected faults drop
+   out of later batches. *)
 let combinational_shard entry (progs : cone_prog array) ~budget
     ~(faults : Fault.t array) ~fault_lo ~patterns =
   let nl = entry.nl in
-  let nw = entry.nw in
-  let w = nw * Bitsim.word_bits in
+  let w = Bitsim.word_bits in
   let n = Array.length nl.Netlist.gates in
   let detections =
     Array.map (fun f -> { K.fault = f; detected_at = None }) faults
   in
   let alive = Array.init (Array.length faults) (fun i -> i) in
   let alive_count = ref (Array.length faults) in
-  let good = Array.make (n * nw) 0 in
-  let fv = Array.make (n * nw) 0 in
-  Array.iter
-    (fun (i, word) -> Array.fill good (i * nw) nw word)
-    entry.const_fill;
+  let good = Array.make n 0 in
+  let fv = Array.make n 0 in
+  Array.iter (fun (i, word) -> good.(i) <- word) entry.const_fill;
   let n_pat = Array.length patterns in
   let batches = (n_pat + w - 1) / w in
   let batch = ref 0 in
-  let diff = Array.make nw 0 in
   let stop = ref (K.chaos_entry ()) in
   let total_comb = Array.length entry.order in
   while !batch < batches && !alive_count > 0 && !stop = None do
@@ -345,7 +304,7 @@ let combinational_shard entry (progs : cone_prog array) ~budget
      | Ok () -> ()
      | Error e -> stop := Some e);
     if !stop = None then begin
-      let words = K.pack_patterns nl nw patterns lo len in
+      let words = K.pack_patterns nl patterns lo len in
       let gops = entry.good_ops in
       for o = 0 to Array.length gops - 1 do
         (Array.unsafe_get gops o) words good
@@ -353,38 +312,30 @@ let combinational_shard entry (progs : cone_prog array) ~budget
       Metrics.incr K.x_batches;
       Metrics.incr K.x_good_steps;
       Metrics.observe K.h_lanes_per_step (float_of_int len);
+      let valid = K.word_lane_mask len in
       let k = ref 0 in
       while !k < !alive_count do
         let fi = alive.(!k) in
         let prog = progs.(fault_lo + fi) in
         Metrics.incr K.c_machine_steps;
-        let first = ref (-1) in
+        let diff = ref 0 in
         if prog.excite good fv then begin
           let ops = prog.ops in
           for o = 0 to Array.length ops - 1 do
             (Array.unsafe_get ops o) good fv
           done;
           Metrics.add K.x_events_skipped (total_comb - prog.evals_excited);
-          Array.fill diff 0 nw 0;
-          Array.iter
-            (fun net ->
-              for j = 0 to nw - 1 do
-                diff.(j) <-
-                  diff.(j)
-                  lor (fv.((net * nw) + j) lxor good.((net * nw) + j))
-              done)
-            prog.out_nets;
-          for j = 0 to nw - 1 do
-            if !first < 0 then begin
-              let d = diff.(j) land K.word_lane_mask len j in
-              if d <> 0 then first := (j * Bitsim.word_bits) + K.lowest_bit d
-            end
-          done
+          let out_nets = prog.out_nets in
+          for x = 0 to Array.length out_nets - 1 do
+            let net = Array.unsafe_get out_nets x in
+            diff := !diff lor (Array.unsafe_get fv net lxor Array.unsafe_get good net)
+          done;
+          diff := !diff land valid
         end
         else Metrics.add K.x_events_skipped (total_comb - prog.evals_quiescent);
-        if !first >= 0 then begin
+        if !diff <> 0 then begin
           detections.(fi) <-
-            { detections.(fi) with detected_at = Some (lo + !first) };
+            { detections.(fi) with detected_at = Some (lo + K.lowest_bit !diff) };
           alive_count := !alive_count - 1;
           alive.(!k) <- alive.(!alive_count);
           alive.(!alive_count) <- fi

@@ -60,34 +60,34 @@ let check_width nl op (p : Pattern.t) =
       (Printf.sprintf "Fsim.%s: pattern width %d does not match %d inputs" op
          (Packvec.width p) (Array.length nl.Netlist.input_nets))
 
-(* Spread [len] patterns over the per-input lane words: lane [l] of
-   input [k] receives bit [k] of pattern [lo + l]. *)
-let pack_patterns nl nw (patterns : Pattern.t array) lo len =
+(* Spread [len] patterns over one word per input: lane [l] of input
+   [k] receives bit [k] of pattern [lo + l]. *)
+let pack_patterns nl (patterns : Pattern.t array) lo len =
   let n_in = Array.length nl.Netlist.input_nets in
-  let words = Array.make (n_in * nw) 0 in
+  let words = Array.make n_in 0 in
   for l = 0 to len - 1 do
     let p = patterns.(lo + l) in
     check_width nl "run" p;
-    let j = l / Bitsim.word_bits and b = l mod Bitsim.word_bits in
+    let bit = 1 lsl l in
     for k = 0 to n_in - 1 do
-      if Packvec.get p k then
-        words.((k * nw) + j) <- words.((k * nw) + j) lor (1 lsl b)
+      if Packvec.get p k then words.(k) <- words.(k) lor bit
     done
   done;
   words
 
-(* All lanes carry the same pattern. *)
-let replicate_pattern nl nw (p : Pattern.t) =
+(* One word per input with every lane carrying the same pattern. *)
+let replicate_pattern nl (p : Pattern.t) =
   check_width nl "replicate" p;
-  Array.init (Array.length nl.Netlist.input_nets * nw) (fun idx ->
-      if Packvec.get p (idx / nw) then Bitsim.all_ones else 0)
+  let n_in = Array.length nl.Netlist.input_nets in
+  let words = Array.make n_in 0 in
+  for k = 0 to n_in - 1 do
+    if Packvec.get p k then words.(k) <- Bitsim.all_ones
+  done;
+  words
 
-(* Mask of valid lanes in word [j] when only [len] lanes are in use. *)
-let word_lane_mask len j =
-  let lo = j * Bitsim.word_bits in
-  if len >= lo + Bitsim.word_bits then -1
-  else if len <= lo then 0
-  else (1 lsl (len - lo)) - 1
+(* Mask of the valid lanes when only the low [len] are in use. *)
+let word_lane_mask len =
+  if len >= Bitsim.word_bits then -1 else (1 lsl len) - 1
 
 let lowest_bit w =
   let rec go k = if (w lsr k) land 1 = 1 then k else go (k + 1) in

@@ -4,9 +4,8 @@ let all_ones = -1
 type t = {
   nl : Netlist.t;
   topo : Topo.t;
-  nw : int;  (* words per net *)
-  values : int array;  (* net i, word j at [i*nw + j] *)
-  state : int array;  (* flip-flop state, same layout (unused for others) *)
+  values : int array;  (* one word per net *)
+  state : int array;  (* flip-flop state, per net (unused for others) *)
   (* Dense fault-forcing scratch for [step_multi]: per-net and per-pin
      masks live in preallocated arrays (pin slot = gate*2 + pin; gates
      have at most two fanins). Touched slots are remembered so clearing
@@ -23,55 +22,42 @@ type injection =
   | Net of int
   | Pin of { gate : int; pin : int }
 
-let create ?(lanes = word_bits) nl =
-  if lanes < 1 then invalid_arg "Bitsim.create: lanes < 1";
-  let nw = (lanes + word_bits - 1) / word_bits in
+let create nl =
   let n = Array.length nl.Netlist.gates in
   {
     nl;
     topo = Topo.compute nl;
-    nw;
-    values = Array.make (n * nw) 0;
-    state = Array.make (n * nw) 0;
-    net_mask = Array.make (n * nw) 0;
-    net_forced = Array.make (n * nw) 0;
-    pin_mask = Array.make (2 * n * nw) 0;
-    pin_force = Array.make (2 * n * nw) 0;
+    values = Array.make n 0;
+    state = Array.make n 0;
+    net_mask = Array.make n 0;
+    net_forced = Array.make n 0;
+    pin_mask = Array.make (2 * n) 0;
+    pin_force = Array.make (2 * n) 0;
     touched_nets = [];
     touched_pins = [];
   }
 
 let netlist t = t.nl
-let lanes t = t.nw * word_bits
-let words_per_net t = t.nw
 
 let reset t =
   Array.iter
     (fun q ->
       match t.nl.Netlist.gates.(q).Gate.kind with
-      | Gate.Dff init ->
-        Array.fill t.state (q * t.nw) t.nw (if init then all_ones else 0)
+      | Gate.Dff init -> t.state.(q) <- (if init then all_ones else 0)
       | _ -> assert false)
     t.nl.Netlist.dff_nets
 
 let check_inputs t inputs op =
-  if Array.length inputs <> Array.length t.nl.Netlist.input_nets * t.nw then
+  if Array.length inputs <> Array.length t.nl.Netlist.input_nets then
     invalid_arg (Printf.sprintf "Bitsim.%s: input arity mismatch" op)
 
-let outputs t =
-  let nw = t.nw in
-  let outs = t.nl.Netlist.output_list in
-  let r = Array.make (Array.length outs * nw) 0 in
-  Array.iteri
-    (fun o (_, net) -> Array.blit t.values (net * nw) r (o * nw) nw)
-    outs;
-  r
+let outputs t = Array.map (fun (_, net) -> t.values.(net)) t.nl.Netlist.output_list
 
 (* One evaluation cycle with an optional fault injection. *)
 let step_internal t inputs fault stuck =
   let gates = t.nl.Netlist.gates in
   check_inputs t inputs "step";
-  let nw = t.nw in
+  let values = t.values in
   let forced_net =
     match fault with Some (Net n) -> n | Some (Pin _) | None -> -1
   in
@@ -80,19 +66,14 @@ let step_internal t inputs fault stuck =
   in
   (* Sources: PIs, constants, flip-flop outputs. *)
   Array.iteri
-    (fun k net ->
-      if net = forced_net then Array.fill t.values (net * nw) nw stuck
-      else Array.blit inputs (k * nw) t.values (net * nw) nw)
+    (fun k net -> values.(net) <- (if net = forced_net then stuck else inputs.(k)))
     t.nl.Netlist.input_nets;
   Array.iteri
     (fun i (g : Gate.t) ->
       match g.kind with
       | Gate.Const v ->
-        let w = if i = forced_net then stuck else if v then all_ones else 0 in
-        Array.fill t.values (i * nw) nw w
-      | Gate.Dff _ ->
-        if i = forced_net then Array.fill t.values (i * nw) nw stuck
-        else Array.blit t.state (i * nw) t.values (i * nw) nw
+        values.(i) <- (if i = forced_net then stuck else if v then all_ones else 0)
+      | Gate.Dff _ -> values.(i) <- (if i = forced_net then stuck else t.state.(i))
       | Gate.Pi _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
       | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
     gates;
@@ -100,44 +81,43 @@ let step_internal t inputs fault stuck =
   Array.iter
     (fun i ->
       let g = gates.(i) in
-      let kind = g.Gate.kind in
-      let f0 = g.Gate.fanins.(0) in
-      let two = Array.length g.Gate.fanins > 1 in
-      let f1 = if two then g.Gate.fanins.(1) else 0 in
-      let forced = i = forced_net in
-      for j = 0 to nw - 1 do
-        let a =
-          if i = pin_gate && pin_idx = 0 then stuck else t.values.((f0 * nw) + j)
-        in
-        let b =
-          if not two then 0
-          else if i = pin_gate && pin_idx = 1 then stuck
-          else t.values.((f1 * nw) + j)
-        in
-        t.values.((i * nw) + j) <- (if forced then stuck else Gate.eval2 kind a b)
-      done)
+      let fanins = g.Gate.fanins in
+      let a = if i = pin_gate && pin_idx = 0 then stuck else values.(fanins.(0)) in
+      let b =
+        if Array.length fanins < 2 then 0
+        else if i = pin_gate && pin_idx = 1 then stuck
+        else values.(fanins.(1))
+      in
+      values.(i) <- (if i = forced_net then stuck else Gate.eval2 g.Gate.kind a b))
     t.topo.Topo.order;
   (* Advance flip-flops: D pins may themselves carry a pin fault. *)
   Array.iter
     (fun q ->
-      let d = gates.(q).Gate.fanins.(0) in
-      if q = pin_gate && pin_idx = 0 then Array.fill t.state (q * nw) nw stuck
-      else Array.blit t.values (d * nw) t.state (q * nw) nw)
+      t.state.(q) <-
+        (if q = pin_gate && pin_idx = 0 then stuck
+         else values.(gates.(q).Gate.fanins.(0))))
     t.nl.Netlist.dff_nets;
   outputs t
 
 let step t inputs = step_internal t inputs None 0
 
-let step_with_fault t inputs ~fault_net ~stuck_value =
-  step_internal t inputs (Some (Net fault_net)) stuck_value
-
 let step_injected t inputs ~inj ~stuck = step_internal t inputs (Some inj) stuck
 
 type lane_injection = {
   inj : injection;
-  lanes : int array;
+  lanes : int;
   stuck : int;
 }
+
+(* Merge one fault's lanes into a forcing slot. *)
+let merge mask forced s lanes stuck =
+  mask.(s) <- mask.(s) lor lanes;
+  forced.(s) <- (forced.(s) land lnot lanes) lor (stuck land lanes)
+
+(* [v] with the forced lanes of slot [s] overridden. *)
+let force mask forced s v =
+  let m = mask.(s) in
+  if m = 0 then v else (v land lnot m) lor (forced.(s) land m)
 
 (* Multi-fault evaluation: per-net and per-pin forcing masks are merged
    into the preallocated dense scratch arrays, then one pass applies
@@ -145,120 +125,70 @@ type lane_injection = {
 let step_multi t inputs ~injections =
   let gates = t.nl.Netlist.gates in
   check_inputs t inputs "step_multi";
-  let nw = t.nw in
+  let values = t.values and state = t.state in
   let net_mask = t.net_mask and net_forced = t.net_forced in
   let pin_mask = t.pin_mask and pin_force = t.pin_force in
   List.iter
     (fun { inj; lanes; stuck } ->
-      if Array.length lanes <> nw then
-        invalid_arg "Bitsim.step_multi: lane-mask word count mismatch";
-      let merge mask forced base =
-        for j = 0 to nw - 1 do
-          let l = lanes.(j) in
-          if l <> 0 then begin
-            mask.(base + j) <- mask.(base + j) lor l;
-            forced.(base + j) <-
-              (forced.(base + j) land lnot l) lor (stuck land l)
-          end
-        done
-      in
       match inj with
       | Net net ->
-        if net_mask.(net * nw) = 0 then t.touched_nets <- net :: t.touched_nets;
-        merge net_mask net_forced (net * nw)
+        if net_mask.(net) = 0 then t.touched_nets <- net :: t.touched_nets;
+        merge net_mask net_forced net lanes stuck
       | Pin { gate; pin } ->
         let s = (2 * gate) + pin in
-        if pin_mask.(s * nw) = 0 then t.touched_pins <- s :: t.touched_pins;
-        merge pin_mask pin_force (s * nw))
+        if pin_mask.(s) = 0 then t.touched_pins <- s :: t.touched_pins;
+        merge pin_mask pin_force s lanes stuck)
     injections;
-  let force_net net j v =
-    let m = net_mask.((net * nw) + j) in
-    if m = 0 then v else (v land lnot m) lor (net_forced.((net * nw) + j) land m)
-  in
-  Array.iteri
-    (fun k net ->
-      for j = 0 to nw - 1 do
-        t.values.((net * nw) + j) <- force_net net j inputs.((k * nw) + j)
-      done)
-    t.nl.Netlist.input_nets;
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.kind with
-      | Gate.Const v ->
-        let w = if v then all_ones else 0 in
-        for j = 0 to nw - 1 do
-          t.values.((i * nw) + j) <- force_net i j w
-        done
-      | Gate.Dff _ ->
-        for j = 0 to nw - 1 do
-          t.values.((i * nw) + j) <- force_net i j t.state.((i * nw) + j)
-        done
-      | Gate.Pi _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
-      | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
-    gates;
-  Array.iter
-    (fun i ->
-      let g = gates.(i) in
-      let kind = g.Gate.kind in
-      let f0 = g.Gate.fanins.(0) in
-      let two = Array.length g.Gate.fanins > 1 in
-      let f1 = if two then g.Gate.fanins.(1) else 0 in
-      let s0 = ((2 * i) + 0) * nw and s1 = ((2 * i) + 1) * nw in
-      for j = 0 to nw - 1 do
-        let a =
-          let v = t.values.((f0 * nw) + j) in
-          let m = pin_mask.(s0 + j) in
-          if m = 0 then v else (v land lnot m) lor (pin_force.(s0 + j) land m)
-        in
-        let b =
-          if not two then 0
-          else begin
-            let v = t.values.((f1 * nw) + j) in
-            let m = pin_mask.(s1 + j) in
-            if m = 0 then v else (v land lnot m) lor (pin_force.(s1 + j) land m)
-          end
-        in
-        t.values.((i * nw) + j) <- force_net i j (Gate.eval2 kind a b)
-      done)
-    t.topo.Topo.order;
-  Array.iter
-    (fun q ->
-      let d = gates.(q).Gate.fanins.(0) in
-      let s = 2 * q * nw in
-      for j = 0 to nw - 1 do
-        let v = t.values.((d * nw) + j) in
-        let m = pin_mask.(s + j) in
-        t.state.((q * nw) + j) <-
-          (if m = 0 then v else (v land lnot m) lor (pin_force.(s + j) land m))
-      done)
-    t.nl.Netlist.dff_nets;
+  let input_nets = t.nl.Netlist.input_nets in
+  for k = 0 to Array.length input_nets - 1 do
+    let net = input_nets.(k) in
+    values.(net) <- force net_mask net_forced net inputs.(k)
+  done;
+  for i = 0 to Array.length gates - 1 do
+    match gates.(i).Gate.kind with
+    | Gate.Const v ->
+      values.(i) <- force net_mask net_forced i (if v then all_ones else 0)
+    | Gate.Dff _ -> values.(i) <- force net_mask net_forced i state.(i)
+    | Gate.Pi _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
+    | Gate.Nor | Gate.Xor | Gate.Xnor -> ()
+  done;
+  let order = t.topo.Topo.order in
+  for x = 0 to Array.length order - 1 do
+    let i = order.(x) in
+    let g = gates.(i) in
+    let fanins = g.Gate.fanins in
+    let a = force pin_mask pin_force (2 * i) values.(fanins.(0)) in
+    let b =
+      if Array.length fanins < 2 then 0
+      else force pin_mask pin_force ((2 * i) + 1) values.(fanins.(1))
+    in
+    values.(i) <- force net_mask net_forced i (Gate.eval2 g.Gate.kind a b)
+  done;
+  let dffs = t.nl.Netlist.dff_nets in
+  for k = 0 to Array.length dffs - 1 do
+    let q = dffs.(k) in
+    state.(q) <- force pin_mask pin_force (2 * q) values.(gates.(q).Gate.fanins.(0))
+  done;
   List.iter
     (fun net ->
-      Array.fill net_mask (net * nw) nw 0;
-      Array.fill net_forced (net * nw) nw 0)
+      net_mask.(net) <- 0;
+      net_forced.(net) <- 0)
     t.touched_nets;
   List.iter
     (fun s ->
-      Array.fill pin_mask (s * nw) nw 0;
-      Array.fill pin_force (s * nw) nw 0)
+      pin_mask.(s) <- 0;
+      pin_force.(s) <- 0)
     t.touched_pins;
   t.touched_nets <- [];
   t.touched_pins <- [];
   outputs t
 
 let net_values t = Array.copy t.values
-let net_word t net j = t.values.((net * t.nw) + j)
-
-let dff_states t =
-  let nw = t.nw in
-  let dffs = t.nl.Netlist.dff_nets in
-  let r = Array.make (Array.length dffs * nw) 0 in
-  Array.iteri (fun k q -> Array.blit t.state (q * nw) r (k * nw) nw) dffs;
-  r
+let net_word t net = t.values.(net)
+let dff_states t = Array.map (fun q -> t.state.(q)) t.nl.Netlist.dff_nets
 
 let load_state t words =
-  let nw = t.nw in
   let dffs = t.nl.Netlist.dff_nets in
-  if Array.length words <> Array.length dffs * nw then
+  if Array.length words <> Array.length dffs then
     invalid_arg "Bitsim.load_state: state word count mismatch";
-  Array.iteri (fun k q -> Array.blit words (k * nw) t.state (q * nw) nw) dffs
+  Array.iteri (fun k q -> t.state.(q) <- words.(k)) dffs

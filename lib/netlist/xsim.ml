@@ -56,8 +56,7 @@ let eval kind (a0, a1) (b0, b1) =
   | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> invalid_arg "Xsim.eval: not combinational"
 
 let check_value (z, o) =
-  if z land o <> 0 then invalid_arg "Xsim: lane marked both 0 and 1";
-  if z lor o <> (z lor o) land all then invalid_arg "Xsim: value exceeds lanes"
+  if z land o <> 0 then invalid_arg "Xsim: lane marked both 0 and 1"
 
 let step t inputs =
   if Array.length inputs <> Array.length t.nl.Netlist.input_nets then

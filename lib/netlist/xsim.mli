@@ -4,7 +4,7 @@
     a candidate synchronising sequence, and observe which state bits
     become known. Values are encoded as a pair of lane masks
     [(zeros, ones)] — a lane with neither bit set is X; like
-    {!Bitsim}, {!Bitsim.lanes} patterns run in parallel.
+    {!Bitsim}, {!Bitsim.word_bits} patterns run in parallel.
 
     Pessimism note: the evaluation is gate-local ternary logic, so
     reconvergent X (e.g. [xor x x]) stays X even when the function is

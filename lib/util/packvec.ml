@@ -14,7 +14,6 @@ let create width =
 
 let width t = t.width
 let words t = t.words
-let num_words t = Array.length t.words
 
 let copy t = { t with words = Array.copy t.words }
 
@@ -32,8 +31,6 @@ let set t i b =
   if b then t.words.(j) <- t.words.(j) lor (1 lsl k)
   else t.words.(j) <- t.words.(j) land lnot (1 lsl k)
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
 let init width f =
   let t = create width in
   for i = 0 to width - 1 do
@@ -41,96 +38,11 @@ let init width f =
   done;
   t
 
-let is_zero t = Array.for_all (fun w -> w = 0) t.words
-
 let equal a b =
   a.width = b.width
   && (let n = Array.length a.words in
       let rec go j = j >= n || (a.words.(j) = b.words.(j) && go (j + 1)) in
       go 0)
-
-let compare a b =
-  let c = Stdlib.compare a.width b.width in
-  if c <> 0 then c
-  else begin
-    (* Unsigned word compare, most significant word first; the sign bit
-       of a 63-bit OCaml int is never set by a masked word, so plain
-       compare is safe. *)
-    let rec go j = if j < 0 then 0 else
-        let c = Stdlib.compare a.words.(j) b.words.(j) in
-        if c <> 0 then c else go (j - 1)
-    in
-    go (Array.length a.words - 1)
-  end
-
-(* 16-entry nibble table keeps popcount branch-free per 4 bits. *)
-let nibble = [| 0; 1; 1; 2; 1; 2; 2; 3; 1; 2; 2; 3; 2; 3; 3; 4 |]
-
-let popcount_word w =
-  let rec go w acc = if w = 0 then acc else go (w lsr 4) (acc + nibble.(w land 0xf)) in
-  (* Shift once first so the sign bit cannot keep the loop spinning. *)
-  go ((w lsr 4) land max_int) nibble.(w land 0xf)
-
-let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
-
-let lowest_bit w =
-  let rec go k = if (w lsr k) land 1 = 1 then k else go (k + 1) in
-  go 0
-
-let first_set t =
-  let n = Array.length t.words in
-  let rec go j =
-    if j >= n then None
-    else if t.words.(j) = 0 then go (j + 1)
-    else Some ((j * word_bits) + lowest_bit t.words.(j))
-  in
-  go 0
-
-let first_diff a b =
-  if a.width <> b.width then invalid_arg "Packvec.first_diff: width mismatch";
-  let n = Array.length a.words in
-  let rec go j =
-    if j >= n then None
-    else begin
-      let d = a.words.(j) lxor b.words.(j) in
-      if d = 0 then go (j + 1) else Some ((j * word_bits) + lowest_bit d)
-    end
-  in
-  go 0
-
-let blit ~src ~dst =
-  if src.width <> dst.width then invalid_arg "Packvec.blit: width mismatch";
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
-
-let check_same a b op =
-  if a.width <> b.width then
-    invalid_arg (Printf.sprintf "Packvec.%s: width mismatch (%d vs %d)" op a.width b.width)
-
-let map2_into op a b ~into =
-  let n = Array.length a.words in
-  for j = 0 to n - 1 do
-    into.words.(j) <- op a.words.(j) b.words.(j)
-  done
-
-let logand_into a b ~into =
-  check_same a b "logand_into"; check_same a into "logand_into";
-  map2_into ( land ) a b ~into
-
-let logor_into a b ~into =
-  check_same a b "logor_into"; check_same a into "logor_into";
-  map2_into ( lor ) a b ~into
-
-let logxor_into a b ~into =
-  check_same a b "logxor_into"; check_same a into "logxor_into";
-  map2_into ( lxor ) a b ~into
-
-let lognot_into a ~into =
-  check_same a into "lognot_into";
-  let n = Array.length a.words in
-  for j = 0 to n - 1 do
-    into.words.(j) <- lnot a.words.(j)
-  done;
-  into.words.(n - 1) <- into.words.(n - 1) land last_mask a.width
 
 let of_code ~width code =
   if code < 0 then invalid_arg "Packvec.of_code: negative code";

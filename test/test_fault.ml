@@ -252,26 +252,6 @@ let test_fsim_sequential_counter () =
   in
   check_bool "short sequence weaker" true (r2.Fsim.detected <= r.Fsim.detected)
 
-let test_fsim_rejects_bad_lanes () =
-  (* Both backends validate the lane count; lane requests are otherwise
-     rounded up to whole 63-bit words. *)
-  let comb = and_netlist () in
-  (try
-     ignore
-       (Fsim.run ~lanes:0 comb
-          ~faults:(Fault.full_list comb)
-          ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs comb)) [| 3 |]));
-     Alcotest.fail "should reject lanes = 0 (combinational)"
-   with Invalid_argument _ -> ());
-  let seq = counter_netlist () in
-  (try
-     ignore
-       (Fsim.run ~lanes:0 seq
-          ~faults:(Fault.full_list seq)
-          ~sequence:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs seq)) [| 1 |]));
-     Alcotest.fail "should reject lanes = 0 (sequential)"
-   with Invalid_argument _ -> ())
-
 let test_fsim_auto_dispatch () =
   let comb = and_netlist () in
   let seq = counter_netlist () in
@@ -383,7 +363,6 @@ let suite =
         Alcotest.test_case "curve monotone" `Quick test_fsim_coverage_curve_monotone;
         Alcotest.test_case "length to reach" `Quick test_fsim_length_to_reach;
         Alcotest.test_case "sequential counter" `Quick test_fsim_sequential_counter;
-        Alcotest.test_case "rejects bad lane counts" `Quick test_fsim_rejects_bad_lanes;
         Alcotest.test_case "auto dispatch" `Quick test_fsim_auto_dispatch;
         Alcotest.test_case "input code" `Quick test_input_code;
         Alcotest.test_case "parallel-fault groups" `Quick test_parallel_fault_many_groups;

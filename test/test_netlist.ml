@@ -207,8 +207,8 @@ let test_bitsim_fault_injection_net () =
   (* stuck-at-1 on input a with pattern a=0,b=1,cin=0: good s=1, faulty s=0 *)
   let good = Bitsim.step sim [| 0; Bitsim.all_ones; 0 |] in
   let faulty =
-    Bitsim.step_with_fault sim [| 0; Bitsim.all_ones; 0 |] ~fault_net:a
-      ~stuck_value:Bitsim.all_ones
+    Bitsim.step_injected sim [| 0; Bitsim.all_ones; 0 |] ~inj:(Bitsim.Net a)
+      ~stuck:Bitsim.all_ones
   in
   check_bool "fault changes s" true (good.(0) <> faulty.(0));
   check_bool "fault changes cout" true (good.(1) <> faulty.(1))
@@ -245,13 +245,9 @@ let test_bitsim_sequential_fault_state () =
   let nl = toggle () in
   let sim = Bitsim.create nl in
   Bitsim.reset sim;
-  let en_net = Netlist.find_input nl "en" in
-  let q1 =
-    Bitsim.step_with_fault sim [| Bitsim.all_ones |] ~fault_net:en_net ~stuck_value:0
-  in
-  let q2 =
-    Bitsim.step_with_fault sim [| Bitsim.all_ones |] ~fault_net:en_net ~stuck_value:0
-  in
+  let inj = Bitsim.Net (Netlist.find_input nl "en") in
+  let q1 = Bitsim.step_injected sim [| Bitsim.all_ones |] ~inj ~stuck:0 in
+  let q2 = Bitsim.step_injected sim [| Bitsim.all_ones |] ~inj ~stuck:0 in
   check_int "q stays 0" 0 (q1.(0) lor q2.(0))
 
 let test_bitsim_input_arity () =
