@@ -1,13 +1,14 @@
 (* Compiled fault-simulation backend.
 
-   At load time a netlist is specialised into straight-line OCaml
-   closures over dense word arrays: one whole-netlist good program,
-   plus one fanout-cone program per fault site. A cone program starts
-   with boundary loads (cone-external fanins copied from the baseline
-   into the overlay), after which every gate op reads and writes the
-   overlay only — no forcing checks, no kind dispatch, no bounds
-   checks in the inner loop. Combinational only: sequential netlists
-   run the packed backend.
+   At load time a netlist is flattened into a {!Program}: one code word
+   per gate over one slot per net. The good machine runs the whole
+   program with [Program.step]; each fault site gets a fanout-cone
+   program over the same slot layout, which [Program.exec] runs on an
+   overlay array. A cone program starts with boundary loads
+   (cone-external slots copied from the baseline into the overlay),
+   after which every gate reads and writes the overlay only: no
+   forcing checks, no bounds checks in the inner loop. Combinational
+   only: sequential netlists run the packed backend.
 
    Programs are cached per structural design hash in a process-global
    table; all compilation happens on the coordinating domain before
@@ -18,71 +19,32 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
 module Bitsim = Mutsamp_netlist.Bitsim
-module Topo = Mutsamp_netlist.Topo
+module Program = Mutsamp_netlist.Program
 module Metrics = Mutsamp_obs.Metrics
 module Trace = Mutsamp_obs.Trace
 module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
 module K = Fsim_kernel
 
-(* Every op takes (aux, v) and writes one net's word into [v]. Gate
-   ops read [v] only; source ops read [aux] — the packed input words
-   for the good/sequential programs, the good baseline for a cone
-   program's boundary loads. Indices are validated at compile time, so
-   bodies use unsafe accesses. *)
-type op = int array -> int array -> unit
-
-let compile_gate ~i ~kind ~f0 ~f1 : op =
-  let open Gate in
-  match kind with
-  | Buf -> fun _ v -> Array.unsafe_set v i (Array.unsafe_get v f0)
-  | Not -> fun _ v -> Array.unsafe_set v i (lnot (Array.unsafe_get v f0))
-  | And ->
-    fun _ v ->
-      Array.unsafe_set v i (Array.unsafe_get v f0 land Array.unsafe_get v f1)
-  | Or ->
-    fun _ v ->
-      Array.unsafe_set v i (Array.unsafe_get v f0 lor Array.unsafe_get v f1)
-  | Nand ->
-    fun _ v ->
-      Array.unsafe_set v i
-        (lnot (Array.unsafe_get v f0 land Array.unsafe_get v f1))
-  | Nor ->
-    fun _ v ->
-      Array.unsafe_set v i
-        (lnot (Array.unsafe_get v f0 lor Array.unsafe_get v f1))
-  | Xor ->
-    fun _ v ->
-      Array.unsafe_set v i (Array.unsafe_get v f0 lxor Array.unsafe_get v f1)
-  | Xnor ->
-    fun _ v ->
-      Array.unsafe_set v i
-        (lnot (Array.unsafe_get v f0 lxor Array.unsafe_get v f1))
-  | Pi _ | Const _ | Dff _ -> invalid_arg "Fsim_compiled.compile_gate"
-
-let copy_op net : op = fun g v -> Array.unsafe_set v net (Array.unsafe_get g net)
-let pi_op k net : op = fun w v -> Array.unsafe_set v net (Array.unsafe_get w k)
-
 let fanins2 (g : Gate.t) =
   let f0 = g.Gate.fanins.(0) in
   (f0, if Array.length g.Gate.fanins > 1 then g.Gate.fanins.(1) else f0)
 
 type cone_prog = {
-  excite : int array -> int array -> bool;
-      (* [excite good fv] seeds the overlay; false = fault provably
-         quiescent for this batch, so the cone is skipped wholesale *)
-  ops : op array;  (* boundary loads then cone gates, topological *)
-  out_nets : int array;  (* distinct PO-driving nets inside the cone *)
-  evals_excited : int;  (* gate evaluations when the cone runs *)
-  evals_quiescent : int;  (* gate evaluations when it is skipped *)
+  seed : int;  (* overlay slot the fault forces: its stem, or its faulted gate *)
+  pin : (Gate.kind * int * int) option;
+      (* pin fault: the faulted gate's kind and operand slots, the stuck
+         pin's as -1 *)
+  loads : int array;  (* cone-external slots, copied from the baseline *)
+  code : int array;  (* the cone's other gates, topological *)
+  outs : int array;  (* slots of the distinct PO-driving nets in the cone *)
 }
 
 type entry = {
   nl : Netlist.t;
-  order : int array;  (* combinational gates, topological *)
+  layout : Program.layout;
   fanouts : int array array;  (* per net: consuming gates, ascending *)
-  good_ops : op array;
-  const_fill : (int * int) array;  (* net, word: pre-set once per shard *)
+  good : Program.t;
   cones : (Fault.t, cone_prog) Hashtbl.t;
 }
 
@@ -107,31 +69,6 @@ let design_hash (nl : Netlist.t) =
     nl.Netlist.output_list;
   !h
 
-let compile_good (nl : Netlist.t) order =
-  let pis =
-    Array.to_list (Array.mapi pi_op nl.Netlist.input_nets)
-  in
-  let gates =
-    Array.to_list
-      (Array.map
-         (fun i ->
-           let g = nl.Netlist.gates.(i) in
-           let f0, f1 = fanins2 g in
-           compile_gate ~i ~kind:g.Gate.kind ~f0 ~f1)
-         order)
-  in
-  Array.of_list (pis @ gates)
-
-let const_fill (nl : Netlist.t) =
-  let acc = ref [] in
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.Gate.kind with
-      | Gate.Const v -> acc := (i, if v then Bitsim.all_ones else 0) :: !acc
-      | _ -> ())
-    nl.Netlist.gates;
-  Array.of_list (List.rev !acc)
-
 (* Forward cone of a fault site: membership mask plus member gates in
    topological order. *)
 let cone_of entry seed =
@@ -148,79 +85,55 @@ let cone_of entry seed =
   in
   in_cone.(seed) <- true;
   visit seed;
+  let order = entry.layout.Program.order in
   let members = ref [] in
-  for k = Array.length entry.order - 1 downto 0 do
-    let i = entry.order.(k) in
-    if in_cone.(i) then members := i :: !members
+  for k = Array.length order - 1 downto 0 do
+    let i = order.(k) in
+    if in_cone.(i) && i <> seed then members := i :: !members
   done;
   (in_cone, !members)
 
 let compile_cone entry (f : Fault.t) =
-  let nl = entry.nl in
-  let stuck = Fault.stuck_word f in
-  let in_cone, members, excite, seed_net, seed_evals =
+  let nl = entry.nl and slot = entry.layout.Program.slot in
+  let seed, pin =
     match Fault.injection f with
-    | Bitsim.Net s ->
-      let in_cone, members = cone_of entry s in
-      let excite good fv =
-        Array.unsafe_set fv s stuck;
-        Array.unsafe_get good s <> stuck
-      in
-      (in_cone, members, excite, s, 0)
+    | Bitsim.Net s -> (s, None)
     | Bitsim.Pin { gate; pin } ->
-      let in_cone, members = cone_of entry gate in
+      (* The faulted gate reads the stuck word on one pin and the
+         baseline on the other: a seed gate's fanins are upstream of its
+         own fanout cone, hence always cone-external. *)
       let g = nl.Netlist.gates.(gate) in
-      let kind = g.Gate.kind and f0, f1 = fanins2 g in
-      (* The faulted gate: one pin reads the stuck word, the other the
-         baseline directly (a seed gate's fanins are upstream of its own
-         fanout cone, hence always cone-external). *)
-      let excite good fv =
-        let x = if pin = 0 then stuck else Array.unsafe_get good f0 in
-        let y = if pin = 1 then stuck else Array.unsafe_get good f1 in
-        let w = Gate.eval2 kind x y in
-        Array.unsafe_set fv gate w;
-        Array.unsafe_get good gate <> w
-      in
-      (in_cone, members, excite, gate, 1)
+      let f0, f1 = fanins2 g in
+      let operand p net = if p = pin then -1 else slot.(net) in
+      (gate, Some (g.Gate.kind, operand 0 f0, operand 1 f1))
   in
-  (* Cone-external fanins are copied into the overlay up front, so gate
-     ops never branch on operand provenance. *)
+  let in_cone, members = cone_of entry seed in
+  (* Cone-external fanins are copied into the overlay up front, so the
+     cone code never branches on operand provenance. *)
   let boundary = Hashtbl.create 16 in
-  let gate_ops =
-    List.filter_map
-      (fun i ->
-        if i = seed_net then None
-        else begin
-          let g = nl.Netlist.gates.(i) in
-          let f0, f1 = fanins2 g in
-          if not in_cone.(f0) then Hashtbl.replace boundary f0 ();
-          if not in_cone.(f1) then Hashtbl.replace boundary f1 ();
-          Some (compile_gate ~i ~kind:g.Gate.kind ~f0 ~f1)
-        end)
-      members
-  in
-  let loads =
-    Hashtbl.fold (fun net () acc -> copy_op net :: acc) boundary []
-  in
+  List.iter
+    (fun i ->
+      let f0, f1 = fanins2 nl.Netlist.gates.(i) in
+      if not in_cone.(f0) then Hashtbl.replace boundary slot.(f0) ();
+      if not in_cone.(f1) then Hashtbl.replace boundary slot.(f1) ())
+    members;
   let seen = Hashtbl.create 8 in
-  let out_nets =
-    Array.of_list
-      (List.filter_map
-         (fun (_, net) ->
-           if in_cone.(net) && not (Hashtbl.mem seen net) then begin
-             Hashtbl.replace seen net ();
-             Some net
-           end
-           else None)
-         (Array.to_list nl.Netlist.output_list))
+  let outs =
+    List.filter_map
+      (fun (_, net) ->
+        if in_cone.(net) && not (Hashtbl.mem seen net) then begin
+          Hashtbl.replace seen net ();
+          Some slot.(net)
+        end
+        else None)
+      (Array.to_list nl.Netlist.output_list)
   in
-  let n_gate_ops = List.length gate_ops in
   {
-    excite;
-    ops = Array.of_list (loads @ gate_ops);
-    out_nets;
-    evals_excited = n_gate_ops + seed_evals;
-    evals_quiescent = seed_evals;
+    seed = slot.(seed);
+    pin;
+    loads = Array.of_seq (Hashtbl.to_seq_keys boundary);
+    code = Array.of_list (List.map (Program.encode nl slot) members);
+    outs = Array.of_list outs;
   }
 
 let find_or_compile nl =
@@ -232,13 +145,11 @@ let find_or_compile nl =
       Trace.with_span_timed "fsim_compile"
         ~attrs:[ ("design", nl.Netlist.name) ]
         (fun () ->
-          let order = (Topo.compute nl).Topo.order in
           {
             nl;
-            order;
+            layout = Program.layout nl;
             fanouts = Array.map Array.of_list (Netlist.fanouts nl);
-            good_ops = compile_good nl order;
-            const_fill = const_fill nl;
+            good = Program.of_netlist nl;
             cones = Hashtbl.create 64;
           })
     in
@@ -280,20 +191,19 @@ let combinational_shard entry (progs : cone_prog array) ~budget
     ~(faults : Fault.t array) ~fault_lo ~patterns =
   let nl = entry.nl in
   let w = Bitsim.word_bits in
-  let n = Array.length nl.Netlist.gates in
   let detections =
     Array.map (fun f -> { K.fault = f; detected_at = None }) faults
   in
   let alive = Array.init (Array.length faults) (fun i -> i) in
   let alive_count = ref (Array.length faults) in
-  let good = Array.make n 0 in
-  let fv = Array.make n 0 in
-  Array.iter (fun (i, word) -> good.(i) <- word) entry.const_fill;
+  let good = Array.make (Program.words entry.good) 0 in
+  let fv = Array.make (Array.length good) 0 in
+  Program.reset entry.good good;
   let n_pat = Array.length patterns in
   let batches = (n_pat + w - 1) / w in
   let batch = ref 0 in
   let stop = ref (K.chaos_entry ()) in
-  let total_comb = Array.length entry.order in
+  let total_comb = Array.length entry.layout.Program.order in
   while !batch < batches && !alive_count > 0 && !stop = None do
     let lo = !batch * w in
     let len = min w (n_pat - lo) in
@@ -304,11 +214,7 @@ let combinational_shard entry (progs : cone_prog array) ~budget
      | Ok () -> ()
      | Error e -> stop := Some e);
     if !stop = None then begin
-      let words = K.pack_patterns nl patterns lo len in
-      let gops = entry.good_ops in
-      for o = 0 to Array.length gops - 1 do
-        (Array.unsafe_get gops o) words good
-      done;
+      Program.step entry.good good (K.pack_patterns nl patterns lo len) 0;
       Metrics.incr K.x_batches;
       Metrics.incr K.x_good_steps;
       Metrics.observe K.h_lanes_per_step (float_of_int len);
@@ -318,21 +224,35 @@ let combinational_shard entry (progs : cone_prog array) ~budget
         let fi = alive.(!k) in
         let prog = progs.(fault_lo + fi) in
         Metrics.incr K.c_machine_steps;
+        let stuck = Fault.stuck_word faults.(fi) in
+        let forced, seed_evals =
+          match prog.pin with
+          | None -> (stuck, 0)
+          | Some (kind, x, y) ->
+            ( Gate.eval2 kind
+                (if x < 0 then stuck else Array.unsafe_get good x)
+                (if y < 0 then stuck else Array.unsafe_get good y),
+              1 )
+        in
+        Array.unsafe_set fv prog.seed forced;
         let diff = ref 0 in
-        if prog.excite good fv then begin
-          let ops = prog.ops in
-          for o = 0 to Array.length ops - 1 do
-            (Array.unsafe_get ops o) good fv
+        if Array.unsafe_get good prog.seed <> forced then begin
+          let loads = prog.loads in
+          for o = 0 to Array.length loads - 1 do
+            let s = Array.unsafe_get loads o in
+            Array.unsafe_set fv s (Array.unsafe_get good s)
           done;
-          Metrics.add K.x_events_skipped (total_comb - prog.evals_excited);
-          let out_nets = prog.out_nets in
-          for x = 0 to Array.length out_nets - 1 do
-            let net = Array.unsafe_get out_nets x in
-            diff := !diff lor (Array.unsafe_get fv net lxor Array.unsafe_get good net)
+          Program.exec prog.code fv;
+          Metrics.add K.x_events_skipped
+            (total_comb - Array.length prog.code - seed_evals);
+          let outs = prog.outs in
+          for x = 0 to Array.length outs - 1 do
+            let s = Array.unsafe_get outs x in
+            diff := !diff lor (Array.unsafe_get fv s lxor Array.unsafe_get good s)
           done;
           diff := !diff land valid
         end
-        else Metrics.add K.x_events_skipped (total_comb - prog.evals_quiescent);
+        else Metrics.add K.x_events_skipped (total_comb - seed_evals);
         if !diff <> 0 then begin
           detections.(fi) <-
             { detections.(fi) with detected_at = Some (lo + K.lowest_bit !diff) };

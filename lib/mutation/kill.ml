@@ -8,6 +8,8 @@ module Budget = Mutsamp_robust.Budget
 module Chaos = Mutsamp_robust.Chaos
 module Degrade = Mutsamp_robust.Degrade
 module Ctx = Mutsamp_exec.Ctx
+module Lower = Mutsamp_synth.Lower
+module Program = Mutsamp_netlist.Program
 
 (* Observability series (no-ops unless metrics collection is on). *)
 let c_sequences = Metrics.counter "kill.sequences"
@@ -31,6 +33,30 @@ type t = {
   ports : (string * int * int) array;  (* input name, width, first bit *)
 }
 
+let fail fmt = Printf.ksprintf (fun msg -> raise (Lower.Synth_error msg)) fmt
+
+(* Port bit names in declaration order. *)
+let port_bits decls =
+  Array.of_list
+    (List.concat_map
+       (fun (dc : Ast.decl) -> List.init dc.width (Lower.bit_name dc.name dc.width))
+       decls)
+
+(* Synthesize and flatten. Every design of a runner reads the same
+   packed input words and is compared output bit by output bit, so the
+   netlist's ports must be the design's port bits in declaration order,
+   as synthesis emits them. *)
+let compile (design : Ast.design) =
+  let nl = Mutsamp_synth.Flow.synthesize design in
+  let check what decls names =
+    if names <> port_bits decls then
+      fail "%s: netlist %s are not the design's port bits in declaration order"
+        design.Ast.name what
+  in
+  check "inputs" (Ast.inputs design) (Mutsamp_netlist.Netlist.input_names nl);
+  check "outputs" (Ast.outputs design) (Array.map fst nl.Mutsamp_netlist.Netlist.output_list);
+  Program.of_netlist nl
+
 (* The mutant's program from its write-once slot, and whether this call
    compiled it. Compilation is serialized, so each mutant is synthesized
    exactly once per process however many domains ask: the counters it
@@ -46,7 +72,7 @@ let program (m : Mutant.t) =
         match Atomic.get m.Mutant.program with
         | Some p -> (p, false)
         | None ->
-          let p = Program.compile m.Mutant.design in
+          let p = compile m.Mutant.design in
           Atomic.set m.Mutant.program (Some p);
           Metrics.incr c_compiled;
           (p, true))
@@ -54,7 +80,7 @@ let program (m : Mutant.t) =
 let make original ms =
   let mutants = Array.of_list ms in
   Trace.with_span "kill.compile" @@ fun () ->
-  let reference = Program.compile original in
+  let reference = compile original in
   let built = ref 0 in
   let programs =
     Array.map

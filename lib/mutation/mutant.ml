@@ -4,7 +4,7 @@ type t = {
   site : int;
   info : string;
   design : Mutsamp_hdl.Ast.design;
-  program : Program.t option Atomic.t;
+  program : Mutsamp_netlist.Program.t option Atomic.t;
 }
 
 let to_string m = Printf.sprintf "#%d %s @%d: %s" m.id (Operator.name m.op) m.site m.info
