@@ -92,7 +92,6 @@ type obs_opts = {
   podem_backtracks : int option;
   fsim_pairs : int option;
   chaos : string list;
-  chaos_seed : int;
   jobs : int;
   store : string option;
 }
@@ -158,11 +157,6 @@ let obs_term =
              ~doc:"Arm the fault-injection harness: POINT:ACTION[@AFTER], e.g. \
                    sat:timeout, report:truncate=16, podem:exn@3. Repeatable.")
   in
-  let chaos_seed =
-    Arg.(value & opt int 2005
-         & info [ "chaos-seed" ] ~docv:"N"
-             ~doc:"Seed for probabilistic chaos armings.")
-  in
   let jobs =
     Arg.(value & opt int 1
          & info [ "jobs"; "j" ] ~docv:"N"
@@ -180,14 +174,14 @@ let obs_term =
                    recomputing. See docs/STORE.md.")
   in
   Term.(const (fun trace metrics profile report trace_out metrics_out deadline_ms
-                   sat_conflicts podem_backtracks fsim_pairs chaos chaos_seed jobs
+                   sat_conflicts podem_backtracks fsim_pairs chaos jobs
                    store ->
             { trace; metrics; profile; report; trace_out; metrics_out;
               deadline_ms; sat_conflicts;
-              podem_backtracks; fsim_pairs; chaos; chaos_seed; jobs; store })
+              podem_backtracks; fsim_pairs; chaos; jobs; store })
         $ trace $ metrics $ profile $ report $ trace_out $ metrics_out
         $ deadline_ms $ sat_conflicts
-        $ podem_backtracks $ fsim_pairs $ chaos $ chaos_seed $ jobs $ store)
+        $ podem_backtracks $ fsim_pairs $ chaos $ jobs $ store)
 
 (* Run a subcommand body under a root span with the ambient budget and
    chaos armings installed; afterwards render whatever the flags asked
@@ -217,7 +211,6 @@ let with_obs obs ~command ?(circuits = []) ?config ?seed
   in
   Budget.set_ambient budget;
   Degrade.reset ();
-  Chaos.init ~seed:obs.chaos_seed ();
   Chaos.disarm_all ();
   List.iter
     (fun spec ->
@@ -1186,17 +1179,12 @@ let serve_cmd =
              ~doc:"Arm fault injection for every request (test hook): \
                    POINT:ACTION[@AFTER]. Repeatable.")
   in
-  let chaos_seed =
-    Arg.(value & opt int 2005
-         & info [ "chaos-seed" ] ~docv:"N"
-             ~doc:"Seed for probabilistic chaos armings.")
-  in
   let verbose =
     Arg.(value & flag
          & info [ "verbose"; "v" ] ~doc:"Log per-request lines to stderr.")
   in
   let run socket tcp queue_depth request_deadline_ms idle_timeout_ms
-      drain_grace_ms jobs store_dir chaos chaos_seed verbose =
+      drain_grace_ms jobs store_dir chaos verbose =
     let listen = listen_of ~what:"serve" socket tcp in
     (* Reject bad chaos specs at startup, not on the first request. *)
     List.iter
@@ -1227,7 +1215,7 @@ let serve_cmd =
     in
     let cfg =
       Sserver.config ~queue_depth ~request_deadline_ms ~idle_timeout_ms
-        ~drain_grace_ms ~jobs ?store ~chaos_specs:chaos ~chaos_seed ?log listen
+        ~drain_grace_ms ~jobs ?store ~chaos_specs:chaos ?log listen
     in
     match Sserver.create cfg with
     | Error e ->
@@ -1255,7 +1243,7 @@ let serve_cmd =
              docs/SERVICE.md.")
     Term.(const run $ socket_flag $ tcp_flag $ queue_depth
           $ request_deadline_ms $ idle_timeout_ms $ drain_grace_ms $ jobs
-          $ store $ chaos $ chaos_seed $ verbose)
+          $ store $ chaos $ verbose)
 
 let client_cmd =
   let request_pos =

@@ -33,7 +33,9 @@ type report = {
   total_faults : int;
 }
 
-let run ?(misr_width = 16) nl ~faults ~seed ~length =
+let misr_width = 16
+
+let run nl ~faults ~seed ~length =
   if Netlist.num_dffs nl > 0 then
     invalid_arg "Bist.run: sequential netlist (apply Scan.full_scan first)";
   let bits = Array.length nl.Netlist.input_nets in

@@ -33,12 +33,11 @@ type report = {
 }
 
 val run :
-  ?misr_width:int ->
   Mutsamp_netlist.Netlist.t ->
   faults:Mutsamp_fault.Fault.t list ->
   seed:int ->
   length:int ->
   report
 (** Emulate a session on a combinational netlist (raises
-    [Invalid_argument] on sequential ones — scan them first).
-    [misr_width] defaults to 16. *)
+    [Invalid_argument] on sequential ones — scan them first). The MISR
+    is 16 bits wide. *)

@@ -51,9 +51,14 @@ let surviving ~ctx nl faults patterns =
            match d.Fsim.detected_at with None -> Some d.Fsim.fault | Some _ -> None)
   end
 
-let run ?(generator = Use_podem) ?(random_budget = 4096) ?(random_stall = 4) ?(seed = 1)
-    ?(backtrack_limit = 2000) ?(ctx = Ctx.default) ?(degraded_retries = 3)
-    nl ~faults ~seed_patterns =
+(* Random batches in a row without a new detection that end phase 2. *)
+let random_stall = 4
+
+(* Random fallback rounds after a budget cut of phase 3. *)
+let fallback_rounds = 3
+
+let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
+    ?(backtrack_limit = 2000) ?(ctx = Ctx.default) nl ~faults ~seed_patterns =
   if Netlist.num_dffs nl > 0 then
     invalid_arg "Topoff.run: sequential netlist (apply Scan.full_scan first)";
   let budget = Ctx.budget ctx in
@@ -165,7 +170,7 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(random_stall = 4) ?(s
        ~detail:"deterministic ATPG cut short; random top-off fallback" e;
      let o =
        Retry.run
-         ~policy:(Retry.policy ~max_attempts:degraded_retries ())
+         ~policy:(Retry.policy ~max_attempts:fallback_rounds ())
          ~budget ~stage:Rerror.Topoff
          (fun ~attempt:_ ~scale ->
            for _batch = 1 to scale do

@@ -35,11 +35,9 @@ type report = {
 val run :
   ?generator:generator ->
   ?random_budget:int ->
-  ?random_stall:int ->
   ?seed:int ->
   ?backtrack_limit:int ->
   ?ctx:Mutsamp_exec.Ctx.t ->
-  ?degraded_retries:int ->
   Mutsamp_netlist.Netlist.t ->
   faults:Mutsamp_fault.Fault.t list ->
   seed_patterns:Mutsamp_fault.Pattern.t array ->
@@ -49,9 +47,8 @@ val run :
     designs).
 
     The random phase draws batches of 63 uniform patterns and stops
-    after [random_stall] consecutive batches with no new detection or
-    when [random_budget] patterns have been applied (defaults: 4 and
-    4096). Every deterministic test is fault-simulated against the
+    after 4 consecutive batches with no new detection or when
+    [random_budget] patterns (default 4096) have been applied. Every deterministic test is fault-simulated against the
     remaining faults so one ATPG call can cover several faults.
     [backtrack_limit] (default 2000) bounds each PODEM call; exhausted
     budgets are reported as [aborted]. XOR-dominated circuits are
@@ -69,8 +66,8 @@ val run :
     Degradation: when the context budget (default: ambient) is
     exhausted — SAT
     conflicts, PODEM backtracks or the wall-clock deadline — the
-    deterministic phase stops and up to [degraded_retries] (default 3)
-    random top-off rounds run instead, doubling the vector count each
+    deterministic phase stops and up to 3 random top-off rounds run
+    instead, doubling the vector count each
     round. The run then {e returns} a report with [degraded = true] and
     partial coverage rather than failing; pending faults are counted as
     [aborted]. Under the default unlimited budget the flow and report

@@ -56,7 +56,10 @@ let exhaustive_combinational ?(max_bits = 16) a b =
 let reg_key sim =
   List.map (fun (_, v) -> Bitvec.to_int v) (Sim.observe_regs sim)
 
-let product_bfs ?(max_pairs = 65536) ?(max_bits = 12) a b =
+(* Joint states {!product_bfs} visits before it gives up. *)
+let max_pairs = 65536
+
+let product_bfs ?(max_bits = 12) a b =
   require_same_interface a b "product_bfs";
   let bits = Stimuli.input_bits a in
   if bits > max_bits then Unknown

@@ -50,14 +50,12 @@ val exhaustive_combinational :
     interfaces differ. *)
 
 val product_bfs :
-  ?max_pairs:int ->
   ?max_bits:int ->
   Mutsamp_hdl.Ast.design ->
   Mutsamp_hdl.Ast.design ->
   verdict
-(** Explore the product machine. [max_pairs] (default 65536) bounds the
-    visited joint-state count, [max_bits] (default 12) the per-cycle
-    input space. Raises [Invalid_argument] if the interfaces differ. *)
+(** Explore the product machine, visiting at most 65536 joint states;
+    [max_bits] (default 12) bounds the per-cycle input space. Raises [Invalid_argument] if the interfaces differ. *)
 
 type t
 (** A prepared oracle for one reference design. Safe to share across

@@ -1,4 +1,3 @@
-module Prng = Mutsamp_util.Prng
 module Metrics = Mutsamp_obs.Metrics
 
 (* Observability series (no-ops unless metrics collection is on). *)
@@ -41,23 +40,21 @@ let stage_of_point = function
   | Parse_input -> Error.Parse
   | Store_read -> Error.Report
 
-type arming = { mutable countdown : int; probability : float; action : action }
+type arming = { mutable countdown : int; action : action }
 
 let table : (point, arming) Hashtbl.t = Hashtbl.create 8
-let prng = ref (Prng.create 2005)
 
 (* Worker domains hit injection points too; the mutex covers the
-   countdown decrements and the shared PRNG draw. Arming happens on the
+   countdown decrements. Arming happens on the
    main domain before workers exist, so the empty-table fast path —
    which every uninjected run takes — stays lock-free. *)
 let mutex = Mutex.create ()
 
-let init ?(seed = 2005) () = prng := Prng.create seed
 let disarm_all () = Hashtbl.reset table
 let any_armed () = Hashtbl.length table > 0
 
-let arm ?(after = 0) ?(probability = 1.0) point action =
-  Hashtbl.replace table point { countdown = after; probability; action }
+let arm ?(after = 0) point action =
+  Hashtbl.replace table point { countdown = after; action }
 
 let fire point =
   if Hashtbl.length table = 0 then None
@@ -71,11 +68,10 @@ let fire point =
           a.countdown <- a.countdown - 1;
           None
         end
-        else if a.probability >= 1.0 || Prng.float !prng < a.probability then begin
+        else begin
           Metrics.incr c_fired;
           Some a.action
         end
-        else None
     in
     Mutex.unlock mutex;
     result

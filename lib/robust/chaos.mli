@@ -3,10 +3,9 @@
     Tests (and the [--chaos] CLI flag) arm a failure at a named
     injection point; the instrumented stage consults the harness on
     entry and receives a forced timeout, a raised exception, or a
-    truncated write. Firing is deterministic: a seeded
-    {!Mutsamp_util.Prng} drives probabilistic armings, and [?after]
-    skips a fixed number of hits, so a failing schedule is replayable
-    from its seed.
+    truncated write. Firing is deterministic: [?after] skips a fixed
+    number of hits, then every hit fires, so a failing schedule
+    replays exactly.
 
     The harness is process-global and disarmed by default; with no
     armings, [fire]/[trip] are a hash lookup on an empty table. *)
@@ -34,13 +33,9 @@ exception Injected of string
 val point_name : point -> string
 val stage_of_point : point -> Error.stage
 
-val init : ?seed:int -> unit -> unit
-(** Reset the injection PRNG (default seed 2005). Does not disarm. *)
-
-val arm : ?after:int -> ?probability:float -> point -> action -> unit
+val arm : ?after:int -> point -> action -> unit
 (** Arm [point]. The first [after] hits pass through (default 0); once
-    live, each hit fires with [probability] (default 1.0) and the point
-    stays armed. Re-arming a point replaces its previous arming. *)
+    live, every hit fires and the point stays armed. Re-arming a point replaces its previous arming. *)
 
 val disarm_all : unit -> unit
 val any_armed : unit -> bool

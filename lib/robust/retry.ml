@@ -53,8 +53,9 @@ let delay_ms_at ?prng policy ~attempt =
 
 let default_policy = policy ()
 
-let run ?(policy = default_policy) ?(sleep = Unix.sleepf) ?(jitter_seed = 2005)
-    ?budget ~stage f =
+let jitter_seed = 2005
+
+let run ?(policy = default_policy) ?(sleep = Unix.sleepf) ?budget ~stage f =
   let budget = match budget with Some b -> b | None -> Budget.ambient () in
   let prng = lazy (Prng.create jitter_seed) in
   let rec go attempt last_reason =

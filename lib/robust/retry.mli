@@ -55,7 +55,6 @@ val delay_ms_at : ?prng:Mutsamp_util.Prng.t -> policy -> attempt:int -> float
 val run :
   ?policy:policy ->
   ?sleep:(float -> unit) ->
-  ?jitter_seed:int ->
   ?budget:Budget.t ->
   stage:Error.stage ->
   (attempt:int -> scale:int -> ('a, string) result) ->
@@ -67,6 +66,5 @@ val run :
     tests pass a recorder), one {!Degrade.retry} is recorded, and [f]
     runs with its 1-based [attempt] and geometric [scale]. The first
     [Ok] wins; [Error reason] moves to the next attempt. Jitter draws
-    come from a dedicated PRNG seeded by [jitter_seed] (default 2005),
-    so delay schedules are replayable and independent of other PRNG
+    come from a dedicated PRNG with the fixed seed 2005, so delay schedules are replayable and independent of other PRNG
     users. *)

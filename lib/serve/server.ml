@@ -30,13 +30,12 @@ type config = {
   jobs : int;
   store : Store.t option;
   chaos_specs : string list;
-  chaos_seed : int;
   log : (string -> unit) option;
 }
 
 let config ?(queue_depth = 16) ?(request_deadline_ms = 0) ?(idle_timeout_ms = 30_000)
-    ?(drain_grace_ms = 2_000) ?(jobs = 1) ?store ?(chaos_specs = [])
-    ?(chaos_seed = 2005) ?log listen =
+    ?(drain_grace_ms = 2_000) ?(jobs = 1) ?store ?(chaos_specs = []) ?log
+    listen =
   {
     listen;
     queue_depth;
@@ -46,7 +45,6 @@ let config ?(queue_depth = 16) ?(request_deadline_ms = 0) ?(idle_timeout_ms = 30
     jobs;
     store;
     chaos_specs;
-    chaos_seed;
     log;
   }
 
@@ -190,7 +188,6 @@ let execute t (job : job) =
   Metrics.reset ();
   Store.reset_counters ();
   Degrade.reset ();
-  Chaos.init ~seed:t.cfg.chaos_seed ();
   Chaos.disarm_all ();
   let arm_failure = ref None in
   List.iter

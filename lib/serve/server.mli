@@ -37,7 +37,6 @@ type config = {
   jobs : int;  (** worker pool domains; 1 = in-process sequential *)
   store : Store.t option;
   chaos_specs : string list;  (** armed for every request (test hook) *)
-  chaos_seed : int;
   log : (string -> unit) option;  (** verbose logging sink *)
 }
 
@@ -49,7 +48,6 @@ val config :
   ?jobs:int ->
   ?store:Store.t ->
   ?chaos_specs:string list ->
-  ?chaos_seed:int ->
   ?log:(string -> unit) ->
   listen ->
   config

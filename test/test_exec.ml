@@ -38,7 +38,6 @@ let with_jobs jobs f =
    process-global; leave nothing behind for the rest of the suite. *)
 let clean f () =
   Chaos.disarm_all ();
-  Chaos.init ~seed:2005 ();
   Degrade.reset ();
   Budget.set_ambient Budget.unlimited;
   Fun.protect
@@ -317,7 +316,6 @@ let test_chaos_in_worker_deterministic () =
   let run jobs =
     Degrade.reset ();
     Chaos.disarm_all ();
-    Chaos.init ~seed:2005 ();
     Chaos.arm Chaos.Fsim_run Chaos.Timeout;
     let nl = p.Pipeline.netlist in
     let bits = Array.length nl.Mutsamp_netlist.Netlist.input_nets in

@@ -35,7 +35,6 @@ let check_string = Alcotest.(check string)
    suite. *)
 let clean f () =
   Chaos.disarm_all ();
-  Chaos.init ~seed:2005 ();
   Degrade.reset ();
   Budget.set_ambient Budget.unlimited;
   Fun.protect
