@@ -2,12 +2,17 @@
    on combinational netlists, packed on sequential ones — must
    reproduce the [Fsim.serial] reference bit-for-bit — same detection
    flags AND the same first-detection indices — over random netlists,
-   over the whole circuit registry, and at every shard fan-out. *)
+   over the whole circuit registry, and at every shard fan-out. The
+   netlist [Program] that mutant execution and the compiled backend
+   run is checked against [Bitsim] directly. *)
 
 module Prng = Mutsamp_util.Prng
 module Packvec = Mutsamp_util.Packvec
 module Netlist = Mutsamp_netlist.Netlist
 module B = Netlist.Builder
+module Gate = Mutsamp_netlist.Gate
+module Bitsim = Mutsamp_netlist.Bitsim
+module Program = Mutsamp_netlist.Program
 module Fault = Mutsamp_fault.Fault
 module Fsim = Mutsamp_fault.Fsim
 module Registry = Mutsamp_circuits.Registry
@@ -26,7 +31,9 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* Same shape as the generator in test_wide.ml: a few inputs, a pile of
-   random gates, optional flip-flops, random outputs. *)
+   random gates, optional flip-flops, random outputs. Constant nets join
+   the pool after the gates (which would fold them away), so outputs
+   and D inputs can be tied to them. *)
 let random_netlist ~dffs seed =
   let prng = Prng.create seed in
   let b = B.create (Printf.sprintf "eng%d" seed) in
@@ -59,6 +66,8 @@ let random_netlist ~dffs seed =
     in
     pool := g :: !pool
   done;
+  if Prng.bool prng then pool := B.const b false :: !pool;
+  if Prng.bool prng then pool := B.const b true :: !pool;
   List.iter (fun q -> B.connect_dff b q ~d:(pick ())) qs;
   for k = 0 to Prng.int prng 3 do
     B.output b (Printf.sprintf "o%d" k) (pick ())
@@ -69,6 +78,25 @@ let random_sequence nl ~length seed =
   let prng = Prng.create seed in
   let n_in = Array.length nl.Netlist.input_nets in
   Array.init length (fun _ -> Packvec.random prng n_in)
+
+(* [Fault.full_list] leaves constant nets out; the compiled backend
+   gives each constant its own slot, so stem faults on them are checked
+   explicitly. *)
+let faults_with_constants nl =
+  let const_stems =
+    List.concat
+      (List.filter_map
+         (fun net ->
+           match nl.Netlist.gates.(net).Gate.kind with
+           | Gate.Const _ ->
+             Some
+               (List.map
+                  (fun polarity -> { Fault.site = Fault.Stem net; polarity })
+                  [ Fault.Stuck_at_0; Fault.Stuck_at_1 ])
+           | _ -> None)
+         (List.init (Array.length nl.Netlist.gates) Fun.id))
+  in
+  Fault.full_list nl @ const_stems
 
 let same_report (a : Fsim.report) (b : Fsim.report) =
   a.Fsim.total = b.Fsim.total
@@ -89,7 +117,7 @@ let prop_run_matches_serial ~dffs ~name =
     (QCheck.make QCheck.Gen.(int_range 0 1000000))
     (fun seed ->
       let nl = random_netlist ~dffs seed in
-      let faults = Fault.full_list nl in
+      let faults = faults_with_constants nl in
       let len = if dffs then 6 + (seed mod 12) else 20 + (seed mod 60) in
       let sequence = random_sequence nl ~length:len seed in
       same_report (Fsim.serial nl ~faults ~sequence) (Fsim.run nl ~faults ~sequence))
@@ -99,6 +127,55 @@ let prop_comb_run_matches_serial =
 
 let prop_seq_run_matches_serial =
   prop_run_matches_serial ~dffs:true ~name:"packed = serial (seq)"
+
+(* The compiled program against the reference evaluator, lane by lane
+   over multi-cycle 63-lane sequences: every net's word (through the
+   layout's slot map), the outputs, and the next state in the pending
+   slots that close the scratch array. *)
+let prop_program_matches_bitsim =
+  QCheck.Test.make ~name:"Program.step = Bitsim.step" ~count:80
+    (QCheck.make QCheck.Gen.(int_range 0 1000000))
+    (fun seed ->
+      let nl = random_netlist ~dffs:(seed mod 4 <> 0) seed in
+      let prng = Prng.create (seed + 1) in
+      let p = Program.of_netlist nl in
+      let slot = (Program.layout nl).Program.slot in
+      let v = Array.make (Program.words p) 0 in
+      let sim = Bitsim.create nl in
+      let n_in = Program.input_bits p and nf = Netlist.num_dffs nl in
+      let outs = Array.make (Program.output_bits p) 0 in
+      Program.reset p v;
+      Bitsim.reset sim;
+      List.for_all
+        (fun _ ->
+          let inputs = Array.init n_in (fun _ -> Int64.to_int (Prng.bits64 prng)) in
+          let expected = Bitsim.step sim inputs in
+          Program.step p v inputs 0;
+          Program.outputs p v outs 0;
+          outs = expected
+          && Array.for_all2
+               (fun net s -> v.(s) = Bitsim.net_word sim net)
+               (Array.init (Array.length slot) Fun.id)
+               slot
+          && Array.sub v (Program.words p - nf) nf = Bitsim.dff_states sim)
+        (List.init (1 + (seed mod 10)) Fun.id))
+
+(* Every code-word slot field is 20 bits wide. *)
+let test_program_slot_limit () =
+  let netlist n =
+    {
+      Netlist.name = "consts";
+      gates = Array.make n { Gate.kind = Gate.Const false; fanins = [||] };
+      input_nets = [||];
+      output_list = [||];
+      dff_nets = [||];
+    }
+  in
+  check_int "2^20 slots fit" (1 lsl 20) (Program.words (Program.of_netlist (netlist (1 lsl 20))));
+  check_bool "2^20 + 1 slots rejected" true
+    (match Program.of_netlist (netlist ((1 lsl 20) + 1)) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Registry circuits at every shard fan-out                           *)
@@ -307,6 +384,8 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_comb_run_matches_serial;
         QCheck_alcotest.to_alcotest prop_seq_run_matches_serial;
+        QCheck_alcotest.to_alcotest prop_program_matches_bitsim;
+        Alcotest.test_case "Program slot limit" `Quick test_program_slot_limit;
       ] );
     ( "engines.registry",
       [
