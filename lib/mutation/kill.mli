@@ -4,9 +4,13 @@
     reset to both the original design and the mutant, at least one
     output differs in at least one cycle.
 
-    Every design runs as a compiled bit-parallel {!Program}: the
-    synthesized netlist flattened to one int per gate, evaluated over
-    native-int words of {!lanes} lanes. A block of up to 63 sequences
+    Every design runs as a compiled bit-parallel
+    {!Mutsamp_netlist.Program}: the synthesized netlist flattened to one
+    int per gate, evaluated over native-int words of {!lanes} lanes.
+    The program reads input bits and writes output bits in the
+    netlist's port order, so a design is compiled only when that order
+    is the design's port bits in declaration order, as synthesis emits
+    them. A block of up to 63 sequences
     runs in one pass, one sequence per lane, each lane from reset; the
     original's outputs are computed once per block and every mutant is
     compared against them lane by lane. Sequences of different lengths
@@ -24,7 +28,8 @@ type t
 val make : Mutsamp_hdl.Ast.design -> Mutant.t list -> t
 (** Compile the original and every mutant not compiled yet, under one
     [kill.compile] trace span. Raises {!Mutsamp_synth.Lower.Synth_error}
-    when a design does not synthesize (an unelaborated design). *)
+    when a design does not synthesize (an unelaborated design) or its
+    netlist's ports are not its port bits in declaration order. *)
 
 val original : t -> Mutsamp_hdl.Ast.design
 val mutants : t -> Mutant.t list

@@ -7,8 +7,9 @@ type t = {
   info : string;  (** human-readable description of the change *)
   design : Mutsamp_hdl.Ast.design;  (** the mutated design, still elaborated *)
   program : Mutsamp_netlist.Program.t option Atomic.t;
-      (** the design's compiled program, written once by the first
-          {!Kill.make} that needs it and shared by every later one *)
+      (** the design's synthesized netlist compiled to a program,
+          written once by the first {!Kill.make} that needs it and
+          shared by every later one *)
 }
 
 val pp : Format.formatter -> t -> unit
