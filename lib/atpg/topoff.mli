@@ -48,8 +48,9 @@ val run :
 
     The random phase draws batches of 63 uniform patterns and stops
     after 4 consecutive batches with no new detection or when
-    [random_budget] patterns (default 4096) have been applied. Every deterministic test is fault-simulated against the
-    remaining faults so one ATPG call can cover several faults.
+    [random_budget] patterns (default 4096) have been applied. Every
+    deterministic test is fault-simulated against the remaining faults
+    so one ATPG call can cover several faults.
     [backtrack_limit] (default 2000) bounds each PODEM call; exhausted
     budgets are reported as [aborted]. XOR-dominated circuits are
     PODEM's worst case — prefer [Use_sat] there.
@@ -67,8 +68,7 @@ val run :
     exhausted — SAT
     conflicts, PODEM backtracks or the wall-clock deadline — the
     deterministic phase stops and up to 3 random top-off rounds run
-    instead, doubling the vector count each
-    round. The run then {e returns} a report with [degraded = true] and
+    instead, doubling the vector count each round. The run then {e returns} a report with [degraded = true] and
     partial coverage rather than failing; pending faults are counted as
     [aborted]. Under the default unlimited budget the flow and report
     are identical to the pre-budget behaviour. *)

@@ -9,6 +9,7 @@ module Chaos = Mutsamp_robust.Chaos
 module Degrade = Mutsamp_robust.Degrade
 module Ctx = Mutsamp_exec.Ctx
 module Lower = Mutsamp_synth.Lower
+module Netlist = Mutsamp_netlist.Netlist
 module Program = Mutsamp_netlist.Program
 
 (* Observability series (no-ops unless metrics collection is on). *)
@@ -53,8 +54,8 @@ let compile (design : Ast.design) =
       fail "%s: netlist %s are not the design's port bits in declaration order"
         design.Ast.name what
   in
-  check "inputs" (Ast.inputs design) (Mutsamp_netlist.Netlist.input_names nl);
-  check "outputs" (Ast.outputs design) (Array.map fst nl.Mutsamp_netlist.Netlist.output_list);
+  check "inputs" (Ast.inputs design) (Netlist.input_names nl);
+  check "outputs" (Ast.outputs design) (Array.map fst nl.Netlist.output_list);
   Program.of_netlist nl
 
 (* The mutant's program from its write-once slot, and whether this call

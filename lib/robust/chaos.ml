@@ -45,9 +45,9 @@ type arming = { mutable countdown : int; action : action }
 let table : (point, arming) Hashtbl.t = Hashtbl.create 8
 
 (* Worker domains hit injection points too; the mutex covers the
-   countdown decrements. Arming happens on the
-   main domain before workers exist, so the empty-table fast path —
-   which every uninjected run takes — stays lock-free. *)
+   countdown decrements. Arming happens on the main domain before
+   workers exist, so the empty-table fast path — which every
+   uninjected run takes — stays lock-free. *)
 let mutex = Mutex.create ()
 
 let disarm_all () = Hashtbl.reset table
