@@ -1,6 +1,7 @@
 module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
 module Gate = Mutsamp_netlist.Gate
+module Program = Mutsamp_netlist.Program
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
@@ -127,21 +128,35 @@ let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
     patterns_applied = Array.length sequence;
   }
 
+(* How a fault is forced in a packed word, in the program's slots. *)
+type force =
+  | Slot of int  (* a stem: this slot's lane *)
+  | Pin of { slot : int; kind : Gate.kind; a : int; b : int }
+      (* a gate's branch pin: recompute the lane of the gate's slot from
+         its operand slots, the stuck pin's as -1 *)
+  | Next of int  (* a flip-flop's D pin: that flop's next-state lane *)
+
+(* [w] with lane [bit] taken from [x]. *)
+let set_lane w bit x = (w land lnot bit) lor (x land bit)
+
 (* Packed sequential engine after PROOFS (Niermann, Cheng & Patel, IEEE
    TCAD 1992). The good machine runs once per cycle on a single lane. A
    fault keeps its own flip-flop state only while that state differs
    from the good one; otherwise it implicitly carries the good state.
    Each cycle only the active faults — diverged, or excited because the
    site's good value differs from the stuck value — are packed 63 to a
-   word and simulated by [Bitsim.step_multi]: an inactive fault
-   provably produces the good outputs and the good next state. Detected
-   faults drop out and the survivors regroup every cycle, so a fault's
-   [detected_at] never depends on which faults share its word. *)
-let parallel_fault_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
+   word: an inactive fault provably produces the good outputs and the
+   good next state. A word runs the netlist's program gate by gate
+   range, stopping where each lane's fault is forced: sources before
+   the first gate, a gate's stem or pin right after that gate, a D pin
+   on the next state. Detected faults drop out and the survivors
+   regroup every cycle, so a fault's [detected_at] never depends on
+   which faults share its word. *)
+let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
+    ~(faults : Fault.t array) ~sequence =
   let n_faults = Array.length faults in
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
-  let sim = Bitsim.create nl in
   let w = Bitsim.word_bits in
   let n_cycles = Array.length sequence in
   (* Admission: one charge per group of [w] faults for the whole
@@ -157,29 +172,56 @@ let parallel_fault_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
       admitted := !admitted + len
     | Error e -> cut := Some e
   done;
-  let n_out = Array.length nl.Netlist.output_list in
-  let n_dff = Array.length nl.Netlist.dff_nets in
-  (* The net whose good value decides excitation: the stem itself, or
-     the fanin feeding the faulted pin. *)
-  let inj = Array.map Fault.injection faults in
-  let site =
-    Array.map
-      (function
-        | Bitsim.Net s -> s
-        | Bitsim.Pin { gate; pin } -> nl.Netlist.gates.(gate).Gate.fanins.(pin))
-      inj
-  in
+  let slot = layout.Program.slot in
+  let n_in = Program.input_bits prog and n_gates = Program.gates prog in
+  let dslot = Array.map (fun q -> slot.(nl.Netlist.gates.(q).Gate.fanins.(0))) nl.Netlist.dff_nets in
+  let n_dff = Array.length dslot in
+  (* Per net: one past its gate's position in the code, so 0 for the
+     sources. *)
+  let after = Array.make (Array.length slot) 0 in
+  Array.iteri (fun k net -> after.(net) <- k + 1) layout.Program.order;
   let stuck = Array.map Fault.stuck_word faults in
+  (* Per fault: the slot whose good value decides excitation (the stem
+     itself, or the fanin feeding the faulted pin), where in the code it
+     is forced, and how. D pins go last, after every gate. *)
+  let site = Array.make n_faults 0 and at = Array.make n_faults 0 in
+  let force =
+    Array.mapi
+      (fun fi f ->
+        match Fault.injection f with
+        | Bitsim.Net net ->
+          site.(fi) <- slot.(net);
+          at.(fi) <- after.(net);
+          Slot slot.(net)
+        | Bitsim.Pin { gate; pin } ->
+          let g = nl.Netlist.gates.(gate) in
+          let f0 = g.Gate.fanins.(0) in
+          let f1 = if Array.length g.Gate.fanins > 1 then g.Gate.fanins.(1) else f0 in
+          site.(fi) <- slot.(if pin = 0 then f0 else f1);
+          (match g.Gate.kind with
+           | Gate.Dff _ ->
+             at.(fi) <- n_gates + 1;
+             Next (slot.(gate) - n_in)
+           | kind ->
+             at.(fi) <- after.(gate);
+             let operand p net = if p = pin then -1 else slot.(net) in
+             Pin { slot = slot.(gate); kind; a = operand 0 f0; b = operand 1 f1 }))
+      faults
+  in
   (* Per-fault flip-flop state (one 0/1 int per flip-flop), held only
      while it differs from the good state; [||] follows the good one. *)
   let fstate = Array.make n_faults [||] in
+  (* Alive faults in code order of their forcing, so every word's lanes
+     arrive in the order the gate loop reaches them. *)
   let alive = Array.init !admitted Fun.id in
+  Array.stable_sort (fun i j -> compare at.(i) at.(j)) alive;
   let n_alive = ref !admitted in
   let active = Array.make !admitted 0 in
-  let good = Bitsim.create nl in
-  Bitsim.reset good;
-  let gstate = ref (Bitsim.dff_states good) in
-  let state = Array.make n_dff 0 in
+  let good = Array.make (Program.words prog) 0 in
+  Program.reset prog good;
+  let v = Array.make (Program.words prog) 0 in
+  let gout = Array.make (Program.output_bits prog) 0 in
+  let next = Array.make n_dff 0 in
   let logical_steps = ref 0 in
   let ticked = ref 0 in
   let cycle = ref 0 in
@@ -190,15 +232,13 @@ let parallel_fault_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
     if !stop = None then begin
       let c = !cycle in
       let inputs = K.replicate_pattern nl sequence.(c) in
-      let gout = Bitsim.step good inputs in
-      let gnext = Bitsim.dff_states good in
+      Program.step prog good inputs 0;
+      Program.outputs prog good gout 0;
       logical_steps := !logical_steps + !n_alive;
       let n_active = ref 0 in
       for k = 0 to !n_alive - 1 do
         let fi = alive.(k) in
-        if
-          Array.length fstate.(fi) > 0
-          || (Bitsim.net_word good site.(fi) lxor stuck.(fi)) land 1 <> 0
+        if Array.length fstate.(fi) > 0 || (good.(site.(fi)) lxor stuck.(fi)) land 1 <> 0
         then begin
           active.(!n_active) <- fi;
           incr n_active
@@ -208,39 +248,53 @@ let parallel_fault_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
       let lo = ref 0 in
       while !lo < !n_active do
         let len = min w (!n_active - !lo) in
-        for k = 0 to n_dff - 1 do
-          state.(k) <- -(!gstate.(k) land 1)
-        done;
-        let injections = ref [] in
-        for l = len - 1 downto 0 do
-          let fi = active.(!lo + l) in
-          let fs = fstate.(fi) in
-          let bit = 1 lsl l in
+        (* Constants, the inputs, and every lane's flip-flop state. *)
+        Program.reset prog v;
+        Array.blit inputs 0 v 0 n_in;
+        Array.blit good n_in v n_in n_dff;
+        for l = 0 to len - 1 do
+          let fs = fstate.(active.(!lo + l)) in
           if Array.length fs > 0 then
             for k = 0 to n_dff - 1 do
-              state.(k) <-
-                (if fs.(k) = 1 then state.(k) lor bit else state.(k) land lnot bit)
-            done;
-          injections :=
-            { Bitsim.inj = inj.(fi); lanes = bit; stuck = stuck.(fi) } :: !injections
+              v.(n_in + k) <- set_lane v.(n_in + k) (1 lsl l) (-fs.(k))
+            done
         done;
-        Bitsim.load_state sim state;
-        let outs = Bitsim.step_multi sim inputs ~injections:!injections in
-        let next = Bitsim.dff_states sim in
+        let ran = ref 0 and l = ref 0 in
+        while !l < len && at.(active.(!lo + !l)) <= n_gates do
+          let fi = active.(!lo + !l) in
+          if at.(fi) > !ran then begin
+            Program.exec_range prog !ran at.(fi) v;
+            ran := at.(fi)
+          end;
+          (match force.(fi) with
+           | Slot s -> v.(s) <- set_lane v.(s) (1 lsl !l) stuck.(fi)
+           | Pin { slot = s; kind; a; b } ->
+             let operand x = if x < 0 then stuck.(fi) else v.(x) in
+             v.(s) <- set_lane v.(s) (1 lsl !l) (Gate.eval2 kind (operand a) (operand b))
+           | Next _ -> assert false);
+          incr l
+        done;
+        Program.exec_range prog !ran n_gates v;
+        for k = 0 to n_dff - 1 do
+          next.(k) <- v.(dslot.(k))
+        done;
+        for l = !l to len - 1 do
+          let fi = active.(!lo + l) in
+          match force.(fi) with
+          | Next k -> next.(k) <- set_lane next.(k) (1 lsl l) stuck.(fi)
+          | Slot _ | Pin _ -> assert false
+        done;
         Metrics.incr K.x_machine_steps;
         Metrics.observe K.h_lanes_per_step (float_of_int len);
         (* Lanes whose outputs, or next state, left the good machine. *)
-        let diff = ref 0 in
-        for o = 0 to n_out - 1 do
-          diff := !diff lor (outs.(o) lxor -(gout.(o) land 1))
-        done;
+        let diff = Program.mismatch prog v gout 0 in
         let diverged = ref 0 in
         for k = 0 to n_dff - 1 do
-          diverged := !diverged lor (next.(k) lxor -(gnext.(k) land 1))
+          diverged := !diverged lor (next.(k) lxor good.(dslot.(k)))
         done;
         for l = 0 to len - 1 do
           let fi = active.(!lo + l) in
-          if (!diff lsr l) land 1 = 1 then begin
+          if (diff lsr l) land 1 = 1 then begin
             detections.(fi) <- { detections.(fi) with detected_at = Some c };
             fstate.(fi) <- [||];
             incr n_detected
@@ -275,7 +329,6 @@ let parallel_fault_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
         ticked := !ticked + !n_detected;
         tick !n_detected
       end;
-      gstate := gnext;
       incr cycle
     end
   done;
@@ -328,10 +381,13 @@ let run ?(ctx = Ctx.default) nl ~faults ~sequence =
         Fsim_compiled.combinational_shard entry progs ~budget ~faults ~fault_lo:lo
           ~patterns:sequence)
   end
-  else
+  else begin
+    let layout = Program.layout nl in
+    let prog = Program.of_layout nl layout in
     simulate ~ctx ~backend:K.c_engine_packed ~faults ~sequence
       (fun ~budget ~tick ~lo:_ ~faults ->
-        parallel_fault_shard ~budget ~tick nl ~faults ~sequence)
+        parallel_fault_shard ~budget ~tick nl layout prog ~faults ~sequence)
+  end
 
 let serial ?(ctx = Ctx.default) nl ~faults ~sequence =
   simulate ~ctx ~backend:K.c_engine_serial ~faults ~sequence

@@ -8,20 +8,24 @@
     stimuli via netlist input names.
 
     {!run} picks the backend from the netlist, bit-identical in its
-    reports to {!serial}:
-    - combinational netlists run {e compiled}: the design is
-      specialised at load time into straight-line OCaml closures over
-      dense word arrays — a whole-netlist good program plus a
-      statically-routed fanout-cone program per fault site, cached per
-      design hash for the process lifetime (misses recorded in
-      [exec.compile_ms]). A fault whose site is not excited in a batch
-      skips its cone (elided gate evaluations recorded in
-      [exec.events_skipped]);
+    reports to {!serial}. Both run the netlist compiled to a
+    {!Mutsamp_netlist.Program}, one gate code word per gate:
+    - combinational netlists run {e compiled}: [Program.step] runs the
+      good machine over 63 patterns at once, and each fault site's
+      fanout cone, encoded over the same slots, runs with
+      [Program.exec] on an overlay of the good values. The program and
+      the cones are cached per design hash for the process lifetime
+      (misses recorded in [exec.compile_ms]). A fault whose site is not
+      excited in a batch skips its cone (elided gate evaluations
+      recorded in [exec.events_skipped]);
     - sequential netlists run {e packed}, PROOFS-style parallel-fault
-      simulation: the good machine runs once per cycle on its own lane,
-      and each cycle only the faults that are excited or whose
-      flip-flop state has diverged are packed 63 to a word;
-      detected faults are dropped and the rest regroup every cycle.
+      simulation, on a program compiled once per call: [Program.step]
+      runs the good machine once per cycle, and each cycle only the
+      faults that are excited or whose flip-flop state has diverged are
+      packed 63 to a word, one fault per lane. A word runs the program
+      gate range by gate range with [Program.exec_range], forcing each
+      lane's fault where the code reaches it; detected faults are
+      dropped and the rest regroup every cycle.
 
     The backend that ran is recorded by bumping one of the
     [fsim.engine.compiled] / [fsim.engine.packed] /

@@ -145,11 +145,12 @@ let find_or_compile nl =
       Trace.with_span_timed "fsim_compile"
         ~attrs:[ ("design", nl.Netlist.name) ]
         (fun () ->
+          let layout = Program.layout nl in
           {
             nl;
-            layout = Program.layout nl;
+            layout;
             fanouts = Array.map Array.of_list (Netlist.fanouts nl);
-            good = Program.of_netlist nl;
+            good = Program.of_layout nl layout;
             cones = Hashtbl.create 64;
           })
     in

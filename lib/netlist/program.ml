@@ -46,9 +46,10 @@ let encode (nl : Netlist.t) slot net =
   opcode g.Gate.kind lor (a lsl 3) lor (b lsl (3 + field)) lor (slot.(net) lsl (3 + (2 * field)))
 
 (* Slots are validated by [layout], so the gate loop uses unsafe
-   accesses; callers check [v] against the program's size. *)
-let exec code v =
-  for k = 0 to Array.length code - 1 do
+   accesses; callers check [v] against the program's size, and [lo],
+   [hi] against the code. *)
+let run code lo hi v =
+  for k = lo to hi - 1 do
     let c = Array.unsafe_get code k in
     let a = Array.unsafe_get v ((c lsr 3) land mask) in
     let b = Array.unsafe_get v ((c lsr (3 + field)) land mask) in
@@ -64,6 +65,8 @@ let exec code v =
        | _ -> lnot (a lxor b))
   done
 
+let exec code v = run code 0 (Array.length code) v
+
 type t = {
   inputs : int;  (* input bits, at slots [0, inputs); Q slots follow *)
   code : int array;  (* per gate, topological *)
@@ -72,8 +75,7 @@ type t = {
   outs : int array;  (* per output bit: slot of its driver *)
 }
 
-let of_netlist (nl : Netlist.t) =
-  let { order; slot } = layout nl in
+let of_layout (nl : Netlist.t) { order; slot } =
   let gates = nl.Netlist.gates in
   let word b = if b then Bitsim.all_ones else 0 in
   let consts =
@@ -94,8 +96,11 @@ let of_netlist (nl : Netlist.t) =
     outs = Array.map (fun (_, net) -> slot.(net)) nl.Netlist.output_list;
   }
 
+let of_netlist nl = of_layout nl (layout nl)
+
 let input_bits t = t.inputs
 let output_bits t = Array.length t.outs
+let gates t = Array.length t.code
 let first_init t = t.inputs + Array.length t.d + Array.length t.code
 let words t = first_init t + Array.length t.init
 
@@ -111,6 +116,11 @@ let step t v inputs pos =
   for f = 0 to nf - 1 do
     Array.unsafe_set v (pend + f) (Array.unsafe_get v (Array.unsafe_get t.d f))
   done
+
+let exec_range t lo hi v =
+  if lo < 0 || hi > Array.length t.code || Array.length v < words t then
+    invalid_arg "Program.exec_range";
+  run t.code lo hi v
 
 let outputs t v dst pos = Array.iteri (fun j s -> dst.(pos + j) <- v.(s)) t.outs
 

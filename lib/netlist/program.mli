@@ -8,14 +8,16 @@
 
     Each gate is one int code word: a 3-bit opcode, then the slots of
     its two operands and of its destination in three 20-bit fields
-    ({!encode}); {!exec} is the one loop that evaluates such code.
+    ({!encode}); {!exec} and {!exec_range} share the one loop that
+    evaluates such code.
     The program keeps no netlist and no per-net data: the gate code,
     plus one int per flip-flop D input, constant or reset word and
     output bit. Every net has its own slot; {!layout} gives the map,
     in this order:
     - the input bits, in [input_nets] order;
     - one Q slot per flip-flop, in [dff_nets] order;
-    - one slot per combinational gate, in topological order;
+    - one slot per combinational gate, in topological order, which is
+      also the order of the gate code;
     - one slot per constant net, in net order;
     - one pending next-state slot per flip-flop.
 
@@ -47,8 +49,16 @@ type t
 val of_netlist : Netlist.t -> t
 (** Flatten. Raises [Invalid_argument] as {!layout} does. *)
 
+val of_layout : Netlist.t -> layout -> t
+(** Flatten against a layout the caller already holds; it must be
+    [layout nl] for the same netlist. *)
+
 val input_bits : t -> int
 val output_bits : t -> int
+
+val gates : t -> int
+(** Gate code words: one per combinational gate, in [layout]'s
+    [order]. *)
 
 val words : t -> int
 (** Scratch words {!reset} and {!step} need. *)
@@ -64,6 +74,14 @@ val step : t -> int array -> int array -> int -> unit
     their pending state, the input bits are read from
     [inputs.(pos) .. inputs.(pos + input_bits t - 1)], and every gate is
     evaluated. Outputs stay readable until the next [step]. *)
+
+val exec_range : t -> int -> int -> int array -> unit
+(** [exec_range t lo hi scratch] evaluates gates [lo .. hi - 1] of the
+    program's own code over [scratch], as {!step} does between loading
+    the flip-flops and latching their next state: a caller that stops
+    between gates may override slots before the rest run. Raises
+    [Invalid_argument] when [lo < 0], [hi > gates t] or [scratch] is
+    shorter than {!words}. *)
 
 val outputs : t -> int array -> int array -> int -> unit
 (** [outputs t scratch dst pos] writes the output words of the last

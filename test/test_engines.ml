@@ -153,10 +153,7 @@ let prop_program_matches_bitsim =
           Program.step p v inputs 0;
           Program.outputs p v outs 0;
           outs = expected
-          && Array.for_all2
-               (fun net s -> v.(s) = Bitsim.net_word sim net)
-               (Array.init (Array.length slot) Fun.id)
-               slot
+          && Array.for_all2 (fun word s -> v.(s) = word) (Bitsim.net_values sim) slot
           && Array.sub v (Program.words p - nf) nf = Bitsim.dff_states sim)
         (List.init (1 + (seed mod 10)) Fun.id))
 
@@ -251,21 +248,27 @@ let seq_sequence nl ~length seed =
 
 (* Every sequential registry circuit over 512 cycles — long enough for
    most faults to drop mid-sequence while the hard ones stay alive to
-   the end — at every shard fan-out, flip-flop faults included. *)
+   the end — at every shard fan-out, over two fault lists: the
+   collapsed one plus flip-flop faults, and the uncollapsed one, whose
+   words hold a gate's stem, both its pins and both polarities
+   together. *)
 let test_packed_sequential_registry_512 () =
   List.iter
     (fun (name, nl, collapsed) ->
-      let faults = collapsed @ dff_faults nl in
       let sequence = seq_sequence nl ~length:512 5 in
-      let reference = Fsim.serial nl ~faults ~sequence in
       List.iter
-        (fun jobs ->
-          with_jobs jobs @@ fun ctx ->
-          let r = Fsim.run ~ctx nl ~faults ~sequence in
-          check_bool
-            (Printf.sprintf "%s: packed at jobs %d differs from serial" name jobs)
-            true (same_report reference r))
-        [ 1; 2; 4 ])
+        (fun (list, faults) ->
+          let reference = Fsim.serial nl ~faults ~sequence in
+          List.iter
+            (fun jobs ->
+              with_jobs jobs @@ fun ctx ->
+              let r = Fsim.run ~ctx nl ~faults ~sequence in
+              check_bool
+                (Printf.sprintf "%s, %s list: packed at jobs %d differs from serial" name
+                   list jobs)
+                true (same_report reference r))
+            [ 1; 2; 4 ])
+        [ ("collapsed", collapsed @ dff_faults nl); ("full", Fault.full_list nl) ])
     (sequential_circuits ())
 
 (* A cut run keeps the reference report's shape — every fault, the
