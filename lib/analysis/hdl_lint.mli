@@ -1,9 +1,7 @@
 (** Behavioural-level lint over an elaborated design.
 
-    Supersedes the ad-hoc style checks that used to be folded into
-    elaboration: [Hdl.Check] keeps the hard structural errors
-    (undeclared names, width mismatches), this pass reports the
-    semantic smells — [HDL001]..[HDL007] in the catalogue
+    [Hdl.Check] reports the hard structural errors (undeclared names,
+    width mismatches); this pass reports the semantic smells — [HDL001]..[HDL007] in the catalogue
     ([docs/ANALYSIS.md]). *)
 
 val run : circuit:string -> Mutsamp_hdl.Ast.design -> Diag.t list

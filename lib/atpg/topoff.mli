@@ -70,5 +70,6 @@ val run :
     deterministic phase stops and up to 3 random top-off rounds run
     instead, doubling the vector count each round. The run then {e returns} a report with [degraded = true] and
     partial coverage rather than failing; pending faults are counted as
-    [aborted]. Under the default unlimited budget the flow and report
-    are identical to the pre-budget behaviour. *)
+    [aborted]. Under the default unlimited budget the deterministic
+    phase targets every remaining fault, no fallback round runs and
+    [degraded] is [false]. *)

@@ -3,10 +3,9 @@
     threaded as a single [?ctx] argument instead of a scatter of
     per-call optionals.
 
-    [default] (no pool, ambient budget, no progress, no store)
-    reproduces every pre-context default, so
-    [?ctx:(Ctx.t = Ctx.default)] entry points are drop-in compatible
-    with their former [?budget]/[?on_progress] signatures. *)
+    [default] runs sequentially under the ambient budget, reports no
+    progress and uses no store; an entry point called without [?ctx]
+    behaves that way. *)
 
 type t = {
   pool : Pool.t option;  (** [None] = sequential execution *)

@@ -14,14 +14,8 @@
       stimulus.
 
     Vectorgen's directed phase and [Pipeline.classify_equivalents] both
-    ask it. Compared with the separate checks they replaced: a
-    combinational design of at most 16 input bits (c17 in the
-    registry) is classified by the exhaustive sweep rather than SAT —
-    same verdicts, fewer [sat.solves], no [Sat_conflicts] spent — and a
-    mutant that fails to synthesize is [Unknown] rather than an
-    exception. Vectorgen's config lost its SAT on/off switch with them,
-    so the [vectors] and [t1row] store keys changed: existing stores
-    recompute those entries once.
+    ask it. The exhaustive regime spends no [Sat_conflicts] and counts
+    no [sat.solves]; a mutant that fails to synthesize is [Unknown].
 
     The two simulation engines stay exported for direct use:
 

@@ -66,8 +66,9 @@ val generate :
     failing: the random phase stops at the deadline, a cut-short SAT
     attack or injected directed-phase failure leaves its mutant
     [unknown] (never spuriously equivalent), and each downgrade is
-    listed in [degraded]. With the default unlimited budget the outcome
-    is bit-identical to the pre-budget implementation. *)
+    listed in [degraded]. With the default unlimited budget nothing is
+    cut short: [degraded] is empty and the outcome depends only on the
+    configuration, the design and the mutants. *)
 
 val flatten_test_set :
   outcome -> Mutsamp_hdl.Sim.stimulus list
