@@ -88,6 +88,7 @@ val outputs : t -> int array -> int array -> int -> unit
     [step] to [dst.(pos) ..], in output order. *)
 
 val mismatch : t -> int array -> int array -> int -> int
-(** [mismatch t scratch expected pos]: the lanes where some output of
-    the last [step] differs from [expected.(pos) ..] (as written by
-    {!outputs} of another program over the same inputs). *)
+(** [mismatch t scratch expected pos]: the lanes where some output in
+    [scratch] (after a [step], or after {!exec_range} up to the last
+    gate) differs from [expected.(pos) ..] (as written by {!outputs}
+    of another program over the same inputs). *)
