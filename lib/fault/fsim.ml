@@ -174,7 +174,9 @@ let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
   done;
   let slot = layout.Program.slot in
   let n_in = Program.input_bits prog and n_gates = Program.gates prog in
-  let dslot = Array.map (fun q -> slot.(nl.Netlist.gates.(q).Gate.fanins.(0))) nl.Netlist.dff_nets in
+  let dslot =
+    Array.map (fun q -> slot.(nl.Netlist.gates.(q).Gate.fanins.(0))) nl.Netlist.dff_nets
+  in
   let n_dff = Array.length dslot in
   (* Per net: one past its gate's position in the code, so 0 for the
      sources. *)
@@ -195,9 +197,8 @@ let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
           Slot slot.(net)
         | Bitsim.Pin { gate; pin } ->
           let g = nl.Netlist.gates.(gate) in
-          let f0 = g.Gate.fanins.(0) in
-          let f1 = if Array.length g.Gate.fanins > 1 then g.Gate.fanins.(1) else f0 in
-          site.(fi) <- slot.(if pin = 0 then f0 else f1);
+          let f0, f1 = Fsim_compiled.fanins2 g in
+          site.(fi) <- slot.(g.Gate.fanins.(pin));
           (match g.Gate.kind with
            | Gate.Dff _ ->
              at.(fi) <- n_gates + 1;
