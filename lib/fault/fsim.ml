@@ -140,7 +140,7 @@ type force =
 let set_lane w bit x = (w land lnot bit) lor (x land bit)
 
 (* Packed sequential engine after PROOFS (Niermann, Cheng & Patel, IEEE
-   TCAD 1992). The good machine runs once per cycle on a single lane. A
+   TCAD 1992). The good machine runs once per cycle, every lane alike. A
    fault keeps its own flip-flop state only while that state differs
    from the good one; otherwise it implicitly carries the good state.
    Each cycle only the active faults — diverged, or excited because the
