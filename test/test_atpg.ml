@@ -21,6 +21,8 @@ module Topoff = Mutsamp_atpg.Topoff
 module Parser = Mutsamp_hdl.Parser
 module Check = Mutsamp_hdl.Check
 module Flow = Mutsamp_synth.Flow
+module Registry = Mutsamp_circuits.Registry
+module Pipeline = Mutsamp_core.Pipeline
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -135,6 +137,36 @@ let test_podem_rejects_sequential () =
      ignore (Podem.find_test nl { Fault.site = Fault.Stem x; polarity = Fault.Stuck_at_0 });
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
+
+(* The search path itself, pinned over all of c432's collapsed faults
+   at the A3 ablation's backtrack limit (EXPERIMENTS.md): test,
+   untestable and abort counts, and the summed backtracks and
+   implications of the calls that finished. A change to PODEM's
+   per-step work must leave every decision, and so every total, as it
+   is. *)
+let test_podem_search_path_c432 () =
+  let p = Pipeline.prepare ((Option.get (Registry.find "c432")).Registry.design ()) in
+  let totals guided =
+    List.fold_left
+      (fun (tests, untestable, aborted, bt, impl) f ->
+        match Podem.find_test ~backtrack_limit:2000 ~guided p.Pipeline.netlist f with
+        | Ok (Some _, s) ->
+          (tests + 1, untestable, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
+        | Ok (None, s) ->
+          (tests, untestable + 1, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
+        | Error _ -> (tests, untestable, aborted + 1, bt, impl))
+      (0, 0, 0, 0, 0) p.Pipeline.faults
+  in
+  let expect mode (tests, untestable, aborted, bt, impl) guided =
+    let t, u, a, b, i = totals guided in
+    check_int (mode ^ " tests") tests t;
+    check_int (mode ^ " untestable") untestable u;
+    check_int (mode ^ " aborted") aborted a;
+    check_int (mode ^ " backtracks") bt b;
+    check_int (mode ^ " implications") impl i
+  in
+  expect "guided" (370, 29, 23, 41_611, 130_092) true;
+  expect "unguided" (370, 29, 23, 54_601, 171_182) false
 
 (* ------------------------------------------------------------------ *)
 (* Satgen & cross-engine agreement                                    *)
@@ -580,6 +612,26 @@ let prop_inject_matches_builtin =
       let via_netlist = Mutsamp_netlist.Bitsim.step sim_faulty (words faulty_nl) in
       built_in = via_netlist)
 
+(* PODEM against SAT-ATPG on random combinational netlists, whose
+   constant nets and gates reading one net on both pins exercise the
+   implication's special cases: stems on inputs and constants, and
+   branch faults. The engines must agree on testability (an abort is
+   inconclusive) and every PODEM test must detect its fault. *)
+let prop_podem_random_netlists =
+  QCheck.Test.make ~name:"podem = satgen on random netlists" ~count:100
+    (QCheck.make QCheck.Gen.(int_range 0 1000000))
+    (fun seed ->
+      let nl = Test_engines.random_netlist ~dffs:false seed in
+      List.for_all
+        (fun f ->
+          match Podem.find_test nl f, ok_exn (Satgen.generate nl f) with
+          | Ok (Some p, _), Satgen.Test _ -> detects nl f p
+          | Ok (None, _), Satgen.Untestable | Error _, _ -> true
+          | Ok _, _ ->
+            QCheck.Test.fail_reportf "seed %d: engines disagree on %s" seed
+              (Fault.to_string f))
+        (Test_engines.faults_with_constants nl))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -596,12 +648,14 @@ let suite =
         Alcotest.test_case "redundant untestable" `Quick test_podem_untestable_redundant;
         Alcotest.test_case "stats populated" `Quick test_podem_stats_populated;
         Alcotest.test_case "rejects sequential" `Quick test_podem_rejects_sequential;
+        Alcotest.test_case "search path (c432)" `Quick test_podem_search_path_c432;
       ] );
     ( "atpg.cross_engine",
       [
         Alcotest.test_case "agree on full adder" `Quick test_engines_agree_full_adder;
         Alcotest.test_case "agree on redundant" `Quick test_engines_agree_redundant;
         Alcotest.test_case "agree on alu" `Quick test_engines_agree_alu;
+        q prop_podem_random_netlists;
       ] );
     ( "atpg.scoap",
       [
