@@ -25,11 +25,29 @@ type ctx = {
   nl : Netlist.t;
   topo : Topo.t;
   fanouts : int list array;
-  fault : Fault.t;
   site_net : int;  (* the net whose good value activates the fault *)
+  stem_net : int;  (* faulted stem, -1 for a branch fault *)
+  pin_gate : int;  (* gate of a faulted branch, -1 for a stem fault *)
+  pin_idx : int;
+  stuck : V.t;
   values : V.t array;
   pi_value : V.t array;  (* per input position *)
-  pi_position : (int, int) Hashtbl.t;  (* net -> input position *)
+  pi_position : int array;  (* net -> input position, -1 off the inputs *)
+  mutable changed : int list;  (* positions assigned since the last imply *)
+  (* Implication worklist: one stack per level, stored back to back in
+     [queue] from [level_base.(l)], each sized to its level's gate
+     count; [pending] keeps a gate on at most one stack. *)
+  queue : int array;
+  level_base : int array;
+  level_top : int array;
+  pending : Bytes.t;
+  cone : int array;  (* the fault's fanout cone, in topological order *)
+  frontier : int array;  (* D-frontier: [frontier.(0 .. n_frontier - 1)] *)
+  mutable n_frontier : int;
+  is_po : Bytes.t;
+  stamp : int array;  (* X-path visit marks, current pass = [epoch] *)
+  mutable epoch : int;
+  stack : int array;
   scoap : Scoap.t;  (* branching heuristics *)
   guided : bool;  (* use SCOAP guidance (ablation knob) *)
   backtrack_limit : int;
@@ -40,147 +58,197 @@ type ctx = {
 let stuck_value (f : Fault.t) =
   match f.polarity with Fault.Stuck_at_0 -> V.Zero | Fault.Stuck_at_1 -> V.One
 
-let fault_pin (f : Fault.t) =
-  match f.site with
-  | Fault.Branch { gate; pin } -> (gate, pin)
-  | Fault.Stem _ -> (-1, -1)
-
-let fault_stem (f : Fault.t) =
-  match f.site with Fault.Stem n -> n | Fault.Branch _ -> -1
-
 (* Value gate [i] actually sees on pin [k]: a branch fault overrides the
    faulty-machine projection with the stuck value once the good value is
    known. *)
 let operand_value ctx i k =
-  let g = ctx.nl.Netlist.gates.(i) in
-  let v = ctx.values.(g.Gate.fanins.(k)) in
-  let pin_gate, pin_idx = fault_pin ctx.fault in
-  if i = pin_gate && k = pin_idx then
+  let v = ctx.values.(ctx.nl.Netlist.gates.(i).Gate.fanins.(k)) in
+  if i = ctx.pin_gate && k = ctx.pin_idx then
     match V.good v with
     | V.X -> V.X
-    | gv -> V.combine gv (stuck_value ctx.fault)
+    | gv -> V.combine gv ctx.stuck
   else v
+
+let apply_stem ctx i v =
+  if i = ctx.stem_net then
+    match V.good v with
+    | V.X -> V.X
+    | g -> V.combine g ctx.stuck
+  else v
+
+let eval_gate ctx i =
+  let g = ctx.nl.Netlist.gates.(i) in
+  let a = operand_value ctx i 0 in
+  let b = if Array.length g.Gate.fanins > 1 then operand_value ctx i 1 else V.X in
+  apply_stem ctx i (V.eval g.Gate.kind a b)
+
+let set_pi ctx pos v =
+  ctx.pi_value.(pos) <- v;
+  ctx.changed <- pos :: ctx.changed
 
 (* Five-valued full-circuit simulation from the current PI assignment,
    with the fault inserted at its site. *)
-let imply ctx =
-  ctx.implications <- ctx.implications + 1;
-  let stuck = stuck_value ctx.fault in
-  let stem_net = fault_stem ctx.fault in
-  let apply_stem i v =
-    if i = stem_net then
-      match V.good v with
-      | V.X -> V.X
-      | g -> V.combine g stuck
-    else v
-  in
-  (* Sources. *)
+let simulate_all ctx =
   Array.iteri
-    (fun pos net -> ctx.values.(net) <- apply_stem net ctx.pi_value.(pos))
+    (fun pos net -> ctx.values.(net) <- apply_stem ctx net ctx.pi_value.(pos))
     ctx.nl.Netlist.input_nets;
   Array.iteri
     (fun i (g : Gate.t) ->
       match g.kind with
-      | Gate.Const v -> ctx.values.(i) <- apply_stem i (V.of_bool v)
+      | Gate.Const v -> ctx.values.(i) <- apply_stem ctx i (V.of_bool v)
       | Gate.Pi _ | Gate.Dff _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or
       | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
     ctx.nl.Netlist.gates;
-  (* Combinational gates. *)
-  Array.iter
-    (fun i ->
-      let g = ctx.nl.Netlist.gates.(i) in
-      let a = operand_value ctx i 0 in
-      let b = if Array.length g.Gate.fanins > 1 then operand_value ctx i 1 else V.X in
-      ctx.values.(i) <- apply_stem i (V.eval g.Gate.kind a b))
-    ctx.topo.Topo.order
+  Array.iter (fun i -> ctx.values.(i) <- eval_gate ctx i) ctx.topo.Topo.order;
+  ctx.changed <- []
+
+let rec schedule ctx = function
+  | [] -> ()
+  | g :: rest ->
+    if Bytes.get ctx.pending g = '\000' then begin
+      Bytes.set ctx.pending g '\001';
+      let l = ctx.topo.Topo.level.(g) in
+      ctx.queue.(ctx.level_top.(l)) <- g;
+      ctx.level_top.(l) <- ctx.level_top.(l) + 1
+    end;
+    schedule ctx rest
+
+let update ctx net v =
+  if v != ctx.values.(net) then begin
+    ctx.values.(net) <- v;
+    schedule ctx ctx.fanouts.(net)
+  end
+
+let rec update_inputs ctx = function
+  | [] -> ()
+  | pos :: rest ->
+    let net = ctx.nl.Netlist.input_nets.(pos) in
+    update ctx net (apply_stem ctx net ctx.pi_value.(pos));
+    update_inputs ctx rest
+
+(* Event-driven implication: bring [values] to the fixed point of the
+   current PI assignment by re-evaluating only the gates downstream of
+   the inputs assigned since the last call, level by level so each gate
+   is evaluated once, after all of its changed fanins. The fixed point
+   depends on the assignment alone, so every value equals a full pass
+   of [simulate_all]. *)
+let imply ctx =
+  ctx.implications <- ctx.implications + 1;
+  update_inputs ctx ctx.changed;
+  ctx.changed <- [];
+  for l = 1 to ctx.topo.Topo.max_level do
+    (* A gate's fanouts sit on higher levels: this stack only drains. *)
+    while ctx.level_top.(l) > ctx.level_base.(l) do
+      let top = ctx.level_top.(l) - 1 in
+      ctx.level_top.(l) <- top;
+      let g = ctx.queue.(top) in
+      Bytes.set ctx.pending g '\000';
+      update ctx g (eval_gate ctx g)
+    done
+  done
 
 let detected ctx =
   Array.exists (fun (_, net) -> V.is_error ctx.values.(net)) ctx.nl.Netlist.output_list
 
 (* Gates whose output is X while some (effective) input carries an
    error. The effective view matters for the branch-faulted gate: the
-   error lives on its overridden pin, not on any net. *)
+   error lives on its overridden pin, not on any net. Errors exist only
+   inside the fault's fanout cone, so only the cone is scanned. *)
 let d_frontier ctx =
-  let frontier = ref [] in
-  Array.iter
-    (fun i ->
-      let g = ctx.nl.Netlist.gates.(i) in
-      if ctx.values.(i) = V.X
-         && Array.exists
-              (fun k -> V.is_error (operand_value ctx i k))
-              (Array.init (Array.length g.Gate.fanins) (fun k -> k))
-      then frontier := i :: !frontier)
-    ctx.topo.Topo.order;
-  List.rev !frontier
+  ctx.n_frontier <- 0;
+  for k = 0 to Array.length ctx.cone - 1 do
+    let i = ctx.cone.(k) in
+    if ctx.values.(i) == V.X
+       && (V.is_error (operand_value ctx i 0)
+           || (Array.length ctx.nl.Netlist.gates.(i).Gate.fanins > 1
+               && V.is_error (operand_value ctx i 1)))
+    then begin
+      ctx.frontier.(ctx.n_frontier) <- i;
+      ctx.n_frontier <- ctx.n_frontier + 1
+    end
+  done
 
-(* Is there a path of X-valued nets from some frontier gate to a PO? *)
-let x_path_exists ctx frontier =
-  let po = Array.make (Array.length ctx.nl.Netlist.gates) false in
-  Array.iter (fun (_, net) -> po.(net) <- true) ctx.nl.Netlist.output_list;
-  let visited = Array.make (Array.length ctx.nl.Netlist.gates) false in
-  let rec dfs i =
-    if po.(i) then true
-    else
-      List.exists
-        (fun sink ->
-          (not visited.(sink))
-          && (match ctx.nl.Netlist.gates.(sink).Gate.kind with
-              | Gate.Dff _ -> false
-              | _ ->
-                visited.(sink) <- true;
-                ctx.values.(sink) = V.X && dfs sink))
-        ctx.fanouts.(i)
-  in
-  List.exists
-    (fun g ->
-      visited.(g) <- true;
-      dfs g)
-    frontier
+(* Stamp the unvisited sinks and push the X-valued ones; returns the new
+   stack height. *)
+let rec push_x_sinks ctx sp = function
+  | [] -> sp
+  | s :: rest ->
+    if ctx.stamp.(s) = ctx.epoch then push_x_sinks ctx sp rest
+    else begin
+      ctx.stamp.(s) <- ctx.epoch;
+      if ctx.values.(s) == V.X then begin
+        ctx.stack.(sp) <- s;
+        push_x_sinks ctx (sp + 1) rest
+      end
+      else push_x_sinks ctx sp rest
+    end
 
-(* Next objective: activate the fault, then drive an error through the
-   D-frontier. None = dead end under the current assignment. *)
-let objective ctx =
-  let site_good = V.good ctx.values.(ctx.site_net) in
-  let stuck = stuck_value ctx.fault in
-  if site_good = V.X then
+(* Is there a path of X-valued nets from some frontier gate to a PO?
+   Every net is stamped before it is pushed, so the stack never holds
+   more than one entry per net. *)
+let x_path_exists ctx =
+  ctx.epoch <- ctx.epoch + 1;
+  let sp = ref 0 in
+  for k = 0 to ctx.n_frontier - 1 do
+    let g = ctx.frontier.(k) in
+    if ctx.stamp.(g) <> ctx.epoch then begin
+      ctx.stamp.(g) <- ctx.epoch;
+      ctx.stack.(!sp) <- g;
+      incr sp
+    end
+  done;
+  let found = ref false in
+  while (not !found) && !sp > 0 do
+    decr sp;
+    let i = ctx.stack.(!sp) in
+    if Bytes.get ctx.is_po i = '\001' then found := true
+    else sp := push_x_sinks ctx !sp ctx.fanouts.(i)
+  done;
+  !found
+
+(* Next objective given the site's good value: activate the fault, then
+   drive an error through the D-frontier (built by [d_frontier] once
+   the fault is active). None = dead end under the current
+   assignment. *)
+let objective ctx site_good =
+  if site_good == V.X then
     (* Activation: drive the site to the complement of the stuck value. *)
-    Some (ctx.site_net, stuck = V.Zero)
-  else if site_good = stuck then None  (* activation impossible here *)
-  else
-    match d_frontier ctx with
-    | [] -> None
-    | frontier ->
-      (* Advance the error through the most observable frontier gate
-         (first gate when guidance is off). *)
-      let g =
-        if ctx.guided then
-          List.fold_left
-            (fun best cand ->
-              if ctx.scoap.Scoap.co.(cand) < ctx.scoap.Scoap.co.(best) then cand else best)
-            (List.hd frontier) frontier
-        else List.hd frontier
+    Some (ctx.site_net, ctx.stuck == V.Zero)
+  else if site_good == ctx.stuck || ctx.n_frontier = 0 then
+    None  (* activation impossible here, or no error left to advance *)
+  else begin
+    (* Advance the error through the most observable frontier gate
+       (first gate when guidance is off). *)
+    let g = ref ctx.frontier.(0) in
+    if ctx.guided then
+      for k = 1 to ctx.n_frontier - 1 do
+        let cand = ctx.frontier.(k) in
+        if ctx.scoap.Scoap.co.(cand) < ctx.scoap.Scoap.co.(!g) then g := cand
+      done;
+    let fanins = ctx.nl.Netlist.gates.(!g).Gate.fanins in
+    let x_input =
+      if ctx.values.(fanins.(0)) == V.X then Some fanins.(0)
+      else if Array.length fanins > 1 && ctx.values.(fanins.(1)) == V.X then
+        Some fanins.(1)
+      else None
+    in
+    match x_input with
+    | None -> None
+    | Some net ->
+      let v =
+        match V.controlling_value ctx.nl.Netlist.gates.(!g).Gate.kind with
+        | Some c -> not c  (* non-controlling value lets the error pass *)
+        | None -> false  (* XOR-ish: any known value propagates *)
       in
-      let gate = ctx.nl.Netlist.gates.(g) in
-      let x_input =
-        Array.to_list gate.Gate.fanins
-        |> List.find_opt (fun f -> ctx.values.(f) = V.X)
-      in
-      (match x_input with
-       | None -> None
-       | Some net ->
-         let v =
-           match V.controlling_value gate.Gate.kind with
-           | Some c -> not c  (* non-controlling value lets the error pass *)
-           | None -> false  (* XOR-ish: any known value propagates *)
-         in
-         Some (net, v))
+      Some (net, v)
+  end
 
 (* Walk an objective back to an unassigned primary input. *)
 let backtrace ctx net v =
   let rec walk net v =
-    match Hashtbl.find_opt ctx.pi_position net with
-    | Some pos -> (pos, v)
-    | None ->
+    let pos = ctx.pi_position.(net) in
+    if pos >= 0 then (pos, v)
+    else
       let g = ctx.nl.Netlist.gates.(net) in
       (match g.Gate.kind with
        | Gate.Const _ | Gate.Pi _ | Gate.Dff _ ->
@@ -218,26 +286,69 @@ let backtrace ctx net v =
 exception Abort
 exception Stop of Rerror.t
 
+(* The gates an error can reach from the fault: the transitive fanout
+   of a faulted stem, or a faulted branch's gate and its transitive
+   fanout, in topological order. *)
+let fanout_cone nl (topo : Topo.t) fanouts ~stem_net ~pin_gate =
+  let inside = Bytes.make (Array.length nl.Netlist.gates) '\000' in
+  let rec visit i =
+    if Bytes.get inside i = '\000' then begin
+      Bytes.set inside i '\001';
+      List.iter visit fanouts.(i)
+    end
+  in
+  if pin_gate >= 0 then visit pin_gate else List.iter visit fanouts.(stem_net);
+  Array.of_list
+    (List.filter (fun i -> Bytes.get inside i = '\001') (Array.to_list topo.order))
+
 let generate_core ~backtrack_limit ~guided ~budget nl fault =
   if Netlist.num_dffs nl > 0 then
     invalid_arg "Podem.generate: sequential netlist (apply Scan.full_scan first)";
-  let pi_position = Hashtbl.create 16 in
-  Array.iteri (fun pos net -> Hashtbl.replace pi_position net pos) nl.Netlist.input_nets;
-  let site_net =
+  let n = Array.length nl.Netlist.gates in
+  let pi_position = Array.make n (-1) in
+  Array.iteri (fun pos net -> pi_position.(net) <- pos) nl.Netlist.input_nets;
+  let stem_net, pin_gate, pin_idx, site_net =
     match fault.Fault.site with
-    | Fault.Stem n -> n
-    | Fault.Branch { gate; pin } -> nl.Netlist.gates.(gate).Gate.fanins.(pin)
+    | Fault.Stem net -> (net, -1, -1, net)
+    | Fault.Branch { gate; pin } -> (-1, gate, pin, nl.Netlist.gates.(gate).Gate.fanins.(pin))
   in
+  let topo = Topo.compute nl in
+  let fanouts = Netlist.fanouts nl in
+  let level_base = Array.make (topo.Topo.max_level + 2) 0 in
+  Array.iter
+    (fun i -> let l = topo.Topo.level.(i) in level_base.(l + 1) <- level_base.(l + 1) + 1)
+    topo.Topo.order;
+  for l = 1 to topo.Topo.max_level + 1 do
+    level_base.(l) <- level_base.(l) + level_base.(l - 1)
+  done;
+  let cone = fanout_cone nl topo fanouts ~stem_net ~pin_gate in
+  let is_po = Bytes.make n '\000' in
+  Array.iter (fun (_, net) -> Bytes.set is_po net '\001') nl.Netlist.output_list;
   let ctx =
     {
       nl;
-      topo = Topo.compute nl;
-      fanouts = Netlist.fanouts nl;
-      fault;
+      topo;
+      fanouts;
       site_net;
-      values = Array.make (Array.length nl.Netlist.gates) V.X;
+      stem_net;
+      pin_gate;
+      pin_idx;
+      stuck = stuck_value fault;
+      values = Array.make n V.X;
       pi_value = Array.make (Array.length nl.Netlist.input_nets) V.X;
       pi_position;
+      changed = [];
+      queue = Array.make (Array.length topo.Topo.order) 0;
+      level_base;
+      level_top = Array.copy level_base;
+      pending = Bytes.make n '\000';
+      cone;
+      frontier = Array.make (Array.length cone) 0;
+      n_frontier = 0;
+      is_po;
+      stamp = Array.make n 0;
+      epoch = 0;
+      stack = Array.make n 0;
       scoap = Scoap.compute nl;
       guided;
       backtrack_limit;
@@ -245,6 +356,7 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
       implications = 0;
     }
   in
+  simulate_all ctx;
   (* A fault whose site is a constant net can never be activated when
      the constant equals the stuck value, and is trivially activated
      otherwise; imply handles both, no special case needed. *)
@@ -252,25 +364,20 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
     imply ctx;
     if detected ctx then true
     else begin
-      match objective ctx with
+      let site_good = V.good ctx.values.(ctx.site_net) in
+      if site_good != V.X && site_good != ctx.stuck then d_frontier ctx;
+      match objective ctx site_good with
       | None -> false
       | Some (net, v) ->
-        (* If activation is pending but the D-frontier exists, make sure
-           an X-path remains; prune otherwise. *)
-        let site_good = V.good ctx.values.(ctx.site_net) in
-        let viable =
-          if site_good = V.X then true
-          else
-            match d_frontier ctx with
-            | [] -> false
-            | frontier -> x_path_exists ctx frontier
-        in
+        (* Once the fault is active, make sure an X-path remains from
+           the D-frontier; prune otherwise. *)
+        let viable = site_good == V.X || x_path_exists ctx in
         if not viable then false
         else begin
           match backtrace ctx net v with
           | exception Invalid_argument _ -> false
           | pos, value ->
-            ctx.pi_value.(pos) <- V.of_bool value;
+            set_pi ctx pos (V.of_bool value);
             if search () then true
             else begin
               ctx.backtracks <- ctx.backtracks + 1;
@@ -279,11 +386,11 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
                | Ok () -> ()
                | Error e -> raise (Stop e));
               if ctx.backtracks > ctx.backtrack_limit then raise Abort;
-              ctx.pi_value.(pos) <- V.of_bool (not value);
+              set_pi ctx pos (V.of_bool (not value));
               if search () then true
               else begin
-                ctx.pi_value.(pos) <- V.X;
-                (* Re-simulate so the parent frame sees a consistent
+                set_pi ctx pos V.X;
+                (* Re-imply so the parent frame sees a consistent
                    assignment. *)
                 imply ctx;
                 false

@@ -1,14 +1,20 @@
 (** PODEM: path-oriented decision making, for combinational netlists.
 
     The search assigns primary inputs only. Each step derives an
-    objective (activate the fault, then advance the D-frontier),
-    backtraces it to a primary-input assignment, five-valued-simulates,
-    and backtracks on failure. PODEM is complete: with an unbounded
-    backtrack budget, [Untestable] is a proof of redundancy. *)
+    objective (activate the fault, then advance the D-frontier, scanned
+    over the fault's fanout cone), backtraces it to a primary-input
+    assignment, implies it, and backtracks on failure. Implication is
+    event-driven: one five-valued pass of the whole circuit per call,
+    then each implication re-evaluates, level by level, only the gates
+    downstream of the inputs assigned since the previous one. PODEM is
+    complete: with an unbounded backtrack budget, [Untestable] is a
+    proof of redundancy. *)
 
 type stats = {
   backtracks : int;
-  implications : int;  (** five-valued simulation passes *)
+  implications : int;
+      (** implication passes, each re-evaluating only the cone of the
+          inputs it changed *)
 }
 
 val find_test :
