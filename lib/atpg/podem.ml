@@ -40,11 +40,11 @@ type ctx = {
   queue : int array;
   level_base : int array;
   level_top : int array;
-  pending : Bytes.t;
+  pending : bool array;
   cone : int array;  (* the fault's fanout cone, in topological order *)
   frontier : int array;  (* D-frontier: [frontier.(0 .. n_frontier - 1)] *)
   mutable n_frontier : int;
-  is_po : Bytes.t;
+  is_po : bool array;
   stamp : int array;  (* X-path visit marks, current pass = [epoch] *)
   mutable epoch : int;
   stack : int array;
@@ -58,23 +58,19 @@ type ctx = {
 let stuck_value (f : Fault.t) =
   match f.polarity with Fault.Stuck_at_0 -> V.Zero | Fault.Stuck_at_1 -> V.One
 
-(* Value gate [i] actually sees on pin [k]: a branch fault overrides the
-   faulty-machine projection with the stuck value once the good value is
-   known. *)
+(* [v] at the fault site: the faulty-machine projection is overridden
+   with the stuck value once the good value is known. *)
+let force ctx v =
+  match V.good v with
+  | V.X -> V.X
+  | g -> V.combine g ctx.stuck
+
+(* Value gate [i] actually sees on pin [k]. *)
 let operand_value ctx i k =
   let v = ctx.values.(ctx.nl.Netlist.gates.(i).Gate.fanins.(k)) in
-  if i = ctx.pin_gate && k = ctx.pin_idx then
-    match V.good v with
-    | V.X -> V.X
-    | gv -> V.combine gv ctx.stuck
-  else v
+  if i = ctx.pin_gate && k = ctx.pin_idx then force ctx v else v
 
-let apply_stem ctx i v =
-  if i = ctx.stem_net then
-    match V.good v with
-    | V.X -> V.X
-    | g -> V.combine g ctx.stuck
-  else v
+let apply_stem ctx i v = if i = ctx.stem_net then force ctx v else v
 
 let eval_gate ctx i =
   let g = ctx.nl.Netlist.gates.(i) in
@@ -86,27 +82,11 @@ let set_pi ctx pos v =
   ctx.pi_value.(pos) <- v;
   ctx.changed <- pos :: ctx.changed
 
-(* Five-valued full-circuit simulation from the current PI assignment,
-   with the fault inserted at its site. *)
-let simulate_all ctx =
-  Array.iteri
-    (fun pos net -> ctx.values.(net) <- apply_stem ctx net ctx.pi_value.(pos))
-    ctx.nl.Netlist.input_nets;
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.kind with
-      | Gate.Const v -> ctx.values.(i) <- apply_stem ctx i (V.of_bool v)
-      | Gate.Pi _ | Gate.Dff _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or
-      | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
-    ctx.nl.Netlist.gates;
-  Array.iter (fun i -> ctx.values.(i) <- eval_gate ctx i) ctx.topo.Topo.order;
-  ctx.changed <- []
-
 let rec schedule ctx = function
   | [] -> ()
   | g :: rest ->
-    if Bytes.get ctx.pending g = '\000' then begin
-      Bytes.set ctx.pending g '\001';
+    if not ctx.pending.(g) then begin
+      ctx.pending.(g) <- true;
       let l = ctx.topo.Topo.level.(g) in
       ctx.queue.(ctx.level_top.(l)) <- g;
       ctx.level_top.(l) <- ctx.level_top.(l) + 1
@@ -119,22 +99,19 @@ let update ctx net v =
     schedule ctx ctx.fanouts.(net)
   end
 
-let rec update_inputs ctx = function
-  | [] -> ()
-  | pos :: rest ->
-    let net = ctx.nl.Netlist.input_nets.(pos) in
-    update ctx net (apply_stem ctx net ctx.pi_value.(pos));
-    update_inputs ctx rest
-
-(* Event-driven implication: bring [values] to the fixed point of the
-   current PI assignment by re-evaluating only the gates downstream of
-   the inputs assigned since the last call, level by level so each gate
-   is evaluated once, after all of its changed fanins. The fixed point
-   depends on the assignment alone, so every value equals a full pass
-   of [simulate_all]. *)
+(* Event-driven five-valued implication, with the fault inserted at its
+   site: bring [values] to the fixed point of the current PI assignment
+   by re-evaluating only the gates downstream of the nets changed since
+   the last call, level by level so each gate is evaluated once, after
+   all of its changed fanins. The fixed point depends on the assignment
+   alone, so every value equals a full-circuit pass. *)
 let imply ctx =
   ctx.implications <- ctx.implications + 1;
-  update_inputs ctx ctx.changed;
+  List.iter
+    (fun pos ->
+      let net = ctx.nl.Netlist.input_nets.(pos) in
+      update ctx net (apply_stem ctx net ctx.pi_value.(pos)))
+    ctx.changed;
   ctx.changed <- [];
   for l = 1 to ctx.topo.Topo.max_level do
     (* A gate's fanouts sit on higher levels: this stack only drains. *)
@@ -142,7 +119,7 @@ let imply ctx =
       let top = ctx.level_top.(l) - 1 in
       ctx.level_top.(l) <- top;
       let g = ctx.queue.(top) in
-      Bytes.set ctx.pending g '\000';
+      ctx.pending.(g) <- false;
       update ctx g (eval_gate ctx g)
     done
   done
@@ -201,7 +178,7 @@ let x_path_exists ctx =
   while (not !found) && !sp > 0 do
     decr sp;
     let i = ctx.stack.(!sp) in
-    if Bytes.get ctx.is_po i = '\001' then found := true
+    if ctx.is_po.(i) then found := true
     else sp := push_x_sinks ctx !sp ctx.fanouts.(i)
   done;
   !found
@@ -225,22 +202,17 @@ let objective ctx site_good =
         let cand = ctx.frontier.(k) in
         if ctx.scoap.Scoap.co.(cand) < ctx.scoap.Scoap.co.(!g) then g := cand
       done;
-    let fanins = ctx.nl.Netlist.gates.(!g).Gate.fanins in
-    let x_input =
-      if ctx.values.(fanins.(0)) == V.X then Some fanins.(0)
-      else if Array.length fanins > 1 && ctx.values.(fanins.(1)) == V.X then
-        Some fanins.(1)
-      else None
+    let gate = ctx.nl.Netlist.gates.(!g) in
+    let v =
+      match V.controlling_value gate.Gate.kind with
+      | Some c -> not c  (* non-controlling value lets the error pass *)
+      | None -> false  (* XOR-ish: any known value propagates *)
     in
-    match x_input with
-    | None -> None
-    | Some net ->
-      let v =
-        match V.controlling_value ctx.nl.Netlist.gates.(!g).Gate.kind with
-        | Some c -> not c  (* non-controlling value lets the error pass *)
-        | None -> false  (* XOR-ish: any known value propagates *)
-      in
-      Some (net, v)
+    let fanins = gate.Gate.fanins in
+    if ctx.values.(fanins.(0)) == V.X then Some (fanins.(0), v)
+    else if Array.length fanins > 1 && ctx.values.(fanins.(1)) == V.X then
+      Some (fanins.(1), v)
+    else None
   end
 
 (* Walk an objective back to an unassigned primary input. *)
@@ -290,16 +262,15 @@ exception Stop of Rerror.t
    of a faulted stem, or a faulted branch's gate and its transitive
    fanout, in topological order. *)
 let fanout_cone nl (topo : Topo.t) fanouts ~stem_net ~pin_gate =
-  let inside = Bytes.make (Array.length nl.Netlist.gates) '\000' in
+  let inside = Array.make (Array.length nl.Netlist.gates) false in
   let rec visit i =
-    if Bytes.get inside i = '\000' then begin
-      Bytes.set inside i '\001';
+    if not inside.(i) then begin
+      inside.(i) <- true;
       List.iter visit fanouts.(i)
     end
   in
   if pin_gate >= 0 then visit pin_gate else List.iter visit fanouts.(stem_net);
-  Array.of_list
-    (List.filter (fun i -> Bytes.get inside i = '\001') (Array.to_list topo.order))
+  Array.of_list (List.filter (fun i -> inside.(i)) (Array.to_list topo.order))
 
 let generate_core ~backtrack_limit ~guided ~budget nl fault =
   if Netlist.num_dffs nl > 0 then
@@ -310,20 +281,24 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
   let stem_net, pin_gate, pin_idx, site_net =
     match fault.Fault.site with
     | Fault.Stem net -> (net, -1, -1, net)
-    | Fault.Branch { gate; pin } -> (-1, gate, pin, nl.Netlist.gates.(gate).Gate.fanins.(pin))
+    | Fault.Branch { gate; pin } ->
+      (-1, gate, pin, nl.Netlist.gates.(gate).Gate.fanins.(pin))
   in
   let topo = Topo.compute nl in
   let fanouts = Netlist.fanouts nl in
+  (* Level [l]'s stack starts after the gates of every lower level. *)
   let level_base = Array.make (topo.Topo.max_level + 2) 0 in
   Array.iter
-    (fun i -> let l = topo.Topo.level.(i) in level_base.(l + 1) <- level_base.(l + 1) + 1)
+    (fun i ->
+      let l = topo.Topo.level.(i) + 1 in
+      level_base.(l) <- level_base.(l) + 1)
     topo.Topo.order;
   for l = 1 to topo.Topo.max_level + 1 do
     level_base.(l) <- level_base.(l) + level_base.(l - 1)
   done;
   let cone = fanout_cone nl topo fanouts ~stem_net ~pin_gate in
-  let is_po = Bytes.make n '\000' in
-  Array.iter (fun (_, net) -> Bytes.set is_po net '\001') nl.Netlist.output_list;
+  let is_po = Array.make n false in
+  Array.iter (fun (_, net) -> is_po.(net) <- true) nl.Netlist.output_list;
   let ctx =
     {
       nl;
@@ -341,7 +316,7 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
       queue = Array.make (Array.length topo.Topo.order) 0;
       level_base;
       level_top = Array.copy level_base;
-      pending = Bytes.make n '\000';
+      pending = Array.make n false;
       cone;
       frontier = Array.make (Array.length cone) 0;
       n_frontier = 0;
@@ -356,7 +331,15 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
       implications = 0;
     }
   in
-  simulate_all ctx;
+  (* With every input X only the constants are known: put them in and
+     the first imply propagates them, giving the full pass's values. *)
+  Array.iteri
+    (fun i (g : Gate.t) ->
+      match g.kind with
+      | Gate.Const v -> update ctx i (apply_stem ctx i (V.of_bool v))
+      | Gate.Pi _ | Gate.Dff _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or
+      | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
+    nl.Netlist.gates;
   (* A fault whose site is a constant net can never be activated when
      the constant equals the stuck value, and is trivially activated
      otherwise; imply handles both, no special case needed. *)
