@@ -2,8 +2,8 @@
 
     A value combines the good-machine and faulty-machine bits:
     [D] is good 1 / faulty 0, [Dbar] good 0 / faulty 1, [X] unknown in
-    both. The PODEM implementation evaluates the whole circuit in this
-    algebra with the fault inserted at its site. *)
+    both. The PODEM implementation evaluates the circuit in this algebra
+    with the fault inserted at its site. *)
 
 type t = Zero | One | X | D | Dbar
 

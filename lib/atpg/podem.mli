@@ -4,11 +4,11 @@
     objective (activate the fault, then advance the D-frontier, scanned
     over the fault's fanout cone), backtraces it to a primary-input
     assignment, implies it, and backtracks on failure. Implication is
-    event-driven: one five-valued pass of the whole circuit per call,
-    then each implication re-evaluates, level by level, only the gates
-    downstream of the inputs assigned since the previous one. PODEM is
-    complete: with an unbounded backtrack budget, [Untestable] is a
-    proof of redundancy. *)
+    event-driven: each one re-evaluates, level by level, only the gates
+    downstream of the inputs assigned since the previous one (the first
+    propagates the constants), and every net ends at the value a full
+    five-valued pass would give. PODEM is complete: with an unbounded
+    backtrack budget, [Untestable] is a proof of redundancy. *)
 
 type stats = {
   backtracks : int;
