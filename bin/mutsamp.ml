@@ -558,20 +558,14 @@ let import_cmd =
       let faults = (Collapse.run nl).Collapse.representatives in
       let bits = Array.length nl.Netlist.input_nets in
       let patterns = Prpg.uniform_sequence (Prng.create seed) ~bits ~length:vectors in
+      let ctx =
+        { ctx with
+          Ctx.progress =
+            Some (fun ~stage ~done_ ~total -> progress_line stage ~done_ ~total);
+        }
+      in
       let r =
-        Trace.with_span "fsim" @@ fun () ->
-        if Netlist.num_dffs nl = 0 then
-          (* Cone-keyed path: with --store, unchanged output cones of an
-             edited netlist replay from cache (see docs/STORE.md). *)
-          Pipeline.fault_simulate_patterns ~ctx nl ~faults ~patterns
-        else
-          let ctx =
-            { ctx with
-              Ctx.progress =
-                Some (fun ~stage ~done_ ~total -> progress_line stage ~done_ ~total);
-            }
-          in
-          Fsim.run ~ctx nl ~faults ~sequence:patterns
+        Trace.with_span "fsim" @@ fun () -> Fsim.run ~ctx nl ~faults ~sequence:patterns
       in
       Printf.printf "%d collapsed faults, %d vectors -> %.2f%% coverage\n" r.Fsim.total
         vectors (Fsim.coverage_percent r)
@@ -1015,8 +1009,8 @@ let store_cmd =
   let namespace =
     Arg.(value & opt (some string) None
          & info [ "namespace" ] ~docv:"NS"
-             ~doc:"Restrict to one namespace (fsim, fsimcone, vectors, score, \
-                   equiv, t1row, atpg).")
+             ~doc:"Restrict to one namespace (fsim, vectors, score, equiv, \
+                   t1row, atpg).")
   in
   let open_store dir =
     match Store.open_dir dir with
@@ -1077,25 +1071,16 @@ let store_cmd =
                ~doc:"Only entries whose key carries this exact part, e.g. \
                      --key circuit=c432 or --key seed=2005.")
     in
-    let cone =
-      Arg.(value & opt (some string) None
-           & info [ "cone" ] ~docv:"NET"
-               ~doc:"Only cone-keyed entries (namespace fsimcone) whose \
-                     recorded input cone contains this net — a primary input \
-                     or output name, or an internal n<ID> label from the \
-                     exported .bench. Entries for untouched cones survive.")
-    in
-    let run dir namespace field cone =
+    let run dir namespace field =
       let t = open_store dir in
-      let n = Store.invalidate t ?namespace ?field ?cone () in
+      let n = Store.invalidate t ?namespace ?field () in
       Printf.printf "%s: invalidated %d entr%s\n" dir n (if n = 1 then "y" else "ies")
     in
     Cmd.v
       (Cmd.info "invalidate"
          ~doc:"Delete store entries — everything by default, or the subset \
-               matching --namespace / --key / --cone. The next run recomputes \
-               them.")
-      Term.(const run $ dir_pos $ namespace $ field $ cone)
+               matching --namespace / --key. The next run recomputes them.")
+      Term.(const run $ dir_pos $ namespace $ field)
   in
   Cmd.group
     (Cmd.info "store"

@@ -60,55 +60,6 @@ val fsim_report_of_json :
     hash pins), re-paired positionally. [None] when the recorded total
     disagrees with the list length. *)
 
-val cone_payload_to_json : nets:string list -> detected_at:int option list -> Json.t
-(** One influence-group fault-sim entry: detection indices in group
-    order, plus the cone's net names under ["nets"] (the handle
-    [mutsamp store invalidate --cone NET] matches; payload, not key —
-    internal net labels shift under edits, the key's cone hashes pin
-    the structure). *)
-
-val cone_payload_of_json : count:int -> Json.t -> int option list option
-(** [None] unless exactly [count] well-formed indices are recorded. *)
-
-val site_hashes_digest : string list -> string
-(** Key part covering a group's fault site hashes, in group order. *)
-
-(** {2 Influence groups}
-
-    Faults whose effects can reach the same set of primary outputs are
-    interchangeable for store keying: their detection results depend
-    only on the structure of those outputs' input cones and the
-    applied patterns. {!cone_groups} partitions a fault list
-    accordingly; {!Pipeline.fault_simulate_patterns} keys one
-    ["fsimcone"] entry per group. *)
-
-type cone_group = {
-  ghash : string;
-      (** digest of the cone hashes of the reachable primary outputs'
-          driving nets (ascending output order); [""]-digest for
-          faults that reach no output *)
-  nets : int list;
-      (** union of the reachable outputs' input cones, ascending —
-          the blast radius a [--cone NET] invalidation matches on *)
-  faults : (int * Mutsamp_fault.Fault.t * string) list;
-      (** (index in the original fault list, fault, site hash) in
-          original list order. The site hash fixes the fault's exact
-          structural position: stem faults by cone hash, branch
-          faults by the gate's cone hash plus pin index. *)
-  cacheable : bool;
-      (** false when two faults in the group share a site hash
-          (indistinguishable in a stored payload) — the caller must
-          then compute this group fresh and never cache it *)
-}
-
-val cone_groups :
-  Mutsamp_netlist.Netlist.t ->
-  Mutsamp_netlist.Regions.t ->
-  Mutsamp_fault.Fault.t list ->
-  cone_group list
-(** Deterministic: groups ordered by first member's fault-list index.
-    Every input fault appears in exactly one group. *)
-
 val outcome_to_json : Mutsamp_validation.Vectorgen.outcome -> Json.t
 
 val outcome_of_json : Json.t -> Mutsamp_validation.Vectorgen.outcome option

@@ -16,7 +16,6 @@ module Mutant = Mutsamp_mutation.Mutant
 module Generate = Mutsamp_mutation.Generate
 module Kill = Mutsamp_mutation.Kill
 module Equivalence = Mutsamp_mutation.Equivalence
-module Regions = Mutsamp_netlist.Regions
 module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
@@ -112,125 +111,22 @@ let pattern_of_stimulus t stimulus =
 let patterns_of_sequences t sequences =
   Array.of_list (List.map (pattern_of_stimulus t) (List.concat sequences))
 
-(* Cone-keyed combinational fault simulation. With a store attached,
-   the fault list is partitioned into influence groups — faults whose
-   effects reach the same primary outputs — and one entry is kept per
-   group, keyed by the Merkle cone hashes of those outputs' input
-   cones (plus the faults' structural site hashes and the pattern
-   sequence), never by the whole-netlist hash. A per-fault detection
-   index does not depend on which other faults share a simulation run
-   (see {!Mutsamp_fault.Fsim}), so group payloads computed together or
-   apart are identical — and after a localised design edit only the
-   groups whose cones cover the edit miss; everything else replays.
-   Missing groups are simulated in a single [Fsim.run] call
-   over their union, and nothing is cached if the run degraded. *)
-let fault_simulate_patterns ?(ctx = Ctx.default) nl ~faults ~patterns =
-  match Ctx.store ctx with
-  | None -> Fsim.run ~ctx nl ~faults ~sequence:patterns
-  | Some store ->
-    let regions = Regions.compute nl in
-    let groups = Cache.cone_groups nl regions faults in
-    let seq_h = Cache.sequence_hash patterns in
-    let fault_arr = Array.of_list faults in
-    let results = Array.make (Array.length fault_arr) None in
-    let key_of (g : Cache.cone_group) =
-      Mutsamp_store.Store.key ~ns:"fsimcone"
-        [
-          ("cone", g.Cache.ghash);
-          ( "faults",
-            Cache.site_hashes_digest (List.map (fun (_, _, sh) -> sh) g.Cache.faults) );
-          ("sequence", seq_h);
-        ]
-    in
-    let missing =
-      List.filter
-        (fun (g : Cache.cone_group) ->
-          let hit =
-            g.Cache.cacheable
-            && (match Mutsamp_store.Store.find store (key_of g) with
-                | None -> false
-                | Some payload -> (
-                  match
-                    Cache.cone_payload_of_json
-                      ~count:(List.length g.Cache.faults)
-                      payload
-                  with
-                  | None -> false
-                  | Some ats ->
-                    List.iter2
-                      (fun (i, _, _) at -> results.(i) <- at)
-                      g.Cache.faults ats;
-                    true))
-          in
-          not hit)
-        groups
-    in
-    if missing <> [] then begin
-      let idxs =
-        List.sort compare
-          (List.concat_map
-             (fun (g : Cache.cone_group) ->
-               List.map (fun (i, _, _) -> i) g.Cache.faults)
-             missing)
-      in
-      let sub = List.map (fun i -> fault_arr.(i)) idxs in
-      let degradations_before = List.length (Degrade.events ()) in
-      let r = Fsim.run ~ctx nl ~faults:sub ~sequence:patterns in
-      List.iteri
-        (fun k i -> results.(i) <- r.Fsim.detections.(k).Fsim.detected_at)
-        idxs;
-      if List.length (Degrade.events ()) = degradations_before then
-        List.iter
-          (fun (g : Cache.cone_group) ->
-            if g.Cache.cacheable then
-              Mutsamp_store.Store.put store (key_of g)
-                (Cache.cone_payload_to_json
-                   ~nets:(Regions.net_tokens nl g.Cache.nets)
-                   ~detected_at:
-                     (List.map (fun (i, _, _) -> results.(i)) g.Cache.faults)))
-          missing
-    end;
-    let detections =
-      Array.mapi
-        (fun i fault -> { Fsim.fault; detected_at = results.(i) })
-        fault_arr
-    in
-    let detected =
-      Array.fold_left
-        (fun acc (d : Fsim.detection) ->
-          if d.Fsim.detected_at <> None then acc + 1 else acc)
-        0 detections
-    in
-    {
-      Fsim.total = Array.length fault_arr;
-      detected;
-      detections;
-      patterns_applied = Array.length patterns;
-    }
-
 let fault_simulate ?(ctx = Ctx.default) t sequence =
   Trace.with_span "fsim" @@ fun () ->
+  (* Degraded runs are returned but never cached — see
+     {!Mutsamp_store.Store.fetch_or_compute}. *)
   let r =
-    if Netlist.num_dffs t.netlist = 0 then
-      (* Combinational designs take the cone-keyed incremental path
-         (a plain run when no store is attached). *)
-      fault_simulate_patterns ~ctx t.netlist ~faults:t.faults ~patterns:sequence
-    else
-      (* Sequential designs keep whole-design keying: cross-cycle state
-         feedback makes per-cone payloads unsound to split. Degraded
-         runs are returned but never cached — see
-         {!Mutsamp_store.Store.fetch_or_compute}. *)
-      Mutsamp_store.Store.fetch_or_compute (Ctx.store ctx) ~ns:"fsim"
-        ~parts:(fun () ->
-          let h = hashes t in
-          [
-            ("netlist", h.Cache.netlist_h);
-            ("faults", h.Cache.faults_h);
-            ("sequence", Cache.sequence_hash sequence);
-          ])
-        ~encode:Cache.fsim_report_to_json
-        ~decode:(Cache.fsim_report_of_json ~faults:t.faults)
-        (fun () -> Fsim.run ~ctx t.netlist ~faults:t.faults ~sequence)
+    Mutsamp_store.Store.fetch_or_compute (Ctx.store ctx) ~ns:"fsim"
+      ~parts:(fun () ->
+        let h = hashes t in
+        [
+          ("netlist", h.Cache.netlist_h);
+          ("faults", h.Cache.faults_h);
+          ("sequence", Cache.sequence_hash sequence);
+        ])
+      ~encode:Cache.fsim_report_to_json
+      ~decode:(Cache.fsim_report_of_json ~faults:t.faults)
+      (fun () -> Fsim.run ~ctx t.netlist ~faults:t.faults ~sequence)
   in
   Trace.add_attr "patterns" (string_of_int r.Fsim.patterns_applied);
   Trace.add_attr "detected"

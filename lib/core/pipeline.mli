@@ -44,33 +44,11 @@ val fault_simulate :
     [ctx] (default {!Mutsamp_exec.Ctx.default}, sequential) supplies the
     domain pool, budget and progress callback — see {!Mutsamp_exec.Ctx}.
 
-    With a store in the context, a warm run replays the recorded
-    detection indices bit-identically without evaluating a single
-    pattern·fault pair. Combinational circuits go through
-    {!fault_simulate_patterns} (cone-keyed incremental entries under
-    namespace ["fsimcone"]); sequential ones keep one whole-design
-    entry under ["fsim"] keyed by (netlist, fault list, sequence).
-    Runs degraded by budget exhaustion or injection are never
-    recorded. *)
-
-val fault_simulate_patterns :
-  ?ctx:Mutsamp_exec.Ctx.t ->
-  Mutsamp_netlist.Netlist.t ->
-  faults:Mutsamp_fault.Fault.t list ->
-  patterns:Mutsamp_fault.Pattern.t array ->
-  Mutsamp_fault.Fsim.report
-(** Combinational fault simulation with cone-keyed store reuse. With a
-    store in the context, the fault list is partitioned into influence
-    groups (faults reaching the same primary outputs — see
-    {!Cache.cone_groups}) with one ["fsimcone"]
-    entry per group, keyed by the Merkle cone hashes of the reachable
-    outputs plus the faults' site hashes and the pattern sequence —
-    never the whole-netlist hash. After a localised design edit only
-    the groups whose cones cover the edit recompute (in a single
-    simulation run over their union); untouched groups replay from the
-    store, so a warm run after a one-gate edit does strictly less
-    [fsim.*] work yet is bit-identical to a cold run. Without a store
-    this is exactly {!Mutsamp_fault.Fsim.run}. *)
+    With a store in the context, one entry under namespace ["fsim"],
+    keyed by (netlist, fault list, sequence), serves both regimes: a
+    warm run replays the recorded detection indices bit-identically
+    without evaluating a single pattern·fault pair. Runs degraded by
+    budget exhaustion or injection are never recorded. *)
 
 val scan_patterns_of_sequences :
   t -> Mutsamp_hdl.Sim.stimulus list list -> Mutsamp_fault.Pattern.t array

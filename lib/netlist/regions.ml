@@ -4,10 +4,7 @@ type t = {
   max_region_size : int;
   reconvergent : bool array;
   reconvergence_count : int;
-  cone_hash : string array;
 }
-
-let digest s = Digest.to_hex (Digest.string s)
 
 let is_logic (g : Gate.t) =
   match g.Gate.kind with
@@ -86,58 +83,10 @@ let compute (nl : Netlist.t) =
         incr reconvergence_count
       end
   done;
-  (* Merkle input-cone hashes. Fanins hash in literal pin order — a
-     sorted rendering would leave pin indices (branch-fault sites)
-     ambiguous under operand swap; the builder's hash-consing already
-     normalises symmetric gates, so nothing is lost. *)
-  let cone_hash = Array.make n "" in
-  let pi_pos = Hashtbl.create 16 and dff_pos = Hashtbl.create 16 in
-  Array.iteri (fun i net -> Hashtbl.replace pi_pos net i) nl.Netlist.input_nets;
-  Array.iteri (fun i net -> Hashtbl.replace dff_pos net i) nl.Netlist.dff_nets;
-  Array.iteri
-    (fun v (g : Gate.t) ->
-      match g.Gate.kind with
-      | Gate.Pi _ -> cone_hash.(v) <- digest (Printf.sprintf "pi:%d" (Hashtbl.find pi_pos v))
-      | Gate.Const b -> cone_hash.(v) <- digest (Printf.sprintf "const:%b" b)
-      | Gate.Dff init ->
-        cone_hash.(v) <-
-          digest (Printf.sprintf "dff:%b:%d" init (Hashtbl.find dff_pos v))
-      | _ -> ())
-    nl.Netlist.gates;
-  let topo = Topo.compute nl in
-  Array.iter
-    (fun v ->
-      let g = nl.Netlist.gates.(v) in
-      let parts =
-        Array.to_list g.Gate.fanins |> List.map (fun f -> cone_hash.(f))
-      in
-      cone_hash.(v) <-
-        digest (Gate.kind_name g.Gate.kind ^ "(" ^ String.concat "," parts ^ ")"))
-    topo.Topo.order;
   {
     head;
     region_count;
     max_region_size;
     reconvergent;
     reconvergence_count = !reconvergence_count;
-    cone_hash;
   }
-
-let net_tokens (nl : Netlist.t) nets =
-  let po_names = Hashtbl.create 16 in
-  Array.iter
-    (fun (name, net) ->
-      Hashtbl.replace po_names net (name :: (try Hashtbl.find po_names net with Not_found -> [])))
-    nl.Netlist.output_list;
-  let tokens =
-    List.concat_map
-      (fun v ->
-        let base =
-          match nl.Netlist.gates.(v).Gate.kind with
-          | Gate.Pi name -> name
-          | _ -> Printf.sprintf "n%d" v
-        in
-        base :: (try Hashtbl.find po_names v with Not_found -> []))
-      nets
-  in
-  List.sort_uniq compare tokens

@@ -370,34 +370,16 @@ let gc t ?namespace ?max_age_s () =
   bump a_gc_removed m_gc_removed n;
   n
 
-let invalidate t ?namespace ?field ?cone () =
+let invalidate t ?namespace ?field () =
   let matches path =
-    match (field, cone) with
-    | None, None -> true
-    | _ -> (
+    match field with
+    | None -> true
+    | Some (f, v) -> (
       match Json.parse (read_file path) with
-      | Ok doc ->
-        let field_ok =
-          match field with
-          | None -> true
-          | Some (f, v) -> (
-            match Json.member "key" doc with
-            | Some kj -> Json.member f kj = Some (Json.String v)
-            | None -> false)
-        in
-        let cone_ok =
-          match cone with
-          | None -> true
-          | Some net -> (
-            (* Cone-keyed entries record the nets their payload depends
-               on under "nets" (docs/STORE.md); entries without the
-               field never match. *)
-            match Option.bind (Json.member "payload" doc) (Json.member "nets") with
-            | Some (Json.List tokens) ->
-              List.exists (fun tok -> tok = Json.String net) tokens
-            | _ -> false)
-        in
-        field_ok && cone_ok
+      | Ok doc -> (
+        match Json.member "key" doc with
+        | Some kj -> Json.member f kj = Some (Json.String v)
+        | None -> false)
       | Error _ -> true  (* unreadable entry: drop it *)
       | exception Sys_error _ ->
         raced ();

@@ -129,15 +129,11 @@ val gc : t -> ?namespace:string -> ?max_age_s:float -> unit -> int
     the stat/unlink is skipped and counted under [store.raced], never
     an error. *)
 
-val invalidate :
-  t -> ?namespace:string -> ?field:string * string -> ?cone:string -> unit -> int
+val invalidate : t -> ?namespace:string -> ?field:string * string -> unit -> int
 (** Delete entries — all of them by default, restricted to a namespace
     and/or to entries whose embedded key has the given [(field, value)]
-    part (e.g. [("circuit", "c432")]), and/or (with [cone]) to entries
-    whose payload records the named net in its ["nets"] dependency
-    list — the manual surgery knob for cone-keyed fault-sim entries
-    (see docs/STORE.md). Filters conjoin. Returns the number deleted
-    and counts them under [store.invalidated]. *)
+    part (e.g. [("circuit", "c432")]). Filters conjoin. Returns the
+    number deleted and counts them under [store.invalidated]. *)
 
 (** {2 Observability} *)
 

@@ -35,7 +35,6 @@ module Engine = Mutsamp_analysis.Engine
 module Nl_lint = Mutsamp_analysis.Nl_lint
 module Domtree = Mutsamp_analysis.Domtree
 module Regions = Mutsamp_netlist.Regions
-module Cache = Mutsamp_core.Cache
 module Stats = Mutsamp_netlist.Stats
 module Collapse = Mutsamp_fault.Collapse
 module Scan = Mutsamp_atpg.Scan
@@ -586,7 +585,7 @@ let test_postdom_netlist () =
     nl.Netlist.gates
 
 (* ------------------------------------------------------------------ *)
-(* Fanout-free regions, cone hashes, cone groups                      *)
+(* Fanout-free regions and reconvergent stems                         *)
 (* ------------------------------------------------------------------ *)
 
 (* A six-gate AND chain re-using one side input: the whole chain (and
@@ -645,75 +644,6 @@ let test_regions_stats_registry () =
       Alcotest.(check bool) (name ^ ": nonempty") true
         (s.Stats.regions > 0 && s.Stats.max_region > 0))
     Registry.all
-
-(* Cone hashes are local: two netlists built identically except for one
-   late gate agree on every net outside that gate's cone and disagree
-   exactly on it. *)
-let test_cone_hash_locality () =
-  let build flip =
-    let b = B.create "pair" in
-    let a = B.input b "a" in
-    let c = B.input b "c" in
-    let d = B.input b "d" in
-    let g1 = B.and_ b a c in
-    let g2 = (if flip then B.nor_ else B.or_) b c d in
-    B.output b "o1" g1;
-    B.output b "o2" g2;
-    (B.finalize b, g2)
-  in
-  let nl1, g2a = build false in
-  let nl2, g2b = build true in
-  Alcotest.(check int) "same construction order" g2a g2b;
-  let r1 = Regions.compute nl1 and r2 = Regions.compute nl2 in
-  Array.iteri
-    (fun v _ ->
-      if v = g2a then
-        Alcotest.(check bool) "edited gate re-hashes" false
-          (r1.Regions.cone_hash.(v) = r2.Regions.cone_hash.(v))
-      else
-        Alcotest.(check string)
-          (Printf.sprintf "net %d untouched" v)
-          r1.Regions.cone_hash.(v) r2.Regions.cone_hash.(v))
-    nl1.Netlist.gates
-
-let fault_net (f : Fault.t) =
-  match f.Fault.site with Fault.Stem n -> n | Fault.Branch { gate; _ } -> gate
-
-let test_cone_groups_partition_c432 () =
-  let nl = Flow.synthesize (design "c432") in
-  let r = Regions.compute nl in
-  let faults = (Collapse.run nl).Collapse.representatives in
-  let groups = Cache.cone_groups nl r faults in
-  Alcotest.(check bool) "several groups" true (List.length groups > 1);
-  let idx =
-    List.concat_map
-      (fun g -> List.map (fun (i, _, _) -> i) g.Cache.faults)
-      groups
-  in
-  Alcotest.(check int) "every fault grouped" (List.length faults)
-    (List.length idx);
-  Alcotest.(check int) "each exactly once" (List.length idx)
-    (List.length (List.sort_uniq compare idx));
-  let groups' = Cache.cone_groups nl r faults in
-  Alcotest.(check (list string)) "deterministic"
-    (List.map (fun g -> g.Cache.ghash) groups)
-    (List.map (fun g -> g.Cache.ghash) groups');
-  List.iter
-    (fun g ->
-      Alcotest.(check bool) "collapsed representatives are cacheable" true
-        g.Cache.cacheable;
-      List.iter
-        (fun (_, f, _) ->
-          Alcotest.(check bool) "member's net inside the group cone" true
-            (List.mem (fault_net f) g.Cache.nets))
-        g.Cache.faults)
-    groups;
-  (* The human-facing tokens of any group resolve PI and PO names. *)
-  let g0 = List.hd groups in
-  let tokens = Regions.net_tokens nl g0.Cache.nets in
-  Alcotest.(check bool) "tokens nonempty" true (tokens <> []);
-  Alcotest.(check bool) "tokens sorted and deduplicated" true
-    (List.sort_uniq compare tokens = tokens)
 
 (* ------------------------------------------------------------------ *)
 (* Post-dominator untestability rule (NL008)                         *)
@@ -974,9 +904,6 @@ let suite =
           test_regions_chain_fixture;
         Alcotest.test_case "regions/stats agree on the registry" `Slow
           test_regions_stats_registry;
-        Alcotest.test_case "cone hash locality" `Quick test_cone_hash_locality;
-        Alcotest.test_case "cone groups partition (c432)" `Quick
-          test_cone_groups_partition_c432;
       ] );
     ( "analysis.triage",
       [

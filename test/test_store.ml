@@ -19,6 +19,11 @@ module Operator = Mutsamp_mutation.Operator
 module Config = Mutsamp_core.Config
 module Pipeline = Mutsamp_core.Pipeline
 module Experiments = Mutsamp_core.Experiments
+module Cache = Mutsamp_core.Cache
+module Netlist = Mutsamp_netlist.Netlist
+module Gate = Mutsamp_netlist.Gate
+module Prpg = Mutsamp_atpg.Prpg
+module Prng = Mutsamp_util.Prng
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -276,10 +281,12 @@ let test_stats_gc_invalidate () =
 (* Differential: warm runs replay cold runs bit-identically           *)
 (* ------------------------------------------------------------------ *)
 
-let c17_pipeline = lazy (
-  match Registry.find "c17" with
+let prepare name =
+  match Registry.find name with
   | Some e -> Pipeline.prepare (e.Registry.design ())
-  | None -> Alcotest.fail "c17 missing")
+  | None -> Alcotest.failf "%s missing" name
+
+let c17_pipeline = lazy (prepare "c17")
 
 let tiny_config =
   {
@@ -303,25 +310,75 @@ let with_metrics f =
   let r = f () in
   (r, (Metrics.snapshot ()).Metrics.counters)
 
+(* [p] with its last NAND turned into an AND and the content hashes
+   recomputed. The fault list is kept: the flip moves no fault site, so
+   the fault hash stays equal and only the netlist part of the key can
+   tell the edit apart. *)
+let flip_one_gate (p : Pipeline.t) =
+  let gates = Array.copy p.Pipeline.netlist.Netlist.gates in
+  let last = ref (-1) in
+  Array.iteri (fun v (g : Gate.t) -> if g.Gate.kind = Gate.Nand then last := v) gates;
+  if !last < 0 then Alcotest.fail "no NAND gate to flip";
+  gates.(!last) <- { (gates.(!last)) with Gate.kind = Gate.And };
+  let netlist = { p.Pipeline.netlist with Netlist.gates } in
+  let hashes =
+    lazy
+      {
+        Cache.design_h = Cache.design_hash p.Pipeline.design;
+        netlist_h = Cache.netlist_hash netlist;
+        faults_h = Cache.faults_hash p.Pipeline.faults;
+      }
+  in
+  { p with Pipeline.netlist; hashes }
+
+(* One ["fsim"] key serves both regimes: for c17 (combinational) and
+   b01 (sequential) a cold run equals a storeless one and a warm run
+   replays it; a one-gate edit of c17 misses instead of replaying the
+   stale entry. *)
 let test_fsim_cold_warm () =
   with_store @@ fun s ->
-  let p = Lazy.force c17_pipeline in
-  let inputs = Array.length p.Pipeline.netlist.Mutsamp_netlist.Netlist.input_nets in
-  let patterns = Array.init 32 (fun code -> Pattern.of_code ~inputs code) in
-  let plain = Pipeline.fault_simulate p patterns in
   let ctx = Ctx.with_store s in
-  let cold = Pipeline.fault_simulate ~ctx p patterns in
-  check_bool "cold equals storeless" true (cold = plain);
-  let warm, counters = with_metrics (fun () -> Pipeline.fault_simulate ~ctx p patterns) in
-  check_bool "warm equals cold" true (warm = cold);
-  check_bool "warm hit the store" true (count "hits" >= 1);
-  (* The acceptance bar: a warm run evaluates zero pattern·fault pairs —
-     no fsim.* counter moves at all. *)
-  List.iter
-    (fun (name, v) ->
-      check_bool (Printf.sprintf "unexpected %s=%d on warm run" name v) false
-        (String.length name >= 5 && String.sub name 0 5 = "fsim."))
-    counters
+  let replays name p patterns =
+    let plain = Pipeline.fault_simulate p patterns in
+    let cold = Pipeline.fault_simulate ~ctx p patterns in
+    check_bool (name ^ ": cold equals storeless") true (cold = plain);
+    Store.reset_counters ();
+    let warm, counters =
+      with_metrics (fun () -> Pipeline.fault_simulate ~ctx p patterns)
+    in
+    check_bool (name ^ ": warm equals cold") true (warm = cold);
+    check_int (name ^ ": warm hit the store") 1 (count "hits");
+    check_int (name ^ ": warm missed nothing") 0 (count "misses");
+    (* The acceptance bar: a warm run evaluates zero pattern·fault
+       pairs — no fsim.* counter moves at all. *)
+    List.iter
+      (fun (counter, v) ->
+        check_bool
+          (Printf.sprintf "%s: unexpected %s=%d on warm run" name counter v)
+          false
+          (String.length counter >= 5 && String.sub counter 0 5 = "fsim."))
+      counters;
+    cold
+  in
+  let c17 = Lazy.force c17_pipeline in
+  let inputs = Array.length c17.Pipeline.netlist.Netlist.input_nets in
+  let patterns = Array.init 32 (fun code -> Pattern.of_code ~inputs code) in
+  let c17_cold = replays "c17" c17 patterns in
+  let b01 = prepare "b01" in
+  let b01_patterns =
+    Prpg.uniform_sequence (Prng.create 7)
+      ~bits:(Array.length b01.Pipeline.netlist.Netlist.input_nets)
+      ~length:32
+  in
+  ignore (replays "b01" b01 b01_patterns);
+  let edited = flip_one_gate c17 in
+  Store.reset_counters ();
+  let r = Pipeline.fault_simulate ~ctx edited patterns in
+  check_bool "edited c17 misses" true (count "misses" >= 1);
+  check_int "edited c17 replays nothing" 0 (count "hits");
+  check_bool "edited c17 equals storeless" true
+    (r = Pipeline.fault_simulate edited patterns);
+  check_bool "the edit changes the result" true (r <> c17_cold)
 
 let test_classify_cold_warm () =
   with_store @@ fun s ->
@@ -486,109 +543,6 @@ let test_stats_to_json_fields () =
      | _ -> Alcotest.fail "namespaces object missing")
   | _ -> Alcotest.fail "stats_to_json must return an object"
 
-(* ------------------------------------------------------------------ *)
-(* Cone-keyed incremental fault-simulation entries                    *)
-(* ------------------------------------------------------------------ *)
-
-module B = Mutsamp_netlist.Netlist.Builder
-module Netlist = Mutsamp_netlist.Netlist
-module Collapse = Mutsamp_fault.Collapse
-module Prpg = Mutsamp_atpg.Prpg
-module Prng = Mutsamp_util.Prng
-
-(* Two output cones sharing no logic: o1 = and(a,b) and o2 either
-   or(c,d) or nor(c,d). Editing the second cone must leave the first
-   cone's store entry replayable. *)
-let two_cone_netlist flip =
-  let b = B.create "twocone" in
-  let a = B.input b "a" in
-  let bb = B.input b "b" in
-  let c = B.input b "c" in
-  let d = B.input b "d" in
-  B.output b "o1" (B.and_ b a bb);
-  B.output b "o2" ((if flip then B.nor_ else B.or_) b c d);
-  B.finalize b
-
-let cone_patterns nl seed =
-  Prpg.uniform_sequence (Prng.create seed)
-    ~bits:(Array.length nl.Netlist.input_nets)
-    ~length:12
-
-let fsim_steps snap =
-  match List.assoc_opt "fsim.machine_steps" snap.Metrics.counters with
-  | Some n -> n
-  | None -> 0
-
-let test_cone_fsim_warm_replay () =
-  with_store @@ fun s ->
-  let nl = two_cone_netlist false in
-  let faults = (Collapse.run nl).Collapse.representatives in
-  let patterns = cone_patterns nl 42 in
-  let ctx = Ctx.with_store s in
-  let reference = Pipeline.fault_simulate_patterns nl ~faults ~patterns in
-  let cold = Pipeline.fault_simulate_patterns ~ctx nl ~faults ~patterns in
-  check_bool "cold run bit-identical to storeless" true (cold = reference);
-  check_bool "cold run records both cones" true (count "puts" >= 2);
-  Store.reset_counters ();
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  let warm = Pipeline.fault_simulate_patterns ~ctx nl ~faults ~patterns in
-  let snap = Metrics.snapshot () in
-  Metrics.set_enabled false;
-  check_bool "warm run bit-identical" true (warm = cold);
-  check_bool "warm run replays both cones" true (count "hits" >= 2);
-  check_int "warm run stores nothing" 0 (count "puts");
-  check_int "warm run simulates nothing" 0 (fsim_steps snap)
-
-(* The incremental guarantee: after a one-gate edit, only the groups
-   whose cone contains the edit recompute; the rest replay, and the
-   stitched report matches a storeless run of the edited netlist. *)
-let test_cone_fsim_partial_invalidation () =
-  with_store @@ fun s ->
-  let nl1 = two_cone_netlist false in
-  let nl2 = two_cone_netlist true in
-  let patterns = cone_patterns nl1 42 in
-  let ctx = Ctx.with_store s in
-  let f1 = (Collapse.run nl1).Collapse.representatives in
-  let f2 = (Collapse.run nl2).Collapse.representatives in
-  let _cold = Pipeline.fault_simulate_patterns ~ctx nl1 ~faults:f1 ~patterns in
-  Store.reset_counters ();
-  let edited = Pipeline.fault_simulate_patterns ~ctx nl2 ~faults:f2 ~patterns in
-  check_bool "untouched cone replays" true (count "hits" >= 1);
-  check_bool "edited cone recomputes" true (count "misses" >= 1);
-  let reference = Pipeline.fault_simulate_patterns nl2 ~faults:f2 ~patterns in
-  check_bool "stitched report bit-identical" true (edited = reference);
-  (* Everything is recorded again: the next run is a pure replay. *)
-  Store.reset_counters ();
-  let warm = Pipeline.fault_simulate_patterns ~ctx nl2 ~faults:f2 ~patterns in
-  check_bool "healed replay" true (warm = reference && count "misses" = 0)
-
-let test_cone_invalidate () =
-  with_store @@ fun s ->
-  let nl = two_cone_netlist false in
-  let faults = (Collapse.run nl).Collapse.representatives in
-  let patterns = cone_patterns nl 42 in
-  let ctx = Ctx.with_store s in
-  let cold = Pipeline.fault_simulate_patterns ~ctx nl ~faults ~patterns in
-  check_int "one entry per cone group" 2 (Store.stats s).Store.entries;
-  check_int "unknown net matches nothing" 0 (Store.invalidate s ~cone:"zz" ());
-  check_int "PI name drops exactly its cone" 1 (Store.invalidate s ~cone:"a" ());
-  check_int "PO name drops the other" 1 (Store.invalidate s ~cone:"o2" ());
-  check_int "store emptied" 0 (Store.stats s).Store.entries;
-  (* The cone filter conjoins with the namespace filter. *)
-  let _ = Pipeline.fault_simulate_patterns ~ctx nl ~faults ~patterns in
-  check_int "wrong namespace matches nothing" 0
-    (Store.invalidate s ~namespace:"fsim" ~cone:"a" ());
-  check_int "right namespace" 1
-    (Store.invalidate s ~namespace:"fsimcone" ~cone:"a" ());
-  (* A re-run replays the survivor, recomputes the dropped cone, and
-     stays bit-identical. *)
-  Store.reset_counters ();
-  let rerun = Pipeline.fault_simulate_patterns ~ctx nl ~faults ~patterns in
-  check_bool "replays the survivor" true (count "hits" >= 1);
-  check_bool "recomputes the dropped cone" true (count "misses" >= 1);
-  check_bool "bit-identical after surgery" true (rerun = cold)
-
 let suite =
   [
     ( "store.kv",
@@ -627,15 +581,6 @@ let suite =
           (clean test_stats_to_json_fields);
         Alcotest.test_case "cold 4-domain cells key the store" `Quick
           (clean test_cold_store_cells_hash_race);
-      ] );
-    ( "store.cone",
-      [
-        Alcotest.test_case "warm replay per cone group" `Quick
-          (clean test_cone_fsim_warm_replay);
-        Alcotest.test_case "one-gate edit recomputes one cone" `Quick
-          (clean test_cone_fsim_partial_invalidation);
-        Alcotest.test_case "invalidate --cone surgery" `Quick
-          (clean test_cone_invalidate);
       ] );
     ( "store.differential",
       [
