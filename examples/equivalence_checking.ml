@@ -61,7 +61,7 @@ let () =
     | i :: _ ->
       let m = mutants.(i) in
       let oracle = Equivalence.make pipeline.Pipeline.design in
-      (match Equivalence.decide oracle m.Mutant.design with
+      (match Equivalence.decide oracle m with
        | Ok (Equivalence.Distinguished seq) ->
          Printf.printf
            "\nshortest distinguishing sequence for %s: %d cycles\n"

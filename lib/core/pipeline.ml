@@ -195,7 +195,7 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
      — a conservative answer that deflates MS rather than inflating it —
      and the cut is recorded once. *)
   let survivor_arr = Array.of_list survivors in
-  let oracle = Equivalence.make ~netlist:t.netlist t.design in
+  let oracle = Equivalence.make t.design in
   let total = Array.length survivor_arr in
   let done_count = Atomic.make 0 in
   let tick () =
@@ -218,7 +218,7 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
     in
     let exact i =
       Metrics.incr c_equiv_exact;
-      match Equivalence.decide ~budget oracle mutants.(i).Mutant.design with
+      match Equivalence.decide ~budget oracle mutants.(i) with
       | Ok Equivalence.Equivalent -> true
       | Ok (Equivalence.Distinguished _ | Equivalence.Unknown) -> false
       | Error e -> stop e; false

@@ -8,8 +8,12 @@ module Flow = Mutsamp_synth.Flow
 module Lower = Mutsamp_synth.Lower
 module Equiv = Mutsamp_sat.Equiv
 module Metrics = Mutsamp_obs.Metrics
+module Rerror = Mutsamp_robust.Error
+module Budget = Mutsamp_robust.Budget
+module Chaos = Mutsamp_robust.Chaos
 
 let c_unknown = Metrics.counter "equiv.unknown"
+let c_reused = Metrics.counter "equiv.reused"
 
 type verdict =
   | Equivalent
@@ -121,33 +125,29 @@ type regime = Exhaustive | Product | Miter
 type t = {
   design : Ast.design;
   regime : regime;
-  (* Reference netlist for the miter: given by the caller, or
-     synthesized on first use. A plain atomic, not a [Lazy]: domains
-     sharing an oracle may each synthesize it once, but none can
-     observe a half-forced value. *)
-  reference : Netlist.t option Atomic.t;
+  reference : Netlist.t option;
+      (* the miter's reference netlist; [None] off the miter, or when
+         the design fails to synthesize *)
 }
 
 (* Mutation rewrites statements, never declarations, so every mutant
    has its design's registers and inputs: the design alone fixes the
-   regime. *)
-let make ?netlist design =
+   regime. The reference is synthesized here, not on the first miss:
+   which decides miss depends on the schedule at [--jobs] > 1, and
+   synthesis feeds [analysis.sweep.removed_gates]. *)
+let make design =
   let regime =
     if not (Check.is_combinational design) then Product
     else if Stimuli.input_bits design <= 16 then Exhaustive
     else Miter
   in
-  { design; regime; reference = Atomic.make netlist }
+  let reference =
+    if regime <> Miter then None
+    else try Some (Flow.synthesize design) with Lower.Synth_error _ -> None
+  in
+  { design; regime; reference }
 
 let regime t = t.regime
-
-let reference t =
-  match Atomic.get t.reference with
-  | Some nl -> nl
-  | None ->
-    let nl = Flow.synthesize t.design in
-    Atomic.set t.reference (Some nl);
-    nl
 
 (* Map a bit-level SAT counterexample back to one word-level stimulus
    cycle: bit [i] of input [name] is the miter PI [Lower.bit_name]. *)
@@ -163,21 +163,92 @@ let stimulus_of_assignment design bits =
       (d.name, !v))
     (Ast.inputs design)
 
-let miter ?budget t mutant =
-  match Equiv.check ?budget (reference t) (Flow.synthesize mutant) with
-  | Ok Equiv.Equivalent -> Ok Equivalent
-  | Ok (Equiv.Counterexample bits) ->
-    Ok (Distinguished [ stimulus_of_assignment t.design bits ])
-  | Error e -> Error e
-  | exception (Equiv.Equiv_error _ | Lower.Synth_error _) -> Ok Unknown
+(* The verdict and the conflicts its solve spent (0 off the miter). *)
+let compute ?budget t mutant =
+  match t.regime with
+  | Exhaustive -> (Ok (exhaustive_combinational t.design mutant), 0)
+  | Product -> (Ok (product_bfs t.design mutant), 0)
+  | Miter -> (
+    match t.reference with
+    | None -> (Ok Unknown, 0)
+    | Some reference ->
+      let conflicts = ref 0 in
+      let r =
+        match Equiv.check ?budget ~conflicts reference (Flow.synthesize mutant) with
+        | Ok Equiv.Equivalent -> Ok Equivalent
+        | Ok (Equiv.Counterexample bits) ->
+          Ok (Distinguished [ stimulus_of_assignment t.design bits ])
+        | Error e -> Error e
+        | exception (Equiv.Equiv_error _ | Lower.Synth_error _) -> Ok Unknown
+      in
+      (r, !conflicts))
 
-let decide ?budget t mutant =
-  require_same_interface t.design mutant "decide";
-  let r =
-    match t.regime with
-    | Exhaustive -> Ok (exhaustive_combinational t.design mutant)
-    | Product -> Ok (product_bfs t.design mutant)
-    | Miter -> miter ?budget t mutant
+(* A kept miter verdict costs what its solve cost: the chaos trip at
+   solve entry and its conflicts. [None] when the budget holds fewer
+   conflicts than that: the solve would be cut, so it is redone. *)
+let replay ?budget t (s : Mutant.settled) =
+  let verdict =
+    match s.Mutant.witness with None -> Equivalent | Some seq -> Distinguished seq
   in
+  let budget = match budget with Some b -> b | None -> Budget.ambient () in
+  if t.regime <> Miter then Some (Ok verdict)
+  else if Budget.remaining budget Budget.Sat_conflicts < s.Mutant.conflicts then None
+  else
+    Some
+      (Chaos.contain Rerror.Sat (fun () ->
+           Rerror.ok_exn (Chaos.trip Chaos.Sat_solve);
+           if s.Mutant.conflicts > 0 then
+             Rerror.ok_exn
+               (Budget.spend budget ~stage:Rerror.Sat Budget.Sat_conflicts
+                  s.Mutant.conflicts);
+           verdict))
+
+(* Only conclusive verdicts are kept: [Unknown] and a cut solve depend
+   on budgets, so they are decided again on every call. *)
+let slot_of t conflicts = function
+  | Ok Equivalent -> Mutant.Settled { Mutant.against = t.design; witness = None; conflicts }
+  | Ok (Distinguished seq) ->
+    Mutant.Settled { Mutant.against = t.design; witness = Some seq; conflicts }
+  | Ok Unknown | Error _ -> Mutant.Open
+
+let rec settle ?budget t (m : Mutant.t) =
+  match Atomic.get m.Mutant.verdict with
+  | Mutant.Settled s when s.Mutant.against == t.design -> (
+    match replay ?budget t s with
+    | Some (Ok _ as r) ->
+      Metrics.incr c_reused;
+      r
+    | Some (Error _ as r) -> r
+    | None -> fst (compute ?budget t m.Mutant.design))
+  | Mutant.Settled _ -> fst (compute ?budget t m.Mutant.design)
+  | Mutant.Deciding lock ->
+    (* Another domain is deciding this mutant: wait for it, then look
+       again. *)
+    Mutex.lock lock;
+    Mutex.unlock lock;
+    settle ?budget t m
+  | Mutant.Open ->
+    let lock = Mutex.create () in
+    Mutex.lock lock;
+    if not (Atomic.compare_and_set m.Mutant.verdict Mutant.Open (Mutant.Deciding lock))
+    then begin
+      Mutex.unlock lock;
+      settle ?budget t m
+    end
+    else begin
+      let slot = ref Mutant.Open in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set m.Mutant.verdict !slot;
+          Mutex.unlock lock)
+        (fun () ->
+          let r, conflicts = compute ?budget t m.Mutant.design in
+          slot := slot_of t conflicts r;
+          r)
+    end
+
+let decide ?budget t (m : Mutant.t) =
+  require_same_interface t.design m.Mutant.design "decide";
+  let r = settle ?budget t m in
   (match r with Ok Unknown | Error _ -> Metrics.incr c_unknown | Ok _ -> ());
   r

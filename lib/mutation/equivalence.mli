@@ -55,10 +55,11 @@ type t
 (** A prepared oracle for one reference design. Safe to share across
     domains. *)
 
-val make : ?netlist:Mutsamp_netlist.Netlist.t -> Mutsamp_hdl.Ast.design -> t
-(** [netlist] is the design's synthesized netlist, used as the miter's
-    reference; without it the oracle synthesizes the design once, on
-    the first mutant that needs the miter. *)
+val make : Mutsamp_hdl.Ast.design -> t
+(** For a miter-regime design, [make] synthesizes the reference
+    netlist ([Flow.synthesize design]). There is no way to hand in
+    another netlist, so a verdict kept on a mutant (see {!decide})
+    always comes from this reference. *)
 
 type regime =
   | Exhaustive  (** {!exhaustive_combinational} *)
@@ -72,14 +73,31 @@ val regime : t -> regime
 val decide :
   ?budget:Mutsamp_robust.Budget.t ->
   t ->
-  Mutsamp_hdl.Ast.design ->
+  Mutant.t ->
   (verdict, Mutsamp_robust.Error.t) result
 (** Settle the mutant against the reference design. Limits exceeded, a
     mutant or reference that fails to synthesize, or a miter the SAT
     layer rejects give [Ok Unknown]. A miter solve cut by [budget]
     (default: ambient; [Sat_conflicts] and the deadline) gives
     [Error]. Each [Unknown] or cut is counted under [equiv.unknown].
-    Raises [Invalid_argument] if the interfaces differ. *)
+    Raises [Invalid_argument] if the interfaces differ.
+
+    Each mutant is decided once per process. The first conclusive
+    verdict ([Equivalent] or [Distinguished]) is written to the
+    mutant's {!Mutant.verdict} slot, tagged with the oracle's design,
+    and kept for the mutant's lifetime. A later decide by any oracle
+    whose design is physically equal ([==]) returns it, counted under
+    [equiv.reused]; every regime is deterministic, so this is exactly
+    what a fresh decide returns, [Distinguished] sequence included.
+    Decides against any other design neither read nor fill the slot.
+    [Unknown] and cut solves are never kept. Concurrent decides of one
+    mutant wait for the first, on a lock of that mutant's own, so SAT
+    still runs in parallel across mutants.
+
+    A kept miter verdict costs what its solve cost: the solve-entry
+    chaos trip and the solve's conflicts, spent from [budget]. When
+    [budget] holds fewer conflicts than that, the solve would be cut,
+    so it runs again and is cut the same way. *)
 
 val same_interface : Mutsamp_hdl.Ast.design -> Mutsamp_hdl.Ast.design -> bool
 (** Same input and output names and widths, in order. *)

@@ -58,7 +58,7 @@ let fresh_site ctx =
   s
 
 let emit ctx op site info design =
-  let m = { Mutant.id = ctx.next_id; op; site; info; design; program = Atomic.make None } in
+  let m = Mutant.make ~id:ctx.next_id ~op ~site ~info design in
   ctx.next_id <- ctx.next_id + 1;
   ctx.acc <- m :: ctx.acc
 

@@ -212,10 +212,19 @@ let put t k payload =
         ("payload", payload);
       ]
   in
+  let dir = Filename.concat t.dir k.ns in
+  let write () =
+    mkdir_p dir;
+    Atomicio.write_file (entry_path t k) (Json.to_string doc)
+  in
   let result =
     try
-      mkdir_p (Filename.concat t.dir k.ns);
-      Atomicio.write_file (entry_path t k) (Json.to_string doc)
+      (* A concurrent gc removes the namespace directory if it finds it
+         empty, which it is between [mkdir_p] and the write: recreate
+         it once. *)
+      match write () with
+      | Error _ when not (Sys.file_exists dir) -> write ()
+      | r -> r
     with
     (* The store is an accelerator: any write failure — including an
        injected chaos exception — is contained here and only counted. *)
@@ -341,6 +350,12 @@ let remove path =
     false
   | exception Unix.Unix_error _ -> false
 
+(* Drop a namespace directory gc left empty. It fails harmlessly when
+   entries remain or a concurrent writer refilled it (ENOTEMPTY, or
+   EEXIST on some systems), and when a concurrent gc dropped it first
+   or it never existed (ENOENT). *)
+let remove_if_empty dir = try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
 let gc t ?namespace ?max_age_s () =
   let removed_tmp = List.length (List.filter remove (tmp_files t)) in
   let now = Unix.gettimeofday () in
@@ -366,6 +381,7 @@ let gc t ?namespace ?max_age_s () =
             (List.filter remove (List.filter old_enough (entry_files t ns))))
       0 targets
   in
+  List.iter (fun ns -> remove_if_empty (Filename.concat t.dir ns)) targets;
   let n = removed_tmp + removed_entries in
   bump a_gc_removed m_gc_removed n;
   n

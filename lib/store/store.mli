@@ -123,11 +123,12 @@ val gc : t -> ?namespace:string -> ?max_age_s:float -> unit -> int
 (** Remove stale temp files plus any entry matching the filters: with
     [namespace], only that namespace's entries; with [max_age_s], only
     entries whose mtime is older. With neither filter only stale temp
-    files are removed. Returns the number of files deleted and counts
-    them under [store.gc_removed]. Tolerates concurrent writers and
-    collectors: a file deleted by someone else between [readdir] and
-    the stat/unlink is skipped and counted under [store.raced], never
-    an error. *)
+    files are removed. A namespace directory left empty is removed
+    too, so {!stats} stops listing it. Returns the number of files
+    deleted and counts them under [store.gc_removed]. Tolerates
+    concurrent writers and collectors: a file deleted by someone else
+    between [readdir] and the stat/unlink is skipped and counted under
+    [store.raced], never an error. *)
 
 val invalidate : t -> ?namespace:string -> ?field:string * string -> unit -> int
 (** Delete entries — all of them by default, restricted to a namespace

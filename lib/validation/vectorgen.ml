@@ -155,7 +155,7 @@ let generate ?(config = default_config) ?budget design mutants =
           | Ok () ->
           if sat then Metrics.incr c_sat_calls;
           let verdict =
-            match Equivalence.decide ~budget oracle mutant_arr.(i).Mutant.design with
+            match Equivalence.decide ~budget oracle mutant_arr.(i) with
             | Ok v ->
               (match v with
                | Equivalence.Equivalent when sat -> Metrics.incr c_sat_equivalent

@@ -273,14 +273,14 @@ let test_triage_sound_sequential () =
         Alcotest.(check bool)
           (Printf.sprintf "stillborn %d equivalent" m.Mutant.id)
           true
-          (Equivalence.decide (Equivalence.make d) m.Mutant.design
+          (Equivalence.decide (Equivalence.make d) m
            = Ok Equivalence.Equivalent)
       | Triage.Duplicate rep ->
         let r = Hashtbl.find by_id rep in
         Alcotest.(check bool)
           (Printf.sprintf "duplicate %d = rep %d" m.Mutant.id rep)
           true
-          (Equivalence.decide (Equivalence.make r.Mutant.design) m.Mutant.design
+          (Equivalence.decide (Equivalence.make r.Mutant.design) m
            = Ok Equivalence.Equivalent))
     t.Triage.verdicts
 
@@ -324,7 +324,7 @@ let test_triage_extrapolate_bit_identical () =
   in
   let oracle = Equivalence.make d in
   let equivalent_survivor (m : Mutant.t) =
-    Equivalence.decide oracle m.Mutant.design = Ok Equivalence.Equivalent
+    Equivalence.decide oracle m = Ok Equivalence.Equivalent
   in
   (* Untriaged reference campaign over the full population. *)
   let flags = Kill.killed_set (Kill.make d mutants) seqs in

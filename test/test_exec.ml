@@ -475,6 +475,41 @@ let test_metrics_identical_across_jobs () =
         (got = base))
     [ 2; 4 ]
 
+(* Each equivalence verdict is computed once however the campaign is
+   scheduled: classification shards and the Table 2 strategy cells of
+   both repetitions decide the same c432 mutants, and [sat.solves] must
+   not depend on which domain decides one first. Each run prepares its
+   own pipeline, so no verdict carries over between jobs settings. *)
+let test_equivalence_metrics_identical_across_jobs () =
+  let weights = List.map (fun op -> (op, 1.)) Operator.all in
+  let run jobs =
+    let p = pipeline "c432" in
+    Metrics.set_enabled true;
+    Metrics.reset ();
+    with_jobs jobs (fun ctx ->
+        let equivalents = Pipeline.classify_equivalents ~ctx ~seed:2005 p in
+        ignore
+          (Experiments.sampling_comparison_avg ~config:Config.quick ~repetitions:2 ~ctx p
+             ~name:"c432" ~weights ~equivalents));
+    let s = fst (logical_series ()) in
+    Metrics.set_enabled false;
+    s
+  in
+  let base = run 1 in
+  let count name = Option.value ~default:0 (List.assoc_opt name base) in
+  check_bool "miter solves recorded" true (count "sat.solves" > 0);
+  check_bool "verdicts reused" true (count "equiv.reused" > 0);
+  List.iter
+    (fun jobs ->
+      let got = run jobs in
+      List.iter
+        (fun (n, v) ->
+          let w = Option.value ~default:0 (List.assoc_opt n got) in
+          if v <> w then Printf.eprintf "  %s: jobs 1 = %d, jobs %d = %d\n" n v jobs w)
+        base;
+      check_bool (Printf.sprintf "logical counters jobs %d ≡ jobs 1" jobs) true (got = base))
+    [ 2; 4 ]
+
 (* Queue-wait and shard-timing histograms only exist on the pool
    path, under the exec.* namespace. Run on b03 over 512 cycles: each
    packed shard lasts long enough for a worker to wake and pick up a
@@ -544,6 +579,8 @@ let suite =
           (clean_obs test_profile_self_within_wall);
         Alcotest.test_case "logical metrics identical across jobs" `Quick
           (clean_obs test_metrics_identical_across_jobs);
+        Alcotest.test_case "equivalence metrics identical across jobs" `Quick
+          (clean_obs test_equivalence_metrics_identical_across_jobs);
         Alcotest.test_case "exec histograms recorded on pool path" `Quick
           (clean_obs test_exec_histograms_recorded);
       ] );

@@ -324,14 +324,9 @@ let wide128_sample () =
           String.concat "\n" (Array.to_list (Array.mapi (fun j l -> if j = k then edited else l) lines))
         in
         mutants :=
-          {
-            Mutant.id = List.length !mutants;
-            op = (if k mod 16 = 0 then Operator.LOR else Operator.VR);
-            site = k;
-            info = edited;
-            design = parse src';
-            program = Atomic.make None;
-          }
+          Mutant.make ~id:(List.length !mutants)
+            ~op:(if k mod 16 = 0 then Operator.LOR else Operator.VR)
+            ~site:k ~info:edited (parse src')
           :: !mutants
       end)
     lines;
@@ -456,6 +451,9 @@ end design;|}
        (Bitvec.equal (List.assoc "y" oa) (List.assoc "y" ob))
    | v -> Alcotest.fail ("expected distinguished: " ^ Equivalence.verdict_name v))
 
+(* A hand-written design wrapped as a mutant, for the oracle. *)
+let as_mutant d = Mutant.make ~id:0 ~op:Operator.LOR ~site:0 ~info:"hand-written" d
+
 let test_equiv_detects_equivalent_mutant () =
   (* a and a is equivalent to a or a: an equivalent-mutant shape. *)
   let d1 =
@@ -466,7 +464,7 @@ let test_equiv_detects_equivalent_mutant () =
     parse
       {|design t is input a : bit; output y : bit; begin y := a or a; end design;|}
   in
-  (match Equivalence.decide (Equivalence.make d1) d2 with
+  (match Equivalence.decide (Equivalence.make d1) (as_mutant d2) with
    | Ok Equivalence.Equivalent -> ()
    | Ok v -> Alcotest.fail ("expected equivalent: " ^ Equivalence.verdict_name v)
    | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))
@@ -554,7 +552,7 @@ end design;|}
 let test_equiv_interface_mismatch () =
   let a = parse and_gate_src and b = parse counter_src in
   (try
-     ignore (Equivalence.decide (Equivalence.make a) b);
+     ignore (Equivalence.decide (Equivalence.make a) (as_mutant b));
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
 
@@ -575,7 +573,7 @@ let prop_equivalence_matches_bruteforce =
           (fun stim -> Sim.outputs_equal (Sim.step sims stim) (Sim.step simm stim))
           (Stimuli.enumerate d)
       in
-      match Equivalence.decide oracle m.Mutant.design with
+      match Equivalence.decide oracle m with
       | Ok Equivalence.Equivalent -> brute
       | Ok (Equivalence.Distinguished _) -> not brute
       | Ok Equivalence.Unknown | Error _ -> false)
@@ -602,7 +600,7 @@ let test_oracle_c17_agrees_with_sat () =
     (fun (m : Mutant.t) ->
       let agree =
         match
-          ( Equivalence.decide oracle m.Mutant.design,
+          ( Equivalence.decide oracle m,
             Equiv.check reference (Flow.synthesize m.Mutant.design) )
         with
         | Ok Equivalence.Equivalent, Ok Equiv.Equivalent
@@ -624,7 +622,7 @@ let test_oracle_c432_counterexamples_kill () =
   let distinguished = ref 0 in
   List.iteri
     (fun i (m : Mutant.t) ->
-      match Equivalence.decide oracle m.Mutant.design with
+      match Equivalence.decide oracle m with
       | Ok (Equivalence.Distinguished [ stim ]) ->
         incr distinguished;
         check_bool (Mutant.to_string m) true
@@ -634,6 +632,179 @@ let test_oracle_c432_counterexamples_kill () =
       | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))
     mutants;
   check_bool "some distinguished" true (!distinguished > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The verdict memo                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Budget = Mutsamp_robust.Budget
+module Chaos = Mutsamp_robust.Chaos
+module Metrics = Mutsamp_obs.Metrics
+
+(* The same mutant with an open verdict slot: deciding it is memo-free. *)
+let unsettled (m : Mutant.t) =
+  Mutant.make ~id:m.Mutant.id ~op:m.Mutant.op ~site:m.Mutant.site ~info:m.Mutant.info
+    m.Mutant.design
+
+let fresh_decide ?budget d m = Equivalence.decide ?budget (Equivalence.make d) (unsettled m)
+
+let show = function
+  | Ok v -> Equivalence.verdict_name v
+  | Error e -> Mutsamp_robust.Error.to_string e
+
+(* Structural: a [Distinguished] sequence must match stimulus by
+   stimulus. *)
+let check_verdict what (m : Mutant.t) expected got =
+  check_bool
+    (Printf.sprintf "%s %s: expected %s, got %s" what (Mutant.to_string m) (show expected)
+       (show got))
+    true (expected = got)
+
+let conclusive = function
+  | Ok (Equivalence.Equivalent | Equivalence.Distinguished _) -> true
+  | Ok Equivalence.Unknown | Error _ -> false
+
+(* [f ()] and the decides it answered from a mutant's slot. *)
+let counting_reused f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let r = f () in
+      let snap = Metrics.snapshot () in
+      (r, Option.value ~default:0 (List.assoc_opt "equiv.reused" snap.Metrics.counters)))
+
+(* Every 24th mutant: the miter regime costs a solve per decide. *)
+let sample d = List.filteri (fun i _ -> i mod 24 = 0) (Generate.all d)
+
+(* First decide, second decide and a decide through a fresh oracle of
+   the same design all return what a memo-free decide returns; the
+   second and third are answered from the slot. *)
+let test_memo_matches_fresh d mutants () =
+  let oracle = Equivalence.make d in
+  List.iter
+    (fun (m : Mutant.t) ->
+      let expected = fresh_decide d m in
+      let first, first_reused = counting_reused (fun () -> Equivalence.decide oracle m) in
+      let second, second_reused = counting_reused (fun () -> Equivalence.decide oracle m) in
+      let other, other_reused =
+        counting_reused (fun () -> Equivalence.decide (Equivalence.make d) m)
+      in
+      check_verdict "first" m expected first;
+      check_verdict "second" m expected second;
+      check_verdict "fresh oracle" m expected other;
+      let hit = if conclusive expected then 1 else 0 in
+      check_int "first decide computes" 0 first_reused;
+      check_int "second decide reuses" hit second_reused;
+      check_int "fresh oracle reuses" hit other_reused)
+    mutants
+
+let test_memo_c17 () =
+  let d = registry_design "c17" in
+  test_memo_matches_fresh d (Generate.all d) ()
+
+let test_memo_b01 () =
+  let d = registry_design "b01" in
+  test_memo_matches_fresh d (Generate.all d) ()
+
+let test_memo_c432 () =
+  let d = registry_design "c432" in
+  test_memo_matches_fresh d (sample d) ()
+
+(* Each mutant settled against its own design, then decided against
+   its neighbour's design: the foreign decide must get the foreign
+   verdict, and leave the own one in place. *)
+let test_memo_foreign_design name ~every () =
+  let d = registry_design name in
+  let ms = Array.of_list (Generate.all d) in
+  let oracle = Equivalence.make d in
+  let told_apart = ref 0 in
+  Array.iteri
+    (fun i (m : Mutant.t) ->
+      if i mod every = 0 && i + 1 < Array.length ms then begin
+        let own = Equivalence.decide oracle m in
+        let r = ms.(i + 1) in
+        let foreign = Equivalence.make r.Mutant.design in
+        let expected = fresh_decide r.Mutant.design m in
+        check_verdict "foreign" m expected (Equivalence.decide foreign m);
+        check_verdict "foreign again" m expected (Equivalence.decide foreign m);
+        (match Atomic.get m.Mutant.verdict with
+         | Mutant.Settled s -> check_bool "slot keeps its design" true (s.Mutant.against == d)
+         | Mutant.Open | Mutant.Deciding _ ->
+           check_bool "inconclusive own verdict" false (conclusive own));
+        let again, reused = counting_reused (fun () -> Equivalence.decide oracle m) in
+        check_verdict "own after foreign" m own again;
+        check_int "own verdict still reused" (if conclusive own then 1 else 0) reused;
+        if own <> expected then incr told_apart
+      end)
+    ms;
+  check_bool "some foreign verdict differs from the own one" true (!told_apart > 0)
+
+(* A solve cut by the budget is not kept: a later unlimited decide
+   still settles the mutant. *)
+let test_memo_skips_cut_solves () =
+  let d = registry_design "c432" in
+  let oracle = Equivalence.make d in
+  let cut = ref 0 in
+  List.iter
+    (fun (m : Mutant.t) ->
+      match Equivalence.decide ~budget:(Budget.create ~sat_conflicts:0 ()) oracle m with
+      | Error _ ->
+        incr cut;
+        check_bool "cut leaves the slot open" true
+          (match Atomic.get m.Mutant.verdict with Mutant.Open -> true | _ -> false);
+        check_verdict "unlimited after a cut" m (fresh_decide d m) (Equivalence.decide oracle m)
+      | Ok _ -> ())
+    (sample d);
+  check_bool "some solves cut" true (!cut > 0)
+
+(* Under a finite conflict budget a kept verdict returns what a fresh
+   solve returns and leaves the budget as the fresh solve leaves it: on
+   either side of the solve's own conflict count. *)
+let test_memo_hit_spends_like_a_solve () =
+  let d = registry_design "c432" in
+  let oracle = Equivalence.make d in
+  let quotas_tried = ref 0 in
+  List.iter
+    (fun (m : Mutant.t) ->
+      ignore (Equivalence.decide oracle m);
+      match Atomic.get m.Mutant.verdict with
+      | Mutant.Settled s ->
+        let c = s.Mutant.conflicts in
+        List.iter
+          (fun quota ->
+            incr quotas_tried;
+            let fresh_budget = Budget.create ~sat_conflicts:quota () in
+            let fresh = fresh_decide ~budget:fresh_budget d m in
+            let hit_budget = Budget.create ~sat_conflicts:quota () in
+            let hit, reused =
+              counting_reused (fun () -> Equivalence.decide ~budget:hit_budget oracle m)
+            in
+            check_verdict (Printf.sprintf "quota %d of %d" quota c) m fresh hit;
+            check_int "budget left as a fresh solve leaves it"
+              (Budget.remaining fresh_budget Budget.Sat_conflicts)
+              (Budget.remaining hit_budget Budget.Sat_conflicts);
+            check_int "reused only when affordable" (if quota >= c then 1 else 0) reused)
+          (List.sort_uniq compare (List.filter (fun q -> q >= 0) [ 0; c - 1; c; c + 7 ]))
+      | Mutant.Open | Mutant.Deciding _ -> ())
+    (sample d);
+  check_bool "quotas tried" true (!quotas_tried > 0)
+
+(* A kept miter verdict passes the solve-entry chaos point like a
+   fresh solve does. *)
+let test_memo_hit_trips_chaos () =
+  let d = registry_design "c432" in
+  let oracle = Equivalence.make d in
+  let m = List.hd (sample d) in
+  let settled = Equivalence.decide oracle m in
+  check_bool "settled" true (conclusive settled);
+  Fun.protect ~finally:Chaos.disarm_all (fun () ->
+      Chaos.arm Chaos.Sat_solve Chaos.Timeout;
+      check_verdict "hit under chaos" m (fresh_decide d m) (Equivalence.decide oracle m));
+  check_verdict "hit after chaos" m settled (Equivalence.decide oracle m)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -688,5 +859,18 @@ let suite =
           test_oracle_c17_agrees_with_sat;
         Alcotest.test_case "oracle c432 counterexamples kill" `Quick
           test_oracle_c432_counterexamples_kill;
+      ] );
+    ( "mutation.equivalence.memo",
+      [
+        Alcotest.test_case "c17 exhaustive matches fresh" `Quick test_memo_c17;
+        Alcotest.test_case "b01 product BFS matches fresh" `Quick test_memo_b01;
+        Alcotest.test_case "c432 miter matches fresh" `Quick test_memo_c432;
+        Alcotest.test_case "c17 foreign design bypasses the slot" `Quick
+          (test_memo_foreign_design "c17" ~every:1);
+        Alcotest.test_case "c432 foreign design bypasses the slot" `Quick
+          (test_memo_foreign_design "c432" ~every:48);
+        Alcotest.test_case "cut solves are not kept" `Quick test_memo_skips_cut_solves;
+        Alcotest.test_case "hit spends like a solve" `Quick test_memo_hit_spends_like_a_solve;
+        Alcotest.test_case "hit passes the chaos point" `Quick test_memo_hit_trips_chaos;
       ] );
   ]

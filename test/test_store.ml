@@ -271,6 +271,8 @@ let test_stats_gc_invalidate () =
   (* Namespace gc drops the rest of fsim, leaving t1row alone. *)
   check_int "gc namespace" 1 (Store.gc s ~namespace:"fsim" ());
   check_bool "other namespace intact" true (Store.find s kc = Some (Json.Int 3));
+  check_bool "emptied namespace unlisted" true
+    ((Store.stats s).Store.namespaces = [ ("t1row", 1) ]);
   (* Blanket invalidation empties the store. *)
   check_int "invalidate all" 1 (Store.invalidate s ());
   check_int "empty" 0 (Store.stats s).Store.entries;
