@@ -381,7 +381,11 @@ let gc t ?namespace ?max_age_s () =
             (List.filter remove (List.filter old_enough (entry_files t ns))))
       0 targets
   in
-  List.iter (fun ns -> remove_if_empty (Filename.concat t.dir ns)) targets;
+  (* Only directories that are namespaces: [namespace] comes from the
+     command line and may name any path. *)
+  List.iter
+    (fun ns -> if List.mem ns targets then remove_if_empty (Filename.concat t.dir ns))
+    (namespaces_of t);
   let n = removed_tmp + removed_entries in
   bump a_gc_removed m_gc_removed n;
   n
