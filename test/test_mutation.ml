@@ -860,7 +860,7 @@ let suite =
         Alcotest.test_case "oracle c432 counterexamples kill" `Quick
           test_oracle_c432_counterexamples_kill;
       ] );
-    ( "mutation.equivalence.memo",
+    ( "mutation.memo",
       [
         Alcotest.test_case "c17 exhaustive matches fresh" `Quick test_memo_c17;
         Alcotest.test_case "b01 product BFS matches fresh" `Quick test_memo_b01;
