@@ -163,64 +163,57 @@ let stimulus_of_assignment design bits =
       (d.name, !v))
     (Ast.inputs design)
 
-(* The verdict and the conflicts its solve spent (0 off the miter). *)
 let compute ?budget t mutant =
   match t.regime with
-  | Exhaustive -> (Ok (exhaustive_combinational t.design mutant), 0)
-  | Product -> (Ok (product_bfs t.design mutant), 0)
+  | Exhaustive -> Ok (exhaustive_combinational t.design mutant)
+  | Product -> Ok (product_bfs t.design mutant)
   | Miter -> (
     match t.reference with
-    | None -> (Ok Unknown, 0)
-    | Some reference ->
-      let conflicts = ref 0 in
-      let r =
-        match Equiv.check ?budget ~conflicts reference (Flow.synthesize mutant) with
-        | Ok Equiv.Equivalent -> Ok Equivalent
-        | Ok (Equiv.Counterexample bits) ->
-          Ok (Distinguished [ stimulus_of_assignment t.design bits ])
-        | Error e -> Error e
-        | exception (Equiv.Equiv_error _ | Lower.Synth_error _) -> Ok Unknown
-      in
-      (r, !conflicts))
+    | None -> Ok Unknown
+    | Some reference -> (
+      match Equiv.check ?budget reference (Flow.synthesize mutant) with
+      | Ok Equiv.Equivalent -> Ok Equivalent
+      | Ok (Equiv.Counterexample bits) ->
+        Ok (Distinguished [ stimulus_of_assignment t.design bits ])
+      | Error e -> Error e
+      | exception (Equiv.Equiv_error _ | Lower.Synth_error _) -> Ok Unknown))
 
-(* A kept miter verdict costs what its solve cost: the chaos trip at
-   solve entry and its conflicts. [None] when the budget holds fewer
-   conflicts than that: the solve would be cut, so it is redone. *)
-let replay ?budget t (s : Mutant.settled) =
+(* A kept verdict, where returning it matches a fresh decide; [None]
+   sends the decide to {!compute}. Off the miter nothing is spent. A
+   miter solve spends [Sat_conflicts], so under a finite quota it runs
+   again and spends or is cut as before. Under an unlimited quota the
+   kept verdict passes the solve-entry chaos point and the deadline. *)
+let reuse ?budget t (s : Mutant.settled) =
   let verdict =
     match s.Mutant.witness with None -> Equivalent | Some seq -> Distinguished seq
   in
   let budget = match budget with Some b -> b | None -> Budget.ambient () in
   if t.regime <> Miter then Some (Ok verdict)
-  else if Budget.remaining budget Budget.Sat_conflicts < s.Mutant.conflicts then None
+  else if Budget.remaining budget Budget.Sat_conflicts <> max_int then None
   else
     Some
       (Chaos.contain Rerror.Sat (fun () ->
            Rerror.ok_exn (Chaos.trip Chaos.Sat_solve);
-           if s.Mutant.conflicts > 0 then
-             Rerror.ok_exn
-               (Budget.spend budget ~stage:Rerror.Sat Budget.Sat_conflicts
-                  s.Mutant.conflicts);
+           Rerror.ok_exn (Budget.check_deadline budget ~stage:Rerror.Sat);
            verdict))
 
 (* Only conclusive verdicts are kept: [Unknown] and a cut solve depend
    on budgets, so they are decided again on every call. *)
-let slot_of t conflicts = function
-  | Ok Equivalent -> Mutant.Settled { Mutant.against = t.design; witness = None; conflicts }
-  | Ok (Distinguished seq) ->
-    Mutant.Settled { Mutant.against = t.design; witness = Some seq; conflicts }
+let slot_of t = function
+  | Ok Equivalent -> Mutant.Settled { Mutant.against = t.design; witness = None }
+  | Ok (Distinguished seq) -> Mutant.Settled { Mutant.against = t.design; witness = Some seq }
   | Ok Unknown | Error _ -> Mutant.Open
 
 let rec settle ?budget t (m : Mutant.t) =
   match Atomic.get m.Mutant.verdict with
   | Mutant.Settled s when s.Mutant.against == t.design -> (
-    match replay ?budget t s with
+    match reuse ?budget t s with
     | Some (Ok _ as r) ->
       Metrics.incr c_reused;
       r
     | Some (Error _ as r) -> r
-    | None -> fst (compute ?budget t m.Mutant.design))
-  | Mutant.Settled _ -> fst (compute ?budget t m.Mutant.design)
+    | None -> compute ?budget t m.Mutant.design)
+  | Mutant.Settled _ -> compute ?budget t m.Mutant.design
   | Mutant.Deciding lock ->
     (* Another domain is deciding this mutant: wait for it, then look
        again. *)
@@ -242,8 +235,8 @@ let rec settle ?budget t (m : Mutant.t) =
           Atomic.set m.Mutant.verdict !slot;
           Mutex.unlock lock)
         (fun () ->
-          let r, conflicts = compute ?budget t m.Mutant.design in
-          slot := slot_of t conflicts r;
+          let r = compute ?budget t m.Mutant.design in
+          slot := slot_of t r;
           r)
     end
 

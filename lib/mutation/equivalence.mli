@@ -84,20 +84,29 @@ val decide :
 
     Each mutant is decided once per process. The first conclusive
     verdict ([Equivalent] or [Distinguished]) is written to the
-    mutant's {!Mutant.verdict} slot, tagged with the oracle's design,
-    and kept for the mutant's lifetime. A later decide by any oracle
-    whose design is physically equal ([==]) returns it, counted under
-    [equiv.reused]; every regime is deterministic, so this is exactly
-    what a fresh decide returns, [Distinguished] sequence included.
-    Decides against any other design neither read nor fill the slot.
-    [Unknown] and cut solves are never kept. Concurrent decides of one
-    mutant wait for the first, on a lock of that mutant's own, so SAT
-    still runs in parallel across mutants.
+    mutant's {!Mutant.verdict} slot, tagged with the design of the
+    oracle that reached it, and kept for the mutant's lifetime. A later
+    decide by any oracle whose design is physically equal ([==]) to
+    the tag returns it, counted under [equiv.reused]; every regime is
+    deterministic, so this is exactly what a fresh decide returns,
+    [Distinguished] sequence included. A decide by an oracle of any
+    other design computes its verdict afresh and leaves a settled slot
+    as it is; but the first conclusive decide fixes the tag, whatever
+    its design, so a mutant first settled against a foreign design
+    never reuses a verdict against its own. Campaigns decide each
+    mutant only against the design it was generated from. [Unknown]
+    and cut solves are never kept. Concurrent decides of one mutant,
+    against any design, wait for the first, on a lock of that mutant's
+    own, so SAT still runs in parallel across mutants.
 
-    A kept miter verdict costs what its solve cost: the solve-entry
-    chaos trip and the solve's conflicts, spent from [budget]. When
-    [budget] holds fewer conflicts than that, the solve would be cut,
-    so it runs again and is cut the same way. *)
+    A kept miter verdict is returned only when [budget]'s
+    [Sat_conflicts] quota is unlimited; under a finite quota the solve
+    runs again and spends or is cut as a fresh decide would. A
+    returned miter verdict passes the solve-entry chaos point, and
+    gives [Error (Timeout Sat)] once [budget]'s deadline has passed.
+    The deadline is wall-clock time, so a hit, which is faster than
+    the solve it replaces, may finish inside a deadline the solve
+    would have missed. *)
 
 val same_interface : Mutsamp_hdl.Ast.design -> Mutsamp_hdl.Ast.design -> bool
 (** Same input and output names and widths, in order. *)

@@ -1,7 +1,6 @@
 type settled = {
   against : Mutsamp_hdl.Ast.design;
   witness : Mutsamp_hdl.Sim.stimulus list option;
-  conflicts : int;
 }
 
 type slot = Open | Deciding of Mutex.t | Settled of settled

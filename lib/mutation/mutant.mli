@@ -6,9 +6,6 @@ type settled = {
           oracle whose design is physically equal ([==]) reads it *)
   witness : Mutsamp_hdl.Sim.stimulus list option;
       (** [None]: equivalent; [Some seq]: the distinguishing sequence *)
-  conflicts : int;
-      (** [Sat_conflicts] the deciding miter solve spent; 0 for the
-          exhaustive and product-BFS regimes *)
 }
 (** A conclusive equivalence verdict, as {!Equivalence.decide} keeps
     it. *)

@@ -13,7 +13,7 @@ let interface nl =
   ( Array.to_list (Netlist.input_names nl),
     List.map fst (Array.to_list nl.Netlist.output_list) )
 
-let check ?budget ?conflicts a b =
+let check ?budget a b =
   if Netlist.num_dffs a > 0 || Netlist.num_dffs b > 0 then
     fail "sequential netlist: use the behavioural product-machine check";
   let ins_a, outs_a = interface a and ins_b, outs_b = interface b in
@@ -31,7 +31,7 @@ let check ?budget ?conflicts a b =
       outs_a
   in
   Cnf.add_clause cnf [ Tseitin.or_list cnf diffs ];
-  match Solver.solve ?budget ?conflicts cnf with
+  match Solver.solve ?budget cnf with
   | Error e -> Error e
   | Ok Solver.Unsat -> Ok Equivalent
   | Ok (Solver.Sat model) ->

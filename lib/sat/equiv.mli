@@ -15,15 +15,13 @@ exception Equiv_error of string
 
 val check :
   ?budget:Mutsamp_robust.Budget.t ->
-  ?conflicts:int ref ->
   Mutsamp_netlist.Netlist.t ->
   Mutsamp_netlist.Netlist.t ->
   (verdict, Mutsamp_robust.Error.t) result
 (** The miter solve spends [Sat_conflicts] and obeys the deadline; see
     {!Solver.solve}. Still raises {!Equiv_error} on interface mismatch
     or a sequential netlist (caller bug, not a runtime hazard).
-    [budget] defaults to the ambient budget; [conflicts] receives the
-    solve's conflict count, as in {!Solver.solve}. *)
+    [budget] defaults to the ambient budget. *)
 
 val counterexample_is_real :
   Mutsamp_netlist.Netlist.t ->

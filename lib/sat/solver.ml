@@ -231,7 +231,7 @@ let add_learnt st c =
   watch_clause st ci;
   ci
 
-let solve_core ~assumptions ~budget ~total_conflicts cnf =
+let solve_core ~assumptions ~budget cnf =
   let nvars = Cnf.num_vars cnf in
   let original = Cnf.clauses cnf in
   let st =
@@ -254,6 +254,7 @@ let solve_core ~assumptions ~budget ~total_conflicts cnf =
     }
   in
   Metrics.incr c_solves;
+  let total_conflicts = ref 0 in
   let exception Early of result in
   match
     (* Load problem clauses; units go straight onto the trail. *)
@@ -345,14 +346,13 @@ let solve_core ~assumptions ~budget ~total_conflicts cnf =
     (match r with Sat _ -> Metrics.incr c_sat | Unsat -> Metrics.incr c_unsat);
     r
 
-let solve ?(assumptions = []) ?budget ?(conflicts = ref 0) cnf =
+let solve ?(assumptions = []) ?budget cnf =
   let budget = match budget with Some b -> b | None -> Budget.ambient () in
-  conflicts := 0;
   Chaos.contain Rerror.Sat (fun () ->
       (match Chaos.trip Chaos.Sat_solve with
        | Ok () -> ()
        | Error e -> raise (Rerror.E e));
-      solve_core ~assumptions ~budget ~total_conflicts:conflicts cnf)
+      solve_core ~assumptions ~budget cnf)
 
 let is_satisfying cnf model =
   Array.for_all

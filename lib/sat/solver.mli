@@ -14,7 +14,6 @@ type result =
 val solve :
   ?assumptions:Cnf.lit list ->
   ?budget:Mutsamp_robust.Budget.t ->
-  ?conflicts:int ref ->
   Cnf.t ->
   (result, Mutsamp_robust.Error.t) Stdlib.result
 (** Decide the formula. [assumptions] are forced as decision-level-0
@@ -23,9 +22,7 @@ val solve :
     work unit is spent per conflict, and the deadline is polled on the
     same cadence; exhaustion returns [Error (Budget_exhausted _)] /
     [Error (Timeout Sat)] instead of spinning. [budget] defaults to the
-    ambient budget (unlimited unless the CLI installed one).
-    [conflicts] is set to the conflicts this solve met, one per
-    [Sat_conflicts] unit it tried to spend. *)
+    ambient budget (unlimited unless the CLI installed one). *)
 
 val is_satisfying : Cnf.t -> bool array -> bool
 (** [is_satisfying cnf model] checks the model against every clause

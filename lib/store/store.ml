@@ -212,19 +212,10 @@ let put t k payload =
         ("payload", payload);
       ]
   in
-  let dir = Filename.concat t.dir k.ns in
-  let write () =
-    mkdir_p dir;
-    Atomicio.write_file (entry_path t k) (Json.to_string doc)
-  in
   let result =
     try
-      (* A concurrent gc removes the namespace directory if it finds it
-         empty, which it is between [mkdir_p] and the write: recreate
-         it once. *)
-      match write () with
-      | Error _ when not (Sys.file_exists dir) -> write ()
-      | r -> r
+      mkdir_p (Filename.concat t.dir k.ns);
+      Atomicio.write_file (entry_path t k) (Json.to_string doc)
     with
     (* The store is an accelerator: any write failure — including an
        injected chaos exception — is contained here and only counted. *)

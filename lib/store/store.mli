@@ -124,7 +124,9 @@ val gc : t -> ?namespace:string -> ?max_age_s:float -> unit -> int
     [namespace], only that namespace's entries; with [max_age_s], only
     entries whose mtime is older. With neither filter only stale temp
     files are removed. A namespace directory left empty is removed
-    too, so {!stats} stops listing it. Returns the number of files
+    too, so {!stats} stops listing it; a {!put} into that namespace
+    racing the removal may fail, and is counted under
+    [store.put_errors]. Returns the number of files
     deleted and counts them under [store.gc_removed]. Tolerates
     concurrent writers and collectors: a file deleted by someone else
     between [readdir] and the stat/unlink is skipped and counted under

@@ -761,37 +761,51 @@ let test_memo_skips_cut_solves () =
     (sample d);
   check_bool "some solves cut" true (!cut > 0)
 
-(* Under a finite conflict budget a kept verdict returns what a fresh
-   solve returns and leaves the budget as the fresh solve leaves it: on
-   either side of the solve's own conflict count. *)
-let test_memo_hit_spends_like_a_solve () =
+(* Under a finite conflict quota, however ample, a settled miter
+   mutant is solved again: the decide returns what a fresh solve
+   returns, leaves the budget as the fresh solve leaves it, and
+   reuses nothing. *)
+let test_memo_finite_quota_solves_again () =
   let d = registry_design "c432" in
   let oracle = Equivalence.make d in
-  let quotas_tried = ref 0 in
+  let settled = ref 0 in
   List.iter
     (fun (m : Mutant.t) ->
-      ignore (Equivalence.decide oracle m);
-      match Atomic.get m.Mutant.verdict with
-      | Mutant.Settled s ->
-        let c = s.Mutant.conflicts in
+      if conclusive (Equivalence.decide oracle m) then begin
+        incr settled;
         List.iter
           (fun quota ->
-            incr quotas_tried;
             let fresh_budget = Budget.create ~sat_conflicts:quota () in
             let fresh = fresh_decide ~budget:fresh_budget d m in
-            let hit_budget = Budget.create ~sat_conflicts:quota () in
-            let hit, reused =
-              counting_reused (fun () -> Equivalence.decide ~budget:hit_budget oracle m)
+            let budget = Budget.create ~sat_conflicts:quota () in
+            let again, reused =
+              counting_reused (fun () -> Equivalence.decide ~budget oracle m)
             in
-            check_verdict (Printf.sprintf "quota %d of %d" quota c) m fresh hit;
+            check_verdict (Printf.sprintf "quota %d" quota) m fresh again;
             check_int "budget left as a fresh solve leaves it"
               (Budget.remaining fresh_budget Budget.Sat_conflicts)
-              (Budget.remaining hit_budget Budget.Sat_conflicts);
-            check_int "reused only when affordable" (if quota >= c then 1 else 0) reused)
-          (List.sort_uniq compare (List.filter (fun q -> q >= 0) [ 0; c - 1; c; c + 7 ]))
-      | Mutant.Open | Mutant.Deciding _ -> ())
+              (Budget.remaining budget Budget.Sat_conflicts);
+            check_int "nothing reused under a finite quota" 0 reused)
+          [ 0; 1; 16; 1_000_000 ]
+      end)
     (sample d);
-  check_bool "quotas tried" true (!quotas_tried > 0)
+  check_bool "some mutants settled" true (!settled > 0)
+
+(* A kept miter verdict is not returned once the deadline has passed,
+   and stays kept. *)
+let test_memo_hit_checks_deadline () =
+  let d = registry_design "c432" in
+  let oracle = Equivalence.make d in
+  let m = List.hd (sample d) in
+  let settled = Equivalence.decide oracle m in
+  check_bool "settled" true (conclusive settled);
+  let budget = Budget.create ~deadline_ms:60_000 () in
+  Budget.expire budget;
+  let late, reused = counting_reused (fun () -> Equivalence.decide ~budget oracle m) in
+  check_bool "times out" true
+    (late = Error (Mutsamp_robust.Error.Timeout Mutsamp_robust.Error.Sat));
+  check_int "not counted as reused" 0 reused;
+  check_verdict "kept after the deadline" m settled (Equivalence.decide oracle m)
 
 (* A kept miter verdict passes the solve-entry chaos point like a
    fresh solve does. *)
@@ -870,7 +884,9 @@ let suite =
         Alcotest.test_case "c432 foreign design bypasses the slot" `Quick
           (test_memo_foreign_design "c432" ~every:48);
         Alcotest.test_case "cut solves are not kept" `Quick test_memo_skips_cut_solves;
-        Alcotest.test_case "hit spends like a solve" `Quick test_memo_hit_spends_like_a_solve;
+        Alcotest.test_case "finite quota solves again" `Quick
+          test_memo_finite_quota_solves_again;
+        Alcotest.test_case "hit checks the deadline" `Quick test_memo_hit_checks_deadline;
         Alcotest.test_case "hit passes the chaos point" `Quick test_memo_hit_trips_chaos;
       ] );
   ]
