@@ -293,11 +293,19 @@ let design_of (e : Registry.entry) =
   Trace.with_span "parse" ~attrs:[ ("circuit", e.Registry.name) ] (fun () ->
       e.Registry.design ())
 
-(* Carriage-return progress line for the long serial phases. *)
+(* Carriage-return progress line for the long phases. Worker domains
+   tick it concurrently, so each record is written whole under one
+   lock. *)
+let progress_lock = Mutex.create ()
+
 let progress_line label ~done_ ~total =
   if total > 0 then begin
-    Printf.eprintf "\r%s: %d/%d%!" label done_ total;
-    if done_ = total then prerr_newline ()
+    let record =
+      Printf.sprintf "\r%s: %d/%d%s" label done_ total (if done_ = total then "\n" else "")
+    in
+    Mutex.protect progress_lock (fun () ->
+        output_string stderr record;
+        flush stderr)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -14,6 +14,7 @@ module Chaos = Mutsamp_robust.Chaos
 
 let c_unknown = Metrics.counter "equiv.unknown"
 let c_reused = Metrics.counter "equiv.reused"
+let c_structural = Metrics.counter "equiv.structural"
 
 type verdict =
   | Equivalent
@@ -163,45 +164,67 @@ let stimulus_of_assignment design bits =
       (d.name, !v))
     (Ast.inputs design)
 
+(* Gate for gate the same netlist, ports included; the name is left
+   out. Equal netlists compute the same function, so their miter is
+   UNSAT. *)
+let same_netlist (a : Netlist.t) (b : Netlist.t) =
+  a.gates = b.gates && a.input_nets = b.input_nets && a.output_list = b.output_list
+  && a.dff_nets = b.dff_nets
+
+let budget_or_ambient = function Some b -> b | None -> Budget.ambient ()
+
+let solve ?budget t reference netlist =
+  match Equiv.check ?budget reference netlist with
+  | Ok Equiv.Equivalent -> Ok Equivalent
+  | Ok (Equiv.Counterexample bits) ->
+    Ok (Distinguished [ stimulus_of_assignment t.design bits ])
+  | Error e -> Error e
+  | exception Equiv.Equiv_error _ -> Ok Unknown
+
+(* A verdict, and whether {!same_netlist} settled it with no solve. *)
 let compute ?budget t mutant =
   match t.regime with
-  | Exhaustive -> Ok (exhaustive_combinational t.design mutant)
-  | Product -> Ok (product_bfs t.design mutant)
+  | Exhaustive -> (Ok (exhaustive_combinational t.design mutant), false)
+  | Product -> (Ok (product_bfs t.design mutant), false)
   | Miter -> (
     match t.reference with
-    | None -> Ok Unknown
+    | None -> (Ok Unknown, false)
     | Some reference -> (
-      match Equiv.check ?budget reference (Flow.synthesize mutant) with
-      | Ok Equiv.Equivalent -> Ok Equivalent
-      | Ok (Equiv.Counterexample bits) ->
-        Ok (Distinguished [ stimulus_of_assignment t.design bits ])
-      | Error e -> Error e
-      | exception (Equiv.Equiv_error _ | Lower.Synth_error _) -> Ok Unknown))
+      match Flow.synthesize mutant with
+      | exception Lower.Synth_error _ -> (Ok Unknown, false)
+      | netlist when same_netlist reference netlist ->
+        let r = Budget.check_deadline (budget_or_ambient budget) ~stage:Rerror.Sat in
+        if Result.is_ok r then Metrics.incr c_structural;
+        (Result.map (fun () -> Equivalent) r, true)
+      | netlist -> (solve ?budget t reference netlist, false)))
 
 (* A kept verdict, where returning it matches a fresh decide; [None]
    sends the decide to {!compute}. Off the miter nothing is spent. A
    miter solve spends [Sat_conflicts], so under a finite quota it runs
    again and spends or is cut as before. Under an unlimited quota the
-   kept verdict passes the solve-entry chaos point and the deadline. *)
+   kept verdict passes the deadline, and the solve-entry chaos point
+   unless no solve reached it. *)
 let reuse ?budget t (s : Mutant.settled) =
   let verdict =
     match s.Mutant.witness with None -> Equivalent | Some seq -> Distinguished seq
   in
-  let budget = match budget with Some b -> b | None -> Budget.ambient () in
+  let budget = budget_or_ambient budget in
   if t.regime <> Miter then Some (Ok verdict)
   else if Budget.remaining budget Budget.Sat_conflicts <> max_int then None
   else
     Some
       (Chaos.contain Rerror.Sat (fun () ->
-           Rerror.ok_exn (Chaos.trip Chaos.Sat_solve);
+           if not s.Mutant.structural then Rerror.ok_exn (Chaos.trip Chaos.Sat_solve);
            Rerror.ok_exn (Budget.check_deadline budget ~stage:Rerror.Sat);
            verdict))
 
 (* Only conclusive verdicts are kept: [Unknown] and a cut solve depend
    on budgets, so they are decided again on every call. *)
-let slot_of t = function
-  | Ok Equivalent -> Mutant.Settled { Mutant.against = t.design; witness = None }
-  | Ok (Distinguished seq) -> Mutant.Settled { Mutant.against = t.design; witness = Some seq }
+let slot_of t (r, structural) =
+  match r with
+  | Ok Equivalent -> Mutant.Settled { Mutant.against = t.design; witness = None; structural }
+  | Ok (Distinguished seq) ->
+    Mutant.Settled { Mutant.against = t.design; witness = Some seq; structural }
   | Ok Unknown | Error _ -> Mutant.Open
 
 let rec settle ?budget t (m : Mutant.t) =
@@ -212,8 +235,8 @@ let rec settle ?budget t (m : Mutant.t) =
       Metrics.incr c_reused;
       r
     | Some (Error _ as r) -> r
-    | None -> compute ?budget t m.Mutant.design)
-  | Mutant.Settled _ -> compute ?budget t m.Mutant.design
+    | None -> fst (compute ?budget t m.Mutant.design))
+  | Mutant.Settled _ -> fst (compute ?budget t m.Mutant.design)
   | Mutant.Deciding lock ->
     (* Another domain is deciding this mutant: wait for it, then look
        again. *)
@@ -237,7 +260,7 @@ let rec settle ?budget t (m : Mutant.t) =
         (fun () ->
           let r = compute ?budget t m.Mutant.design in
           slot := slot_of t r;
-          r)
+          fst r)
     end
 
 let decide ?budget t (m : Mutant.t) =

@@ -11,7 +11,13 @@
     - wider combinational designs: the SAT miter
       ({!Mutsamp_sat.Equiv.check}) between the reference netlist and
       the synthesized mutant; a model maps back to one word-level
-      stimulus.
+      stimulus. Before the miter is built, the two netlists are
+      compared: equal gates (kinds and fanins), input nets, outputs
+      (names and nets) and flip-flop nets, the name left out, settle
+      the mutant [Equivalent] with no solve, counted under
+      [equiv.structural]. Synthesis is deterministic and the miter
+      compares exactly these netlists, so the verdict is the one the
+      solve would reach.
 
     Vectorgen's directed phase and [Pipeline.classify_equivalents] both
     ask it. The exhaustive regime spends no [Sat_conflicts] and counts
@@ -99,11 +105,18 @@ val decide :
     against any design, wait for the first, on a lock of that mutant's
     own, so SAT still runs in parallel across mutants.
 
-    A kept miter verdict is returned only when [budget]'s
-    [Sat_conflicts] quota is unlimited; under a finite quota the solve
-    runs again and spends or is cut as a fresh decide would. A
-    returned miter verdict passes the solve-entry chaos point, and
+    The netlist comparison is not a solve: it spends no
+    [Sat_conflicts] under any quota and passes no chaos point, but it
     gives [Error (Timeout Sat)] once [budget]'s deadline has passed.
+    So under a finite quota it settles mutants the quota would have
+    cut, and the same quota covers the solves that remain.
+
+    A kept miter verdict is returned only when [budget]'s
+    [Sat_conflicts] quota is unlimited; under a finite quota the
+    decide runs again and spends or is cut as a fresh decide would. A
+    returned miter verdict passes the solve-entry chaos point (unless
+    the netlist comparison reached it), and gives
+    [Error (Timeout Sat)] once [budget]'s deadline has passed.
     The deadline is wall-clock time, so a hit, which is faster than
     the solve it replaces, may finish inside a deadline the solve
     would have missed. *)

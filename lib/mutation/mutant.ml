@@ -1,6 +1,7 @@
 type settled = {
   against : Mutsamp_hdl.Ast.design;
   witness : Mutsamp_hdl.Sim.stimulus list option;
+  structural : bool;
 }
 
 type slot = Open | Deciding of Mutex.t | Settled of settled

@@ -6,6 +6,9 @@ type settled = {
           oracle whose design is physically equal ([==]) reads it *)
   witness : Mutsamp_hdl.Sim.stimulus list option;
       (** [None]: equivalent; [Some seq]: the distinguishing sequence *)
+  structural : bool;
+      (** the mutant's netlist equals the reference netlist, so no
+          solve ran *)
 }
 (** A conclusive equivalence verdict, as {!Equivalence.decide} keeps
     it. *)

@@ -633,13 +633,116 @@ let test_oracle_c432_counterexamples_kill () =
     mutants;
   check_bool "some distinguished" true (!distinguished > 0)
 
-(* ------------------------------------------------------------------ *)
-(* The verdict memo                                                   *)
-(* ------------------------------------------------------------------ *)
-
 module Budget = Mutsamp_robust.Budget
 module Chaos = Mutsamp_robust.Chaos
 module Metrics = Mutsamp_obs.Metrics
+
+(* [f ()] and how far it moved the counter [name]. *)
+let counting name f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let r = f () in
+      let snap = Metrics.snapshot () in
+      (r, Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters)))
+
+(* c432: every mutant's verdict is the miter's on the synthesized pair,
+   whether the netlist comparison or a solve settled it; the
+   comparison settles 21 of the 37 equivalent mutants. *)
+let test_oracle_c432_structural_matches_miter () =
+  let module Flow = Mutsamp_synth.Flow in
+  let module Equiv = Mutsamp_sat.Equiv in
+  let d = registry_design "c432" in
+  let oracle = Equivalence.make d in
+  let reference = Flow.synthesize d in
+  let (), structural =
+    counting "equiv.structural" (fun () ->
+        List.iter
+          (fun (m : Mutant.t) ->
+            let agree =
+              match
+                ( Equivalence.decide oracle m,
+                  Equiv.check reference (Flow.synthesize m.Mutant.design) )
+              with
+              | Ok Equivalence.Equivalent, Ok Equiv.Equivalent
+              | Ok (Equivalence.Distinguished _), Ok (Equiv.Counterexample _) ->
+                true
+              | _ -> false
+            in
+            check_bool (Mutant.to_string m) true agree)
+          (Generate.all d))
+  in
+  check_int "settled by the netlist comparison" 21 structural
+
+(* c499: under a zero conflict quota only the netlist comparison
+   settles a mutant, and it settles 32; the miter proves every 8th of
+   them equivalent too. *)
+let test_oracle_c499_structural_unsat () =
+  let module Flow = Mutsamp_synth.Flow in
+  let module Equiv = Mutsamp_sat.Equiv in
+  let d = registry_design "c499" in
+  let oracle = Equivalence.make d in
+  let reference = Flow.synthesize d in
+  let settled, structural =
+    counting "equiv.structural" (fun () ->
+        List.filter
+          (fun (m : Mutant.t) ->
+            let budget = Budget.create ~sat_conflicts:0 () in
+            match (Equivalence.decide ~budget oracle m, Atomic.get m.Mutant.verdict) with
+            | Ok Equivalence.Equivalent, Mutant.Settled { Mutant.structural = true; _ } -> true
+            | _ -> false)
+          (Generate.all d))
+  in
+  check_int "settled by the netlist comparison" 32 structural;
+  check_int "settled mutants" 32 (List.length settled);
+  List.iteri
+    (fun i (m : Mutant.t) ->
+      if i mod 8 = 0 then
+        check_bool (Mutant.to_string m) true
+          (Equiv.check reference (Flow.synthesize m.Mutant.design) = Ok Equiv.Equivalent))
+    settled
+
+(* Two outputs swapped: the mutant's gates are the design's, gate for
+   gate, but its outputs name other nets, so it is told apart. *)
+let test_equiv_swapped_outputs () =
+  let module Flow = Mutsamp_synth.Flow in
+  let module Netlist = Mutsamp_netlist.Netlist in
+  let src ~x ~y =
+    Printf.sprintf
+      {|design swap is
+  input a : unsigned(9);
+  input b : unsigned(9);
+  output x : bit;
+  output y : bit;
+  var p : bit;
+  var q : bit;
+begin
+  p := a[0] and b[0];
+  q := a[1] or b[1];
+  x := %s;
+  y := %s;
+end design;|}
+      x y
+  in
+  let d = parse (src ~x:"p" ~y:"q") and swapped = parse (src ~x:"q" ~y:"p") in
+  let nd = Flow.synthesize d and ns = Flow.synthesize swapped in
+  check_bool "same gates" true (nd.Netlist.gates = ns.Netlist.gates);
+  check_bool "same inputs" true (nd.Netlist.input_nets = ns.Netlist.input_nets);
+  check_bool "other outputs" false (nd.Netlist.output_list = ns.Netlist.output_list);
+  let oracle = Equivalence.make d in
+  check_bool "miter regime" true (Equivalence.regime oracle = Equivalence.Miter);
+  match Equivalence.decide oracle (as_mutant swapped) with
+  | Ok (Equivalence.Distinguished _) -> ()
+  | Ok v -> Alcotest.fail ("expected distinguished: " ^ Equivalence.verdict_name v)
+  | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* The verdict memo                                                   *)
+(* ------------------------------------------------------------------ *)
 
 (* The same mutant with an open verdict slot: deciding it is memo-free. *)
 let unsettled (m : Mutant.t) =
@@ -665,17 +768,7 @@ let conclusive = function
   | Ok Equivalence.Unknown | Error _ -> false
 
 (* [f ()] and the decides it answered from a mutant's slot. *)
-let counting_reused f =
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-    (fun () ->
-      let r = f () in
-      let snap = Metrics.snapshot () in
-      (r, Option.value ~default:0 (List.assoc_opt "equiv.reused" snap.Metrics.counters)))
+let counting_reused f = counting "equiv.reused" f
 
 (* Every 24th mutant: the miter regime costs a solve per decide. *)
 let sample d = List.filteri (fun i _ -> i mod 24 = 0) (Generate.all d)
@@ -820,6 +913,34 @@ let test_memo_hit_trips_chaos () =
       check_verdict "hit under chaos" m (fresh_decide d m) (Equivalence.decide oracle m));
   check_verdict "hit after chaos" m settled (Equivalence.decide oracle m)
 
+(* The netlist comparison runs no solve: it checks the deadline but
+   passes no chaos point, and neither does a hit on its kept
+   verdict. *)
+let test_memo_structural_deadline_no_chaos () =
+  let d = registry_design "c432" in
+  let oracle = Equivalence.make d in
+  let m =
+    List.find
+      (fun (m : Mutant.t) ->
+        ignore (Equivalence.decide oracle m);
+        match Atomic.get m.Mutant.verdict with
+        | Mutant.Settled s -> s.Mutant.structural
+        | Mutant.Open | Mutant.Deciding _ -> false)
+      (Generate.all d)
+  in
+  Fun.protect ~finally:Chaos.disarm_all (fun () ->
+      Chaos.arm Chaos.Sat_solve Chaos.Timeout;
+      let fresh = fresh_decide d m in
+      check_verdict "fresh under chaos" m (Ok Equivalence.Equivalent) fresh;
+      let hit, reused = counting_reused (fun () -> Equivalence.decide oracle m) in
+      check_verdict "hit under chaos" m fresh hit;
+      check_int "hit reused" 1 reused);
+  let budget = Budget.create ~deadline_ms:60_000 () in
+  Budget.expire budget;
+  check_bool "fresh comparison checks the deadline" true
+    (fresh_decide ~budget d m
+    = Error (Mutsamp_robust.Error.Timeout Mutsamp_robust.Error.Sat))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -873,6 +994,11 @@ let suite =
           test_oracle_c17_agrees_with_sat;
         Alcotest.test_case "oracle c432 counterexamples kill" `Quick
           test_oracle_c432_counterexamples_kill;
+        Alcotest.test_case "c432 netlist check matches miter" `Quick
+          test_oracle_c432_structural_matches_miter;
+        Alcotest.test_case "c499 netlist check is sound" `Quick
+          test_oracle_c499_structural_unsat;
+        Alcotest.test_case "swapped outputs distinguished" `Quick test_equiv_swapped_outputs;
       ] );
     ( "mutation.memo",
       [
@@ -888,5 +1014,7 @@ let suite =
           test_memo_finite_quota_solves_again;
         Alcotest.test_case "hit checks the deadline" `Quick test_memo_hit_checks_deadline;
         Alcotest.test_case "hit passes the chaos point" `Quick test_memo_hit_trips_chaos;
+        Alcotest.test_case "structural: deadline, no chaos" `Quick
+          test_memo_structural_deadline_no_chaos;
       ] );
   ]
