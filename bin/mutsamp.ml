@@ -1,7 +1,8 @@
 (* mutsamp — command-line front end.
 
    Subcommands: list, show, mutants, generate, faultsim, atpg, dot,
-   table1, table2, e3. Run `mutsamp --help` or `mutsamp CMD --help`. *)
+   export, import, wave, lint, table1, table2, e3, report-validate,
+   store, serve, client. Run `mutsamp --help` or `mutsamp CMD --help`. *)
 
 open Cmdliner
 
@@ -14,11 +15,8 @@ module Netlist = Mutsamp_netlist.Netlist
 module Stats = Mutsamp_netlist.Stats
 module Dot = Mutsamp_netlist.Dot
 module Fsim = Mutsamp_fault.Fsim
-module Pattern = Mutsamp_fault.Pattern
 module Collapse = Mutsamp_fault.Collapse
 module Prpg = Mutsamp_atpg.Prpg
-module Scan = Mutsamp_atpg.Scan
-module Topoff = Mutsamp_atpg.Topoff
 module Vectorgen = Mutsamp_validation.Vectorgen
 module Score = Mutsamp_validation.Score
 module Strategy = Mutsamp_sampling.Strategy
@@ -293,9 +291,9 @@ let design_of (e : Registry.entry) =
   Trace.with_span "parse" ~attrs:[ ("circuit", e.Registry.name) ] (fun () ->
       e.Registry.design ())
 
-(* Carriage-return progress line for the long phases. Worker domains
-   tick it concurrently, so each record is written whole under one
-   lock. *)
+(* Carriage-return progress line for the long phases. A stage's ticks
+   arrive in count order (Ctx.ticker); the lock keeps each record whole
+   should two stages tick at once. *)
 let progress_lock = Mutex.create ()
 
 let progress_line label ~done_ ~total =
@@ -584,126 +582,8 @@ let import_cmd =
     Term.(const run $ obs_term $ file $ vectors $ seed_flag)
 
 (* ------------------------------------------------------------------ *)
-(* diagnose                                                           *)
+(* wave                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let diagnose_cmd =
-  let fault_index =
-    Arg.(value & opt (some int) None
-         & info [ "inject" ] ~docv:"K"
-             ~doc:"Index of the fault to inject as the hidden defect (default: random).")
-  in
-  let vectors =
-    Arg.(value & opt int 16 & info [ "vectors"; "n" ] ~docv:"N" ~doc:"Test patterns applied.")
-  in
-  let run obs (e : Registry.entry) fault_index vectors seed =
-    with_obs obs ~command:"diagnose" ~circuits:[ e.Registry.name ] ~seed @@ fun _ctx ->
-    let p = Pipeline.prepare (design_of e) in
-    if p.Pipeline.sequential then begin
-      prerr_endline "diagnose: combinational circuits only (try c17/c432/c499)";
-      exit 1
-    end;
-    let nl = p.Pipeline.netlist in
-    let faults = Array.of_list p.Pipeline.faults in
-    let prng = Prng.create seed in
-    let injected =
-      match fault_index with
-      | Some k when k >= 0 && k < Array.length faults -> faults.(k)
-      | Some _ -> prerr_endline "diagnose: fault index out of range"; exit 1
-      | None -> faults.(Prng.int prng (Array.length faults))
-    in
-    let bits = Array.length nl.Netlist.input_nets in
-    let random_patterns = Prpg.uniform_sequence prng ~bits ~length:(max 0 (vectors - 1)) in
-    (* Make sure at least one pattern excites the defect, else every
-       quiet fault would "explain" the observations. *)
-    let patterns =
-      match Mutsamp_atpg.Podem.find_test ~budget:Mutsamp_robust.Budget.unlimited nl injected with
-      | Ok (Some p, _) -> Array.append [| p |] random_patterns
-      | Ok (None, _) | Error _ -> random_patterns
-    in
-    let observations =
-      Array.to_list
-        (Array.map
-           (fun pat ->
-             {
-               Mutsamp_fault.Diagnose.pattern = pat;
-               response = Mutsamp_fault.Diagnose.simulate_response nl (Some injected) pat;
-             })
-           patterns)
-    in
-    let suspects =
-      Mutsamp_fault.Diagnose.perfect_matches nl
-        ~candidates:(Array.to_list faults) ~observations
-    in
-    Printf.printf "injected defect: %s\n" (Mutsamp_fault.Fault.to_string injected);
-    Printf.printf "%d patterns observed; %d candidate(s) explain everything:\n"
-      vectors (List.length suspects);
-    List.iter
-      (fun f -> Printf.printf "  %s\n" (Mutsamp_fault.Fault.to_string f))
-      suspects;
-    if not (List.exists (Mutsamp_fault.Fault.equal injected) suspects) then begin
-      prerr_endline "BUG: injected fault not among suspects";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "diagnose"
-       ~doc:"Inject a hidden stuck-at defect and locate it from observed responses.")
-    Term.(const run $ obs_term $ circuit_pos $ fault_index $ vectors $ seed_flag)
-
-(* ------------------------------------------------------------------ *)
-(* seqatpg / bist / sync                                              *)
-(* ------------------------------------------------------------------ *)
-
-let seqatpg_cmd =
-  let max_frames =
-    Arg.(value & opt int 10 & info [ "frames" ] ~docv:"K" ~doc:"Frame budget.")
-  in
-  let run obs (e : Registry.entry) max_frames =
-    with_obs obs ~command:"seqatpg" ~circuits:[ e.Registry.name ] @@ fun _ctx ->
-    let p = Pipeline.prepare (design_of e) in
-    let nl = p.Pipeline.netlist in
-    let (sequences, undetected), elapsed =
-      Trace.with_span_timed "seqatpg" (fun () ->
-          Mutsamp_atpg.Seqatpg.generate_set ~max_frames nl ~faults:p.Pipeline.faults)
-    in
-    Printf.printf
-      "%s: %d faults -> %d functional sequences (%d cycles total), %d without a test within %d frames (%.2fs)\n"
-      e.Registry.name
-      (List.length p.Pipeline.faults)
-      (List.length sequences)
-      (List.fold_left (fun acc s -> acc + Array.length s) 0 sequences)
-      (List.length undetected) max_frames elapsed
-  in
-  Cmd.v
-    (Cmd.info "seqatpg"
-       ~doc:"Generate functional test sequences by time-frame expansion.")
-    Term.(const run $ obs_term $ circuit_pos $ max_frames)
-
-let bist_cmd =
-  let length =
-    Arg.(value & opt int 256 & info [ "vectors"; "n" ] ~docv:"N" ~doc:"LFSR patterns.")
-  in
-  let run obs (e : Registry.entry) length seed =
-    with_obs obs ~command:"bist" ~circuits:[ e.Registry.name ] ~seed @@ fun _ctx ->
-    let p = Pipeline.prepare (design_of e) in
-    let nl =
-      if p.Pipeline.sequential then Scan.full_scan p.Pipeline.netlist
-      else p.Pipeline.netlist
-    in
-    let faults = (Collapse.run nl).Collapse.representatives in
-    let r = Trace.with_span "bist" (fun () -> Mutsamp_atpg.Bist.run nl ~faults ~seed ~length) in
-    Printf.printf
-      "%s%s: signature %#x | %d/%d detected by signature, %d by comparison, %d aliased\n"
-      e.Registry.name
-      (if p.Pipeline.sequential then " (full-scan)" else "")
-      r.Mutsamp_atpg.Bist.good_signature r.Mutsamp_atpg.Bist.signature_detected
-      r.Mutsamp_atpg.Bist.total_faults r.Mutsamp_atpg.Bist.comparison_detected
-      r.Mutsamp_atpg.Bist.aliased
-  in
-  Cmd.v
-    (Cmd.info "bist" ~doc:"Emulate an LFSR+MISR self-test session.")
-    Term.(const run $ obs_term $ circuit_pos $ length $ seed_flag)
 
 let wave_cmd =
   let length =
@@ -736,33 +616,6 @@ let wave_cmd =
   Cmd.v
     (Cmd.info "wave" ~doc:"Dump a random-stimulus run as a VCD waveform.")
     Term.(const run $ obs_term $ circuit_pos $ length $ output $ seed_flag)
-
-let sync_cmd =
-  let length =
-    Arg.(value & opt int 64 & info [ "vectors"; "n" ] ~docv:"N" ~doc:"Sequence length tried.")
-  in
-  let run obs (e : Registry.entry) length seed =
-    with_obs obs ~command:"sync" ~circuits:[ e.Registry.name ] ~seed @@ fun _ctx ->
-    let p = Pipeline.prepare (design_of e) in
-    let nl = p.Pipeline.netlist in
-    let bits = Array.length nl.Netlist.input_nets in
-    let sequence =
-      Array.map Mutsamp_fault.Pattern.to_code
-        (Prpg.uniform_sequence (Prng.create seed) ~bits ~length)
-    in
-    match Mutsamp_netlist.Xsim.synchronizing_length nl ~sequence with
-    | Some n ->
-      Printf.printf "%s: all %d flip-flops known after %d cycles from the all-X state\n"
-        e.Registry.name (Netlist.num_dffs nl) n
-    | None ->
-      Printf.printf
-        "%s: %d-cycle random sequence does not synchronise the machine (reset still required)\n"
-        e.Registry.name length
-  in
-  Cmd.v
-    (Cmd.info "sync"
-       ~doc:"Three-valued initialisation analysis: can random inputs synchronise the state?")
-    Term.(const run $ obs_term $ circuit_pos $ length $ seed_flag)
 
 (* ------------------------------------------------------------------ *)
 (* table1 / table2 / e3                                               *)
@@ -1348,8 +1201,7 @@ let () =
        (Cmd.group ~default info
           [
             list_cmd; show_cmd; mutants_cmd; generate_cmd; faultsim_cmd;
-            atpg_cmd; dot_cmd; export_cmd; import_cmd; diagnose_cmd;
-            seqatpg_cmd; bist_cmd; sync_cmd; wave_cmd;
-            lint_cmd; table1_cmd; table2_cmd; e3_cmd; report_validate_cmd;
-            store_cmd; serve_cmd; client_cmd;
+            atpg_cmd; dot_cmd; export_cmd; import_cmd; wave_cmd; lint_cmd;
+            table1_cmd; table2_cmd; e3_cmd; report_validate_cmd; store_cmd;
+            serve_cmd; client_cmd;
           ]))

@@ -61,7 +61,7 @@ let taps_table =
 
 let lfsr_taps width =
   if width < 2 || width > max_lfsr_width then
-    invalid_arg (Printf.sprintf "Prpg.lfsr_taps: width %d not in 2..%d" width max_lfsr_width);
+    invalid_arg (Printf.sprintf "Prpg: LFSR width %d not in 2..%d" width max_lfsr_width);
   taps_table.(width)
 
 let lfsr_next width taps state =
@@ -88,14 +88,6 @@ let lfsr_period_is_maximal ~width =
     else iterate next (count + 1)
   in
   iterate start 0 = (1 lsl width) - 1
-
-let weighted_sequence prng ~one_probability ~length =
-  let bits = Array.length one_probability in
-  if bits < 1 then invalid_arg "Prpg.weighted_sequence: empty profile";
-  Array.init length (fun _ ->
-      Packvec.init bits (fun k ->
-          let p = Float.max 0. (Float.min 1. one_probability.(k)) in
-          Prng.float prng < p))
 
 (* Widths up to 62 keep the historical one-or-two-draw stream (seeded
    experiments stay reproducible); wider patterns draw per bit. *)

@@ -11,13 +11,9 @@
 
 val max_lfsr_width : int
 
-val lfsr_taps : int -> int list
-(** Tap positions (1-based, as in the standard tables) of a primitive
-    polynomial for the given register width (2..{!max_lfsr_width}).
-    Raises [Invalid_argument] outside that range. *)
-
 val lfsr_sequence : width:int -> seed:int -> length:int -> int array
-(** [length] successive LFSR states, each masked to [width] bits. A
+(** [length] successive LFSR states, each masked to [width] bits
+    (2..{!max_lfsr_width}; [Invalid_argument] outside that range). A
     zero [seed] is replaced by 1 (the all-zero state is absorbing). *)
 
 val lfsr_period_is_maximal : width:int -> bool
@@ -29,14 +25,3 @@ val uniform_sequence :
   Mutsamp_util.Prng.t -> bits:int -> length:int -> Mutsamp_fault.Pattern.t array
 (** Uniform [bits]-bit patterns from the given PRNG; any positive
     width. Raises [Invalid_argument] when [bits] is not positive. *)
-
-val weighted_sequence :
-  Mutsamp_util.Prng.t ->
-  one_probability:float array ->
-  length:int ->
-  Mutsamp_fault.Pattern.t array
-(** Weighted random patterns: bit [k] of each pattern is 1 with
-    probability [one_probability.(k)] (clamped to [0,1]) — the
-    classical remedy when a circuit's random-pattern-resistant faults
-    need biased inputs (wide AND trees want mostly-1 inputs, etc.).
-    Raises [Invalid_argument] when the profile is empty. *)

@@ -72,7 +72,8 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
   @@ fun () ->
   Metrics.incr c_runs;
   let total_faults = List.length faults in
-  let test_set = ref (Array.to_list seed_patterns) in
+  (* Newest pattern first; reversed once into the result. *)
+  let test_set_rev = ref (List.rev (Array.to_list seed_patterns)) in
   (* Phase 1: seed patterns. *)
   let after_seed = surviving ~ctx nl faults seed_patterns in
   let seed_detected = total_faults - List.length after_seed in
@@ -93,7 +94,7 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
     if List.length next = before then incr stall
     else begin
       stall := 0;
-      test_set := !test_set @ Array.to_list batch
+      test_set_rev := List.rev_append (Array.to_list batch) !test_set_rev
     end;
     if List.length next <> before then remaining := next
   done;
@@ -132,7 +133,7 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
         (match outcome with
          | `Test p ->
            incr atpg_patterns;
-           test_set := !test_set @ [ p ];
+           test_set_rev := p :: !test_set_rev;
            (* Drop every remaining fault this vector also detects. *)
            let next = surviving ~ctx nl (target :: rest) [| p |] in
            atpg_detected := !atpg_detected + (List.length rest + 1 - List.length next);
@@ -180,7 +181,7 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
                let before = List.length !leftover in
                let next = surviving ~ctx nl !leftover batch in
                if List.length next < before then begin
-                 test_set := !test_set @ Array.to_list batch;
+                 test_set_rev := List.rev_append (Array.to_list batch) !test_set_rev;
                  degraded_detected := !degraded_detected + (before - List.length next);
                  leftover := next
                end
@@ -219,5 +220,5 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
     degraded = !degrade_error <> None;
     degraded_retries = !retries_used;
     degraded_detected = !degraded_detected;
-    test_set = Array.of_list !test_set;
+    test_set = Array.of_list (List.rev !test_set_rev);
   }

@@ -197,12 +197,7 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
   let survivor_arr = Array.of_list survivors in
   let oracle = Equivalence.make t.design in
   let total = Array.length survivor_arr in
-  let done_count = Atomic.make 0 in
-  let tick () =
-    Ctx.progress ctx ~stage:"equiv"
-      ~done_:(1 + Atomic.fetch_and_add done_count 1)
-      ~total
-  in
+  let tick = Ctx.ticker ctx ~stage:"equiv" ~total in
   let noted = Atomic.make false in
   let note_stop e =
     if not (Atomic.exchange noted true) then
@@ -231,7 +226,7 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
            match Budget.check_deadline budget ~stage:Rerror.Equivalence with
            | Error e -> stop e; false
            | Ok () -> exact survivor_arr.(lo + k));
-      tick ()
+      tick 1
     done;
     out
   in

@@ -74,8 +74,9 @@ val classify_equivalents :
     non-equivalent (conservative; they deflate MS rather than inflate
     it). The context progress callback fires after each exact check
     under stage ["equiv"] ([total] is the survivor count), from the
-    worker domain that ran it — the checks dominate the runtime on
-    larger designs.
+    worker domain that ran it but through one
+    {!Mutsamp_exec.Ctx.ticker}, so the counts arrive in order — the
+    checks dominate the runtime on larger designs.
 
     [ctx] (default {!Mutsamp_exec.Ctx.default}, sequential) carries the
     domain pool and budget. With a pool, both the screen and the exact

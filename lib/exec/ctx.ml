@@ -36,10 +36,18 @@ let jobs t =
 let budget t =
   match t.budget with Some b -> b | None -> Budget.ambient ()
 
-let progress t ~stage ~done_ ~total =
+(* One mutex covers both the count and the callback, so records leave
+   in count order whichever domain finished the items. *)
+let ticker t ~stage ~total =
   match t.progress with
-  | None -> ()
-  | Some f -> f ~stage ~done_ ~total
+  | None -> ignore
+  | Some f ->
+    let lock = Mutex.create () in
+    let done_ = ref 0 in
+    fun n ->
+      Mutex.protect lock (fun () ->
+          done_ := !done_ + n;
+          f ~stage ~done_:!done_ ~total)
 
 (* The one sharding shape every sharded stage uses: balanced contiguous
    chunks, per-shard budget split (refunded after the join), results

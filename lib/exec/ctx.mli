@@ -47,14 +47,15 @@ val jobs : t -> int
 val budget : t -> Mutsamp_robust.Budget.t
 (** The context's budget, defaulting to [Budget.ambient ()]. *)
 
-val progress : t -> stage:string -> done_:int -> total:int -> unit
-(** Invoke the progress callback if any. Sharded stages
-    ([Fsim.run], [Pipeline.classify_equivalents]) call it from whichever
-    domain ran the item, worker domains included, so calls may overlap
-    and arrive out of order: every [done_] from 1 to [total] is reported
-    exactly once, but 17 can come before 16. A callback must therefore
-    be safe to call from any domain and must not assume monotone
-    [done_]. *)
+val ticker : t -> stage:string -> total:int -> int -> unit
+(** [ticker t ~stage ~total] is the progress tick of one sharded stage
+    ([Fsim.run], [Pipeline.classify_equivalents]): [tick n] adds [n]
+    finished items to the stage's count and reports the new count to
+    the progress callback. Ticks may come from any domain; the count
+    and the callback run under one mutex, so the callback sees the
+    counts strictly increasing and is never entered twice at once.
+    Without a progress callback the tick does nothing: no lock, no
+    counter. *)
 
 val map_cells : t -> 'a list -> f:('a -> 'b) -> 'b list
 (** Campaign-cell parallelism: [f] runs once per list element, one pool

@@ -56,8 +56,6 @@ let rank_site = function
 let compare a b =
   Stdlib.compare (rank_site a.site, a.polarity) (rank_site b.site, b.polarity)
 
-let equal a b = compare a b = 0
-
 let to_string f =
   let pol = match f.polarity with Stuck_at_0 -> "SA0" | Stuck_at_1 -> "SA1" in
   match f.site with

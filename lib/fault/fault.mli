@@ -29,6 +29,5 @@ val stuck_word : t -> int
 (** The forcing word: 0 or [Bitsim.all_ones]. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -347,18 +347,14 @@ let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
   }
 
 (* Shared by [run] and [serial]: the run and backend counters, one
-   progress done-count fed by every shard (so the callback sees a
-   monotone count whatever the interleaving), and the shard merge. *)
+   progress ticker fed by every shard (so the callback sees the count
+   strictly increasing whatever the interleaving), and the shard merge. *)
 let simulate ~ctx ~backend ~faults ~sequence shard =
   let faults = Array.of_list faults in
   let total = Array.length faults in
   Metrics.incr K.c_runs;
   Metrics.incr backend;
-  let done_count = Atomic.make 0 in
-  let tick n =
-    let d = n + Atomic.fetch_and_add done_count n in
-    Ctx.progress ctx ~stage:"faultsim" ~done_:d ~total
-  in
+  let tick = Ctx.ticker ctx ~stage:"faultsim" ~total in
   let shards =
     Ctx.map_shards ctx ~n:total ~f:(fun ~budget ~lo ~len ->
         shard ~budget ~tick ~lo ~faults:(Array.sub faults lo len))

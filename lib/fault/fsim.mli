@@ -95,8 +95,8 @@ val run :
     On sequential netlists the context's progress callback is invoked
     (stage ["faultsim"]) as faults are detected and once for the rest
     at the end (long [b03] runs are otherwise silent for minutes);
-    shards feed a shared done-counter, so the count is monotone under
-    parallelism.
+    shards feed one {!Mutsamp_exec.Ctx.ticker}, so the count strictly
+    increases under parallelism.
 
     Raises [Invalid_argument] if a pattern's width does not match the
     input count. *)

@@ -3,7 +3,7 @@
     A pattern is a {!Mutsamp_util.Packvec} whose width is the number of
     primary inputs, bit [k] feeding input [k] in [input_nets] order.
     This replaces the historical flat integer codes and removes their
-    62-input ceiling; {!of_code}/{!to_code} remain as conveniences for
+    62-input ceiling; {!of_code} remains as a convenience for
     narrow circuits and external formats. *)
 
 type t = Mutsamp_util.Packvec.t
@@ -19,13 +19,9 @@ val of_code : inputs:int -> int -> t
 (** Spread an integer code (bit [k] -> input [k]). Codes carry at most
     62 payload bits; wider patterns need {!init}/{!set}. *)
 
-val to_code : t -> int
-(** Raises [Invalid_argument] when the pattern is wider than 62 bits. *)
-
 val width : t -> int
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit
-val copy : t -> t
 val equal : t -> t -> bool
 
 val random : Mutsamp_util.Prng.t -> inputs:int -> t

@@ -13,9 +13,9 @@
 
     {!step} and {!step_injected} are the reference that the compiled
     {!Program} and the fault simulator's backends are tested against,
-    and that the serial fault simulator runs. Fault diagnosis, BIST
-    signatures, scan-pattern replay and waveform dumps also simulate
-    here, since they read every net's word and the flip-flop state. *)
+    and that the serial fault simulator runs. Scan-pattern replay and
+    waveform dumps also simulate here, since they read every net's
+    word and the flip-flop state. *)
 
 val word_bits : int
 (** Lanes per word (63 — the full OCaml native int). *)

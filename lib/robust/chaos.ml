@@ -6,7 +6,6 @@ let c_fired = Metrics.counter "robust.chaos_fired"
 type point =
   | Sat_solve
   | Podem_search
-  | Seqatpg_frame
   | Fsim_run
   | Vectorgen_directed
   | Kill_run
@@ -21,7 +20,6 @@ exception Injected of string
 let point_name = function
   | Sat_solve -> "sat"
   | Podem_search -> "podem"
-  | Seqatpg_frame -> "seqatpg"
   | Fsim_run -> "fsim"
   | Vectorgen_directed -> "vectorgen"
   | Kill_run -> "kill"
@@ -32,7 +30,6 @@ let point_name = function
 let stage_of_point = function
   | Sat_solve -> Error.Sat
   | Podem_search -> Error.Podem
-  | Seqatpg_frame -> Error.Seqatpg
   | Fsim_run -> Error.Fsim
   | Vectorgen_directed -> Error.Vectorgen
   | Kill_run -> Error.Kill
@@ -96,7 +93,6 @@ let parse_spec spec =
   let point_of = function
     | "sat" -> Some Sat_solve
     | "podem" -> Some Podem_search
-    | "seqatpg" -> Some Seqatpg_frame
     | "fsim" -> Some Fsim_run
     | "vectorgen" -> Some Vectorgen_directed
     | "kill" -> Some Kill_run

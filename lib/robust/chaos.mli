@@ -13,7 +13,6 @@
 type point =
   | Sat_solve  (** entry of every CDCL solve *)
   | Podem_search  (** entry of every PODEM call *)
-  | Seqatpg_frame  (** each time-frame expansion *)
   | Fsim_run  (** entry of every fault-simulation run *)
   | Vectorgen_directed  (** each directed-phase mutant attack *)
   | Kill_run  (** entry of every mutant-execution batch *)
@@ -55,7 +54,7 @@ val contain : Error.stage -> (unit -> 'a) -> ('a, Error.t) result
 
 val parse_spec : string -> (unit, string) result
 (** Parse-and-arm a CLI spec: [POINT:ACTION[@AFTER]] where POINT is one
-    of [sat], [podem], [seqatpg], [fsim], [vectorgen], [kill],
-    [report], [parse], [store]; ACTION is [timeout], [exn], or [truncate=N];
+    of [sat], [podem], [fsim], [vectorgen], [kill], [report],
+    [parse], [store]; ACTION is [timeout], [exn], or [truncate=N];
     AFTER is the number of hits to let pass first. Example:
     [sat:timeout], [report:truncate=16], [podem:exn@3]. *)

@@ -1,7 +1,6 @@
 type stage =
   | Sat
   | Podem
-  | Seqatpg
   | Topoff
   | Kill
   | Vectorgen
@@ -15,7 +14,6 @@ type stage =
 let stage_name = function
   | Sat -> "sat"
   | Podem -> "podem"
-  | Seqatpg -> "seqatpg"
   | Topoff -> "topoff"
   | Kill -> "kill"
   | Vectorgen -> "vectorgen"

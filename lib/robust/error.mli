@@ -9,7 +9,6 @@
 type stage =
   | Sat  (** CDCL solving ({!Mutsamp_sat.Solver}) *)
   | Podem
-  | Seqatpg
   | Topoff
   | Kill  (** mutant execution *)
   | Vectorgen

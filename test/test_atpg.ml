@@ -311,7 +311,7 @@ let test_uniform_sequence_range () =
   Array.iter
     (fun s ->
       check_int "10 bits wide" 10 (Mutsamp_fault.Pattern.width s);
-      let code = Mutsamp_fault.Pattern.to_code s in
+      let code = Mutsamp_util.Packvec.to_code s in
       check_bool "10 bits" true (code >= 0 && code < 1024))
     seq
 
@@ -390,162 +390,6 @@ let test_scan_preserves_combinational_logic () =
     in
     check_int (Printf.sprintf "next state of %d" s) ((s + 1) land 7) next
   done
-
-(* ------------------------------------------------------------------ *)
-(* Bist                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Bist = Mutsamp_atpg.Bist
-
-let test_misr_sensitivity () =
-  let taps = Prpg.lfsr_taps 16 in
-  let s1 = Bist.misr_signature ~width:16 ~taps [ 1; 2; 3; 4 ] in
-  let s2 = Bist.misr_signature ~width:16 ~taps [ 1; 2; 3; 5 ] in
-  let s3 = Bist.misr_signature ~width:16 ~taps [ 1; 2; 4; 3 ] in
-  check_bool "value change detected" true (s1 <> s2);
-  check_bool "order change detected" true (s1 <> s3)
-
-let test_bist_full_adder () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let r = Bist.run nl ~faults ~seed:1 ~length:32 in
-  (* 32 LFSR patterns on 3 inputs cycle the whole space several times:
-     everything detectable is detected, and at 16-bit signatures over 4
-     patterns' worth of entropy no aliasing is expected. *)
-  check_int "comparison detects all" (List.length faults) r.Bist.comparison_detected;
-  check_int "no aliasing" 0 r.Bist.aliased;
-  check_int "signature = comparison" r.Bist.comparison_detected r.Bist.signature_detected
-
-let test_bist_signature_deterministic () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let r1 = Bist.run nl ~faults ~seed:3 ~length:16 in
-  let r2 = Bist.run nl ~faults ~seed:3 ~length:16 in
-  check_int "same signature" r1.Bist.good_signature r2.Bist.good_signature
-
-let test_bist_rejects_sequential () =
-  let nl = counter_netlist () in
-  (try
-     ignore (Bist.run nl ~faults:(Fault.full_list nl) ~seed:1 ~length:8);
-     Alcotest.fail "should reject"
-   with Invalid_argument _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Unroll / Seqatpg                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Unroll = Mutsamp_atpg.Unroll
-module Seqatpg = Mutsamp_atpg.Seqatpg
-module Bitsim = Mutsamp_netlist.Bitsim
-
-let test_unroll_matches_sequential_sim () =
-  (* The k-frame expansion's outputs equal k sequential steps. *)
-  let nl = counter_netlist () in
-  let frames = 5 in
-  let unrolled = Unroll.expand ~frames nl in
-  check_int "no dffs" 0 (Netlist.num_dffs unrolled);
-  let seq_sim = Bitsim.create nl in
-  Bitsim.reset seq_sim;
-  let prng = Prng.create 21 in
-  let inputs = Array.init frames (fun _ -> Prng.int prng 2) in
-  let seq_outs =
-    Array.map (fun en -> Bitsim.step seq_sim [| (if en = 1 then Bitsim.all_ones else 0) |]) inputs
-  in
-  let unrolled_sim = Bitsim.create unrolled in
-  let words =
-    Array.map
-      (fun net ->
-        (* input order in the unrolled netlist is frame-major *)
-        ignore net;
-        0)
-      unrolled.Netlist.input_nets
-  in
-  Array.iteri
-    (fun k _ ->
-      let name =
-        (Netlist.input_names unrolled).(k)
-      in
-      (* name is "en@f" *)
-      let f = int_of_string (String.sub name 3 (String.length name - 3)) in
-      words.(k) <- (if inputs.(f) = 1 then Bitsim.all_ones else 0))
-    unrolled.Netlist.input_nets;
-  let outs = Bitsim.step unrolled_sim words in
-  Array.iteri
-    (fun j (name, _) ->
-      (* name is "q[i]@f" or similar; find the frame and original pos *)
-      let at = String.rindex name '@' in
-      let f = int_of_string (String.sub name (at + 1) (String.length name - at - 1)) in
-      let base = String.sub name 0 at in
-      let orig_index =
-        let rec find k =
-          if fst nl.Netlist.output_list.(k) = base then k else find (k + 1)
-        in
-        find 0
-      in
-      check_int
-        (Printf.sprintf "output %s" name)
-        (seq_outs.(f).(orig_index) land 1)
-        (outs.(j) land 1))
-    unrolled.Netlist.output_list
-
-let test_seqatpg_counter_faults () =
-  let nl = counter_netlist () in
-  let faults = Fault.full_list nl in
-  let detected = ref 0 and missed = ref 0 in
-  List.iter
-    (fun f ->
-      match ok_exn (Seqatpg.generate ~max_frames:10 nl f) with
-      | Seqatpg.Test seq ->
-        incr detected;
-        (* Verify by sequential fault simulation. *)
-        let r = Fsim.run nl ~faults:[ f ] ~sequence:seq in
-        check_int (Fault.to_string f ^ " verified") 1 r.Fsim.detected
-      | Seqatpg.No_test_within _ -> incr missed)
-    faults;
-  check_bool "most faults get sequences" true (!detected > 3 * List.length faults / 4)
-
-let test_seqatpg_shortest_sequence () =
-  (* A fault visible only when the counter reaches 4 (q[2] stuck-at-0)
-     needs at least 5 cycles from reset with en=1. *)
-  let nl = counter_netlist () in
-  let q2 = Netlist.find_output nl "q[2]" in
-  let f = { Fault.site = Fault.Stem q2; polarity = Fault.Stuck_at_0 } in
-  (match ok_exn (Seqatpg.generate ~max_frames:10 nl f) with
-   | Seqatpg.Test seq ->
-     check_int "five cycles" 5 (Array.length seq);
-     let r = Fsim.run nl ~faults:[ f ] ~sequence:seq in
-     check_int "verified" 1 r.Fsim.detected
-   | Seqatpg.No_test_within _ -> Alcotest.fail "should find a sequence")
-
-let test_seqatpg_budget () =
-  let nl = counter_netlist () in
-  let q2 = Netlist.find_output nl "q[2]" in
-  let f = { Fault.site = Fault.Stem q2; polarity = Fault.Stuck_at_0 } in
-  (match ok_exn (Seqatpg.generate ~max_frames:3 nl f) with
-   | Seqatpg.No_test_within 3 -> ()
-   | Seqatpg.No_test_within _ | Seqatpg.Test _ ->
-     Alcotest.fail "needs more than 3 frames")
-
-let test_seqatpg_generate_set () =
-  let nl = counter_netlist () in
-  let faults = Fault.full_list nl in
-  let sequences, undetected = Seqatpg.generate_set ~max_frames:10 nl ~faults in
-  check_bool "some sequences" true (sequences <> []);
-  (* Replaying every sequence detects everything not reported
-     undetected. *)
-  let detectable =
-    List.filter (fun f -> not (List.exists (Fault.equal f) undetected)) faults
-  in
-  let still_missing =
-    List.filter
-      (fun f ->
-        List.for_all
-          (fun seq ->
-            (Fsim.run nl ~faults:[ f ] ~sequence:seq).Fsim.detected = 0)
-          sequences)
-      detectable
-  in
-  check_int "all covered" 0 (List.length still_missing)
 
 (* ------------------------------------------------------------------ *)
 (* Topoff                                                             *)
@@ -678,21 +522,6 @@ let suite =
       [
         Alcotest.test_case "makes combinational" `Quick test_scan_makes_combinational;
         Alcotest.test_case "preserves logic" `Quick test_scan_preserves_combinational_logic;
-      ] );
-    ( "atpg.bist",
-      [
-        Alcotest.test_case "misr sensitivity" `Quick test_misr_sensitivity;
-        Alcotest.test_case "full adder session" `Quick test_bist_full_adder;
-        Alcotest.test_case "deterministic" `Quick test_bist_signature_deterministic;
-        Alcotest.test_case "rejects sequential" `Quick test_bist_rejects_sequential;
-      ] );
-    ( "atpg.sequential",
-      [
-        Alcotest.test_case "unroll matches sim" `Quick test_unroll_matches_sequential_sim;
-        Alcotest.test_case "counter faults" `Quick test_seqatpg_counter_faults;
-        Alcotest.test_case "shortest sequence" `Quick test_seqatpg_shortest_sequence;
-        Alcotest.test_case "frame budget" `Quick test_seqatpg_budget;
-        Alcotest.test_case "generate set" `Quick test_seqatpg_generate_set;
       ] );
     ( "atpg.topoff",
       [

@@ -71,7 +71,7 @@ let test_code_of_stimulus_roundtrip () =
   in
   for v = 0 to 31 do
     check_int "code" v
-      (Mutsamp_fault.Pattern.to_code (Pipeline.pattern_of_stimulus p (stim v)))
+      (Mutsamp_util.Packvec.to_code (Pipeline.pattern_of_stimulus p (stim v)))
   done
 
 let test_codes_of_sequences_concatenates () =
@@ -80,7 +80,7 @@ let test_codes_of_sequences_concatenates () =
     List.mapi (fun k name -> (name, bv 1 ((v lsr k) land 1))) [ "g1"; "g2"; "g3"; "g6"; "g7" ]
   in
   let codes =
-    Array.map Mutsamp_fault.Pattern.to_code
+    Array.map Mutsamp_util.Packvec.to_code
       (Pipeline.patterns_of_sequences p [ [ stim 1; stim 2 ]; [ stim 3 ] ])
   in
   Alcotest.(check (array int)) "flattened" [| 1; 2; 3 |] codes
@@ -99,7 +99,7 @@ let test_scan_codes_layout () =
   let p = Lazy.force b02_pipeline in
   let seq = [ [ ("linea", bv 1 1) ]; [ ("linea", bv 1 0) ] ] in
   let codes =
-    Array.map Mutsamp_fault.Pattern.to_code (Pipeline.scan_patterns_of_sequences p [ seq ])
+    Array.map Mutsamp_util.Packvec.to_code (Pipeline.scan_patterns_of_sequences p [ seq ])
   in
   check_int "one code per cycle" 2 (Array.length codes);
   (* Cycle 0 starts from reset: all scan bits zero, so the code is just

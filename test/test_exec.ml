@@ -108,6 +108,29 @@ let test_pool_shutdown_idempotent () =
   let got = Pool.run pool 3 ~f:(fun i -> -i) in
   Alcotest.(check (array int)) "inline after shutdown" [| 0; -1; -2 |] got
 
+(* Ticks from four worker domains reach the progress callback one at a
+   time and in count order; with no callback the tick does nothing. The
+   callback spins between reading and writing [seen] to widen the
+   window an unserialised callback would race in. *)
+let test_ticker_in_order () =
+  let n = 10_000 in
+  let seen = ref [] in
+  with_jobs 4 (fun pool_ctx ->
+      let progress ~stage:_ ~done_ ~total:_ =
+        let prev = !seen in
+        for _ = 1 to 20 do Domain.cpu_relax () done;
+        seen := done_ :: prev
+      in
+      let ctx = { pool_ctx with Ctx.progress = Some progress } in
+      let tick = Ctx.ticker ctx ~stage:"t" ~total:(2 * n) in
+      ignore
+        (Ctx.map_shards ctx ~n ~f:(fun ~budget:_ ~lo:_ ~len ->
+             for _ = 1 to len do tick 2 done)));
+  Alcotest.(check (list int)) "counts in order"
+    (List.init n (fun i -> 2 * (i + 1)))
+    (List.rev !seen);
+  Ctx.ticker Ctx.default ~stage:"t" ~total:1 1
+
 let test_chunks_invariants () =
   List.iter
     (fun jobs ->
@@ -544,6 +567,7 @@ let suite =
         Alcotest.test_case "nested runs inline" `Quick test_pool_nested_runs_inline;
         Alcotest.test_case "shutdown idempotent" `Quick test_pool_shutdown_idempotent;
         Alcotest.test_case "chunk invariants" `Quick test_chunks_invariants;
+        Alcotest.test_case "ticker counts in order" `Quick test_ticker_in_order;
       ] );
     ( "exec.differential",
       [

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: .bench format I/O, fault
-   diagnosis, NAND mapping, and the b04 benchmark. *)
+(* Tests for the extension modules: .bench format I/O, VCD output,
+   NAND mapping, and the b04 benchmark. *)
 
 module Bitvec = Mutsamp_util.Bitvec
 module Prng = Mutsamp_util.Prng
@@ -7,16 +7,10 @@ module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
 module Benchfmt = Mutsamp_netlist.Benchfmt
 module B = Netlist.Builder
-module Fault = Mutsamp_fault.Fault
-module Fsim = Mutsamp_fault.Fsim
-module Diagnose = Mutsamp_fault.Diagnose
-module Pattern = Mutsamp_fault.Pattern
-module Packvec = Mutsamp_util.Packvec
 module Registry = Mutsamp_circuits.Registry
 module C17 = Mutsamp_circuits.C17
 module Sim = Mutsamp_hdl.Sim
 module Flow = Mutsamp_synth.Flow
-module Prpg = Mutsamp_atpg.Prpg
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -211,143 +205,6 @@ let prop_nand_mapping_random =
       same_behaviour (seed + 2) nl (Mutsamp_synth.Optimize.to_nand_only nl))
 
 (* ------------------------------------------------------------------ *)
-(* Diagnose                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_diagnose_recovers_injected_fault () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let prng = Prng.create 9 in
-  (* Inject a random fault, observe all 8 patterns, diagnose. *)
-  for _ = 1 to 10 do
-    let injected = List.nth faults (Prng.int prng (List.length faults)) in
-    let observations =
-      List.init 8 (fun code ->
-          let p = Pattern.of_code ~inputs:(Pattern.num_inputs nl) code in
-          { Diagnose.pattern = p;
-            response = Diagnose.simulate_response nl (Some injected) p })
-    in
-    let suspects = Diagnose.perfect_matches nl ~candidates:faults ~observations in
-    check_bool "injected fault among suspects" true
-      (List.exists (Fault.equal injected) suspects)
-  done
-
-let test_diagnose_good_machine_rejects_all () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  (* Responses of the GOOD machine: only undetectable-by-these-patterns
-     candidates can explain them; with exhaustive patterns, none (the
-     full adder has no untestable faults). *)
-  let observations =
-    List.init 8 (fun code ->
-        let p = Pattern.of_code ~inputs:(Pattern.num_inputs nl) code in
-        { Diagnose.pattern = p; response = Diagnose.simulate_response nl None p })
-  in
-  let suspects = Diagnose.perfect_matches nl ~candidates:faults ~observations in
-  check_int "no suspects" 0 (List.length suspects)
-
-let test_diagnose_ranking_sane () =
-  let nl = full_adder () in
-  let faults = Fault.full_list nl in
-  let injected = List.hd faults in
-  let observations =
-    List.init 8 (fun code ->
-        let p = Pattern.of_code ~inputs:(Pattern.num_inputs nl) code in
-        { Diagnose.pattern = p;
-          response = Diagnose.simulate_response nl (Some injected) p })
-  in
-  let ranked = Diagnose.rank nl ~candidates:faults ~observations in
-  (match ranked with
-   | best :: _ -> check_bool "top explains" true best.Diagnose.explains
-   | [] -> Alcotest.fail "empty ranking");
-  (* Scores are non-increasing. *)
-  let rec monotone = function
-    | a :: (b :: _ as rest) ->
-      check_bool "sorted" true (a.Diagnose.matches >= b.Diagnose.matches);
-      monotone rest
-    | _ -> ()
-  in
-  monotone ranked
-
-let test_diagnose_rejects_sequential () =
-  let b = B.create "seq" in
-  let x = B.input b "x" in
-  let q = B.dff b ~init:false in
-  B.connect_dff b q ~d:x;
-  B.output b "y" q;
-  let nl = B.finalize b in
-  (try
-     ignore
-       (Diagnose.rank nl
-          ~candidates:(Fault.full_list nl)
-          ~observations:
-            [ { Diagnose.pattern = Pattern.of_code ~inputs:(Pattern.num_inputs nl) 0;
-                response = Packvec.create 1 } ]);
-     Alcotest.fail "should reject"
-   with Invalid_argument _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Weighted patterns                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_weighted_extremes () =
-  let prng = Prng.create 1 in
-  let all_one = Prpg.weighted_sequence prng ~one_probability:(Array.make 8 1.) ~length:20 in
-  Array.iter (fun c -> check_int "all ones" 255 (Pattern.to_code c)) all_one;
-  let all_zero = Prpg.weighted_sequence prng ~one_probability:(Array.make 8 0.) ~length:20 in
-  Array.iter (fun c -> check_int "all zeros" 0 (Pattern.to_code c)) all_zero
-
-let test_weighted_bias () =
-  let prng = Prng.create 2 in
-  let profile = [| 0.9; 0.1 |] in
-  let seq = Prpg.weighted_sequence prng ~one_probability:profile ~length:2000 in
-  let count bit =
-    Array.fold_left (fun acc c -> acc + if Pattern.get c bit then 1 else 0) 0 seq
-  in
-  let p0 = float_of_int (count 0) /. 2000. in
-  let p1 = float_of_int (count 1) /. 2000. in
-  check_bool "bit0 biased high" true (p0 > 0.85 && p0 < 0.95);
-  check_bool "bit1 biased low" true (p1 > 0.05 && p1 < 0.15)
-
-(* ------------------------------------------------------------------ *)
-(* Fault dictionary                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_dictionary_agrees_with_rank () =
-  let nl = full_adder () in
-  let candidates = Fault.full_list nl in
-  let patterns = Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) (Array.init 8 (fun i -> i)) in
-  let dict = Diagnose.build nl ~candidates ~patterns:patterns in
-  let prng = Prng.create 31 in
-  for _ = 1 to 10 do
-    let injected = List.nth candidates (Prng.int prng (List.length candidates)) in
-    let responses =
-      Array.map (fun p -> Diagnose.simulate_response nl (Some injected) p) patterns
-    in
-    let via_dict = Diagnose.lookup dict ~responses in
-    let via_rank =
-      Diagnose.perfect_matches nl ~candidates
-        ~observations:
-          (Array.to_list
-             (Array.mapi (fun i p -> { Diagnose.pattern = p; response = responses.(i) }) patterns))
-    in
-    check_bool "same suspects" true
-      (List.sort Fault.compare via_dict = List.sort Fault.compare via_rank);
-    check_bool "injected found" true (List.exists (Fault.equal injected) via_dict)
-  done
-
-let test_dictionary_rejects_wrong_arity () =
-  let nl = full_adder () in
-  let dict =
-    Diagnose.build nl ~candidates:(Fault.full_list nl)
-      ~patterns:(Array.map (Pattern.of_code ~inputs:(Pattern.num_inputs nl)) [| 0; 1 |])
-  in
-  (try
-     ignore (Diagnose.lookup dict ~responses:[| Packvec.create 2 |]);
-     Alcotest.fail "should reject"
-   with Invalid_argument _ -> ())
-
-(* ------------------------------------------------------------------ *)
 (* Vcd                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -481,23 +338,6 @@ let suite =
         Alcotest.test_case "errors" `Quick test_bench_errors;
         Alcotest.test_case "export/import all" `Quick test_bench_export_all_circuits_reimport;
         q prop_bench_roundtrip_random;
-      ] );
-    ( "extras.diagnose",
-      [
-        Alcotest.test_case "recovers injected" `Quick test_diagnose_recovers_injected_fault;
-        Alcotest.test_case "good machine" `Quick test_diagnose_good_machine_rejects_all;
-        Alcotest.test_case "ranking sane" `Quick test_diagnose_ranking_sane;
-        Alcotest.test_case "rejects sequential" `Quick test_diagnose_rejects_sequential;
-      ] );
-    ( "extras.weighted",
-      [
-        Alcotest.test_case "extremes" `Quick test_weighted_extremes;
-        Alcotest.test_case "bias" `Quick test_weighted_bias;
-      ] );
-    ( "extras.dictionary",
-      [
-        Alcotest.test_case "agrees with rank" `Quick test_dictionary_agrees_with_rank;
-        Alcotest.test_case "arity check" `Quick test_dictionary_rejects_wrong_arity;
       ] );
     ( "extras.vcd",
       [

@@ -283,86 +283,6 @@ let prop_bitsim_lane_independence =
         (List.mapi (fun k p -> (k, p)) patterns))
 
 (* ------------------------------------------------------------------ *)
-(* Xsim                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Xsim = Mutsamp_netlist.Xsim
-
-let test_xsim_controlling_values_mask_x () =
-  (* and(X, 0) = 0 and or(X, 1) = 1: X never leaks past a controlling
-     value. *)
-  let b = B.create "t" in
-  let a = B.input b "a" and bb = B.input b "b" in
-  B.output b "and" (B.and_ b a bb);
-  B.output b "or" (B.or_ b a bb);
-  B.output b "xor" (B.xor_ b a bb);
-  let nl = B.finalize b in
-  let sim = Xsim.create nl in
-  let outs = Xsim.step sim [| Xsim.x; Xsim.known 0 |] in
-  let z, o = outs.(0) in
-  check_int "and known 0" Bitsim.all_ones z;
-  check_int "and not 1" 0 o;
-  let zx, ox = outs.(2) in
-  check_int "xor unknown" 0 (zx lor ox);
-  let outs1 = Xsim.step sim [| Xsim.x; Xsim.known Bitsim.all_ones |] in
-  let _, o1 = outs1.(1) in
-  check_int "or known 1" Bitsim.all_ones o1
-
-let test_xsim_known_matches_bitsim () =
-  (* With fully known inputs, Xsim and Bitsim agree. *)
-  let nl = full_adder () in
-  let xs = Xsim.create nl and bs = Bitsim.create nl in
-  for code = 0 to 7 do
-    let words = Array.init 3 (fun k -> if (code lsr k) land 1 = 1 then Bitsim.all_ones else 0) in
-    let xouts = Xsim.step_known xs words in
-    let bouts = Bitsim.step bs words in
-    Array.iteri
-      (fun i (z, o) ->
-        check_int "no X" Bitsim.all_ones (z lor o);
-        check_int "same value" bouts.(i) o)
-      xouts
-  done
-
-let test_xsim_reset_known () =
-  let nl = toggle () in
-  let sim = Xsim.create nl in
-  Xsim.reset sim;
-  check_int "all known after reset" 0 (Xsim.unknown_dff_lanes sim);
-  Xsim.reset_to_x sim;
-  check_int "all unknown" Bitsim.word_bits (Xsim.unknown_dff_lanes sim)
-
-let test_xsim_toggle_never_synchronizes () =
-  (* q' = q xor en: from X the state stays X whatever the inputs. *)
-  let nl = toggle () in
-  check_bool "no sync" true
-    (Xsim.synchronizing_length nl ~sequence:(Array.make 16 1) = None)
-
-let test_xsim_load_synchronizes () =
-  (* q' = d loads a known input: one cycle settles the machine. *)
-  let b = B.create "load" in
-  let d = B.input b "d" in
-  let q = B.dff b ~init:false in
-  B.connect_dff b q ~d;
-  B.output b "q" q;
-  let nl = B.finalize b in
-  (match Xsim.synchronizing_length nl ~sequence:[| 1; 1 |] with
-   | Some 1 -> ()
-   | Some n -> Alcotest.fail (Printf.sprintf "expected 1 cycle, got %d" n)
-   | None -> Alcotest.fail "should synchronise")
-
-let test_xsim_combinational_trivially_synchronized () =
-  let nl = full_adder () in
-  check_bool "comb" true (Xsim.synchronizing_length nl ~sequence:[||] = Some 0)
-
-let test_xsim_rejects_conflicting_value () =
-  let nl = full_adder () in
-  let sim = Xsim.create nl in
-  (try
-     ignore (Xsim.step sim [| (1, 1); Xsim.x; Xsim.x |]);
-     Alcotest.fail "should reject"
-   with Invalid_argument _ -> ())
-
-(* ------------------------------------------------------------------ *)
 (* Dot / Stats                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,16 +338,6 @@ let suite =
         Alcotest.test_case "sequential fault state" `Quick test_bitsim_sequential_fault_state;
         Alcotest.test_case "input arity" `Quick test_bitsim_input_arity;
         q prop_bitsim_lane_independence;
-      ] );
-    ( "netlist.xsim",
-      [
-        Alcotest.test_case "controlling values" `Quick test_xsim_controlling_values_mask_x;
-        Alcotest.test_case "known matches bitsim" `Quick test_xsim_known_matches_bitsim;
-        Alcotest.test_case "reset known" `Quick test_xsim_reset_known;
-        Alcotest.test_case "toggle never syncs" `Quick test_xsim_toggle_never_synchronizes;
-        Alcotest.test_case "load syncs" `Quick test_xsim_load_synchronizes;
-        Alcotest.test_case "comb trivially synced" `Quick test_xsim_combinational_trivially_synchronized;
-        Alcotest.test_case "rejects conflict" `Quick test_xsim_rejects_conflicting_value;
       ] );
     ( "netlist.reports",
       [
