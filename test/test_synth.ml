@@ -426,6 +426,69 @@ let prop_random_stmt_designs =
           Sim.outputs_equal (Mapping.unpack_outputs mapping words ~lane:0) expected)
         seq hdl)
 
+(* ------------------------------------------------------------------ *)
+(* Synthesis output pins                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A canonical text form of a netlist: every gate's kind (with its
+   payload) and fanins, then the input nets, the named outputs and the
+   flip-flop nets. Its digest pins synthesis gate for gate; [Marshal]
+   is avoided because its bytes depend on the compiler version. *)
+let netlist_text buf (nl : Netlist.t) =
+  let add_ints a = Array.iter (fun i -> Buffer.add_char buf ' '; Buffer.add_string buf (string_of_int i)) a in
+  Array.iter
+    (fun (g : Mutsamp_netlist.Gate.t) ->
+      Buffer.add_string buf (Mutsamp_netlist.Gate.kind_name g.kind);
+      (match g.kind with
+       | Mutsamp_netlist.Gate.Pi name -> Buffer.add_string buf (" " ^ name)
+       | Mutsamp_netlist.Gate.Dff init -> Buffer.add_string buf (if init then " 1" else " 0")
+       | _ -> ());
+      Buffer.add_string buf " :";
+      add_ints g.fanins;
+      Buffer.add_char buf '\n')
+    nl.gates;
+  Buffer.add_string buf "in";
+  add_ints nl.input_nets;
+  Buffer.add_string buf "\nout";
+  Array.iter
+    (fun (name, net) -> Buffer.add_string buf (Printf.sprintf " %s=%d" name net))
+    nl.output_list;
+  Buffer.add_string buf "\ndff";
+  add_ints nl.dff_nets;
+  Buffer.add_string buf "\n--\n"
+
+(* Digests of the design's netlist and of every mutant's, in mutant
+   order, recorded from the synthesis these tests were written against.
+   A change to lowering, the builder or the sweep that moves any gate
+   of any mutant changes them. *)
+let synthesis_pins =
+  [
+    ("c432", "d89ea23db4a2bed931f7e731ac7c8cf5", "314861c761d5b117b0d7bcdd9c6bb421");
+    ("b01", "e6f651743ae268bafef63e1175492fc0", "140f95d3d3396a713ef24fc97fef81e0");
+    ("b03", "83eda29af9bb2b24c9ba0f80e461723d", "aca180c00406631469c848b34ad03b2b");
+  ]
+
+let test_synthesis_pinned () =
+  List.iter
+    (fun (name, design_digest, mutants_digest) ->
+      let d = (Option.get (Mutsamp_circuits.Registry.find name)).design () in
+      let digest_of f =
+        let buf = Buffer.create (1 lsl 16) in
+        f buf;
+        Digest.to_hex (Digest.string (Buffer.contents buf))
+      in
+      Alcotest.(check string)
+        (name ^ " design") design_digest
+        (digest_of (fun buf -> netlist_text buf (Flow.synthesize d)));
+      Alcotest.(check string)
+        (name ^ " mutants") mutants_digest
+        (digest_of (fun buf ->
+             List.iter
+               (fun (m : Mutsamp_mutation.Mutant.t) ->
+                 netlist_text buf (Flow.synthesize m.design))
+               (Mutsamp_mutation.Generate.all d))))
+    synthesis_pins
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -446,6 +509,7 @@ let suite =
         Alcotest.test_case "sweep removes dead" `Quick test_sweep_removes_dead_logic;
         Alcotest.test_case "sweep preserves interface" `Quick test_sweep_preserves_interface_order;
         Alcotest.test_case "bit names" `Quick test_bit_name;
+        Alcotest.test_case "pinned netlists" `Quick test_synthesis_pinned;
       ] );
     ( "synth.equivalence",
       [
