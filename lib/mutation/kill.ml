@@ -36,26 +36,30 @@ type t = {
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Lower.Synth_error msg)) fmt
 
-(* Port bit names in declaration order. *)
-let port_bits decls =
-  Array.of_list
-    (List.concat_map
-       (fun (dc : Ast.decl) -> List.init dc.width (Lower.bit_name dc.name dc.width))
-       decls)
+(* Port bit names in declaration order: inputs, then outputs. *)
+let port_bits (design : Ast.design) =
+  let bits decls =
+    Array.of_list
+      (List.concat_map
+         (fun (dc : Ast.decl) -> List.init dc.width (Lower.bit_name dc.name dc.width))
+         decls)
+  in
+  (bits (Ast.inputs design), bits (Ast.outputs design))
 
 (* Synthesize and flatten. Every design of a runner reads the same
    packed input words and is compared output bit by output bit, so the
-   netlist's ports must be the design's port bits in declaration order,
-   as synthesis emits them. *)
-let compile (design : Ast.design) =
+   netlist's ports must be the design's port bits in declaration order
+   ([ports], from {!port_bits}), as synthesis emits them. *)
+let compile (design : Ast.design) (inputs, outputs) =
   let nl = Mutsamp_synth.Flow.synthesize design in
-  let check what decls names =
-    if names <> port_bits decls then
+  let check what expected names =
+    if not (Array.length names = Array.length expected && Array.for_all2 String.equal names expected)
+    then
       fail "%s: netlist %s are not the design's port bits in declaration order"
         design.Ast.name what
   in
-  check "inputs" (Ast.inputs design) (Netlist.input_names nl);
-  check "outputs" (Ast.outputs design) (Array.map fst nl.Netlist.output_list);
+  check "inputs" inputs (Netlist.input_names nl);
+  check "outputs" outputs (Array.map fst nl.Netlist.output_list);
   Program.of_netlist nl
 
 (* The mutant's program from its write-once slot, and whether this call
@@ -65,7 +69,7 @@ let compile (design : Ast.design) =
    depend on [--jobs]. Reads of a filled slot take no lock. *)
 let compile_lock = Mutex.create ()
 
-let program (m : Mutant.t) =
+let program (m : Mutant.t) ports =
   match Atomic.get m.Mutant.program with
   | Some p -> (p, false)
   | None ->
@@ -73,7 +77,7 @@ let program (m : Mutant.t) =
         match Atomic.get m.Mutant.program with
         | Some p -> (p, false)
         | None ->
-          let p = compile m.Mutant.design in
+          let p = compile m.Mutant.design (Lazy.force ports) in
           Atomic.set m.Mutant.program (Some p);
           Metrics.incr c_compiled;
           (p, true))
@@ -81,12 +85,20 @@ let program (m : Mutant.t) =
 let make original ms =
   let mutants = Array.of_list ms in
   Trace.with_span "kill.compile" @@ fun () ->
-  let reference = compile original in
+  (* Mutation rewrites statements, never declarations, so a mutant that
+     shares the original's declaration list has the original's port
+     bits; any other design gets its own. *)
+  let ports = port_bits original in
+  let reference = compile original ports in
   let built = ref 0 in
   let programs =
     Array.map
-      (fun m ->
-        let p, fresh = program m in
+      (fun (m : Mutant.t) ->
+        let own =
+          if m.design.Ast.decls == original.Ast.decls then Lazy.from_val ports
+          else lazy (port_bits m.design)
+        in
+        let p, fresh = program m own in
         if fresh then incr built;
         if Program.input_bits p <> Program.input_bits reference
            || Program.output_bits p <> Program.output_bits reference

@@ -8,6 +8,12 @@ type t = {
 
 exception Lint_error of string
 
+(* A statically allocated gate to fill a gate array before its slots
+   are written. [Array.init] or [Array.map] would seed an array longer
+   than the minor heap's block limit with a freshly allocated gate,
+   which forces a minor collection per netlist. *)
+let placeholder = { Gate.kind = Gate.Buf; fanins = [||] }
+
 let lint_fail fmt = Printf.ksprintf (fun msg -> raise (Lint_error msg)) fmt
 
 let input_names t =
@@ -56,18 +62,39 @@ let fanouts t =
     t.gates;
   Array.map List.rev fo
 
+let is_logic (kind : Gate.kind) =
+  match kind with
+  | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> false
+  | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
+  | Gate.Xnor -> true
+
+(* Whether every combinational gate reads only lower-numbered nets, as
+   the builder creates them (and the sweep keeps them): then net order
+   is a topological order and no combinational cycle exists. *)
+let in_net_order t =
+  let ordered = ref true and i = ref 0 in
+  while !ordered && !i < Array.length t.gates do
+    let g = t.gates.(!i) in
+    if is_logic g.kind then
+      for k = 0 to Array.length g.fanins - 1 do
+        if g.fanins.(k) >= !i then ordered := false
+      done;
+    incr i
+  done;
+  !ordered
+
 let lint t =
   let n = Array.length t.gates in
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      if Array.length g.fanins <> Gate.arity g.kind then
-        lint_fail "%s: gate %d (%s) has %d fanins, expected %d" t.name i
-          (Gate.kind_name g.kind) (Array.length g.fanins) (Gate.arity g.kind);
-      Array.iter
-        (fun f ->
-          if f < 0 || f >= n then lint_fail "%s: gate %d fanin %d out of range" t.name i f)
-        g.fanins)
-    t.gates;
+  for i = 0 to n - 1 do
+    let g = t.gates.(i) in
+    if Array.length g.fanins <> Gate.arity g.kind then
+      lint_fail "%s: gate %d (%s) has %d fanins, expected %d" t.name i
+        (Gate.kind_name g.kind) (Array.length g.fanins) (Gate.arity g.kind);
+    for k = 0 to Array.length g.fanins - 1 do
+      let f = g.fanins.(k) in
+      if f < 0 || f >= n then lint_fail "%s: gate %d fanin %d out of range" t.name i f
+    done
+  done;
   Array.iter
     (fun (name, net) ->
       if net < 0 || net >= n then lint_fail "%s: output %s drives bad net %d" t.name name net)
@@ -79,104 +106,209 @@ let lint t =
       Hashtbl.add seen name ())
     t.output_list;
   (* Combinational cycle detection: DFS over comb gates, DFF fanins are
-     cut points. 0 = unvisited, 1 = on stack, 2 = done. *)
-  let mark = Array.make n 0 in
-  let rec dfs i =
-    if mark.(i) = 1 then lint_fail "%s: combinational cycle through net %d" t.name i;
-    if mark.(i) = 0 then begin
-      mark.(i) <- 1;
-      (match t.gates.(i).Gate.kind with
-       | Gate.Dff _ | Gate.Pi _ | Gate.Const _ -> ()
-       | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
-       | Gate.Xor | Gate.Xnor -> Array.iter dfs t.gates.(i).Gate.fanins);
-      mark.(i) <- 2
-    end
-  in
-  for i = 0 to n - 1 do dfs i done
+     cut points. 0 = unvisited, 1 = on stack, 2 = done. A netlist in
+     net order has no cycle to find. *)
+  if not (in_net_order t) then begin
+    let mark = Array.make n 0 in
+    let rec dfs i =
+      if mark.(i) = 1 then lint_fail "%s: combinational cycle through net %d" t.name i;
+      if mark.(i) = 0 then begin
+        mark.(i) <- 1;
+        if is_logic t.gates.(i).Gate.kind then Array.iter dfs t.gates.(i).Gate.fanins;
+        mark.(i) <- 2
+      end
+    in
+    for i = 0 to n - 1 do dfs i done
+  end
 
 module Builder = struct
-  type entry = { mutable kind : Gate.kind; mutable fanins : int array }
+  (* Gates live in growable parallel int arrays indexed by net id: a
+     kind code, the first and the second fanin (-1 where the kind has
+     none, and on a flip-flop whose D pin is not connected yet). Nothing
+     in them is a pointer, so writes need no barrier and nothing they
+     hold is promoted by the GC. Each [Gate.t] is allocated once, by
+     [finalize]. The builder never creates a [Buf]: [buf] returns its
+     operand. *)
+  let pi = 0
+  let not_code = 1
+  (* 2 .. 7: And, Or, Nand, Nor, Xor, Xnor, as [code] *)
+  let const0_code = 8
+  let const1_code = 9
+  let dff0_code = 10
+  let dff1_code = 11
+
+  let code = function
+    | Gate.Not -> not_code
+    | Gate.And -> 2
+    | Gate.Or -> 3
+    | Gate.Nand -> 4
+    | Gate.Nor -> 5
+    | Gate.Xor -> 6
+    | Gate.Xnor -> 7
+    | Gate.Pi _ | Gate.Const _ | Gate.Buf | Gate.Dff _ -> assert false
+
+  let kind_of_code = function
+    | 1 -> Gate.Not
+    | 2 -> Gate.And
+    | 3 -> Gate.Or
+    | 4 -> Gate.Nand
+    | 5 -> Gate.Nor
+    | 6 -> Gate.Xor
+    | 7 -> Gate.Xnor
+    | 8 -> Gate.Const false
+    | 9 -> Gate.Const true
+    | 10 -> Gate.Dff false
+    | 11 -> Gate.Dff true
+    | _ -> assert false
 
   type t = {
     bname : string;
-    mutable entries : entry list;  (* reverse order *)
     mutable count : int;
-    strash : (Gate.kind * int * int, int) Hashtbl.t;
-    input_order : int list ref;
+    mutable kinds : int array;
+    mutable fan0 : int array;
+    mutable fan1 : int array;
+    mutable table : int array;
+        (* open addressing over pairs (packed key, net); key -1 = empty *)
+    mutable used : int;  (* keys in [table] *)
+    mutable const0 : int;  (* -1 until created *)
+    mutable const1 : int;
+    mutable input_order : int list;  (* reverse order *)
+    mutable input_names : string list;  (* reverse order *)
     input_names_seen : (string, unit) Hashtbl.t;
-    outputs : (string * int) list ref;
+    mutable outputs : (string * int) list;  (* reverse order *)
     output_names_seen : (string, unit) Hashtbl.t;
     mutable dffs : int list;  (* reverse order *)
-    mutable arr : entry array;  (* index -> entry, grown lazily *)
   }
+
+  (* A hash-consed gate's key packs its kind code (3 bits) and its two
+     fanin ids, [net_bits] each, into one non-negative int. A [Not]
+     gate's missing second fanin (-1) packs as all ones; its code alone
+     tells it from the binary gates. *)
+  let net_bits = 29
+  let max_nets = 1 lsl net_bits
+  let initial_gates = 256
+  let initial_slots = 128
 
   let create bname =
     {
       bname;
-      entries = [];
       count = 0;
-      strash = Hashtbl.create 256;
-      input_order = ref [];
+      kinds = Array.make initial_gates 0;
+      fan0 = Array.make initial_gates (-1);
+      fan1 = Array.make initial_gates (-1);
+      table = Array.make (2 * initial_slots) (-1);
+      used = 0;
+      const0 = -1;
+      const1 = -1;
+      input_order = [];
+      input_names = [];
       input_names_seen = Hashtbl.create 16;
-      outputs = ref [];
+      outputs = [];
       output_names_seen = Hashtbl.create 16;
       dffs = [];
-      arr = [||];
     }
 
-  let entry_at b i =
-    if i < 0 || i >= b.count then invalid_arg "Builder: net id out of range";
-    b.arr.(i)
+  let check_net b i =
+    if i < 0 || i >= b.count then invalid_arg "Builder: net id out of range"
 
-  let push b kind fanins =
-    let e = { kind; fanins } in
-    b.entries <- e :: b.entries;
+  let grow a =
+    let bigger = Array.make (2 * Array.length a) (-1) in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+
+  let push b code f0 f1 =
     let id = b.count in
-    b.count <- id + 1;
-    if id >= Array.length b.arr then begin
-      let bigger = Array.make (max 64 (2 * Array.length b.arr)) e in
-      Array.blit b.arr 0 bigger 0 (Array.length b.arr);
-      b.arr <- bigger
+    if id >= max_nets then invalid_arg "Builder: too many nets for the hash-cons key";
+    if id >= Array.length b.kinds then begin
+      b.kinds <- grow b.kinds;
+      b.fan0 <- grow b.fan0;
+      b.fan1 <- grow b.fan1
     end;
-    b.arr.(id) <- e;
+    b.kinds.(id) <- code;
+    b.fan0.(id) <- f0;
+    b.fan1.(id) <- f1;
+    b.count <- id + 1;
     id
+
+  let key code a c = code lor (a lsl 3) lor ((c land (max_nets - 1)) lsl (3 + net_bits))
+
+  (* First slot of [key]'s probe sequence in a table of [slots] slots
+     (a power of two). *)
+  let home key slots =
+    let h = key * 0x9e3779b97f4a7c1 in
+    (h lxor (h lsr 31)) land (slots - 1)
+
+  (* The net stored under [key], or [-1 - i] for the empty slot [i]
+     where it would go. *)
+  let rec find table slots key i =
+    let k = table.(2 * i) in
+    if k = key then table.((2 * i) + 1)
+    else if k = -1 then -1 - i
+    else find table slots key ((i + 1) land (slots - 1))
+
+  (* Doubles the table, which is kept at most half full. *)
+  let rehash b =
+    let old = b.table in
+    let slots = Array.length old in
+    let table = Array.make (2 * slots) (-1) in
+    for i = 0 to (slots / 2) - 1 do
+      let k = old.(2 * i) in
+      if k <> -1 then begin
+        let j = -1 - find table slots k (home k slots) in
+        table.(2 * j) <- k;
+        table.((2 * j) + 1) <- old.((2 * i) + 1)
+      end
+    done;
+    b.table <- table
+
+  (* The net of the gate [code a c], created if no such gate exists. *)
+  let hashed b code a c =
+    let key = key code a c in
+    let slots = Array.length b.table / 2 in
+    let found = find b.table slots key (home key slots) in
+    if found >= 0 then found
+    else begin
+      let id = push b code a c in
+      b.table.(2 * (-1 - found)) <- key;
+      b.table.((2 * (-1 - found)) + 1) <- id;
+      b.used <- b.used + 1;
+      if 2 * b.used > slots then rehash b;
+      id
+    end
 
   let input b name =
     if Hashtbl.mem b.input_names_seen name then
       invalid_arg ("Builder.input: duplicate input " ^ name);
     Hashtbl.add b.input_names_seen name ();
-    let id = push b (Gate.Pi name) [||] in
-    b.input_order := id :: !(b.input_order);
+    let id = push b pi (-1) (-1) in
+    b.input_order <- id :: b.input_order;
+    b.input_names <- name :: b.input_names;
     id
 
   let const b v =
-    let key = (Gate.Const v, -1, -1) in
-    match Hashtbl.find_opt b.strash key with
-    | Some id -> id
-    | None ->
-      let id = push b (Gate.Const v) [||] in
-      Hashtbl.add b.strash key id;
-      id
+    if v then begin
+      if b.const1 < 0 then b.const1 <- push b const1_code (-1) (-1);
+      b.const1
+    end
+    else begin
+      if b.const0 < 0 then b.const0 <- push b const0_code (-1) (-1);
+      b.const0
+    end
 
-  let is_const b i =
-    match (entry_at b i).kind with Gate.Const v -> Some v | _ -> None
+  (* [Some v] when net [i] (in range) is the constant [v]. *)
+  let const_of b i =
+    if i = b.const0 then Some false else if i = b.const1 then Some true else None
 
   (* Hash-consed unary gate with local folding. *)
   let unary b kind a =
-    match kind, is_const b a, (entry_at b a).kind with
-    | Gate.Buf, _, _ -> a
-    | Gate.Not, Some v, _ -> const b (not v)
-    | Gate.Not, None, Gate.Not ->
+    check_net b a;
+    match kind, const_of b a with
+    | Gate.Buf, _ -> a
+    | Gate.Not, Some v -> const b (not v)
+    | Gate.Not, None when b.kinds.(a) = not_code ->
       (* not (not x) = x *)
-      (entry_at b a).fanins.(0)
-    | _ ->
-      let key = (kind, a, -1) in
-      (match Hashtbl.find_opt b.strash key with
-       | Some id -> id
-       | None ->
-         let id = push b kind [| a |] in
-         Hashtbl.add b.strash key id;
-         id)
+      b.fan0.(a)
+    | _ -> hashed b (code kind) a (-1)
 
   let not_ b a = unary b Gate.Not a
   let buf b a = unary b Gate.Buf a
@@ -184,48 +316,35 @@ module Builder = struct
   (* Constant folding and idempotence for the binary gates; anything
      left is hash-consed with sorted operands. *)
   let binary b kind a0 a1 =
-    let a, c = if a0 <= a1 then (a0, a1) else (a1, a0) in
-    let fold =
-      match kind, is_const b a, is_const b c with
-      | Gate.And, Some false, _ | Gate.And, _, Some false -> Some (const b false)
-      | Gate.And, Some true, _ -> Some c
-      | Gate.And, _, Some true -> Some a
-      | Gate.Or, Some true, _ | Gate.Or, _, Some true -> Some (const b true)
-      | Gate.Or, Some false, _ -> Some c
-      | Gate.Or, _, Some false -> Some a
-      | Gate.Xor, Some false, _ -> Some c
-      | Gate.Xor, _, Some false -> Some a
-      | Gate.Xor, Some true, _ -> Some (not_ b c)
-      | Gate.Xor, _, Some true -> Some (not_ b a)
-      | Gate.Nand, Some false, _ | Gate.Nand, _, Some false -> Some (const b true)
-      | Gate.Nand, Some true, _ -> Some (not_ b c)
-      | Gate.Nand, _, Some true -> Some (not_ b a)
-      | Gate.Nor, Some true, _ | Gate.Nor, _, Some true -> Some (const b false)
-      | Gate.Nor, Some false, _ -> Some (not_ b c)
-      | Gate.Nor, _, Some false -> Some (not_ b a)
-      | Gate.Xnor, Some true, _ -> Some c
-      | Gate.Xnor, _, Some true -> Some a
-      | Gate.Xnor, Some false, _ -> Some (not_ b c)
-      | Gate.Xnor, _, Some false -> Some (not_ b a)
-      | _, None, None when a = c ->
-        (match kind with
-         | Gate.And | Gate.Or -> Some a
-         | Gate.Xor -> Some (const b false)
-         | Gate.Xnor -> Some (const b true)
-         | Gate.Nand | Gate.Nor -> Some (not_ b a)
-         | _ -> None)
-      | _ -> None
-    in
-    match fold with
-    | Some id -> id
-    | None ->
-      let key = (kind, a, c) in
-      (match Hashtbl.find_opt b.strash key with
-       | Some id -> id
-       | None ->
-         let id = push b kind [| a; c |] in
-         Hashtbl.add b.strash key id;
-         id)
+    let a = if a0 <= a1 then a0 else a1 and c = if a0 <= a1 then a1 else a0 in
+    check_net b a;
+    check_net b c;
+    match kind, const_of b a, const_of b c with
+    | Gate.And, Some false, _ | Gate.And, _, Some false -> const b false
+    | Gate.And, Some true, _ -> c
+    | Gate.And, _, Some true -> a
+    | Gate.Or, Some true, _ | Gate.Or, _, Some true -> const b true
+    | Gate.Or, Some false, _ -> c
+    | Gate.Or, _, Some false -> a
+    | Gate.Xor, Some false, _ -> c
+    | Gate.Xor, _, Some false -> a
+    | Gate.Xor, Some true, _ -> not_ b c
+    | Gate.Xor, _, Some true -> not_ b a
+    | Gate.Nand, Some false, _ | Gate.Nand, _, Some false -> const b true
+    | Gate.Nand, Some true, _ -> not_ b c
+    | Gate.Nand, _, Some true -> not_ b a
+    | Gate.Nor, Some true, _ | Gate.Nor, _, Some true -> const b false
+    | Gate.Nor, Some false, _ -> not_ b c
+    | Gate.Nor, _, Some false -> not_ b a
+    | Gate.Xnor, Some true, _ -> c
+    | Gate.Xnor, _, Some true -> a
+    | Gate.Xnor, Some false, _ -> not_ b c
+    | Gate.Xnor, _, Some false -> not_ b a
+    | (Gate.And | Gate.Or), None, None when a = c -> a
+    | Gate.Xor, None, None when a = c -> const b false
+    | Gate.Xnor, None, None when a = c -> const b true
+    | (Gate.Nand | Gate.Nor), None, None when a = c -> not_ b a
+    | _ -> hashed b (code kind) a c
 
   let and_ b x y = binary b Gate.And x y
   let or_ b x y = binary b Gate.Or x y
@@ -239,44 +358,56 @@ module Builder = struct
     else or_ b (and_ b sel t1) (and_ b (not_ b sel) t0)
 
   let dff b ~init =
-    let id = push b (Gate.Dff init) [| -1 |] in
+    let id = push b (if init then dff1_code else dff0_code) (-1) (-1) in
     b.dffs <- id :: b.dffs;
     id
 
   let connect_dff b q ~d =
-    let e = entry_at b q in
-    (match e.kind with
-     | Gate.Dff _ -> ()
-     | _ -> invalid_arg "Builder.connect_dff: not a flip-flop");
-    if e.fanins.(0) <> -1 then invalid_arg "Builder.connect_dff: already connected";
+    check_net b q;
+    if b.kinds.(q) <> dff0_code && b.kinds.(q) <> dff1_code then
+      invalid_arg "Builder.connect_dff: not a flip-flop";
+    if b.fan0.(q) <> -1 then invalid_arg "Builder.connect_dff: already connected";
     if d < 0 || d >= b.count then invalid_arg "Builder.connect_dff: bad D net";
-    e.fanins.(0) <- d
+    b.fan0.(q) <- d
 
   let output b name net =
     if Hashtbl.mem b.output_names_seen name then
       invalid_arg ("Builder.output: duplicate output " ^ name);
     if net < 0 || net >= b.count then invalid_arg "Builder.output: bad net";
     Hashtbl.add b.output_names_seen name ();
-    b.outputs := (name, net) :: !(b.outputs)
+    b.outputs <- (name, net) :: b.outputs
 
   let finalize b =
-    let entries = Array.of_list (List.rev b.entries) in
-    let gates =
-      Array.map (fun e -> { Gate.kind = e.kind; fanins = Array.copy e.fanins }) entries
-    in
-    Array.iteri
-      (fun i (g : Gate.t) ->
-        match g.kind with
-        | Gate.Dff _ when g.fanins.(0) = -1 ->
-          lint_fail "%s: flip-flop net %d has no D connection" b.bname i
-        | _ -> ())
-      gates;
+    let gates = Array.make b.count placeholder in
+    let names = ref (List.rev b.input_names) in
+    for i = 0 to b.count - 1 do
+      let kind =
+        if b.kinds.(i) <> pi then kind_of_code b.kinds.(i)
+        else
+          match !names with
+          | name :: rest ->
+            names := rest;
+            Gate.Pi name
+          | [] -> assert false
+      in
+      let fanins =
+        match Gate.arity kind with
+        | 0 -> [||]
+        | 1 -> [| b.fan0.(i) |]
+        | _ -> [| b.fan0.(i); b.fan1.(i) |]
+      in
+      (match kind with
+       | Gate.Dff _ when b.fan0.(i) = -1 ->
+         lint_fail "%s: flip-flop net %d has no D connection" b.bname i
+       | _ -> ());
+      gates.(i) <- { Gate.kind; fanins }
+    done;
     let nl =
       {
         name = b.bname;
         gates;
-        input_nets = Array.of_list (List.rev !(b.input_order));
-        output_list = Array.of_list (List.rev !(b.outputs));
+        input_nets = Array.of_list (List.rev b.input_order);
+        output_list = Array.of_list (List.rev b.outputs);
         dff_nets = Array.of_list (List.rev b.dffs);
       }
     in

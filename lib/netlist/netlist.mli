@@ -36,6 +36,14 @@ val fanouts : t -> int list array
 (** [fanouts nl] maps every net to the gates it feeds (DFF D pins
     included). *)
 
+val is_logic : Gate.kind -> bool
+(** True for the combinational gates: not [Pi], [Const] or [Dff]. *)
+
+val in_net_order : t -> bool
+(** Whether every combinational gate reads only lower-numbered nets, as
+    every netlist the builder (and {!Sweep}) produces does. Net order
+    is then a topological order of the combinational gates. *)
+
 val lint : t -> unit
 (** Validate: fanin arities match gate kinds, fanin ids are in range,
     no combinational cycles, every output name unique. Raises

@@ -1,10 +1,17 @@
+(* Seeds the rebuilt gate array, as in [Netlist.Builder.finalize]: a
+   static gate, so a long array forces no minor collection. *)
+let placeholder = { Gate.kind = Gate.Buf; fanins = [||] }
+
 let run (nl : Netlist.t) =
   let n = Array.length nl.gates in
   let live = Array.make n false in
   let rec mark i =
     if not live.(i) then begin
       live.(i) <- true;
-      Array.iter mark nl.gates.(i).Gate.fanins
+      let fanins = nl.gates.(i).Gate.fanins in
+      for k = 0 to Array.length fanins - 1 do
+        mark fanins.(k)
+      done
     end
   in
   (* [mark] recurses through every fanin, and a flip-flop's fanin is its
@@ -21,13 +28,30 @@ let run (nl : Netlist.t) =
       incr count
     end
   done;
-  let gates =
-    Array.of_list (List.filteri (fun i _ -> live.(i)) (Array.to_list nl.gates))
-  in
-  let gates =
-    Array.map
-      (fun (g : Gate.t) -> { g with Gate.fanins = Array.map (fun f -> remap.(f)) g.fanins })
-      gates
+  (* A gate whose fanins keep their numbers is shared with [nl]. *)
+  let gates = Array.make !count placeholder in
+  for i = 0 to n - 1 do
+    if live.(i) then begin
+      let g = nl.gates.(i) in
+      let fanins = g.Gate.fanins in
+      let moved = ref false in
+      for k = 0 to Array.length fanins - 1 do
+        if remap.(fanins.(k)) <> fanins.(k) then moved := true
+      done;
+      gates.(remap.(i)) <-
+        (if !moved then { g with Gate.fanins = Array.map (fun f -> remap.(f)) fanins } else g)
+    end
+  done;
+  let live_dffs =
+    let kept = Array.make (Array.length nl.dff_nets) 0 and k = ref 0 in
+    Array.iter
+      (fun q ->
+        if live.(q) then begin
+          kept.(!k) <- remap.(q);
+          incr k
+        end)
+      nl.dff_nets;
+    Array.sub kept 0 !k
   in
   let swept =
     {
@@ -35,11 +59,7 @@ let run (nl : Netlist.t) =
       Netlist.gates;
       input_nets = Array.map (fun net -> remap.(net)) nl.input_nets;
       output_list = Array.map (fun (name, net) -> (name, remap.(net))) nl.output_list;
-      dff_nets =
-        Array.of_list
-          (List.filter_map
-             (fun q -> if live.(q) then Some remap.(q) else None)
-             (Array.to_list nl.dff_nets));
+      dff_nets = live_dffs;
     }
   in
   Netlist.lint swept;

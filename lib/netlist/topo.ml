@@ -1,6 +1,35 @@
 type t = { order : int array; level : int array; max_level : int }
 
+(* Net order is the order the DFS below yields when every gate reads
+   only lower-numbered nets: each fanin is visited before its reader. *)
+let in_order (nl : Netlist.t) =
+  let n = Array.length nl.gates in
+  let level = Array.make n 0 in
+  let gates = ref 0 and max_level = ref 0 in
+  for i = 0 to n - 1 do
+    let g = nl.gates.(i) in
+    if Netlist.is_logic g.kind then begin
+      let l = ref 0 in
+      for k = 0 to Array.length g.fanins - 1 do
+        let fl = level.(g.fanins.(k)) in
+        if fl > !l then l := fl
+      done;
+      level.(i) <- !l + 1;
+      if !l + 1 > !max_level then max_level := !l + 1;
+      incr gates
+    end
+  done;
+  let order = Array.make !gates 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    if Netlist.is_logic nl.gates.(i).kind then begin
+      order.(!k) <- i;
+      incr k
+    end
+  done;
+  { order; level; max_level = !max_level }
+
 let compute (nl : Netlist.t) =
+  if Netlist.in_net_order nl then in_order nl else
   let n = Array.length nl.gates in
   let level = Array.make n (-1) in
   let order = ref [] in

@@ -7,20 +7,40 @@ exception Synth_error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Synth_error msg)) fmt
 
+(* Built byte by byte: this runs for every port bit of every
+   synthesis, and [Printf.sprintf] or [string_of_int] cost several
+   times the copy. *)
 let bit_name port width i =
-  if width = 1 then port else Printf.sprintf "%s[%d]" port i
+  if width = 1 then port
+  else if i < 0 then port ^ "[" ^ string_of_int i ^ "]"
+  else begin
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let len = String.length port and nd = digits i in
+    let s = Bytes.create (len + nd + 2) in
+    Bytes.blit_string port 0 s 0 len;
+    Bytes.set s len '[';
+    let rec put n k =
+      Bytes.set s k (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+      if n >= 10 then put (n / 10) (k - 1)
+    in
+    put i (len + nd);
+    Bytes.set s (len + nd + 1) ']';
+    Bytes.unsafe_to_string s
+  end
 
 (* The symbolic environment maps every writable name (vars, outputs and
    register next-values) to a word. Reads of registers bypass it and
-   use the flip-flop outputs. *)
+   use the flip-flop outputs. An environment has one owner: branches
+   get their own copy, so an assignment updates it in place. *)
 type env = (string, W.word) Hashtbl.t
 
 type ctx = {
   b : B.t;
   design : design;
-  q_words : (string, W.word) Hashtbl.t;  (* register name -> DFF output word *)
-  input_words : (string, W.word) Hashtbl.t;
-  const_words : (string, W.word) Hashtbl.t;
+  fixed : (string, int * W.word) Hashtbl.t;
+      (* register (flip-flop outputs), input and constant words, each
+         with the rank of its kind: a register shadows an input of the
+         same name, an input a constant *)
 }
 
 let env_copy (e : env) : env = Hashtbl.copy e
@@ -34,18 +54,12 @@ let rec lower_expr ctx (env : env) (e : expr) : W.word =
   match e with
   | Const l -> W.const_word ctx.b ~width:(Option.get l.width) l.value
   | Ref name ->
-    (match Hashtbl.find_opt ctx.q_words name with
-     | Some w -> w
+    (match Hashtbl.find_opt ctx.fixed name with
+     | Some (_, w) -> w
      | None ->
-       (match Hashtbl.find_opt ctx.input_words name with
+       (match Hashtbl.find_opt env name with
         | Some w -> w
-        | None ->
-          (match Hashtbl.find_opt ctx.const_words name with
-           | Some w -> w
-           | None ->
-             (match Hashtbl.find_opt env name with
-              | Some w -> w
-              | None -> fail "%s: unknown name %s" ctx.design.name name))))
+        | None -> fail "%s: unknown name %s" ctx.design.name name))
   | Unop (Not, a) -> W.lognot ctx.b (lower_expr ctx env a)
   | Binop (op, a, bb) ->
     let x = lower_expr ctx env a and y = lower_expr ctx env bb in
@@ -70,6 +84,13 @@ let rec lower_expr ctx (env : env) (e : expr) : W.word =
     W.concat_words ~high:(lower_expr ctx env a) ~low:(lower_expr ctx env bb)
   | Resize (a, w) -> W.resize ctx.b (lower_expr ctx env a) w
 
+let same_word (x : W.word) (y : W.word) =
+  x == y
+  || Array.length x = Array.length y
+     &&
+     let rec from i = i = Array.length x || (x.(i) = y.(i) && from (i + 1)) in
+     from 0
+
 (* Merge two branch environments under a select bit: for each name whose
    words differ, insert a mux. Both environments are total over the same
    key set by construction. *)
@@ -78,7 +99,7 @@ let merge_env ctx ~sel (env_t : env) (env_f : env) : env =
   Hashtbl.iter
     (fun name wt ->
       let wf = Hashtbl.find env_f name in
-      let w = if wt = wf then wt else W.mux ctx.b ~sel ~t1:wt ~t0:wf in
+      let w = if same_word wt wf then wt else W.mux ctx.b ~sel ~t1:wt ~t0:wf in
       Hashtbl.replace merged name w)
     env_t;
   merged
@@ -87,9 +108,7 @@ let rec lower_stmt ctx (env : env) (s : stmt) : env =
   match s with
   | Null -> env
   | Assign (name, e) ->
-    let w = lower_expr ctx env e in
-    let env = env_copy env in
-    Hashtbl.replace env name w;
+    Hashtbl.replace env name (lower_expr ctx env e);
     env
   | If (c, then_branch, else_branch) ->
     let sel = (lower_expr ctx env c).(0) in
@@ -135,7 +154,7 @@ let rec lower_stmt ctx (env : env) (s : stmt) : env =
     Hashtbl.iter
       (fun name base_word ->
         let arm_words = List.map (fun e -> Hashtbl.find e name) explicit_envs in
-        let all_same = List.for_all (fun w -> w = base_word) arm_words in
+        let all_same = List.for_all (same_word base_word) arm_words in
         let value =
           if all_same then base_word
           else
@@ -152,31 +171,25 @@ and lower_stmts ctx env ss = List.fold_left (lower_stmt ctx) env ss
 let run (d : design) =
   if not (Check.is_elaborated d) then fail "%s: design not elaborated" d.name;
   let b = B.create d.name in
-  let ctx =
-    {
-      b;
-      design = d;
-      q_words = Hashtbl.create 8;
-      input_words = Hashtbl.create 8;
-      const_words = Hashtbl.create 8;
-    }
+  let ctx = { b; design = d; fixed = Hashtbl.create 16 } in
+  let bind rank name w =
+    match Hashtbl.find_opt ctx.fixed name with
+    | Some (r, _) when r < rank -> ()
+    | Some _ | None -> Hashtbl.replace ctx.fixed name (rank, w)
   in
   (* Interface and state elements. *)
   List.iter
     (fun (dc : decl) ->
       match dc.kind with
       | Input ->
-        let w = Array.init dc.width (fun i -> B.input b (bit_name dc.name dc.width i)) in
-        Hashtbl.replace ctx.input_words dc.name w
+        bind 1 dc.name (Array.init dc.width (fun i -> B.input b (bit_name dc.name dc.width i)))
       | Reg reset ->
         let rv = lit_value reset in
-        let w = Array.init dc.width (fun i -> B.dff b ~init:((rv lsr i) land 1 = 1)) in
-        Hashtbl.replace ctx.q_words dc.name w
-      | Const_decl v ->
-        Hashtbl.replace ctx.const_words dc.name
-          (W.const_word b ~width:dc.width (lit_value v))
+        bind 0 dc.name (Array.init dc.width (fun i -> B.dff b ~init:((rv lsr i) land 1 = 1)))
+      | Const_decl v -> bind 2 dc.name (W.const_word b ~width:dc.width (lit_value v))
       | Output | Var -> ())
     d.decls;
+  let q_word name = snd (Hashtbl.find ctx.fixed name) in
   (* Initial environment: outputs and vars at zero, register next-values
      holding the current state. *)
   let env : env = Hashtbl.create 16 in
@@ -184,7 +197,7 @@ let run (d : design) =
     (fun (dc : decl) ->
       match dc.kind with
       | Output | Var -> Hashtbl.replace env dc.name (W.const_word b ~width:dc.width 0)
-      | Reg _ -> Hashtbl.replace env dc.name (Hashtbl.find ctx.q_words dc.name)
+      | Reg _ -> Hashtbl.replace env dc.name (q_word dc.name)
       | Input | Const_decl _ -> ())
     d.decls;
   let env = lower_stmts ctx env d.body in
@@ -193,7 +206,7 @@ let run (d : design) =
     (fun (dc : decl) ->
       match dc.kind with
       | Reg _ ->
-        let q = Hashtbl.find ctx.q_words dc.name in
+        let q = q_word dc.name in
         let next = Hashtbl.find env dc.name in
         Array.iteri (fun i qn -> B.connect_dff b qn ~d:next.(i)) q
       | Output ->

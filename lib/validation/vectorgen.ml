@@ -225,15 +225,23 @@ let generate ?(config = default_config) ?budget design mutants =
     while Hashtbl.length uncovered > 0 do
       let score k =
         let fresh =
-          List.length (List.filter (Hashtbl.mem uncovered) kill_sets.(k))
+          List.fold_left
+            (fun acc i -> if Hashtbl.mem uncovered i then acc + 1 else acc)
+            0 kill_sets.(k)
         in
         (fresh, - List.length sequences.(k))
       in
-      let best = ref 0 in
+      (* Each candidate is scored once; the strict [>] keeps the first
+         maximum. *)
+      let best = ref 0 and best_score = ref (score 0) in
       for k = 1 to Array.length sequences - 1 do
-        if score k > score !best then best := k
+        let s = score k in
+        if s > !best_score then begin
+          best := k;
+          best_score := s
+        end
       done;
-      let fresh, _ = score !best in
+      let fresh, _ = !best_score in
       if fresh = 0 then
         (* Should not happen: every killed mutant is killed by some
            sequence. Guard against infinite loops all the same. *)

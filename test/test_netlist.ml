@@ -97,6 +97,89 @@ let test_builder_double_connect_rejected () =
      Alcotest.fail "should reject double connect"
    with Invalid_argument _ -> ())
 
+(* Far more gates than the hash-cons table starts with: asking for each
+   gate again, after every growth, returns the existing net. *)
+let test_builder_strash_after_growth () =
+  let b = B.create "t" in
+  let x = B.input b "x" and y = B.input b "y" in
+  let chain = Array.make 2000 0 in
+  let prev = ref x in
+  Array.iteri
+    (fun i _ ->
+      let g = if i mod 2 = 0 then B.and_ b !prev y else B.xor_ b x !prev in
+      chain.(i) <- g;
+      prev := g)
+    chain;
+  let nl_before = Array.length (B.finalize b).Netlist.gates in
+  let prev = ref x in
+  Array.iteri
+    (fun i g ->
+      let again = if i mod 2 = 0 then B.and_ b y !prev else B.xor_ b !prev x in
+      check_int (Printf.sprintf "gate %d shared" i) g again;
+      prev := g)
+    chain;
+  check_int "no new gates" nl_before (Array.length (B.finalize b).Netlist.gates)
+
+let test_builder_commutative_one_gate () =
+  let b = B.create "t" in
+  let x = B.input b "x" and y = B.input b "y" in
+  List.iter
+    (fun (name, gate) ->
+      let xy = gate b x y in
+      check_int (name ^ " either order") xy (gate b y x);
+      check_int (name ^ " again") xy (gate b x y))
+    [
+      ("and", B.and_); ("or", B.or_); ("nand", B.nand_); ("nor", B.nor_); ("xor", B.xor_);
+      ("xnor", B.xnor_);
+    ];
+  check_int "six gates over two inputs" 8 (Array.length (B.finalize b).Netlist.gates)
+
+let test_builder_constants_once () =
+  let b = B.create "t" in
+  let x = B.input b "x" in
+  let zero = B.const b false and one = B.const b true in
+  check_bool "distinct" true (zero <> one);
+  check_int "false again" zero (B.const b false);
+  check_int "true again" one (B.const b true);
+  check_int "not 0 = 1" one (B.not_ b zero);
+  check_int "xnor(x,x) = 1" one (B.xnor_ b x x);
+  check_int "xor(x,x) = 0" zero (B.xor_ b x x);
+  B.output b "y" x;
+  let consts =
+    Array.fold_left
+      (fun acc (g : Mutsamp_netlist.Gate.t) ->
+        match g.kind with Mutsamp_netlist.Gate.Const _ -> acc + 1 | _ -> acc)
+      0 (B.finalize b).Netlist.gates
+  in
+  check_int "two constant nets" 2 consts
+
+(* The messages callers and tests have always seen. *)
+let test_builder_errors () =
+  let b = B.create "t" in
+  let x = B.input b "x" in
+  let q = B.dff b ~init:true in
+  let raises what msg f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  in
+  raises "connect a non-flip-flop" "Builder.connect_dff: not a flip-flop" (fun () ->
+      B.connect_dff b x ~d:x);
+  raises "connect out of range" "Builder: net id out of range" (fun () ->
+      B.connect_dff b 99 ~d:x);
+  raises "bad D net" "Builder.connect_dff: bad D net" (fun () -> B.connect_dff b q ~d:99);
+  B.connect_dff b q ~d:x;
+  raises "connect twice" "Builder.connect_dff: already connected" (fun () ->
+      B.connect_dff b q ~d:x);
+  raises "binary out of range" "Builder: net id out of range" (fun () -> B.and_ b x 99);
+  raises "negative net" "Builder: net id out of range" (fun () -> B.or_ b (-1) x);
+  raises "unary out of range" "Builder: net id out of range" (fun () -> B.not_ b 99);
+  raises "buf out of range" "Builder: net id out of range" (fun () -> B.buf b 99);
+  raises "output bad net" "Builder.output: bad net" (fun () -> B.output b "y" 99);
+  raises "duplicate input" "Builder.input: duplicate input x" (fun () -> B.input b "x");
+  B.output b "y" q;
+  raises "duplicate output" "Builder.output: duplicate output y" (fun () -> B.output b "y" x)
+
 (* ------------------------------------------------------------------ *)
 (* Netlist / Topo                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -319,6 +402,10 @@ let suite =
         Alcotest.test_case "duplicate input" `Quick test_builder_duplicate_input_rejected;
         Alcotest.test_case "unconnected dff" `Quick test_builder_unconnected_dff_rejected;
         Alcotest.test_case "double connect" `Quick test_builder_double_connect_rejected;
+        Alcotest.test_case "strash after growth" `Quick test_builder_strash_after_growth;
+        Alcotest.test_case "commutative one gate" `Quick test_builder_commutative_one_gate;
+        Alcotest.test_case "constants once" `Quick test_builder_constants_once;
+        Alcotest.test_case "error messages" `Quick test_builder_errors;
       ] );
     ( "netlist.core",
       [

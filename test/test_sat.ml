@@ -49,6 +49,21 @@ let test_cnf_rejects_bad () =
   (try Cnf.add_clause c [ 0 ]; Alcotest.fail "zero" with Invalid_argument _ -> ());
   (try Cnf.add_clause c [ a + 5 ]; Alcotest.fail "unallocated" with Invalid_argument _ -> ())
 
+(* Property: a kept clause is its literals sorted without duplicates,
+   and exactly the clauses holding some literal with both signs are
+   dropped. *)
+let prop_cnf_clause_normal_form =
+  QCheck.Test.make ~name:"cnf clause normal form" ~count:500
+    QCheck.(list_of_size Gen.(int_range 1 8) (int_range (-6) 6))
+    (fun lits ->
+      QCheck.assume (lits <> [] && not (List.mem 0 lits));
+      let c = Cnf.create () in
+      for _ = 1 to 6 do ignore (Cnf.new_var c) done;
+      Cnf.add_clause c lits;
+      let sorted = List.sort_uniq compare lits in
+      if List.exists (fun l -> List.mem (-l) sorted) sorted then Cnf.num_clauses c = 0
+      else Cnf.clauses c = [| Array.of_list sorted |])
+
 (* ------------------------------------------------------------------ *)
 (* Solver                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -353,6 +368,7 @@ let suite =
       [
         Alcotest.test_case "basics" `Quick test_cnf_basics;
         Alcotest.test_case "rejects bad clauses" `Quick test_cnf_rejects_bad;
+        q prop_cnf_clause_normal_form;
       ] );
     ( "sat.solver",
       [

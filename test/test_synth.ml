@@ -295,7 +295,12 @@ let test_mapping_missing_input () =
 
 let test_bit_name () =
   Alcotest.(check string) "wide" "data[3]" (Lower.bit_name "data" 8 3);
-  Alcotest.(check string) "single" "en" (Lower.bit_name "en" 1 0)
+  Alcotest.(check string) "single" "en" (Lower.bit_name "en" 1 0);
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (string_of_int i) (Printf.sprintf "w[%d]" i) (Lower.bit_name "w" 2048 i))
+    [ 0; 9; 10; 99; 100; 127; 1000; 2047; -1 ]
 
 (* Property: random expression designs synthesise correctly. *)
 let prop_random_expr_designs =
