@@ -276,10 +276,16 @@ module Builder = struct
       id
     end
 
+  (* Records [name] in [seen]; false when it was there already. One
+     hash per name, where [mem] then [add] would take two. *)
+  let fresh_name seen name =
+    let before = Hashtbl.length seen in
+    Hashtbl.replace seen name ();
+    Hashtbl.length seen > before
+
   let input b name =
-    if Hashtbl.mem b.input_names_seen name then
+    if not (fresh_name b.input_names_seen name) then
       invalid_arg ("Builder.input: duplicate input " ^ name);
-    Hashtbl.add b.input_names_seen name ();
     let id = push b pi (-1) (-1) in
     b.input_order <- id :: b.input_order;
     b.input_names <- name :: b.input_names;

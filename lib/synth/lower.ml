@@ -80,8 +80,14 @@ let rec lower_expr ctx (env : env) (e : expr) : W.word =
      | Ge -> [| W.ge ctx.b x y |])
   | Bit (a, i) -> W.bit (lower_expr ctx env a) i
   | Slice (a, hi, lo) -> W.slice (lower_expr ctx env a) ~hi ~lo
-  | Concat (a, bb) ->
-    W.concat_words ~high:(lower_expr ctx env a) ~low:(lower_expr ctx env bb)
+  | Concat _ ->
+    (* A chain [Concat (hn, ... Concat (h1, h0))] as one copy rather
+       than one per link; the parts are lowered low first, h0 to hn, in
+       the order the nested calls would. *)
+    let rec highs e acc = match e with Concat (h, l) -> highs l (h :: acc) | _ -> (e, acc) in
+    let low, highs = highs e [] in
+    let low = lower_expr ctx env low in
+    Array.concat (low :: List.map (lower_expr ctx env) highs)
   | Resize (a, w) -> W.resize ctx.b (lower_expr ctx env a) w
 
 let same_word (x : W.word) (y : W.word) =

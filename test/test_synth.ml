@@ -469,6 +469,7 @@ let netlist_text buf (nl : Netlist.t) =
 let synthesis_pins =
   [
     ("c432", "d89ea23db4a2bed931f7e731ac7c8cf5", "314861c761d5b117b0d7bcdd9c6bb421");
+    ("c499", "d228a7f86947c41bbcc39972b6972529", "596a41d474a78c103c88d89fe710189d");
     ("b01", "e6f651743ae268bafef63e1175492fc0", "140f95d3d3396a713ef24fc97fef81e0");
     ("b03", "83eda29af9bb2b24c9ba0f80e461723d", "aca180c00406631469c848b34ad03b2b");
   ]
