@@ -51,6 +51,17 @@ val lint : t -> unit
 
 (** {1 Building} *)
 
+(** A builder keeps its gates in growable parallel int arrays indexed by
+    net id (a kind code and two fanins) and finds existing gates in an
+    open-addressing table keyed by one int that packs the kind and both
+    fanin ids. The two constant nets are cached. No [Gate.t] exists
+    until {!finalize}, which allocates each one once. Nets are numbered
+    in creation order, so every combinational gate reads only
+    lower-numbered nets ({!in_net_order}).
+
+    Net ids must fit the packed key: a builder holds fewer than 2{^29}
+    nets, and creating one more raises [Invalid_argument]. Operand net
+    ids outside [0, nets created) raise [Invalid_argument]. *)
 module Builder : sig
   type netlist := t
   type t

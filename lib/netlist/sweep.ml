@@ -28,18 +28,11 @@ let run (nl : Netlist.t) =
       incr count
     end
   done;
-  (* A gate whose fanins keep their numbers is shared with [nl]. *)
   let gates = Array.make !count placeholder in
   for i = 0 to n - 1 do
     if live.(i) then begin
       let g = nl.gates.(i) in
-      let fanins = g.Gate.fanins in
-      let moved = ref false in
-      for k = 0 to Array.length fanins - 1 do
-        if remap.(fanins.(k)) <> fanins.(k) then moved := true
-      done;
-      gates.(remap.(i)) <-
-        (if !moved then { g with Gate.fanins = Array.map (fun f -> remap.(f)) fanins } else g)
+      gates.(remap.(i)) <- { g with Gate.fanins = Array.map (fun f -> remap.(f)) g.Gate.fanins }
     end
   done;
   let live_dffs =

@@ -90,13 +90,6 @@ let rec lower_expr ctx (env : env) (e : expr) : W.word =
     Array.concat (low :: List.map (lower_expr ctx env) highs)
   | Resize (a, w) -> W.resize ctx.b (lower_expr ctx env a) w
 
-let same_word (x : W.word) (y : W.word) =
-  x == y
-  || Array.length x = Array.length y
-     &&
-     let rec from i = i = Array.length x || (x.(i) = y.(i) && from (i + 1)) in
-     from 0
-
 (* Merge two branch environments under a select bit: for each name whose
    words differ, insert a mux. Both environments are total over the same
    key set by construction. *)
@@ -105,7 +98,7 @@ let merge_env ctx ~sel (env_t : env) (env_f : env) : env =
   Hashtbl.iter
     (fun name wt ->
       let wf = Hashtbl.find env_f name in
-      let w = if same_word wt wf then wt else W.mux ctx.b ~sel ~t1:wt ~t0:wf in
+      let w = if wt = wf then wt else W.mux ctx.b ~sel ~t1:wt ~t0:wf in
       Hashtbl.replace merged name w)
     env_t;
   merged
@@ -160,7 +153,7 @@ let rec lower_stmt ctx (env : env) (s : stmt) : env =
     Hashtbl.iter
       (fun name base_word ->
         let arm_words = List.map (fun e -> Hashtbl.find e name) explicit_envs in
-        let all_same = List.for_all (same_word base_word) arm_words in
+        let all_same = List.for_all (fun w -> w = base_word) arm_words in
         let value =
           if all_same then base_word
           else

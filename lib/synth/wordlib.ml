@@ -3,15 +3,8 @@ module B = Mutsamp_netlist.Netlist.Builder
 type word = int array
 type builder = B.t
 
-(* The gadgets below fill their result words with plain loops, bit 0
-   first: the order in which gates are created fixes the netlist's net
-   numbering. *)
 let const_word b ~width v =
-  let w = Array.make width 0 in
-  for i = 0 to width - 1 do
-    w.(i) <- B.const b ((v lsr i) land 1 = 1)
-  done;
-  w
+  Array.init width (fun i -> B.const b ((v lsr i) land 1 = 1))
 
 let width (w : word) = Array.length w
 
@@ -21,18 +14,9 @@ let check_same a b op =
 
 let map2 f b x y op =
   check_same x y op;
-  let w = Array.make (Array.length x) 0 in
-  for i = 0 to Array.length x - 1 do
-    w.(i) <- f b x.(i) y.(i)
-  done;
-  w
+  Array.init (Array.length x) (fun i -> f b x.(i) y.(i))
 
-let lognot b x =
-  let w = Array.make (Array.length x) 0 in
-  for i = 0 to Array.length x - 1 do
-    w.(i) <- B.not_ b x.(i)
-  done;
-  w
+let lognot b w = Array.map (B.not_ b) w
 let logand b x y = map2 B.and_ b x y "logand"
 let logor b x y = map2 B.or_ b x y "logor"
 let logxor b x y = map2 B.xor_ b x y "logxor"
@@ -80,12 +64,7 @@ let le b x y = B.not_ b (lt b y x)
 let gt b x y = lt b y x
 let ge b x y = B.not_ b (lt b x y)
 
-let gate_word b sel (x : word) =
-  let w = Array.make (Array.length x) 0 in
-  for i = 0 to Array.length x - 1 do
-    w.(i) <- B.and_ b sel x.(i)
-  done;
-  w
+let gate_word b sel (w : word) = Array.map (fun bit -> B.and_ b sel bit) w
 
 let or_words b = function
   | [] -> invalid_arg "Wordlib.or_words: empty"
@@ -100,11 +79,7 @@ let one_hot_select b arms ~default =
 
 let mux b ~sel ~t1 ~t0 =
   check_same t1 t0 "mux";
-  let w = Array.make (Array.length t1) 0 in
-  for i = 0 to Array.length t1 - 1 do
-    w.(i) <- B.mux b ~sel ~t1:t1.(i) ~t0:t0.(i)
-  done;
-  w
+  Array.init (Array.length t1) (fun i -> B.mux b ~sel ~t1:t1.(i) ~t0:t0.(i))
 
 let bit (w : word) i = [| w.(i) |]
 
