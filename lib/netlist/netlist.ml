@@ -122,11 +122,13 @@ let lint t =
   end
 
 module Builder = struct
-  (* Gates live in growable parallel int arrays indexed by net id: a
-     kind code, the first and the second fanin (-1 where the kind has
-     none, and on a flip-flop whose D pin is not connected yet). Nothing
-     in them is a pointer, so writes need no barrier and nothing they
-     hold is promoted by the GC. Each [Gate.t] is allocated once, by
+  (* Each gate is one int, in a growable array indexed by net id: its
+     kind code in the low 4 bits, then its first and second fanin, each
+     stored plus one in a [field]-bit slot (0 where the kind has none,
+     and on a flip-flop whose D pin is not connected yet). Nothing in
+     the array is a pointer, so writes need no barrier and nothing in
+     it is promoted by the GC. The packed word is also the gate's
+     structural-hash key. Each [Gate.t] is allocated once, by
      [finalize]. The builder never creates a [Buf]: [buf] returns its
      operand. *)
   let pi = 0
@@ -161,15 +163,22 @@ module Builder = struct
     | 11 -> Gate.Dff true
     | _ -> assert false
 
+  (* 4 + 29 + 29 bits: a non-negative 63-bit int. *)
+  let field = 29
+  let max_nets = (1 lsl field) - 1
+  let pack code f0 f1 = code lor ((f0 + 1) lsl 4) lor ((f1 + 1) lsl (4 + field))
+  let code_of w = w land 15
+  let fanin0 w = ((w lsr 4) land ((1 lsl field) - 1)) - 1
+  let fanin1 w = (w lsr (4 + field)) - 1
+
   type t = {
     bname : string;
     mutable count : int;
-    mutable kinds : int array;
-    mutable fan0 : int array;
-    mutable fan1 : int array;
+    mutable gates : int array;  (* packed, per net *)
     mutable table : int array;
-        (* open addressing over pairs (packed key, net); key -1 = empty *)
-    mutable used : int;  (* keys in [table] *)
+        (* open addressing over net ids, keyed by their packed gates;
+           -1 = empty *)
+    mutable used : int;  (* nets in [table] *)
     mutable const0 : int;  (* -1 until created *)
     mutable const1 : int;
     mutable input_order : int list;  (* reverse order *)
@@ -180,23 +189,16 @@ module Builder = struct
     mutable dffs : int list;  (* reverse order *)
   }
 
-  (* A hash-consed gate's key packs its kind code (3 bits) and its two
-     fanin ids, [net_bits] each, into one non-negative int. A [Not]
-     gate's missing second fanin (-1) packs as all ones; its code alone
-     tells it from the binary gates. *)
-  let net_bits = 29
-  let max_nets = 1 lsl net_bits
-  let initial_gates = 256
-  let initial_slots = 128
+  (* Both arrays start at 256 words, the largest block the minor heap
+     takes; a builder that needs more grows them by doubling. *)
+  let initial = 256
 
   let create bname =
     {
       bname;
       count = 0;
-      kinds = Array.make initial_gates 0;
-      fan0 = Array.make initial_gates (-1);
-      fan1 = Array.make initial_gates (-1);
-      table = Array.make (2 * initial_slots) (-1);
+      gates = Array.make initial 0;
+      table = Array.make initial (-1);
       used = 0;
       const0 = -1;
       const1 = -1;
@@ -211,93 +213,70 @@ module Builder = struct
   let check_net b i =
     if i < 0 || i >= b.count then invalid_arg "Builder: net id out of range"
 
-  let grow a =
-    let bigger = Array.make (2 * Array.length a) (-1) in
-    Array.blit a 0 bigger 0 (Array.length a);
-    bigger
-
-  let push b code f0 f1 =
+  let push b w =
     let id = b.count in
-    if id >= max_nets then invalid_arg "Builder: too many nets for the hash-cons key";
-    if id >= Array.length b.kinds then begin
-      b.kinds <- grow b.kinds;
-      b.fan0 <- grow b.fan0;
-      b.fan1 <- grow b.fan1
+    if id >= max_nets then invalid_arg "Builder: too many nets for the packed gate";
+    if id >= Array.length b.gates then begin
+      let bigger = Array.make (2 * id) 0 in
+      Array.blit b.gates 0 bigger 0 id;
+      b.gates <- bigger
     end;
-    b.kinds.(id) <- code;
-    b.fan0.(id) <- f0;
-    b.fan1.(id) <- f1;
+    b.gates.(id) <- w;
     b.count <- id + 1;
     id
 
-  let key code a c = code lor (a lsl 3) lor ((c land (max_nets - 1)) lsl (3 + net_bits))
+  (* First slot of [w]'s probe sequence in [b]'s table (a power of two
+     long). *)
+  let home b w =
+    let h = w * 0x9e3779b97f4a7c1 in
+    (h lxor (h lsr 31)) land (Array.length b.table - 1)
 
-  (* First slot of [key]'s probe sequence in a table of [slots] slots
-     (a power of two). *)
-  let home key slots =
-    let h = key * 0x9e3779b97f4a7c1 in
-    (h lxor (h lsr 31)) land (slots - 1)
+  (* The slot holding the net of gate [w], or the empty slot where it
+     would go. *)
+  let rec find b w i =
+    let net = b.table.(i) in
+    if net = -1 || b.gates.(net) = w then i
+    else find b w ((i + 1) land (Array.length b.table - 1))
 
-  (* The net stored under [key], or [-1 - i] for the empty slot [i]
-     where it would go. *)
-  let rec find table slots key i =
-    let k = table.(2 * i) in
-    if k = key then table.((2 * i) + 1)
-    else if k = -1 then -1 - i
-    else find table slots key ((i + 1) land (slots - 1))
-
-  (* Doubles the table, which is kept at most half full. *)
+  (* Doubles the table, which is kept at most three quarters full. *)
   let rehash b =
     let old = b.table in
-    let slots = Array.length old in
-    let table = Array.make (2 * slots) (-1) in
-    for i = 0 to (slots / 2) - 1 do
-      let k = old.(2 * i) in
-      if k <> -1 then begin
-        let j = -1 - find table slots k (home k slots) in
-        table.(2 * j) <- k;
-        table.((2 * j) + 1) <- old.((2 * i) + 1)
-      end
-    done;
-    b.table <- table
+    b.table <- Array.make (2 * Array.length old) (-1);
+    Array.iter
+      (fun net -> if net <> -1 then b.table.(find b b.gates.(net) (home b b.gates.(net))) <- net)
+      old
 
   (* The net of the gate [code a c], created if no such gate exists. *)
   let hashed b code a c =
-    let key = key code a c in
-    let slots = Array.length b.table / 2 in
-    let found = find b.table slots key (home key slots) in
-    if found >= 0 then found
+    let w = pack code a c in
+    let i = find b w (home b w) in
+    if b.table.(i) <> -1 then b.table.(i)
     else begin
-      let id = push b code a c in
-      b.table.(2 * (-1 - found)) <- key;
-      b.table.((2 * (-1 - found)) + 1) <- id;
+      let id = push b w in
+      b.table.(i) <- id;
       b.used <- b.used + 1;
-      if 2 * b.used > slots then rehash b;
+      if 4 * b.used > 3 * Array.length b.table then rehash b;
       id
     end
 
-  (* Records [name] in [seen]; false when it was there already. One
-     hash per name, where [mem] then [add] would take two. *)
-  let fresh_name seen name =
-    let before = Hashtbl.length seen in
-    Hashtbl.replace seen name ();
-    Hashtbl.length seen > before
-
   let input b name =
-    if not (fresh_name b.input_names_seen name) then
+    (* One hash per name: a duplicate leaves the table's size as it was. *)
+    let seen = Hashtbl.length b.input_names_seen in
+    Hashtbl.replace b.input_names_seen name ();
+    if Hashtbl.length b.input_names_seen = seen then
       invalid_arg ("Builder.input: duplicate input " ^ name);
-    let id = push b pi (-1) (-1) in
+    let id = push b (pack pi (-1) (-1)) in
     b.input_order <- id :: b.input_order;
     b.input_names <- name :: b.input_names;
     id
 
   let const b v =
     if v then begin
-      if b.const1 < 0 then b.const1 <- push b const1_code (-1) (-1);
+      if b.const1 < 0 then b.const1 <- push b (pack const1_code (-1) (-1));
       b.const1
     end
     else begin
-      if b.const0 < 0 then b.const0 <- push b const0_code (-1) (-1);
+      if b.const0 < 0 then b.const0 <- push b (pack const0_code (-1) (-1));
       b.const0
     end
 
@@ -311,9 +290,9 @@ module Builder = struct
     match kind, const_of b a with
     | Gate.Buf, _ -> a
     | Gate.Not, Some v -> const b (not v)
-    | Gate.Not, None when b.kinds.(a) = not_code ->
+    | Gate.Not, None when code_of b.gates.(a) = not_code ->
       (* not (not x) = x *)
-      b.fan0.(a)
+      fanin0 b.gates.(a)
     | _ -> hashed b (code kind) a (-1)
 
   let not_ b a = unary b Gate.Not a
@@ -364,17 +343,18 @@ module Builder = struct
     else or_ b (and_ b sel t1) (and_ b (not_ b sel) t0)
 
   let dff b ~init =
-    let id = push b (if init then dff1_code else dff0_code) (-1) (-1) in
+    let id = push b (pack (if init then dff1_code else dff0_code) (-1) (-1)) in
     b.dffs <- id :: b.dffs;
     id
 
   let connect_dff b q ~d =
     check_net b q;
-    if b.kinds.(q) <> dff0_code && b.kinds.(q) <> dff1_code then
+    let code = code_of b.gates.(q) in
+    if code <> dff0_code && code <> dff1_code then
       invalid_arg "Builder.connect_dff: not a flip-flop";
-    if b.fan0.(q) <> -1 then invalid_arg "Builder.connect_dff: already connected";
+    if fanin0 b.gates.(q) <> -1 then invalid_arg "Builder.connect_dff: already connected";
     if d < 0 || d >= b.count then invalid_arg "Builder.connect_dff: bad D net";
-    b.fan0.(q) <- d
+    b.gates.(q) <- pack code d (-1)
 
   let output b name net =
     if Hashtbl.mem b.output_names_seen name then
@@ -387,8 +367,9 @@ module Builder = struct
     let gates = Array.make b.count placeholder in
     let names = ref (List.rev b.input_names) in
     for i = 0 to b.count - 1 do
+      let w = b.gates.(i) in
       let kind =
-        if b.kinds.(i) <> pi then kind_of_code b.kinds.(i)
+        if code_of w <> pi then kind_of_code (code_of w)
         else
           match !names with
           | name :: rest ->
@@ -399,11 +380,11 @@ module Builder = struct
       let fanins =
         match Gate.arity kind with
         | 0 -> [||]
-        | 1 -> [| b.fan0.(i) |]
-        | _ -> [| b.fan0.(i); b.fan1.(i) |]
+        | 1 -> [| fanin0 w |]
+        | _ -> [| fanin0 w; fanin1 w |]
       in
       (match kind with
-       | Gate.Dff _ when b.fan0.(i) = -1 ->
+       | Gate.Dff _ when fanin0 w = -1 ->
          lint_fail "%s: flip-flop net %d has no D connection" b.bname i
        | _ -> ());
       gates.(i) <- { Gate.kind; fanins }

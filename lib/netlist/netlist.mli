@@ -51,15 +51,15 @@ val lint : t -> unit
 
 (** {1 Building} *)
 
-(** A builder keeps its gates in growable parallel int arrays indexed by
-    net id (a kind code and two fanins) and finds existing gates in an
-    open-addressing table keyed by one int that packs the kind and both
-    fanin ids. The two constant nets are cached. No [Gate.t] exists
-    until {!finalize}, which allocates each one once. Nets are numbered
-    in creation order, so every combinational gate reads only
+(** A builder keeps each gate as one int in a growable array indexed by
+    net id, packing its kind and both fanin ids, and finds existing
+    gates in an open-addressing table of net ids keyed by that packed
+    int. The two constant nets are cached. No [Gate.t] exists until
+    {!finalize}, which allocates each one once. Nets are numbered in
+    creation order, so every combinational gate reads only
     lower-numbered nets ({!in_net_order}).
 
-    Net ids must fit the packed key: a builder holds fewer than 2{^29}
+    Net ids must fit the packed gate: a builder holds fewer than 2{^29}
     nets, and creating one more raises [Invalid_argument]. Operand net
     ids outside [0, nets created) raise [Invalid_argument]. *)
 module Builder : sig

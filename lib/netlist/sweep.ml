@@ -4,10 +4,12 @@ let placeholder = { Gate.kind = Gate.Buf; fanins = [||] }
 
 let run (nl : Netlist.t) =
   let n = Array.length nl.gates in
-  let live = Array.make n false in
+  (* Per net: -1 while dead; marking sets 0, renumbering the new id. *)
+  let remap = Array.make n (-1) in
+  let live i = remap.(i) >= 0 in
   let rec mark i =
-    if not live.(i) then begin
-      live.(i) <- true;
+    if not (live i) then begin
+      remap.(i) <- 0;
       let fanins = nl.gates.(i).Gate.fanins in
       for k = 0 to Array.length fanins - 1 do
         mark fanins.(k)
@@ -18,19 +20,18 @@ let run (nl : Netlist.t) =
      D pin, so marking an output cone transitively pulls in the state
      logic it depends on — across any number of register stages. *)
   Array.iter (fun (_, net) -> mark net) nl.output_list;
-  Array.iter (fun net -> live.(net) <- true) nl.input_nets;
+  Array.iter (fun net -> remap.(net) <- 0) nl.input_nets;
   (* Renumber. *)
-  let remap = Array.make n (-1) in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    if live.(i) then begin
+    if live i then begin
       remap.(i) <- !count;
       incr count
     end
   done;
   let gates = Array.make !count placeholder in
   for i = 0 to n - 1 do
-    if live.(i) then begin
+    if live i then begin
       let g = nl.gates.(i) in
       gates.(remap.(i)) <- { g with Gate.fanins = Array.map (fun f -> remap.(f)) g.Gate.fanins }
     end
@@ -39,7 +40,7 @@ let run (nl : Netlist.t) =
     let kept = Array.make (Array.length nl.dff_nets) 0 and k = ref 0 in
     Array.iter
       (fun q ->
-        if live.(q) then begin
+        if live q then begin
           kept.(!k) <- remap.(q);
           incr k
         end)

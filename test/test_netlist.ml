@@ -221,6 +221,53 @@ let test_topo_levels () =
   check_bool "depth >= 2" true (topo.Topo.max_level >= 2);
   Array.iter (fun net -> check_int "pi level" 0 topo.Topo.level.(net)) nl.Netlist.input_nets
 
+(* Two gates appended out of net order (net n reads net n + 1) send
+   [Topo.compute] and [Netlist.lint] down their DFS; over the first n
+   nets the DFS must give what net order gives. *)
+let with_out_of_order_tail (nl : Netlist.t) =
+  let n = Array.length nl.gates in
+  {
+    nl with
+    Netlist.gates =
+      Array.append nl.gates
+        [| { Gate.kind = Gate.Not; fanins = [| n + 1 |] }; { Gate.kind = Gate.Not; fanins = [| 0 |] } |];
+  }
+
+let test_topo_net_order_matches_dfs () =
+  List.iter
+    (fun name ->
+      let d = (Option.get (Mutsamp_circuits.Registry.find name)).design () in
+      let nl = Mutsamp_synth.Flow.synthesize d in
+      let n = Array.length nl.gates in
+      check_bool (name ^ " in net order") true (Netlist.in_net_order nl);
+      let tailed = with_out_of_order_tail nl in
+      check_bool (name ^ " tail out of order") false (Netlist.in_net_order tailed);
+      Netlist.lint tailed;
+      let fast = Topo.compute nl and dfs = Topo.compute tailed in
+      let k = Array.length fast.Topo.order in
+      check_bool (name ^ " order") true
+        (fast.Topo.order = Array.sub dfs.Topo.order 0 k
+        && Array.sub dfs.Topo.order k 2 = [| n + 1; n |]);
+      check_bool (name ^ " levels") true (fast.Topo.level = Array.sub dfs.Topo.level 0 n);
+      check_int (name ^ " max level") (max fast.Topo.max_level 2) dfs.Topo.max_level)
+    [ "c17"; "c432"; "b01"; "b03" ]
+
+let test_lint_rejects_cycle () =
+  let nl = full_adder () in
+  let n = Array.length nl.gates in
+  let cyclic =
+    {
+      nl with
+      Netlist.gates =
+        Array.append nl.gates
+          [| { Gate.kind = Gate.Not; fanins = [| n + 1 |] }; { Gate.kind = Gate.Not; fanins = [| n |] } |];
+    }
+  in
+  match Netlist.lint cyclic with
+  | () -> Alcotest.fail "cycle accepted"
+  | exception Netlist.Lint_error msg ->
+    Alcotest.(check string) "message" (Printf.sprintf "fa: combinational cycle through net %d" n) msg
+
 let test_fanouts () =
   let nl = full_adder () in
   let fo = Netlist.fanouts nl in
@@ -413,6 +460,8 @@ let suite =
         Alcotest.test_case "find by name" `Quick test_netlist_find;
         Alcotest.test_case "topo respects fanins" `Quick test_topo_order_respects_fanins;
         Alcotest.test_case "topo levels" `Quick test_topo_levels;
+        Alcotest.test_case "topo net order = dfs" `Quick test_topo_net_order_matches_dfs;
+        Alcotest.test_case "lint rejects cycle" `Quick test_lint_rejects_cycle;
         Alcotest.test_case "fanouts" `Quick test_fanouts;
       ] );
     ( "netlist.bitsim",
