@@ -49,12 +49,11 @@ let port_bits (design : Ast.design) =
 (* Synthesize and flatten. Every design of a runner reads the same
    packed input words and is compared output bit by output bit, so the
    netlist's ports must be the design's port bits in declaration order
-   ([ports], from {!port_bits}), as synthesis emits them. *)
+   (the pair [port_bits] gives), as synthesis emits them. *)
 let compile (design : Ast.design) (inputs, outputs) =
   let nl = Mutsamp_synth.Flow.synthesize design in
   let check what expected names =
-    if not (Array.length names = Array.length expected && Array.for_all2 String.equal names expected)
-    then
+    if names <> expected then
       fail "%s: netlist %s are not the design's port bits in declaration order"
         design.Ast.name what
   in

@@ -44,14 +44,14 @@ let find_output t name =
 
 let num_gates t = Array.length t.gates
 
+let is_logic (kind : Gate.kind) =
+  match kind with
+  | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> false
+  | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
+  | Gate.Xnor -> true
+
 let num_logic_gates t =
-  Array.fold_left
-    (fun acc (g : Gate.t) ->
-      match g.kind with
-      | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> acc
-      | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
-      | Gate.Xor | Gate.Xnor -> acc + 1)
-    0 t.gates
+  Array.fold_left (fun acc (g : Gate.t) -> if is_logic g.kind then acc + 1 else acc) 0 t.gates
 
 let num_dffs t = Array.length t.dff_nets
 
@@ -61,12 +61,6 @@ let fanouts t =
     (fun i (g : Gate.t) -> Array.iter (fun f -> fo.(f) <- i :: fo.(f)) g.fanins)
     t.gates;
   Array.map List.rev fo
-
-let is_logic (kind : Gate.kind) =
-  match kind with
-  | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> false
-  | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor -> true
 
 (* Whether every combinational gate reads only lower-numbered nets, as
    the builder creates them (and the sweep keeps them): then net order
