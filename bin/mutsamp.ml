@@ -399,48 +399,14 @@ let generate_cmd =
     Arg.(value & opt float 1.0
          & info [ "rate" ] ~docv:"R" ~doc:"Mutant sampling rate in (0,1].")
   in
-  let triage =
-    Arg.(value & flag
-         & info [ "triage" ]
-             ~doc:"Statically discard stillborn and duplicate mutants before \
-                   sampling; stillborns feed the E term of the score.")
-  in
-  let run obs (e : Registry.entry) rate triage seed =
+  let run obs (e : Registry.entry) rate seed =
     with_obs obs ~command:"generate" ~circuits:[ e.Registry.name ] ~seed @@ fun _ctx ->
     let d = design_of e in
     let p = Pipeline.prepare d in
-    (* Optional static triage: sample only from the kept mutants, and
-       count the statically-proven-equivalent stillborns into E. The
-       score denominator still spans the full population, so triage
-       changes the effort, never the reported MS semantics. *)
-    let population, equivalent_idx =
-      if not triage then (p.Pipeline.mutants, [])
-      else begin
-        let t =
-          Trace.with_span "triage" (fun () ->
-              Analysis.Triage.run d p.Pipeline.mutants)
-        in
-        Printf.printf "triage: %d stillborn, %d duplicates discarded; %d of %d kept\n"
-          t.Analysis.Triage.stillborn t.Analysis.Triage.duplicates
-          (List.length t.Analysis.Triage.kept)
-          (List.length p.Pipeline.mutants);
-        List.iter
-          (fun (op, n) -> Printf.printf "  %-4s %d discarded\n" (Operator.name op) n)
-          t.Analysis.Triage.discards_by_op;
-        let equivalent_idx =
-          List.concat
-            (List.mapi
-               (fun i (_, v) ->
-                 match v with Analysis.Triage.Stillborn -> [ i ] | _ -> [])
-               t.Analysis.Triage.verdicts)
-        in
-        (t.Analysis.Triage.kept, equivalent_idx)
-      end
-    in
     let prng = Prng.create seed in
     let sample =
-      if rate >= 1.0 then population
-      else Strategy.sample prng Strategy.Random_uniform population ~rate
+      if rate >= 1.0 then p.Pipeline.mutants
+      else Strategy.sample prng Strategy.Random_uniform p.Pipeline.mutants ~rate
     in
     let config = { Vectorgen.default_config with Vectorgen.seed } in
     let outcome = Vectorgen.generate ~config d sample in
@@ -453,16 +419,15 @@ let generate_cmd =
       (List.length outcome.Vectorgen.equivalent)
       (List.length outcome.Vectorgen.unknown);
     let ms =
-      Score.of_test_set d p.Pipeline.mutants ~equivalent:equivalent_idx
-        outcome.Vectorgen.test_set
+      Score.of_test_set d p.Pipeline.mutants ~equivalent:[] outcome.Vectorgen.test_set
     in
-    Printf.printf "%s (over the full population, E %s)\n" (Score.to_string ms)
-      (if triage then "from static triage" else "not classified")
+    Printf.printf "%s (over the full population, E not classified)\n"
+      (Score.to_string ms)
   in
   Cmd.v
     (Cmd.info "generate"
        ~doc:"Generate mutation-adequate validation data for a circuit.")
-    Term.(const run $ obs_term $ circuit_pos $ rate $ triage $ seed_flag)
+    Term.(const run $ obs_term $ circuit_pos $ rate $ seed_flag)
 
 (* ------------------------------------------------------------------ *)
 (* faultsim                                                           *)
@@ -751,13 +716,7 @@ let lint_cmd =
          & info [ "no-observability" ]
              ~doc:"Skip the quadratic blocked-net (NL004) netlist pass.")
   in
-  let triage =
-    Arg.(value & flag
-         & info [ "triage" ]
-             ~doc:"Also triage the mutant population (MUT001/MUT002 findings). \
-                   Generates every mutant, so expensive on large circuits.")
-  in
-  let run obs names_opt names_pos format waive strict no_observability triage =
+  let run obs names_opt names_pos format waive strict no_observability =
     (* Default: the whole registry — lint is a tree-wide health check. *)
     let names =
       match names_opt @ names_pos with [] -> Registry.names () | ns -> ns
@@ -806,16 +765,7 @@ let lint_cmd =
             Trace.with_span "synth" (fun () -> Mutsamp_synth.Flow.synthesize d)
           in
           let dn = Analysis.Engine.lint_netlist opts ~circuit:name nl in
-          let dm =
-            if not triage then []
-            else
-              let t =
-                Trace.with_span "triage" (fun () ->
-                    Analysis.Triage.run d (Generate.all d))
-              in
-              Analysis.Engine.finish opts (Analysis.Triage.diagnostics t ~circuit:name)
-          in
-          all_diags := !all_diags @ dd @ dn @ dm)
+          all_diags := !all_diags @ dd @ dn)
         names;
       let diags = !all_diags in
       (match format with
@@ -837,9 +787,9 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Static analysis: lint behavioural designs and synthesised \
-             netlists (and optionally the mutant population).")
+             netlists.")
     Term.(const run $ obs_term $ circuits_opt $ circuits_pos $ format $ waive
-          $ strict $ no_observability $ triage)
+          $ strict $ no_observability)
 
 (* ------------------------------------------------------------------ *)
 (* report-validate                                                    *)

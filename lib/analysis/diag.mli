@@ -1,9 +1,8 @@
 (** One diagnostic: a rule instance anchored to a location.
 
     [loc] is a short stable anchor used by waivers ([--waive RULEID:LOC]):
-    the signal name for HDL findings, ["net<N>"] for netlist findings,
-    ["mutant<N>"] for triage findings. [message] carries the full
-    human-readable explanation. *)
+    the signal name for HDL findings, ["net<N>"] for netlist findings.
+    [message] carries the full human-readable explanation. *)
 
 type t = {
   rule : Rule.t;

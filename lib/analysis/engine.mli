@@ -30,11 +30,6 @@ val lint_design :
 val lint_netlist :
   options -> circuit:string -> Mutsamp_netlist.Netlist.t -> Diag.t list
 
-val finish : options -> Diag.t list -> Diag.t list
-(** Apply waivers, sort by severity and bump the counters — for
-    diagnostics produced outside the two lint passes (e.g.
-    {!Triage.diagnostics}). *)
-
 val apply_waivers : waiver list -> Diag.t list -> Diag.t list
 
 val error_count : strict:bool -> Diag.t list -> int

@@ -57,10 +57,10 @@ let run ~circuit (d : design) =
     d.decls;
   let kinds = Hashtbl.create 16 in
   List.iter (fun (dc : decl) -> Hashtbl.replace kinds dc.name dc.kind) d.decls;
-  (* The triage normalizer folds with the simulator's exact semantics,
-     so an expression it reduces to a literal really is constant. *)
+  (* The normalizer folds with the simulator's exact semantics, so an
+     expression it reduces to a literal really is constant. *)
   let as_const e =
-    match Triage.normalize_expr d e with Const l -> Some l.value | _ -> None
+    match Exprnorm.normalize_expr d e with Const l -> Some l.value | _ -> None
   in
   let dead_assigns label body =
     List.iter
@@ -84,7 +84,7 @@ let run ~circuit (d : design) =
         let dead =
           match Hashtbl.find_opt kinds x with
           | Some (Reg _) -> true
-          | Some (Var | Output) -> not (Triage.expr_reads_name x e2)
+          | Some (Var | Output) -> not (Exprnorm.expr_reads_name x e2)
           | _ -> false
         in
         if dead then

@@ -32,9 +32,6 @@ let nl_dominator_blocked =
 
 let nl_oversized_region = mk "NL009" Info "oversized fanout-free region"
 
-let mut_stillborn = mk "MUT001" Info "stillborn mutant (equivalent to original)"
-let mut_duplicate = mk "MUT002" Info "duplicate mutant"
-
 (* Retired ids keep their meaning reserved forever: a waiver naming one
    is a configuration error (the rule can never fire again), not a
    silent no-op, and the id is never reassigned. *)
@@ -46,6 +43,12 @@ let retired =
     ( "ATP002",
       "never emitted as a diagnostic; blocked nets, whose stuck-at \
        faults are unobservable, are reported by NL004 and NL008" );
+    ( "MUT001",
+      "static mutant triage was removed; stillborn (equivalent) mutants \
+       are settled by the exact equivalence check" );
+    ( "MUT002",
+      "static mutant triage was removed; duplicate mutants are killed or \
+       proved equivalent one by one like any other mutant" );
   ]
 
 let all =
@@ -56,7 +59,6 @@ let all =
     nl_constant_net; nl_dead_gate; nl_unused_input; nl_blocked_net;
     nl_buffer_gate; nl_duplicate_gate;
     nl_reconvergent_hotspot; nl_dominator_blocked; nl_oversized_region;
-    mut_stillborn; mut_duplicate;
   ]
 
 let find id =

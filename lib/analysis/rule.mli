@@ -1,7 +1,7 @@
 (** The static-analysis rule registry.
 
     Every diagnostic the engine can emit is an instance of a rule with
-    a stable identifier ([HDL003], [NL001], [MUT002], …). Identifiers
+    a stable identifier ([HDL003], [NL001], [NL009], …). Identifiers
     never change meaning across releases: consumers key waivers and
     dashboards on them, so a retired rule's id (see {!retired}) is not
     reused. The full catalogue with remediation advice lives in
@@ -55,6 +55,3 @@ val nl_duplicate_gate : t (* NL006 *)
 val nl_reconvergent_hotspot : t (* NL007 *)
 val nl_dominator_blocked : t (* NL008 *)
 val nl_oversized_region : t (* NL009 *)
-
-val mut_stillborn : t (* MUT001 *)
-val mut_duplicate : t (* MUT002 *)

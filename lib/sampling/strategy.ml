@@ -91,14 +91,3 @@ let sample prng strategy mutants ~rate =
         Array.iter (fun (m : Mutant.t) -> Hashtbl.replace keep m.id ()) chosen)
       alloc;
     List.filter (fun (m : Mutant.t) -> Hashtbl.mem keep m.id) mutants
-
-(* Static triage feeds per-operator discard counts back into the
-   sampling view of the population: quotas computed over the effective
-   (surviving) class sizes avoid spending budget on mutants the
-   analysis already proved stillborn or duplicate. *)
-let effective_populations populations ~discards =
-  List.map
-    (fun (op, n) ->
-      let d = Option.value ~default:0 (List.assoc_opt op discards) in
-      (op, max 0 (n - d)))
-    populations

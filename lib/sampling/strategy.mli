@@ -38,12 +38,3 @@ val quotas :
 (** The per-operator allocation the weighted strategy uses (exposed for
     tests and reports): sums to [total], each quota within the class
     population. For {!Random_uniform}, proportional to population. *)
-
-val effective_populations :
-  (Mutsamp_mutation.Operator.t * int) list ->
-  discards:(Mutsamp_mutation.Operator.t * int) list ->
-  (Mutsamp_mutation.Operator.t * int) list
-(** Subtract the statically-discarded mutants (stillborn + duplicate,
-    from [Mutsamp_analysis.Triage]) from each operator's population,
-    clamping at 0 — the denominator the sampling quotas should see
-    after triage. Operators absent from [discards] are unchanged. *)

@@ -31,7 +31,10 @@ let bit_name port width i =
 (* The symbolic environment maps every writable name (vars, outputs and
    register next-values) to a word. Reads of registers bypass it and
    use the flip-flop outputs. An environment has one owner: branches
-   get their own copy, so an assignment updates it in place. *)
+   get their own copy, so an assignment updates it in place. Merges
+   create gates in iteration order over these tables, so each is
+   created with [~random:false] (copies keep it): net numbering must
+   not depend on the hash seed ([OCAMLRUNPARAM=R]). *)
 type env = (string, W.word) Hashtbl.t
 
 type ctx = {
@@ -94,7 +97,7 @@ let rec lower_expr ctx (env : env) (e : expr) : W.word =
    words differ, insert a mux. Both environments are total over the same
    key set by construction. *)
 let merge_env ctx ~sel (env_t : env) (env_f : env) : env =
-  let merged = Hashtbl.create (Hashtbl.length env_t) in
+  let merged = Hashtbl.create ~random:false (Hashtbl.length env_t) in
   Hashtbl.iter
     (fun name wt ->
       let wf = Hashtbl.find env_f name in
@@ -149,7 +152,7 @@ let rec lower_stmt ctx (env : env) (s : stmt) : env =
     let no_hit =
       B.not_ ctx.b (List.fold_left (B.or_ ctx.b) (B.const ctx.b false) hits)
     in
-    let merged = Hashtbl.create (Hashtbl.length env) in
+    let merged = Hashtbl.create ~random:false (Hashtbl.length env) in
     Hashtbl.iter
       (fun name base_word ->
         let arm_words = List.map (fun e -> Hashtbl.find e name) explicit_envs in
@@ -191,7 +194,7 @@ let run (d : design) =
   let q_word name = snd (Hashtbl.find ctx.fixed name) in
   (* Initial environment: outputs and vars at zero, register next-values
      holding the current state. *)
-  let env : env = Hashtbl.create 16 in
+  let env : env = Hashtbl.create ~random:false 16 in
   List.iter
     (fun (dc : decl) ->
       match dc.kind with

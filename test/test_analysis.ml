@@ -1,18 +1,12 @@
 (* Static analysis: rule registry, constant propagation, HDL and
-   netlist lint, mutant triage, untestability proofs checked against
-   exact SAT, waivers and the run-report section. *)
+   netlist lint, the expression normalizer, untestability proofs
+   checked against exact SAT, waivers and the run-report section. *)
 
 module Ast = Mutsamp_hdl.Ast
 module Parser = Mutsamp_hdl.Parser
 module Check = Mutsamp_hdl.Check
 module Sim = Mutsamp_hdl.Sim
 module Stimuli = Mutsamp_hdl.Stimuli
-module Prng = Mutsamp_util.Prng
-module Operator = Mutsamp_mutation.Operator
-module Mutant = Mutsamp_mutation.Mutant
-module Generate = Mutsamp_mutation.Generate
-module Kill = Mutsamp_mutation.Kill
-module Equivalence = Mutsamp_mutation.Equivalence
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
 module Topo = Mutsamp_netlist.Topo
@@ -22,7 +16,6 @@ module Fault = Mutsamp_fault.Fault
 module Satgen = Mutsamp_atpg.Satgen
 module Topoff = Mutsamp_atpg.Topoff
 module Registry = Mutsamp_circuits.Registry
-module Strategy = Mutsamp_sampling.Strategy
 module Metrics = Mutsamp_obs.Metrics
 module Json = Mutsamp_obs.Json
 module Runreport = Mutsamp_obs.Runreport
@@ -30,7 +23,7 @@ module Rule = Mutsamp_analysis.Rule
 module Diag = Mutsamp_analysis.Diag
 module Constprop = Mutsamp_analysis.Constprop
 module Untestable = Mutsamp_analysis.Untestable
-module Triage = Mutsamp_analysis.Triage
+module Exprnorm = Mutsamp_analysis.Exprnorm
 module Engine = Mutsamp_analysis.Engine
 module Nl_lint = Mutsamp_analysis.Nl_lint
 module Domtree = Mutsamp_analysis.Domtree
@@ -221,136 +214,116 @@ let test_registry_lint_clean () =
     Registry.all
 
 (* ------------------------------------------------------------------ *)
-(* Mutant triage                                                      *)
+(* Expression normalizer                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_triage_counts_b01 () =
-  let d = design "b01" in
-  let mutants = Generate.all d in
-  let t = Triage.run d mutants in
-  Alcotest.(check int) "total verdicts" (List.length mutants)
-    (List.length t.Triage.verdicts);
-  Alcotest.(check int) "stillborn" 6 t.Triage.stillborn;
-  Alcotest.(check int) "duplicates" 59 t.Triage.duplicates;
-  Alcotest.(check int) "kept" (List.length mutants - 65)
-    (List.length t.Triage.kept);
-  let by_op =
-    List.map (fun (op, n) -> (Operator.name op, n)) t.Triage.discards_by_op
-  in
-  List.iter
-    (fun (op, n) ->
-      Alcotest.(check int) ("discards " ^ op) n
-        (Option.value ~default:0 (List.assoc_opt op by_op)))
-    [ ("ROR", 14); ("UOI", 6); ("VR", 11); ("CVR", 21); ("VCR", 6); ("CR", 6); ("SDL", 1) ]
+(* Random well-typed expressions over three narrow inputs (5 bits in
+   all, so every input assignment can be simulated). [gen w n] has
+   width [w] and shrinks [n] at each level; shared operands ([x op x],
+   [x op not x]) make the algebraic identities fire often. *)
+let norm_inputs = [ ("a", 2); ("b", 2); ("c", 1) ]
 
-let test_triage_counts_b02 () =
-  let d = design "b02" in
-  let t = Triage.run d (Generate.all d) in
-  Alcotest.(check int) "stillborn" 3 t.Triage.stillborn;
-  Alcotest.(check int) "duplicates" 18 t.Triage.duplicates;
-  let diags = Triage.diagnostics t ~circuit:"b02" in
-  Alcotest.(check int) "one diagnostic per discard" 21 (List.length diags);
-  List.iter
-    (fun dg ->
-      Alcotest.(check bool) "triage diags are info" true
-        (dg.Diag.rule.Rule.severity = Rule.Info))
-    diags
+let gen_norm_expr =
+  let open QCheck.Gen in
+  let binops = Ast.[ And; Or; Xor; Nand; Nor; Xnor; Add; Sub ] in
+  let relational = Ast.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let leaf w =
+    let const = map (fun v -> Ast.const ~width:w v) (int_bound ((1 lsl w) - 1)) in
+    let named =
+      match List.filter (fun (_, wn) -> wn = w) norm_inputs with
+      | [] -> map (fun (n, _) -> Ast.Resize (Ast.Ref n, w)) (oneofl norm_inputs)
+      | refs -> map (fun (n, _) -> Ast.Ref n) (oneofl refs)
+    in
+    frequency [ (1, const); (2, named) ]
+  in
+  let shared ops x =
+    oneofl ops >>= fun op ->
+    oneofl
+      [ Ast.Binop (op, x, x); Ast.Binop (op, x, Ast.Unop (Ast.Not, x));
+        Ast.Binop (op, Ast.Unop (Ast.Not, x), x) ]
+  in
+  let rec gen w n =
+    if n <= 0 then leaf w
+    else
+      let sub v = gen v (n / 2) in
+      let any_width = int_range 1 3 in
+      frequency
+        ([ (1, leaf w);
+           (2, map (fun x -> Ast.Unop (Ast.Not, x)) (sub w));
+           (4, map3 (fun op x y -> Ast.Binop (op, x, y)) (oneofl binops) (sub w) (sub w));
+           (3, sub w >>= shared binops);
+           ( 1,
+             int_range w 4 >>= fun v ->
+             sub v >>= fun x ->
+             map (fun lo -> Ast.Slice (x, lo + w - 1, lo)) (int_bound (v - w)) );
+           (1, any_width >>= fun v -> map (fun x -> Ast.Resize (x, w)) (sub v)) ]
+        @ (if w = 1 then
+             [ ( 3,
+                 any_width >>= fun v ->
+                 map3 (fun op x y -> Ast.Binop (op, x, y)) (oneofl relational) (sub v)
+                   (sub v) );
+               (2, any_width >>= fun v -> sub v >>= shared relational);
+               ( 1,
+                 any_width >>= fun v ->
+                 map2 (fun x i -> Ast.Bit (x, i)) (sub v) (int_bound (v - 1)) ) ]
+           else
+             [ ( 1,
+                 int_range 1 (w - 1) >>= fun wa ->
+                 map2 (fun x y -> Ast.Concat (x, y)) (sub wa) (sub (w - wa)) ) ]))
+  in
+  int_range 1 4 >>= fun w -> map (fun e -> (w, e)) (int_range 0 12 >>= gen w)
 
-(* Soundness on a sequential design: the complete product-machine
-   check must prove every stillborn equivalent to the original and
-   every duplicate equivalent to its representative. *)
-let test_triage_sound_sequential () =
-  let d = design "b02" in
-  let mutants = Generate.all d in
-  let t = Triage.run d mutants in
-  let by_id = Hashtbl.create 97 in
-  List.iter (fun (m : Mutant.t) -> Hashtbl.replace by_id m.Mutant.id m) mutants;
-  List.iter
-    (fun ((m : Mutant.t), v) ->
-      match v with
-      | Triage.Kept -> ()
-      | Triage.Stillborn ->
-        Alcotest.(check bool)
-          (Printf.sprintf "stillborn %d equivalent" m.Mutant.id)
-          true
-          (Equivalence.decide (Equivalence.make d) m
-           = Ok Equivalence.Equivalent)
-      | Triage.Duplicate rep ->
-        let r = Hashtbl.find by_id rep in
-        Alcotest.(check bool)
-          (Printf.sprintf "duplicate %d = rep %d" m.Mutant.id rep)
-          true
-          (Equivalence.decide (Equivalence.make r.Mutant.design) m
-           = Ok Equivalence.Equivalent))
-    t.Triage.verdicts
+(* The expression as the single assignment [y := e] of an elaborated
+   design, returned with that design. *)
+let norm_design (w, e) =
+  let decl kind (name, width) = { Ast.name; width; kind } in
+  let d =
+    Check.elaborate
+      {
+        Ast.name = "norm";
+        decls =
+          List.map (decl Ast.Input) norm_inputs @ [ decl Ast.Output ("y", w) ];
+        body = [ Ast.Assign ("y", e) ];
+      }
+  in
+  match d.Ast.body with [ Ast.Assign (_, e) ] -> (d, e) | _ -> assert false
 
-(* Same property on a combinational design, by brute-force simulation
-   over the whole input space, as a QCheck property over mutant ids. *)
-let prop_triage_never_discards_killable =
-  let d = parse Test_mutation.alu_src in
-  let mutants = Generate.all d in
-  let t = Triage.run d mutants in
-  let by_id = Hashtbl.create 97 in
-  List.iter (fun (m : Mutant.t) -> Hashtbl.replace by_id m.Mutant.id m) mutants;
-  let verdicts = Array.of_list t.Triage.verdicts in
-  let brute_equal d1 d2 =
-    let s1 = Sim.create d1 and s2 = Sim.create d2 in
-    List.for_all
-      (fun stim -> Sim.outputs_equal (Sim.step s1 stim) (Sim.step s2 stim))
-      (Stimuli.enumerate d)
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun i -> Mutant.to_string (fst verdicts.(i)))
-      QCheck.Gen.(int_range 0 (Array.length verdicts - 1))
-  in
-  QCheck.Test.make ~name:"triage discards are behaviourally equivalent" ~count:60
-    arb
-    (fun i ->
-      match verdicts.(i) with
-      | _, Triage.Kept -> true
-      | m, Triage.Stillborn -> brute_equal d m.Mutant.design
-      | m, Triage.Duplicate rep ->
-        brute_equal (Hashtbl.find by_id rep).Mutant.design m.Mutant.design)
+let norm_folds d e =
+  match Exprnorm.normalize_expr d e with Ast.Const l -> Some l.Ast.value | _ -> None
 
-(* Extrapolated (total, killed, equivalent) from the kept set must be
-   bit-identical to the counts of an untriaged campaign under the same
-   test set and equivalence checker. *)
-let test_triage_extrapolate_bit_identical () =
-  let d = design "b02" in
-  let mutants = Generate.all d in
-  let seqs =
-    List.init 24 (fun i -> Stimuli.random_sequence (Prng.create (1000 + i)) d 12)
-  in
-  let oracle = Equivalence.make d in
-  let equivalent_survivor (m : Mutant.t) =
-    Equivalence.decide oracle m = Ok Equivalence.Equivalent
-  in
-  (* Untriaged reference campaign over the full population. *)
-  let flags = Kill.killed_set (Kill.make d mutants) seqs in
-  let full_killed = Array.fold_left (fun a k -> if k then a + 1 else a) 0 flags in
-  let full_equiv =
-    List.fold_left
-      (fun a (m : Mutant.t) ->
-        if (not flags.(m.Mutant.id)) && equivalent_survivor m then a + 1 else a)
-      0 mutants
-  in
-  (* Triaged campaign: simulate the kept set only, extrapolate. *)
-  let t = Triage.run d mutants in
-  let kept = t.Triage.kept in
-  let kept_pos = Hashtbl.create 97 in
-  List.iteri (fun i (m : Mutant.t) -> Hashtbl.replace kept_pos m.Mutant.id i) kept;
-  let kflags = Kill.killed_set (Kill.make d kept) seqs in
-  let killed (m : Mutant.t) = kflags.(Hashtbl.find kept_pos m.Mutant.id) in
-  let outcome =
-    Triage.extrapolate t ~killed ~equivalent:(fun m ->
-        (not (killed m)) && equivalent_survivor m)
-  in
-  Alcotest.(check int) "total" (List.length mutants) outcome.Triage.total;
-  Alcotest.(check int) "killed" full_killed outcome.Triage.killed;
-  Alcotest.(check int) "equivalent" full_equiv outcome.Triage.equivalent;
-  Alcotest.(check bool) "triage actually discarded some" true
-    (List.length kept < List.length mutants)
+(* Whenever the normalizer folds an expression to a literal, the
+   simulator yields that literal under every input assignment. *)
+let prop_exprnorm_folds_soundly =
+  QCheck.Test.make ~name:"folded literal = simulated value everywhere" ~count:2000
+    (QCheck.make ~print:(fun (_, e) -> Mutsamp_hdl.Pretty.expr e) gen_norm_expr)
+    (fun we ->
+      let d, e = norm_design we in
+      match norm_folds d e with
+      | None -> true
+      | Some v ->
+        let sim = Sim.create d in
+        List.for_all
+          (fun stim ->
+            match Sim.step sim stim with
+            | [ (_, y) ] -> Mutsamp_util.Bitvec.to_int y = v
+            | _ -> false)
+          (Stimuli.enumerate d))
+
+(* The property above only has teeth if folds are common, and not only
+   of constant-only subtrees: a fixed sample must fold expressions that
+   read an input in a fair share of cases. *)
+let test_exprnorm_folds_often () =
+  let rand = Random.State.make [| 7 |] in
+  let folds = ref 0 in
+  for _ = 1 to 400 do
+    let d, e = norm_design (gen_norm_expr rand) in
+    if norm_folds d e <> None
+       && List.exists (fun (n, _) -> Exprnorm.expr_reads_name n e) norm_inputs
+    then incr folds
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 400 input-reading expressions fold" !folds)
+    true (!folds >= 40)
 
 (* ------------------------------------------------------------------ *)
 (* Untestability proofs and the ATPG prefilter                        *)
@@ -765,10 +738,14 @@ let test_nl009_threshold () =
 (* ------------------------------------------------------------------ *)
 
 let test_retired_rules () =
-  Alcotest.(check int) "two retired ids" 2 (List.length Rule.retired);
+  Alcotest.(check (list string)) "retired ids"
+    [ "ATP001"; "ATP002"; "MUT001"; "MUT002" ]
+    (List.map fst Rule.retired);
   List.iter
     (fun (id, reason) ->
       Alcotest.(check bool) (id ^ " never reused") true (Rule.find id = None);
+      Alcotest.(check bool) (id ^ " not in the catalogue") false
+        (List.exists (fun (r : Rule.t) -> r.Rule.id = id) Rule.all);
       Alcotest.(check bool) (id ^ " has a reason") true
         (String.length reason > 0);
       Alcotest.(check bool) (id ^ " found case-insensitively") true
@@ -856,17 +833,6 @@ let test_report_section_validates () =
   | Ok () -> Alcotest.fail "malformed analysis section accepted"
   | Error _ -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Sampling integration                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_effective_populations () =
-  let pops = [ (Operator.ROR, 10); (Operator.LOR, 4); (Operator.CR, 3) ] in
-  let discards = [ (Operator.ROR, 6); (Operator.CR, 5) ] in
-  let eff = Strategy.effective_populations pops ~discards in
-  Alcotest.(check bool) "subtracts per operator" true
-    (eff = [ (Operator.ROR, 4); (Operator.LOR, 4); (Operator.CR, 0) ])
-
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -905,16 +871,10 @@ let suite =
         Alcotest.test_case "regions/stats agree on the registry" `Slow
           test_regions_stats_registry;
       ] );
-    ( "analysis.triage",
+    ( "analysis.exprnorm",
       [
-        Alcotest.test_case "b01 counts" `Quick test_triage_counts_b01;
-        Alcotest.test_case "b02 counts and diagnostics" `Quick
-          test_triage_counts_b02;
-        Alcotest.test_case "sequential soundness (b02)" `Slow
-          test_triage_sound_sequential;
-        q prop_triage_never_discards_killable;
-        Alcotest.test_case "extrapolate bit-identical" `Slow
-          test_triage_extrapolate_bit_identical;
+        q prop_exprnorm_folds_soundly;
+        Alcotest.test_case "folds often" `Quick test_exprnorm_folds_often;
       ] );
     ( "analysis.untestable",
       [
@@ -935,7 +895,5 @@ let suite =
         Alcotest.test_case "waivers applied" `Quick test_waivers_applied;
         Alcotest.test_case "report section validates" `Quick
           test_report_section_validates;
-        Alcotest.test_case "effective populations" `Quick
-          test_effective_populations;
       ] );
   ]
