@@ -109,6 +109,22 @@ let same_report (a : Fsim.report) (b : Fsim.report) =
        a.Fsim.detections b.Fsim.detections
 
 (* ------------------------------------------------------------------ *)
+(* Pattern generation and packing                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The uniform pattern stream feeds every pseudo-random campaign
+   number: a digest of its words pins the stream itself, so a faster
+   draw that moves one bit fails here before it moves a golden. *)
+let test_uniform_sequence_pinned () =
+  let seq = Prpg.uniform_sequence (Prng.create 2005) ~bits:36 ~length:100_000 in
+  let buf = Buffer.create (8 * Array.length seq) in
+  Array.iter
+    (fun p -> Array.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) (Packvec.words p))
+    seq;
+  Alcotest.(check string) "digest of the pattern words" "e5e5daaf4d9ee26cbc99ad13c4a68ef1"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* ------------------------------------------------------------------ *)
 (* Random-netlist differential properties                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -389,6 +405,10 @@ let suite =
         QCheck_alcotest.to_alcotest prop_seq_run_matches_serial;
         QCheck_alcotest.to_alcotest prop_program_matches_bitsim;
         Alcotest.test_case "Program slot limit" `Quick test_program_slot_limit;
+      ] );
+    ( "engines.patterns",
+      [
+        Alcotest.test_case "uniform stream pinned" `Quick test_uniform_sequence_pinned;
       ] );
     ( "engines.registry",
       [
