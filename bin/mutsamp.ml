@@ -418,10 +418,22 @@ let generate_cmd =
       (List.length outcome.Vectorgen.killed)
       (List.length outcome.Vectorgen.equivalent)
       (List.length outcome.Vectorgen.unknown);
-    let ms =
-      Score.of_test_set d p.Pipeline.mutants ~equivalent:[] outcome.Vectorgen.test_set
+    (* [equivalent] indexes the sample; the score indexes the
+       population, so map through the mutant ids. *)
+    let position = Hashtbl.create 1024 in
+    List.iteri (fun i (m : Mutant.t) -> Hashtbl.replace position m.Mutant.id i)
+      p.Pipeline.mutants;
+    let sample = Array.of_list sample in
+    let equivalent =
+      List.map
+        (fun i -> Hashtbl.find position sample.(i).Mutant.id)
+        outcome.Vectorgen.equivalent
     in
-    Printf.printf "%s (over the full population, E not classified)\n"
+    let ms =
+      Score.of_test_set d p.Pipeline.mutants ~equivalent outcome.Vectorgen.test_set
+    in
+    Printf.printf
+      "%s (over the full population, E = sampled mutants proven equivalent)\n"
       (Score.to_string ms)
   in
   Cmd.v
