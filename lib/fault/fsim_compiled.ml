@@ -199,6 +199,8 @@ let combinational_shard entry (progs : cone_prog array) ~budget
   let alive_count = ref (Array.length faults) in
   let good = Array.make (Program.words entry.good) 0 in
   let fv = Array.make (Array.length good) 0 in
+  let inputs = Array.make (Array.length nl.Netlist.input_nets) 0 in
+  let scratch = K.pack_scratch () in
   Program.reset entry.good good;
   let n_pat = Array.length patterns in
   let batches = (n_pat + w - 1) / w in
@@ -215,7 +217,8 @@ let combinational_shard entry (progs : cone_prog array) ~budget
      | Ok () -> ()
      | Error e -> stop := Some e);
     if !stop = None then begin
-      Program.step entry.good good (K.pack_patterns nl patterns lo len) 0;
+      K.pack_patterns nl patterns lo len ~scratch inputs;
+      Program.step entry.good good inputs 0;
       Metrics.incr K.x_batches;
       Metrics.incr K.x_good_steps;
       Metrics.observe K.h_lanes_per_step (float_of_int len);

@@ -60,20 +60,60 @@ let check_width nl op (p : Pattern.t) =
       (Printf.sprintf "Fsim.%s: pattern width %d does not match %d inputs" op
          (Packvec.width p) (Array.length nl.Netlist.input_nets))
 
-(* Spread [len] patterns over one word per input: lane [l] of input
-   [k] receives bit [k] of pattern [lo + l]. *)
-let pack_patterns nl (patterns : Pattern.t array) lo len =
+(* In-place transpose of a 32x32 bit block: bit [c] of [a.(r)] moves
+   to bit [r] of [a.(c)]. Each round swaps the off-diagonal quarters
+   of every 2j x 2j sub-block with one masked exchange per row pair. *)
+let transpose32 (a : int array) =
+  let j = ref 16 and m = ref 0xFFFF in
+  while !j > 0 do
+    let jj = !j and mm = !m in
+    let r = ref 0 in
+    while !r < 32 do
+      let x = Array.unsafe_get a !r and y = Array.unsafe_get a (!r + jj) in
+      let t = ((x lsr jj) lxor y) land mm in
+      Array.unsafe_set a !r (x lxor (t lsl jj));
+      Array.unsafe_set a (!r + jj) (y lxor t);
+      r := (!r + jj + 1) land lnot jj
+    done;
+    j := jj lsr 1;
+    m := mm lxor (mm lsl !j)
+  done
+
+(* Scratch block for [pack_patterns]; one per shard. *)
+let pack_scratch () = Array.make 32 0
+
+(* Spread [len] <= 63 patterns over one word per input: lane [l] of
+   [words.(k)] receives bit [k] of pattern [lo + l]. Word [j] of the
+   patterns is a [len] x 63 bit matrix whose transpose is the lane
+   words of inputs [63j .. 63j + 62]; it is transposed as up to four
+   32x32 blocks in [scratch]. *)
+let pack_patterns nl (patterns : Pattern.t array) lo len ~scratch words =
   let n_in = Array.length nl.Netlist.input_nets in
-  let words = Array.make n_in 0 in
   for l = 0 to len - 1 do
-    let p = patterns.(lo + l) in
-    check_width nl "run" p;
-    let bit = 1 lsl l in
-    for k = 0 to n_in - 1 do
-      if Packvec.get p k then words.(k) <- words.(k) lor bit
-    done
+    check_width nl "run" patterns.(lo + l)
   done;
-  words
+  Array.fill words 0 n_in 0;
+  for j = 0 to Packvec.words_for n_in - 1 do
+    let base = j * Packvec.word_bits in
+    let cols = min Packvec.word_bits (n_in - base) in
+    for rb = 0 to (len - 1) / 32 do
+      let r0 = 32 * rb in
+      let rows = min 32 (len - r0) in
+      for cb = 0 to (cols - 1) / 32 do
+        let c0 = 32 * cb in
+        for r = 0 to rows - 1 do
+          scratch.(r) <-
+            ((Packvec.words patterns.(lo + r0 + r)).(j) lsr c0) land 0xFFFF_FFFF
+        done;
+        Array.fill scratch rows (32 - rows) 0;
+        transpose32 scratch;
+        for c = 0 to min 32 (cols - c0) - 1 do
+          let k = base + c0 + c in
+          words.(k) <- words.(k) lor (scratch.(c) lsl r0)
+        done
+      done
+    done
+  done
 
 (* One word per input with every lane carrying the same pattern. *)
 let replicate_pattern nl (p : Pattern.t) =

@@ -21,15 +21,20 @@ let split t = { state = bits64 t }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits keeps the distribution exactly
-     uniform for any bound. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    let r = v mod bound in
-    if v - r > mask - bound + 1 then draw () else r
-  in
-  draw ()
+  if bound land (bound - 1) = 0 then
+    (* A power of two divides 2^62: the rejection test below never
+       fires and [v mod bound] is [v land (bound - 1)]. *)
+    Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land (bound - 1)
+  else
+    (* Rejection sampling on the top 62 bits keeps the distribution
+       exactly uniform for any bound. *)
+    let mask = 0x3FFF_FFFF_FFFF_FFFF in
+    let rec draw () =
+      let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
+      let r = v mod bound in
+      if v - r > mask - bound + 1 then draw () else r
+    in
+    draw ()
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

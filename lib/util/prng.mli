@@ -26,7 +26,10 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
-    if [bound <= 0]. *)
+    if [bound <= 0]. A power-of-two bound takes a shortcut that masks
+    one draw instead of running the rejection loop: a power of two
+    divides 2^62, so the loop would accept the first draw and return
+    the same value. The stream is the same either way. *)
 
 val bool : t -> bool
 (** Uniform boolean. *)

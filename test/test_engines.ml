@@ -124,6 +124,80 @@ let test_uniform_sequence_pinned () =
   Alcotest.(check string) "digest of the pattern words" "e5e5daaf4d9ee26cbc99ad13c4a68ef1"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The per-bit loop [Fsim_kernel.pack_patterns] replaced: lane [l] of
+   input [k] is bit [k] of pattern [lo + l]. *)
+let pack_reference ~n_in (patterns : Packvec.t array) lo len =
+  Array.init n_in (fun k ->
+      let w = ref 0 in
+      for l = 0 to len - 1 do
+        if Packvec.get patterns.(lo + l) k then w := !w lor (1 lsl l)
+      done;
+      !w)
+
+let inputs_only_netlist n_in =
+  let b = B.create (Printf.sprintf "in%d" n_in) in
+  let nets = Array.init n_in (fun k -> B.input b (Printf.sprintf "i%d" k)) in
+  B.output b "y" nets.(n_in - 1);
+  B.finalize b
+
+(* Widths at and around every block edge (32, 63, 64) and word count
+   (1, 2, 3 pattern words), every batch length, an offset batch, and
+   one scratch and one word array reused across all of them. *)
+let prop_pack_matches_reference =
+  let widths = [ 1; 31; 32; 33; 36; 62; 63; 64; 126; 128; 130 ] in
+  QCheck.Test.make ~name:"pack_patterns = per-bit packing" ~count:20
+    (QCheck.make QCheck.Gen.(pair (int_range 0 1_000_000) (int_range 1 40)))
+    (fun (seed, lo) ->
+      let prng = Prng.create seed in
+      List.for_all
+        (fun n_in ->
+          let nl = inputs_only_netlist n_in in
+          let patterns =
+            Array.init (lo + Bitsim.word_bits) (fun _ -> Packvec.random prng n_in)
+          in
+          let scratch = Mutsamp_fault.Fsim_kernel.pack_scratch () in
+          let words = Array.make n_in 0 in
+          List.for_all
+            (fun len ->
+              Mutsamp_fault.Fsim_kernel.pack_patterns nl patterns lo len ~scratch words;
+              words = pack_reference ~n_in patterns lo len)
+            (List.init Bitsim.word_bits (fun l -> l + 1)))
+        widths)
+
+let test_pack_checks_width () =
+  let nl = inputs_only_netlist 36 in
+  let patterns = Array.init 40 (fun k -> Packvec.create (if k = 37 then 35 else 36)) in
+  Alcotest.check_raises "a narrow pattern in the batch"
+    (Invalid_argument "Fsim.run: pattern width 35 does not match 36 inputs")
+    (fun () ->
+      Mutsamp_fault.Fsim_kernel.pack_patterns nl patterns 0 40
+        ~scratch:(Mutsamp_fault.Fsim_kernel.pack_scratch ())
+        (Array.make 36 0))
+
+(* [Prng.int] draw for draw against the rejection loop it shortcuts for
+   powers of two; the non-powers include bounds above 2^61, where the
+   loop rejects about half the draws. *)
+let test_prng_int_matches_rejection () =
+  let rejection t bound =
+    let mask = 0x3FFF_FFFF_FFFF_FFFF in
+    let rec draw () =
+      let v = Int64.to_int (Int64.shift_right_logical (Prng.bits64 t) 2) land mask in
+      let r = v mod bound in
+      if v - r > mask - bound + 1 then draw () else r
+    in
+    draw ()
+  in
+  List.iter
+    (fun bound ->
+      let a = Prng.create 2005 and b = Prng.create 2005 in
+      for i = 1 to 10_000 do
+        let x = Prng.int a bound and y = rejection b bound in
+        if x <> y then Alcotest.failf "bound %d, draw %d: %d <> %d" bound i x y
+      done;
+      check_bool (Printf.sprintf "bound %d: streams stay in step" bound) true
+        (Prng.bits64 a = Prng.bits64 b))
+    [ 1; 2; 1 lsl 30; 1 lsl 61; 3; 7; 1000; (1 lsl 30) + 1; (1 lsl 61) + 1; max_int ]
+
 (* ------------------------------------------------------------------ *)
 (* Random-netlist differential properties                             *)
 (* ------------------------------------------------------------------ *)
@@ -225,6 +299,36 @@ let test_registry_all_engines_all_jobs () =
             (same_report reference (Fsim.run ~ctx nl ~faults ~sequence)))
         [ 1; 2; 4 ])
     Registry.all
+
+(* Several full 63-pattern batches and a partial last one, so every
+   lane of the packed input words and the detection index across batch
+   boundaries are checked, on c432 and on the 128-input wide128. *)
+let test_compiled_multi_batch () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Registry.find name) in
+      let nl = Flow.synthesize (e.Registry.design ()) in
+      let faults = (Collapse.run nl).Collapse.representatives in
+      let sequence =
+        Prpg.uniform_sequence (Prng.create 29)
+          ~bits:(Array.length nl.Netlist.input_nets)
+          ~length:200
+      in
+      let reference = Fsim.serial nl ~faults ~sequence in
+      check_bool (name ^ ": detections past the first batch") true
+        (Array.exists
+           (fun (d : Fsim.detection) ->
+             match d.Fsim.detected_at with Some c -> c >= Bitsim.word_bits | None -> false)
+           reference.Fsim.detections);
+      List.iter
+        (fun jobs ->
+          with_jobs jobs @@ fun ctx ->
+          check_bool
+            (Printf.sprintf "%s: 200 patterns at jobs %d differ from serial" name jobs)
+            true
+            (same_report reference (Fsim.run ~ctx nl ~faults ~sequence)))
+        [ 1; 2 ])
+    [ "c432"; "wide128" ]
 
 (* ------------------------------------------------------------------ *)
 (* Packed sequential engine: dropping, activity skipping, regrouping  *)
@@ -409,11 +513,18 @@ let suite =
     ( "engines.patterns",
       [
         Alcotest.test_case "uniform stream pinned" `Quick test_uniform_sequence_pinned;
+        Alcotest.test_case "Prng.int = rejection loop" `Quick
+          test_prng_int_matches_rejection;
+        QCheck_alcotest.to_alcotest prop_pack_matches_reference;
+        Alcotest.test_case "pack_patterns checks every width" `Quick
+          test_pack_checks_width;
       ] );
     ( "engines.registry",
       [
         Alcotest.test_case "whole registry, all engines, jobs 1/2/4" `Slow
           test_registry_all_engines_all_jobs;
+        Alcotest.test_case "c432 and wide128, 200 patterns, jobs 1/2" `Slow
+          test_compiled_multi_batch;
       ] );
     ( "engines.sequential",
       [
