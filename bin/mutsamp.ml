@@ -418,16 +418,11 @@ let generate_cmd =
       (List.length outcome.Vectorgen.killed)
       (List.length outcome.Vectorgen.equivalent)
       (List.length outcome.Vectorgen.unknown);
-    (* [equivalent] indexes the sample; the score indexes the
-       population, so map through the mutant ids. *)
-    let position = Hashtbl.create 1024 in
-    List.iteri (fun i (m : Mutant.t) -> Hashtbl.replace position m.Mutant.id i)
-      p.Pipeline.mutants;
+    (* [equivalent] indexes the sample; a mutant's id is its index in
+       the population. *)
     let sample = Array.of_list sample in
     let equivalent =
-      List.map
-        (fun i -> Hashtbl.find position sample.(i).Mutant.id)
-        outcome.Vectorgen.equivalent
+      List.map (fun i -> sample.(i).Mutant.id) outcome.Vectorgen.equivalent
     in
     let ms =
       Score.of_test_set d p.Pipeline.mutants ~equivalent outcome.Vectorgen.test_set
