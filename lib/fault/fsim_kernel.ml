@@ -64,6 +64,8 @@ let check_width nl op (p : Pattern.t) =
    to bit [r] of [a.(c)]. Each round swaps the off-diagonal quarters
    of every 2j x 2j sub-block with one masked exchange per row pair. *)
 let transpose32 (a : int array) =
+  if Array.length a < 32 then
+    invalid_arg "Fsim_kernel.transpose32: block < 32 words";
   let j = ref 16 and m = ref 0xFFFF in
   while !j > 0 do
     let jj = !j and mm = !m in
