@@ -4,7 +4,9 @@
    flags AND the same first-detection indices — over random netlists,
    over the whole circuit registry, and at every shard fan-out. The
    netlist [Program] that mutant execution and the compiled backend
-   run is checked against [Bitsim] directly. *)
+   run is checked against [Bitsim] directly, and the compiled
+   backend's pattern packing and the uniform pattern stream against
+   their per-bit and rejection-loop references. *)
 
 module Prng = Mutsamp_util.Prng
 module Packvec = Mutsamp_util.Packvec
