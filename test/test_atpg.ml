@@ -23,6 +23,7 @@ module Check = Mutsamp_hdl.Check
 module Flow = Mutsamp_synth.Flow
 module Registry = Mutsamp_circuits.Registry
 module Pipeline = Mutsamp_core.Pipeline
+module Collapse = Mutsamp_fault.Collapse
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -138,35 +139,59 @@ let test_podem_rejects_sequential () =
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
 
-(* The search path itself, pinned over all of c432's collapsed faults
-   at the A3 ablation's backtrack limit (EXPERIMENTS.md): test,
+(* The search path itself, pinned over all of a circuit's collapsed
+   faults at the A3 ablation's backtrack limit (EXPERIMENTS.md): test,
    untestable and abort counts, and the summed backtracks and
    implications of the calls that finished. A change to PODEM's
    per-step work must leave every decision, and so every total, as it
    is. *)
-let test_podem_search_path_c432 () =
-  let p = Pipeline.prepare ((Option.get (Registry.find "c432")).Registry.design ()) in
-  let totals guided =
-    List.fold_left
-      (fun (tests, untestable, aborted, bt, impl) f ->
-        match Podem.find_test ~backtrack_limit:2000 ~guided p.Pipeline.netlist f with
-        | Ok (Some _, s) ->
-          (tests + 1, untestable, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
-        | Ok (None, s) ->
-          (tests, untestable + 1, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
-        | Error _ -> (tests, untestable, aborted + 1, bt, impl))
-      (0, 0, 0, 0, 0) p.Pipeline.faults
-  in
+let search_totals nl faults guided =
+  List.fold_left
+    (fun (tests, untestable, aborted, bt, impl) f ->
+      match Podem.find_test ~backtrack_limit:2000 ~guided nl f with
+      | Ok (Some _, s) ->
+        (tests + 1, untestable, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
+      | Ok (None, s) ->
+        (tests, untestable + 1, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
+      | Error _ -> (tests, untestable, aborted + 1, bt, impl))
+    (0, 0, 0, 0, 0) faults
+
+let expect_search_path nl faults ~guided:g ~unguided:u =
   let expect mode (tests, untestable, aborted, bt, impl) guided =
-    let t, u, a, b, i = totals guided in
+    let t, un, a, b, i = search_totals nl faults guided in
     check_int (mode ^ " tests") tests t;
-    check_int (mode ^ " untestable") untestable u;
+    check_int (mode ^ " untestable") untestable un;
     check_int (mode ^ " aborted") aborted a;
     check_int (mode ^ " backtracks") bt b;
     check_int (mode ^ " implications") impl i
   in
-  expect "guided" (370, 29, 23, 41_611, 130_092) true;
-  expect "unguided" (370, 29, 23, 54_601, 171_182) false
+  expect "guided" g true;
+  expect "unguided" u false
+
+let test_podem_search_path_c432 () =
+  let p = Pipeline.prepare ((Option.get (Registry.find "c432")).Registry.design ()) in
+  expect_search_path p.Pipeline.netlist p.Pipeline.faults
+    ~guided:(370, 29, 23, 41_611, 130_092)
+    ~unguided:(370, 29, 23, 54_601, 171_182)
+
+(* c499 exercises the XOR/XNOR rows of the gate table; full-scan b03
+   a netlist with scan inputs and outputs. *)
+let registry_netlist ?(scan = false) name =
+  let nl = Flow.synthesize ((Option.get (Registry.find name)).Registry.design ()) in
+  let nl = if scan then Scan.full_scan nl else nl in
+  (nl, (Collapse.run nl).Collapse.representatives)
+
+let test_podem_search_path_c499 () =
+  let nl, faults = registry_netlist "c499" in
+  expect_search_path nl faults
+    ~guided:(956, 0, 0, 1_316, 31_885)
+    ~unguided:(956, 0, 0, 1_309, 33_899)
+
+let test_podem_search_path_b03 () =
+  let nl, faults = registry_netlist ~scan:true "b03" in
+  expect_search_path nl faults
+    ~guided:(453, 115, 0, 813, 5_776)
+    ~unguided:(453, 115, 0, 776, 5_700)
 
 (* ------------------------------------------------------------------ *)
 (* Satgen & cross-engine agreement                                    *)
@@ -493,6 +518,8 @@ let suite =
         Alcotest.test_case "stats populated" `Quick test_podem_stats_populated;
         Alcotest.test_case "rejects sequential" `Quick test_podem_rejects_sequential;
         Alcotest.test_case "search path (c432)" `Quick test_podem_search_path_c432;
+        Alcotest.test_case "search path (c499)" `Quick test_podem_search_path_c499;
+        Alcotest.test_case "search path (b03, full-scan)" `Quick test_podem_search_path_b03;
       ] );
     ( "atpg.cross_engine",
       [
