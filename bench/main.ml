@@ -325,11 +325,11 @@ let run_a3 () =
     (fun name ->
       let p = pipeline name in
       if not p.Pipeline.sequential then begin
-        let nl = p.Pipeline.netlist in
+        let podem = Podem.prepare p.Pipeline.netlist in
         let run guided =
           List.fold_left
             (fun (bt, impl, aborted) f ->
-              match Podem.find_test ~backtrack_limit:2000 ~guided nl f with
+              match Podem.find_test ~backtrack_limit:2000 ~guided podem f with
               | Ok (_, stats) ->
                 (bt + stats.Podem.backtracks, impl + stats.Podem.implications, aborted)
               | Error _ ->

@@ -50,18 +50,45 @@ let land_ a b = lift2 and2 a b
 let lor_ a b = lift2 or2 a b
 let lxor_ a b = lift2 xor2 a b
 
-let eval kind a b =
-  match kind with
-  | Gate.Buf -> a
-  | Gate.Not -> lnot a
-  | Gate.And -> land_ a b
-  | Gate.Or -> lor_ a b
-  | Gate.Nand -> lnot (land_ a b)
-  | Gate.Nor -> lnot (lor_ a b)
-  | Gate.Xor -> lxor_ a b
-  | Gate.Xnor -> lnot (lxor_ a b)
+(* Gate kinds as table rows; sources and flip-flops have none. *)
+let row = function
+  | Gate.Buf -> 0
+  | Gate.Not -> 1
+  | Gate.And -> 2
+  | Gate.Or -> 3
+  | Gate.Nand -> 4
+  | Gate.Nor -> 5
+  | Gate.Xor -> 6
+  | Gate.Xnor -> 7
   | Gate.Pi _ | Gate.Const _ | Gate.Dff _ ->
     invalid_arg "Fivevalued.eval: not a combinational gate"
+
+(* Constant constructors are the immediates 0 .. 4 in declaration
+   order. *)
+external index : t -> int = "%identity"
+
+(* Every gate kind over every operand pair, from the lifted definitions:
+   entry [25 * row kind + 5 * index a + index b]. Unary rows ignore
+   [b]. *)
+let table =
+  let kinds =
+    [| Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor |]
+  in
+  let values = [| Zero; One; X; D; Dbar |] in
+  Array.init (Array.length kinds * 25) (fun k ->
+      let a = values.(k / 5 mod 5) and b = values.(k mod 5) in
+      match kinds.(k / 25) with
+      | Gate.Buf -> a
+      | Gate.Not -> lnot a
+      | Gate.And -> land_ a b
+      | Gate.Or -> lor_ a b
+      | Gate.Nand -> lnot (land_ a b)
+      | Gate.Nor -> lnot (lor_ a b)
+      | Gate.Xor -> lxor_ a b
+      | Gate.Xnor -> lnot (lxor_ a b)
+      | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> assert false)
+
+let eval kind a b = table.((25 * row kind) + (5 * index a) + index b)
 
 let is_error = function D | Dbar -> true | Zero | One | X -> false
 

@@ -23,7 +23,23 @@ val lor_ : t -> t -> t
 val lxor_ : t -> t -> t
 val eval : Mutsamp_netlist.Gate.kind -> t -> t -> t
 (** Evaluate a combinational gate kind (raises [Invalid_argument] on
+    [Pi]/[Const]/[Dff]): one read of {!table}. *)
+
+val table : t array
+(** The gate table, built once from the lifted operators above:
+    [eval kind a b = table.(25 * row kind + 5 * index a + index b)] for
+    every combinational kind and operand pair (unary kinds ignore [b]).
+    A caller that evaluates many gates keeps [25 * row kind] per gate
+    and reads the table itself, with no call per gate. Never written. *)
+
+val row : Mutsamp_netlist.Gate.kind -> int
+(** The kind's row of {!table}, 0 .. 7 (raises [Invalid_argument] on
     [Pi]/[Const]/[Dff]). *)
+
+external index : t -> int = "%identity"
+(** The value's position in the declaration of {!t}, 0 ([Zero]) to 4
+    ([Dbar]): constant constructors are exactly those immediates, so the
+    conversion costs nothing. *)
 
 val is_error : t -> bool
 (** [D] or [Dbar]: the fault effect is present. *)

@@ -21,10 +21,82 @@ let c_untestable = Metrics.counter "podem.untestable"
 let c_aborted = Metrics.counter "podem.aborted"
 let h_backtracks = Metrics.histogram "podem.backtracks_per_call"
 
-type ctx = {
+(* The netlist as the search reads it, flattened once per netlist. Per
+   gate: kind, offset of its row in {!Fivevalued.table} ([-1] for
+   sources), fanins ([-1] when absent) and level; per net: fanouts in
+   CSR form ([fo.(fo_start.(i) .. fo_start.(i + 1) - 1)], in gate
+   order), PO flag and input position ([-1] off the inputs). *)
+type prepared = {
   nl : Netlist.t;
-  topo : Topo.t;
-  fanouts : int list array;
+  kind : Gate.kind array;
+  row : int array;
+  fanin0 : int array;
+  fanin1 : int array;
+  fo_start : int array;
+  fo : int array;
+  order : int array;  (* combinational gates, topological order *)
+  level : int array;
+  (* Level [l]'s stack in a search's worklist starts after the gates of
+     every lower level. *)
+  level_base : int array;
+  is_po : bool array;
+  pi_position : int array;
+  scoap : Scoap.t;  (* branching heuristics *)
+}
+
+let prepare (nl : Netlist.t) =
+  if Netlist.num_dffs nl > 0 then
+    invalid_arg "Podem.prepare: sequential netlist (apply Scan.full_scan first)";
+  let n = Array.length nl.gates in
+  let kind = Array.map (fun (g : Gate.t) -> g.kind) nl.gates in
+  let row =
+    Array.map
+      (fun k ->
+        match k with
+        | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> -1
+        | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
+        | Gate.Xnor -> 25 * V.row k)
+      kind
+  in
+  let fanin k =
+    Array.map (fun (g : Gate.t) -> if Array.length g.fanins > k then g.fanins.(k) else -1) nl.gates
+  in
+  let fanouts = Netlist.fanouts nl in
+  let fo_start = Array.make (n + 1) 0 in
+  Array.iteri (fun i l -> fo_start.(i + 1) <- fo_start.(i) + List.length l) fanouts;
+  let topo = Topo.compute nl in
+  let level_base = Array.make (topo.Topo.max_level + 2) 0 in
+  Array.iter
+    (fun i ->
+      let l = topo.Topo.level.(i) + 1 in
+      level_base.(l) <- level_base.(l) + 1)
+    topo.Topo.order;
+  for l = 1 to topo.Topo.max_level + 1 do
+    level_base.(l) <- level_base.(l) + level_base.(l - 1)
+  done;
+  let is_po = Array.make n false in
+  Array.iter (fun (_, net) -> is_po.(net) <- true) nl.output_list;
+  let pi_position = Array.make n (-1) in
+  Array.iteri (fun pos net -> pi_position.(net) <- pos) nl.input_nets;
+  {
+    nl;
+    kind;
+    row;
+    fanin0 = fanin 0;
+    fanin1 = fanin 1;
+    fo_start;
+    fo = Array.of_list (List.concat (Array.to_list fanouts));
+    order = topo.Topo.order;
+    level = topo.Topo.level;
+    level_base;
+    is_po;
+    pi_position;
+    scoap = Scoap.compute nl;
+  }
+
+(* One search's state; [p] is shared and never written. *)
+type ctx = {
+  p : prepared;
   site_net : int;  (* the net whose good value activates the fault *)
   stem_net : int;  (* faulted stem, -1 for a branch fault *)
   pin_gate : int;  (* gate of a faulted branch, -1 for a stem fault *)
@@ -32,23 +104,22 @@ type ctx = {
   stuck : V.t;
   values : V.t array;
   pi_value : V.t array;  (* per input position *)
-  pi_position : int array;  (* net -> input position, -1 off the inputs *)
   mutable changed : int list;  (* positions assigned since the last imply *)
   (* Implication worklist: one stack per level, stored back to back in
-     [queue] from [level_base.(l)], each sized to its level's gate
-     count; [pending] keeps a gate on at most one stack. *)
+     [queue] from [p.level_base.(l)], each sized to its level's gate
+     count; [pending] keeps a gate on at most one stack, and only the
+     levels [lo .. hi] hold gates. *)
   queue : int array;
-  level_base : int array;
   level_top : int array;
   pending : bool array;
+  mutable lo : int;
+  mutable hi : int;
   cone : int array;  (* the fault's fanout cone, in topological order *)
   frontier : int array;  (* D-frontier: [frontier.(0 .. n_frontier - 1)] *)
   mutable n_frontier : int;
-  is_po : bool array;
   stamp : int array;  (* X-path visit marks, current pass = [epoch] *)
   mutable epoch : int;
   stack : int array;
-  scoap : Scoap.t;  (* branching heuristics *)
   guided : bool;  (* use SCOAP guidance (ablation knob) *)
   backtrack_limit : int;
   mutable backtracks : int;
@@ -66,37 +137,36 @@ let force ctx v =
   | g -> V.combine g ctx.stuck
 
 (* Value gate [i] actually sees on pin [k]. *)
-let operand_value ctx i k =
-  let v = ctx.values.(ctx.nl.Netlist.gates.(i).Gate.fanins.(k)) in
+let[@inline] operand_value ctx i k =
+  let v = ctx.values.(if k = 0 then ctx.p.fanin0.(i) else ctx.p.fanin1.(i)) in
   if i = ctx.pin_gate && k = ctx.pin_idx then force ctx v else v
 
-let apply_stem ctx i v = if i = ctx.stem_net then force ctx v else v
+let[@inline] apply_stem ctx i v = if i = ctx.stem_net then force ctx v else v
 
-let eval_gate ctx i =
-  let g = ctx.nl.Netlist.gates.(i) in
-  let a = operand_value ctx i 0 in
-  let b = if Array.length g.Gate.fanins > 1 then operand_value ctx i 1 else V.X in
-  apply_stem ctx i (V.eval g.Gate.kind a b)
+let[@inline] eval_gate ctx i =
+  let b = if ctx.p.fanin1.(i) >= 0 then operand_value ctx i 1 else V.X in
+  apply_stem ctx i V.table.(ctx.p.row.(i) + (5 * V.index (operand_value ctx i 0)) + V.index b)
 
 let set_pi ctx pos v =
   ctx.pi_value.(pos) <- v;
   ctx.changed <- pos :: ctx.changed
 
-let rec schedule ctx = function
-  | [] -> ()
-  | g :: rest ->
-    if not ctx.pending.(g) then begin
-      ctx.pending.(g) <- true;
-      let l = ctx.topo.Topo.level.(g) in
-      ctx.queue.(ctx.level_top.(l)) <- g;
-      ctx.level_top.(l) <- ctx.level_top.(l) + 1
-    end;
-    schedule ctx rest
+let[@inline] schedule ctx g =
+  if not ctx.pending.(g) then begin
+    ctx.pending.(g) <- true;
+    let l = ctx.p.level.(g) in
+    ctx.queue.(ctx.level_top.(l)) <- g;
+    ctx.level_top.(l) <- ctx.level_top.(l) + 1;
+    if l < ctx.lo then ctx.lo <- l;
+    if l > ctx.hi then ctx.hi <- l
+  end
 
-let update ctx net v =
+let[@inline] update ctx net v =
   if v != ctx.values.(net) then begin
     ctx.values.(net) <- v;
-    schedule ctx ctx.fanouts.(net)
+    for k = ctx.p.fo_start.(net) to ctx.p.fo_start.(net + 1) - 1 do
+      schedule ctx ctx.p.fo.(k)
+    done
   end
 
 (* Event-driven five-valued implication, with the fault inserted at its
@@ -109,23 +179,34 @@ let imply ctx =
   ctx.implications <- ctx.implications + 1;
   List.iter
     (fun pos ->
-      let net = ctx.nl.Netlist.input_nets.(pos) in
+      let net = ctx.p.nl.Netlist.input_nets.(pos) in
       update ctx net (apply_stem ctx net ctx.pi_value.(pos)))
     ctx.changed;
   ctx.changed <- [];
-  for l = 1 to ctx.topo.Topo.max_level do
-    (* A gate's fanouts sit on higher levels: this stack only drains. *)
-    while ctx.level_top.(l) > ctx.level_base.(l) do
-      let top = ctx.level_top.(l) - 1 in
-      ctx.level_top.(l) <- top;
+  (* A gate's fanouts sit on higher levels: each stack only drains, and
+     [hi] only grows while the levels below it are drained. *)
+  let l = ref ctx.lo in
+  while !l <= ctx.hi do
+    let base = ctx.p.level_base.(!l) in
+    while ctx.level_top.(!l) > base do
+      let top = ctx.level_top.(!l) - 1 in
+      ctx.level_top.(!l) <- top;
       let g = ctx.queue.(top) in
       ctx.pending.(g) <- false;
       update ctx g (eval_gate ctx g)
-    done
-  done
+    done;
+    incr l
+  done;
+  ctx.lo <- max_int;
+  ctx.hi <- 0
+
+(* [Fivevalued.is_error], which the frontier scan calls for every cone
+   gate at every step: a call into another module is never inlined
+   here. *)
+let[@inline] is_error v = v == V.D || v == V.Dbar
 
 let detected ctx =
-  Array.exists (fun (_, net) -> V.is_error ctx.values.(net)) ctx.nl.Netlist.output_list
+  Array.exists (fun (_, net) -> V.is_error ctx.values.(net)) ctx.p.nl.Netlist.output_list
 
 (* Gates whose output is X while some (effective) input carries an
    error. The effective view matters for the branch-faulted gate: the
@@ -136,29 +217,13 @@ let d_frontier ctx =
   for k = 0 to Array.length ctx.cone - 1 do
     let i = ctx.cone.(k) in
     if ctx.values.(i) == V.X
-       && (V.is_error (operand_value ctx i 0)
-           || (Array.length ctx.nl.Netlist.gates.(i).Gate.fanins > 1
-               && V.is_error (operand_value ctx i 1)))
+       && (is_error (operand_value ctx i 0)
+           || (ctx.p.fanin1.(i) >= 0 && is_error (operand_value ctx i 1)))
     then begin
       ctx.frontier.(ctx.n_frontier) <- i;
       ctx.n_frontier <- ctx.n_frontier + 1
     end
   done
-
-(* Stamp the unvisited sinks and push the X-valued ones; returns the new
-   stack height. *)
-let rec push_x_sinks ctx sp = function
-  | [] -> sp
-  | s :: rest ->
-    if ctx.stamp.(s) = ctx.epoch then push_x_sinks ctx sp rest
-    else begin
-      ctx.stamp.(s) <- ctx.epoch;
-      if ctx.values.(s) == V.X then begin
-        ctx.stack.(sp) <- s;
-        push_x_sinks ctx (sp + 1) rest
-      end
-      else push_x_sinks ctx sp rest
-    end
 
 (* Is there a path of X-valued nets from some frontier gate to a PO?
    Every net is stamped before it is pushed, so the stack never holds
@@ -166,20 +231,27 @@ let rec push_x_sinks ctx sp = function
 let x_path_exists ctx =
   ctx.epoch <- ctx.epoch + 1;
   let sp = ref 0 in
-  for k = 0 to ctx.n_frontier - 1 do
-    let g = ctx.frontier.(k) in
-    if ctx.stamp.(g) <> ctx.epoch then begin
-      ctx.stamp.(g) <- ctx.epoch;
-      ctx.stack.(!sp) <- g;
+  let visit s =
+    if ctx.stamp.(s) <> ctx.epoch then begin
+      ctx.stamp.(s) <- ctx.epoch;
+      ctx.stack.(!sp) <- s;
       incr sp
     end
+  in
+  for k = 0 to ctx.n_frontier - 1 do
+    visit ctx.frontier.(k)
   done;
   let found = ref false in
   while (not !found) && !sp > 0 do
     decr sp;
     let i = ctx.stack.(!sp) in
-    if ctx.is_po.(i) then found := true
-    else sp := push_x_sinks ctx !sp ctx.fanouts.(i)
+    if ctx.p.is_po.(i) then found := true
+    else
+      for k = ctx.p.fo_start.(i) to ctx.p.fo_start.(i + 1) - 1 do
+        let s = ctx.p.fo.(k) in
+        (* Stamp every sink, push only the X-valued ones. *)
+        if ctx.values.(s) == V.X then visit s else ctx.stamp.(s) <- ctx.epoch
+      done
   done;
   !found
 
@@ -196,62 +268,53 @@ let objective ctx site_good =
   else begin
     (* Advance the error through the most observable frontier gate
        (first gate when guidance is off). *)
+    let co = ctx.p.scoap.Scoap.co in
     let g = ref ctx.frontier.(0) in
     if ctx.guided then
       for k = 1 to ctx.n_frontier - 1 do
         let cand = ctx.frontier.(k) in
-        if ctx.scoap.Scoap.co.(cand) < ctx.scoap.Scoap.co.(!g) then g := cand
+        if co.(cand) < co.(!g) then g := cand
       done;
-    let gate = ctx.nl.Netlist.gates.(!g) in
     let v =
-      match V.controlling_value gate.Gate.kind with
+      match V.controlling_value ctx.p.kind.(!g) with
       | Some c -> not c  (* non-controlling value lets the error pass *)
       | None -> false  (* XOR-ish: any known value propagates *)
     in
-    let fanins = gate.Gate.fanins in
-    if ctx.values.(fanins.(0)) == V.X then Some (fanins.(0), v)
-    else if Array.length fanins > 1 && ctx.values.(fanins.(1)) == V.X then
-      Some (fanins.(1), v)
+    let a = ctx.p.fanin0.(!g) and b = ctx.p.fanin1.(!g) in
+    if ctx.values.(a) == V.X then Some (a, v)
+    else if b >= 0 && ctx.values.(b) == V.X then Some (b, v)
     else None
   end
 
 (* Walk an objective back to an unassigned primary input. *)
 let backtrace ctx net v =
+  let p = ctx.p in
   let rec walk net v =
-    let pos = ctx.pi_position.(net) in
+    let pos = p.pi_position.(net) in
     if pos >= 0 then (pos, v)
     else
-      let g = ctx.nl.Netlist.gates.(net) in
-      (match g.Gate.kind with
-       | Gate.Const _ | Gate.Pi _ | Gate.Dff _ ->
-         (* Const can't be backtraced — caller guards; Pi handled above;
-            Dff rejected at entry. *)
-         invalid_arg "Podem.backtrace: hit a non-drivable net"
-       | Gate.Buf | Gate.Not ->
-         walk g.Gate.fanins.(0) (v <> V.inverts g.Gate.kind)
-       | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor ->
-         (* Among the X inputs, follow the cheapest one to control
-            toward the needed value (SCOAP guidance). *)
-         let next_value = v <> V.inverts g.Gate.kind in
-         let cost f =
-           if next_value then ctx.scoap.Scoap.cc1.(f) else ctx.scoap.Scoap.cc0.(f)
-         in
-         let x_input =
-           Array.fold_left
-             (fun best f ->
-               if ctx.values.(f) <> V.X then best
-               else
-                 match best with
-                 | None -> Some f
-                 | Some b ->
-                   if ctx.guided && cost f < cost b then Some f else best)
-             None g.Gate.fanins
-         in
-         (match x_input with
-          | Some f -> walk f next_value
-          | None ->
-            (* Output X with all inputs known cannot happen after imply. *)
-            invalid_arg "Podem.backtrace: X output with known inputs"))
+      let kind = p.kind.(net) in
+      match kind with
+      | Gate.Const _ | Gate.Pi _ | Gate.Dff _ ->
+        (* Const can't be backtraced — caller guards; Pi handled above;
+           Dff rejected at entry. *)
+        invalid_arg "Podem.backtrace: hit a non-drivable net"
+      | Gate.Buf | Gate.Not -> walk p.fanin0.(net) (v <> V.inverts kind)
+      | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor ->
+        (* Among the X inputs, follow the cheapest one to control
+           toward the needed value (SCOAP guidance); the first one on a
+           tie or when guidance is off. *)
+        let next_value = v <> V.inverts kind in
+        let cost = if next_value then p.scoap.Scoap.cc1 else p.scoap.Scoap.cc0 in
+        let a = p.fanin0.(net) and b = p.fanin1.(net) in
+        if ctx.values.(a) == V.X then
+          walk
+            (if ctx.guided && ctx.values.(b) == V.X && cost.(b) < cost.(a) then b else a)
+            next_value
+        else if ctx.values.(b) == V.X then walk b next_value
+        else
+          (* Output X with all inputs known cannot happen after imply. *)
+          invalid_arg "Podem.backtrace: X output with known inputs"
   in
   walk net v
 
@@ -261,70 +324,52 @@ exception Stop of Rerror.t
 (* The gates an error can reach from the fault: the transitive fanout
    of a faulted stem, or a faulted branch's gate and its transitive
    fanout, in topological order. *)
-let fanout_cone nl (topo : Topo.t) fanouts ~stem_net ~pin_gate =
-  let inside = Array.make (Array.length nl.Netlist.gates) false in
+let fanout_cone p ~stem_net ~pin_gate =
+  let inside = Array.make (Array.length p.kind) false in
   let rec visit i =
     if not inside.(i) then begin
       inside.(i) <- true;
-      List.iter visit fanouts.(i)
+      visit_fanouts i
     end
+  and visit_fanouts i =
+    for k = p.fo_start.(i) to p.fo_start.(i + 1) - 1 do
+      visit p.fo.(k)
+    done
   in
-  if pin_gate >= 0 then visit pin_gate else List.iter visit fanouts.(stem_net);
-  Array.of_list (List.filter (fun i -> inside.(i)) (Array.to_list topo.order))
+  if pin_gate >= 0 then visit pin_gate else visit_fanouts stem_net;
+  Array.of_list (List.filter (fun i -> inside.(i)) (Array.to_list p.order))
 
-let generate_core ~backtrack_limit ~guided ~budget nl fault =
-  if Netlist.num_dffs nl > 0 then
-    invalid_arg "Podem.generate: sequential netlist (apply Scan.full_scan first)";
-  let n = Array.length nl.Netlist.gates in
-  let pi_position = Array.make n (-1) in
-  Array.iteri (fun pos net -> pi_position.(net) <- pos) nl.Netlist.input_nets;
+let generate_core ~backtrack_limit ~guided ~budget p fault =
+  let n = Array.length p.kind in
   let stem_net, pin_gate, pin_idx, site_net =
     match fault.Fault.site with
     | Fault.Stem net -> (net, -1, -1, net)
     | Fault.Branch { gate; pin } ->
-      (-1, gate, pin, nl.Netlist.gates.(gate).Gate.fanins.(pin))
+      (-1, gate, pin, if pin = 0 then p.fanin0.(gate) else p.fanin1.(gate))
   in
-  let topo = Topo.compute nl in
-  let fanouts = Netlist.fanouts nl in
-  (* Level [l]'s stack starts after the gates of every lower level. *)
-  let level_base = Array.make (topo.Topo.max_level + 2) 0 in
-  Array.iter
-    (fun i ->
-      let l = topo.Topo.level.(i) + 1 in
-      level_base.(l) <- level_base.(l) + 1)
-    topo.Topo.order;
-  for l = 1 to topo.Topo.max_level + 1 do
-    level_base.(l) <- level_base.(l) + level_base.(l - 1)
-  done;
-  let cone = fanout_cone nl topo fanouts ~stem_net ~pin_gate in
-  let is_po = Array.make n false in
-  Array.iter (fun (_, net) -> is_po.(net) <- true) nl.Netlist.output_list;
+  let cone = fanout_cone p ~stem_net ~pin_gate in
   let ctx =
     {
-      nl;
-      topo;
-      fanouts;
+      p;
       site_net;
       stem_net;
       pin_gate;
       pin_idx;
       stuck = stuck_value fault;
       values = Array.make n V.X;
-      pi_value = Array.make (Array.length nl.Netlist.input_nets) V.X;
-      pi_position;
+      pi_value = Array.make (Array.length p.nl.Netlist.input_nets) V.X;
       changed = [];
-      queue = Array.make (Array.length topo.Topo.order) 0;
-      level_base;
-      level_top = Array.copy level_base;
+      queue = Array.make (Array.length p.order) 0;
+      level_top = Array.copy p.level_base;
       pending = Array.make n false;
+      lo = max_int;
+      hi = 0;
       cone;
       frontier = Array.make (Array.length cone) 0;
       n_frontier = 0;
-      is_po;
       stamp = Array.make n 0;
       epoch = 0;
       stack = Array.make n 0;
-      scoap = Scoap.compute nl;
       guided;
       backtrack_limit;
       backtracks = 0;
@@ -334,12 +379,11 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
   (* With every input X only the constants are known: put them in and
      the first imply propagates them, giving the full pass's values. *)
   Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.kind with
-      | Gate.Const v -> update ctx i (apply_stem ctx i (V.of_bool v))
-      | Gate.Pi _ | Gate.Dff _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or
-      | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
-    nl.Netlist.gates;
+    (fun i (k : Gate.kind) ->
+      match k with
+      | Const v -> update ctx i (apply_stem ctx i (V.of_bool v))
+      | Pi _ | Dff _ | Buf | Not | And | Or | Nand | Nor | Xor | Xnor -> ())
+    p.kind;
   (* A fault whose site is a constant net can never be activated when
      the constant equals the stuck value, and is trivially activated
      otherwise; imply handles both, no special case needed. *)
@@ -402,13 +446,13 @@ let generate_core ~backtrack_limit ~guided ~budget nl fault =
    | Aborted -> Metrics.incr c_aborted);
   (outcome, { backtracks = ctx.backtracks; implications = ctx.implications })
 
-let find_test ?(backtrack_limit = 10_000) ?(guided = true) ?budget nl fault =
+let find_test ?(backtrack_limit = 10_000) ?(guided = true) ?budget prepared fault =
   let budget = match budget with Some b -> b | None -> Budget.ambient () in
   Chaos.contain Rerror.Podem (fun () ->
       (match Chaos.trip Chaos.Podem_search with
        | Ok () -> ()
        | Error e -> raise (Rerror.E e));
-      match generate_core ~backtrack_limit ~guided ~budget nl fault with
+      match generate_core ~backtrack_limit ~guided ~budget prepared fault with
       | exception Stop e -> raise (Rerror.E e)
       | Test p, stats -> (Some p, stats)
       | Untestable, stats -> (None, stats)

@@ -6,9 +6,19 @@
     assignment, implies it, and backtracks on failure. Implication is
     event-driven: each one re-evaluates, level by level, only the gates
     downstream of the inputs assigned since the previous one (the first
-    propagates the constants), and every net ends at the value a full
-    five-valued pass would give. PODEM is complete: with an unbounded
-    backtrack budget, [Untestable] is a proof of redundancy. *)
+    propagates the constants), draining only the levels between the
+    lowest and highest one scheduled, and every net ends at the value a
+    full five-valued pass would give. A gate is evaluated by one read of
+    {!Fivevalued}'s gate table. PODEM is complete: with an unbounded
+    backtrack budget, [Untestable] is a proof of redundancy.
+
+    The search runs over {!prepared} data: the netlist flattened into
+    per-gate int arrays (table row, fanins, level), fanouts in CSR form,
+    level bases, output flags, input positions and SCOAP measures. Build
+    it once per netlist with {!prepare} and pass it to every
+    {!find_test} call on that netlist; each call allocates its own
+    search state, so one [prepared] value may serve any number of calls,
+    from any domain. *)
 
 type stats = {
   backtracks : int;
@@ -17,11 +27,19 @@ type stats = {
           inputs it changed *)
 }
 
+type prepared
+(** A combinational netlist as the search reads it. Never written after
+    {!prepare}. *)
+
+val prepare : Mutsamp_netlist.Netlist.t -> prepared
+(** Raises [Invalid_argument] on a sequential netlist (use
+    {!Scan.full_scan} first). *)
+
 val find_test :
   ?backtrack_limit:int ->
   ?guided:bool ->
   ?budget:Mutsamp_robust.Budget.t ->
-  Mutsamp_netlist.Netlist.t ->
+  prepared ->
   Mutsamp_fault.Fault.t ->
   (Mutsamp_fault.Pattern.t option * stats, Mutsamp_robust.Error.t) Stdlib.result
 (** Typed-result entry point, separating the three ways a search ends:
@@ -33,6 +51,4 @@ val find_test :
     [Error (Budget_exhausted _)] / [Error (Timeout Podem)] when
     exhausted. [backtrack_limit] defaults to 10_000; [guided] (default
     true) enables the SCOAP branching heuristics — turning it off
-    reverts to first-X-input/first-frontier choices (the A3 ablation).
-    Raises [Invalid_argument] on a sequential netlist (use
-    {!Scan.full_scan} first). *)
+    reverts to first-X-input/first-frontier choices (the A3 ablation). *)

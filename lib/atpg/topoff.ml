@@ -106,6 +106,8 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
   let aborted = ref 0 in
   let atpg_detected = ref 0 in
   let degrade_error = ref None in
+  (* PODEM's view of the netlist, built by the first call. *)
+  let podem = lazy (Podem.prepare nl) in
   let rec phase3 pending =
     match pending with
     | [] -> []
@@ -119,7 +121,7 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
         let outcome =
           match generator with
           | Use_podem ->
-            (match Podem.find_test ~backtrack_limit ~budget nl target with
+            (match Podem.find_test ~backtrack_limit ~budget (Lazy.force podem) target with
              | Ok (Some p, _) -> `Test p
              | Ok (None, _) -> `Untestable
              | Error (Rerror.Aborted _) -> `Aborted

@@ -86,6 +86,47 @@ let test_fv_gate_eval () =
   check_bool "controlling nor" true (V.controlling_value Gate.Nor = Some true);
   check_bool "xor no controlling" true (V.controlling_value Gate.Xor = None)
 
+(* The gate table, entry by entry, against the lifted operators it is
+   built from: every combinational kind over all 25 operand pairs
+   (unary kinds ignore the second operand). *)
+let test_fv_table_is_lifted () =
+  let values = [ V.Zero; V.One; V.X; V.D; V.Dbar ] in
+  let lifted kind a b =
+    match kind with
+    | Gate.Buf -> a
+    | Gate.Not -> V.lnot a
+    | Gate.And -> V.land_ a b
+    | Gate.Or -> V.lor_ a b
+    | Gate.Nand -> V.lnot (V.land_ a b)
+    | Gate.Nor -> V.lnot (V.lor_ a b)
+    | Gate.Xor -> V.lxor_ a b
+    | Gate.Xnor -> V.lnot (V.lxor_ a b)
+    | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> assert false
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let expected = lifted kind a b in
+              let name =
+                Printf.sprintf "%s %s %s" (Gate.kind_name kind) (V.to_string a)
+                  (V.to_string b)
+              in
+              check_bool name true (V.eval kind a b = expected);
+              check_bool (name ^ " table entry") true
+                (V.table.((25 * V.row kind) + (5 * V.index a) + V.index b) = expected))
+            values)
+        values)
+    [ Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor ];
+  List.iter
+    (fun kind ->
+      match V.eval kind V.One V.One with
+      | _ -> Alcotest.fail ("evaluated " ^ Gate.kind_name kind)
+      | exception Invalid_argument _ -> ())
+    [ Gate.Pi "a"; Gate.Const true; Gate.Dff false ]
+
 (* ------------------------------------------------------------------ *)
 (* Podem                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -97,9 +138,10 @@ let detects nl f p =
 
 let test_podem_finds_tests_full_adder () =
   let nl = full_adder () in
+  let podem = Podem.prepare nl in
   List.iter
     (fun f ->
-      match ok_exn (Podem.find_test nl f) with
+      match ok_exn (Podem.find_test podem f) with
       | Some p, _ ->
         check_bool
           (Printf.sprintf "test for %s detects" (Fault.to_string f))
@@ -114,7 +156,7 @@ let test_podem_untestable_redundant () =
      stem fault bb SA0 is the redundant one. *)
   let bb = Netlist.find_input nl "bb" in
   let f = { Fault.site = Fault.Stem bb; polarity = Fault.Stuck_at_0 } in
-  (match ok_exn (Podem.find_test nl f) with
+  (match ok_exn (Podem.find_test (Podem.prepare nl) f) with
    | None, _ -> ()
    | Some p, _ ->
      Alcotest.fail
@@ -124,7 +166,7 @@ let test_podem_untestable_redundant () =
 let test_podem_stats_populated () =
   let nl = full_adder () in
   let f = List.hd (Fault.full_list nl) in
-  let _, stats = ok_exn (Podem.find_test nl f) in
+  let _, stats = ok_exn (Podem.find_test (Podem.prepare nl) f) in
   check_bool "implications counted" true (stats.Podem.implications > 0)
 
 let test_podem_rejects_sequential () =
@@ -135,7 +177,7 @@ let test_podem_rejects_sequential () =
   B.output b "y" q;
   let nl = B.finalize b in
   (try
-     ignore (Podem.find_test nl { Fault.site = Fault.Stem x; polarity = Fault.Stuck_at_0 });
+     ignore (Podem.prepare nl);
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
 
@@ -145,10 +187,10 @@ let test_podem_rejects_sequential () =
    implications of the calls that finished. A change to PODEM's
    per-step work must leave every decision, and so every total, as it
    is. *)
-let search_totals nl faults guided =
+let search_totals podem faults guided =
   List.fold_left
     (fun (tests, untestable, aborted, bt, impl) f ->
-      match Podem.find_test ~backtrack_limit:2000 ~guided nl f with
+      match Podem.find_test ~backtrack_limit:2000 ~guided podem f with
       | Ok (Some _, s) ->
         (tests + 1, untestable, aborted, bt + s.Podem.backtracks, impl + s.Podem.implications)
       | Ok (None, s) ->
@@ -157,8 +199,9 @@ let search_totals nl faults guided =
     (0, 0, 0, 0, 0) faults
 
 let expect_search_path nl faults ~guided:g ~unguided:u =
+  let podem = Podem.prepare nl in
   let expect mode (tests, untestable, aborted, bt, impl) guided =
-    let t, un, a, b, i = search_totals nl faults guided in
+    let t, un, a, b, i = search_totals podem faults guided in
     check_int (mode ^ " tests") tests t;
     check_int (mode ^ " untestable") untestable un;
     check_int (mode ^ " aborted") aborted a;
@@ -193,14 +236,41 @@ let test_podem_search_path_b03 () =
     ~guided:(453, 115, 0, 813, 5_776)
     ~unguided:(453, 115, 0, 776, 5_700)
 
+(* One [prepared] value serves every call on its netlist: per-fault
+   results (test bits, proof or abort, and search stats) are the same
+   whether the faults run forward or in reverse through one shared
+   value or each through a fresh one, so no search state leaks between
+   calls. *)
+let test_podem_prepared_reuse () =
+  List.iter
+    (fun name ->
+      let nl, faults = registry_netlist name in
+      let outcome podem f =
+        match Podem.find_test ~backtrack_limit:200 podem f with
+        | Ok (Some p, s) ->
+          Printf.sprintf "test %s %d %d" (Pattern.to_string p) s.Podem.backtracks
+            s.Podem.implications
+        | Ok (None, s) ->
+          Printf.sprintf "untestable %d %d" s.Podem.backtracks s.Podem.implications
+        | Error e -> Mutsamp_robust.Error.to_string e
+      in
+      let fresh = List.map (fun f -> outcome (Podem.prepare nl) f) faults in
+      let shared = Podem.prepare nl in
+      let forward = List.map (outcome shared) faults in
+      let reverse = List.rev (List.map (outcome shared) (List.rev faults)) in
+      Alcotest.(check (list string)) (name ^ " forward") fresh forward;
+      Alcotest.(check (list string)) (name ^ " reverse") fresh reverse)
+    [ "c432"; "c499" ]
+
 (* ------------------------------------------------------------------ *)
 (* Satgen & cross-engine agreement                                    *)
 (* ------------------------------------------------------------------ *)
 
 let cross_check nl =
+  let prepared = Podem.prepare nl in
   List.iter
     (fun f ->
-      let podem = Podem.find_test nl f in
+      let podem = Podem.find_test prepared f in
       let sat = ok_exn (Satgen.generate nl f) in
       match podem, sat with
       | Ok (Some p, _), Satgen.Test q ->
@@ -491,9 +561,10 @@ let prop_podem_random_netlists =
     (QCheck.make QCheck.Gen.(int_range 0 1000000))
     (fun seed ->
       let nl = Test_engines.random_netlist ~dffs:false seed in
+      let podem = Podem.prepare nl in
       List.for_all
         (fun f ->
-          match Podem.find_test nl f, ok_exn (Satgen.generate nl f) with
+          match Podem.find_test podem f, ok_exn (Satgen.generate nl f) with
           | Ok (Some p, _), Satgen.Test _ -> detects nl f p
           | Ok (None, _), Satgen.Untestable | Error _, _ -> true
           | Ok _, _ ->
@@ -510,6 +581,7 @@ let suite =
         Alcotest.test_case "and table" `Quick test_fv_and_table;
         Alcotest.test_case "not/or/xor" `Quick test_fv_not_or_xor;
         Alcotest.test_case "gate eval" `Quick test_fv_gate_eval;
+        Alcotest.test_case "gate table = lifted definitions" `Quick test_fv_table_is_lifted;
       ] );
     ( "atpg.podem",
       [
@@ -520,6 +592,7 @@ let suite =
         Alcotest.test_case "search path (c432)" `Quick test_podem_search_path_c432;
         Alcotest.test_case "search path (c499)" `Quick test_podem_search_path_c499;
         Alcotest.test_case "search path (b03, full-scan)" `Quick test_podem_search_path_b03;
+        Alcotest.test_case "prepared data reused = fresh" `Quick test_podem_prepared_reuse;
       ] );
     ( "atpg.cross_engine",
       [

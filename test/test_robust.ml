@@ -169,11 +169,12 @@ let test_podem_budget () =
      spurious untestability proof. *)
   let nl = circuit "c499" in
   let faults = (Collapse.run nl).Collapse.representatives in
+  let podem = Podem.prepare nl in
   let budget_errors = ref 0 in
   List.iter
     (fun f ->
       let b = Budget.create ~podem_backtracks:0 () in
-      match Podem.find_test ~budget:b nl f with
+      match Podem.find_test ~budget:b podem f with
       | Ok (Some _, _) -> ()
       | Ok (None, _) -> Alcotest.fail "untestability 'proved' under a zero budget"
       | Error (Rerror.Budget_exhausted { stage = Rerror.Podem; _ }) ->
