@@ -1,23 +1,29 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes, read and written unboxed: a
+   mutable [int64] field would box every new state. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-(* splitmix64 finaliser: mix the incremented state to a well-distributed
-   64-bit output. *)
-let mix z =
+let copy = Bytes.copy
+
+(* Advance the state and mix it to a well-distributed 64-bit output
+   (the splitmix64 finaliser). Inlined into every draw below, so the
+   value stays unboxed until it becomes an [int], [bool] or [float]. *)
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
-
-let split t = { state = bits64 t }
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
