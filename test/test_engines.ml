@@ -18,7 +18,6 @@ module Program = Mutsamp_netlist.Program
 module Fault = Mutsamp_fault.Fault
 module Fsim = Mutsamp_fault.Fsim
 module Registry = Mutsamp_circuits.Registry
-module Pipeline = Mutsamp_core.Pipeline
 module Prpg = Mutsamp_atpg.Prpg
 module Ctx = Mutsamp_exec.Ctx
 module Pool = Mutsamp_exec.Pool
@@ -285,9 +284,8 @@ let with_jobs jobs f =
 let test_registry_all_engines_all_jobs () =
   List.iter
     (fun (e : Registry.entry) ->
-      let p = Pipeline.prepare (e.Registry.design ()) in
-      let nl = p.Pipeline.netlist in
-      let faults = p.Pipeline.faults in
+      let nl = Flow.synthesize (e.Registry.design ()) in
+      let faults = (Collapse.run nl).Collapse.representatives in
       let bits = Array.length nl.Netlist.input_nets in
       let length = if Netlist.num_dffs nl = 0 then 24 else 12 in
       let sequence = Prpg.uniform_sequence (Prng.create 7) ~bits ~length in
