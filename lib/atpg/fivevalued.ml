@@ -67,26 +67,33 @@ let row = function
    order. *)
 external index : t -> int = "%identity"
 
-(* Every gate kind over every operand pair, from the lifted definitions:
-   entry [25 * row kind + 5 * index a + index b]. Unary rows ignore
-   [b]. *)
+let lifted kind a b =
+  match kind with
+  | Gate.Buf -> a
+  | Gate.Not -> lnot a
+  | Gate.And -> land_ a b
+  | Gate.Or -> lor_ a b
+  | Gate.Nand -> lnot (land_ a b)
+  | Gate.Nor -> lnot (lor_ a b)
+  | Gate.Xor -> lxor_ a b
+  | Gate.Xnor -> lnot (lxor_ a b)
+  | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> assert false
+
+(* Every gate kind over every operand pair: entry
+   [25 * row kind + 5 * index a + index b]. Unary rows ignore [b]. *)
 let table =
-  let kinds =
-    [| Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor |]
-  in
-  let values = [| Zero; One; X; D; Dbar |] in
-  Array.init (Array.length kinds * 25) (fun k ->
-      let a = values.(k / 5 mod 5) and b = values.(k mod 5) in
-      match kinds.(k / 25) with
-      | Gate.Buf -> a
-      | Gate.Not -> lnot a
-      | Gate.And -> land_ a b
-      | Gate.Or -> lor_ a b
-      | Gate.Nand -> lnot (land_ a b)
-      | Gate.Nor -> lnot (lor_ a b)
-      | Gate.Xor -> lxor_ a b
-      | Gate.Xnor -> lnot (lxor_ a b)
-      | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> assert false)
+  let values = [ Zero; One; X; D; Dbar ] in
+  let t = Array.make (8 * 25) X in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b -> t.((25 * row kind) + (5 * index a) + index b) <- lifted kind a b)
+            values)
+        values)
+    [ Gate.Buf; Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor ];
+  t
 
 let eval kind a b = table.((25 * row kind) + (5 * index a) + index b)
 
