@@ -587,6 +587,60 @@ let registry_design name =
   | Some e -> e.Mutsamp_circuits.Registry.design ()
   | None -> Alcotest.failf "circuit %s not in registry" name
 
+(* A verdict and its witness as text: one line per stimulus cycle. *)
+let verdict_text buf v =
+  Buffer.add_string buf (Equivalence.verdict_name v);
+  (match v with
+   | Equivalence.Distinguished seq ->
+     List.iter
+       (fun stim ->
+         Buffer.add_char buf '\n';
+         List.iter
+           (fun (name, bits) -> Printf.bprintf buf " %s=%s" name (Bitvec.to_string bits))
+           stim)
+       seq
+   | Equivalence.Equivalent | Equivalence.Unknown -> ());
+  Buffer.add_string buf "\n--\n"
+
+let verdicts_digest d verdict =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter (fun m -> verdict_text buf (verdict m)) (Generate.all d);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Digests of every mutant's verdict and witness, in mutant order,
+   recorded from the search these tests were written against. A change
+   to the state search that moves a verdict, a witness cycle or the
+   order the codes are tried in changes them. *)
+let search_pins =
+  [
+    ("b01", "18403fd4d50705add0268a722704ea0d");
+    ("b02", "911be70b223d21f99aa56a6452cdcb6d");
+    ("b03", "01e95a353a62e25ae494bec79625389b");
+    ("b06", "d567aa42a711386f845ffb7c5d6e3aad");
+    ("b08", "511fcb42c220ad67ff39bb6e9175219a");
+    ("b09", "9687a4bb1165ba0ac711bb170a56e567");
+  ]
+
+let test_product_bfs_pinned () =
+  List.iter
+    (fun (name, digest) ->
+      let d = registry_design name in
+      Alcotest.(check string)
+        (name ^ " product BFS") digest
+        (verdicts_digest d (fun (m : Mutant.t) -> Equivalence.product_bfs d m.design)))
+    search_pins
+
+let test_exhaustive_pinned () =
+  let d = registry_design "c17" in
+  let oracle = Equivalence.make d in
+  check_bool "exhaustive regime" true (Equivalence.regime oracle = Equivalence.Exhaustive);
+  Alcotest.(check string)
+    "c17 exhaustive" "0b25971f43623b2d9146d8209e1fa8ac"
+    (verdicts_digest d (fun m ->
+         match Equivalence.decide oracle m with
+         | Ok v -> v
+         | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e)))
+
 (* c17 (5 input bits) takes the exhaustive sweep; its verdicts must
    match the SAT miter on the synthesized pair, mutant by mutant. *)
 let test_oracle_c17_agrees_with_sat () =
@@ -999,6 +1053,8 @@ let suite =
         Alcotest.test_case "c499 netlist check is sound" `Quick
           test_oracle_c499_structural_unsat;
         Alcotest.test_case "swapped outputs distinguished" `Quick test_equiv_swapped_outputs;
+        Alcotest.test_case "product bfs pinned" `Quick test_product_bfs_pinned;
+        Alcotest.test_case "exhaustive pinned" `Quick test_exhaustive_pinned;
       ] );
     ( "mutation.memo",
       [
