@@ -67,7 +67,7 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
     | Ok () -> false
     | Error _ -> true
   in
-  Trace.with_span "atpg"
+  Trace.with_span "topoff"
     ~attrs:[ ("generator", match generator with Use_podem -> "podem" | Use_sat -> "sat") ]
   @@ fun () ->
   Metrics.incr c_runs;

@@ -17,7 +17,6 @@ type slot = {
 type t = {
   sim_design : design;
   slots : (string, slot) Hashtbl.t;
-  widths : int array;
   values : int array;  (* per-cycle working values *)
   regs_cur : int array;  (* register file, indexed by slot *)
   regs_next : int array;
@@ -168,7 +167,6 @@ let create (d : design) =
         { slot_width = dc.width; slot_kind = dc.kind; slot_index = i })
     decls;
   let n = Array.length decls in
-  let widths = Array.map (fun (dc : decl) -> dc.width) decls in
   let pick f =
     Array.of_list (List.concat (List.mapi (fun i dc -> f (i, dc)) (Array.to_list decls)))
   in
@@ -206,7 +204,6 @@ let create (d : design) =
     {
       sim_design = d;
       slots;
-      widths;
       values = Array.make n 0;
       regs_cur = Array.make n 0;
       regs_next = Array.make n 0;
@@ -222,8 +219,6 @@ let create (d : design) =
   in
   Array.iteri (fun k slot -> t.regs_cur.(slot) <- t.reg_resets.(k)) t.reg_slots;
   t
-
-let design t = t.sim_design
 
 let reset t =
   Array.iteri (fun k slot -> t.regs_cur.(slot) <- t.reg_resets.(k)) t.reg_slots
@@ -264,31 +259,14 @@ let step t stimulus =
        (fun (name, slot, width) -> (name, Bitvec.make ~width t.values.(slot)))
        t.output_slots)
 
-let observe_regs t =
-  Array.to_list
-    (Array.map
-       (fun slot ->
-         let width = t.widths.(slot) in
-         let name =
-           Hashtbl.fold
-             (fun name s acc -> if s.slot_index = slot then name else acc)
-             t.slots ""
-         in
-         (name, Bitvec.make ~width t.regs_cur.(slot)))
-       t.reg_slots)
+let state t = Array.map (fun slot -> t.regs_cur.(slot)) t.reg_slots
 
-let set_regs t values =
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt t.slots name with
-      | Some { slot_kind = Reg _; slot_index; slot_width } ->
-        if Bitvec.width v <> slot_width then
-          fail "%s: register %s expects width %d, got %d" t.sim_design.name name
-            slot_width (Bitvec.width v);
-        t.regs_cur.(slot_index) <- Bitvec.to_int v
-      | Some _ -> fail "%s: %s is not a register" t.sim_design.name name
-      | None -> fail "%s: unknown register %s" t.sim_design.name name)
-    values
+let set_state t values =
+  if Array.length values <> Array.length t.reg_slots then
+    invalid_arg
+      (Printf.sprintf "Sim.set_state: %s has %d registers, got %d values" t.sim_design.name
+         (Array.length t.reg_slots) (Array.length values));
+  Array.iteri (fun k slot -> t.regs_cur.(slot) <- values.(k)) t.reg_slots
 
 let run d stimuli =
   let t = create d in

@@ -27,8 +27,6 @@ val create : Ast.design -> t
 (** Compile a design. Raises {!Sim_error} if the design is not
     elaborated (see {!Check.elaborate}). *)
 
-val design : t -> Ast.design
-
 val reset : t -> unit
 (** Return all registers to their reset values. *)
 
@@ -36,12 +34,15 @@ val step : t -> stimulus -> observation
 (** Advance one clock cycle. Raises {!Sim_error} on a missing or
     unknown input name, or a width mismatch. *)
 
-val observe_regs : t -> (string * Mutsamp_util.Bitvec.t) list
-(** Current register values (after the last [step]). *)
+val state : t -> int array
+(** The register values (after the last [step]), one per register in
+    declaration order. *)
 
-val set_regs : t -> (string * Mutsamp_util.Bitvec.t) list -> unit
-(** Force register values (used by state-space exploration). Raises
-    {!Sim_error} on an unknown register name or width mismatch. *)
+val set_state : t -> int array -> unit
+(** Overwrite the register values with an array laid out as {!state}
+    returns it, so the next [step] starts from that state (used by
+    state-space exploration). Raises [Invalid_argument] if the array's
+    length is not the number of registers. *)
 
 val run : Ast.design -> stimulus list -> observation list
 (** [create], [reset], then [step] through the whole stimulus. *)

@@ -37,30 +37,6 @@ let require_same_interface a b who =
   if not (same_interface a b) then
     invalid_arg (Printf.sprintf "Equivalence.%s: designs have different interfaces" who)
 
-let exhaustive_combinational ?(max_bits = 16) a b =
-  require_same_interface a b "exhaustive_combinational";
-  if not (Check.is_combinational a && Check.is_combinational b) then
-    invalid_arg "Equivalence.exhaustive_combinational: sequential design";
-  let bits = Stimuli.input_bits a in
-  if bits > max_bits then Unknown
-  else begin
-    let sim_a = Sim.create a and sim_b = Sim.create b in
-    let rec scan code =
-      if code >= 1 lsl bits then Equivalent
-      else
-        let stim = Stimuli.of_code a code in
-        let oa = Sim.step sim_a stim and ob = Sim.step sim_b stim in
-        if Sim.outputs_equal oa ob then scan (code + 1) else Distinguished [ stim ]
-    in
-    scan 0
-  end
-
-(* Joint state of the product machine: the register values of both
-   machines, encoded as integer lists (registers in declaration
-   order). *)
-let reg_key sim =
-  List.map (fun (_, v) -> Bitvec.to_int v) (Sim.observe_regs sim)
-
 (* Joint states {!product_bfs} visits before it gives up. *)
 let max_pairs = 65536
 
@@ -70,48 +46,45 @@ let product_bfs ?(max_bits = 12) a b =
   if bits > max_bits then Unknown
   else begin
     let sim_a = Sim.create a and sim_b = Sim.create b in
-    Sim.reset sim_a;
-    Sim.reset sim_b;
-    let initial = (reg_key sim_a, reg_key sim_b) in
-    let restore (ka, kb) =
-      let assign sim key =
-        let names = List.map fst (Sim.observe_regs sim) in
-        let widths =
-          List.map (fun (_, v) -> Bitvec.width v) (Sim.observe_regs sim)
-        in
-        Sim.set_regs sim
-          (List.map2
-             (fun (name, width) v -> (name, Bitvec.make ~width v))
-             (List.combine names widths)
-             key)
-      in
-      assign sim_a ka;
-      assign sim_b kb
-    in
+    (* A joint state is the two register files; a register-free pair
+       has one. *)
+    let joint () = (Sim.state sim_a, Sim.state sim_b) in
+    let initial = joint () in
     let visited = Hashtbl.create 1024 in
     Hashtbl.replace visited initial ([] : Sim.stimulus list);
     let queue = Queue.create () in
     Queue.push initial queue;
-    let stimuli = List.init (1 lsl bits) (Stimuli.of_code a) in
+    (* Each code's stimulus, built the first time it is tried, so a
+       search that stops early builds only the codes it reached. *)
+    let stimuli = Array.make (1 lsl bits) None in
+    let stimulus code =
+      match stimuli.(code) with
+      | Some stim -> stim
+      | None ->
+        let stim = Stimuli.of_code a code in
+        stimuli.(code) <- Some stim;
+        stim
+    in
     let exception Found of Sim.stimulus list in
     let exception Budget in
     try
       while not (Queue.is_empty queue) do
-        let state = Queue.pop queue in
+        let ((state_a, state_b) as state) = Queue.pop queue in
         let path_rev = Hashtbl.find visited state in
-        List.iter
-          (fun stim ->
-            restore state;
-            let oa = Sim.step sim_a stim and ob = Sim.step sim_b stim in
-            if not (Sim.outputs_equal oa ob) then
-              raise (Found (List.rev (stim :: path_rev)));
-            let next = (reg_key sim_a, reg_key sim_b) in
-            if not (Hashtbl.mem visited next) then begin
-              if Hashtbl.length visited >= max_pairs then raise Budget;
-              Hashtbl.replace visited next (stim :: path_rev);
-              Queue.push next queue
-            end)
-          stimuli
+        for code = 0 to (1 lsl bits) - 1 do
+          let stim = stimulus code in
+          Sim.set_state sim_a state_a;
+          Sim.set_state sim_b state_b;
+          let oa = Sim.step sim_a stim and ob = Sim.step sim_b stim in
+          if not (Sim.outputs_equal oa ob) then
+            raise (Found (List.rev (stim :: path_rev)));
+          let next = joint () in
+          if not (Hashtbl.mem visited next) then begin
+            if Hashtbl.length visited >= max_pairs then raise Budget;
+            Hashtbl.replace visited next (stim :: path_rev);
+            Queue.push next queue
+          end
+        done
       done;
       Equivalent
     with
@@ -184,7 +157,7 @@ let solve ?budget t reference netlist =
 (* A verdict, and whether {!same_netlist} settled it with no solve. *)
 let compute ?budget t mutant =
   match t.regime with
-  | Exhaustive -> (Ok (exhaustive_combinational t.design mutant), false)
+  | Exhaustive -> (Ok (product_bfs ~max_bits:16 t.design mutant), false)
   | Product -> (Ok (product_bfs t.design mutant), false)
   | Miter -> (
     match t.reference with

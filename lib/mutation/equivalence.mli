@@ -6,8 +6,10 @@
 
     - sequential designs: {!product_bfs} with its default limits (12
       input bits per cycle, 65536 joint states);
-    - combinational designs with at most 16 input bits:
-      {!exhaustive_combinational};
+    - combinational designs with at most 16 input bits: {!product_bfs}
+      with 16 input bits. A register-free pair has one joint state, so
+      the search tries every input code in order from it and stops at
+      the first that tells the designs apart;
     - wider combinational designs: the SAT miter
       ({!Mutsamp_sat.Equiv.check}) between the reference netlist and
       the synthesized mutant; a model maps back to one word-level
@@ -23,16 +25,8 @@
     ask it. The exhaustive regime spends no [Sat_conflicts] and counts
     no [sat.solves]; a mutant that fails to synthesize is [Unknown].
 
-    The two simulation engines stay exported for direct use:
-
-    - {!exhaustive_combinational}: truth-table comparison, exact for
-      register-free designs whose input space fits the bit budget;
-    - {!product_bfs}: breadth-first exploration of the product machine
-      from the joint reset state, exact for sequential designs whose
-      reachable product state space and per-cycle input space fit the
-      budgets. The counterexample it returns is a shortest
-      distinguishing sequence, which doubles as a directed
-      mutant-killing test. *)
+    The simulation engine, {!product_bfs}, stays exported for direct
+    use. *)
 
 type verdict =
   | Equivalent
@@ -42,20 +36,21 @@ type verdict =
 
 val verdict_name : verdict -> string
 
-val exhaustive_combinational :
-  ?max_bits:int -> Mutsamp_hdl.Ast.design -> Mutsamp_hdl.Ast.design -> verdict
-(** Compare truth tables. [max_bits] (default 16) bounds the input
-    space at [2^max_bits] vectors; wider designs yield {!Unknown}.
-    Raises [Invalid_argument] if either design has registers or the
-    interfaces differ. *)
-
 val product_bfs :
   ?max_bits:int ->
   Mutsamp_hdl.Ast.design ->
   Mutsamp_hdl.Ast.design ->
   verdict
-(** Explore the product machine, visiting at most 65536 joint states;
-    [max_bits] (default 12) bounds the per-cycle input space. Raises [Invalid_argument] if the interfaces differ. *)
+(** Breadth-first exploration of the product machine from the joint
+    reset state. A joint state is the two designs' register values
+    ({!Mutsamp_hdl.Sim.state}); from each state the search tries every
+    input code in order, and builds a code's stimulus the first time it
+    tries it. Exact for designs whose reachable joint states (at most
+    65536 are visited) and per-cycle input space ([max_bits], default
+    12) fit the budgets; beyond either it yields {!Unknown}. The
+    counterexample it returns is a shortest distinguishing sequence,
+    which doubles as a directed mutant-killing test. Raises
+    [Invalid_argument] if the interfaces differ. *)
 
 type t
 (** A prepared oracle for one reference design. Safe to share across
@@ -68,7 +63,7 @@ val make : Mutsamp_hdl.Ast.design -> t
     always comes from this reference. *)
 
 type regime =
-  | Exhaustive  (** {!exhaustive_combinational} *)
+  | Exhaustive  (** {!product_bfs} over at most 16 input bits *)
   | Product  (** {!product_bfs} *)
   | Miter  (** SAT miter over the synthesized pair *)
 

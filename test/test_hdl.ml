@@ -515,6 +515,39 @@ let test_sim_reset_restores () =
   let o = Sim.step t [ ("en", bv 1 0) ] in
   check_int "back to reset" 0 (Bitvec.to_int (List.assoc "q" o))
 
+(* The register file read and written back: a saved state, restored
+   after further steps, steps exactly as it did when saved. *)
+let test_sim_state_roundtrip () =
+  let d = parse_design counter_src in
+  let t = Sim.create d in
+  let en = [ ("en", bv 1 1) ] in
+  let q_of obs = Bitvec.to_int (List.assoc "q" obs) in
+  Alcotest.(check (array int)) "reset state" [| 0 |] (Sim.state t);
+  ignore (Sim.step t en);
+  ignore (Sim.step t en);
+  let saved = Sim.state t in
+  Alcotest.(check (array int)) "after two steps" [| 2 |] saved;
+  ignore (Sim.step t en);
+  ignore (Sim.step t en);
+  Sim.set_state t saved;
+  Alcotest.(check (array int)) "restored" saved (Sim.state t);
+  check_int "steps from the restored state" 2 (q_of (Sim.step t en));
+  Sim.set_state t [| 7 |];
+  let o = Sim.step t en in
+  check_int "q from a written state" 7 (q_of o);
+  check_int "wraps from a written state" 1 (Bitvec.to_int (List.assoc "wrap" o));
+  Alcotest.(check (array int)) "next state" [| 0 |] (Sim.state t)
+
+let test_sim_set_state_wrong_length () =
+  let t = Sim.create (parse_design counter_src) in
+  List.iter
+    (fun values ->
+      match Sim.set_state t values with
+      | () -> Alcotest.fail "should reject a wrong-length state"
+      | exception Invalid_argument _ -> ())
+    [ [||]; [| 1; 2 |] ];
+  Alcotest.(check (array int)) "state untouched" [| 0 |] (Sim.state t)
+
 let test_sim_rejects_unelaborated () =
   let raw = design_of_string counter_src in
   (try
@@ -573,6 +606,8 @@ let suite =
         Alcotest.test_case "unknown input" `Quick test_sim_unknown_input;
         Alcotest.test_case "majority truth table" `Quick test_sim_major_truth_table;
         Alcotest.test_case "reset restores" `Quick test_sim_reset_restores;
+        Alcotest.test_case "state round trip" `Quick test_sim_state_roundtrip;
+        Alcotest.test_case "set_state wrong length" `Quick test_sim_set_state_wrong_length;
         Alcotest.test_case "rejects unelaborated" `Quick test_sim_rejects_unelaborated;
         q (prop_sim_matches_reference 4);
         q (prop_sim_matches_reference 1);

@@ -426,7 +426,7 @@ let test_kill_matches_sim (entry : Registry.entry) () =
 
 let test_equiv_self () =
   let d = parse and_gate_src in
-  (match Equivalence.exhaustive_combinational d d with
+  (match Equivalence.product_bfs ~max_bits:16 d d with
    | Equivalence.Equivalent -> ()
    | v -> Alcotest.fail ("self not equivalent: " ^ Equivalence.verdict_name v))
 
@@ -442,7 +442,7 @@ begin
   y := a or b;
 end design;|}
   in
-  (match Equivalence.exhaustive_combinational d d_or with
+  (match Equivalence.product_bfs ~max_bits:16 d d_or with
    | Equivalence.Distinguished [ stim ] ->
      (* The counterexample really distinguishes the two designs. *)
      let oa = List.concat (Sim.run d [ stim ]) in
@@ -475,7 +475,7 @@ let test_equiv_budget_unknown () =
       {|design w is input a : unsigned(30); output y : bit;
         begin y := a[0]; end design;|}
   in
-  (match Equivalence.exhaustive_combinational ~max_bits:16 wide wide with
+  (match Equivalence.product_bfs ~max_bits:16 wide wide with
    | Equivalence.Unknown -> ()
    | v -> Alcotest.fail ("expected unknown: " ^ Equivalence.verdict_name v))
 

@@ -582,6 +582,28 @@ let test_pipeline_prepare_spans () =
       (List.mem_assoc "faults" prepare.Trace.attrs)
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
+(* The atpg command runs under a root span named after it; Topoff's own
+   span must not share that name, or the profile counts it twice. *)
+let test_atpg_command_span_once () =
+  Trace.set_enabled true;
+  Trace.reset ();
+  let (_ : string) =
+    Trace.with_span "atpg" (fun () ->
+        Mutsamp_serve.Jobs.atpg ~ctx:Mutsamp_exec.Ctx.default ~circuit:"c17"
+          ~generator:"podem" ~seed:1)
+  in
+  let count name =
+    match
+      List.find_opt
+        (fun (r : Profile.row) -> r.Profile.name = name)
+        (Profile.of_spans (Trace.roots ())).Profile.rows
+    with
+    | Some r -> r.Profile.count
+    | None -> 0
+  in
+  Alcotest.(check int) "atpg spans" 1 (count "atpg");
+  Alcotest.(check int) "topoff spans" 1 (count "topoff")
+
 let test_pipeline_fsim_counters () =
   Metrics.set_enabled true;
   Metrics.reset ();
@@ -644,5 +666,7 @@ let suite =
           (with_clean_obs test_pipeline_prepare_spans);
         Alcotest.test_case "pipeline fsim counters" `Quick
           (with_clean_obs test_pipeline_fsim_counters);
+        Alcotest.test_case "atpg command span once" `Quick
+          (with_clean_obs test_atpg_command_span_once);
       ] );
   ]
