@@ -284,6 +284,26 @@ let cross_check nl =
         Alcotest.fail ("engines disagree (sat testable): " ^ Fault.to_string f))
     (Fault.full_list nl)
 
+(* SAT-ATPG's patterns, pinned: one line per collapsed fault (the test
+   pattern, or "untestable"), digested. A pattern is the solver's model
+   of the miter inputs, so a change to the miter's encoding or to how
+   a model becomes a pattern moves it. *)
+let test_satgen_pinned () =
+  List.iter
+    (fun (name, scan, digest) ->
+      let nl, faults = registry_netlist ~scan name in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun f ->
+          (match ok_exn (Satgen.generate nl f) with
+           | Satgen.Test p -> Buffer.add_string buf (Pattern.to_string p)
+           | Satgen.Untestable -> Buffer.add_string buf "untestable");
+          Buffer.add_char buf '\n')
+        faults;
+      Alcotest.(check string) (name ^ " patterns") digest
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [ ("c432", false, "9d6d8af12cfa7c95b301a17bd0a6e1dd"); ("b03", true, "5c66606bd3ee1cae7a2b5c33596dab92") ]
+
 let test_engines_agree_full_adder () = cross_check (full_adder ())
 
 let test_engines_agree_redundant () = cross_check (redundant_netlist ())
@@ -597,6 +617,7 @@ let suite =
     ( "atpg.cross_engine",
       [
         Alcotest.test_case "agree on full adder" `Quick test_engines_agree_full_adder;
+        Alcotest.test_case "sat patterns pinned" `Quick test_satgen_pinned;
         Alcotest.test_case "agree on redundant" `Quick test_engines_agree_redundant;
         Alcotest.test_case "agree on alu" `Quick test_engines_agree_alu;
         q prop_podem_random_netlists;

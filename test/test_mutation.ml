@@ -602,9 +602,9 @@ let verdict_text buf v =
    | Equivalence.Equivalent | Equivalence.Unknown -> ());
   Buffer.add_string buf "\n--\n"
 
-let verdicts_digest d verdict =
+let verdicts_digest ?(first = max_int) d verdict =
   let buf = Buffer.create (1 lsl 16) in
-  List.iter (fun m -> verdict_text buf (verdict m)) (Generate.all d);
+  List.iteri (fun i m -> if i < first then verdict_text buf (verdict m)) (Generate.all d);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Digests of every mutant's verdict and witness, in mutant order,
@@ -640,6 +640,26 @@ let test_exhaustive_pinned () =
          match Equivalence.decide oracle m with
          | Ok v -> v
          | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e)))
+
+(* The miter regime, pinned the same way: every c432 mutant and the
+   first 96 of c499's, each decided by its design's oracle. A witness
+   is the solver's model read back as a stimulus, so a change to the
+   miter's encoding (which variables and clauses it creates, in which
+   order) or to how a model maps back to the design's inputs moves
+   them. *)
+let test_miter_pinned () =
+  List.iter
+    (fun (name, first, digest) ->
+      let d = registry_design name in
+      let oracle = Equivalence.make d in
+      check_bool (name ^ " miter regime") true (Equivalence.regime oracle = Equivalence.Miter);
+      Alcotest.(check string)
+        (name ^ " miter") digest
+        (verdicts_digest ~first d (fun m ->
+             match Equivalence.decide oracle m with
+             | Ok v -> v
+             | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))))
+    [ ("c432", max_int, "706ed6f7d5d2fc7dd2811901620c908b"); ("c499", 96, "745c71208122eec0eb44c91523662db6") ]
 
 (* c17 (5 input bits) takes the exhaustive sweep; its verdicts must
    match the SAT miter on the synthesized pair, mutant by mutant. *)
@@ -1055,6 +1075,7 @@ let suite =
         Alcotest.test_case "swapped outputs distinguished" `Quick test_equiv_swapped_outputs;
         Alcotest.test_case "product bfs pinned" `Quick test_product_bfs_pinned;
         Alcotest.test_case "exhaustive pinned" `Quick test_exhaustive_pinned;
+        Alcotest.test_case "miter pinned" `Quick test_miter_pinned;
       ] );
     ( "mutation.memo",
       [
