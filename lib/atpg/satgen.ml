@@ -1,5 +1,4 @@
 module Netlist = Mutsamp_netlist.Netlist
-module Fault = Mutsamp_fault.Fault
 module Inject = Mutsamp_fault.Inject
 module Equiv = Mutsamp_sat.Equiv
 
@@ -12,5 +11,6 @@ let generate ?budget nl fault =
   match Equiv.check ?budget nl faulty with
   | Error e -> Error e
   | Ok Equiv.Equivalent -> Ok Untestable
-  | Ok (Equiv.Counterexample assignment) -> Ok (Test (Mutsamp_fault.Pattern.of_bits nl assignment))
+  | Ok (Equiv.Counterexample bits) ->
+    Ok (Test (Mutsamp_fault.Pattern.init ~inputs:(Array.length bits) (Array.get bits)))
 

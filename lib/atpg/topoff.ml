@@ -54,11 +54,14 @@ let surviving ~ctx nl faults patterns =
 (* Random batches in a row without a new detection that end phase 2. *)
 let random_stall = 4
 
+(* Backtracks each PODEM call of phase 3 may take. *)
+let backtrack_limit = 2000
+
 (* Random fallback rounds after a budget cut of phase 3. *)
 let fallback_rounds = 3
 
 let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
-    ?(backtrack_limit = 2000) ?(ctx = Ctx.default) nl ~faults ~seed_patterns =
+    ?(ctx = Ctx.default) nl ~faults ~seed_patterns =
   if Netlist.num_dffs nl > 0 then
     invalid_arg "Topoff.run: sequential netlist (apply Scan.full_scan first)";
   let budget = Ctx.budget ctx in

@@ -36,7 +36,6 @@ val run :
   ?generator:generator ->
   ?random_budget:int ->
   ?seed:int ->
-  ?backtrack_limit:int ->
   ?ctx:Mutsamp_exec.Ctx.t ->
   Mutsamp_netlist.Netlist.t ->
   faults:Mutsamp_fault.Fault.t list ->
@@ -51,8 +50,8 @@ val run :
     [random_budget] patterns (default 4096) have been applied. Every
     deterministic test is fault-simulated against the remaining faults
     so one ATPG call can cover several faults.
-    [backtrack_limit] (default 2000) bounds each PODEM call; exhausted
-    budgets are reported as [aborted]. XOR-dominated circuits are
+    Each PODEM call may take 2000 backtracks; a call that runs out
+    reports its fault as [aborted]. XOR-dominated circuits are
     PODEM's worst case — prefer [Use_sat] there.
 
     Phase 3 targets the remaining faults in their given order, one

@@ -1,12 +1,9 @@
 module Ast = Mutsamp_hdl.Ast
-module Sim = Mutsamp_hdl.Sim
 module Check = Mutsamp_hdl.Check
 module Stimuli = Mutsamp_hdl.Stimuli
-module Bitvec = Mutsamp_util.Bitvec
 module Prng = Mutsamp_util.Prng
 module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
-module Lower = Mutsamp_synth.Lower
 module Mapping = Mutsamp_synth.Mapping
 module Flow = Mutsamp_synth.Flow
 module Fault = Mutsamp_fault.Fault
@@ -96,17 +93,9 @@ let prepare design =
   }
 
 let pattern_of_stimulus t stimulus =
-  let bits =
-    List.concat_map
-      (fun (dc : Ast.decl) ->
-        match List.assoc_opt dc.name stimulus with
-        | None -> invalid_arg ("Pipeline.pattern_of_stimulus: missing input " ^ dc.name)
-        | Some bv ->
-          List.init dc.width (fun i ->
-              (Lower.bit_name dc.name dc.width i, Bitvec.bit bv i)))
-      (Ast.inputs t.design)
-  in
-  Mutsamp_fault.Pattern.of_bits t.netlist bits
+  let p = Mutsamp_fault.Pattern.zero ~inputs:(Mutsamp_fault.Pattern.num_inputs t.netlist) in
+  Mapping.set_inputs t.mapping stimulus (fun k -> Mutsamp_fault.Pattern.set p k true);
+  p
 
 let patterns_of_sequences t sequences =
   Array.of_list (List.map (pattern_of_stimulus t) (List.concat sequences))

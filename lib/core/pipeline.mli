@@ -1,5 +1,5 @@
 (** The prepared form of one benchmark: behavioural design, synthesised
-    netlist, port mapping, collapsed fault list and mutant population —
+    netlist, its port map, collapsed fault list and mutant population —
     everything the experiments consume. Also the conversions between
     word-level validation data and the structural tools' pattern
     codes. *)
@@ -24,7 +24,10 @@ val hashes : t -> Cache.hashes
     cells on several worker domains may ask for it at once. *)
 
 val pattern_of_stimulus : t -> Mutsamp_hdl.Sim.stimulus -> Mutsamp_fault.Pattern.t
-(** Pattern over the netlist's bit-level inputs. *)
+(** Pattern over the netlist's bit-level inputs: bit [k] is the
+    stimulus bit that [mapping] places on input position [k]. Raises
+    {!Mutsamp_synth.Mapping.Mapping_error} on a malformed stimulus (see
+    {!Mutsamp_synth.Mapping.set_inputs}). *)
 
 val patterns_of_sequences :
   t -> Mutsamp_hdl.Sim.stimulus list list -> Mutsamp_fault.Pattern.t array

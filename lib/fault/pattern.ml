@@ -1,5 +1,4 @@
 module Packvec = Mutsamp_util.Packvec
-module Prng = Mutsamp_util.Prng
 module Netlist = Mutsamp_netlist.Netlist
 
 type t = Packvec.t
@@ -16,10 +15,3 @@ let equal = Packvec.equal
 let random prng ~inputs = Packvec.random prng inputs
 let to_string = Packvec.to_string
 let pp = Packvec.pp
-
-let of_bits nl bits =
-  let names = Netlist.input_names nl in
-  init ~inputs:(Array.length names) (fun k ->
-      match List.assoc_opt names.(k) bits with
-      | Some b -> b
-      | None -> false)

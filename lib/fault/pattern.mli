@@ -26,9 +26,5 @@ val equal : t -> t -> bool
 
 val random : Mutsamp_util.Prng.t -> inputs:int -> t
 
-val of_bits : Mutsamp_netlist.Netlist.t -> (string * bool) list -> t
-(** Build a pattern from named input bits (missing names default to
-    0). *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

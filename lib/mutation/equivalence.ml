@@ -2,10 +2,10 @@ module Ast = Mutsamp_hdl.Ast
 module Sim = Mutsamp_hdl.Sim
 module Stimuli = Mutsamp_hdl.Stimuli
 module Check = Mutsamp_hdl.Check
-module Bitvec = Mutsamp_util.Bitvec
 module Netlist = Mutsamp_netlist.Netlist
 module Flow = Mutsamp_synth.Flow
 module Lower = Mutsamp_synth.Lower
+module Mapping = Mutsamp_synth.Mapping
 module Equiv = Mutsamp_sat.Equiv
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
@@ -99,9 +99,9 @@ type regime = Exhaustive | Product | Miter
 type t = {
   design : Ast.design;
   regime : regime;
-  reference : Netlist.t option;
-      (* the miter's reference netlist; [None] off the miter, or when
-         the design fails to synthesize *)
+  reference : Mapping.t option;
+      (* the miter's reference netlist and its port map; [None] off the
+         miter, or when the design fails to synthesize *)
 }
 
 (* Mutation rewrites statements, never declarations, so every mutant
@@ -117,25 +117,11 @@ let make design =
   in
   let reference =
     if regime <> Miter then None
-    else try Some (Flow.synthesize design) with Lower.Synth_error _ -> None
+    else try Some (snd (Flow.synthesize_mapped design)) with Lower.Synth_error _ -> None
   in
   { design; regime; reference }
 
 let regime t = t.regime
-
-(* Map a bit-level SAT counterexample back to one word-level stimulus
-   cycle: bit [i] of input [name] is the miter PI [Lower.bit_name]. *)
-let stimulus_of_assignment design bits =
-  List.map
-    (fun (d : Ast.decl) ->
-      let v = ref (Bitvec.make ~width:d.width 0) in
-      for i = 0 to d.width - 1 do
-        match List.assoc_opt (Lower.bit_name d.name d.width i) bits with
-        | Some true -> v := Bitvec.set_bit !v i true
-        | Some false | None -> ()
-      done;
-      (d.name, !v))
-    (Ast.inputs design)
 
 (* Gate for gate the same netlist, ports included; the name is left
    out. Equal netlists compute the same function, so their miter is
@@ -146,11 +132,13 @@ let same_netlist (a : Netlist.t) (b : Netlist.t) =
 
 let budget_or_ambient = function Some b -> b | None -> Budget.ambient ()
 
-let solve ?budget t reference netlist =
-  match Equiv.check ?budget reference netlist with
+(* A counterexample gives one value per input position of the
+   reference netlist; its port map reads it back as one stimulus. *)
+let solve ?budget mapping netlist =
+  match Equiv.check ?budget (Mapping.netlist mapping) netlist with
   | Ok Equiv.Equivalent -> Ok Equivalent
   | Ok (Equiv.Counterexample bits) ->
-    Ok (Distinguished [ stimulus_of_assignment t.design bits ])
+    Ok (Distinguished [ Mapping.stimulus_of_inputs mapping (Array.get bits) ])
   | Error e -> Error e
   | exception Equiv.Equiv_error _ -> Ok Unknown
 
@@ -162,14 +150,14 @@ let compute ?budget t mutant =
   | Miter -> (
     match t.reference with
     | None -> (Ok Unknown, false)
-    | Some reference -> (
+    | Some mapping -> (
       match Flow.synthesize mutant with
       | exception Lower.Synth_error _ -> (Ok Unknown, false)
-      | netlist when same_netlist reference netlist ->
+      | netlist when same_netlist (Mapping.netlist mapping) netlist ->
         let r = Budget.check_deadline (budget_or_ambient budget) ~stage:Rerror.Sat in
         if Result.is_ok r then Metrics.incr c_structural;
         (Result.map (fun () -> Equivalent) r, true)
-      | netlist -> (solve ?budget t reference netlist, false)))
+      | netlist -> (solve ?budget mapping netlist, false)))
 
 (* A kept verdict, where returning it matches a fresh decide; [None]
    sends the decide to {!compute}. Off the miter nothing is spent. A

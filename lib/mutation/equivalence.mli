@@ -12,8 +12,9 @@
       the first that tells the designs apart;
     - wider combinational designs: the SAT miter
       ({!Mutsamp_sat.Equiv.check}) between the reference netlist and
-      the synthesized mutant; a model maps back to one word-level
-      stimulus. Before the miter is built, the two netlists are
+      the synthesized mutant; a model gives one value per input
+      position, and the reference's {!Mutsamp_synth.Mapping} reads it
+      back as one word-level stimulus. Before the miter is built, the two netlists are
       compared: equal gates (kinds and fanins), input nets, outputs
       (names and nets) and flip-flop nets, the name left out, settle
       the mutant [Equivalent] with no solve, counted under

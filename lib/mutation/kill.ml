@@ -1,6 +1,5 @@
 module Sim = Mutsamp_hdl.Sim
 module Ast = Mutsamp_hdl.Ast
-module Bitvec = Mutsamp_util.Bitvec
 module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
 module Rerror = Mutsamp_robust.Error
@@ -8,7 +7,7 @@ module Budget = Mutsamp_robust.Budget
 module Chaos = Mutsamp_robust.Chaos
 module Degrade = Mutsamp_robust.Degrade
 module Ctx = Mutsamp_exec.Ctx
-module Lower = Mutsamp_synth.Lower
+module Mapping = Mutsamp_synth.Mapping
 module Netlist = Mutsamp_netlist.Netlist
 module Program = Mutsamp_netlist.Program
 
@@ -27,38 +26,23 @@ let lanes = Program.lanes
 
 type t = {
   original : Ast.design;
+  mapping : Mapping.t;  (* the original's port map *)
   mutants : Mutant.t array;
   reference : Program.t;
   programs : Program.t array;
   words : int;  (* scratch words covering every program *)
-  ports : (string * int * int) array;  (* input name, width, first bit *)
 }
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Lower.Synth_error msg)) fmt
-
-(* Port bit names in declaration order: inputs, then outputs. *)
-let port_bits (design : Ast.design) =
-  let bits decls =
-    Array.of_list
-      (List.concat_map
-         (fun (dc : Ast.decl) -> List.init dc.width (Lower.bit_name dc.name dc.width))
-         decls)
-  in
-  (bits (Ast.inputs design), bits (Ast.outputs design))
-
-(* Synthesize and flatten. Every design of a runner reads the same
-   packed input words and is compared output bit by output bit, so the
-   netlist's ports must be the design's port bits in declaration order
-   (the pair [port_bits] gives), as synthesis emits them. *)
-let compile (design : Ast.design) (inputs, outputs) =
+(* Synthesize and flatten a mutant. Every design of a runner reads the
+   same packed input words and is compared output bit by output bit,
+   so the mutant's netlist must have the original netlist's port names,
+   in order. *)
+let compile (design : Ast.design) ports =
   let nl = Mutsamp_synth.Flow.synthesize design in
-  let check what expected names =
-    if names <> expected then
-      fail "%s: netlist %s are not the design's port bits in declaration order"
-        design.Ast.name what
-  in
-  check "inputs" inputs (Netlist.input_names nl);
-  check "outputs" outputs (Array.map fst nl.Netlist.output_list);
+  if Netlist.port_names nl <> ports then
+    raise
+      (Mapping.Mapping_error
+         (design.Ast.name ^ ": netlist ports are not the original netlist's, in order"));
   Program.of_netlist nl
 
 (* The mutant's program from its write-once slot, and whether this call
@@ -76,7 +60,7 @@ let program (m : Mutant.t) ports =
         match Atomic.get m.Mutant.program with
         | Some p -> (p, false)
         | None ->
-          let p = compile m.Mutant.design (Lazy.force ports) in
+          let p = compile m.Mutant.design ports in
           Atomic.set m.Mutant.program (Some p);
           Metrics.incr c_compiled;
           (p, true))
@@ -84,41 +68,27 @@ let program (m : Mutant.t) ports =
 let make original ms =
   let mutants = Array.of_list ms in
   Trace.with_span "kill.compile" @@ fun () ->
-  (* Mutation rewrites statements, never declarations, so a mutant that
-     shares the original's declaration list has the original's port
-     bits; any other design gets its own. *)
-  let ports = port_bits original in
-  let reference = compile original ports in
+  let nl, mapping = Mutsamp_synth.Flow.synthesize_mapped original in
+  let reference = Program.of_netlist nl in
+  let ports = Netlist.port_names nl in
   let built = ref 0 in
   let programs =
     Array.map
       (fun (m : Mutant.t) ->
-        let own =
-          if m.design.Ast.decls == original.Ast.decls then Lazy.from_val ports
-          else lazy (port_bits m.design)
-        in
-        let p, fresh = program m own in
+        let p, fresh = program m ports in
         if fresh then incr built;
-        if Program.input_bits p <> Program.input_bits reference
-           || Program.output_bits p <> Program.output_bits reference
-        then invalid_arg "Kill.make: mutant ports differ from the original's";
         p)
       mutants
   in
   Trace.add_attr "mutants" (string_of_int (Array.length mutants));
   Trace.add_attr "compiled" (string_of_int !built);
-  let ports, _ =
-    List.fold_left
-      (fun (acc, k) (dc : Ast.decl) -> ((dc.name, dc.width, k) :: acc, k + dc.width))
-      ([], 0) (Ast.inputs original)
-  in
   {
     original;
+    mapping;
     mutants;
     reference;
     programs;
     words = Array.fold_left (fun m p -> max m (Program.words p)) (Program.words reference) programs;
-    ports = Array.of_list (List.rev ports);
   }
 
 let original t = t.original
@@ -135,30 +105,6 @@ type frame = {
   expected : int array;  (* the original's output words, cycle-major *)
 }
 
-let sim_error fmt = Printf.ksprintf (fun msg -> raise (Sim.Sim_error msg)) fmt
-
-(* Set lane [lane]'s input bits of one cycle, checking the stimulus the
-   way [Sim.step] does. *)
-let pack_stimulus t words pos lane (stim : Sim.stimulus) =
-  let name = t.original.Ast.name in
-  Array.iter
-    (fun (port, width, first) ->
-      match List.assoc_opt port stim with
-      | None -> sim_error "%s: missing input %s" name port
-      | Some v ->
-        if Bitvec.width v <> width then
-          sim_error "%s: input %s expects width %d, got %d" name port width (Bitvec.width v);
-        for i = 0 to width - 1 do
-          if Bitvec.bit v i then
-            words.(pos + first + i) <- words.(pos + first + i) lor (1 lsl lane)
-        done)
-    t.ports;
-  List.iter
-    (fun (port, _) ->
-      if not (Array.exists (fun (p, _, _) -> String.equal p port) t.ports) then
-        sim_error "%s: stimulus names non-input %s" name port)
-    stim
-
 (* Pack up to [lanes] sequences and replay the original over them. *)
 let frame t (seqs : Sim.stimulus list array) =
   let count = Array.length seqs in
@@ -174,7 +120,9 @@ let frame t (seqs : Sim.stimulus list array) =
       Array.iteri
         (fun c stim ->
           running.(c) <- running.(c) lor (1 lsl lane);
-          pack_stimulus t inputs (c * n_in) lane stim)
+          let pos = c * n_in in
+          Mapping.set_inputs t.mapping stim (fun k ->
+              inputs.(pos + k) <- inputs.(pos + k) lor (1 lsl lane)))
         seq)
     seqs;
   let v = Array.make t.words 0 in

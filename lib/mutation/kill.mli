@@ -8,9 +8,11 @@
     {!Mutsamp_netlist.Program}: the synthesized netlist flattened to one
     int per gate, evaluated over native-int words of {!lanes} lanes.
     The program reads input bits and writes output bits in the
-    netlist's port order, so a design is compiled only when that order
-    is the design's port bits in declaration order, as synthesis emits
-    them. A block of up to 63 sequences
+    netlist's port order. The original's {!Mutsamp_synth.Mapping} places
+    each stimulus on those input positions, and a mutant is compiled
+    only when its netlist has the original netlist's input and output
+    names, in order, so every program reads the same input words and
+    its outputs compare bit for bit. A block of up to 63 sequences
     runs in one pass, one sequence per lane, each lane from reset; the
     original's outputs are computed once per block and every mutant is
     compared against them lane by lane. Sequences of different lengths
@@ -28,8 +30,10 @@ type t
 val make : Mutsamp_hdl.Ast.design -> Mutant.t list -> t
 (** Compile the original and every mutant not compiled yet, under one
     [kill.compile] trace span. Raises {!Mutsamp_synth.Lower.Synth_error}
-    when a design does not synthesize (an unelaborated design) or its
-    netlist's ports are not its port bits in declaration order. *)
+    when a design does not synthesize (an unelaborated design), and
+    {!Mutsamp_synth.Mapping.Mapping_error} when the original's netlist
+    lacks one of its port bits or a mutant's netlist ports are not the
+    original netlist's, in order. *)
 
 val original : t -> Mutsamp_hdl.Ast.design
 val mutants : t -> Mutant.t list
@@ -49,8 +53,8 @@ val kills_at :
     cycle of its first differing output — so callers can truncate the
     sequence after its last useful cycle. [List.map fst] gives the
     killed indices. A one-lane {!run} followed by {!kills_in}. Raises
-    {!Mutsamp_hdl.Sim.Sim_error} on a malformed stimulus, as the
-    behavioural simulator does. *)
+    {!Mutsamp_synth.Mapping.Mapping_error} on a malformed stimulus (see
+    {!Mutsamp_synth.Mapping.set_inputs}). *)
 
 type block
 (** A block of sequences already executed over a set of mutants. *)
@@ -65,7 +69,8 @@ val run :
     all), sharded over the [ctx] pool. Pure execution: it spends no
     budget, consults no chaos point and counts nothing — {!kills_in}
     does that, per sequence. Raises [Invalid_argument] on more than
-    {!lanes} sequences. *)
+    {!lanes} sequences, and {!Mutsamp_synth.Mapping.Mapping_error} on a
+    malformed stimulus. *)
 
 val kills_in :
   t -> block -> ?alive:int list -> ?ctx:Mutsamp_exec.Ctx.t -> int -> (int * int) list

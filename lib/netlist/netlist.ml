@@ -24,6 +24,8 @@ let input_names t =
       | _ -> assert false)
     t.input_nets
 
+let port_names t = (input_names t, Array.map fst t.output_list)
+
 let find_input t name =
   let names = input_names t in
   let rec scan i =

@@ -18,6 +18,12 @@ type t = {
 exception Lint_error of string
 
 val input_names : t -> string array
+
+val port_names : t -> string array * string array
+(** The input and the output names, each in port order: the interface
+    two netlists must share to be driven by the same input words and
+    compared output by output. *)
+
 val find_input : t -> string -> int
 (** Net of a named primary input. Raises [Not_found]. *)
 

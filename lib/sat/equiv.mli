@@ -1,15 +1,17 @@
 (** Miter-based combinational equivalence checking.
 
-    Two netlists with identical interfaces are joined on their primary
-    inputs; each output pair feeds an XOR and the disjunction of the
-    XORs is asserted. UNSAT proves equivalence; a model is a
+    Two netlists with identical interfaces (the same input and output
+    names, in the same order) are joined on their primary inputs by
+    position: input [k] of both reads one shared variable. Output [k]
+    of one and output [k] of the other feed an XOR, and the disjunction
+    of the XORs is asserted. UNSAT proves equivalence; a model is a
     counterexample input assignment. Sequential netlists are rejected —
     the behavioural level handles those (product-machine BFS). *)
 
 type verdict =
   | Equivalent
-  | Counterexample of (string * bool) list
-      (** input name to value, for every primary input *)
+  | Counterexample of bool array
+      (** the value of every primary input, in [input_nets] order *)
 
 exception Equiv_error of string
 
@@ -26,7 +28,7 @@ val check :
 val counterexample_is_real :
   Mutsamp_netlist.Netlist.t ->
   Mutsamp_netlist.Netlist.t ->
-  (string * bool) list ->
+  bool array ->
   bool
 (** Replay a counterexample on both netlists and confirm the outputs
     differ (test oracle). *)

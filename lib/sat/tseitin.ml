@@ -42,17 +42,12 @@ let gate_clauses cnf out kind a b =
 let encode_shared ~into ~share_inputs (nl : Netlist.t) =
   let cnf = into in
   let n = Array.length nl.gates in
+  if share_inputs <> [||] && Array.length share_inputs <> Array.length nl.input_nets then
+    invalid_arg "Tseitin.encode_shared: one variable per input expected";
   let var_of_net = Array.make n 0 in
-  (* Pass 1: allocate variables (shared PIs reuse). *)
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.kind with
-      | Gate.Pi name ->
-        (match List.assoc_opt name share_inputs with
-         | Some v -> var_of_net.(i) <- v
-         | None -> var_of_net.(i) <- Cnf.new_var cnf)
-      | _ -> var_of_net.(i) <- Cnf.new_var cnf)
-    nl.gates;
+  Array.iteri (fun k v -> var_of_net.(nl.input_nets.(k)) <- v) share_inputs;
+  (* Pass 1: allocate variables (shared PIs already have theirs). *)
+  Array.iteri (fun i v -> if v = 0 then var_of_net.(i) <- Cnf.new_var cnf) var_of_net;
   (* Pass 2: constraints. *)
   Array.iteri
     (fun i (g : Gate.t) ->
@@ -71,7 +66,7 @@ let encode_shared ~into ~share_inputs (nl : Netlist.t) =
 
 let encode ?into nl =
   let cnf = match into with Some c -> c | None -> Cnf.create () in
-  encode_shared ~into:cnf ~share_inputs:[] nl
+  encode_shared ~into:cnf ~share_inputs:[||] nl
 
 let xor_out cnf a b =
   let out = Cnf.new_var cnf in

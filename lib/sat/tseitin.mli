@@ -16,10 +16,13 @@ val encode : ?into:Cnf.t -> Mutsamp_netlist.Netlist.t -> t
     two circuits in one miter). *)
 
 val encode_shared :
-  into:Cnf.t -> share_inputs:(string * int) list -> Mutsamp_netlist.Netlist.t -> t
-(** Like {!encode}, but primary inputs whose names appear in
-    [share_inputs] reuse the given CNF variables instead of fresh ones
-    (miter construction). *)
+  into:Cnf.t -> share_inputs:Cnf.lit array -> Mutsamp_netlist.Netlist.t -> t
+(** Like {!encode}, but input [k] (the net [input_nets.(k)]) takes the
+    CNF variable [share_inputs.(k)] instead of a fresh one (miter
+    construction: both netlists read the same variables by position).
+    The empty array shares nothing. Fresh variables go to the other
+    nets in net order. Raises [Invalid_argument] when [share_inputs] is
+    neither empty nor one variable per input. *)
 
 val xor_out : Cnf.t -> Cnf.lit -> Cnf.lit -> Cnf.lit
 (** Fresh literal constrained to the XOR of two literals. *)

@@ -55,40 +55,32 @@ let make design nl =
 let netlist t = t.nl
 let design t = t.design
 
-let port_bits t name width stimulus =
-  match List.assoc_opt name stimulus with
-  | Some bv ->
-    if Bitvec.width bv <> width then
-      fail "%s: input %s width mismatch" t.design.Ast.name name;
-    bv
-  | None -> fail "%s: stimulus missing input %s" t.design.Ast.name name
+let set_inputs t (stimulus : Sim.stimulus) f =
+  let name = t.design.Ast.name in
+  Array.iter
+    (fun (port, width, positions) ->
+      match List.assoc_opt port stimulus with
+      | None -> fail "%s: stimulus missing input %s" name port
+      | Some bv ->
+        if Bitvec.width bv <> width then
+          fail "%s: input %s expects width %d, got %d" name port width (Bitvec.width bv);
+        Array.iteri (fun i k -> if Bitvec.bit bv i then f k) positions)
+    t.in_ports;
+  List.iter
+    (fun (port, _) ->
+      if not (Array.exists (fun (p, _, _) -> String.equal p port) t.in_ports) then
+        fail "%s: stimulus names non-input %s" name port)
+    stimulus
 
-let pack_stimuli t stimuli =
-  if Array.length stimuli > Bitsim.word_bits then
-    fail "%s: %d stimuli exceed %d lanes" t.design.Ast.name (Array.length stimuli)
-      Bitsim.word_bits;
-  let words = Array.make (Array.length t.nl.Netlist.input_nets) 0 in
-  Array.iteri
-    (fun lane stimulus ->
-      Array.iter
-        (fun (name, width, positions) ->
-          let bv = port_bits t name width stimulus in
-          Array.iteri
-            (fun i k -> if Bitvec.bit bv i then words.(k) <- words.(k) lor (1 lsl lane))
-            positions)
-        t.in_ports)
-    stimuli;
-  words
+let stimulus_of_inputs t get =
+  Array.to_list
+    (Array.map
+       (fun (name, width, positions) -> (name, Bitvec.init width (fun i -> get positions.(i))))
+       t.in_ports)
 
 let pack_stimulus t stimulus =
   let words = Array.make (Array.length t.nl.Netlist.input_nets) 0 in
-  Array.iter
-    (fun (name, width, positions) ->
-      let bv = port_bits t name width stimulus in
-      Array.iteri
-        (fun i k -> words.(k) <- (if Bitvec.bit bv i then Bitsim.all_ones else 0))
-        positions)
-    t.in_ports;
+  set_inputs t stimulus (fun k -> words.(k) <- Bitsim.all_ones);
   words
 
 let unpack_outputs t output_words ~lane =

@@ -1,7 +1,3 @@
-module Netlist = Mutsamp_netlist.Netlist
-module Gate = Mutsamp_netlist.Gate
-module B = Netlist.Builder
-
 (* Aggregated across every sweep in the run (mutant synthesis
    included) — the run report's measure of how much dead logic the
    clean-up removes. *)
@@ -13,55 +9,3 @@ let sweep_stats nl =
   (cleaned, removed)
 
 let sweep nl = fst (sweep_stats nl)
-
-(* NAND2+NOT technology mapping. Rebuilding through the Builder shares
-   the inverters and intermediate NANDs that the expansions have in
-   common. *)
-let to_nand_only (nl : Netlist.t) =
-  let b = B.create nl.Netlist.name in
-  let n = Array.length nl.Netlist.gates in
-  let copy = Array.make n (-1) in
-  let dff_fixups = ref [] in
-  let nand x y = B.nand_ b x y in
-  let inv x = B.not_ b x in
-  (* Sources first, then the combinational gates in dependency order. *)
-  Array.iteri
-    (fun i (g : Gate.t) ->
-      match g.kind with
-      | Gate.Pi name -> copy.(i) <- B.input b name
-      | Gate.Const v -> copy.(i) <- B.const b v
-      | Gate.Dff init ->
-        let q = B.dff b ~init in
-        dff_fixups := (q, g.fanins.(0)) :: !dff_fixups;
-        copy.(i) <- q
-      | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
-      | Gate.Xor | Gate.Xnor -> ())
-    nl.Netlist.gates;
-  let topo = Mutsamp_netlist.Topo.compute nl in
-  Array.iter
-    (fun i ->
-      let g = nl.Netlist.gates.(i) in
-      let a () = copy.(g.Gate.fanins.(0)) in
-      let c () = copy.(g.Gate.fanins.(1)) in
-      copy.(i) <-
-        (match g.Gate.kind with
-         | Gate.Buf -> a ()
-         | Gate.Not -> inv (a ())
-         | Gate.Nand -> nand (a ()) (c ())
-         | Gate.And -> inv (nand (a ()) (c ()))
-         | Gate.Or -> nand (inv (a ())) (inv (c ()))
-         | Gate.Nor -> inv (nand (inv (a ())) (inv (c ())))
-         | Gate.Xor ->
-           (* x ^ y = nand(nand(x, nand(x,y)), nand(y, nand(x,y))) *)
-           let m = nand (a ()) (c ()) in
-           nand (nand (a ()) m) (nand (c ()) m)
-         | Gate.Xnor ->
-           let m = nand (a ()) (c ()) in
-           inv (nand (nand (a ()) m) (nand (c ()) m))
-         | Gate.Pi _ | Gate.Const _ | Gate.Dff _ -> assert false))
-    topo.Mutsamp_netlist.Topo.order;
-  List.iter (fun (q, d_orig) -> B.connect_dff b q ~d:copy.(d_orig)) !dff_fixups;
-  Array.iter
-    (fun (name, net) -> B.output b name copy.(net))
-    nl.Netlist.output_list;
-  B.finalize b

@@ -14,9 +14,3 @@ val sweep : Mutsamp_netlist.Netlist.t -> Mutsamp_netlist.Netlist.t
 val sweep_stats :
   Mutsamp_netlist.Netlist.t -> Mutsamp_netlist.Netlist.t * int
 (** {!sweep} plus the number of gates removed. *)
-
-val to_nand_only : Mutsamp_netlist.Netlist.t -> Mutsamp_netlist.Netlist.t
-(** Technology mapping to a NAND2+NOT library: every AND/OR/NOR/XOR/
-    XNOR/BUF is rewritten into NAND gates and inverters (the builder's
-    hash-consing shares the common subterms). Function-preserving —
-    the test suite checks the miter. *)

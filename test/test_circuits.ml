@@ -78,6 +78,33 @@ let test_all_designs_netlist_agrees () =
         seq hdl)
     Registry.all
 
+(* Property: on every benchmark, a random stimulus placed on the
+   netlist's input positions by [set_inputs] reads back unchanged
+   through [stimulus_of_inputs]. *)
+let registry_mappings =
+  lazy
+    (List.map
+       (fun (e : Registry.entry) ->
+         let d = e.Registry.design () in
+         (d, snd (Flow.synthesize_mapped d)))
+       Registry.all)
+
+let prop_port_map_roundtrip =
+  QCheck.Test.make ~name:"set_inputs/stimulus_of_inputs round trip" ~count:20
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let prng = Prng.create seed in
+      List.for_all
+        (fun (d, mapping) ->
+          let stim = Stimuli.random prng d in
+          let bits = Array.make (Array.length (Mapping.netlist mapping).Netlist.input_nets) false in
+          Mapping.set_inputs mapping stim (fun k -> bits.(k) <- true);
+          List.equal
+            (fun (n, v) (n', v') -> String.equal n n' && Bitvec.equal v v')
+            stim
+            (Mapping.stimulus_of_inputs mapping (Array.get bits)))
+        (Lazy.force registry_mappings))
+
 (* Every benchmark survives a pretty-print/re-parse round trip. *)
 let test_all_designs_pretty_roundtrip () =
   List.iter
@@ -325,6 +352,7 @@ let suite =
         Alcotest.test_case "all synthesise" `Quick test_all_designs_synthesize;
         Alcotest.test_case "netlists agree" `Quick test_all_designs_netlist_agrees;
         Alcotest.test_case "pretty roundtrip" `Quick test_all_designs_pretty_roundtrip;
+        q prop_port_map_roundtrip;
       ] );
     ( "circuits.sequential",
       [

@@ -85,6 +85,39 @@ let test_codes_of_sequences_concatenates () =
   in
   Alcotest.(check (array int)) "flattened" [| 1; 2; 3 |] codes
 
+(* One stimulus check, in [Mapping.set_inputs], for every path from a
+   word-level stimulus to the netlist: mutant execution, the pattern
+   conversion and the Bitsim packing reject a missing input, a wrong
+   width and a name that is no input alike. *)
+let test_malformed_stimuli_rejected () =
+  let p = Lazy.force c17_pipeline in
+  let runner = Kill.make p.Pipeline.design p.Pipeline.mutants in
+  let good = List.map (fun name -> (name, bv 1 0)) [ "g1"; "g2"; "g3"; "g6"; "g7" ] in
+  let malformed =
+    [
+      ("missing input", List.remove_assoc "g7" good);
+      ("wrong width", ("g1", bv 2 0) :: List.remove_assoc "g1" good);
+      ("no such input", good @ [ ("g22", bv 1 0) ]);
+    ]
+  in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Mutsamp_synth.Mapping.Mapping_error _ -> ()
+  in
+  List.iter
+    (fun (case, stim) ->
+      rejects ("Kill.kills_at: " ^ case) (fun () -> ignore (Kill.kills_at runner [ stim ]));
+      rejects ("Pipeline.pattern_of_stimulus: " ^ case) (fun () ->
+          ignore (Pipeline.pattern_of_stimulus p stim));
+      rejects ("Mapping.pack_stimulus: " ^ case) (fun () ->
+          ignore (Mutsamp_synth.Mapping.pack_stimulus p.Pipeline.mapping stim)))
+    malformed;
+  (* The well-formed stimulus passes all three. *)
+  ignore (Kill.kills_at runner [ good ]);
+  ignore (Pipeline.pattern_of_stimulus p good);
+  ignore (Mutsamp_synth.Mapping.pack_stimulus p.Pipeline.mapping good)
+
 let test_fault_simulate_runs () =
   let p = Lazy.force c17_pipeline in
   let r =
@@ -390,6 +423,7 @@ let suite =
         Alcotest.test_case "prepare" `Quick test_prepare_populates_everything;
         Alcotest.test_case "stimulus codes" `Quick test_code_of_stimulus_roundtrip;
         Alcotest.test_case "sequence codes" `Quick test_codes_of_sequences_concatenates;
+        Alcotest.test_case "malformed stimuli rejected" `Quick test_malformed_stimuli_rejected;
         Alcotest.test_case "fault simulate" `Quick test_fault_simulate_runs;
         Alcotest.test_case "scan codes" `Quick test_scan_codes_layout;
         Alcotest.test_case "equivalents sound" `Quick test_classify_equivalents_sound;

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: .bench format I/O, VCD output,
-   NAND mapping, and the b04 benchmark. *)
+(* Tests for the extension modules: .bench format I/O, VCD output and
+   the b04 benchmark. *)
 
 module Bitvec = Mutsamp_util.Bitvec
 module Prng = Mutsamp_util.Prng
@@ -198,12 +198,6 @@ let prop_bench_roundtrip_random =
       let nl2 = bench_of_string ~name:"rt" (Benchfmt.to_string nl) in
       same_behaviour (seed + 1) nl nl2)
 
-let prop_nand_mapping_random =
-  QCheck.Test.make ~name:"NAND mapping on random netlists" ~count:80
-    (QCheck.make QCheck.Gen.(int_range 0 1000000)) (fun seed ->
-      let nl = random_netlist seed in
-      same_behaviour (seed + 2) nl (Mutsamp_synth.Optimize.to_nand_only nl))
-
 (* ------------------------------------------------------------------ *)
 (* Vcd                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -249,52 +243,6 @@ let test_vcd_change_compression () =
       (List.filter (fun l -> l = "0!") (String.split_on_char '\n' out))
   in
   check_int "one change" 1 changes
-
-(* ------------------------------------------------------------------ *)
-(* NAND mapping                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Optimize = Mutsamp_synth.Optimize
-module Equiv = Mutsamp_sat.Equiv
-
-let equiv a b = Mutsamp_robust.Error.ok_exn (Equiv.check a b)
-module Gate = Mutsamp_netlist.Gate
-
-let test_nand_mapping_only_nands () =
-  let nl = Optimize.to_nand_only (full_adder ()) in
-  Array.iter
-    (fun (g : Gate.t) ->
-      match g.Gate.kind with
-      | Gate.Pi _ | Gate.Const _ | Gate.Dff _ | Gate.Nand | Gate.Not -> ()
-      | k -> Alcotest.fail ("unexpected gate " ^ Gate.kind_name k))
-    nl.Netlist.gates
-
-let test_nand_mapping_equivalent () =
-  List.iter
-    (fun (e : Registry.entry) ->
-      let nl = Flow.synthesize (e.Registry.design ()) in
-      if Netlist.num_dffs nl = 0 then begin
-        let mapped = Optimize.to_nand_only nl in
-        match equiv nl mapped with
-        | Equiv.Equivalent -> ()
-        | Equiv.Counterexample _ ->
-          Alcotest.fail (e.Registry.name ^ ": NAND mapping changed the function")
-      end)
-    Registry.all
-
-let test_nand_mapping_sequential_trace () =
-  let e = Option.get (Registry.find "b02") in
-  let nl = Flow.synthesize (e.Registry.design ()) in
-  let mapped = Optimize.to_nand_only nl in
-  check_int "dffs preserved" (Netlist.num_dffs nl) (Netlist.num_dffs mapped);
-  let s1 = Bitsim.create nl and s2 = Bitsim.create mapped in
-  Bitsim.reset s1;
-  Bitsim.reset s2;
-  let prng = Prng.create 123 in
-  for _ = 1 to 24 do
-    let w = [| (if Prng.bool prng then Bitsim.all_ones else 0) |] in
-    check_bool "trace equal" true (Bitsim.step s1 w = Bitsim.step s2 w)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* b04                                                                *)
@@ -343,13 +291,6 @@ let suite =
       [
         Alcotest.test_case "structure" `Quick test_vcd_structure;
         Alcotest.test_case "change compression" `Quick test_vcd_change_compression;
-      ] );
-    ( "extras.nand_mapping",
-      [
-        Alcotest.test_case "only nands" `Quick test_nand_mapping_only_nands;
-        Alcotest.test_case "equivalent" `Quick test_nand_mapping_equivalent;
-        Alcotest.test_case "sequential trace" `Quick test_nand_mapping_sequential_trace;
-        q prop_nand_mapping_random;
       ] );
     ( "extras.b04",
       [

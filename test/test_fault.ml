@@ -268,7 +268,8 @@ let test_fsim_auto_dispatch () =
 
 let test_input_code () =
   let nl = full_adder () in
-  let p = Pattern.of_bits nl [ ("a", true); ("cin", true) ] in
+  let names = Netlist.input_names nl in
+  let p = Pattern.init ~inputs:(Pattern.num_inputs nl) (fun k -> List.mem names.(k) [ "a"; "cin" ]) in
   (* a is input 0, b input 1, cin input 2. *)
   check_int "code" 0b101 (Mutsamp_util.Packvec.to_code p)
 
