@@ -630,6 +630,21 @@ let test_product_bfs_pinned () =
         (verdicts_digest d (fun (m : Mutant.t) -> Equivalence.product_bfs d m.design)))
     search_pins
 
+(* The library path over the same designs: each mutant decided by its
+   design's oracle gives the verdict and witness the search pins hold. *)
+let test_decide_pinned () =
+  List.iter
+    (fun (name, digest) ->
+      let d = registry_design name in
+      let oracle = Equivalence.make d in
+      Alcotest.(check string)
+        (name ^ " decide") digest
+        (verdicts_digest d (fun m ->
+             match Equivalence.decide oracle m with
+             | Ok v -> v
+             | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))))
+    search_pins
+
 let test_exhaustive_pinned () =
   let d = registry_design "c17" in
   let oracle = Equivalence.make d in
@@ -1074,6 +1089,7 @@ let suite =
           test_oracle_c499_structural_unsat;
         Alcotest.test_case "swapped outputs distinguished" `Quick test_equiv_swapped_outputs;
         Alcotest.test_case "product bfs pinned" `Quick test_product_bfs_pinned;
+        Alcotest.test_case "decide pinned" `Quick test_decide_pinned;
         Alcotest.test_case "exhaustive pinned" `Quick test_exhaustive_pinned;
         Alcotest.test_case "miter pinned" `Quick test_miter_pinned;
       ] );
