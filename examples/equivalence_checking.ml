@@ -60,7 +60,7 @@ let () =
     | [] -> print_endline "\n(no non-equivalent survivors to attack)"
     | i :: _ ->
       let m = mutants.(i) in
-      let oracle = Equivalence.make pipeline.Pipeline.design in
+      let oracle = Equivalence.make runner in
       (match Equivalence.decide oracle m with
        | Ok (Equivalence.Distinguished seq) ->
          Printf.printf

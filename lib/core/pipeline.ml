@@ -184,7 +184,7 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
      — a conservative answer that deflates MS rather than inflating it —
      and the cut is recorded once. *)
   let survivor_arr = Array.of_list survivors in
-  let oracle = Equivalence.make t.design in
+  let oracle = Equivalence.make runner in
   let total = Array.length survivor_arr in
   let tick = Ctx.ticker ctx ~stage:"equiv" ~total in
   let noted = Atomic.make false in

@@ -71,11 +71,11 @@ val classify_equivalents :
     equivalent to the design. A random screen of [screen] vectors
     (default 512) removes obviously killable mutants; survivors are
     settled exactly by one {!Mutsamp_mutation.Equivalence} oracle built
-    on [netlist] (product-machine BFS for sequential designs, exhaustive
-    sweep up to 16 input bits, SAT miter beyond). Mutants whose exact
-    check is [Unknown] or blows its budget are treated as
-    non-equivalent (conservative; they deflate MS rather than inflate
-    it). The context progress callback fires after each exact check
+    on the screen's {!Mutsamp_mutation.Kill} runner (a search over the
+    compiled programs, or the SAT miter on wide combinational designs).
+    Mutants whose exact check is [Unknown] or blows its budget are
+    treated as non-equivalent (conservative; they deflate MS rather than
+    inflate it). The context progress callback fires after each exact check
     under stage ["equiv"] ([total] is the survivor count), from the
     worker domain that ran it but through one
     {!Mutsamp_exec.Ctx.ticker}, so the counts arrive in order — the

@@ -36,26 +36,3 @@ let of_code d code =
       decode ((dc.name, Bitvec.make ~width:dc.width v) :: acc) (shift + dc.width) rest
   in
   decode [] 0 (Ast.inputs d)
-
-let to_code d stimulus =
-  let rec encode acc shift = function
-    | [] -> acc
-    | (dc : Ast.decl) :: rest ->
-      let v =
-        match List.assoc_opt dc.name stimulus with
-        | Some bv -> Bitvec.to_int bv
-        | None -> invalid_arg ("Stimuli.to_code: missing input " ^ dc.name)
-      in
-      encode (acc lor (v lsl shift)) (shift + dc.width) rest
-  in
-  encode 0 0 (Ast.inputs d)
-
-let enumerate d =
-  let bits = input_bits d in
-  if bits > 20 then
-    invalid_arg
-      (Printf.sprintf "Stimuli.enumerate: %d input bits is too many to enumerate" bits);
-  List.init (1 lsl bits) (of_code d)
-
-let all_zero d =
-  List.map (fun (dc : Ast.decl) -> (dc.name, Bitvec.zero dc.width)) (Ast.inputs d)

@@ -1,9 +1,8 @@
 (** Stimulus construction helpers.
 
     A stimulus assigns a value to every input of a design for one clock
-    cycle (see {!Sim.stimulus}). These helpers build random vectors,
-    exhaustive enumerations and encode/decode stimuli to flat integers
-    for state-space exploration. *)
+    cycle (see {!Sim.stimulus}). These helpers build random vectors and
+    decode flat integers into stimuli for state-space exploration. *)
 
 val input_bits : Ast.design -> int
 (** Total number of input bits. *)
@@ -18,14 +17,3 @@ val of_code : Ast.design -> int -> Sim.stimulus
 (** Decode a flat integer (LSBs feed the first declared input) into a
     stimulus. Raises [Invalid_argument] if the design has more than 62
     input bits or the code is out of range. *)
-
-val to_code : Ast.design -> Sim.stimulus -> int
-(** Inverse of {!of_code}. *)
-
-val enumerate : Ast.design -> Sim.stimulus list
-(** All [2^input_bits] stimuli in code order. Raises [Invalid_argument]
-    when [input_bits d > 20] — exhaustive enumeration beyond that is a
-    bug, not a plan. *)
-
-val all_zero : Ast.design -> Sim.stimulus
-(** Every input at zero. *)

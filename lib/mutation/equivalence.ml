@@ -3,7 +3,7 @@ module Sim = Mutsamp_hdl.Sim
 module Stimuli = Mutsamp_hdl.Stimuli
 module Check = Mutsamp_hdl.Check
 module Netlist = Mutsamp_netlist.Netlist
-module Flow = Mutsamp_synth.Flow
+module Product = Mutsamp_netlist.Product
 module Lower = Mutsamp_synth.Lower
 module Mapping = Mutsamp_synth.Mapping
 module Equiv = Mutsamp_sat.Equiv
@@ -33,93 +33,32 @@ let same_interface a b =
   in
   sig_of a = sig_of b
 
-let require_same_interface a b who =
-  if not (same_interface a b) then
-    invalid_arg (Printf.sprintf "Equivalence.%s: designs have different interfaces" who)
-
-(* Joint states {!product_bfs} visits before it gives up. *)
-let max_pairs = 65536
-
-let product_bfs ?(max_bits = 12) a b =
-  require_same_interface a b "product_bfs";
-  let bits = Stimuli.input_bits a in
-  if bits > max_bits then Unknown
-  else begin
-    let sim_a = Sim.create a and sim_b = Sim.create b in
-    (* A joint state is the two register files; a register-free pair
-       has one. *)
-    let joint () = (Sim.state sim_a, Sim.state sim_b) in
-    let initial = joint () in
-    let visited = Hashtbl.create 1024 in
-    Hashtbl.replace visited initial ([] : Sim.stimulus list);
-    let queue = Queue.create () in
-    Queue.push initial queue;
-    (* Each code's stimulus, built the first time it is tried, so a
-       search that stops early builds only the codes it reached. *)
-    let stimuli = Array.make (1 lsl bits) None in
-    let stimulus code =
-      match stimuli.(code) with
-      | Some stim -> stim
-      | None ->
-        let stim = Stimuli.of_code a code in
-        stimuli.(code) <- Some stim;
-        stim
-    in
-    let exception Found of Sim.stimulus list in
-    let exception Budget in
-    try
-      while not (Queue.is_empty queue) do
-        let ((state_a, state_b) as state) = Queue.pop queue in
-        let path_rev = Hashtbl.find visited state in
-        for code = 0 to (1 lsl bits) - 1 do
-          let stim = stimulus code in
-          Sim.set_state sim_a state_a;
-          Sim.set_state sim_b state_b;
-          let oa = Sim.step sim_a stim and ob = Sim.step sim_b stim in
-          if not (Sim.outputs_equal oa ob) then
-            raise (Found (List.rev (stim :: path_rev)));
-          let next = joint () in
-          if not (Hashtbl.mem visited next) then begin
-            if Hashtbl.length visited >= max_pairs then raise Budget;
-            Hashtbl.replace visited next (stim :: path_rev);
-            Queue.push next queue
-          end
-        done
-      done;
-      Equivalent
-    with
-    | Found seq -> Distinguished seq
-    | Budget -> Unknown
-  end
-
-(* --- the oracle ---------------------------------------------------------- *)
-
-type regime = Exhaustive | Product | Miter
+type regime = Search | Miter
 
 type t = {
+  runner : Kill.t;  (* the reference's mapping, netlist and program *)
   design : Ast.design;
   regime : regime;
-  reference : Mapping.t option;
-      (* the miter's reference netlist and its port map; [None] off the
-         miter, or when the design fails to synthesize *)
+  inputs : Product.inputs option;  (* [None] off the search's limits *)
 }
 
 (* Mutation rewrites statements, never declarations, so every mutant
    has its design's registers and inputs: the design alone fixes the
-   regime. The reference is synthesized here, not on the first miss:
-   which decides miss depends on the schedule at [--jobs] > 1, and
-   synthesis feeds [analysis.sweep.removed_gates]. *)
-let make design =
-  let regime =
-    if not (Check.is_combinational design) then Product
-    else if Stimuli.input_bits design <= 16 then Exhaustive
-    else Miter
+   regime and the search's input codes. *)
+let make runner =
+  let design = Kill.original runner in
+  let sequential = not (Check.is_combinational design) in
+  let bits = Stimuli.input_bits design in
+  let regime = if sequential || bits <= 16 then Search else Miter in
+  let inputs =
+    if regime = Miter || (sequential && bits > 12) then None
+    else
+      Some
+        (Product.inputs ~codes:(1 lsl bits)
+           ~width:(Mutsamp_netlist.Program.input_bits (Kill.reference runner))
+           (fun code -> Mapping.set_inputs (Kill.mapping runner) (Stimuli.of_code design code)))
   in
-  let reference =
-    if regime <> Miter then None
-    else try Some (snd (Flow.synthesize_mapped design)) with Lower.Synth_error _ -> None
-  in
-  { design; regime; reference }
+  { runner; design; regime; inputs }
 
 let regime t = t.regime
 
@@ -142,22 +81,30 @@ let solve ?budget mapping netlist =
   | Error e -> Error e
   | exception Equiv.Equiv_error _ -> Ok Unknown
 
+(* The search over the two programs, its codes read back as stimuli. *)
+let search t inputs mutant =
+  match Kill.program t.runner mutant with
+  | exception (Lower.Synth_error _ | Mapping.Mapping_error _) -> Unknown
+  | program -> (
+    match Product.search inputs (Kill.reference t.runner) program with
+    | Product.Equal -> Equivalent
+    | Product.Differs codes -> Distinguished (List.map (Stimuli.of_code t.design) codes)
+    | Product.Exhausted -> Unknown)
+
 (* A verdict, and whether {!same_netlist} settled it with no solve. *)
 let compute ?budget t mutant =
-  match t.regime with
-  | Exhaustive -> (Ok (product_bfs ~max_bits:16 t.design mutant), false)
-  | Product -> (Ok (product_bfs t.design mutant), false)
-  | Miter -> (
-    match t.reference with
-    | None -> (Ok Unknown, false)
-    | Some mapping -> (
-      match Flow.synthesize mutant with
-      | exception Lower.Synth_error _ -> (Ok Unknown, false)
-      | netlist when same_netlist (Mapping.netlist mapping) netlist ->
-        let r = Budget.check_deadline (budget_or_ambient budget) ~stage:Rerror.Sat in
-        if Result.is_ok r then Metrics.incr c_structural;
-        (Result.map (fun () -> Equivalent) r, true)
-      | netlist -> (solve ?budget mapping netlist, false)))
+  match t.regime, t.inputs with
+  | Search, None -> (Ok Unknown, false)
+  | Search, Some inputs -> (Ok (search t inputs mutant), false)
+  | Miter, _ -> (
+    let mapping = Kill.mapping t.runner in
+    match Kill.netlist t.runner mutant with
+    | exception (Lower.Synth_error _ | Mapping.Mapping_error _) -> (Ok Unknown, false)
+    | netlist when same_netlist (Mapping.netlist mapping) netlist ->
+      let r = Budget.check_deadline (budget_or_ambient budget) ~stage:Rerror.Sat in
+      if Result.is_ok r then Metrics.incr c_structural;
+      (Result.map (fun () -> Equivalent) r, true)
+    | netlist -> (solve ?budget mapping netlist, false))
 
 (* A kept verdict, where returning it matches a fresh decide; [None]
    sends the decide to {!compute}. Off the miter nothing is spent. A
@@ -196,8 +143,8 @@ let rec settle ?budget t (m : Mutant.t) =
       Metrics.incr c_reused;
       r
     | Some (Error _ as r) -> r
-    | None -> fst (compute ?budget t m.Mutant.design))
-  | Mutant.Settled _ -> fst (compute ?budget t m.Mutant.design)
+    | None -> fst (compute ?budget t m))
+  | Mutant.Settled _ -> fst (compute ?budget t m)
   | Mutant.Deciding lock ->
     (* Another domain is deciding this mutant: wait for it, then look
        again. *)
@@ -219,13 +166,14 @@ let rec settle ?budget t (m : Mutant.t) =
           Atomic.set m.Mutant.verdict !slot;
           Mutex.unlock lock)
         (fun () ->
-          let r = compute ?budget t m.Mutant.design in
+          let r = compute ?budget t m in
           slot := slot_of t r;
           fst r)
     end
 
 let decide ?budget t (m : Mutant.t) =
-  require_same_interface t.design m.Mutant.design "decide";
+  if not (same_interface t.design m.Mutant.design) then
+    invalid_arg "Equivalence.decide: designs have different interfaces";
   let r = settle ?budget t m in
   (match r with Ok Unknown | Error _ -> Metrics.incr c_unknown | Ok _ -> ());
   r

@@ -1,16 +1,19 @@
 (** Equivalence checking between a design and a mutant: the one place
     that decides how a mutant's equivalence is settled.
 
-    The oracle ({!make}, {!decide}) is prepared once per design, and
-    the design picks one of three exact regimes:
+    The oracle ({!make}, {!decide}) is prepared once per design on the
+    {!Kill} runner over it, and runs what the runner compiled. The
+    design picks one of two exact regimes:
 
-    - sequential designs: {!product_bfs} with its default limits (12
-      input bits per cycle, 65536 joint states);
-    - combinational designs with at most 16 input bits: {!product_bfs}
-      with 16 input bits. A register-free pair has one joint state, so
-      the search tries every input code in order from it and stops at
-      the first that tells the designs apart;
-    - wider combinational designs: the SAT miter
+    - {!Search}, for sequential designs with at most 12 input bits and
+      combinational ones with at most 16: the product-machine search
+      {!Mutsamp_netlist.Product.search} over the reference's program and
+      the mutant's ({!Mutant.t}'s [program] slot). Its counterexample
+      is a shortest distinguishing sequence, which doubles as a
+      directed mutant-killing test. More input bits on a sequential
+      design, or more than 65536 reachable joint states, give
+      [Unknown];
+    - {!Miter}, for wider combinational designs: the SAT miter
       ({!Mutsamp_sat.Equiv.check}) between the reference netlist and
       the synthesized mutant; a model gives one value per input
       position, and the reference's {!Mutsamp_synth.Mapping} reads it
@@ -23,11 +26,9 @@
       solve would reach.
 
     Vectorgen's directed phase and [Pipeline.classify_equivalents] both
-    ask it. The exhaustive regime spends no [Sat_conflicts] and counts
-    no [sat.solves]; a mutant that fails to synthesize is [Unknown].
-
-    The simulation engine, {!product_bfs}, stays exported for direct
-    use. *)
+    ask it. The search spends no [Sat_conflicts] and counts no
+    [sat.solves]; a mutant that fails to synthesize or compile is
+    [Unknown]. *)
 
 type verdict =
   | Equivalent
@@ -37,35 +38,17 @@ type verdict =
 
 val verdict_name : verdict -> string
 
-val product_bfs :
-  ?max_bits:int ->
-  Mutsamp_hdl.Ast.design ->
-  Mutsamp_hdl.Ast.design ->
-  verdict
-(** Breadth-first exploration of the product machine from the joint
-    reset state. A joint state is the two designs' register values
-    ({!Mutsamp_hdl.Sim.state}); from each state the search tries every
-    input code in order, and builds a code's stimulus the first time it
-    tries it. Exact for designs whose reachable joint states (at most
-    65536 are visited) and per-cycle input space ([max_bits], default
-    12) fit the budgets; beyond either it yields {!Unknown}. The
-    counterexample it returns is a shortest distinguishing sequence,
-    which doubles as a directed mutant-killing test. Raises
-    [Invalid_argument] if the interfaces differ. *)
-
 type t
 (** A prepared oracle for one reference design. Safe to share across
     domains. *)
 
-val make : Mutsamp_hdl.Ast.design -> t
-(** For a miter-regime design, [make] synthesizes the reference
-    netlist ([Flow.synthesize design]). There is no way to hand in
-    another netlist, so a verdict kept on a mutant (see {!decide})
-    always comes from this reference. *)
+val make : Kill.t -> t
+(** The oracle for the runner's original design; the reference's
+    mapping, netlist and program are the runner's. In the search regime
+    it packs every input code once, for all decides on any domain. *)
 
 type regime =
-  | Exhaustive  (** {!product_bfs} over at most 16 input bits *)
-  | Product  (** {!product_bfs} *)
+  | Search  (** {!Mutsamp_netlist.Product.search} over the two programs *)
   | Miter  (** SAT miter over the synthesized pair *)
 
 val regime : t -> regime
@@ -78,7 +61,7 @@ val decide :
   Mutant.t ->
   (verdict, Mutsamp_robust.Error.t) result
 (** Settle the mutant against the reference design. Limits exceeded, a
-    mutant or reference that fails to synthesize, or a miter the SAT
+    mutant that fails to synthesize or compile, or a miter the SAT
     layer rejects give [Ok Unknown]. A miter solve cut by [budget]
     (default: ambient; [Sat_conflicts] and the deadline) gives
     [Error]. Each [Unknown] or cut is counted under [equiv.unknown].

@@ -27,23 +27,24 @@ let lanes = Program.lanes
 type t = {
   original : Ast.design;
   mapping : Mapping.t;  (* the original's port map *)
+  ports : string array * string array;  (* the original netlist's *)
   mutants : Mutant.t array;
   reference : Program.t;
   programs : Program.t array;
   words : int;  (* scratch words covering every program *)
 }
 
-(* Synthesize and flatten a mutant. Every design of a runner reads the
-   same packed input words and is compared output bit by output bit,
-   so the mutant's netlist must have the original netlist's port names,
-   in order. *)
-let compile (design : Ast.design) ports =
+(* Synthesize a mutant. Every design of a runner reads the same packed
+   input words and is compared output bit by output bit, so the
+   mutant's netlist must have the original netlist's port names, in
+   order. *)
+let synthesize (design : Ast.design) ports =
   let nl = Mutsamp_synth.Flow.synthesize design in
   if Netlist.port_names nl <> ports then
     raise
       (Mapping.Mapping_error
          (design.Ast.name ^ ": netlist ports are not the original netlist's, in order"));
-  Program.of_netlist nl
+  nl
 
 (* The mutant's program from its write-once slot, and whether this call
    compiled it. Compilation is serialized, so each mutant is synthesized
@@ -52,7 +53,7 @@ let compile (design : Ast.design) ports =
    depend on [--jobs]. Reads of a filled slot take no lock. *)
 let compile_lock = Mutex.create ()
 
-let program (m : Mutant.t) ports =
+let compiled (m : Mutant.t) ports =
   match Atomic.get m.Mutant.program with
   | Some p -> (p, false)
   | None ->
@@ -60,7 +61,7 @@ let program (m : Mutant.t) ports =
         match Atomic.get m.Mutant.program with
         | Some p -> (p, false)
         | None ->
-          let p = compile m.Mutant.design ports in
+          let p = Program.of_netlist (synthesize m.Mutant.design ports) in
           Atomic.set m.Mutant.program (Some p);
           Metrics.incr c_compiled;
           (p, true))
@@ -75,7 +76,7 @@ let make original ms =
   let programs =
     Array.map
       (fun (m : Mutant.t) ->
-        let p, fresh = program m ports in
+        let p, fresh = compiled m ports in
         if fresh then incr built;
         p)
       mutants
@@ -85,6 +86,7 @@ let make original ms =
   {
     original;
     mapping;
+    ports;
     mutants;
     reference;
     programs;
@@ -92,7 +94,10 @@ let make original ms =
   }
 
 let original t = t.original
-let mutants t = Array.to_list t.mutants
+let mapping t = t.mapping
+let reference t = t.reference
+let program t m = fst (compiled m t.ports)
+let netlist t (m : Mutant.t) = synthesize m.Mutant.design t.ports
 let size t = Array.length t.mutants
 
 (* --- blocks of sequences, one per lane --------------------------------- *)

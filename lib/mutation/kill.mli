@@ -18,11 +18,11 @@
     compared against them lane by lane. Sequences of different lengths
     share a block: a lane stops counting once its sequence ends.
 
-    A mutant's program is compiled on the first {!make} that needs it
-    and kept in the mutant's write-once [program] slot ({!Mutant.t}), so
-    every later runner over the same mutant — each vectorgen call, MS
-    scoring, equivalence screening — reuses it. The original's program
-    is compiled per {!make}. *)
+    A mutant's program is compiled on the first {!make} or {!program}
+    that needs it and kept in the mutant's write-once [program] slot
+    ({!Mutant.t}), so every later reader — each vectorgen call, MS
+    scoring, equivalence screening and search — reuses it. The
+    original's program is compiled per {!make}. *)
 
 type t
 (** A runner holding the original design and a mutant population. *)
@@ -36,8 +36,21 @@ val make : Mutsamp_hdl.Ast.design -> Mutant.t list -> t
     original netlist's, in order. *)
 
 val original : t -> Mutsamp_hdl.Ast.design
-val mutants : t -> Mutant.t list
 val size : t -> int
+
+val mapping : t -> Mutsamp_synth.Mapping.t
+(** The original's port map, over its synthesized netlist. *)
+
+val reference : t -> Mutsamp_netlist.Program.t
+(** The original's program. *)
+
+val program : t -> Mutant.t -> Mutsamp_netlist.Program.t
+(** Any mutant's program, compiled into its slot first if the slot is
+    empty. Raises as {!make} does. *)
+
+val netlist : t -> Mutant.t -> Mutsamp_netlist.Netlist.t
+(** A mutant's netlist, synthesized afresh on every call. Raises as
+    {!make} does. *)
 
 val lanes : int
 (** Sequences per block (63). *)

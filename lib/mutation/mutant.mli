@@ -28,8 +28,8 @@ type t = {
   design : Mutsamp_hdl.Ast.design;  (** the mutated design, still elaborated *)
   program : Mutsamp_netlist.Program.t option Atomic.t;
       (** the design's synthesized netlist compiled to a program,
-          written once by the first {!Kill.make} that needs it and
-          shared by every later one *)
+          written once by the first {!Kill.make} or {!Kill.program}
+          that needs it and shared by every later reader *)
   verdict : slot Atomic.t;
       (** the equivalence verdict, settled once by the first
           conclusive {!Equivalence.decide} and returned by every later

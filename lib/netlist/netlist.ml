@@ -26,24 +26,6 @@ let input_names t =
 
 let port_names t = (input_names t, Array.map fst t.output_list)
 
-let find_input t name =
-  let names = input_names t in
-  let rec scan i =
-    if i >= Array.length names then raise Not_found
-    else if names.(i) = name then t.input_nets.(i)
-    else scan (i + 1)
-  in
-  scan 0
-
-let find_output t name =
-  let rec scan i =
-    if i >= Array.length t.output_list then raise Not_found
-    else
-      let n, net = t.output_list.(i) in
-      if n = name then net else scan (i + 1)
-  in
-  scan 0
-
 let num_gates t = Array.length t.gates
 
 let is_logic (kind : Gate.kind) =

@@ -24,12 +24,6 @@ val port_names : t -> string array * string array
     two netlists must share to be driven by the same input words and
     compared output by output. *)
 
-val find_input : t -> string -> int
-(** Net of a named primary input. Raises [Not_found]. *)
-
-val find_output : t -> string -> int
-(** Driving net of a named primary output. Raises [Not_found]. *)
-
 val num_gates : t -> int
 (** Total nets, inputs and constants included. *)
 

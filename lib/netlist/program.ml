@@ -103,6 +103,7 @@ let output_bits t = Array.length t.outs
 let gates t = Array.length t.code
 let first_init t = t.inputs + Array.length t.d + Array.length t.code
 let words t = first_init t + Array.length t.init
+let state_slots t = (words t - Array.length t.d, Array.length t.d)
 
 let reset t v = Array.blit t.init 0 v (first_init t) (Array.length t.init)
 

@@ -63,6 +63,11 @@ val gates : t -> int
 val words : t -> int
 (** Scratch words {!reset} and {!step} need. *)
 
+val state_slots : t -> int * int
+(** [(first, count)]: the flip-flops' state slots, in [dff_nets] order.
+    {!reset} and each {!step} leave the next state there, and the next
+    {!step} starts from what they hold, so a caller may overwrite them. *)
+
 val reset : t -> int array -> unit
 (** Load the constants and put every flip-flop of every lane at its
     reset value. [scratch] must hold at least {!words} words; one

@@ -53,7 +53,6 @@ let make design nl =
   { design; nl; in_ports; out_ports }
 
 let netlist t = t.nl
-let design t = t.design
 
 let set_inputs t (stimulus : Sim.stimulus) f =
   let name = t.design.Ast.name in

@@ -23,7 +23,6 @@ val make : Mutsamp_hdl.Ast.design -> Mutsamp_netlist.Netlist.t -> t
     netlist's interface does not match the design's. *)
 
 val netlist : t -> Mutsamp_netlist.Netlist.t
-val design : t -> Mutsamp_hdl.Ast.design
 
 val set_inputs : t -> Mutsamp_hdl.Sim.stimulus -> (int -> unit) -> unit
 (** [set_inputs t stim f] calls [f k] for every netlist input position

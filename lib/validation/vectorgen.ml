@@ -124,7 +124,7 @@ let generate ?(config = default_config) ?budget design mutants =
   if config.directed then begin
     Trace.with_span "vectorgen.directed" @@ fun () ->
     let mutant_arr = Array.of_list mutants in
-    let oracle = Equivalence.make design in
+    let oracle = Equivalence.make runner in
     let sat = Equivalence.regime oracle = Equivalence.Miter in
     let rec attack = function
       | [] -> ()

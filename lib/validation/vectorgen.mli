@@ -12,13 +12,11 @@
       time in draw order, so the outcome is that of a
       one-candidate-at-a-time loop;
     - {e directed phase} (optional): each surviving mutant is settled
-      by one equivalence oracle built for the call
-      ({!Mutsamp_mutation.Equivalence.decide}: product-machine BFS for
-      sequential designs, an exhaustive sweep up to 16 input bits, the
-      SAT miter beyond, the design synthesized at most once); a
-      distinguishing sequence is added to the test set, a proof of
-      equivalence marks the mutant equivalent, and an undecided or
-      budget-cut check leaves it unknown.
+      by one equivalence oracle built on the call's kill runner
+      ({!Mutsamp_mutation.Equivalence.decide}); a distinguishing
+      sequence is added to the test set, a proof of equivalence marks
+      the mutant equivalent, and an undecided or budget-cut check leaves
+      it unknown.
 
     Everything is deterministic from [seed]. *)
 

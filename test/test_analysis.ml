@@ -307,7 +307,7 @@ let prop_exprnorm_folds_soundly =
             match Sim.step sim stim with
             | [ (_, y) ] -> Mutsamp_util.Bitvec.to_int y = v
             | _ -> false)
-          (Stimuli.enumerate d))
+          (List.init (1 lsl Stimuli.input_bits d) (Stimuli.of_code d)))
 
 (* The property above only has teeth if folds are common, and not only
    of constant-only subtrees: a fixed sample must fold expressions that

@@ -154,7 +154,7 @@ let test_podem_untestable_redundant () =
   let nl = redundant_netlist () in
   (* Find the AND gate's bb-input fault: with single fanout of bb the
      stem fault bb SA0 is the redundant one. *)
-  let bb = Netlist.find_input nl "bb" in
+  let bb = Ports.input nl "bb" in
   let f = { Fault.site = Fault.Stem bb; polarity = Fault.Stuck_at_0 } in
   (match ok_exn (Podem.find_test (Podem.prepare nl) f) with
    | None, _ -> ()

@@ -226,18 +226,6 @@ let test_table1_differential () =
       in
       check_bool "table1 rows identical" true (sharded = base))
 
-let test_classify_equivalents_differential () =
-  let p = pipeline "c17" in
-  let base = Pipeline.classify_equivalents ~screen:64 ~seed:3 p in
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun ctx ->
-          check_bool
-            (Printf.sprintf "equivalents jobs %d ≡ sequential" jobs)
-            true
-            (Pipeline.classify_equivalents ~screen:64 ~ctx ~seed:3 p = base)))
-    [ 2; 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* QCheck: randomized jobs/workload differentials                     *)
 (* ------------------------------------------------------------------ *)
@@ -465,6 +453,31 @@ let logical_series () =
   ( List.filter (fun (n, _) -> not (physical n)) snap.Metrics.counters,
     List.filter (fun (n, _) -> not (physical n)) snap.Metrics.histograms )
 
+(* Each run classifies a fresh pipeline's mutants, so no verdict is
+   kept from an earlier run: every exact check runs, on the pool's
+   domains, over the one oracle's shared input words. *)
+let test_classify_equivalents_differential () =
+  let run name ctx =
+    let p = pipeline name in
+    Metrics.set_enabled true;
+    Metrics.reset ();
+    let equivalents = Pipeline.classify_equivalents ~screen:64 ~ctx ~seed:3 p in
+    let s = logical_series () in
+    Metrics.set_enabled false;
+    (equivalents, s)
+  in
+  List.iter
+    (fun name ->
+      let base = run name Ctx.default in
+      List.iter
+        (fun jobs ->
+          check_bool
+            (Printf.sprintf "%s equivalents and counters jobs %d ≡ sequential" name jobs)
+            true
+            (with_jobs jobs (run name) = base))
+        [ 1; 2; 4 ])
+    [ "c17"; "b01" ]
+
 let test_metrics_identical_across_jobs () =
   let p = pipeline "c432" in
   let run jobs =
@@ -579,8 +592,8 @@ let suite =
         Alcotest.test_case "mutant execution (c17)" `Quick test_kill_differential;
         Alcotest.test_case "table1 campaign cells (c17)" `Quick
           test_table1_differential;
-        Alcotest.test_case "equivalence classification (c17)" `Quick
-          test_classify_equivalents_differential;
+        Alcotest.test_case "equivalence classification (c17, b01)" `Quick
+          (clean_obs test_classify_equivalents_differential);
         QCheck_alcotest.to_alcotest prop_fsim_random_jobs_identical;
         QCheck_alcotest.to_alcotest prop_chunks_partition;
       ] );

@@ -115,9 +115,9 @@ let test_collapse_and_rule () =
   (* For y = a and b with single fanouts: a SA0 ≡ b SA0 ≡ y SA0. *)
   let nl = and_netlist () in
   let c = Collapse.run nl in
-  let a = Netlist.find_input nl "a" in
-  let b = Netlist.find_input nl "b" in
-  let y = Netlist.find_output nl "y" in
+  let a = Ports.input nl "a" in
+  let b = Ports.input nl "b" in
+  let y = Ports.output nl "y" in
   let cls net =
     c.Collapse.class_of { Fault.site = Fault.Stem net; polarity = Fault.Stuck_at_0 }
   in

@@ -424,9 +424,21 @@ let test_kill_matches_sim (entry : Registry.entry) () =
 (* Equivalence                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The oracle of a design, over a runner of no mutants. *)
+let make_oracle d = Equivalence.make (Kill.make d [])
+
+(* A hand-written design wrapped as a mutant, for the oracle. *)
+let as_mutant d = Mutant.make ~id:0 ~op:Operator.LOR ~site:0 ~info:"hand-written" d
+
+(* The verdict of [b] decided as a mutant of [a]. *)
+let decide_pair a b =
+  match Equivalence.decide (make_oracle a) (as_mutant b) with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e)
+
 let test_equiv_self () =
   let d = parse and_gate_src in
-  (match Equivalence.product_bfs ~max_bits:16 d d with
+  (match decide_pair d d with
    | Equivalence.Equivalent -> ()
    | v -> Alcotest.fail ("self not equivalent: " ^ Equivalence.verdict_name v))
 
@@ -442,7 +454,7 @@ begin
   y := a or b;
 end design;|}
   in
-  (match Equivalence.product_bfs ~max_bits:16 d d_or with
+  (match decide_pair d d_or with
    | Equivalence.Distinguished [ stim ] ->
      (* The counterexample really distinguishes the two designs. *)
      let oa = List.concat (Sim.run d [ stim ]) in
@@ -450,9 +462,6 @@ end design;|}
      check_bool "really differs" false
        (Bitvec.equal (List.assoc "y" oa) (List.assoc "y" ob))
    | v -> Alcotest.fail ("expected distinguished: " ^ Equivalence.verdict_name v))
-
-(* A hand-written design wrapped as a mutant, for the oracle. *)
-let as_mutant d = Mutant.make ~id:0 ~op:Operator.LOR ~site:0 ~info:"hand-written" d
 
 let test_equiv_detects_equivalent_mutant () =
   (* a and a is equivalent to a or a: an equivalent-mutant shape. *)
@@ -464,24 +473,34 @@ let test_equiv_detects_equivalent_mutant () =
     parse
       {|design t is input a : bit; output y : bit; begin y := a or a; end design;|}
   in
-  (match Equivalence.decide (Equivalence.make d1) (as_mutant d2) with
+  (match Equivalence.decide (make_oracle d1) (as_mutant d2) with
    | Ok Equivalence.Equivalent -> ()
    | Ok v -> Alcotest.fail ("expected equivalent: " ^ Equivalence.verdict_name v)
    | Error e -> Alcotest.fail (Mutsamp_robust.Error.to_string e))
 
+(* Past the search's limits: 13 input bits on a sequential design, and
+   131072 reachable joint states. *)
 let test_equiv_budget_unknown () =
   let wide =
     parse
-      {|design w is input a : unsigned(30); output y : bit;
-        begin y := a[0]; end design;|}
+      {|design w is input a : unsigned(13); output y : bit; reg r : bit := '0';
+        begin y := r; r := a[0]; end design;|}
   in
-  (match Equivalence.product_bfs ~max_bits:16 wide wide with
+  (match decide_pair wide wide with
+   | Equivalence.Unknown -> ()
+   | v -> Alcotest.fail ("expected unknown: " ^ Equivalence.verdict_name v));
+  let counter =
+    parse
+      {|design c is input en : bit; output y : bit; reg n : unsigned(17) := 0;
+        begin y := n[16]; n := n + 1; end design;|}
+  in
+  (match decide_pair counter counter with
    | Equivalence.Unknown -> ()
    | v -> Alcotest.fail ("expected unknown: " ^ Equivalence.verdict_name v))
 
 let test_equiv_product_bfs_counter () =
   let d = parse counter_src in
-  (match Equivalence.product_bfs d d with
+  (match decide_pair d d with
    | Equivalence.Equivalent -> ()
    | v -> Alcotest.fail ("self: " ^ Equivalence.verdict_name v));
   (* Mutant: counts by 2 — distinguishable after two enables. *)
@@ -498,7 +517,7 @@ begin
   end if;
 end design;|}
   in
-  (match Equivalence.product_bfs d mutant with
+  (match decide_pair d mutant with
    | Equivalence.Distinguished seq ->
      check_bool "nonempty sequence" true (List.length seq >= 2);
      (* Verify the sequence really distinguishes. *)
@@ -545,14 +564,14 @@ begin
   end if;
 end design;|}
   in
-  (match Equivalence.product_bfs good bad with
+  (match decide_pair good bad with
    | Equivalence.Distinguished seq -> check_int "shortest length" 4 (List.length seq)
    | v -> Alcotest.fail ("expected distinguished: " ^ Equivalence.verdict_name v))
 
 let test_equiv_interface_mismatch () =
   let a = parse and_gate_src and b = parse counter_src in
   (try
-     ignore (Equivalence.decide (Equivalence.make a) (as_mutant b));
+     ignore (Equivalence.decide (make_oracle a) (as_mutant b));
      Alcotest.fail "should reject"
    with Invalid_argument _ -> ())
 
@@ -561,7 +580,7 @@ let test_equiv_interface_mismatch () =
 let prop_equivalence_matches_bruteforce =
   let d = parse alu_src in
   let ms = Array.of_list (Generate.all d) in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let arb = QCheck.make ~print:(fun i -> Mutant.to_string ms.(i))
       QCheck.Gen.(int_range 0 (Array.length ms - 1)) in
   QCheck.Test.make ~name:"equivalence check agrees with brute force" ~count:60 arb
@@ -571,12 +590,26 @@ let prop_equivalence_matches_bruteforce =
         let sims = Sim.create d and simm = Sim.create m.Mutant.design in
         List.for_all
           (fun stim -> Sim.outputs_equal (Sim.step sims stim) (Sim.step simm stim))
-          (Stimuli.enumerate d)
+          (List.init (1 lsl Stimuli.input_bits d) (Stimuli.of_code d))
       in
       match Equivalence.decide oracle m with
       | Ok Equivalence.Equivalent -> brute
       | Ok (Equivalence.Distinguished _) -> not brute
       | Ok Equivalence.Unknown | Error _ -> false)
+
+(* Property: on random FSM designs, every mutant's verdict and witness
+   from the search over compiled programs are the interpreter
+   search's. *)
+let prop_decide_matches_interpreter =
+  QCheck.Test.make ~name:"decide = interpreter search, random FSM designs" ~count:30
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1000000))
+    (fun seed ->
+      let d = Random_fsm.design (Mutsamp_util.Prng.create seed) in
+      let oracle = make_oracle d in
+      List.for_all
+        (fun (m : Mutant.t) ->
+          Equivalence.decide oracle m = Ok (Sim_bfs.product_bfs d m.Mutant.design))
+        (Generate.all d))
 
 (* ------------------------------------------------------------------ *)
 (* The equivalence oracle on registry circuits                        *)
@@ -627,7 +660,7 @@ let test_product_bfs_pinned () =
       let d = registry_design name in
       Alcotest.(check string)
         (name ^ " product BFS") digest
-        (verdicts_digest d (fun (m : Mutant.t) -> Equivalence.product_bfs d m.design)))
+        (verdicts_digest d (fun (m : Mutant.t) -> Sim_bfs.product_bfs d m.design)))
     search_pins
 
 (* The library path over the same designs: each mutant decided by its
@@ -636,7 +669,7 @@ let test_decide_pinned () =
   List.iter
     (fun (name, digest) ->
       let d = registry_design name in
-      let oracle = Equivalence.make d in
+      let oracle = make_oracle d in
       Alcotest.(check string)
         (name ^ " decide") digest
         (verdicts_digest d (fun m ->
@@ -647,8 +680,8 @@ let test_decide_pinned () =
 
 let test_exhaustive_pinned () =
   let d = registry_design "c17" in
-  let oracle = Equivalence.make d in
-  check_bool "exhaustive regime" true (Equivalence.regime oracle = Equivalence.Exhaustive);
+  let oracle = make_oracle d in
+  check_bool "exhaustive regime" true (Equivalence.regime oracle = Equivalence.Search);
   Alcotest.(check string)
     "c17 exhaustive" "0b25971f43623b2d9146d8209e1fa8ac"
     (verdicts_digest d (fun m ->
@@ -666,7 +699,7 @@ let test_miter_pinned () =
   List.iter
     (fun (name, first, digest) ->
       let d = registry_design name in
-      let oracle = Equivalence.make d in
+      let oracle = make_oracle d in
       check_bool (name ^ " miter regime") true (Equivalence.regime oracle = Equivalence.Miter);
       Alcotest.(check string)
         (name ^ " miter") digest
@@ -682,8 +715,8 @@ let test_oracle_c17_agrees_with_sat () =
   let module Flow = Mutsamp_synth.Flow in
   let module Equiv = Mutsamp_sat.Equiv in
   let d = registry_design "c17" in
-  let oracle = Equivalence.make d in
-  check_bool "exhaustive regime" true (Equivalence.regime oracle = Equivalence.Exhaustive);
+  let oracle = make_oracle d in
+  check_bool "exhaustive regime" true (Equivalence.regime oracle = Equivalence.Search);
   let reference = Flow.synthesize d in
   List.iter
     (fun (m : Mutant.t) ->
@@ -706,7 +739,7 @@ let test_oracle_c432_counterexamples_kill () =
   let d = registry_design "c432" in
   let mutants = Generate.all d in
   let runner = Kill.make d mutants in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   check_bool "miter regime" true (Equivalence.regime oracle = Equivalence.Miter);
   let distinguished = ref 0 in
   List.iteri
@@ -746,7 +779,7 @@ let test_oracle_c432_structural_matches_miter () =
   let module Flow = Mutsamp_synth.Flow in
   let module Equiv = Mutsamp_sat.Equiv in
   let d = registry_design "c432" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let reference = Flow.synthesize d in
   let (), structural =
     counting "equiv.structural" (fun () ->
@@ -774,7 +807,7 @@ let test_oracle_c499_structural_unsat () =
   let module Flow = Mutsamp_synth.Flow in
   let module Equiv = Mutsamp_sat.Equiv in
   let d = registry_design "c499" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let reference = Flow.synthesize d in
   let settled, structural =
     counting "equiv.structural" (fun () ->
@@ -822,7 +855,7 @@ end design;|}
   check_bool "same gates" true (nd.Netlist.gates = ns.Netlist.gates);
   check_bool "same inputs" true (nd.Netlist.input_nets = ns.Netlist.input_nets);
   check_bool "other outputs" false (nd.Netlist.output_list = ns.Netlist.output_list);
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   check_bool "miter regime" true (Equivalence.regime oracle = Equivalence.Miter);
   match Equivalence.decide oracle (as_mutant swapped) with
   | Ok (Equivalence.Distinguished _) -> ()
@@ -838,7 +871,7 @@ let unsettled (m : Mutant.t) =
   Mutant.make ~id:m.Mutant.id ~op:m.Mutant.op ~site:m.Mutant.site ~info:m.Mutant.info
     m.Mutant.design
 
-let fresh_decide ?budget d m = Equivalence.decide ?budget (Equivalence.make d) (unsettled m)
+let fresh_decide ?budget d m = Equivalence.decide ?budget (make_oracle d) (unsettled m)
 
 let show = function
   | Ok v -> Equivalence.verdict_name v
@@ -866,14 +899,14 @@ let sample d = List.filteri (fun i _ -> i mod 24 = 0) (Generate.all d)
    the same design all return what a memo-free decide returns; the
    second and third are answered from the slot. *)
 let test_memo_matches_fresh d mutants () =
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   List.iter
     (fun (m : Mutant.t) ->
       let expected = fresh_decide d m in
       let first, first_reused = counting_reused (fun () -> Equivalence.decide oracle m) in
       let second, second_reused = counting_reused (fun () -> Equivalence.decide oracle m) in
       let other, other_reused =
-        counting_reused (fun () -> Equivalence.decide (Equivalence.make d) m)
+        counting_reused (fun () -> Equivalence.decide (make_oracle d) m)
       in
       check_verdict "first" m expected first;
       check_verdict "second" m expected second;
@@ -902,14 +935,14 @@ let test_memo_c432 () =
 let test_memo_foreign_design name ~every () =
   let d = registry_design name in
   let ms = Array.of_list (Generate.all d) in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let told_apart = ref 0 in
   Array.iteri
     (fun i (m : Mutant.t) ->
       if i mod every = 0 && i + 1 < Array.length ms then begin
         let own = Equivalence.decide oracle m in
         let r = ms.(i + 1) in
-        let foreign = Equivalence.make r.Mutant.design in
+        let foreign = make_oracle r.Mutant.design in
         let expected = fresh_decide r.Mutant.design m in
         check_verdict "foreign" m expected (Equivalence.decide foreign m);
         check_verdict "foreign again" m expected (Equivalence.decide foreign m);
@@ -929,7 +962,7 @@ let test_memo_foreign_design name ~every () =
    still settles the mutant. *)
 let test_memo_skips_cut_solves () =
   let d = registry_design "c432" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let cut = ref 0 in
   List.iter
     (fun (m : Mutant.t) ->
@@ -949,7 +982,7 @@ let test_memo_skips_cut_solves () =
    reuses nothing. *)
 let test_memo_finite_quota_solves_again () =
   let d = registry_design "c432" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let settled = ref 0 in
   List.iter
     (fun (m : Mutant.t) ->
@@ -977,7 +1010,7 @@ let test_memo_finite_quota_solves_again () =
    and stays kept. *)
 let test_memo_hit_checks_deadline () =
   let d = registry_design "c432" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let m = List.hd (sample d) in
   let settled = Equivalence.decide oracle m in
   check_bool "settled" true (conclusive settled);
@@ -993,7 +1026,7 @@ let test_memo_hit_checks_deadline () =
    fresh solve does. *)
 let test_memo_hit_trips_chaos () =
   let d = registry_design "c432" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let m = List.hd (sample d) in
   let settled = Equivalence.decide oracle m in
   check_bool "settled" true (conclusive settled);
@@ -1007,7 +1040,7 @@ let test_memo_hit_trips_chaos () =
    verdict. *)
 let test_memo_structural_deadline_no_chaos () =
   let d = registry_design "c432" in
-  let oracle = Equivalence.make d in
+  let oracle = make_oracle d in
   let m =
     List.find
       (fun (m : Mutant.t) ->
@@ -1079,6 +1112,7 @@ let suite =
         Alcotest.test_case "bfs shortest" `Quick test_equiv_bfs_finds_shortest;
         Alcotest.test_case "interface mismatch" `Quick test_equiv_interface_mismatch;
         q prop_equivalence_matches_bruteforce;
+        q prop_decide_matches_interpreter;
         Alcotest.test_case "oracle c17 agrees with sat" `Quick
           test_oracle_c17_agrees_with_sat;
         Alcotest.test_case "oracle c432 counterexamples kill" `Quick

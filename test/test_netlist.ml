@@ -193,10 +193,12 @@ let test_netlist_counts () =
 
 let test_netlist_find () =
   let nl = full_adder () in
-  check_bool "find a" true (Netlist.find_input nl "a" >= 0);
-  check_bool "find s" true (Netlist.find_output nl "s" >= 0);
+  Alcotest.(check (pair (array string) (array string)))
+    "port names" ([| "a"; "b"; "cin" |], [| "s"; "cout" |]) (Netlist.port_names nl);
+  check_int "a is the first input net" nl.Netlist.input_nets.(0) (Ports.input nl "a");
+  check_int "s" (snd nl.Netlist.output_list.(0)) (Ports.output nl "s");
   (try
-     ignore (Netlist.find_input nl "zz");
+     ignore (Ports.input nl "zz");
      Alcotest.fail "should raise"
    with Not_found -> ())
 
@@ -271,7 +273,7 @@ let test_lint_rejects_cycle () =
 let test_fanouts () =
   let nl = full_adder () in
   let fo = Netlist.fanouts nl in
-  let a = Netlist.find_input nl "a" in
+  let a = Ports.input nl "a" in
   check_bool "a has fanout" true (List.length fo.(a) >= 2)
 
 (* ------------------------------------------------------------------ *)
@@ -333,7 +335,7 @@ let test_bitsim_reset_initial_value () =
 let test_bitsim_fault_injection_net () =
   let nl = full_adder () in
   let sim = Bitsim.create nl in
-  let a = Netlist.find_input nl "a" in
+  let a = Ports.input nl "a" in
   (* stuck-at-1 on input a with pattern a=0,b=1,cin=0: good s=1, faulty s=0 *)
   let good = Bitsim.step sim [| 0; Bitsim.all_ones; 0 |] in
   let faulty =
@@ -375,7 +377,7 @@ let test_bitsim_sequential_fault_state () =
   let nl = toggle () in
   let sim = Bitsim.create nl in
   Bitsim.reset sim;
-  let inj = Bitsim.Net (Netlist.find_input nl "en") in
+  let inj = Bitsim.Net (Ports.input nl "en") in
   let q1 = Bitsim.step_injected sim [| Bitsim.all_ones |] ~inj ~stuck:0 in
   let q2 = Bitsim.step_injected sim [| Bitsim.all_ones |] ~inj ~stuck:0 in
   check_int "q stays 0" 0 (q1.(0) lor q2.(0))

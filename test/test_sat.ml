@@ -214,8 +214,8 @@ let test_tseitin_full_adder_consistent () =
         Array.init 3 (fun k -> if (code lsr k) land 1 = 1 then Bitsim.all_ones else 0)
       in
       let outs = Bitsim.step sim inputs in
-      let s_net = Netlist.find_output nl "s" in
-      let cout_net = Netlist.find_output nl "cout" in
+      let s_net = Ports.output nl "s" in
+      let cout_net = Ports.output nl "cout" in
       check_bool "s agrees" true
         (model.(enc.Tseitin.var_of_net.(s_net)) = (outs.(0) land 1 = 1));
       check_bool "cout agrees" true
