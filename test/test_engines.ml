@@ -330,6 +330,62 @@ let test_compiled_multi_batch () =
         [ 1; 2 ])
     [ "c432"; "wide128" ]
 
+let synthesize name = Flow.synthesize ((Option.get (Registry.find name)).Registry.design ())
+
+let uniform nl ~length seed =
+  Prpg.uniform_sequence (Prng.create seed) ~bits:(Array.length nl.Netlist.input_nets) ~length
+
+(* Runs on one netlist value may share what was compiled for it, so
+   interleave designs: c432 on half its faults, full-scan b03, a
+   structurally equal copy of c432 that is another value, b01 on the
+   packed backend, then the first c432 value again on every fault,
+   half of them never simulated on it before. *)
+let test_interleaved_netlists () =
+  let c432 = synthesize "c432" and c432_copy = synthesize "c432" in
+  check_bool "copy is equal" true (c432_copy = c432);
+  check_bool "copy is another value" true (c432_copy != c432);
+  let b03 = Mutsamp_atpg.Scan.full_scan (synthesize "b03") and b01 = synthesize "b01" in
+  let all nl = (Collapse.run nl).Collapse.representatives in
+  let half = List.filteri (fun i _ -> i mod 2 = 0) (all c432) in
+  List.iteri
+    (fun k (name, nl, faults, length) ->
+      let sequence = uniform nl ~length (41 + k) in
+      check_bool
+        (Printf.sprintf "run %d (%s) differs from serial" k name)
+        true
+        (same_report (Fsim.serial nl ~faults ~sequence) (Fsim.run nl ~faults ~sequence)))
+    [
+      ("c432", c432, half, 70);
+      ("b03 full-scan", b03, all b03, 40);
+      ("c432 copy", c432_copy, all c432_copy, 30);
+      ("b01", b01, all b01, 60);
+      ("c432", c432, all c432, 100);
+    ]
+
+(* Four campaign cells on a 4-domain pool simulate one c499 netlist,
+   never run before, on overlapping fault subsets and their own
+   patterns: what they compile for it concurrently must give the
+   reports of the same runs made one after another. *)
+let test_cells_share_netlist () =
+  let nl = synthesize "c499" in
+  let faults = (Collapse.run nl).Collapse.representatives in
+  let cells =
+    List.init 4 (fun k ->
+        ( List.filteri (fun i _ -> (i + k) mod 3 <> 0) faults,
+          uniform nl ~length:(20 + (40 * k)) (13 + k) ))
+  in
+  let parallel =
+    with_jobs 4 @@ fun ctx ->
+    Ctx.map_cells ctx cells ~f:(fun (faults, sequence) -> Fsim.run ~ctx nl ~faults ~sequence)
+  in
+  List.iteri
+    (fun k ((faults, sequence), r) ->
+      check_bool
+        (Printf.sprintf "cell %d differs from the sequential run" k)
+        true
+        (same_report (Fsim.run nl ~faults ~sequence) r))
+    (List.combine cells parallel)
+
 (* ------------------------------------------------------------------ *)
 (* Packed sequential engine: dropping, activity skipping, regrouping  *)
 (* ------------------------------------------------------------------ *)
@@ -525,6 +581,8 @@ let suite =
           test_registry_all_engines_all_jobs;
         Alcotest.test_case "c432 and wide128, 200 patterns, jobs 1/2" `Slow
           test_compiled_multi_batch;
+        Alcotest.test_case "interleaved netlists = serial" `Slow test_interleaved_netlists;
+        Alcotest.test_case "cells on one netlist, 4 domains" `Slow test_cells_share_netlist;
       ] );
     ( "engines.sequential",
       [
