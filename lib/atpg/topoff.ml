@@ -83,23 +83,27 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
   (* Phase 2: pseudo-random batches with stall detection. *)
   let prng = Prng.create seed in
   let bits = Array.length nl.Netlist.input_nets in
-  let remaining = ref after_seed in
   let random_patterns = ref 0 in
+  (* One word of pseudo-random patterns against [pending], kept in the
+     test set only if it detects a fault: the undetected remainder and
+     the number detected. *)
+  let random_batch pending =
+    let batch = Prpg.uniform_sequence prng ~bits ~length:Bitsim.word_bits in
+    random_patterns := !random_patterns + Bitsim.word_bits;
+    let next = surviving ~ctx nl pending batch in
+    let detected = List.length pending - List.length next in
+    if detected > 0 then test_set_rev := List.rev_append (Array.to_list batch) !test_set_rev;
+    (next, detected)
+  in
+  let remaining = ref after_seed in
   let stall = ref 0 in
   while
     (not (expired ()))
     && !stall < random_stall && !random_patterns < random_budget && !remaining <> []
   do
-    let batch = Prpg.uniform_sequence prng ~bits ~length:Bitsim.word_bits in
-    let before = List.length !remaining in
-    let next = surviving ~ctx nl !remaining batch in
-    random_patterns := !random_patterns + Bitsim.word_bits;
-    if List.length next = before then incr stall
-    else begin
-      stall := 0;
-      test_set_rev := List.rev_append (Array.to_list batch) !test_set_rev
-    end;
-    if List.length next <> before then remaining := next
+    let next, detected = random_batch !remaining in
+    remaining := next;
+    if detected = 0 then incr stall else stall := 0
   done;
   let random_detected = List.length after_seed - List.length !remaining in
   (* Phase 3: deterministic ATPG with cross fault dropping. *)
@@ -181,15 +185,9 @@ let run ?(generator = Use_podem) ?(random_budget = 4096) ?(seed = 1)
          (fun ~attempt:_ ~scale ->
            for _batch = 1 to scale do
              if !leftover <> [] then begin
-               let batch = Prpg.uniform_sequence prng ~bits ~length:Bitsim.word_bits in
-               random_patterns := !random_patterns + Bitsim.word_bits;
-               let before = List.length !leftover in
-               let next = surviving ~ctx nl !leftover batch in
-               if List.length next < before then begin
-                 test_set_rev := List.rev_append (Array.to_list batch) !test_set_rev;
-                 degraded_detected := !degraded_detected + (before - List.length next);
-                 leftover := next
-               end
+               let next, detected = random_batch !leftover in
+               degraded_detected := !degraded_detected + detected;
+               leftover := next
              end
            done;
            if !leftover = [] then Ok () else Error "undetected faults remain")

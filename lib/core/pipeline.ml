@@ -194,29 +194,36 @@ and classify_equivalents_compute ~screen ~ctx ~seed t =
         ~detail:"equivalence classification cut short; unresolved mutants treated non-equivalent"
         e
   in
+  (* Survivors treated as non-equivalent without a proof: an [Unknown]
+     verdict or a budget cut. *)
+  let undecided_series = "equiv." ^ t.design.Ast.name ^ ".undecided" in
   let shard ~budget ~lo ~len =
     let stopped = ref None in
     let stop e =
       if !stopped = None then stopped := Some e;
       note_stop e
     in
+    let undecided = ref 0 in
+    let unproven () = incr undecided; false in
     let exact i =
       Metrics.incr c_equiv_exact;
       match Equivalence.decide ~budget oracle mutants.(i) with
       | Ok Equivalence.Equivalent -> true
-      | Ok (Equivalence.Distinguished _ | Equivalence.Unknown) -> false
-      | Error e -> stop e; false
+      | Ok (Equivalence.Distinguished _) -> false
+      | Ok Equivalence.Unknown -> unproven ()
+      | Error e -> stop e; unproven ()
     in
     let out = Array.make len false in
     for k = 0 to len - 1 do
       out.(k) <-
-        (if !stopped <> None then false
+        (if !stopped <> None then unproven ()
          else
            match Budget.check_deadline budget ~stage:Rerror.Equivalence with
-           | Error e -> stop e; false
+           | Error e -> stop e; unproven ()
            | Ok () -> exact survivor_arr.(lo + k));
       tick 1
     done;
+    Metrics.add_named undecided_series !undecided;
     out
   in
   let verdicts = Array.concat (Array.to_list (Ctx.map_shards ctx ~n:total ~f:shard)) in

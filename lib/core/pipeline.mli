@@ -75,7 +75,7 @@ val classify_equivalents :
     compiled programs, or the SAT miter on wide combinational designs).
     Mutants whose exact check is [Unknown] or blows its budget are
     treated as non-equivalent (conservative; they deflate MS rather than
-    inflate it). The context progress callback fires after each exact check
+    inflate it) and counted under [equiv.<design>.undecided]. The context progress callback fires after each exact check
     under stage ["equiv"] ([total] is the survivor count), from the
     worker domain that ran it but through one
     {!Mutsamp_exec.Ctx.ticker}, so the counts arrive in order — the

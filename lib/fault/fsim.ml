@@ -7,6 +7,7 @@ module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
 module Ctx = Mutsamp_exec.Ctx
 module K = Fsim_kernel
+module C = Fsim_compiled
 
 type detection = K.detection = { fault : Fault.t; detected_at : int option }
 
@@ -128,14 +129,6 @@ let serial_shard ~budget ~tick nl ~(faults : Fault.t array) ~sequence =
     patterns_applied = Array.length sequence;
   }
 
-(* How a fault is forced in a packed word, in the program's slots. *)
-type force =
-  | Slot of int  (* a stem: this slot's lane *)
-  | Pin of { slot : int; kind : Gate.kind; a : int; b : int }
-      (* a gate's branch pin: recompute the lane of the gate's slot from
-         its operand slots, the stuck pin's as -1 *)
-  | Next of int  (* a flip-flop's D pin: that flop's next-state lane *)
-
 (* [w] with lane [bit] taken from [x]. *)
 let set_lane w bit x = (w land lnot bit) lor (x land bit)
 
@@ -152,8 +145,8 @@ let set_lane w bit x = (w land lnot bit) lor (x land bit)
    on the next state. Detected faults drop out and the survivors
    regroup every cycle, so a fault's [detected_at] never depends on
    which faults share its word. *)
-let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
-    ~(faults : Fault.t array) ~sequence =
+let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~sequence =
+  let nl = e.C.nl and prog = e.C.prog in
   let n_faults = Array.length faults in
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
@@ -172,42 +165,28 @@ let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
       admitted := !admitted + len
     | Error e -> cut := Some e
   done;
-  let slot = layout.Program.slot in
+  let slot = e.C.layout.Program.slot in
   let n_in = Program.input_bits prog and n_gates = Program.gates prog in
   let dslot =
     Array.map (fun q -> slot.(nl.Netlist.gates.(q).Gate.fanins.(0))) nl.Netlist.dff_nets
   in
   let n_dff = Array.length dslot in
-  (* Per net: one past its gate's position in the code, so 0 for the
+  (* Per slot: one past its gate's position in the code, so 0 for the
      sources. *)
   let after = Array.make (Array.length slot) 0 in
-  Array.iteri (fun k net -> after.(net) <- k + 1) layout.Program.order;
+  Array.iteri (fun k net -> after.(slot.(net)) <- k + 1) e.C.layout.Program.order;
   let stuck = Array.map Fault.stuck_word faults in
+  let force = Array.map (C.force e) faults in
   (* Per fault: the slot whose good value decides excitation (the stem
-     itself, or the fanin feeding the faulted pin), where in the code it
-     is forced, and how. D pins go last, after every gate. *)
-  let site = Array.make n_faults 0 and at = Array.make n_faults 0 in
-  let force =
-    Array.mapi
-      (fun fi f ->
-        match Fault.injection f with
-        | Bitsim.Net net ->
-          site.(fi) <- slot.(net);
-          at.(fi) <- after.(net);
-          Slot slot.(net)
-        | Bitsim.Pin { gate; pin } ->
-          let g = nl.Netlist.gates.(gate) in
-          let f0, f1 = Fsim_compiled.fanins2 g in
-          site.(fi) <- slot.(g.Gate.fanins.(pin));
-          (match g.Gate.kind with
-           | Gate.Dff _ ->
-             at.(fi) <- n_gates + 1;
-             Next (slot.(gate) - n_in)
-           | kind ->
-             at.(fi) <- after.(gate);
-             let operand p net = if p = pin then -1 else slot.(net) in
-             Pin { slot = slot.(gate); kind; a = operand 0 f0; b = operand 1 f1 }))
-      faults
+     itself, or the fanin feeding the faulted pin), and where in the
+     code it is forced. D pins go last, after every gate. *)
+  let site =
+    Array.map (function C.Slot s -> s | C.Pin { site; _ } | C.Next { site; _ } -> site) force
+  in
+  let at =
+    Array.map
+      (function C.Slot s | C.Pin { slot = s; _ } -> after.(s) | C.Next _ -> n_gates + 1)
+      force
   in
   (* Per-fault flip-flop state (one 0/1 int per flip-flop), held only
      while it differs from the good state; [||] follows the good one. *)
@@ -268,11 +247,11 @@ let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
             ran := at.(fi)
           end;
           (match force.(fi) with
-           | Slot s -> v.(s) <- set_lane v.(s) (1 lsl !l) stuck.(fi)
-           | Pin { slot = s; kind; a; b } ->
+           | C.Slot s -> v.(s) <- set_lane v.(s) (1 lsl !l) stuck.(fi)
+           | C.Pin { slot = s; kind; a; b; _ } ->
              let operand x = if x < 0 then stuck.(fi) else v.(x) in
              v.(s) <- set_lane v.(s) (1 lsl !l) (Gate.eval2 kind (operand a) (operand b))
-           | Next _ -> assert false);
+           | C.Next _ -> assert false);
           incr l
         done;
         Program.exec_range prog !ran n_gates v;
@@ -282,8 +261,8 @@ let parallel_fault_shard ~budget ~tick nl (layout : Program.layout) prog
         for l = !l to len - 1 do
           let fi = active.(!lo + l) in
           match force.(fi) with
-          | Next k -> next.(k) <- set_lane next.(k) (1 lsl l) stuck.(fi)
-          | Slot _ | Pin _ -> assert false
+          | C.Next { flop = k; _ } -> next.(k) <- set_lane next.(k) (1 lsl l) stuck.(fi)
+          | C.Slot _ | C.Pin _ -> assert false
         done;
         Metrics.incr K.x_machine_steps;
         Metrics.observe K.h_lanes_per_step (float_of_int len);
@@ -367,23 +346,20 @@ let simulate ~ctx ~backend ~faults ~sequence shard =
 (* The one entry point. [sequence] is a pattern sequence for sequential
    circuits and an (order-preserved) set of independent patterns for
    combinational ones; [detected_at] indexes into it either way. Each
-   regime has one backend: compiled without flip-flops, packed with.
-   Compilation happens here, on the coordinating domain, before any
-   shard runs. *)
+   regime has one backend: compiled without flip-flops, packed with,
+   both over {!Fsim_compiled.compiled}. Compilation happens here, on
+   the coordinating domain, before any shard runs. *)
 let run ?(ctx = Ctx.default) nl ~faults ~sequence =
   if Netlist.num_dffs nl = 0 then begin
-    let entry, progs = Fsim_compiled.prepare_comb nl ~faults in
+    let e, sites = C.prepare nl ~faults in
     simulate ~ctx ~backend:K.c_engine_compiled ~faults ~sequence
       (fun ~budget ~tick:_ ~lo ~faults ->
-        Fsim_compiled.combinational_shard entry progs ~budget ~faults ~fault_lo:lo
-          ~patterns:sequence)
+        C.combinational_shard e sites ~budget ~faults ~fault_lo:lo ~patterns:sequence)
   end
   else begin
-    let layout = Program.layout nl in
-    let prog = Program.of_layout nl layout in
+    let e = C.compiled nl in
     simulate ~ctx ~backend:K.c_engine_packed ~faults ~sequence
-      (fun ~budget ~tick ~lo:_ ~faults ->
-        parallel_fault_shard ~budget ~tick nl layout prog ~faults ~sequence)
+      (fun ~budget ~tick ~lo:_ ~faults -> parallel_fault_shard ~budget ~tick e ~faults ~sequence)
   end
 
 let serial ?(ctx = Ctx.default) nl ~faults ~sequence =

@@ -13,19 +13,26 @@
     - combinational netlists run {e compiled}: [Program.step] runs the
       good machine over 63 patterns at once, and each fault site's
       fanout cone, encoded over the same slots, runs with
-      [Program.exec] on an overlay of the good values. The program and
-      the cones are cached per design hash for the process lifetime
-      (misses recorded in [exec.compile_ms]). A fault whose site is not
-      excited in a batch skips its cone (elided gate evaluations
-      recorded in [exec.events_skipped]);
+      [Program.exec] on an overlay of the good values. A fault whose
+      site is not excited in a batch skips its cone (elided gate
+      evaluations recorded in [exec.events_skipped]);
     - sequential netlists run {e packed}, PROOFS-style parallel-fault
-      simulation, on a program compiled once per call: [Program.step]
+      simulation: [Program.step]
       runs the good machine once per cycle, and each cycle only the
       faults that are excited or whose flip-flop state has diverged are
       packed 63 to a word, one fault per lane. A word runs the program
       gate range by gate range with [Program.exec_range], forcing each
       lane's fault where the code reaches it; detected faults are
       dropped and the rest regroup every cycle.
+
+    Both backends run one compiled netlist: the last one compiled (its
+    layout, program and, for the compiled backend, the fault cones
+    built so far), reused while runs receive that same netlist value
+    ([==]). Any other value, even a structurally equal one, is compiled
+    afresh and replaces it, so a process that alternates designs
+    recompiles at each switch. Compilation happens on the calling
+    domain, before the shards fan out; its time is recorded in
+    [exec.compile_ms].
 
     The backend that ran is recorded by bumping one of the
     [fsim.engine.compiled] / [fsim.engine.packed] /

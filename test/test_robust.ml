@@ -210,7 +210,8 @@ let test_fsim_budget_degrades () =
    equivalence checks, in Vectorgen's directed phase and in
    [classify_equivalents] alike. A cut check is counted under
    [equiv.unknown], leaves its mutant unknown (never equivalent) and is
-   on record; the equivalents found are a subset of the exact ones. *)
+   on record; the equivalents found are a subset of the exact ones, and
+   each one the cut loses is counted under [equiv.<design>.undecided]. *)
 let test_equivalence_budget_cut () =
   let module Vectorgen = Mutsamp_validation.Vectorgen in
   let module Pipeline = Mutsamp_core.Pipeline in
@@ -265,13 +266,20 @@ let test_equivalence_budget_cut () =
   let classify budget =
     Pipeline.classify_equivalents ~ctx:(Ctx.make ~budget ()) ~seed:3 p
   in
+  let undecided () =
+    Option.value ~default:0
+      (List.assoc_opt "equiv.c432.undecided" (Metrics.snapshot ()).Metrics.counters)
+  in
   let full_eq, spent = with_spend classify in
   check_bool "exact classification not degraded" false (Degrade.any ());
   check_bool "classification finds equivalents" true (full_eq <> []);
+  check_int "exact classification leaves none undecided" 0 (undecided ());
   let cut_eq = classify (Budget.create ~sat_conflicts:(spent / 2) ()) in
   check_bool "classification equivalents subset" true (subset_of cut_eq full_eq);
   check_bool "fewer equivalents" true (List.length cut_eq < List.length full_eq);
   check_bool "classification cut counted" true (unknowns () >= 1);
+  check_bool "every lost equivalent undecided" true
+    (undecided () >= List.length full_eq - List.length cut_eq);
   check_bool "equivalence degradation recorded" true
     (List.mem "equivalence" (Degrade.degraded_stages ()))
 
