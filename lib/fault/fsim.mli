@@ -25,14 +25,12 @@
       lane's fault where the code reaches it; detected faults are
       dropped and the rest regroup every cycle.
 
-    Both backends run one compiled netlist: the last one compiled (its
-    layout, program and, for the compiled backend, the fault cones
-    built so far), reused while runs receive that same netlist value
-    ([==]). Any other value, even a structurally equal one, is compiled
-    afresh and replaces it, so a process that alternates designs
-    recompiles at each switch. Compilation happens on the calling
-    domain, before the shards fan out; its time is recorded in
-    [exec.compile_ms].
+    Both backends run a compiled netlist (layout, program and, for the
+    compiled backend, the fault cones built so far). The last 8
+    compiled are reused while runs receive the same netlist value
+    ([==]); any other value, even a structurally equal one, is compiled
+    afresh, on the calling domain before the shards fan out, its time
+    recorded in [exec.compile_ms].
 
     The backend that ran is recorded by bumping one of the
     [fsim.engine.compiled] / [fsim.engine.packed] /

@@ -11,11 +11,10 @@
    the inner loop. Combinational only: sequential netlists run the
    packed backend, over the same compiled netlist.
 
-   One compiled netlist is kept: the last one compiled, reused while
-   runs receive that same netlist value ([==]). Another value, even a
-   structurally equal one, replaces it, so a process that alternates
-   designs recompiles at each switch. Cones are kept per seed net in
-   write-once slots, filled on the coordinating domain before
+   The last [keep] netlists compiled are kept and reused while runs
+   receive that same netlist value ([==]); any other value, even a
+   structurally equal one, is compiled afresh. Cones are kept per seed
+   net in write-once slots, filled on the coordinating domain before
    [Ctx.map_shards] fans out; concurrent runs on one netlist race only
    on a slot both would fill with equal cones. Compilation records its
    cost in [exec.compile_ms]. *)
@@ -45,32 +44,46 @@ type t = {
   nl : Netlist.t;
   layout : Program.layout;
   prog : Program.t;
+  (* Both [||] for a sequential netlist: the packed backend reads neither. *)
   fanouts : int array array;  (* per net: consuming gates, ascending *)
   cones : cone option Atomic.t array;  (* per seed net, write-once *)
 }
 
-let last : t option Atomic.t = Atomic.make None
+let keep = 8  (* bounded, so netlists the caller has dropped are let go *)
+let recent : t list Atomic.t = Atomic.make []  (* newest first *)
+let find nl = List.find_opt (fun e -> e.nl == nl)
 
+(* Two domains compiling one netlist at once publish one entry; the
+   later adopts it. *)
 let compiled nl =
-  match Atomic.get last with
-  | Some e when e.nl == nl -> e
-  | Some _ | None ->
+  match find nl (Atomic.get recent) with
+  | Some e -> e
+  | None ->
     let e, dt =
       Trace.with_span_timed "fsim_compile"
         ~attrs:[ ("design", nl.Netlist.name) ]
         (fun () ->
-          let layout = Program.layout nl in
+          let layout = Program.layout nl and comb = Netlist.num_dffs nl = 0 in
           {
             nl;
             layout;
             prog = Program.of_layout nl layout;
-            fanouts = Array.map Array.of_list (Netlist.fanouts nl);
-            cones = Array.init (Array.length nl.Netlist.gates) (fun _ -> Atomic.make None);
+            fanouts = (if comb then Array.map Array.of_list (Netlist.fanouts nl) else [||]);
+            cones =
+              Array.init (if comb then Array.length nl.Netlist.gates else 0) (fun _ ->
+                  Atomic.make None);
           })
     in
     Metrics.add K.x_compile_ms (int_of_float (dt *. 1000.));
-    Atomic.set last (Some e);
-    e
+    let rec publish () =
+      let old = Atomic.get recent in
+      match find nl old with
+      | Some e -> e
+      | None ->
+        let kept = List.filteri (fun i _ -> i < keep - 1) old in
+        if Atomic.compare_and_set recent old (e :: kept) then e else publish ()
+    in
+    publish ()
 
 (* What a fault forces, in the program's slots. *)
 type force =

@@ -32,9 +32,7 @@ let registry_mutex = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let locked m f = Mutex.protect m f
 
 let counter name =
   locked registry_mutex @@ fun () ->

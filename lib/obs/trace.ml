@@ -41,9 +41,7 @@ let next_track = ref 0
 let collectors : collector list ref = ref []
 let epoch : float option ref = ref None
 
-let locked f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
+let locked f = Mutex.protect registry_mutex f
 
 let new_collector () =
   locked @@ fun () ->

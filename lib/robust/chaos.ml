@@ -56,22 +56,18 @@ let arm ?(after = 0) point action =
 let fire point =
   if Hashtbl.length table = 0 then None
   else begin
-    Mutex.lock mutex;
-    let result =
-      match Hashtbl.find_opt table point with
-      | None -> None
-      | Some a ->
-        if a.countdown > 0 then begin
-          a.countdown <- a.countdown - 1;
-          None
-        end
-        else begin
-          Metrics.incr c_fired;
-          Some a.action
-        end
-    in
-    Mutex.unlock mutex;
-    result
+    Mutex.protect mutex (fun () ->
+        match Hashtbl.find_opt table point with
+        | None -> None
+        | Some a ->
+          if a.countdown > 0 then begin
+            a.countdown <- a.countdown - 1;
+            None
+          end
+          else begin
+            Metrics.incr c_fired;
+            Some a.action
+          end)
   end
 
 let trip point =

@@ -24,9 +24,7 @@ let create ~capacity =
     closed = false;
   }
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let with_lock t f = Mutex.protect t.mutex f
 
 let try_push t x =
   with_lock t (fun () ->

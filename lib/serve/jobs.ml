@@ -2,6 +2,7 @@ module Registry = Mutsamp_circuits.Registry
 module Netlist = Mutsamp_netlist.Netlist
 module Fsim = Mutsamp_fault.Fsim
 module Pattern = Mutsamp_fault.Pattern
+module Fault = Mutsamp_fault.Fault
 module Collapse = Mutsamp_fault.Collapse
 module Prpg = Mutsamp_atpg.Prpg
 module Scan = Mutsamp_atpg.Scan
@@ -46,12 +47,9 @@ let entry name =
     raise (Error.E (Error.Protocol (Printf.sprintf "unknown circuit %S" name)))
 
 (* Single consumer (the worker thread, or the one-shot CLI), so holding
-   the mutex across the compute is fine — it only guards the table. *)
+   the mutex across the compute is fine — it only guards the tables. *)
 let prepare name =
-  Mutex.lock cache_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_mutex)
-    (fun () ->
+  Mutex.protect cache_mutex (fun () ->
       match Hashtbl.find_opt cache name with
       | Some p ->
         ignore (Atomic.fetch_and_add a_frontend_hits 1);
@@ -69,6 +67,25 @@ let prepare name =
         let p = Pipeline.prepare d in
         Hashtbl.replace cache name p;
         p)
+
+(* The netlist [atpg] runs on (full-scan for a sequential circuit) and
+   its collapsed faults, kept per circuit like the pipeline: repeat
+   requests hand fault simulation the same netlist value, whose
+   compiled program it keeps. *)
+let scans : (string, Netlist.t * Fault.t list) Hashtbl.t = Hashtbl.create 8
+
+let scanned name (p : Pipeline.t) =
+  Mutex.protect cache_mutex (fun () ->
+      match Hashtbl.find_opt scans name with
+      | Some s -> s
+      | None ->
+        let nl =
+          if p.Pipeline.sequential then Scan.full_scan p.Pipeline.netlist
+          else p.Pipeline.netlist
+        in
+        let s = (nl, (Collapse.run nl).Collapse.representatives) in
+        Hashtbl.replace scans name s;
+        s)
 
 (* --- job bodies -------------------------------------------------------- *)
 
@@ -102,11 +119,7 @@ let atpg ~ctx ~circuit ~generator ~seed =
   in
   let e = entry circuit in
   let p = prepare e.Registry.name in
-  let scanned =
-    if p.Pipeline.sequential then Scan.full_scan p.Pipeline.netlist
-    else p.Pipeline.netlist
-  in
-  let faults = (Collapse.run scanned).Collapse.representatives in
+  let scanned, faults = scanned e.Registry.name p in
   let r = Topoff.run ~generator ~ctx ~seed scanned ~faults ~seed_patterns:[||] in
   Printf.sprintf
     "%s%s: %d faults | random: %d vectors (%d detected) | atpg: %d calls, %d vectors (%d detected) | untestable %d, aborted %d | coverage %.2f%% of testable%s\n"

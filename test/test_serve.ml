@@ -12,6 +12,7 @@ module Jobs = Mutsamp_serve.Jobs
 module Server = Mutsamp_serve.Server
 module Client = Mutsamp_serve.Client
 module Json = Mutsamp_obs.Json
+module Trace = Mutsamp_obs.Trace
 module Metrics = Mutsamp_obs.Metrics
 module Runreport = Mutsamp_obs.Runreport
 module Rerror = Mutsamp_robust.Error
@@ -445,6 +446,40 @@ let test_serve_warm_store_replay () =
      | None -> Alcotest.fail "no store section in warm report")
   | _ -> Alcotest.fail "warm request failed"
 
+(* The job bodies hand fault simulation netlist values the daemon keeps
+   per circuit (the pipeline's netlist, and for atpg on a sequential
+   circuit one full-scan netlist), so once faultsim on c432 and c499
+   and atpg on b03 have run, the same requests again, alternating
+   between circuits, compile no netlist. *)
+let test_repeat_traffic_compiles_nothing () =
+  let ctx = Mutsamp_exec.Ctx.default in
+  let round () =
+    List.map
+      (fun circuit -> Jobs.faultsim ~ctx ~circuit ~vectors:256 ~lfsr:false ~seed:2005)
+      [ "c432"; "c499" ]
+    @ [ Jobs.atpg ~ctx ~circuit:"b03" ~generator:"podem" ~seed:2005 ]
+  in
+  let first = round () in
+  let rec compiles (s : Trace.span) =
+    List.fold_left
+      (fun n c -> n + compiles c)
+      (if s.Trace.name = "fsim_compile" then 1 else 0)
+      s.Trace.children
+  in
+  let second, n =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.reset ())
+      (fun () ->
+        Trace.set_enabled true;
+        Trace.reset ();
+        let second = round () in
+        (second, List.fold_left (fun n s -> n + compiles s) 0 (Trace.roots ())))
+  in
+  check_bool "same replies" true (first = second);
+  check_int "fsim_compile spans on repeat traffic" 0 n
+
 let suite =
   [
     ( "serve.queue",
@@ -473,5 +508,7 @@ let suite =
           (clean test_serve_warm_store_replay);
         Alcotest.test_case "report fsim and exec sections" `Quick
           (clean test_serve_report_sections);
+        Alcotest.test_case "repeat traffic compiles nothing" `Quick
+          (clean test_repeat_traffic_compiles_nothing);
       ] );
   ]
