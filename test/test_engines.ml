@@ -109,6 +109,14 @@ let same_report (a : Fsim.report) (b : Fsim.report) =
          && da.Fsim.detected_at = db.Fsim.detected_at)
        a.Fsim.detections b.Fsim.detections
 
+(* [f] under a context with a [jobs]-domain pool, or the default one. *)
+let with_jobs jobs f =
+  if jobs = 1 then f Ctx.default
+  else begin
+    let pool = Pool.create ~domains:jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Ctx.with_pool pool))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Pattern generation and packing                                     *)
 (* ------------------------------------------------------------------ *)
@@ -219,6 +227,23 @@ let prop_comb_run_matches_serial =
 let prop_seq_run_matches_serial =
   prop_run_matches_serial ~dffs:true ~name:"packed = serial (seq)"
 
+(* What one run learns about a sequential netlist value may serve the
+   next run on it, so run one value again and again: sequences of 64
+   to 512 cycles over at most 5 input bits, some shorter than the one
+   before, one sharded. Every run must equal the serial reference. *)
+let prop_seq_repeated_runs_match_serial =
+  QCheck.Test.make ~name:"packed = serial, repeated runs on one netlist" ~count:40
+    (QCheck.make QCheck.Gen.(int_range 0 1000000))
+    (fun seed ->
+      let nl = random_netlist ~dffs:true seed in
+      let faults = faults_with_constants nl in
+      List.for_all
+        (fun (k, length, jobs) ->
+          let sequence = random_sequence nl ~length (seed + k) in
+          with_jobs jobs @@ fun ctx ->
+          same_report (Fsim.serial nl ~faults ~sequence) (Fsim.run ~ctx nl ~faults ~sequence))
+        [ (0, 64, 1); (1, 512, 1); (2, 96, 2); (3, 256, 1); (4, 512, 1) ])
+
 (* The compiled program against the reference evaluator, lane by lane
    over multi-cycle 63-lane sequences: every net's word (through the
    layout's slot map), the outputs, and the next state in the pending
@@ -274,13 +299,6 @@ let test_program_slot_limit () =
    bit-identical because per-fault first detection is independent of
    grouping. Runs the whole registry: comb ISCAS nets (compiled), seq
    ITC bench machines (packed), and the >62-input wide128 regression. *)
-let with_jobs jobs f =
-  if jobs = 1 then f Ctx.default
-  else begin
-    let pool = Pool.create ~domains:jobs in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Ctx.with_pool pool))
-  end
-
 let test_registry_all_engines_all_jobs () =
   List.iter
     (fun (e : Registry.entry) ->
@@ -563,6 +581,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_comb_run_matches_serial;
         QCheck_alcotest.to_alcotest prop_seq_run_matches_serial;
+        QCheck_alcotest.to_alcotest prop_seq_repeated_runs_match_serial;
         QCheck_alcotest.to_alcotest prop_program_matches_bitsim;
         Alcotest.test_case "Program slot limit" `Quick test_program_slot_limit;
       ] );
