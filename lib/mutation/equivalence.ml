@@ -86,7 +86,7 @@ let search t inputs mutant =
   match Kill.program t.runner mutant with
   | exception (Lower.Synth_error _ | Mapping.Mapping_error _) -> Unknown
   | program -> (
-    match Product.search inputs (Kill.reference t.runner) program with
+    match fst (Product.search ~max_states:65536 inputs (Kill.reference t.runner) program) with
     | Product.Equal -> Equivalent
     | Product.Differs codes -> Distinguished (List.map (Stimuli.of_code t.design) codes)
     | Product.Exhausted -> Unknown)

@@ -21,8 +21,10 @@ type outcome =
   | Differs of int list
       (** the codes, cycle by cycle, of the first shortest sequence in
           search order after which the outputs differ *)
-  | Exhausted  (** more than 65536 joint states are reachable *)
+  | Exhausted  (** more than [max_states] joint states are reachable *)
 
-val search : inputs -> Program.t -> Program.t -> outcome
-(** Raises [Invalid_argument] when a program's input bits are not
-    [width] or the two programs' output bits differ. *)
+val search : max_states:int -> inputs -> Program.t -> Program.t -> outcome * int
+(** The outcome, and the joint states the search reached, the reset
+    state included: at most [max_states]. Raises [Invalid_argument]
+    when a program's input bits are not [width] or the two programs'
+    output bits differ. *)
