@@ -2,7 +2,9 @@ module Netlist = Mutsamp_netlist.Netlist
 module Bitsim = Mutsamp_netlist.Bitsim
 module Gate = Mutsamp_netlist.Gate
 module Program = Mutsamp_netlist.Program
+module Product = Mutsamp_netlist.Product
 module Metrics = Mutsamp_obs.Metrics
+module Trace = Mutsamp_obs.Trace
 module Rerror = Mutsamp_robust.Error
 module Budget = Mutsamp_robust.Budget
 module Ctx = Mutsamp_exec.Ctx
@@ -144,21 +146,25 @@ let set_lane w bit x = (w land lnot bit) lor (x land bit)
    the first gate, a gate's stem or pin right after that gate, a D pin
    on the next state. Detected faults drop out and the survivors
    regroup every cycle, so a fault's [detected_at] never depends on
-   which faults share its word. *)
-let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~sequence =
+   which faults share its word. Faults marked in [dropped] are proven
+   untestable: they are never simulated and stay undetected. *)
+let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~dropped ~sequence =
   let nl = e.C.nl and prog = e.C.prog in
   let n_faults = Array.length faults in
   let detections = Array.map (fun f -> { fault = f; detected_at = None }) faults in
   let stop = ref (K.chaos_entry ()) in
   let w = Bitsim.word_bits in
   let n_cycles = Array.length sequence in
-  (* Admission: one charge per group of [w] faults for the whole
+  let kept = List.filter (fun fi -> not dropped.(fi)) (List.init n_faults Fun.id) in
+  let kept = Array.of_list kept in
+  let n_kept = Array.length kept in
+  (* Admission: one charge per group of [w] kept faults for the whole
      sequence, up front and in fault order, so a budget cut admits a
      prefix of whole groups whatever the activity turns out to be. *)
   let admitted = ref 0 in
   let cut = ref None in
-  while !stop = None && !cut = None && !admitted < n_faults do
-    let len = min w (n_faults - !admitted) in
+  while !stop = None && !cut = None && !admitted < n_kept do
+    let len = min w (n_kept - !admitted) in
     match Budget.spend budget ~stage:Rerror.Fsim Budget.Fsim_pairs (len * n_cycles) with
     | Ok () ->
       Metrics.incr K.x_fault_groups;
@@ -193,7 +199,7 @@ let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~sequ
   let fstate = Array.make n_faults [||] in
   (* Alive faults in code order of their forcing, so every word's lanes
      arrive in the order the gate loop reaches them. *)
-  let alive = Array.init !admitted Fun.id in
+  let alive = Array.sub kept 0 !admitted in
   Array.stable_sort (fun i j -> compare at.(i) at.(j)) alive;
   let n_alive = ref !admitted in
   let active = Array.make !admitted 0 in
@@ -313,8 +319,11 @@ let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~sequ
     end
   done;
   (* Logical work as the serial reference counts it: every alive fault
-     through its detection cycle, or to the end of the sequence. *)
-  Metrics.add K.c_machine_steps !logical_steps;
+     through its detection cycle, or to the end of the sequence, which
+     is where a dropped fault would have run. *)
+  let n_dropped = n_faults - n_kept in
+  Metrics.add K.c_machine_steps
+    (!logical_steps + (n_dropped * if !stop = None then n_cycles else !cycle));
   Metrics.add K.x_good_steps !cycle;
   if !ticked < n_faults then tick (n_faults - !ticked);
   K.note_cut ~detail:K.parallel_cut_detail (if !stop = None then !cut else !stop);
@@ -324,6 +333,49 @@ let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~sequ
     detections;
     patterns_applied = n_cycles;
   }
+
+(* Untestability proofs for the packed backend. A fault is untestable
+   when no input sequence from reset tells the faulty netlist
+   ({!Inject.apply}) from the good one: {!Product.search} over the two
+   programs, every input code of a cycle in the lanes, finds them
+   [Equal]. A run proves only faults an earlier run on the same
+   compiled netlist left undetected, so a one-shot run proves nothing.
+   Each search may reach [cycles / 2^input_bits] joint states, about
+   as many program steps as the run would spend on the fault; it gets
+   none below 1, and one that hits its cap is tried again only under a
+   larger one. Returns, per fault, whether it is proven untestable. *)
+let prove (e : C.t) (faults : Fault.t array) ~cycles =
+  let bits = Program.input_bits e.C.prog in
+  let cap = if bits >= Sys.int_size - 2 then 0 else cycles lsr bits in
+  let state f = Atomic.get (C.verdict e f) in
+  let pending = List.filter (fun f -> let v = state f in v >= 0 && v < cap) (Array.to_list faults) in
+  if pending <> [] then
+    Trace.with_span "fsim_prove" (fun () ->
+        let inputs =
+          Product.inputs ~codes:(1 lsl bits) ~width:bits (fun code set ->
+              for k = 0 to bits - 1 do
+                if (code lsr k) land 1 = 1 then set k
+              done)
+        in
+        List.iter
+          (fun f ->
+            (* A fault listed twice is searched once per cap. *)
+            if state f < cap then begin
+              let faulty = Program.of_netlist (Inject.apply e.C.nl f) in
+              let outcome, states = Product.search ~max_states:cap inputs e.C.prog faulty in
+              Metrics.incr K.x_proofs;
+              Metrics.add K.x_proof_states states;
+              C.advance (C.verdict e f)
+                (match outcome with
+                 | Product.Equal -> C.untestable
+                 | Product.Differs _ -> C.testable
+                 | Product.Exhausted -> cap)
+            end)
+          pending;
+        Trace.add_attr "searches" (string_of_int (List.length pending)));
+  let dropped = Array.map (fun f -> state f = C.untestable) faults in
+  Metrics.add K.x_dropped (Array.fold_left (fun n d -> if d then n + 1 else n) 0 dropped);
+  dropped
 
 (* Shared by [run] and [serial]: the run and backend counters, one
    progress ticker fed by every shard (so the callback sees the count
@@ -358,8 +410,18 @@ let run ?(ctx = Ctx.default) nl ~faults ~sequence =
   end
   else begin
     let e = C.compiled nl in
-    simulate ~ctx ~backend:K.c_engine_packed ~faults ~sequence
-      (fun ~budget ~tick ~lo:_ ~faults -> parallel_fault_shard ~budget ~tick e ~faults ~sequence)
+    let dropped = prove e (Array.of_list faults) ~cycles:(Array.length sequence) in
+    let r =
+      simulate ~ctx ~backend:K.c_engine_packed ~faults ~sequence
+        (fun ~budget ~tick ~lo ~faults ->
+          let dropped = Array.sub dropped lo (Array.length faults) in
+          parallel_fault_shard ~budget ~tick e ~faults ~dropped ~sequence)
+    in
+    (* What this run left undetected, a later run tries to prove. *)
+    Array.iter
+      (fun d -> if d.detected_at = None then C.advance (C.verdict e d.fault) 0)
+      r.detections;
+    r
   end
 
 let serial ?(ctx = Ctx.default) nl ~faults ~sequence =

@@ -23,7 +23,8 @@
       packed 63 to a word, one fault per lane. A word runs the program
       gate range by gate range with [Program.exec_range], forcing each
       lane's fault where the code reaches it; detected faults are
-      dropped and the rest regroup every cycle.
+      dropped and the rest regroup every cycle. Faults proven
+      untestable are never simulated (see {!run}).
 
     Both backends run a compiled netlist (layout, program and, for the
     compiled backend, the fault cones built so far). The last 8
@@ -50,7 +51,7 @@
     run, so the merged report is bit-identical to the sequential one.
     The context budget is split evenly across shards (leftovers
     refunded), and each shard spends one [Fsim_pairs] work unit per
-    pattern·fault pair it simulates. Exhaustion never fails the run —
+    pattern·fault pair it simulates (a dropped fault is not simulated). Exhaustion never fails the run —
     simulation stops early, the remaining faults stay undetected in the
     report, and the degradation is recorded via
     {!Mutsamp_robust.Degrade} (once per affected shard). A chaos arming
@@ -97,11 +98,30 @@ val run :
     backend simulates the patterns 63 to a batch; the packed one packs
     63 faults to a word.
 
+    The packed backend skips every fault proven untestable on the
+    compiled netlist and reports it undetected, in fault-list order: a
+    fault no input sequence from reset detects. The proof is a
+    {!Mutsamp_netlist.Product.search} over the good program and the
+    program of [Inject.apply nl f] that finds them equal. Proofs are
+    made on the next run: a run marks the faults it leaves undetected,
+    and a later run on the same netlist value ([==]) searches the
+    marked ones before it simulates, so a one-shot run proves nothing.
+    Each search may reach [cycles / 2^input_bits] joint states, sized
+    by the run that makes it, and none runs below 1; a search that
+    hits its cap keeps its fault, to be tried again only under a larger
+    cap. Reports are the same with or without the drop, except under a
+    finite [Fsim_pairs] quota: admission charges kept faults only, so a
+    later run may admit more faults than an earlier one. The drop and
+    the searches are counted in [exec.fsim_untestable_dropped],
+    [exec.fsim_proofs] and [exec.fsim_proof_states], and the searches
+    run in an [fsim_prove] span. A dropped fault still adds every cycle
+    of the run to [fsim.machine_steps], as {!serial} counts it.
+
     On sequential netlists the context's progress callback is invoked
-    (stage ["faultsim"]) as faults are detected and once for the rest
-    at the end (long [b03] runs are otherwise silent for minutes);
-    shards feed one {!Mutsamp_exec.Ctx.ticker}, so the count strictly
-    increases under parallelism.
+    (stage ["faultsim"]) as faults are detected and once for the rest,
+    dropped faults included, at the end; shards feed one
+    {!Mutsamp_exec.Ctx.ticker}, so the count strictly increases under
+    parallelism and ends at [N/N].
 
     Raises [Invalid_argument] if a pattern's width does not match the
     input count. *)

@@ -17,7 +17,10 @@
    net in write-once slots, filled on the coordinating domain before
    [Ctx.map_shards] fans out; concurrent runs on one netlist race only
    on a slot both would fill with equal cones. Compilation records its
-   cost in [exec.compile_ms]. *)
+   cost in [exec.compile_ms].
+
+   A sequential netlist's entry instead keeps one verdict slot per
+   fault, for the packed backend's untestability proofs ({!verdict}). *)
 
 module Netlist = Mutsamp_netlist.Netlist
 module Gate = Mutsamp_netlist.Gate
@@ -47,7 +50,16 @@ type t = {
   (* Both [||] for a sequential netlist: the packed backend reads neither. *)
   fanouts : int array array;  (* per net: consuming gates, ascending *)
   cones : cone option Atomic.t array;  (* per seed net, write-once *)
+  verdicts : int Atomic.t array;  (* per fault, sequential only: see [verdict] *)
 }
+
+(* A fault's verdict on a sequential netlist, which only moves up:
+   [unseen] until a run leaves the fault undetected; then [c >= 0]
+   while searches of up to [c] joint states (none yet when 0) have
+   settled nothing; at last [testable] or [untestable]. *)
+let unseen = -1
+let testable = max_int - 1
+let untestable = max_int
 
 let keep = 8  (* bounded, so netlists the caller has dropped are let go *)
 let recent : t list Atomic.t = Atomic.make []  (* newest first *)
@@ -72,6 +84,9 @@ let compiled nl =
             cones =
               Array.init (if comb then Array.length nl.Netlist.gates else 0) (fun _ ->
                   Atomic.make None);
+            verdicts =
+              Array.init (if comb then 0 else 6 * Array.length nl.Netlist.gates) (fun _ ->
+                  Atomic.make unseen);
           })
     in
     Metrics.add K.x_compile_ms (int_of_float (dt *. 1000.));
@@ -84,6 +99,20 @@ let compiled nl =
         if Atomic.compare_and_set recent old (e :: kept) then e else publish ()
     in
     publish ()
+
+(* One slot per polarity of each net's stem and each gate's two pins. *)
+let verdict e (f : Fault.t) =
+  let site =
+    match f.Fault.site with
+    | Fault.Stem net -> 3 * net
+    | Fault.Branch { gate; pin } -> (3 * gate) + 1 + pin
+  in
+  e.verdicts.((2 * site) + match f.Fault.polarity with Fault.Stuck_at_0 -> 0 | Stuck_at_1 -> 1)
+
+(* Raise [slot] to [v]; a slot already at or above it stays. *)
+let rec advance slot v =
+  let old = Atomic.get slot in
+  if v > old && not (Atomic.compare_and_set slot old v) then advance slot v
 
 (* What a fault forces, in the program's slots. *)
 type force =

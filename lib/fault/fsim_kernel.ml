@@ -32,6 +32,9 @@ let x_fault_groups = Metrics.counter "exec.fsim_fault_groups"
 let x_machine_steps = Metrics.counter "exec.fsim_machine_steps"
 let x_events_skipped = Metrics.counter "exec.events_skipped"
 let x_compile_ms = Metrics.counter "exec.compile_ms"
+let x_proofs = Metrics.counter "exec.fsim_proofs"
+let x_proof_states = Metrics.counter "exec.fsim_proof_states"
+let x_dropped = Metrics.counter "exec.fsim_untestable_dropped"
 let h_lanes_per_step = Metrics.histogram "exec.fsim_lanes_per_step"
 
 (* Resolved-engine observability: one counter per backend name, bumped

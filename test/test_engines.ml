@@ -575,6 +575,104 @@ let test_fsim_counters_engine_invariant () =
         (counters (fun nl -> Fsim.run nl) = serial))
     [ "b01"; "b03" ]
 
+(* ------------------------------------------------------------------ *)
+(* Packed sequential engine: faults proven untestable drop out        *)
+(* ------------------------------------------------------------------ *)
+
+module C = Mutsamp_fault.Fsim_compiled
+
+(* [f ()] with metrics on, and the counters it moved. *)
+let counting f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset ();
+      Metrics.set_enabled false)
+    (fun () ->
+      let r = f () in
+      let counters = (Metrics.snapshot ()).Metrics.counters in
+      (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters)))
+
+(* The faults the packed backend holds proven untestable on [nl]. *)
+let proven nl faults =
+  let e = C.compiled nl in
+  List.filter (fun f -> Atomic.get (C.verdict e f) = C.untestable) faults
+
+(* A one-shot run on a fresh netlist value proves nothing: only the
+   faults it leaves undetected become candidates for the next run. *)
+let test_first_run_drops_nothing () =
+  let nl, faults = circuit "b03" in
+  let sequence = seq_sequence nl ~length:4096 3 in
+  let r, count = counting (fun () -> Fsim.run nl ~faults ~sequence) in
+  check_int "no search" 0 (count "exec.fsim_proofs");
+  check_int "nothing dropped" 0 (count "exec.fsim_untestable_dropped");
+  check_int "nothing proven" 0 (List.length (proven nl faults));
+  check_bool "some faults left undetected" true (r.Fsim.detected < r.Fsim.total)
+
+(* Two 4096-cycle runs: the second proves what the first left
+   undetected and drops it, and still equals the serial reference. On
+   b03 that is the 125 faults that cap its coverage at 78%. *)
+let test_second_run_drops_untestable () =
+  List.iter
+    (fun (name, expected, total) ->
+      let nl, faults = circuit name in
+      check_int (name ^ " collapsed faults") total (List.length faults);
+      ignore (Fsim.run nl ~faults ~sequence:(seq_sequence nl ~length:4096 3));
+      let sequence = seq_sequence nl ~length:4096 4 in
+      let r, count = counting (fun () -> Fsim.run nl ~faults ~sequence) in
+      check_int (name ^ " dropped") expected (count "exec.fsim_untestable_dropped");
+      check_int (name ^ " proven") expected (List.length (proven nl faults));
+      check_bool (name ^ " = serial") true (same_report (Fsim.serial nl ~faults ~sequence) r))
+    [ ("b03", 125, 568); ("b01", 7, 218) ]
+
+(* No fault the engine drops is detected by the serial reference over
+   4096 fresh random cycles: on every sequential registry circuit after
+   two runs, and on random netlists after runs of every length. *)
+let check_dropped_undetected name nl faults seed =
+  let dropped = proven nl faults in
+  let r = Fsim.serial nl ~faults:dropped ~sequence:(random_sequence nl ~length:4096 seed) in
+  if r.Fsim.detected > 0 then
+    Alcotest.failf "%s: %d of %d dropped faults detected" name r.Fsim.detected
+      (List.length dropped);
+  List.length dropped
+
+let test_dropped_stay_undetected () =
+  List.iter
+    (fun (name, nl, faults) ->
+      let faults = faults @ dff_faults nl in
+      List.iter
+        (fun k -> ignore (Fsim.run nl ~faults ~sequence:(seq_sequence nl ~length:1024 k)))
+        [ 1; 2 ];
+      ignore (check_dropped_undetected name nl faults 99))
+    (sequential_circuits ());
+  let total = ref 0 in
+  for seed = 0 to 29 do
+    let nl = random_netlist ~dffs:true seed in
+    let faults = faults_with_constants nl in
+    List.iter
+      (fun length ->
+        ignore (Fsim.run nl ~faults ~sequence:(random_sequence nl ~length (seed + length))))
+      [ 64; 512; 256 ];
+    total := !total + check_dropped_undetected (Printf.sprintf "eng%d" seed) nl faults seed
+  done;
+  check_bool "random netlists drop some faults" true (!total > 0)
+
+(* b04 has 9 input bits: a 4096-cycle run lets each search reach at
+   most 4096 / 512 = 8 joint states, however large the reachable
+   space. *)
+let test_searches_bounded () =
+  let nl, faults = circuit "b04" in
+  ignore (Fsim.run nl ~faults ~sequence:(seq_sequence nl ~length:4096 3));
+  let sequence = seq_sequence nl ~length:4096 4 in
+  let r, count = counting (fun () -> Fsim.run nl ~faults ~sequence) in
+  check_bool "searches ran" true (count "exec.fsim_proofs" > 0);
+  check_bool "at most 8 states per fault" true
+    (count "exec.fsim_proof_states" <= 8 * List.length faults);
+  check_bool "at most 8 states per search" true
+    (count "exec.fsim_proof_states" <= 8 * count "exec.fsim_proofs");
+  check_bool "= serial" true (same_report (Fsim.serial nl ~faults ~sequence) r)
+
 let suite =
   [
     ( "engines.differential",
@@ -613,5 +711,14 @@ let suite =
           test_packed_sequential_expire;
         Alcotest.test_case "fsim.* counters engine-invariant" `Quick
           test_fsim_counters_engine_invariant;
+      ] );
+    ( "engines.untestable",
+      [
+        Alcotest.test_case "first run drops nothing" `Quick test_first_run_drops_nothing;
+        Alcotest.test_case "second run drops b03's 125, b01's 7" `Quick
+          test_second_run_drops_untestable;
+        Alcotest.test_case "dropped faults stay undetected" `Slow
+          test_dropped_stay_undetected;
+        Alcotest.test_case "b04 searches bounded by the run" `Quick test_searches_bounded;
       ] );
   ]
