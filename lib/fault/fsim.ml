@@ -155,8 +155,7 @@ let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~drop
   let stop = ref (K.chaos_entry ()) in
   let w = Bitsim.word_bits in
   let n_cycles = Array.length sequence in
-  let kept = List.filter (fun fi -> not dropped.(fi)) (List.init n_faults Fun.id) in
-  let kept = Array.of_list kept in
+  let kept = Array.of_list (List.filter (fun fi -> not dropped.(fi)) (List.init n_faults Fun.id)) in
   let n_kept = Array.length kept in
   (* Admission: one charge per group of [w] kept faults for the whole
      sequence, up front and in fault order, so a budget cut admits a
@@ -340,10 +339,11 @@ let parallel_fault_shard ~budget ~tick (e : C.t) ~(faults : Fault.t array) ~drop
    programs, every input code of a cycle in the lanes, finds them
    [Equal]. A run proves only faults an earlier run on the same
    compiled netlist left undetected, so a one-shot run proves nothing.
-   Each search may reach [cycles / 2^input_bits] joint states, about
-   as many program steps as the run would spend on the fault; it gets
-   none below 1, and one that hits its cap is tried again only under a
-   larger one. Returns, per fault, whether it is proven untestable. *)
+   Each search may reach [cycles / 2^input_bits] joint states, so it
+   tries at most as many state and code pairs as the run has cycles;
+   there is no search below 1, and one that hits its cap is tried again
+   only under a larger one. Returns, per fault, whether it is proven
+   untestable. *)
 let prove (e : C.t) (faults : Fault.t array) ~cycles =
   let bits = Program.input_bits e.C.prog in
   let cap = if bits >= Sys.int_size - 2 then 0 else cycles lsr bits in
@@ -371,8 +371,7 @@ let prove (e : C.t) (faults : Fault.t array) ~cycles =
                  | Product.Differs _ -> C.testable
                  | Product.Exhausted -> cap)
             end)
-          pending;
-        Trace.add_attr "searches" (string_of_int (List.length pending)));
+          pending);
   let dropped = Array.map (fun f -> state f = C.untestable) faults in
   Metrics.add K.x_dropped (Array.fold_left (fun n d -> if d then n + 1 else n) 0 dropped);
   dropped

@@ -51,13 +51,14 @@
     run, so the merged report is bit-identical to the sequential one.
     The context budget is split evenly across shards (leftovers
     refunded), and each shard spends one [Fsim_pairs] work unit per
-    pattern·fault pair it simulates (a dropped fault is not simulated). Exhaustion never fails the run —
-    simulation stops early, the remaining faults stay undetected in the
-    report, and the degradation is recorded via
-    {!Mutsamp_robust.Degrade} (once per affected shard). A chaos arming
-    at [Fsim_run] is consulted by every shard, inside the worker, and
-    behaves like immediate exhaustion ([Timeout]) or raises
-    {!Mutsamp_robust.Chaos.Injected} ([Exception]). *)
+    pattern·fault pair it simulates (a dropped fault is not simulated).
+    Exhaustion never fails the run — simulation stops early, the
+    remaining faults stay undetected in the report, and the
+    degradation is recorded via {!Mutsamp_robust.Degrade} (once per
+    affected shard). A chaos arming at [Fsim_run] is consulted by every
+    shard, inside the worker, and behaves like immediate exhaustion
+    ([Timeout]) or raises {!Mutsamp_robust.Chaos.Injected}
+    ([Exception]). *)
 
 type detection = Fsim_kernel.detection = {
   fault : Fault.t;
